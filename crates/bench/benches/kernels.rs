@@ -7,29 +7,32 @@ use summagen_matrix::{gemm_blocked, gemm_naive, gemm_parallel, random_matrix, De
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm_kernels");
     group.sample_size(10);
-    for &n in &[64usize, 128, 256] {
+    for &n in &[64usize, 128, 256, 512, 1024, 2048] {
         let a = random_matrix(n, n, 1);
         let b = random_matrix(n, n, 2);
         group.throughput(Throughput::Elements((2 * n * n * n) as u64));
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |bch, _| {
-            bch.iter(|| {
-                let mut cm = DenseMatrix::zeros(n, n);
-                gemm_naive(
-                    n,
-                    n,
-                    n,
-                    1.0,
-                    a.as_slice(),
-                    n,
-                    b.as_slice(),
-                    n,
-                    0.0,
-                    cm.as_mut_slice(),
-                    n,
-                );
-                cm
-            })
-        });
+        // The reference kernel takes seconds per run beyond this.
+        if n <= 256 {
+            group.bench_with_input(BenchmarkId::new("naive", n), &n, |bch, _| {
+                bch.iter(|| {
+                    let mut cm = DenseMatrix::zeros(n, n);
+                    gemm_naive(
+                        n,
+                        n,
+                        n,
+                        1.0,
+                        a.as_slice(),
+                        n,
+                        b.as_slice(),
+                        n,
+                        0.0,
+                        cm.as_mut_slice(),
+                        n,
+                    );
+                    cm
+                })
+            });
+        }
         group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bch, _| {
             bch.iter(|| {
                 let mut cm = DenseMatrix::zeros(n, n);
@@ -74,12 +77,21 @@ fn bench_kernels(c: &mut Criterion) {
 
 fn bench_fast_and_ooc(c: &mut Criterion) {
     use summagen_matrix::{ooc_gemm, strassen_multiply};
+    let mut group = c.benchmark_group("strassen_and_ooc");
+    group.sample_size(10);
+    // Against `gemm_kernels/blocked/<n>`: the crossover data behind
+    // `STRASSEN_CUTOFF` (EXPERIMENTS.md). 2048 is the first size where the
+    // shipped cutoff recurses at all.
+    for n in [192usize, 256, 512, 1024, 2048] {
+        let a = random_matrix(n, n, 5);
+        let b = random_matrix(n, n, 6);
+        group.bench_function(format!("strassen_{n}"), |bch| {
+            bch.iter(|| strassen_multiply(&a, &b))
+        });
+    }
     let n = 192;
     let a = random_matrix(n, n, 5);
     let b = random_matrix(n, n, 6);
-    let mut group = c.benchmark_group("strassen_and_ooc");
-    group.sample_size(10);
-    group.bench_function("strassen_192", |bch| bch.iter(|| strassen_multiply(&a, &b)));
     group.bench_function("ooc_gemm_192_tight", |bch| {
         bch.iter(|| {
             let mut cm = vec![0.0; n * n];

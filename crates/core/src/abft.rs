@@ -592,34 +592,27 @@ fn run_rank_abft(
                 .expect("B panel block missing for owned column");
             debug_assert_eq!(ap.cols(), bp.rows());
             let (m, nc) = (blk.rows + 1, blk.cols + 1);
-            match kernel {
-                GemmKernel::Naive => summagen_matrix::gemm_naive(
-                    m,
-                    nc,
-                    kb,
-                    1.0,
-                    ap.as_slice(),
-                    kb.max(1),
-                    bp.as_slice(),
-                    nc,
-                    1.0,
-                    cmat.as_mut_slice(),
-                    nc,
-                ),
-                _ => summagen_matrix::gemm_blocked(
-                    m,
-                    nc,
-                    kb,
-                    1.0,
-                    ap.as_slice(),
-                    kb.max(1),
-                    bp.as_slice(),
-                    nc,
-                    1.0,
-                    cmat.as_mut_slice(),
-                    nc,
-                ),
-            }
+            // `Parallel` runs as `Blocked` here — the same bits. A kernel
+            // thread beside each rank thread means one more malloc arena
+            // per thread, each retaining rank-sized free memory: measured
+            // on `abft-1024`, +47 % peak RSS for +6 % throughput.
+            let serial = match kernel {
+                GemmKernel::Naive => GemmKernel::Naive,
+                _ => GemmKernel::Blocked,
+            };
+            serial.run(
+                m,
+                nc,
+                kb,
+                1.0,
+                ap.as_slice(),
+                kb.max(1),
+                bp.as_slice(),
+                nc,
+                1.0,
+                cmat.as_mut_slice(),
+                nc,
+            );
             if opts.gemm_cost > 0.0 {
                 comm.advance_compute(opts.gemm_cost * (m * nc * kb) as f64);
             }

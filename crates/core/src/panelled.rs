@@ -23,7 +23,7 @@
 //! row/column communicators).
 
 use summagen_comm::{Communicator, CostModel, Payload, Universe, ZeroCost};
-use summagen_matrix::{gemm_blocked, DenseMatrix, GemmKernel};
+use summagen_matrix::{DenseMatrix, GemmKernel};
 use summagen_partition::PartitionSpec;
 
 use crate::executor::RunResult;
@@ -324,34 +324,19 @@ fn run_rank_panelled(
                 .as_ref()
                 .expect("B panel block missing for owned column");
             debug_assert_eq!(ap.cols(), bp.rows());
-            match kernel {
-                GemmKernel::Naive => summagen_matrix::gemm_naive(
-                    blk.rows,
-                    blk.cols,
-                    kb,
-                    1.0,
-                    ap.as_slice(),
-                    kb.max(1),
-                    bp.as_slice(),
-                    blk.cols.max(1),
-                    1.0,
-                    cmat.as_mut_slice(),
-                    blk.cols.max(1),
-                ),
-                _ => gemm_blocked(
-                    blk.rows,
-                    blk.cols,
-                    kb,
-                    1.0,
-                    ap.as_slice(),
-                    kb.max(1),
-                    bp.as_slice(),
-                    blk.cols.max(1),
-                    1.0,
-                    cmat.as_mut_slice(),
-                    blk.cols.max(1),
-                ),
-            }
+            kernel.run(
+                blk.rows,
+                blk.cols,
+                kb,
+                1.0,
+                ap.as_slice(),
+                kb.max(1),
+                bp.as_slice(),
+                blk.cols.max(1),
+                1.0,
+                cmat.as_mut_slice(),
+                blk.cols.max(1),
+            );
         }
         let _ = n;
     }

@@ -15,10 +15,12 @@ use rayon::prelude::*;
 pub enum GemmKernel {
     /// Triple-loop reference kernel. Slow; used for verification.
     Naive,
-    /// Cache-blocked serial kernel.
+    /// Packed, register-tiled serial kernel (panels of `A` and `B` copied
+    /// into contiguous strips, a 4 x 8 accumulator tile).
     Blocked,
-    /// Cache-blocked kernel parallelized over row panels with rayon. This is
-    /// the "multi-threaded CPU kernel" analogue of the paper's MKL DGEMM.
+    /// The `Blocked` kernel over one contiguous band of `C` rows per
+    /// hardware thread; bit-identical to `Blocked`. This is the
+    /// "multi-threaded CPU kernel" analogue of the paper's MKL DGEMM.
     #[default]
     Parallel,
 }
@@ -161,13 +163,149 @@ pub fn gemm_naive(
     }
 }
 
-/// Tile sizes for the blocked kernel, chosen so a `MC x KC` panel of `A`
-/// plus a `KC x NC` panel of `B` fit comfortably in L2.
-const MC: usize = 64;
+/// Register tile: the micro-kernel keeps an `MR x NR` block of `C` in
+/// accumulators (4 x 8 doubles = eight 256-bit registers under AVX2).
+const MR: usize = 4;
+const NR: usize = 8;
+/// Cache tiles: an `MC x KC` packed panel of `A` stays in L2 while it is
+/// swept against `NR`-wide strips of a `KC x NC` packed panel of `B`.
+const MC: usize = 96;
 const KC: usize = 256;
-const NC: usize = 512;
+const NC: usize = 1024;
 
-/// Cache-blocked serial GEMM. `C = alpha*A*B + beta*C`.
+/// Packs `alpha * A[0..mb, 0..kb]` into `MR`-tall strips: strip `s` holds
+/// rows `s*MR..` column by column (`MR` values per `l`), short edge strips
+/// zero-padded, so the micro-kernel reads it with unit stride.
+#[inline(always)]
+fn pack_a(mb: usize, kb: usize, alpha: f64, a: &[f64], lda: usize, ap: &mut [f64]) {
+    for (s, strip) in ap.chunks_exact_mut(MR * kb).enumerate() {
+        let rows = MR.min(mb - s * MR);
+        for (l, col) in strip.chunks_exact_mut(MR).enumerate() {
+            for (i, x) in col.iter_mut().enumerate() {
+                *x = if i < rows {
+                    alpha * a[(s * MR + i) * lda + l]
+                } else {
+                    0.0
+                };
+            }
+        }
+    }
+}
+
+/// Packs `B[0..kb, 0..nb]` into `NR`-wide strips (`NR` values per `l`),
+/// short edge strips zero-padded.
+#[inline(always)]
+fn pack_b(kb: usize, nb: usize, b: &[f64], ldb: usize, bp: &mut [f64]) {
+    for (s, strip) in bp.chunks_exact_mut(NR * kb).enumerate() {
+        let cols = NR.min(nb - s * NR);
+        for (l, row) in strip.chunks_exact_mut(NR).enumerate() {
+            let src = &b[l * ldb + s * NR..l * ldb + s * NR + cols];
+            row[..cols].copy_from_slice(src);
+            row[cols..].fill(0.0);
+        }
+    }
+}
+
+/// `C[0..mr, 0..nr] += Ap * Bp` over one packed strip pair. The tile of
+/// `C` is loaded into the accumulators first and every product is a
+/// separate multiply then add, in ascending `l`: per element that is the
+/// rounding sequence of a plain `c += (alpha*a) * b` loop, whatever the
+/// tile sizes, so results do not depend on the blocking. Accumulators past
+/// `mr`/`nr` only ever see the packed zero padding and are not stored.
+#[inline(always)]
+fn micro_kernel(ap: &[f64], bp: &[f64], c: &mut [f64], ldc: usize, mr: usize, nr: usize) {
+    let mut acc = [[0.0f64; NR]; MR];
+    for (i, row) in acc.iter_mut().enumerate().take(mr) {
+        row[..nr].copy_from_slice(&c[i * ldc..i * ldc + nr]);
+    }
+    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
+        let a: &[f64; MR] = a.try_into().expect("chunks_exact(MR)");
+        let b: &[f64; NR] = b.try_into().expect("chunks_exact(NR)");
+        for (row, &av) in acc.iter_mut().zip(a) {
+            for (x, &bv) in row.iter_mut().zip(b) {
+                *x += av * bv;
+            }
+        }
+    }
+    for (i, row) in acc.iter().enumerate().take(mr) {
+        c[i * ldc..i * ldc + nr].copy_from_slice(&row[..nr]);
+    }
+}
+
+/// The packed loop nest (`beta` already applied, `m, n, k > 0`).
+/// `inline(always)` so each caller below compiles its own copy under its
+/// own target features.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn macro_kernel(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    // Sized to the call, not to the constants: most calls are far smaller
+    // than one full panel.
+    let kc = KC.min(k);
+    let ap_len = MC.min(m).next_multiple_of(MR) * kc;
+    let mut packed = vec![0.0; ap_len + kc * NC.min(n).next_multiple_of(NR)];
+    let (ap, bp) = packed.split_at_mut(ap_len);
+    for j0 in (0..n).step_by(NC) {
+        let nb = NC.min(n - j0);
+        for l0 in (0..k).step_by(KC) {
+            let kb = KC.min(k - l0);
+            let bp = &mut bp[..kb * nb.next_multiple_of(NR)];
+            pack_b(kb, nb, &b[l0 * ldb + j0..], ldb, bp);
+            for i0 in (0..m).step_by(MC) {
+                let mb = MC.min(m - i0);
+                let ap = &mut ap[..mb.next_multiple_of(MR) * kb];
+                pack_a(mb, kb, alpha, &a[i0 * lda + l0..], lda, ap);
+                for (js, bs) in bp.chunks_exact(NR * kb).enumerate() {
+                    let nr = NR.min(nb - js * NR);
+                    for (is, a_s) in ap.chunks_exact(MR * kb).enumerate() {
+                        let mr = MR.min(mb - is * MR);
+                        let at = (i0 + is * MR) * ldc + j0 + js * NR;
+                        micro_kernel(a_s, bs, &mut c[at..], ldc, mr, nr);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`macro_kernel`] compiled with AVX2 but **not** FMA: wider registers,
+/// the same separate multiply and add, hence the same bits as the
+/// portable instance.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn macro_kernel_avx2(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    macro_kernel(m, n, k, alpha, a, lda, b, ldb, c, ldc);
+}
+
+/// Packed, register-tiled serial GEMM. `C = alpha*A*B + beta*C`.
+///
+/// Bit-for-bit the result of the unpacked loop `c *= beta; for l { c +=
+/// (alpha*a[i][l]) * b[l][j] }` (the micro-kernel loads the `C` tile into
+/// its accumulators and never fuses the multiply with the add), so the
+/// result does not depend on tile sizes, on the instruction set picked at
+/// run time, or on how a caller splits `k` or the rows of `C` across calls.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_blocked(
     m: usize,
@@ -197,35 +335,21 @@ pub fn gemm_blocked(
     if k == 0 || alpha == 0.0 {
         return;
     }
-    for j0 in (0..n).step_by(NC) {
-        let nb = NC.min(n - j0);
-        for l0 in (0..k).step_by(KC) {
-            let kb = KC.min(k - l0);
-            for i0 in (0..m).step_by(MC) {
-                let mb = MC.min(m - i0);
-                // Micro-kernel: i-k-j loop order so the innermost loop
-                // streams contiguously through B and C rows, letting the
-                // compiler auto-vectorize.
-                for i in i0..i0 + mb {
-                    let crow = &mut c[i * ldc + j0..i * ldc + j0 + nb];
-                    for l in l0..l0 + kb {
-                        let av = alpha * a[i * lda + l];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let brow = &b[l * ldb + j0..l * ldb + j0 + nb];
-                        for (cx, bx) in crow.iter_mut().zip(brow) {
-                            *cx += av * bx;
-                        }
-                    }
-                }
-            }
-        }
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the only requirement of a `#[target_feature]` function is
+        // that the CPU supports the feature, which was just detected.
+        return unsafe { macro_kernel_avx2(m, n, k, alpha, a, lda, b, ldb, c, ldc) };
     }
+    macro_kernel(m, n, k, alpha, a, lda, b, ldb, c, ldc);
 }
 
-/// Rayon-parallel GEMM: row panels of `C` are computed independently with
-/// the blocked kernel. `C = alpha*A*B + beta*C`.
+/// Below this many multiply-adds the fork-join costs more than it saves.
+const PARALLEL_MIN_WORK: usize = 128 * 128 * 128;
+
+/// Parallel GEMM: `C` is split into one contiguous `MR`-aligned band of
+/// rows per hardware thread and each band runs [`gemm_blocked`], so the
+/// result is bit-identical to the serial kernel. `C = alpha*A*B + beta*C`.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_parallel(
     m: usize,
@@ -244,17 +368,38 @@ pub fn gemm_parallel(
     if m == 0 || n == 0 {
         return;
     }
-    // Small problems are not worth the fork-join overhead.
-    if m * n * k < 64 * 64 * 64 {
+    // Small problems are not worth the fork-join overhead. Checked before
+    // the thread count is asked for: tiny calls dominate the service and
+    // test paths, and the first lookup reads cgroup files.
+    if m * n * k < PARALLEL_MIN_WORK {
         return gemm_blocked(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     }
+    let band = m
+        .div_ceil(rayon::current_num_threads())
+        .next_multiple_of(MR);
     // Trim C so the last chunk ends exactly at the final row's data; then
-    // every `ldc`-sized chunk is one C row (the final one may be shorter but
-    // still holds >= n elements of payload).
+    // every `band * ldc`-sized chunk is one band (the final one may be
+    // shorter but still holds its rows' payload).
     let c = &mut c[..(m - 1) * ldc + n];
-    c.par_chunks_mut(ldc).enumerate().for_each(|(i, crow)| {
-        gemm_blocked(1, n, k, alpha, &a[i * lda..], lda, b, ldb, beta, crow, ldc);
-    });
+    c.par_chunks_mut(band * ldc)
+        .enumerate()
+        .for_each(|(i, cband)| {
+            let r0 = i * band;
+            let rows = band.min(m - r0);
+            gemm_blocked(
+                rows,
+                n,
+                k,
+                alpha,
+                &a[r0 * lda..],
+                lda,
+                b,
+                ldb,
+                beta,
+                cband,
+                ldc,
+            );
+        });
 }
 
 #[cfg(test)]
@@ -363,7 +508,8 @@ mod tests {
 
     #[test]
     fn blocked_matches_naive_on_awkward_sizes() {
-        // Sizes straddling the tile boundaries (MC=64, KC=256, NC=512).
+        // Sizes straddling the register tile and the packed-panel heights
+        // (the bit-identity suite below covers every edge exactly).
         for (m, n, k) in [
             (1, 1, 1),
             (3, 5, 7),
@@ -522,5 +668,295 @@ mod tests {
         // Wall-clock telemetry must not claim virtual-side ops/flops.
         assert_eq!(metrics.gemm.ops.get(), 0);
         assert_eq!(metrics.gemm.flops.get(), 0);
+    }
+
+    // ---- Bit-identity suite -------------------------------------------
+    //
+    // Every digest, baseline and resume identity in the repo was produced
+    // by the unpacked loop below; the packed kernel must reproduce it bit
+    // for bit on finite inputs.
+
+    /// The kernel `gemm_blocked` had before packing, kept as the reference.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_unpacked(
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        a: &[f64],
+        lda: usize,
+        b: &[f64],
+        ldb: usize,
+        beta: f64,
+        c: &mut [f64],
+        ldc: usize,
+    ) {
+        if beta != 1.0 {
+            for i in 0..m {
+                for x in &mut c[i * ldc..i * ldc + n] {
+                    *x *= beta;
+                }
+            }
+        }
+        if alpha == 0.0 {
+            return;
+        }
+        for i in 0..m {
+            for l in 0..k {
+                let av = alpha * a[i * lda + l];
+                if av == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    c[i * ldc + j] += av * b[l * ldb + j];
+                }
+            }
+        }
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (at, (x, y)) in got.iter().zip(want).enumerate() {
+            assert!(
+                x.to_bits() == y.to_bits(),
+                "{what}: cell {at} is {x:e}, reference {y:e}"
+            );
+        }
+    }
+
+    /// Runs the reference, `Blocked` and `Parallel` on the same windows of
+    /// randomly filled buffers (so cells between rows hold data a misread
+    /// or stray write would expose) and compares whole `C` buffers.
+    fn check_bits(
+        m: usize,
+        n: usize,
+        k: usize,
+        (lda, ldb, ldc): (usize, usize, usize),
+        alpha: f64,
+        beta: f64,
+    ) {
+        let a = random_matrix(m, lda, 101);
+        let b = random_matrix(k, ldb, 102);
+        let c0 = random_matrix(m, ldc, 103);
+        let mut want = c0.clone();
+        gemm_unpacked(
+            m,
+            n,
+            k,
+            alpha,
+            a.as_slice(),
+            lda,
+            b.as_slice(),
+            ldb,
+            beta,
+            want.as_mut_slice(),
+            ldc,
+        );
+        for kernel in [GemmKernel::Blocked, GemmKernel::Parallel] {
+            let mut c = c0.clone();
+            kernel.run(
+                m,
+                n,
+                k,
+                alpha,
+                a.as_slice(),
+                lda,
+                b.as_slice(),
+                ldb,
+                beta,
+                c.as_mut_slice(),
+                ldc,
+            );
+            let what =
+                format!("{kernel:?} {m}x{n}x{k} ld ({lda},{ldb},{ldc}) alpha {alpha} beta {beta}");
+            assert_same_bits(c.as_slice(), want.as_slice(), &what);
+        }
+    }
+
+    fn check_dense(m: usize, n: usize, k: usize) {
+        check_bits(m, n, k, (k.max(1), n, n), 1.0, 0.0);
+    }
+
+    #[test]
+    fn bits_match_reference_across_every_tile_edge() {
+        let ms = [1, MR - 1, MR, MR + 1, MC - 1, MC, MC + 1];
+        let ns = [1, NR - 1, NR, NR + 1, NC - 1, NC, NC + 1];
+        let ks = [0, 1, KC - 1, KC, KC + 1];
+        // One dimension at a time around a base that is itself ragged
+        // (m < 2*MR, n < 2*NR), then the far corner of all three at once —
+        // large enough that `Parallel` really forks.
+        for m in ms {
+            check_dense(m, NR + 1, 3);
+        }
+        for n in ns {
+            check_dense(MR + 1, n, 3);
+        }
+        for k in ks {
+            check_dense(MR + 1, NR + 1, k);
+        }
+        check_dense(MR - 1, NR - 1, 1);
+        check_dense(MC + 1, NC + 1, KC + 1);
+        check_dense(2 * MC + MR + 1, NR + 3, 2 * KC + 1);
+    }
+
+    #[test]
+    fn bits_match_reference_for_alpha_beta_and_strided_windows() {
+        for alpha in [1.0, 2.0, -0.5] {
+            for beta in [0.0, 1.0, 0.5] {
+                check_bits(
+                    MR + 1,
+                    NR + 1,
+                    KC + 1,
+                    (KC + 1, NR + 1, NR + 1),
+                    alpha,
+                    beta,
+                );
+                // lda > k, ldb > n, ldc > n.
+                check_bits(
+                    MR + 2,
+                    2 * NR + 3,
+                    19,
+                    (23, 2 * NR + 5, 2 * NR + 9),
+                    alpha,
+                    beta,
+                );
+            }
+        }
+        // A forking shape through strided windows.
+        check_bits(150, 140, 130, (133, 147, 141), -0.5, 0.5);
+    }
+
+    /// The PR 8 resume property at kernel level: a `k`-prefix call followed
+    /// by a `beta = 1` call on the remainder is one call, and so is any
+    /// split of the rows of `C` (what makes `Parallel`'s bands safe for
+    /// every thread count).
+    #[test]
+    fn split_k_and_split_rows_chain_to_the_same_bits() {
+        let (m, n, k) = (13, 21, 2 * KC + 5);
+        let a = random_matrix(m, k, 7);
+        let b = random_matrix(k, n, 8);
+        let c0 = random_matrix(m, n, 9);
+        let (alpha, beta) = (-0.5, 0.5);
+        let one_call = |c: &mut DenseMatrix| {
+            let (a, b) = (a.as_slice(), b.as_slice());
+            gemm_blocked(m, n, k, alpha, a, k, b, n, beta, c.as_mut_slice(), n)
+        };
+        let mut want = c0.clone();
+        one_call(&mut want);
+        for cut in [1, 7, KC - 1, KC, KC + 1, k - 1] {
+            let mut c = c0.clone();
+            let (a, b) = (a.as_slice(), b.as_slice());
+            gemm_blocked(m, n, cut, alpha, a, k, b, n, beta, c.as_mut_slice(), n);
+            let (a, b) = (&a[cut..], &b[cut * n..]);
+            gemm_blocked(m, n, k - cut, alpha, a, k, b, n, 1.0, c.as_mut_slice(), n);
+            assert_same_bits(c.as_slice(), want.as_slice(), &format!("k cut at {cut}"));
+        }
+        for cut in [1, MR - 1, MR + 1, m - 1] {
+            let mut c = c0.clone();
+            let (a, b) = (a.as_slice(), b.as_slice());
+            let (top, bottom) = c.as_mut_slice().split_at_mut(cut * n);
+            gemm_blocked(cut, n, k, alpha, a, k, b, n, beta, top, n);
+            gemm_blocked(
+                m - cut,
+                n,
+                k,
+                alpha,
+                &a[cut * k..],
+                k,
+                b,
+                n,
+                beta,
+                bottom,
+                n,
+            );
+            assert_same_bits(c.as_slice(), want.as_slice(), &format!("row cut at {cut}"));
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_instance_matches_portable_instance() {
+        if !is_x86_feature_detected!("avx2") {
+            return; // gemm_blocked is already the portable instance here
+        }
+        let (m, n, k) = (MC + 3, 2 * NR + 5, KC + 7);
+        let a = random_matrix(m, k, 11);
+        let b = random_matrix(k, n, 12);
+        let c0 = random_matrix(m, n, 13);
+        let mut portable = c0.clone();
+        macro_kernel(
+            m,
+            n,
+            k,
+            2.0,
+            a.as_slice(),
+            k,
+            b.as_slice(),
+            n,
+            portable.as_mut_slice(),
+            n,
+        );
+        let mut dispatched = c0.clone();
+        gemm_blocked(
+            m,
+            n,
+            k,
+            2.0,
+            a.as_slice(),
+            k,
+            b.as_slice(),
+            n,
+            1.0,
+            dispatched.as_mut_slice(),
+            n,
+        );
+        assert_same_bits(
+            dispatched.as_slice(),
+            portable.as_slice(),
+            "avx2 vs portable",
+        );
+    }
+
+    /// The one documented departure from the unpacked loop: it skipped
+    /// `alpha*a == 0` terms, the packed kernel adds them like `gemm_naive`
+    /// does. So a zero in `A` against a non-finite `B` now yields NaN, and
+    /// a `-0.0` in `C` that only meets zero terms becomes `+0.0`.
+    #[test]
+    fn zero_terms_follow_gemm_naive_not_the_old_shortcut() {
+        type K = fn(usize, usize, usize, f64, &[f64], usize, &[f64], usize, f64, &mut [f64], usize);
+        let a = [0.0, 1.0];
+        let b = [f64::INFINITY, 2.0];
+        let run = |kernel: K| {
+            let mut c = [0.0];
+            kernel(1, 1, 2, 1.0, &a, 2, &b, 1, 1.0, &mut c, 1);
+            c[0]
+        };
+        assert!(run(gemm_naive).is_nan());
+        assert!(run(gemm_blocked).is_nan());
+        assert!(run(gemm_parallel).is_nan());
+        assert_eq!(run(gemm_unpacked), 2.0);
+
+        let (a, b) = ([0.0, 0.0], [5.0, 7.0]);
+        let run = |kernel: K| {
+            let mut c = [-0.0];
+            kernel(1, 1, 2, 1.0, &a, 2, &b, 1, 1.0, &mut c, 1);
+            c[0].to_bits()
+        };
+        assert_eq!(run(gemm_naive), 0.0f64.to_bits());
+        assert_eq!(run(gemm_blocked), 0.0f64.to_bits());
+        assert_eq!(run(gemm_unpacked), (-0.0f64).to_bits());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_bits_match_reference_on_random_windows(
+            m in 1usize..40, n in 1usize..40, k in 0usize..40,
+            pad_a in 0usize..4, pad_b in 0usize..4, pad_c in 0usize..4,
+            scalars in 0usize..9
+        ) {
+            let alpha = [1.0, 2.0, -0.5][scalars % 3];
+            let beta = [0.0, 1.0, 0.5][scalars / 3];
+            check_bits(m, n, k, (k.max(1) + pad_a, n + pad_b, n + pad_c), alpha, beta);
+        }
     }
 }

@@ -3,8 +3,9 @@
 //! This crate provides the numerical substrate that the paper obtains from
 //! vendor BLAS libraries (Intel MKL, CUBLAS): a row-major dense `f64` matrix
 //! type, strided block copies (the paper's `copy_matrix`), and GEMM kernels
-//! in three flavours — a naive reference, a cache-blocked serial kernel, and
-//! a rayon-parallel kernel. All kernels operate on strided submatrices so
+//! in three flavours — a naive reference, a packed register-tiled serial
+//! kernel, and the same kernel run over one band of `C` rows per hardware
+//! thread. All kernels operate on strided submatrices so
 //! that SummaGen can multiply slices of its working matrices `WA`/`WB`
 //! directly into slices of the local `C` partition, exactly like the
 //! `localDgemm` call in Fig. 4 of the paper.

@@ -4,13 +4,20 @@
 //! The recursion multiplies two `n × n` matrices with 7 half-size
 //! products instead of 8 (`O(n^2.807)` flops), padding odd sizes and
 //! falling back to the blocked kernel below a cutoff where the extra
-//! additions outweigh the saved multiplication.
+//! additions outweigh the saved multiplication. Where that cutoff sits is
+//! a property of the base kernel (D'Alberto, arXiv 1205.2927): the faster
+//! the kernel, the later the 18 quadrant additions pay for themselves.
 
 use crate::dense::DenseMatrix;
 use crate::gemm::gemm_blocked;
 
-/// Below this size the blocked kernel is faster than recursing.
-pub const STRASSEN_CUTOFF: usize = 64;
+/// At or below this size the blocked kernel is faster than recursing.
+///
+/// Measured, not guessed (`cargo bench -p summagen-bench --bench kernels`,
+/// table in EXPERIMENTS.md): against the packed kernel one recursion level
+/// still loses at n = 1024, the largest size the repo runs, so the constant
+/// sits there and [`strassen_multiply`] recurses only beyond it.
+pub const STRASSEN_CUTOFF: usize = 1024;
 
 /// Multiplies `A × B` (square, equal sizes) with Strassen's algorithm.
 ///
@@ -23,7 +30,7 @@ pub fn strassen_multiply(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     if n == 0 {
         return DenseMatrix::zeros(0, 0);
     }
-    strassen_rec(a, b)
+    strassen_rec(a, b, STRASSEN_CUTOFF)
 }
 
 fn base_multiply(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
@@ -61,9 +68,9 @@ fn sub(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     out
 }
 
-fn strassen_rec(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+fn strassen_rec(a: &DenseMatrix, b: &DenseMatrix, cutoff: usize) -> DenseMatrix {
     let n = a.rows();
-    if n <= STRASSEN_CUTOFF {
+    if n <= cutoff {
         return base_multiply(a, b);
     }
     // Pad odd sizes with one zero row/column.
@@ -73,7 +80,7 @@ fn strassen_rec(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
         ap.set_submatrix(0, 0, a);
         let mut bp = DenseMatrix::zeros(m, m);
         bp.set_submatrix(0, 0, b);
-        let cp = strassen_rec(&ap, &bp);
+        let cp = strassen_rec(&ap, &bp, cutoff);
         return cp.submatrix(0, 0, n, n);
     }
     let h = n / 2;
@@ -86,13 +93,13 @@ fn strassen_rec(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     let b21 = b.submatrix(h, 0, h, h);
     let b22 = b.submatrix(h, h, h, h);
 
-    let m1 = strassen_rec(&add(&a11, &a22), &add(&b11, &b22));
-    let m2 = strassen_rec(&add(&a21, &a22), &b11);
-    let m3 = strassen_rec(&a11, &sub(&b12, &b22));
-    let m4 = strassen_rec(&a22, &sub(&b21, &b11));
-    let m5 = strassen_rec(&add(&a11, &a12), &b22);
-    let m6 = strassen_rec(&sub(&a21, &a11), &add(&b11, &b12));
-    let m7 = strassen_rec(&sub(&a12, &a22), &add(&b21, &b22));
+    let m1 = strassen_rec(&add(&a11, &a22), &add(&b11, &b22), cutoff);
+    let m2 = strassen_rec(&add(&a21, &a22), &b11, cutoff);
+    let m3 = strassen_rec(&a11, &sub(&b12, &b22), cutoff);
+    let m4 = strassen_rec(&a22, &sub(&b21, &b11), cutoff);
+    let m5 = strassen_rec(&add(&a11, &a12), &b22, cutoff);
+    let m6 = strassen_rec(&sub(&a21, &a11), &add(&b11, &b12), cutoff);
+    let m7 = strassen_rec(&sub(&a12, &a22), &add(&b21, &b22), cutoff);
 
     let c11 = add(&sub(&add(&m1, &m4), &m5), &m7);
     let c12 = add(&m3, &m5);
@@ -122,12 +129,16 @@ mod tests {
     use super::*;
     use crate::{approx_eq, gemm_tolerance, random_matrix};
 
+    /// A cutoff small enough that the test sizes really recurse (odd
+    /// padding, two levels); the shipped constant is above all of them.
+    const TEST_CUTOFF: usize = 64;
+
     #[test]
     fn matches_blocked_gemm_above_cutoff() {
         for n in [65usize, 96, 128, 130, 200] {
             let a = random_matrix(n, n, 1);
             let b = random_matrix(n, n, 2);
-            let c = strassen_multiply(&a, &b);
+            let c = strassen_rec(&a, &b, TEST_CUTOFF);
             let want = base_multiply(&a, &b);
             // Strassen loses a few digits to the extra additions.
             assert!(
@@ -155,7 +166,7 @@ mod tests {
         let n = 100;
         let a = random_matrix(n, n, 5);
         let id = DenseMatrix::identity(n);
-        assert!(approx_eq(&strassen_multiply(&a, &id), &a, 1e-9));
+        assert!(approx_eq(&strassen_rec(&a, &id, TEST_CUTOFF), &a, 1e-9));
     }
 
     #[test]
@@ -166,12 +177,13 @@ mod tests {
 
     #[test]
     fn multiplication_count_subcubic() {
-        // At n = 512 = 2^9 with cutoff 64: 3 recursion levels -> 7^3
-        // base multiplies of 64^3, vs 512^3 classical.
-        let strassen = strassen_multiplications(512);
-        assert_eq!(strassen, 343 * 64u64.pow(3));
-        assert!(strassen < 512u64.pow(3));
-        let ratio = 512u64.pow(3) as f64 / strassen as f64;
+        // Three recursion levels above the cutoff: 7^3 base multiplies of
+        // cutoff^3, vs (8 * cutoff)^3 classical.
+        let (n, base) = (8 * STRASSEN_CUTOFF, STRASSEN_CUTOFF as u64);
+        let strassen = strassen_multiplications(n);
+        assert_eq!(strassen, 343 * base.pow(3));
+        assert!(strassen < (n as u64).pow(3));
+        let ratio = (n as u64).pow(3) as f64 / strassen as f64;
         assert!(ratio > 1.4, "saving ratio {ratio}");
     }
 
