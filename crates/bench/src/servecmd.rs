@@ -227,6 +227,13 @@ fn print_comparison(mix: &LoadMix, runs: &[PolicyRun]) {
         }
         println!();
     }
+    // What the CI load job compares against the golden constants of
+    // `tests/service_load.rs`.
+    println!("\n  schedule digests:");
+    for run in runs {
+        let r = &run.report;
+        println!("{:>12} {:016x}", r.policy.name(), r.schedule_digest);
+    }
 }
 
 /// Runs the serve experiment: the named mix under `policy` (or all three

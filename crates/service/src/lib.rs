@@ -12,7 +12,8 @@
 //!   FIFO and round-robin baselines, and the FPM-aware planner that
 //!   costs every device subset (and, for three-device subsets, every
 //!   paper partition shape) with the pool's functional performance
-//!   models before placing a job.
+//!   models — once per problem size and eligible-device set, into the
+//!   pool's placement table — and places each job from that table.
 //! * [`loadgen`] — seeded Poisson tenant mixes, so load is reproducible
 //!   to the byte.
 //! * [`service`] — the virtual-clock event loop tying it together:

@@ -173,6 +173,11 @@ impl JobQueue {
         self.jobs.iter()
     }
 
+    /// The queued job at `index` (0 = head / oldest), if there is one.
+    pub fn get(&self, index: usize) -> Option<&JobSpec> {
+        self.jobs.get(index)
+    }
+
     /// Index of the queued job the given urgency key ranks first, or
     /// `None` on an empty queue. The key orders descending (larger =
     /// more urgent); ties resolve to the earliest-submitted job, which

@@ -17,8 +17,12 @@
 //!   Hockney broadcast cost from the partition's half-perimeters, and
 //!   the subset's current availability. The placement minimizing the
 //!   predicted completion instant wins; three-device subsets also pick
-//!   the best of the paper's partition shapes.
+//!   the best of the paper's partition shapes. Everything but the
+//!   availability is a function of `(n, eligible devices)`, so the pool
+//!   costs each such pair once, into its placement table, and a plan is
+//!   one pass over a table row.
 
+use std::collections::BTreeMap;
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -85,14 +89,18 @@ pub struct PoolDevice {
 /// The shared device pool every job is placed onto.
 pub struct DevicePool {
     devices: Vec<PoolDevice>,
-    /// Hockney latency of the pool's links, seconds.
-    pub alpha: f64,
-    /// Hockney reciprocal bandwidth, seconds/byte.
-    pub beta: f64,
+    alpha: f64,
+    beta: f64,
     rr_cursor: usize,
     /// Per-device schedulability, set by the quarantine layer before
     /// each dispatch round. All-true without quarantine.
     eligible: Vec<bool>,
+    /// The placement table: `(n, device bit mask)` → every FPM candidate
+    /// over those devices, in tie-break order, with `start` left at zero
+    /// (availability is applied at lookup). Filled on first use and
+    /// never invalidated — a row depends only on its key and on the
+    /// speed functions, `alpha` and `beta`, all fixed at construction.
+    table: BTreeMap<(usize, u32), Vec<Placement>>,
 }
 
 impl DevicePool {
@@ -109,6 +117,10 @@ impl DevicePool {
                 busy_seconds: 0.0,
             })
             .collect();
+        assert!(
+            devices.len() <= 32,
+            "pool too large for the placement table"
+        );
         let eligible = vec![true; devices.len()];
         Self {
             devices,
@@ -116,7 +128,18 @@ impl DevicePool {
             beta,
             rr_cursor: 0,
             eligible,
+            table: BTreeMap::new(),
         }
+    }
+
+    /// Hockney latency of the pool's links, seconds.
+    pub fn alpha(&self) -> f64 {
+        self.alpha
+    }
+
+    /// Hockney reciprocal bandwidth, seconds/byte.
+    pub fn beta(&self) -> f64 {
+        self.beta
     }
 
     /// Number of devices.
@@ -184,6 +207,17 @@ impl DevicePool {
         } else {
             elig
         }
+    }
+
+    /// Costs the table row of `n` over `devices` (ascending pool indices)
+    /// if this is its first use, and returns its key.
+    fn cost(&mut self, n: usize, devices: &[usize]) -> (usize, u32) {
+        let key = (n, devices.iter().fold(0, |mask, &d| mask | 1 << d));
+        if !self.table.contains_key(&key) {
+            let row = fpm_candidates(self, devices, n);
+            self.table.insert(key, row);
+        }
+        key
     }
 
     /// Speeds of a subset evaluated at the given areas.
@@ -254,17 +288,24 @@ fn fpm_areas(pool: &DevicePool, subset: &[usize], n: usize) -> Vec<f64> {
     proportional_areas(n, &s1)
 }
 
-/// Estimated service time of an `n × n` job on an arbitrary device
-/// subset under FPM-proportional areas — what the fault model re-costs a
-/// shrink-and-retry attempt with after a device drops out of a placement.
-pub fn service_time(pool: &DevicePool, subset: &[usize], n: usize) -> f64 {
-    let areas = fpm_areas(pool, subset, n);
-    let spec = subset_spec(Shape::OneDRectangular, n, &areas);
-    estimate(pool, &spec, subset)
+/// Estimated service time of an `n × n` job on the device set `subset`
+/// (ascending pool indices) under FPM-proportional areas — what the fault
+/// model re-costs a shrink-and-retry attempt with after a device drops
+/// out of a placement, and what deadline admission drains its backlog at.
+/// Read from the placement table: the column-layout candidate over the
+/// whole of `subset` in the row `subset` keys.
+pub fn service_time(pool: &mut DevicePool, subset: &[usize], n: usize) -> f64 {
+    let key = pool.cost(n, subset);
+    pool.table[&key]
+        .iter()
+        .find(|c| c.devices.len() == subset.len() && c.shape == Shape::OneDRectangular)
+        .expect("the whole subset has a column-layout candidate")
+        .duration
 }
 
-/// Plans where the next job would run under `policy`, *without* mutating
-/// the pool. `now` is the scheduler's current virtual instant.
+/// Plans where the next job would run under `policy`, *without* occupying
+/// the pool (the only thing it may write is a placement-table row).
+/// `now` is the scheduler's current virtual instant.
 pub fn plan(policy: Policy, pool: &mut DevicePool, job: &JobSpec, now: f64) -> Placement {
     match policy {
         Policy::Fifo => plan_fifo(pool, job, now),
@@ -331,47 +372,62 @@ fn subsets(len: usize) -> Vec<Vec<usize>> {
     all
 }
 
-fn plan_fpm(pool: &DevicePool, job: &JobSpec, now: f64) -> Placement {
-    let n = job.n;
-    let eligible = pool.eligible_devices();
-    let mut best: Option<Placement> = None;
+/// Every FPM candidate over the devices of `eligible`: each subset in
+/// [`subsets`] order, under the four paper layouts for three devices and
+/// the column layout otherwise (it covers any count). The order is the
+/// planner's tie-break, so it is part of the schedule.
+fn fpm_candidates(pool: &DevicePool, eligible: &[usize], n: usize) -> Vec<Placement> {
+    let mut row = Vec::new();
     for positions in subsets(eligible.len()) {
         let subset: Vec<usize> = positions.iter().map(|&p| eligible[p]).collect();
         let areas = fpm_areas(pool, &subset, n);
         let speeds = pool.speeds_at(&subset, &areas);
-        // Candidate shapes: the four paper layouts for three devices,
-        // the column layout otherwise (it covers any count).
         let shapes: &[Shape] = if subset.len() == 3 {
             &ALL_FOUR_SHAPES
         } else {
             &[Shape::OneDRectangular]
         };
-        let start = pool.available_at(&subset).max(now);
         for &shape in shapes {
             let spec = subset_spec(shape, n, &areas);
-            let duration = estimate(pool, &spec, &subset);
-            let cand = Placement {
+            row.push(Placement {
+                duration: estimate(pool, &spec, &subset),
                 devices: subset.clone(),
                 shape,
                 rel_speeds: speeds.clone(),
-                start,
-                duration,
-            };
-            // Strictly-less comparison keeps the first (smallest-subset,
-            // lexicographically-first, earliest-shape) candidate on ties
-            // — fully deterministic.
-            if best.as_ref().is_none_or(|b| cand.finish() < b.finish()) {
-                best = Some(cand);
-            }
+                start: 0.0,
+            });
         }
     }
-    best.expect("pool has at least one device")
+    row
+}
+
+fn plan_fpm(pool: &mut DevicePool, job: &JobSpec, now: f64) -> Placement {
+    let key = pool.cost(job.n, &pool.eligible_devices());
+    let mut best: Option<(f64, f64, &Placement)> = None;
+    for cand in &pool.table[&key] {
+        let start = pool.available_at(&cand.devices).max(now);
+        let finish = start + cand.duration;
+        // Strictly-less comparison keeps the first (smallest-subset,
+        // lexicographically-first, earliest-shape) candidate on ties
+        // — fully deterministic.
+        if best.is_none_or(|(best_finish, ..)| finish < best_finish) {
+            best = Some((finish, start, cand));
+        }
+    }
+    let (_, start, cand) = best.expect("pool has at least one device");
+    Placement {
+        start,
+        ..cand.clone()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use summagen_platform::device::HASWELL_E5_2670V3;
     use summagen_platform::profile::hclserver1;
+    use summagen_platform::{AbstractProcessor, ConstantSpeed, TabulatedSpeed};
 
     fn pool() -> DevicePool {
         // hclserver1: AbsCPU (0.575 TF), AbsGPU (1.15 TF), AbsPhi
@@ -513,5 +569,132 @@ mod tests {
         assert_eq!(p.eligible_devices(), vec![0, 1, 2]);
         let fifo = plan(Policy::Fifo, &mut p, &job(1024), 0.0);
         assert_eq!(fifo.devices, vec![0, 1, 2]);
+        // ... and keys the placement table as the whole pool does.
+        let open = plan(Policy::FpmAware, &mut p, &job(1024), 0.0);
+        p.set_eligible(&[true, true, true]);
+        assert_eq!(plan(Policy::FpmAware, &mut p, &job(1024), 0.0), open);
+        assert_eq!(p.table.keys().collect::<Vec<_>>(), [&(1024, 0b111)]);
+    }
+
+    // ---- The placement table against the direct costing it replaced ----
+
+    /// The planner as it was before the table: every subset × shape
+    /// costed on the spot. The reference the table is proptested against.
+    fn plan_fpm_direct(pool: &DevicePool, n: usize, now: f64) -> Placement {
+        let eligible = pool.eligible_devices();
+        let mut best: Option<Placement> = None;
+        for positions in subsets(eligible.len()) {
+            let subset: Vec<usize> = positions.iter().map(|&p| eligible[p]).collect();
+            let areas = fpm_areas(pool, &subset, n);
+            let speeds = pool.speeds_at(&subset, &areas);
+            let shapes: &[Shape] = if subset.len() == 3 {
+                &ALL_FOUR_SHAPES
+            } else {
+                &[Shape::OneDRectangular]
+            };
+            let start = pool.available_at(&subset).max(now);
+            for &shape in shapes {
+                let spec = subset_spec(shape, n, &areas);
+                let duration = estimate(pool, &spec, &subset);
+                let cand = Placement {
+                    devices: subset.clone(),
+                    shape,
+                    rel_speeds: speeds.clone(),
+                    start,
+                    duration,
+                };
+                if best.as_ref().is_none_or(|b| cand.finish() < b.finish()) {
+                    best = Some(cand);
+                }
+            }
+        }
+        best.expect("pool has at least one device")
+    }
+
+    /// `service_time` as it was before the table.
+    fn service_time_direct(pool: &DevicePool, subset: &[usize], n: usize) -> f64 {
+        let areas = fpm_areas(pool, subset, n);
+        let spec = subset_spec(Shape::OneDRectangular, n, &areas);
+        estimate(pool, &spec, subset)
+    }
+
+    /// A placement with its floats as bit patterns: equality is exact.
+    fn bits(p: &Placement) -> (&[usize], Shape, Vec<u64>, u64, u64) {
+        (
+            &p.devices,
+            p.shape,
+            p.rel_speeds.iter().map(|s| s.to_bits()).collect(),
+            p.start.to_bits(),
+            p.duration.to_bits(),
+        )
+    }
+
+    /// The two mixes' sizes plus odd ones no mix uses.
+    const SIZES: [usize; 12] = [
+        256, 384, 512, 768, 1024, 1536, 2048, 3072, 4096, 257, 333, 1001,
+    ];
+
+    /// A pool of constant-speed and tabulated (discrete-FPM) devices.
+    /// Speeds come from a small grid so identical devices — equal
+    /// durations, the tie-break's case — are common.
+    fn random_pool(devices: &[(u32, u32, u32)]) -> DevicePool {
+        let processors = devices
+            .iter()
+            .map(|&(kind, half_tf, drop_pct)| {
+                let peak = 0.5e12 * f64::from(half_tf);
+                let speed: Arc<dyn SpeedFunction> = if kind == 0 {
+                    Arc::new(ConstantSpeed::new(peak))
+                } else {
+                    // Full speed up to a 1024² partition, then a cliff.
+                    let knee = 1024.0 * 1024.0;
+                    Arc::new(TabulatedSpeed::new(vec![
+                        (0.0, peak),
+                        (knee, peak),
+                        (2.0 * knee, peak * f64::from(drop_pct) / 100.0),
+                    ]))
+                };
+                AbstractProcessor::new(HASWELL_E5_2670V3, speed)
+            })
+            .collect();
+        DevicePool::from_platform(&Platform::new(processors, 0.0), 1e-5, 4e-10)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One pool, a sequence of plans with the horizons, the clock
+        /// and the eligibility mask changing in between: the table must
+        /// return, bit for bit, what costing from scratch returns — for
+        /// `plan` and for `service_time` on every subset.
+        #[test]
+        fn table_matches_direct_costing(
+            devices in proptest::collection::vec((0u32..2, 1u32..4, 10u32..100), 1..5),
+            steps in proptest::collection::vec(
+                (0usize..SIZES.len(), 0u32..16, 0u32..300, 0u64..u64::MAX),
+                1..10,
+            ),
+        ) {
+            let mut pool = random_pool(&devices);
+            let len = pool.len();
+            for (size, mask, now, horizons) in steps {
+                let (n, now) = (SIZES[size], f64::from(now) * 0.01);
+                // Every mask of the pool, all-false (fail-open) included.
+                let mask: Vec<bool> = (0..len).map(|d| mask & (1 << d) != 0).collect();
+                pool.set_eligible(&mask);
+                for d in 0..len {
+                    // 10 ms grid: equal horizons, hence tied starts, are common.
+                    let finish = ((horizons >> (8 * d)) & 0xff) as f64 * 0.01;
+                    pool.occupy(&[d], 0.0, finish);
+                }
+                let want = plan_fpm_direct(&pool, n, now);
+                let got = plan(Policy::FpmAware, &mut pool, &job(n), now);
+                prop_assert_eq!(bits(&got), bits(&want), "n {} mask {:?}", n, mask);
+                for subset in subsets(len) {
+                    let want = service_time_direct(&pool, &subset, n);
+                    let got = service_time(&mut pool, &subset, n);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "n {} on {:?}", n, subset);
+                }
+            }
+        }
     }
 }

@@ -593,9 +593,6 @@ struct RunState {
     waits: Option<WaitWindow>,
     brownout_active: bool,
     resume: BTreeMap<JobId, ResumeState>,
-    /// Full-pool service-time estimates by problem size, for the
-    /// deadline-admission backlog model.
-    est_cache: BTreeMap<usize, f64>,
     /// SLO burn-rate engine (present when a policy is attached).
     slo: Option<SloEngine>,
     /// Journal + crash-injection state (present on durable runs only;
@@ -878,7 +875,6 @@ impl GemmService {
             waits: degrade.brownout.map(|b| WaitWindow::new(b.window)),
             brownout_active: false,
             resume: BTreeMap::new(),
-            est_cache: BTreeMap::new(),
             slo: self.slo.clone().map(SloEngine::new),
             durable: None,
             now: 0.0,
@@ -1264,29 +1260,24 @@ impl GemmService {
     /// upper-bound drain model — under the overloads that make deadline
     /// admission matter, the pool is saturated and the bound is tight;
     /// when it is slack the admission errs conservative.
-    fn estimate_completion(&self, st: &mut RunState, job: &JobSpec) -> f64 {
-        let pool = &self.pool;
-        let est = |cache: &mut BTreeMap<usize, f64>, n: usize| -> f64 {
-            *cache.entry(n).or_insert_with(|| {
-                let all: Vec<usize> = (0..pool.len()).collect();
-                service_time(pool, &all, n)
-            })
-        };
+    fn estimate_completion(&mut self, st: &RunState, job: &JobSpec) -> f64 {
+        let all: Vec<usize> = (0..self.pool.len()).collect();
         let mut backlog = 0.0;
         for queued in st.queue.iter() {
             let remaining = 1.0
                 - st.resume
                     .get(&queued.id)
                     .map_or(0.0, |r: &ResumeState| r.fraction);
-            backlog += remaining * est(&mut st.est_cache, queued.n);
+            backlog += remaining * service_time(&mut self.pool, &all, queued.n);
         }
-        let free = pool
+        let free = self
+            .pool
             .devices()
             .iter()
             .map(|d| d.busy_until)
             .fold(f64::INFINITY, f64::min)
             .max(st.now);
-        free + backlog + est(&mut st.est_cache, job.n)
+        free + backlog + service_time(&mut self.pool, &all, job.n)
     }
 
     /// Brownout: updates the hysteresis state from the queue-wait p95
@@ -1363,17 +1354,17 @@ impl GemmService {
             let candidates: Vec<usize> = match self.config.policy {
                 Policy::Fifo | Policy::RoundRobin => vec![0],
                 Policy::FpmAware => {
-                    let specs: Vec<&JobSpec> = st.queue.iter().collect();
-                    let mut order: Vec<usize> = (0..specs.len()).collect();
+                    let spec = |i: usize| st.queue.get(i).expect("index below len");
+                    let mut order: Vec<usize> = (0..st.queue.len()).collect();
                     order.sort_by(|&a, &b| {
-                        specs[b]
+                        spec(b)
                             .priority
-                            .cmp(&specs[a].priority)
+                            .cmp(&spec(a).priority)
                             .then(
-                                specs[a]
+                                spec(a)
                                     .deadline
                                     .unwrap_or(f64::INFINITY)
-                                    .total_cmp(&specs[b].deadline.unwrap_or(f64::INFINITY)),
+                                    .total_cmp(&spec(b).deadline.unwrap_or(f64::INFINITY)),
                             )
                             .then(a.cmp(&b))
                     });
@@ -1381,8 +1372,8 @@ impl GemmService {
                 }
             };
             for idx in candidates {
-                let job = st.queue.iter().nth(idx).expect("index observed").clone();
-                let placement = plan(self.config.policy, &mut self.pool, &job, st.now);
+                let job = st.queue.get(idx).expect("index observed");
+                let placement = plan(self.config.policy, &mut self.pool, job, st.now);
                 if placement.start <= st.now + EPS {
                     commit(self.config.policy, &mut self.pool);
                     self.dispatch_batch(st, idx, placement);
@@ -1644,7 +1635,7 @@ impl GemmService {
     /// the checkpoint-restore overhead. Breaker observations (blamed
     /// failures, surviving successes) are appended to `breaker_events`.
     fn execute(
-        &self,
+        &mut self,
         job: &JobSpec,
         placement: &Placement,
         t0: f64,
@@ -1668,7 +1659,7 @@ impl GemmService {
             let full = if devices.len() == placement.devices.len() {
                 placement.duration
             } else {
-                service_time(&self.pool, &devices, job.n)
+                service_time(&mut self.pool, &devices, job.n)
             };
             let duration = full * work_scale;
             let fate = draw_fate(&faults, job.id, attempts as u64, devices.len());

@@ -181,3 +181,48 @@ fn run_degrade_writes_artifacts_and_passes_its_gates() {
     }
     fs::remove_dir_all(&out).ok();
 }
+
+/// Schedule digests of the two seeded mixes, captured at the commit
+/// before the placement table (PR 13): a planning change that moves any
+/// schedule — a reordered candidate list, a duration computed one ulp
+/// differently — fails here, in tier-1. The degraded runs (all four
+/// `DegradeConfig` mechanisms, fault seed 7) are pinned at 1×, where
+/// quarantine masks and shrink-and-retry re-costing do the placing, and
+/// at 5×, where preemption and shedding do. `reproduce serve` prints the
+/// per-policy values; the CI load job greps for the hetero one.
+#[test]
+fn schedule_digests_match_the_goldens() {
+    // (mix, [fifo, round-robin, fpm-aware], degraded at [1×, 5×])
+    let goldens: [(LoadMix, [u64; 3], [u64; 2]); 2] = [
+        (
+            small_mix(),
+            [0xa14be4e6deb5458f, 0x7d86ec57b1260e69, 0x8546442e83e1bb57],
+            [0xe5c7c77d5e0e3223, 0x3ad446b7eadf602d],
+        ),
+        (
+            hetero_mix(),
+            [0x080ecadd3c4641d0, 0x666279fe6419b369, 0xce8807927b36f46d],
+            [0x35dd3180419be916, 0xf28249d4aac51335],
+        ),
+    ];
+    for (mix, by_policy, degraded) in goldens {
+        for (policy, want) in Policy::ALL.into_iter().zip(by_policy) {
+            let got = run_policy(&mix, policy).report.schedule_digest;
+            assert_eq!(
+                got,
+                want,
+                "{} under {}: digest {got:016x} != golden {want:016x}",
+                mix.name,
+                policy.name()
+            );
+        }
+        for (factor, want) in [1.0, 5.0].into_iter().zip(degraded) {
+            let got = run_mode(&mix, factor, 7, true).report.schedule_digest;
+            assert_eq!(
+                got, want,
+                "{} degraded at {factor}x: digest {got:016x} != golden {want:016x}",
+                mix.name
+            );
+        }
+    }
+}
