@@ -222,16 +222,16 @@ pub fn run_ladder(
             }
             DurableRun::Crashed(c) => {
                 let (bytes, _) = c.journal.into_durable();
-                let decode = decode_frames(&bytes);
+                let valid_bytes = decode_frames(&bytes).valid_bytes;
                 outcomes.push(CycleOutcome {
                     cycle,
                     kind: c.kind,
                     event: c.event,
                     at: c.at,
                     recovery: c.recovery,
-                    torn_at_reopen: bytes.len() - decode.valid_bytes,
+                    torn_at_reopen: bytes.len() - valid_bytes,
                 });
-                journal = Journal::reopen(bytes, decode.valid_bytes, GroupCommitConfig::default());
+                journal = Journal::reopen(bytes, valid_bytes, GroupCommitConfig::default());
             }
         }
     }

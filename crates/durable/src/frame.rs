@@ -22,34 +22,95 @@ pub const FRAME_MAGIC: u16 = 0x5347; // "SG"
 /// Frame header bytes ahead of the payload: magic + len + crc.
 pub const FRAME_HEADER: usize = 2 + 4 + 4;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes`.
-/// Computed bitwise — the journal's payloads are tens of bytes, so a
-/// table buys nothing worth its 1 KiB.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slice-by-8 lookup tables for the reflected IEEE polynomial, built at
+/// compile time. `CRC_TABLES[0]` is the classic byte-at-a-time table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// which is what lets eight input bytes fold in one step.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes`.
+///
+/// Table-driven, eight bytes per step (slice-by-8): a restart checksums
+/// every byte of the journal twice (`reopen`'s scan, then `recover`'s
+/// replay), and the bit-at-a-time loop this replaces ran at ≈ 200 MB/s
+/// — on the 5.6 MB hetero journal that was 45 of a cold restart's
+/// 75 ms. The 8 KiB of tables stay L1-resident for the length of a scan.
+/// The values are the standard's: `crc32(b"123456789") == 0xCBF43926`,
+/// and the bitwise loop survives as the test oracle.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
 
-/// Appends one frame holding `payload` to `out`.
-pub fn encode_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Appends one frame to `out` whose payload is whatever `write_payload`
+/// appends: the header is reserved first and patched once the payload's
+/// length and CRC are known, so a record encodes straight into its
+/// frame with no intermediate payload buffer.
+pub(crate) fn encode_frame_with(out: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) {
+    let head = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER]);
+    write_payload(out);
+    let payload = &out[head + FRAME_HEADER..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[head..head + 2].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+    out[head + 2..head + 6].copy_from_slice(&len.to_le_bytes());
+    out[head + 6..head + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// What a full decode pass found.
+/// Appends one frame holding `payload` to `out`.
+pub fn encode_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    encode_frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// What a full decode pass found. The payloads are lent out of the
+/// scanned buffer — a scan copies nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodeOutcome {
+pub struct DecodeOutcome<'a> {
     /// The payloads of every valid frame, in order.
-    pub payloads: Vec<Vec<u8>>,
+    pub payloads: Vec<&'a [u8]>,
     /// Bytes of the longest valid prefix (where the next frame would
     /// start).
     pub valid_bytes: usize,
@@ -61,7 +122,7 @@ pub struct DecodeOutcome {
 /// Decodes every valid frame from the front of `bytes`, stopping at the
 /// first torn or corrupt frame. The suffix past the last valid frame is
 /// counted, not parsed.
-pub fn decode_frames(bytes: &[u8]) -> DecodeOutcome {
+pub fn decode_frames(bytes: &[u8]) -> DecodeOutcome<'_> {
     let mut payloads = Vec::new();
     let mut at = 0usize;
     loop {
@@ -84,7 +145,7 @@ pub fn decode_frames(bytes: &[u8]) -> DecodeOutcome {
         if crc32(payload) != want_crc {
             break; // corrupt payload (or a torn write with a lucky length)
         }
-        payloads.push(payload.to_vec());
+        payloads.push(payload);
         at += FRAME_HEADER + len;
     }
     DecodeOutcome {
@@ -98,11 +159,48 @@ pub fn decode_frames(bytes: &[u8]) -> DecodeOutcome {
 mod tests {
     use super::*;
 
+    /// The bit-at-a-time loop `crc32` replaced — the oracle the table
+    /// version is checked against.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn table_crc32_equals_the_bitwise_loop() {
+        // Every length 0..=1024 at every alignment of the 8-byte step:
+        // covers the empty input, tail-only inputs (< 8 bytes), whole
+        // chunks with no tail, and every tail length after them.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..1024 + 8)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=1024 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start}, len {len}");
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! their instant, preserving the invariant that the durable log never
 //! claims something that has not happened yet.
 
-use crate::frame::encode_frame;
+use crate::frame::{encode_frame_with, FRAME_HEADER};
 use crate::record::JournalRecord;
 
 /// Group-commit tuning.
@@ -150,7 +150,7 @@ impl Journal {
     /// for flush-age accounting.
     pub fn append_at(&mut self, now: f64, at: f64, record: &JournalRecord) {
         let mut bytes = Vec::with_capacity(80);
-        encode_frame(&mut bytes, &record.encode());
+        encode_frame_with(&mut bytes, |out| record.encode_into(out));
         self.pending.push(Pending {
             at,
             appended: now,
@@ -165,19 +165,18 @@ impl Journal {
     }
 
     fn flush_due(&mut self, now: f64) -> usize {
-        // Stable partition: due records flush in append order, the rest
-        // keep their order.
-        let mut kept = Vec::with_capacity(self.pending.len());
-        let mut flushed = 0usize;
-        for p in self.pending.drain(..) {
-            if p.at <= now {
-                self.durable.extend_from_slice(&p.bytes);
-                flushed += 1;
-            } else {
-                kept.push(p);
+        // Stable partition in place (`retain` visits in order): due
+        // records flush in append order, the rest keep their order.
+        let durable = &mut self.durable;
+        let before = self.pending.len();
+        self.pending.retain(|p| {
+            let due = p.at <= now;
+            if due {
+                durable.extend_from_slice(&p.bytes);
             }
-        }
-        self.pending = kept;
+            !due
+        });
+        let flushed = before - self.pending.len();
         if flushed > 0 {
             self.stats.records_flushed += flushed as u64;
             self.stats.fsyncs += 1;
@@ -228,17 +227,14 @@ impl Journal {
     /// are append-only by construction.
     pub fn retract_pending(&mut self, mut pred: impl FnMut(&JournalRecord) -> bool) -> usize {
         let before = self.pending.len();
-        self.pending.retain(|p| {
-            let decoded = crate::frame::decode_frames(&p.bytes);
-            match decoded
-                .payloads
-                .first()
-                .and_then(|pl| JournalRecord::decode(pl))
-            {
+        // A pending buffer is exactly one frame `append_at` just built,
+        // so the record sits right behind the header: no frame scan and
+        // no checksum for bytes that never left this struct.
+        self.pending
+            .retain(|p| match JournalRecord::decode(&p.bytes[FRAME_HEADER..]) {
                 Some(rec) => !pred(&rec),
                 None => true,
-            }
-        });
+            });
         before - self.pending.len()
     }
 

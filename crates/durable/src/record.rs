@@ -150,9 +150,9 @@ const TAG_CHECKPOINT: u8 = 4;
 const TAG_COMPLETED: u8 = 5;
 const TAG_FAILED: u8 = 6;
 
-struct Writer(Vec<u8>);
+struct Writer<'a>(&'a mut Vec<u8>);
 
-impl Writer {
+impl Writer<'_> {
     fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
@@ -248,7 +248,15 @@ impl JournalRecord {
 
     /// Canonical little-endian encoding.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer(Vec::with_capacity(64));
+        let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the canonical encoding to `out` (what [`Self::encode`]
+    /// returns, without the buffer of its own).
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut w = Writer(out);
         match self {
             JournalRecord::EpochStart {
                 epoch,
@@ -342,7 +350,6 @@ impl JournalRecord {
                 w.u32(*attempts);
             }
         }
-        w.0
     }
 
     /// Decodes one record; `None` on an unknown tag, short payload, or

@@ -19,7 +19,7 @@
 
 use crate::frame::{decode_frames, DecodeOutcome};
 use crate::record::{JobMeta, JournalRecord, RejectionReason, TerminalKind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A non-terminal job reconstructed from the journal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +48,7 @@ pub struct TerminalRecord {
 }
 
 /// Everything replay reconstructs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveredState {
     /// Admitted-but-never-started jobs, in admission order.
     pub queued: Vec<RecoveredJob>,
@@ -89,31 +89,52 @@ impl RecoveredState {
 
 /// Replay output: the recovered state plus the decode outcome it was
 /// built from (the harness inspects `decode.torn_bytes` to gate that
-/// torn-tail recovery was actually exercised).
+/// torn-tail recovery was actually exercised). The outcome borrows the
+/// replayed bytes; take `.state` (owned) to outlive them.
 #[derive(Debug, Clone)]
-pub struct Replay {
+pub struct Replay<'a> {
     pub state: RecoveredState,
-    pub decode: DecodeOutcome,
+    pub decode: DecodeOutcome<'a>,
+}
+
+/// Builds a terminal map from records in journal order, keeping the
+/// *first* record of each key (`BTreeMap::from_iter` alone would keep
+/// the last): one sort of `(key, journal position)` pairs and a bulk
+/// build instead of a tree descent per record.
+fn first_wins(terminals: Vec<(u64, TerminalRecord)>) -> BTreeMap<u64, TerminalRecord> {
+    let mut order: Vec<(u64, usize)> = terminals
+        .iter()
+        .enumerate()
+        .map(|(at, &(key, _))| (key, at))
+        .collect();
+    order.sort_unstable();
+    order.dedup_by_key(|&mut (key, _)| key);
+    order
+        .into_iter()
+        .map(|(key, at)| (key, terminals[at].1))
+        .collect()
 }
 
 /// Replays the durable journal bytes into a [`RecoveredState`].
-pub fn replay(bytes: &[u8]) -> Replay {
+pub fn replay(bytes: &[u8]) -> Replay<'_> {
     let decode = decode_frames(bytes);
     let mut state = RecoveredState {
         torn_bytes: decode.torn_bytes,
         ..RecoveredState::default()
     };
 
-    // Per-id fold state, in first-seen order.
+    // Per-id fold state in first-seen order, found by id through a
+    // hashed index whose own order never reaches the output.
     struct Fold {
         meta: JobMeta,
-        started_at: Option<f64>,
+        started: bool,
         fraction: f64,
         terminal: bool,
-        order: usize,
     }
-    let mut jobs: BTreeMap<u64, Fold> = BTreeMap::new();
-    let mut order = 0usize;
+    let mut jobs: Vec<Fold> = Vec::new();
+    let mut index: HashMap<u64, usize> = HashMap::new();
+    let mut completed = Vec::new();
+    let mut failed = Vec::new();
 
     for payload in &decode.payloads {
         let Some(rec) = JournalRecord::decode(payload) else {
@@ -124,20 +145,24 @@ pub fn replay(bytes: &[u8]) -> Replay {
         if rec.instant() > state.resume_clock {
             state.resume_clock = rec.instant();
         }
+        let mut close = |id: &u64| {
+            if let Some(&i) = index.get(id) {
+                jobs[i].terminal = true;
+            }
+        };
         match rec {
             JournalRecord::EpochStart { .. } => {
                 state.epochs += 1;
             }
             JournalRecord::Admitted { meta, .. } => {
-                jobs.entry(meta.id).or_insert_with(|| {
-                    order += 1;
-                    Fold {
+                index.entry(meta.id).or_insert_with(|| {
+                    jobs.push(Fold {
                         meta,
-                        started_at: None,
+                        started: false,
                         fraction: 0.0,
                         terminal: false,
-                        order,
-                    }
+                    });
+                    jobs.len() - 1
                 });
             }
             JournalRecord::Rejected { meta, reason, .. } => {
@@ -145,24 +170,20 @@ pub fn replay(bytes: &[u8]) -> Replay {
                 // brownout sheds from inside the queue); the journal's
                 // rejection is then the job's terminal fact and recovery
                 // must not resurrect it.
-                if let Some(f) = jobs.get_mut(&meta.id) {
-                    f.terminal = true;
-                }
+                close(&meta.id);
                 state.rejected.push((meta, reason));
             }
-            JournalRecord::BatchStarted { at, job_ids, .. } => {
-                for id in job_ids {
-                    if let Some(f) = jobs.get_mut(&id) {
-                        // A restart after recovery re-journals a new
-                        // BatchStarted; the latest instant stands.
-                        f.started_at = Some(at);
+            JournalRecord::BatchStarted { job_ids, .. } => {
+                for id in &job_ids {
+                    if let Some(&i) = index.get(id) {
+                        jobs[i].started = true;
                     }
                 }
             }
             JournalRecord::PanelCheckpoint { job, fraction, .. } => {
-                if let Some(f) = jobs.get_mut(&job) {
-                    if fraction > f.fraction {
-                        f.fraction = fraction;
+                if let Some(&i) = index.get(&job) {
+                    if fraction > jobs[i].fraction {
+                        jobs[i].fraction = fraction;
                     }
                 }
             }
@@ -175,13 +196,10 @@ pub fn replay(bytes: &[u8]) -> Replay {
                 digest,
                 deadline_met,
             } => {
-                if let Some(f) = jobs.get_mut(&job) {
-                    f.terminal = true;
-                }
-                state
-                    .completed
-                    .entry(idempotency)
-                    .or_insert(TerminalRecord {
+                close(&job);
+                completed.push((
+                    idempotency,
+                    TerminalRecord {
                         job,
                         tenant,
                         at,
@@ -189,7 +207,8 @@ pub fn replay(bytes: &[u8]) -> Replay {
                         kind: TerminalKind::Completed,
                         digest,
                         deadline_met,
-                    });
+                    },
+                ));
             }
             JournalRecord::Failed {
                 at,
@@ -199,32 +218,33 @@ pub fn replay(bytes: &[u8]) -> Replay {
                 latency,
                 ..
             } => {
-                if let Some(f) = jobs.get_mut(&job) {
-                    f.terminal = true;
-                }
-                state.failed.entry(idempotency).or_insert(TerminalRecord {
-                    job,
-                    tenant,
-                    at,
-                    latency,
-                    kind: TerminalKind::Failed,
-                    digest: 0,
-                    deadline_met: None,
-                });
+                close(&job);
+                failed.push((
+                    idempotency,
+                    TerminalRecord {
+                        job,
+                        tenant,
+                        at,
+                        latency,
+                        kind: TerminalKind::Failed,
+                        digest: 0,
+                        deadline_met: None,
+                    },
+                ));
             }
         }
     }
+    state.completed = first_wins(completed);
+    state.failed = first_wins(failed);
 
     // Partition the non-terminal jobs.
-    let mut open: Vec<&Fold> = jobs.values().filter(|f| !f.terminal).collect();
-    open.sort_by_key(|f| f.order);
-    for f in open {
+    for f in jobs.iter().filter(|f| !f.terminal) {
         let job = RecoveredJob {
             meta: f.meta,
             resume_fraction: f.fraction,
-            was_in_flight: f.started_at.is_some(),
+            was_in_flight: f.started,
         };
-        if f.started_at.is_some() {
+        if f.started {
             state.in_flight.push(job);
         } else {
             state.queued.push(job);
@@ -258,6 +278,226 @@ mod tests {
             encode_frame(&mut bytes, &r.encode());
         }
         bytes
+    }
+
+    /// The ordered-map fold `replay` replaced, kept verbatim as the
+    /// oracle: a tree descent per record, terminal maps filled one
+    /// `entry` at a time, open jobs sorted by first-seen order.
+    fn replay_reference(bytes: &[u8]) -> RecoveredState {
+        let decode = decode_frames(bytes);
+        let mut state = RecoveredState {
+            torn_bytes: decode.torn_bytes,
+            ..RecoveredState::default()
+        };
+        struct Fold {
+            meta: JobMeta,
+            started_at: Option<f64>,
+            fraction: f64,
+            terminal: bool,
+            order: usize,
+        }
+        let mut jobs: BTreeMap<u64, Fold> = BTreeMap::new();
+        let mut order = 0usize;
+        for payload in &decode.payloads {
+            let Some(rec) = JournalRecord::decode(payload) else {
+                state.undecodable += 1;
+                continue;
+            };
+            state.records += 1;
+            if rec.instant() > state.resume_clock {
+                state.resume_clock = rec.instant();
+            }
+            match rec {
+                JournalRecord::EpochStart { .. } => state.epochs += 1,
+                JournalRecord::Admitted { meta, .. } => {
+                    jobs.entry(meta.id).or_insert_with(|| {
+                        order += 1;
+                        Fold {
+                            meta,
+                            started_at: None,
+                            fraction: 0.0,
+                            terminal: false,
+                            order,
+                        }
+                    });
+                }
+                JournalRecord::Rejected { meta, reason, .. } => {
+                    if let Some(f) = jobs.get_mut(&meta.id) {
+                        f.terminal = true;
+                    }
+                    state.rejected.push((meta, reason));
+                }
+                JournalRecord::BatchStarted { at, job_ids, .. } => {
+                    for id in job_ids {
+                        if let Some(f) = jobs.get_mut(&id) {
+                            f.started_at = Some(at);
+                        }
+                    }
+                }
+                JournalRecord::PanelCheckpoint { job, fraction, .. } => {
+                    if let Some(f) = jobs.get_mut(&job) {
+                        if fraction > f.fraction {
+                            f.fraction = fraction;
+                        }
+                    }
+                }
+                JournalRecord::Completed {
+                    at,
+                    job,
+                    idempotency,
+                    tenant,
+                    latency,
+                    digest,
+                    deadline_met,
+                } => {
+                    if let Some(f) = jobs.get_mut(&job) {
+                        f.terminal = true;
+                    }
+                    state
+                        .completed
+                        .entry(idempotency)
+                        .or_insert(TerminalRecord {
+                            job,
+                            tenant,
+                            at,
+                            latency,
+                            kind: TerminalKind::Completed,
+                            digest,
+                            deadline_met,
+                        });
+                }
+                JournalRecord::Failed {
+                    at,
+                    job,
+                    idempotency,
+                    tenant,
+                    latency,
+                    ..
+                } => {
+                    if let Some(f) = jobs.get_mut(&job) {
+                        f.terminal = true;
+                    }
+                    state.failed.entry(idempotency).or_insert(TerminalRecord {
+                        job,
+                        tenant,
+                        at,
+                        latency,
+                        kind: TerminalKind::Failed,
+                        digest: 0,
+                        deadline_met: None,
+                    });
+                }
+            }
+        }
+        let mut open: Vec<&Fold> = jobs.values().filter(|f| !f.terminal).collect();
+        open.sort_by_key(|f| f.order);
+        for f in open {
+            let job = RecoveredJob {
+                meta: f.meta,
+                resume_fraction: f.fraction,
+                was_in_flight: f.started_at.is_some(),
+            };
+            if f.started_at.is_some() {
+                state.in_flight.push(job);
+            } else {
+                state.queued.push(job);
+            }
+        }
+        state
+    }
+
+    /// One record of a stream over a handful of job ids, so that every
+    /// interaction the fold has a rule for actually occurs: repeated
+    /// admissions, `Rejected` after `Admitted`, `BatchStarted` naming
+    /// ids nobody admitted, and duplicate terminal keys whose digests
+    /// differ (so first-wins and last-wins disagree).
+    fn stream_record(kind: u32, id: u64, x: f64, y: f64, d: u64) -> JournalRecord {
+        let m = JobMeta {
+            submit_time: x,
+            ..meta(id)
+        };
+        match kind {
+            0 => JournalRecord::EpochStart {
+                epoch: (d % 4) as u32,
+                resume_clock: x,
+                recovered_jobs: 0,
+                suppressed_duplicates: 0,
+            },
+            1 | 2 => JournalRecord::Admitted { at: x, meta: m },
+            3 => JournalRecord::Rejected {
+                at: x,
+                meta: m,
+                reason: RejectionReason::Shed,
+            },
+            4 => JournalRecord::BatchStarted {
+                at: x,
+                batch: d,
+                job_ids: (0..1 + d % 3).map(|i| id + 5 * i).collect(),
+                devices: vec![0],
+            },
+            5 => JournalRecord::PanelCheckpoint {
+                at: x,
+                job: id,
+                idempotency: m.idempotency,
+                fraction: y,
+            },
+            6 => JournalRecord::Completed {
+                at: x,
+                job: id,
+                idempotency: m.idempotency,
+                tenant: 1,
+                latency: y,
+                digest: d,
+                deadline_met: None,
+            },
+            _ => JournalRecord::Failed {
+                at: x,
+                job: id,
+                idempotency: m.idempotency,
+                tenant: 1,
+                latency: y,
+                attempts: 1 + (d % 3) as u32,
+            },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The hashed one-pass fold equals the ordered-map fold on
+        /// arbitrary streams, intact, torn and corrupted. Kind 8 is a
+        /// CRC-valid frame that holds no record: counted, not folded.
+        #[test]
+        fn replay_equals_the_reference_fold(
+            raw in proptest::collection::vec(
+                (0u32..9, 1u64..9, 0.0f64..100.0, 0.0f64..1.0, 0u64..1_000_000),
+                1..64,
+            ),
+            cut_sel in 0.0f64..1.0,
+            flip_sel in 0.0f64..1.0,
+            damage in 0u32..3,
+        ) {
+            let mut bytes = Vec::new();
+            for &(k, id, x, y, d) in &raw {
+                if k == 8 {
+                    encode_frame(&mut bytes, &[0xEE, id as u8]);
+                } else {
+                    encode_frame(&mut bytes, &stream_record(k, id, x, y, d).encode());
+                }
+            }
+            match damage {
+                1 => bytes.truncate((cut_sel * bytes.len() as f64) as usize),
+                2 => {
+                    let at = ((flip_sel * bytes.len() as f64) as usize).min(bytes.len() - 1);
+                    bytes[at] ^= 0x20;
+                }
+                _ => {}
+            }
+            let got = replay(&bytes);
+            let want = replay_reference(&bytes);
+            proptest::prop_assert_eq!(got.decode.torn_bytes, want.torn_bytes);
+            proptest::prop_assert_eq!(got.state, want);
+        }
     }
 
     #[test]

@@ -694,8 +694,7 @@ impl GemmService {
         resubmissions: Vec<JobSpec>,
         crash: Option<CrashSpec>,
     ) -> DurableRun {
-        let rep = replay(journal.durable());
-        let rs = rep.state;
+        let rs = replay(journal.durable()).state;
         let epoch = rs.epochs;
         let mut st = self.base_state();
 
@@ -709,12 +708,22 @@ impl GemmService {
         // Suppress resubmissions the journal already knows: admitted,
         // running, or terminal — each completes (or completed) exactly
         // once; the duplicate bounces with a typed rejection.
-        let known: BTreeSet<u64> = rs.known_keys().collect();
+        // The terminal maps answer for finished jobs as they stand; only
+        // the open jobs (few, at any crash) need a set of their own.
+        let open: BTreeSet<u64> = rs
+            .queued
+            .iter()
+            .chain(&rs.in_flight)
+            .map(|j| j.meta.idempotency)
+            .collect();
         let mut fresh = Vec::new();
         let mut suppressed = 0usize;
         for job in resubmissions {
             let key = job.idempotency();
-            if known.contains(&key) {
+            if rs.completed.contains_key(&key)
+                || rs.failed.contains_key(&key)
+                || open.contains(&key)
+            {
                 suppressed += 1;
                 let rej = Rejection::Duplicate { idempotency: key };
                 if let Some(m) = &self.metrics {

@@ -52,10 +52,10 @@ fn jobs(count: u64) -> Vec<JobSpec> {
 
 fn reopen(journal: Journal) -> (Journal, usize) {
     let (bytes, _) = journal.into_durable();
-    let decode = decode_frames(&bytes);
-    let torn = bytes.len() - decode.valid_bytes;
+    let valid_bytes = decode_frames(&bytes).valid_bytes;
+    let torn = bytes.len() - valid_bytes;
     (
-        Journal::reopen(bytes, decode.valid_bytes, GroupCommitConfig::default()),
+        Journal::reopen(bytes, valid_bytes, GroupCommitConfig::default()),
         torn,
     )
 }
