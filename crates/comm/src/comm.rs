@@ -679,11 +679,17 @@ impl Communicator {
                 // payload on its way out. Control/phantom traffic is left
                 // intact — corruption models flipped data bits, not a
                 // broken protocol.
-                if let Payload::F64(data) = &mut payload {
-                    if !data.is_empty() {
-                        let i = (elem % data.len() as u64) as usize;
-                        data[i] += delta;
-                    }
+                // A shared buffer is copied first (`make_mut`), so only
+                // this destination sees the flip — the sender and its other
+                // children keep the intact panel.
+                let data = match &mut payload {
+                    Payload::F64(data) => Some(data),
+                    Payload::SharedF64(data) => Some(Arc::make_mut(data)),
+                    _ => None,
+                };
+                if let Some(data) = data.filter(|d| !d.is_empty()) {
+                    let i = (elem % data.len() as u64) as usize;
+                    data[i] += delta;
                 }
                 0.0
             }

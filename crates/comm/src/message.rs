@@ -1,16 +1,27 @@
 //! Message payloads and envelopes.
 
+use std::sync::Arc;
+
 /// The data carried by a message.
 ///
-/// `F64` and `U64` carry real data (matrix elements and partition metadata
-/// respectively). `Phantom` carries only a logical element count: it is used
-/// in simulated-time runs at paper-scale problem sizes where materializing
-/// the matrices would need tens of gigabytes. All variants report the same
-/// byte size to the cost model that the real message would have.
+/// `F64`, `SharedF64` and `U64` carry real data (matrix elements and
+/// partition metadata respectively). `Phantom` carries only a logical
+/// element count: it is used in simulated-time runs at paper-scale problem
+/// sizes where materializing the matrices would need tens of gigabytes. All
+/// variants report the same byte size to the cost model that the real
+/// message would have.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// Matrix elements (8 bytes each).
     F64(Vec<f64>),
+    /// Matrix elements in an immutable reference-counted buffer: cloning
+    /// the payload (what a broadcast does once per child) copies a pointer,
+    /// not the elements, so over the channel backend every receiver ends up
+    /// holding the sender's buffer. Nobody may write through it; the one
+    /// writer in the crate, injected wire corruption, copies first. Same
+    /// `bytes()`, same cost, same `"F64"` kind and TCP frame as `F64` —
+    /// a TCP receiver gets an owned `F64`.
+    SharedF64(Arc<Vec<f64>>),
     /// Metadata words (8 bytes each).
     U64(Vec<u64>),
     /// A size-only stand-in for `elems` f64 elements.
@@ -25,6 +36,7 @@ impl Payload {
     pub fn elems(&self) -> usize {
         match self {
             Payload::F64(v) => v.len(),
+            Payload::SharedF64(v) => v.len(),
             Payload::U64(v) => v.len(),
             Payload::Phantom { elems } => *elems,
         }
@@ -38,21 +50,19 @@ impl Payload {
     /// The variant name, for error reporting.
     pub fn kind(&self) -> &'static str {
         match self {
-            Payload::F64(_) => "F64",
+            Payload::F64(_) | Payload::SharedF64(_) => "F64",
             Payload::U64(_) => "U64",
             Payload::Phantom { .. } => "Phantom",
         }
     }
 
-    /// Extracts an `f64` payload.
+    /// Extracts an `f64` payload as an owned vector (a shared buffer is
+    /// copied unless this is its last holder).
     ///
     /// # Panics
-    /// Panics if the payload is not `F64`.
+    /// Panics if the payload is not `F64`/`SharedF64`.
     pub fn into_f64(self) -> Vec<f64> {
-        match self {
-            Payload::F64(v) => v,
-            other => panic!("expected F64 payload, got {other:?}"),
-        }
+        self.try_into_f64().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Extracts a `u64` payload.
@@ -70,10 +80,20 @@ impl Payload {
     pub fn try_into_f64(self) -> crate::error::CommResult<Vec<f64>> {
         match self {
             Payload::F64(v) => Ok(v),
+            Payload::SharedF64(v) => Ok(Arc::try_unwrap(v).unwrap_or_else(|held| held.to_vec())),
             other => Err(crate::error::CommError::PayloadType {
                 expected: "F64",
                 got: other.kind(),
             }),
+        }
+    }
+
+    /// Extracts an `f64` payload without copying it: a `SharedF64` hands
+    /// over its reference, an owned `F64` vector moves behind a new one.
+    pub fn try_into_shared_f64(self) -> crate::error::CommResult<Arc<Vec<f64>>> {
+        match self {
+            Payload::SharedF64(v) => Ok(v),
+            other => other.try_into_f64().map(Arc::new),
         }
     }
 
@@ -140,6 +160,38 @@ mod tests {
     fn into_f64_roundtrip() {
         let v = vec![1.5, 2.5];
         assert_eq!(Payload::F64(v.clone()).into_f64(), v);
+    }
+
+    #[test]
+    fn shared_f64_is_an_f64_that_clones_by_reference() {
+        let buf = Arc::new(vec![1.5, 2.5, 3.5]);
+        let p = Payload::SharedF64(Arc::clone(&buf));
+        assert_eq!((p.elems(), p.bytes(), p.kind()), (3, 24, "F64"));
+        assert!(!p.is_phantom());
+        // A clone is the same buffer, and extraction hands it over as is.
+        assert!(Arc::ptr_eq(&p.clone().try_into_shared_f64().unwrap(), &buf));
+        // An owned vector moves behind a reference without a copy.
+        let owned = vec![4.0, 5.0];
+        let at = owned.as_ptr();
+        let got = Payload::F64(owned).try_into_shared_f64().unwrap();
+        assert_eq!(got.as_ptr(), at);
+        // While shared, `into_f64` copies; the last holder gets the buffer.
+        drop(got);
+        assert_eq!(p.clone().into_f64(), *buf);
+        drop(buf);
+        let at = match &p {
+            Payload::SharedF64(v) => v.as_ptr(),
+            _ => unreachable!(),
+        };
+        let last = p.into_f64();
+        assert_eq!(last.as_ptr(), at);
+        assert_eq!(
+            Payload::U64(vec![1]).try_into_shared_f64(),
+            Err(crate::error::CommError::PayloadType {
+                expected: "F64",
+                got: "U64"
+            })
+        );
     }
 
     #[test]

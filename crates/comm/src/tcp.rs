@@ -86,13 +86,21 @@ fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// The `F64` payload section: kind byte 0, element count, the words.
+fn push_f64s(buf: &mut Vec<u8>, v: &[f64]) {
+    buf.push(0);
+    push_u64(buf, v.len() as u64);
+    for x in v {
+        push_u64(buf, x.to_bits());
+    }
+}
+
 /// Encodes `env` as one wire frame: a `u32` little-endian body length
 /// followed by the body (version byte, header words, payload).
 pub(crate) fn encode_frame(env: &Envelope) -> Vec<u8> {
     let data_bytes = match &env.payload {
-        Payload::F64(v) => v.len() * 8,
-        Payload::U64(v) => v.len() * 8,
         Payload::Phantom { .. } => 0,
+        real => real.bytes(),
     };
     let mut buf = Vec::with_capacity(4 + 1 + 6 * 8 + 2 + 1 + 8 + data_bytes);
     buf.extend_from_slice(&[0u8; 4]);
@@ -110,13 +118,9 @@ pub(crate) fn encode_frame(env: &Envelope) -> Vec<u8> {
         None => buf.push(0),
     }
     match &env.payload {
-        Payload::F64(v) => {
-            buf.push(0);
-            push_u64(&mut buf, v.len() as u64);
-            for x in v {
-                push_u64(&mut buf, x.to_bits());
-            }
-        }
+        Payload::F64(v) => push_f64s(&mut buf, v),
+        // On the wire a shared buffer is the plain F64 frame.
+        Payload::SharedF64(v) => push_f64s(&mut buf, v),
         Payload::U64(v) => {
             buf.push(1);
             push_u64(&mut buf, v.len() as u64);

@@ -53,7 +53,8 @@ use summagen_comm::{
     SpanKind, Universe,
 };
 use summagen_matrix::{
-    abft_tolerance, augment_a, augment_b, verify_and_correct, AbftVerdict, DenseMatrix, GemmKernel,
+    abft_tolerance, augment_a, augment_b, column_sums, verify_and_correct, AbftVerdict,
+    DenseMatrix, GemmKernel,
 };
 use summagen_partition::{PartitionSpec, ProcBlock, Shape};
 
@@ -328,9 +329,9 @@ fn transit_b(slice: &DenseMatrix) -> DenseMatrix {
 fn data_scale(m: &DenseMatrix) -> f64 {
     let (h, w) = (m.rows() - 1, m.cols() - 1);
     let mut s = 0.0f64;
-    for i in 0..h {
-        for j in 0..w {
-            s = s.max(m.get(i, j).abs());
+    for row in m.as_slice().chunks_exact(w + 1).take(h) {
+        for x in &row[..w] {
+            s = s.max(x.abs());
         }
     }
     s
@@ -341,16 +342,20 @@ fn data_scale(m: &DenseMatrix) -> f64 {
 /// snapshot stores only verified data).
 fn refresh_checksums(c: &mut DenseMatrix) {
     let (h, w) = (c.rows() - 1, c.cols() - 1);
-    for i in 0..h {
-        let s: f64 = (0..w).map(|j| c.get(i, j)).sum();
-        c.set(i, w, s);
+    let ld = w + 1;
+    let data = c.as_mut_slice();
+    // Whatever `Iterator::sum` starts an `f64` sum from (its sign decides
+    // the sum of an all-negative-zero line).
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    let mut corner = zero;
+    for row in data.chunks_exact_mut(ld).take(h) {
+        let s: f64 = row[..w].iter().sum();
+        row[w] = s;
+        corner += s;
     }
-    for j in 0..w {
-        let s: f64 = (0..h).map(|i| c.get(i, j)).sum();
-        c.set(h, j, s);
-    }
-    let corner: f64 = (0..h).map(|i| c.get(i, w)).sum();
-    c.set(h, w, corner);
+    let col_sums = column_sums(data, ld, h, w, zero);
+    data[h * ld..h * ld + w].copy_from_slice(&col_sums);
+    data[h * ld + w] = corner;
 }
 
 /// Verifies (and if possible corrects) one received transit panel,
@@ -1225,6 +1230,60 @@ mod tests {
             retry_backoff: 0.25,
             recv_timeout: Duration::from_millis(500),
             ..Default::default()
+        }
+    }
+
+    /// `refresh_checksums` and `data_scale` as they were: one
+    /// bounds-checked `get` per element, columns walked with stride `cols`.
+    fn refresh_checksums_strided(c: &mut DenseMatrix) {
+        let (h, w) = (c.rows() - 1, c.cols() - 1);
+        for i in 0..h {
+            let s: f64 = (0..w).map(|j| c.get(i, j)).sum();
+            c.set(i, w, s);
+        }
+        for j in 0..w {
+            let s: f64 = (0..h).map(|i| c.get(i, j)).sum();
+            c.set(h, j, s);
+        }
+        let corner: f64 = (0..h).map(|i| c.get(i, w)).sum();
+        c.set(h, w, corner);
+    }
+
+    fn data_scale_strided(m: &DenseMatrix) -> f64 {
+        let (h, w) = (m.rows() - 1, m.cols() - 1);
+        let mut s = 0.0f64;
+        for i in 0..h {
+            for j in 0..w {
+                s = s.max(m.get(i, j).abs());
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn row_walk_checksums_have_the_bits_of_the_strided_loops() {
+        for seed in 0..16u64 {
+            let (h, w) = (1 + (seed as usize * 7) % 45, 1 + (seed as usize * 13) % 38);
+            // Mixed magnitudes and signed zeros make the sums order-sensitive;
+            // one all-negative-zero row and column pin the sum's start value.
+            let base = random_matrix(h + 1, w + 1, seed);
+            let m = DenseMatrix::from_fn(h + 1, w + 1, |i, j| {
+                if i == h / 2 || j == w / 2 {
+                    return -0.0;
+                }
+                match (i * 5 + j * 3 + seed as usize) % 6 {
+                    0 => base.get(i, j) * 1e14,
+                    1 => base.get(i, j) * 1e-14,
+                    _ => base.get(i, j),
+                }
+            });
+            let (mut got, mut want) = (m.clone(), m.clone());
+            refresh_checksums(&mut got);
+            refresh_checksums_strided(&mut want);
+            for (k, (g, e)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                assert_eq!(g.to_bits(), e.to_bits(), "{h}x{w} element {k}");
+            }
+            assert_eq!(data_scale(&m).to_bits(), data_scale_strided(&m).to_bits());
         }
     }
 

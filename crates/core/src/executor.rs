@@ -13,7 +13,7 @@ use summagen_matrix::{DenseMatrix, GemmKernel};
 use summagen_partition::{beaumont_column_layout, proportional_areas, PartitionSpec, Shape};
 
 use crate::rankdata::{assemble, distribute};
-use crate::stages::{horizontal_a, local_compute, vertical_b, StageData, Workspace};
+use crate::stages::{horizontal_a, local_compute, vertical_b, PanelTable, StageData};
 
 /// How local computations execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -195,7 +195,7 @@ fn try_run_real(
         let rank = comm.rank();
         let mut state = StageData::Real {
             data: &rank_data[rank],
-            ws: Workspace::for_rank(spec, rank),
+            panels: PanelTable::new(spec),
             kernel: mode.kernel(),
         };
         horizontal_a(&comm, spec, rank, &mut state)?;

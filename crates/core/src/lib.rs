@@ -3,15 +3,17 @@
 //!
 //! Like SUMMA, the algorithm has three stages (Section IV):
 //!
-//! 1. **Horizontal communications of `A`** — every processor gathers, into
-//!    its working matrix `WA`, all sub-partition rows of `A` in which it
-//!    owns at least one sub-partition (broadcasts within per-row
-//!    communicators; rows wholly owned by one processor are copied locally
-//!    without communication).
-//! 2. **Vertical communications of `B`** — symmetric, into `WB`, over
-//!    per-column communicators.
+//! 1. **Horizontal communications of `A`** — every processor obtains all
+//!    sub-partition rows of `A` in which it owns at least one
+//!    sub-partition (broadcasts within per-row communicators; rows wholly
+//!    owned by one processor need no communication). The paper copies
+//!    them into a working matrix `WA`; here a received block stays in the
+//!    shared buffer it arrived in and is indexed by grid cell.
+//! 2. **Vertical communications of `B`** — symmetric (the paper's `WB`),
+//!    over per-column communicators.
 //! 3. **Local computations** — one DGEMM per owned sub-partition
-//!    (`height × n` by `n × width`), accumulating exactly the processor's
+//!    (`height × n` by `n × width`, run as a chain of kernel calls over
+//!    the blocks where they lie), accumulating exactly the processor's
 //!    own partition of `C`; computing per sub-partition avoids the
 //!    redundant work a blanket `WA × WB` would do.
 //!
@@ -53,7 +55,7 @@ pub use executor::{
 pub use panelled::{
     multiply_panelled, multiply_panelled_with_cost, peak_workspace_elems, simulate_panelled,
 };
-pub use rankdata::{assemble, distribute, RankMatrices};
+pub use rankdata::{assemble, distribute, RankMatrices, SharedBlock};
 pub use simulate::{
     metered_energy_from_timelines, simulate, simulate_instrumented, simulate_observed,
     simulate_observed_on, simulate_traced, simulate_with_energy, SimReport,

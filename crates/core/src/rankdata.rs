@@ -5,21 +5,77 @@
 //! helpers carve a global matrix into per-rank block sets and put the
 //! computed `C` blocks back together.
 
-use summagen_matrix::DenseMatrix;
+use std::sync::Arc;
+
+use summagen_matrix::{window_to_vec, DenseMatrix};
 use summagen_partition::{PartitionSpec, ProcBlock};
+
+/// One sub-partition of `A` or `B`: `rows × cols` row-major elements in an
+/// immutable, reference-counted buffer. [`distribute`] cuts it out of the
+/// global matrix once; the broadcast stages then pass the *buffer* around
+/// (see [`summagen_comm::Payload::SharedF64`]) and the local GEMMs read it
+/// where it lies, so on the channel backend every rank that needs the
+/// block holds this very allocation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SharedBlock {
+    rows: usize,
+    cols: usize,
+    data: Arc<Vec<f64>>,
+}
+
+impl SharedBlock {
+    fn cut(m: &DenseMatrix, blk: &ProcBlock) -> Self {
+        Self {
+            rows: blk.rows,
+            cols: blk.cols,
+            data: Arc::new(window_to_vec(
+                m.as_slice(),
+                m.cols(),
+                blk.row,
+                blk.col,
+                blk.rows,
+                blk.cols,
+            )),
+        }
+    }
+
+    /// The elements, row-major with leading dimension `cols`.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// The buffer itself, for sending or keeping without a copy.
+    pub fn shared(&self) -> &Arc<Vec<f64>> {
+        &self.data
+    }
+
+    /// Copies the `h × w` window at `(i0, j0)` into an owned matrix.
+    ///
+    /// # Panics
+    /// Panics if the window does not fit.
+    pub fn submatrix(&self, i0: usize, j0: usize, h: usize, w: usize) -> DenseMatrix {
+        assert!(
+            i0 + h <= self.rows && j0 + w <= self.cols,
+            "submatrix ({i0},{j0}) {h}x{w} out of bounds for {}x{}",
+            self.rows,
+            self.cols
+        );
+        DenseMatrix::from_vec(h, w, window_to_vec(&self.data, self.cols, i0, j0, h, w))
+    }
+}
 
 /// One rank's share of the input matrices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankMatrices {
     /// Owned sub-partitions of `A`, in grid row-major order.
-    pub a_blocks: Vec<(ProcBlock, DenseMatrix)>,
+    pub a_blocks: Vec<(ProcBlock, SharedBlock)>,
     /// Owned sub-partitions of `B`, in grid row-major order.
-    pub b_blocks: Vec<(ProcBlock, DenseMatrix)>,
+    pub b_blocks: Vec<(ProcBlock, SharedBlock)>,
 }
 
 impl RankMatrices {
     /// Looks up the owned `A` block at grid position `(bi, bj)`.
-    pub fn a_block(&self, bi: usize, bj: usize) -> Option<&DenseMatrix> {
+    pub fn a_block(&self, bi: usize, bj: usize) -> Option<&SharedBlock> {
         self.a_blocks
             .iter()
             .find(|(b, _)| b.block_i == bi && b.block_j == bj)
@@ -27,7 +83,7 @@ impl RankMatrices {
     }
 
     /// Looks up the owned `B` block at grid position `(bi, bj)`.
-    pub fn b_block(&self, bi: usize, bj: usize) -> Option<&DenseMatrix> {
+    pub fn b_block(&self, bi: usize, bj: usize) -> Option<&SharedBlock> {
         self.b_blocks
             .iter()
             .find(|(b, _)| b.block_i == bi && b.block_j == bj)
@@ -36,24 +92,25 @@ impl RankMatrices {
 }
 
 /// Splits global `A` and `B` into per-rank block sets according to `spec`.
+/// This is the one copy the executor makes of each input element.
 ///
 /// # Panics
 /// Panics if the matrices are not `n × n` for the spec's `n`.
 pub fn distribute(spec: &PartitionSpec, a: &DenseMatrix, b: &DenseMatrix) -> Vec<RankMatrices> {
     assert_eq!((a.rows(), a.cols()), (spec.n, spec.n), "A shape mismatch");
     assert_eq!((b.rows(), b.cols()), (spec.n, spec.n), "B shape mismatch");
+    let cut = |m: &DenseMatrix, blocks: &[ProcBlock]| {
+        blocks
+            .iter()
+            .map(|blk| (*blk, SharedBlock::cut(m, blk)))
+            .collect()
+    };
     (0..spec.nprocs)
         .map(|proc| {
             let blocks = spec.blocks_of(proc);
             RankMatrices {
-                a_blocks: blocks
-                    .iter()
-                    .map(|&blk| (blk, a.submatrix(blk.row, blk.col, blk.rows, blk.cols)))
-                    .collect(),
-                b_blocks: blocks
-                    .iter()
-                    .map(|&blk| (blk, b.submatrix(blk.row, blk.col, blk.rows, blk.cols)))
-                    .collect(),
+                a_blocks: cut(a, &blocks),
+                b_blocks: cut(b, &blocks),
             }
         })
         .collect()
@@ -91,6 +148,19 @@ mod tests {
         )
     }
 
+    /// Every rank's `A` blocks as the owned matrices `assemble` takes.
+    fn owned_a_blocks(ranks: &[RankMatrices]) -> Vec<Vec<(ProcBlock, DenseMatrix)>> {
+        ranks
+            .iter()
+            .map(|r| {
+                r.a_blocks
+                    .iter()
+                    .map(|(blk, m)| (*blk, m.submatrix(0, 0, blk.rows, blk.cols)))
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn distribute_gives_each_rank_its_blocks() {
         let spec = fig1a();
@@ -104,7 +174,8 @@ mod tests {
         // Block content matches the source window.
         let (blk, m) = &ranks[2].a_blocks[0];
         assert_eq!((blk.row, blk.col), (12, 12));
-        assert_eq!(*m, a.submatrix(12, 12, 4, 4));
+        assert_eq!(m.as_slice(), a.submatrix(12, 12, 4, 4).as_slice());
+        assert_eq!(m.submatrix(1, 2, 3, 2), a.submatrix(13, 14, 3, 2));
     }
 
     #[test]
@@ -121,9 +192,7 @@ mod tests {
     fn assemble_inverts_distribute() {
         let spec = fig1a();
         let a = deterministic_matrix(16, 16);
-        let ranks = distribute(&spec, &a, &a);
-        let blocks: Vec<_> = ranks.into_iter().map(|r| r.a_blocks).collect();
-        let rebuilt = assemble(&spec, &blocks);
+        let rebuilt = assemble(&spec, &owned_a_blocks(&distribute(&spec, &a, &a)));
         assert_eq!(rebuilt, a);
     }
 
@@ -142,7 +211,6 @@ mod tests {
         let a = deterministic_matrix(16, 16);
         let ranks = distribute(&spec, &a, &a);
         // Drop rank 2's block.
-        let blocks: Vec<_> = ranks[..2].iter().map(|r| r.a_blocks.clone()).collect();
-        assemble(&spec, &blocks);
+        assemble(&spec, &owned_a_blocks(&ranks[..2]));
     }
 }

@@ -13,8 +13,10 @@
 //! the communicator built from its own participant list. Violating one of
 //! these is a partitioner bug, not a runtime condition, so they panic.
 
+use std::sync::Arc;
+
 use summagen_comm::{CommResult, Communicator, Payload, SpanKind, StageLabel};
-use summagen_matrix::{copy_block, DenseMatrix, GemmKernel, GemmObserver};
+use summagen_matrix::{DenseMatrix, GemmKernel, GemmObserver};
 use summagen_partition::{PartitionSpec, ProcBlock};
 
 use crate::rankdata::RankMatrices;
@@ -23,62 +25,47 @@ use crate::rankdata::RankMatrices;
 const ROW_LABEL_BASE: u64 = 1 << 20;
 const COL_LABEL_BASE: u64 = 1 << 21;
 
-/// Working storage of one rank during a real-numeric run: `WA` holds the
-/// needed sub-partition rows of `A` (local rows × n) and `WB` the needed
-/// sub-partition columns of `B` (n × local cols).
-pub(crate) struct Workspace {
-    /// WA buffer, row-major with leading dimension `n`.
-    pub wa: Vec<f64>,
-    /// Local row offset of each grid row in WA (None = not needed).
-    pub wa_row_off: Vec<Option<usize>>,
-    /// WB buffer, row-major with leading dimension `wb_width`.
-    pub wb: Vec<f64>,
-    /// Local column offset of each grid column in WB (None = not needed).
-    pub wb_col_off: Vec<Option<usize>>,
-    /// Total width of WB.
-    pub wb_width: usize,
+/// What one rank holds after stages 1–2 of a real-numeric run: for every
+/// grid cell `(bi, bj)` (index `bi * grid_cols + bj`) whose sub-partition
+/// row it participates in, the `A` block, and for every cell whose column
+/// it participates in, the `B` block; `None` elsewhere. An entry *is* the
+/// buffer the block's owner cut in `distribute` (or, over TCP, the one the
+/// frame was decoded into) — the paper's working matrices `WA` and `WB`
+/// exist only as this index, and stage 3 reads the blocks where they lie.
+pub(crate) struct PanelTable {
+    a: Vec<Option<Arc<Vec<f64>>>>,
+    b: Vec<Option<Arc<Vec<f64>>>>,
 }
 
-impl Workspace {
-    /// Allocates working matrices sized for `rank`'s participation.
-    pub fn for_rank(spec: &PartitionSpec, rank: usize) -> Self {
-        let n = spec.n;
-        let mut wa_row_off = vec![None; spec.grid_rows];
-        let mut local_rows = 0;
-        for (bi, off) in wa_row_off.iter_mut().enumerate() {
-            if spec.row_contains(rank, bi) {
-                *off = Some(local_rows);
-                local_rows += spec.heights[bi];
-            }
-        }
-        let mut wb_col_off = vec![None; spec.grid_cols];
-        let mut local_cols = 0;
-        for (bj, off) in wb_col_off.iter_mut().enumerate() {
-            if spec.col_contains(rank, bj) {
-                *off = Some(local_cols);
-                local_cols += spec.widths[bj];
-            }
-        }
+impl PanelTable {
+    /// An empty table for `spec`'s grid.
+    pub fn new(spec: &PartitionSpec) -> Self {
+        let cells = spec.grid_rows * spec.grid_cols;
         Self {
-            wa: vec![0.0; local_rows * n],
-            wa_row_off,
-            wb: vec![0.0; n * local_cols],
-            wb_col_off,
-            wb_width: local_cols,
+            a: vec![None; cells],
+            b: vec![None; cells],
         }
     }
 }
 
 /// Per-rank execution state threaded through the three stages.
 pub(crate) enum StageData<'a> {
-    /// Real numeric execution with materialized blocks and workspaces.
+    /// Real numeric execution with materialized blocks.
     Real {
         data: &'a RankMatrices,
-        ws: Workspace,
+        panels: PanelTable,
         kernel: GemmKernel,
     },
     /// Size-only execution: no element data moves or is stored.
     Phantom,
+}
+
+/// Which matrix a broadcast stage moves: `A` along sub-partition rows
+/// (stage 1) or `B` along sub-partition columns (stage 2).
+#[derive(Clone, Copy)]
+enum Operand {
+    A,
+    B,
 }
 
 /// The sorted list of processors owning at least one sub-partition in grid
@@ -109,60 +96,7 @@ pub(crate) fn horizontal_a(
     rank: usize,
     state: &mut StageData<'_>,
 ) -> CommResult<()> {
-    let stage_start = comm.tracing_enabled().then(|| comm.now());
-    for bi in 0..spec.grid_rows {
-        if !spec.row_contains(rank, bi) {
-            continue;
-        }
-        let participants = row_participants(spec, bi);
-        if participants.len() == 1 {
-            // Special case (Fig. 2 line 8): the whole row is ours — copy
-            // locally, no communication.
-            if let StageData::Real { data, ws, .. } = state {
-                for bj in 0..spec.grid_cols {
-                    let blk = owned_block(spec, bi, bj);
-                    let m = data.a_block(bi, bj).expect("missing own A block");
-                    stash_wa(spec, ws, &blk, m.as_slice());
-                }
-            }
-            continue;
-        }
-        let mut row_comm = comm
-            .subgroup(&participants, ROW_LABEL_BASE + bi as u64)
-            .expect("participant missing from its row communicator");
-        for bj in 0..spec.grid_cols {
-            let owner = spec.owner(bi, bj);
-            let root = participants
-                .iter()
-                .position(|&p| p == owner)
-                .expect("owner not in row communicator");
-            let blk = owned_block(spec, bi, bj);
-            let payload = match state {
-                StageData::Real { data, .. } if owner == rank => Payload::F64(
-                    data.a_block(bi, bj)
-                        .expect("missing own A block")
-                        .as_slice()
-                        .to_vec(),
-                ),
-                StageData::Real { .. } => Payload::F64(Vec::new()),
-                StageData::Phantom => Payload::Phantom { elems: blk.area() },
-            };
-            let received = row_comm.try_bcast(root, payload)?;
-            if let StageData::Real { ws, .. } = state {
-                stash_wa(spec, ws, &blk, &received.try_into_f64()?);
-            }
-        }
-    }
-    if let Some(t0) = stage_start {
-        comm.emit(
-            t0,
-            comm.now(),
-            SpanKind::Stage {
-                stage: StageLabel::HorizontalA,
-            },
-        );
-    }
-    Ok(())
+    broadcast_stage(comm, spec, rank, state, Operand::A)
 }
 
 /// Stage 2 (Fig. 3): vertical communications of `B`, symmetric to stage 1
@@ -173,63 +107,155 @@ pub(crate) fn vertical_b(
     rank: usize,
     state: &mut StageData<'_>,
 ) -> CommResult<()> {
+    broadcast_stage(comm, spec, rank, state, Operand::B)
+}
+
+/// Stages 1 and 2: one broadcast per block of every lane (a sub-partition
+/// row for `A`, a column for `B`) `rank` participates in, rooted at the
+/// block's owner. The owner sends the buffer it was dealt and everybody
+/// files what they receive in the panel table — nothing is copied here.
+fn broadcast_stage(
+    comm: &Communicator,
+    spec: &PartitionSpec,
+    rank: usize,
+    state: &mut StageData<'_>,
+    operand: Operand,
+) -> CommResult<()> {
     let stage_start = comm.tracing_enabled().then(|| comm.now());
-    for bj in 0..spec.grid_cols {
-        if !spec.col_contains(rank, bj) {
+    let (lanes, lane_len, label_base, stage) = match operand {
+        Operand::A => (
+            spec.grid_rows,
+            spec.grid_cols,
+            ROW_LABEL_BASE,
+            StageLabel::HorizontalA,
+        ),
+        Operand::B => (
+            spec.grid_cols,
+            spec.grid_rows,
+            COL_LABEL_BASE,
+            StageLabel::VerticalB,
+        ),
+    };
+    for lane in 0..lanes {
+        let participants = match operand {
+            Operand::A => row_participants(spec, lane),
+            Operand::B => col_participants(spec, lane),
+        };
+        if !participants.contains(&rank) {
             continue;
         }
-        let participants = col_participants(spec, bj);
-        if participants.len() == 1 {
-            if let StageData::Real { data, ws, .. } = state {
-                for bi in 0..spec.grid_rows {
-                    let blk = owned_block(spec, bi, bj);
-                    let m = data.b_block(bi, bj).expect("missing own B block");
-                    stash_wb(spec, ws, &blk, m.as_slice());
-                }
-            }
-            continue;
-        }
-        let mut col_comm = comm
-            .subgroup(&participants, COL_LABEL_BASE + bj as u64)
-            .expect("participant missing from its column communicator");
-        for bi in 0..spec.grid_rows {
-            let owner = spec.owner(bi, bj);
-            let root = participants
-                .iter()
-                .position(|&p| p == owner)
-                .expect("owner not in column communicator");
-            let blk = owned_block(spec, bi, bj);
-            let payload = match state {
-                StageData::Real { data, .. } if owner == rank => Payload::F64(
-                    data.b_block(bi, bj)
-                        .expect("missing own B block")
-                        .as_slice()
-                        .to_vec(),
-                ),
-                StageData::Real { .. } => Payload::F64(Vec::new()),
-                StageData::Phantom => Payload::Phantom { elems: blk.area() },
+        // Special case (Fig. 2 line 8): a lane that is wholly ours needs no
+        // communication.
+        let mut lane_comm = (participants.len() > 1).then(|| {
+            comm.subgroup(&participants, label_base + lane as u64)
+                .expect("participant missing from its lane communicator")
+        });
+        for pos in 0..lane_len {
+            let (bi, bj) = match operand {
+                Operand::A => (lane, pos),
+                Operand::B => (pos, lane),
             };
-            let received = col_comm.try_bcast(root, payload)?;
-            if let StageData::Real { ws, .. } = state {
-                stash_wb(spec, ws, &blk, &received.try_into_f64()?);
+            let owner = spec.owner(bi, bj);
+            let own = match state {
+                StageData::Real { data, .. } if owner == rank => {
+                    let block = match operand {
+                        Operand::A => data.a_block(bi, bj),
+                        Operand::B => data.b_block(bi, bj),
+                    };
+                    Some(Arc::clone(block.expect("missing own block").shared()))
+                }
+                _ => None,
+            };
+            let held = match &mut lane_comm {
+                None => own,
+                Some(lane_comm) => {
+                    let root = participants
+                        .iter()
+                        .position(|&p| p == owner)
+                        .expect("owner not in its lane communicator");
+                    let payload = match (&*state, own) {
+                        (StageData::Phantom, _) => Payload::Phantom {
+                            elems: spec.heights[bi] * spec.widths[bj],
+                        },
+                        (StageData::Real { .. }, Some(block)) => Payload::SharedF64(block),
+                        (StageData::Real { .. }, None) => Payload::F64(Vec::new()),
+                    };
+                    let received = lane_comm.try_bcast(root, payload)?;
+                    match state {
+                        StageData::Real { .. } => Some(received.try_into_shared_f64()?),
+                        StageData::Phantom => None,
+                    }
+                }
+            };
+            if let StageData::Real { panels, .. } = state {
+                let table = match operand {
+                    Operand::A => &mut panels.a,
+                    Operand::B => &mut panels.b,
+                };
+                table[bi * spec.grid_cols + bj] = held;
             }
         }
     }
     if let Some(t0) = stage_start {
-        comm.emit(
-            t0,
-            comm.now(),
-            SpanKind::Stage {
-                stage: StageLabel::VerticalB,
-            },
-        );
+        comm.emit(t0, comm.now(), SpanKind::Stage { stage });
     }
     Ok(())
+}
+
+/// One stretch of the inner dimension over which a product reads a single
+/// `A` block and a single `B` block: the column cuts of `A` (grid columns)
+/// merged with the row cuts of `B` (grid rows).
+#[derive(Clone, Copy)]
+struct KSegment {
+    /// Grid column of the `A` block and the segment's first column in it.
+    a_col: usize,
+    a_off: usize,
+    /// Grid row of the `B` block and the segment's first row in it.
+    b_row: usize,
+    b_off: usize,
+    /// Length of the segment.
+    len: usize,
+}
+
+/// The segments covering `0..n`, in ascending `k`. They depend on the grid
+/// cuts only, so one list serves every block of the partition.
+fn k_segments(spec: &PartitionSpec) -> Vec<KSegment> {
+    let mut out = Vec::with_capacity(spec.grid_cols + spec.grid_rows - 1);
+    let (mut a_col, mut b_row) = (0, 0);
+    let (mut a_start, mut b_start) = (0, 0);
+    let mut k0 = 0;
+    while k0 < spec.n {
+        let (a_end, b_end) = (a_start + spec.widths[a_col], b_start + spec.heights[b_row]);
+        let k1 = a_end.min(b_end);
+        out.push(KSegment {
+            a_col,
+            a_off: k0 - a_start,
+            b_row,
+            b_off: k0 - b_start,
+            len: k1 - k0,
+        });
+        if k1 == a_end {
+            (a_col, a_start) = (a_col + 1, a_end);
+        }
+        if k1 == b_end {
+            (b_row, b_start) = (b_row + 1, b_end);
+        }
+        k0 = k1;
+    }
+    out
 }
 
 /// Stage 3 (Fig. 4): local computations, one DGEMM per owned sub-partition
 /// (`height × n` times `n × width`). Returns the computed `C` blocks (empty
 /// in phantom mode) and the total flops performed.
+///
+/// The `height × n` rows of `A` and `n × width` columns of `B` are not
+/// gathered: the product is a chain of kernel calls, one per
+/// [`KSegment`], each reading its two blocks in place through their own
+/// leading dimensions and accumulating into `C` (`beta` = 0 for the first
+/// call, 1 after). `Blocked` and `Parallel` add every element's terms one
+/// by one in ascending `k` whatever the split, so the chain yields the bits
+/// of the single call; `Naive` rounds once per call (see its rustdoc).
 pub(crate) fn local_compute(
     comm: &Communicator,
     spec: &PartitionSpec,
@@ -242,61 +268,53 @@ pub(crate) fn local_compute(
     let metrics = comm.metrics();
     let observing = tracing || metrics.is_some();
     let stage_start = tracing.then(|| comm.now());
-    // Captures the kernel's wall-clock duration so the trace can carry
-    // both clock domains on one GEMM span.
-    struct NsProbe(std::cell::Cell<u64>);
-    impl GemmObserver for NsProbe {
+    // Sums the kernel's wall-clock time over a block's chain, so that the
+    // trace and the metrics see one GEMM of inner dimension `n` per block.
+    struct NsSum(std::cell::Cell<u64>);
+    impl GemmObserver for NsSum {
         fn on_gemm(&self, _m: usize, _n: usize, _k: usize, elapsed_ns: u64) {
-            self.0.set(elapsed_ns);
+            self.0.set(self.0.get() + elapsed_ns);
         }
     }
-    // One observer feeding both consumers: the probe (trace spans want the
-    // latest kernel_ns) and, when metered, the wall-clock GEMM histograms.
-    struct Fanout<'a> {
-        probe: &'a NsProbe,
-        telemetry: Option<&'a summagen_metrics::GemmTelemetry>,
-    }
-    impl GemmObserver for Fanout<'_> {
-        fn on_gemm(&self, m: usize, n: usize, k: usize, elapsed_ns: u64) {
-            self.probe.on_gemm(m, n, k, elapsed_ns);
-            if let Some(t) = self.telemetry {
-                t.on_gemm(m, n, k, elapsed_ns);
-            }
-        }
-    }
-    let probe = NsProbe(std::cell::Cell::new(0));
-    let fanout = Fanout {
-        probe: &probe,
-        telemetry: metrics.map(|m| &m.gemm),
+    let kernel_ns = NsSum(std::cell::Cell::new(0));
+    let segments = match state {
+        StageData::Real { .. } => k_segments(spec),
+        StageData::Phantom => Vec::new(),
     };
     let mut out = Vec::new();
     let mut total_flops = 0.0;
     for blk in spec.blocks_of(rank) {
         let flops = 2.0 * blk.rows as f64 * blk.cols as f64 * n as f64;
         total_flops += flops;
-        probe.0.set(0);
-        match state {
-            StageData::Real { ws, kernel, .. } => {
-                let a_off = ws.wa_row_off[blk.block_i].expect("WA row missing") * n;
-                let b_off = ws.wb_col_off[blk.block_j].expect("WB column missing");
-                let mut c = DenseMatrix::zeros(blk.rows, blk.cols);
+        kernel_ns.0.set(0);
+        if let StageData::Real { panels, kernel, .. } = state {
+            let mut c = DenseMatrix::zeros(blk.rows, blk.cols);
+            for (i, seg) in segments.iter().enumerate() {
+                let a = panels.a[blk.block_i * spec.grid_cols + seg.a_col]
+                    .as_deref()
+                    .expect("A block missing from the panel table");
+                let b = panels.b[seg.b_row * spec.grid_cols + blk.block_j]
+                    .as_deref()
+                    .expect("B block missing from the panel table");
                 kernel.run_observed(
                     blk.rows,
                     blk.cols,
-                    n,
+                    seg.len,
                     1.0,
-                    &ws.wa[a_off..],
-                    n,
-                    &ws.wb[b_off..],
-                    ws.wb_width,
-                    0.0,
+                    &a[seg.a_off..],
+                    spec.widths[seg.a_col],
+                    &b[seg.b_off * blk.cols..],
+                    blk.cols,
+                    if i == 0 { 0.0 } else { 1.0 },
                     c.as_mut_slice(),
                     blk.cols,
-                    observing.then_some(&fanout as &dyn GemmObserver),
+                    observing.then_some(&kernel_ns as &dyn GemmObserver),
                 );
-                out.push((blk, c));
             }
-            StageData::Phantom => {}
+            if let Some(m) = metrics {
+                m.gemm.on_gemm(blk.rows, blk.cols, n, kernel_ns.0.get());
+            }
+            out.push((blk, c));
         }
         let gemm_start = observing.then(|| comm.now());
         comm.advance_compute(block_compute_seconds(&blk));
@@ -311,7 +329,7 @@ pub(crate) fn local_compute(
                         n: blk.cols,
                         k: n,
                         flops,
-                        kernel_ns: probe.0.get(),
+                        kernel_ns: kernel_ns.0.get(),
                     },
                 );
             }
@@ -330,47 +348,6 @@ pub(crate) fn local_compute(
         );
     }
     (out, total_flops)
-}
-
-/// The block descriptor at grid position `(bi, bj)` regardless of owner.
-fn owned_block(spec: &PartitionSpec, bi: usize, bj: usize) -> ProcBlock {
-    ProcBlock {
-        block_i: bi,
-        block_j: bj,
-        row: spec.row_offset(bi),
-        col: spec.col_offset(bj),
-        rows: spec.heights[bi],
-        cols: spec.widths[bj],
-    }
-}
-
-/// Stores an `A` block (row-major `blk.rows × blk.cols`) into WA.
-fn stash_wa(spec: &PartitionSpec, ws: &mut Workspace, blk: &ProcBlock, src: &[f64]) {
-    let n = spec.n;
-    let local = ws.wa_row_off[blk.block_i].expect("WA row missing");
-    let dst_start = local * n + blk.col;
-    copy_block(
-        &mut ws.wa[dst_start..],
-        n,
-        src,
-        blk.cols,
-        blk.rows,
-        blk.cols,
-    );
-}
-
-/// Stores a `B` block into WB.
-fn stash_wb(_spec: &PartitionSpec, ws: &mut Workspace, blk: &ProcBlock, src: &[f64]) {
-    let local = ws.wb_col_off[blk.block_j].expect("WB column missing");
-    let dst_start = blk.row * ws.wb_width + local;
-    copy_block(
-        &mut ws.wb[dst_start..],
-        ws.wb_width,
-        src,
-        blk.cols,
-        blk.rows,
-        blk.cols,
-    );
 }
 
 #[cfg(test)]
@@ -397,28 +374,121 @@ mod tests {
     }
 
     #[test]
-    fn workspace_sizes_match_participation() {
-        let s = fig1a();
-        // Rank 0 participates in grid row 0 (9 rows) and column 0 (9 cols).
-        let ws = Workspace::for_rank(&s, 0);
-        assert_eq!(ws.wa.len(), 9 * 16);
-        assert_eq!(ws.wb.len(), 16 * 9);
-        assert_eq!(ws.wa_row_off, vec![Some(0), None, None]);
-        assert_eq!(ws.wb_col_off, vec![Some(0), None, None]);
-        // Rank 1 participates everywhere.
-        let ws1 = Workspace::for_rank(&s, 1);
-        assert_eq!(ws1.wa.len(), 16 * 16);
-        assert_eq!(ws1.wb_width, 16);
-        // Rank 2: row 2 (4 rows), column 2 (4 cols).
-        let ws2 = Workspace::for_rank(&s, 2);
-        assert_eq!(ws2.wa.len(), 4 * 16);
-        assert_eq!(ws2.wb_col_off, vec![None, None, Some(0)]);
+    fn k_segments_merge_column_cuts_of_a_with_row_cuts_of_b() {
+        // Equal cuts: one segment per grid line, offsets all zero.
+        let segs = k_segments(&fig1a());
+        let got: Vec<_> = segs
+            .iter()
+            .map(|s| (s.a_col, s.a_off, s.b_row, s.b_off, s.len))
+            .collect();
+        assert_eq!(got, vec![(0, 0, 0, 0, 9), (1, 0, 1, 0, 3), (2, 0, 2, 0, 4)]);
+        // Row cuts 5|11, column cuts 2|6|8: four segments, the middle `A`
+        // block straddles the row cut.
+        let s = PartitionSpec::new(vec![0, 1, 0, 1, 0, 1], vec![5, 11], vec![2, 6, 8], 2);
+        let got: Vec<_> = k_segments(&s)
+            .iter()
+            .map(|s| (s.a_col, s.a_off, s.b_row, s.b_off, s.len))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (0, 0, 0, 0, 2),
+                (1, 0, 0, 2, 3),
+                (1, 3, 1, 0, 3),
+                (2, 0, 1, 3, 8)
+            ]
+        );
+        // A single cell is a single segment.
+        let one = PartitionSpec::new(vec![0], vec![7], vec![7], 1);
+        assert_eq!(k_segments(&one).len(), 1);
+        assert_eq!(k_segments(&one)[0].len, 7);
     }
 
+    /// Runs stages 1–2 on the channel backend and returns every rank's
+    /// panel table next to the blocks `distribute` dealt.
+    fn exchange(
+        spec: &PartitionSpec,
+        faults: Option<summagen_comm::FaultPlan>,
+    ) -> (Vec<RankMatrices>, Vec<PanelTable>) {
+        use summagen_matrix::random_matrix;
+        let a = random_matrix(spec.n, spec.n, 41);
+        let b = random_matrix(spec.n, spec.n, 42);
+        let dealt = crate::rankdata::distribute(spec, &a, &b);
+        let mut universe = summagen_comm::Universe::new(spec.nprocs, summagen_comm::ZeroCost);
+        if let Some(plan) = faults {
+            universe = universe.with_faults(plan);
+        }
+        let tables = universe
+            .try_run(|comm| {
+                let rank = comm.rank();
+                let mut state = StageData::Real {
+                    data: &dealt[rank],
+                    panels: PanelTable::new(spec),
+                    kernel: GemmKernel::default(),
+                };
+                horizontal_a(&comm, spec, rank, &mut state)?;
+                vertical_b(&comm, spec, rank, &mut state)?;
+                match state {
+                    StageData::Real { panels, .. } => Ok(panels),
+                    StageData::Phantom => unreachable!(),
+                }
+            })
+            .expect("fault-free stages");
+        (dealt, tables)
+    }
+
+    /// Sharing is structural: after stages 1–2 every rank that needs a
+    /// block holds the allocation its owner was dealt, and nothing else.
     #[test]
-    fn owned_block_positions() {
-        let s = fig1a();
-        let b = owned_block(&s, 2, 1);
-        assert_eq!((b.row, b.col, b.rows, b.cols), (12, 9, 4, 3));
+    fn every_table_entry_is_the_owners_buffer() {
+        let beaumont = summagen_partition::beaumont_column_layout(40, &[1.0, 2.0, 0.9, 1.5]);
+        for spec in [fig1a(), beaumont] {
+            let (dealt, tables) = exchange(&spec, None);
+            for (rank, table) in tables.iter().enumerate() {
+                for bi in 0..spec.grid_rows {
+                    for bj in 0..spec.grid_cols {
+                        let cell = bi * spec.grid_cols + bj;
+                        let owner = &dealt[spec.owner(bi, bj)];
+                        match &table.a[cell] {
+                            Some(held) => {
+                                assert!(spec.row_contains(rank, bi));
+                                let src = owner.a_block(bi, bj).unwrap().shared();
+                                assert!(Arc::ptr_eq(held, src), "A({bi},{bj}) at rank {rank}");
+                            }
+                            None => assert!(!spec.row_contains(rank, bi)),
+                        }
+                        match &table.b[cell] {
+                            Some(held) => {
+                                assert!(spec.col_contains(rank, bj));
+                                let src = owner.b_block(bi, bj).unwrap().shared();
+                                assert!(Arc::ptr_eq(held, src), "B({bi},{bj}) at rank {rank}");
+                            }
+                            None => assert!(!spec.col_contains(rank, bj)),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A corruption addressed to one child is copy-on-write: that child's
+    /// entry is a private buffer with the flipped element, while the owner
+    /// and the sibling still share the intact one.
+    #[test]
+    fn corruption_reaches_only_the_addressed_rank() {
+        // One row, one column cut: rank 1 owns the left block and roots the
+        // single row's first `A` broadcast towards ranks 0 and 2.
+        let spec = PartitionSpec::new(vec![1, 0, 2], vec![12], vec![4, 4, 4], 3);
+        let plan = summagen_comm::FaultPlan::new().corrupt_message(1, 2, 0, 5, 0.75);
+        let (dealt, tables) = exchange(&spec, Some(plan));
+        let src = dealt[1].a_block(0, 0).unwrap().shared();
+        assert!(Arc::ptr_eq(tables[1].a[0].as_ref().unwrap(), src));
+        assert!(Arc::ptr_eq(tables[0].a[0].as_ref().unwrap(), src));
+        let hit = tables[2].a[0].as_ref().unwrap();
+        assert!(!Arc::ptr_eq(hit, src));
+        for (i, (got, want)) in hit.iter().zip(src.iter()).enumerate() {
+            let want = if i == 5 { want + 0.75 } else { *want };
+            assert_eq!(got.to_bits(), want.to_bits(), "element {i}");
+        }
     }
 }

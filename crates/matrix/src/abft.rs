@@ -31,20 +31,29 @@
 
 use crate::dense::DenseMatrix;
 
+/// Column sums of the leading `h × w` region of a row-major buffer with
+/// leading dimension `ld`, each started from `init`. The buffer is walked
+/// row by row (unit stride) into a `w`-long accumulator; per column that is
+/// the same additions in the same ascending-`i` order as summing one column
+/// at a time, so every sum has the same bits.
+pub fn column_sums(data: &[f64], ld: usize, h: usize, w: usize, init: f64) -> Vec<f64> {
+    let mut sums = vec![init; w];
+    for i in 0..h {
+        for (s, x) in sums.iter_mut().zip(&data[i * ld..i * ld + w]) {
+            *s += x;
+        }
+    }
+    sums
+}
+
 /// Appends a checksum row (column sums) to an `A` panel: (h×k) →
 /// ((h+1)×k). The data region is copied bit-for-bit.
 pub fn augment_a(panel: &DenseMatrix) -> DenseMatrix {
     let (h, k) = (panel.rows(), panel.cols());
-    let mut out = DenseMatrix::zeros(h + 1, k);
-    out.as_mut_slice()[..h * k].copy_from_slice(panel.as_slice());
-    for j in 0..k {
-        let mut s = 0.0;
-        for i in 0..h {
-            s += panel.get(i, j);
-        }
-        out.set(h, j, s);
-    }
-    out
+    let mut data = Vec::with_capacity((h + 1) * k);
+    data.extend_from_slice(panel.as_slice());
+    data.extend(column_sums(panel.as_slice(), k, h, k, 0.0));
+    DenseMatrix::from_vec(h + 1, k, data)
 }
 
 /// Appends a checksum column (row sums) to a `B` panel: (k×w) →
@@ -118,6 +127,41 @@ impl AbftVerdict {
     }
 }
 
+/// A residual over tolerance: its row or column index, and its value.
+type BadResidual = (usize, f64);
+
+/// The data-row and data-column residuals of `c` that exceed `tol` (see
+/// [`verify_and_correct`]), in ascending index order. Rows are scanned as
+/// slices and columns summed row by row ([`column_sums`]), so `c` is read
+/// with unit stride only.
+fn bad_residuals(c: &DenseMatrix, tol: f64) -> (Vec<BadResidual>, Vec<BadResidual>) {
+    let (h, w) = (c.rows() - 1, c.cols() - 1);
+    let ld = w + 1;
+    let data = c.as_slice();
+    let over = |(i, r): (usize, f64)| (r.abs() > tol).then_some((i, r));
+    let bad_rows = data
+        .chunks_exact(ld)
+        .take(h)
+        .map(|row| {
+            let mut s = 0.0;
+            for x in &row[..w] {
+                s += x;
+            }
+            s - row[w]
+        })
+        .enumerate()
+        .filter_map(over)
+        .collect();
+    let bad_cols = column_sums(data, ld, h, w, 0.0)
+        .iter()
+        .zip(&data[h * ld..])
+        .map(|(s, check)| s - check)
+        .enumerate()
+        .filter_map(over)
+        .collect();
+    (bad_rows, bad_cols)
+}
+
 /// Verifies a fully-checksummed accumulator `c` ((h+1)×(w+1), data in
 /// the leading h×w block) against its own checksums and corrects a
 /// single located error in place.
@@ -140,28 +184,7 @@ pub fn verify_and_correct(c: &mut DenseMatrix, tol: f64) -> AbftVerdict {
         c.cols()
     );
     let (h, w) = (c.rows() - 1, c.cols() - 1);
-    let mut bad_rows: Vec<(usize, f64)> = Vec::new();
-    for i in 0..h {
-        let mut s = 0.0;
-        for j in 0..w {
-            s += c.get(i, j);
-        }
-        let r = s - c.get(i, w);
-        if r.abs() > tol {
-            bad_rows.push((i, r));
-        }
-    }
-    let mut bad_cols: Vec<(usize, f64)> = Vec::new();
-    for j in 0..w {
-        let mut s = 0.0;
-        for i in 0..h {
-            s += c.get(i, j);
-        }
-        let r = s - c.get(h, j);
-        if r.abs() > tol {
-            bad_cols.push((j, r));
-        }
-    }
+    let (bad_rows, bad_cols) = bad_residuals(c, tol);
     match (bad_rows.as_slice(), bad_cols.as_slice()) {
         ([], []) => AbftVerdict::Clean,
         // One row and one column residual agreeing on the error: a
@@ -245,6 +268,118 @@ mod tests {
             n.max(1),
         );
         c
+    }
+
+    /// The column-at-a-time loop `column_sums` replaced (stride `ld`).
+    fn column_sums_strided(data: &[f64], ld: usize, h: usize, w: usize, init: f64) -> Vec<f64> {
+        (0..w)
+            .map(|j| {
+                let mut s = init;
+                for i in 0..h {
+                    s += data[i * ld + j];
+                }
+                s
+            })
+            .collect()
+    }
+
+    /// Values whose sums depend on the order of addition: magnitudes
+    /// spread over 30 decades, both signs, signed zeros.
+    fn rough_matrix(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+        let base = random_matrix(rows, cols, seed);
+        DenseMatrix::from_fn(rows, cols, |i, j| {
+            let x = base.get(i, j);
+            match (i * 31 + j * 17 + seed as usize) % 7 {
+                0 => x * 1e15,
+                1 => x * 1e-15,
+                2 => -0.0,
+                3 => 0.0,
+                _ => x,
+            }
+        })
+    }
+
+    #[test]
+    fn row_walk_column_sums_have_the_bits_of_the_strided_loop() {
+        for &(h, w, pad) in &[(1, 1, 0), (7, 5, 0), (64, 33, 1), (129, 257, 3), (0, 4, 0)] {
+            let ld = w + pad;
+            let m = rough_matrix(h.max(1), ld, (h * 1000 + w) as u64);
+            for init in [0.0, -0.0] {
+                let want = column_sums_strided(m.as_slice(), ld, h, w, init);
+                let got = column_sums(m.as_slice(), ld, h, w, init);
+                assert_eq!(got.len(), w);
+                for (j, (g, e)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), e.to_bits(), "{h}x{w} ld {ld} column {j}");
+                }
+            }
+        }
+        // A column of negative zeros keeps its sign only from a -0.0 start.
+        let z = vec![-0.0; 6];
+        assert_eq!(
+            column_sums(&z, 2, 3, 2, -0.0)[0].to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(column_sums(&z, 2, 3, 2, 0.0)[0].to_bits(), 0.0f64.to_bits());
+    }
+
+    /// The residual scan `bad_residuals` replaced: one bounds-checked `get`
+    /// per element, columns walked with stride `cols`.
+    fn bad_residuals_strided(c: &DenseMatrix, tol: f64) -> (Vec<BadResidual>, Vec<BadResidual>) {
+        let (h, w) = (c.rows() - 1, c.cols() - 1);
+        let mut bad_rows = Vec::new();
+        for i in 0..h {
+            let mut s = 0.0;
+            for j in 0..w {
+                s += c.get(i, j);
+            }
+            let r = s - c.get(i, w);
+            if r.abs() > tol {
+                bad_rows.push((i, r));
+            }
+        }
+        let mut bad_cols = Vec::new();
+        for j in 0..w {
+            let mut s = 0.0;
+            for i in 0..h {
+                s += c.get(i, j);
+            }
+            let r = s - c.get(h, j);
+            if r.abs() > tol {
+                bad_cols.push((j, r));
+            }
+        }
+        (bad_rows, bad_cols)
+    }
+
+    /// The verdict is a function of the over-tolerance residuals alone, so
+    /// equal residual lists (index and bits) mean equal verdicts and
+    /// equal corrections.
+    #[test]
+    fn residuals_and_checksums_match_the_strided_loops_bit_for_bit() {
+        let bits = |v: &[BadResidual]| -> Vec<(usize, u64)> {
+            v.iter().map(|&(i, r)| (i, r.to_bits())).collect()
+        };
+        for seed in 0..24u64 {
+            let (h, w) = (2 + (seed as usize * 5) % 37, 2 + (seed as usize * 11) % 41);
+            let a = rough_matrix(h, w, seed);
+            // augment_a: the checksum row is the strided column sums.
+            let ap = augment_a(&a);
+            let want = column_sums_strided(a.as_slice(), w, h, w, 0.0);
+            for (j, e) in want.iter().enumerate() {
+                assert_eq!(ap.get(h, j).to_bits(), e.to_bits());
+            }
+            assert_eq!(&ap.as_slice()[..h * w], a.as_slice());
+            // Residuals of a damaged accumulator, at a tolerance that
+            // catches everything (0) and at one inside the rounding noise.
+            let mut c = augment_b(&ap);
+            c.set(seed as usize % h, seed as usize % w, 3.5);
+            for tol in [0.0, 1e-3] {
+                let (rows, cols) = bad_residuals(&c, tol);
+                let (want_rows, want_cols) = bad_residuals_strided(&c, tol);
+                assert_eq!(bits(&rows), bits(&want_rows), "seed {seed} tol {tol}");
+                assert_eq!(bits(&cols), bits(&want_cols), "seed {seed} tol {tol}");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Strided block copies — the Rust equivalent of the paper's `copy_matrix`.
+//! Block descriptors and the one strided copy SummaGen makes — the Rust
+//! equivalent of the paper's `copy_matrix`.
 //!
-//! SummaGen moves rectangular blocks between the global matrices, temporary
-//! broadcast buffers, and the working matrices `WA`/`WB`. All of those are
-//! row-major buffers with different leading dimensions, so the fundamental
-//! operation is "copy an `h x w` window from one strided buffer to another".
+//! A sub-partition is cut out of its global matrix once, into a dense
+//! buffer of its own ("copy an `h x w` window out of a strided buffer");
+//! from there on the block is shared and read in place through its leading
+//! dimension, never copied into working matrices.
 
 /// A rectangular window into a row-major buffer, identified by its top-left
 /// corner and extent. Used to describe sub-partitions of the global matrices.
@@ -63,39 +64,23 @@ impl Block {
     }
 }
 
-/// Copies an `h x w` window between two row-major strided buffers.
-///
-/// `src` starts at the window's top-left element and has leading dimension
-/// `src_ld`; likewise for `dst`/`dst_ld`. This is the direct analogue of the
-/// `copy_matrix` helper in the paper's Figures 2 and 3.
+/// Copies the `h x w` window whose top-left element is `(i0, j0)` out of a
+/// row-major buffer with leading dimension `ld` into a dense vector — the
+/// `copy_matrix` of the paper's Figures 2 and 3 with a fresh destination.
+/// Rows are appended, so every element is written exactly once.
 ///
 /// # Panics
-/// Panics if either buffer is too short for the requested window, or if a
-/// leading dimension is smaller than `w` (rows would overlap).
-pub fn copy_block(dst: &mut [f64], dst_ld: usize, src: &[f64], src_ld: usize, h: usize, w: usize) {
-    if h == 0 || w == 0 {
-        return;
+/// Panics if the window leaves a row (`j0 + w > ld`) or the buffer.
+pub fn window_to_vec(src: &[f64], ld: usize, i0: usize, j0: usize, h: usize, w: usize) -> Vec<f64> {
+    assert!(j0 + w <= ld, "window columns {j0}+{w} exceed ld {ld}");
+    let mut out = Vec::with_capacity(h * w);
+    for i in i0..i0 + h {
+        out.extend_from_slice(&src[i * ld + j0..i * ld + j0 + w]);
     }
-    assert!(src_ld >= w, "src leading dimension {src_ld} < width {w}");
-    assert!(dst_ld >= w, "dst leading dimension {dst_ld} < width {w}");
-    assert!(
-        src.len() >= (h - 1) * src_ld + w,
-        "src buffer too short: len {} for {h}x{w} with ld {src_ld}",
-        src.len()
-    );
-    assert!(
-        dst.len() >= (h - 1) * dst_ld + w,
-        "dst buffer too short: len {} for {h}x{w} with ld {dst_ld}",
-        dst.len()
-    );
-    for i in 0..h {
-        let s = &src[i * src_ld..i * src_ld + w];
-        dst[i * dst_ld..i * dst_ld + w].copy_from_slice(s);
-    }
+    out
 }
 
 #[cfg(test)]
-#[allow(clippy::identity_op)] // spelled-out row*ld + col indexing
 mod tests {
     use super::*;
     use crate::DenseMatrix;
@@ -142,45 +127,31 @@ mod tests {
     }
 
     #[test]
-    fn copy_block_moves_window_between_strides() {
-        // Source: 4x4 matrix, copy the 2x3 window at (1,1) into a 2x3 dest.
+    fn window_to_vec_extracts_a_strided_window() {
+        // Source: 4x4 matrix, the 2x3 window at (1,1).
         let src = DenseMatrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
-        let mut dst = vec![0.0; 6];
-        let off = 1 * 4 + 1;
-        copy_block(&mut dst, 3, &src.as_slice()[off..], 4, 2, 3);
-        assert_eq!(dst, vec![5.0, 6.0, 7.0, 9.0, 10.0, 11.0]);
+        let got = window_to_vec(src.as_slice(), 4, 1, 1, 2, 3);
+        assert_eq!(got, vec![5.0, 6.0, 7.0, 9.0, 10.0, 11.0]);
+        assert_eq!(window_to_vec(src.as_slice(), 4, 0, 0, 4, 4), src.as_slice());
     }
 
     #[test]
-    fn copy_block_into_larger_stride() {
-        let src = vec![1.0, 2.0, 3.0, 4.0]; // 2x2, ld 2
-        let mut dst = vec![0.0; 12]; // 3x4, ld 4; place at row 0 col 1
-        copy_block(&mut dst[1..], 4, &src, 2, 2, 2);
-        assert_eq!(
-            dst,
-            vec![0.0, 1.0, 2.0, 0.0, 0.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        );
+    fn window_to_vec_empty_windows_touch_nothing() {
+        // Even at the far corner, where no element exists to start from.
+        assert!(window_to_vec(&[7.0; 4], 2, 2, 2, 0, 0).is_empty());
+        assert!(window_to_vec(&[7.0; 4], 2, 0, 2, 2, 0).is_empty());
+        assert!(window_to_vec(&[], 0, 0, 0, 0, 0).is_empty());
     }
 
     #[test]
-    fn copy_block_zero_size_is_noop() {
-        let mut dst = vec![7.0; 4];
-        copy_block(&mut dst, 2, &[], 2, 0, 2);
-        copy_block(&mut dst, 2, &[], 2, 2, 0);
-        assert_eq!(dst, vec![7.0; 4]);
+    #[should_panic(expected = "exceed ld")]
+    fn window_to_vec_rejects_a_window_wider_than_a_row() {
+        window_to_vec(&[1.0; 9], 3, 0, 2, 2, 2);
     }
 
     #[test]
-    #[should_panic(expected = "src buffer too short")]
-    fn copy_block_panics_on_short_source() {
-        let mut dst = vec![0.0; 9];
-        copy_block(&mut dst, 3, &[1.0, 2.0], 3, 2, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "leading dimension")]
-    fn copy_block_panics_on_bad_ld() {
-        let mut dst = vec![0.0; 9];
-        copy_block(&mut dst, 1, &[1.0; 9], 3, 2, 2);
+    #[should_panic]
+    fn window_to_vec_panics_past_the_buffer() {
+        window_to_vec(&[1.0; 6], 3, 1, 0, 2, 3);
     }
 }

@@ -116,12 +116,12 @@ impl DenseMatrix {
             self.rows,
             self.cols
         );
-        let mut out = DenseMatrix::zeros(h, w);
-        for i in 0..h {
-            let src = &self.data[(i0 + i) * self.cols + j0..(i0 + i) * self.cols + j0 + w];
-            out.data[i * w..(i + 1) * w].copy_from_slice(src);
+        let data = crate::block::window_to_vec(&self.data, self.cols, i0, j0, h, w);
+        DenseMatrix {
+            rows: h,
+            cols: w,
+            data,
         }
-        out
     }
 
     /// Writes `block` into this matrix with its top-left corner at `(i0, j0)`.

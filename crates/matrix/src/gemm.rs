@@ -4,9 +4,9 @@
 //! with leading dimension `lda`, `B` is `k x n` with leading dimension `ldb`,
 //! and `C` is `m x n` with leading dimension `ldc`. The slices start at the
 //! top-left element of each submatrix, which lets SummaGen multiply windows
-//! of `WA` and `WB` straight into a window of the local `C` partition — the
-//! same calling convention as the vendor DGEMM the paper wraps in
-//! `localDgemm` (Fig. 4).
+//! of the `A` and `B` blocks it received straight into its local `C`
+//! partition — the same calling convention as the vendor DGEMM the paper
+//! wraps in `localDgemm` (Fig. 4).
 
 use rayon::prelude::*;
 
@@ -14,6 +14,14 @@ use rayon::prelude::*;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GemmKernel {
     /// Triple-loop reference kernel. Slow; used for verification.
+    ///
+    /// Each call forms the whole dot product before it adds `beta * C`
+    /// and rounds, so — unlike `Blocked` and `Parallel`, which add term by
+    /// term into `C` — splitting `k` over chained calls changes the
+    /// rounding. The SummaGen executor runs one call per k-segment of the
+    /// partition grid (it never gathers a block's operands into one
+    /// buffer), so through it `Naive` agrees with one `gemm_naive` over the
+    /// whole product to within [`crate::gemm_tolerance`], not to the bit.
     Naive,
     /// Packed, register-tiled serial kernel (panels of `A` and `B` copied
     /// into contiguous strips, a 4 x 8 accumulator tile).

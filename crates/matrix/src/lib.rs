@@ -2,12 +2,12 @@
 //!
 //! This crate provides the numerical substrate that the paper obtains from
 //! vendor BLAS libraries (Intel MKL, CUBLAS): a row-major dense `f64` matrix
-//! type, strided block copies (the paper's `copy_matrix`), and GEMM kernels
+//! type, the strided window copy (the paper's `copy_matrix`), and GEMM kernels
 //! in three flavours — a naive reference, a packed register-tiled serial
 //! kernel, and the same kernel run over one band of `C` rows per hardware
 //! thread. All kernels operate on strided submatrices so
-//! that SummaGen can multiply slices of its working matrices `WA`/`WB`
-//! directly into slices of the local `C` partition, exactly like the
+//! that SummaGen can multiply the `A` and `B` blocks it received, where
+//! they lie, into its local `C` partition, exactly like the
 //! `localDgemm` call in Fig. 4 of the paper.
 
 pub mod abft;
@@ -22,9 +22,10 @@ pub mod trans;
 pub mod view;
 
 pub use abft::{
-    abft_tolerance, augment_a, augment_b, strip_checksums, verify_and_correct, AbftVerdict,
+    abft_tolerance, augment_a, augment_b, column_sums, strip_checksums, verify_and_correct,
+    AbftVerdict,
 };
-pub use block::{copy_block, Block};
+pub use block::{window_to_vec, Block};
 pub use dense::DenseMatrix;
 pub use gemm::{gemm_blocked, gemm_naive, gemm_parallel, GemmKernel, GemmObserver};
 pub use gen::{deterministic_matrix, random_matrix, seeded_rng};

@@ -1,0 +1,439 @@
+//! The executor's data path after ISSUE 15: panels are shared, not copied.
+//!
+//! `distribute` cuts every sub-partition once into a reference-counted
+//! buffer, the broadcast stages hand that buffer around, and stage 3 runs
+//! one kernel call per k-segment straight out of the received blocks. These
+//! tests pin what that must not change (every bit of `C`, every message and
+//! byte, one GEMM span per block) and what it must guarantee (the buffer
+//! really is shared; injected corruption stays with the rank it was
+//! addressed to).
+
+use std::sync::Arc;
+
+use proptest::prelude::*;
+use rand::prelude::*;
+use summagen_comm::{
+    Backend, BcastAlgorithm, FaultPlan, Payload, RuntimeMetrics, SpanKind, Universe, ZeroCost,
+};
+use summagen_core::{
+    multiply, multiply_traced, multiply_with_recovery, ExecutionMode, RecoveryOptions,
+};
+use summagen_durable::fnv1a_words;
+use summagen_matrix::{gemm_blocked, random_matrix, DenseMatrix, GemmKernel};
+use summagen_partition::{proportional_areas, PartitionSpec, Shape, ALL_FOUR_SHAPES};
+use summagen_trace::TraceRecorder;
+
+const SPEEDS: [f64; 3] = [1.0, 2.0, 0.9];
+
+fn digest(c: &DenseMatrix) -> u64 {
+    let bits: Vec<u64> = c.as_slice().iter().map(|x| x.to_bits()).collect();
+    fnv1a_words(&bits)
+}
+
+fn inputs(n: usize) -> (DenseMatrix, DenseMatrix) {
+    (
+        random_matrix(n, n, 1000 + n as u64),
+        random_matrix(n, n, 2000 + n as u64),
+    )
+}
+
+fn paper_spec(shape: Shape, n: usize) -> PartitionSpec {
+    shape.build(n, &proportional_areas(n, &SPEEDS))
+}
+
+/// What one matrix size must reproduce: `n`, `fnv1a_words` of `C`'s bits
+/// for `inputs(n)`, and per paper shape (in `ALL_FOUR_SHAPES` order) the
+/// messages and bytes one `multiply` sends.
+type Golden = (usize, u64, [(u64, u64); 4]);
+
+/// Captured at the commit before the panels were shared (69035a7). Every
+/// element of `C` is one ascending-`k` sum whatever the partition, so one
+/// digest serves the four shapes.
+const GOLDEN: [Golden; 3] = [
+    (
+        96,
+        0xd597b120d1d5e070,
+        [(12, 145_920), (11, 144_384), (6, 109_824), (6, 147_456)],
+    ),
+    (
+        257,
+        0xea2523c2b63ea5aa,
+        [
+            (12, 1_040_336),
+            (11, 1_034_168),
+            (6, 785_392),
+            (6, 1_056_784),
+        ],
+    ),
+    (
+        333,
+        0x5452cf72dee53a71,
+        [
+            (12, 1_752_912),
+            (11, 1_739_592),
+            (6, 1_318_680),
+            (6, 1_774_224),
+        ],
+    ),
+];
+
+#[test]
+fn products_and_traffic_match_the_goldens_on_both_backends() {
+    for (n, want, traffic) in GOLDEN {
+        let (a, b) = inputs(n);
+        for (shape, (msgs, bytes)) in ALL_FOUR_SHAPES.into_iter().zip(traffic) {
+            let ctx = format!("{} at n = {n}", shape.name());
+            let run = multiply(&paper_spec(shape, n), &a, &b, ExecutionMode::Real);
+            assert_eq!(digest(&run.c), want, "{ctx}: channel backend");
+            let sent: u64 = run.traffic.iter().map(|t| t.msgs_sent).sum();
+            assert_eq!(sent, msgs, "{ctx}: messages");
+            let sent: u64 = run.traffic.iter().map(|t| t.bytes_sent).sum();
+            assert_eq!(sent, bytes, "{ctx}: bytes");
+            let tcp = multiply_with_recovery(
+                shape,
+                &SPEEDS,
+                &a,
+                &b,
+                ExecutionMode::Real,
+                ZeroCost,
+                &[],
+                &RecoveryOptions {
+                    backend: Backend::Tcp,
+                    ..Default::default()
+                },
+            )
+            .expect("fault-free TCP run");
+            assert_eq!(digest(&tcp.c), want, "{ctx}: TCP backend");
+        }
+    }
+}
+
+/// A random valid partition: independent random row and column cuts (so
+/// the k-segments of `A` and `B` interleave) and random owners, repaired so
+/// that every processor owns a cell.
+fn random_spec(n: usize, p: usize, seed: u64) -> PartitionSpec {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let cuts = |parts: usize, rng: &mut StdRng| -> Vec<usize> {
+        let mut points: Vec<usize> = (1..n).collect();
+        points.shuffle(rng);
+        points.truncate(parts - 1);
+        points.sort_unstable();
+        points.push(n);
+        let mut prev = 0;
+        points
+            .into_iter()
+            .map(|cut| {
+                let size = cut - prev;
+                prev = cut;
+                size
+            })
+            .collect()
+    };
+    let heights = cuts(rng.random_range(1usize..=4), &mut rng);
+    let widths = cuts(rng.random_range(1usize..=4), &mut rng);
+    let cells = heights.len() * widths.len();
+    let p = p.min(cells);
+    let mut owners: Vec<usize> = (0..cells).map(|_| rng.random_range(0..p)).collect();
+    // Deal the first `p` cells of a random order to distinct processors.
+    let mut order: Vec<usize> = (0..cells).collect();
+    order.shuffle(&mut rng);
+    for (proc, &cell) in order.iter().take(p).enumerate() {
+        owners[cell] = proc;
+    }
+    PartitionSpec::new(owners, heights, widths, p)
+}
+
+/// Every block of `c` against one `gemm_blocked` call over the block's
+/// full operands: its `rows × n` band of `A` times its `n × cols` band of
+/// `B`, read in place from the global matrices.
+fn assert_blocks_match_one_gemm(
+    spec: &PartitionSpec,
+    a: &DenseMatrix,
+    b: &DenseMatrix,
+    c: &DenseMatrix,
+) {
+    let n = spec.n;
+    for proc in 0..spec.nprocs {
+        for blk in spec.blocks_of(proc) {
+            let mut want = vec![0.0; blk.rows * blk.cols];
+            gemm_blocked(
+                blk.rows,
+                blk.cols,
+                n,
+                1.0,
+                &a.as_slice()[blk.row * n..],
+                n,
+                &b.as_slice()[blk.col..],
+                n,
+                0.0,
+                &mut want,
+                blk.cols,
+            );
+            let got = c.submatrix(blk.row, blk.col, blk.rows, blk.cols);
+            for (k, (g, w)) in got.as_slice().iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "block ({}, {}) element {k}, grid {:?} x {:?}, owners {:?}",
+                    blk.block_i,
+                    blk.block_j,
+                    spec.heights,
+                    spec.widths,
+                    spec.owners
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn hand_picked_grids_chain_to_the_bits_of_one_gemm() {
+    let specs = [
+        // One cell: a single segment, no communication at all.
+        PartitionSpec::new(vec![0], vec![19], vec![19], 1),
+        // Row cuts 5|14, column cuts 2|6|11: the middle `A` block straddles
+        // the row cut; row 1 belongs to processor 1 alone (no broadcast).
+        PartitionSpec::new(vec![0, 1, 0, 1, 1, 1], vec![5, 14], vec![2, 6, 11], 2),
+        // A single grid row and a single grid column.
+        PartitionSpec::new(vec![1, 0, 2], vec![12], vec![4, 4, 4], 3),
+        PartitionSpec::new(vec![2, 0, 1], vec![3, 8, 1], vec![12], 3),
+        // 1-wide and 1-tall blocks next to wide ones.
+        PartitionSpec::new(
+            vec![0, 1, 2, 3, 3, 2, 1, 0, 0],
+            vec![1, 30, 2],
+            vec![16, 1, 16],
+            4,
+        ),
+    ];
+    for spec in specs {
+        let (a, b) = inputs(spec.n);
+        for kernel in [GemmKernel::Blocked, GemmKernel::Parallel] {
+            let run = multiply(&spec, &a, &b, ExecutionMode::RealWith(kernel));
+            assert_blocks_match_one_gemm(&spec, &a, &b, &run.c);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Segment-chained `multiply` is `to_bits`-equal to one `gemm_blocked`
+    /// per block over the gathered operands, on arbitrary grids.
+    #[test]
+    fn random_grids_chain_to_the_bits_of_one_gemm(
+        n in 8usize..=64,
+        p in 1usize..=4,
+        seed in 0u64..100_000,
+    ) {
+        let spec = random_spec(n, p, seed);
+        let a = random_matrix(n, n, seed ^ 0xA);
+        let b = random_matrix(n, n, seed ^ 0xB);
+        let run = multiply(&spec, &a, &b, ExecutionMode::Real);
+        assert_blocks_match_one_gemm(&spec, &a, &b, &run.c);
+    }
+}
+
+/// Broadcasts one shared buffer from rank 1 of 5 and returns what every
+/// rank ends up holding.
+fn bcast_shared(
+    backend: Backend,
+    algo: BcastAlgorithm,
+    faults: Option<FaultPlan>,
+    panel: &Arc<Vec<f64>>,
+) -> Vec<Arc<Vec<f64>>> {
+    let mut universe = Universe::new(5, ZeroCost).with_backend(backend);
+    if let Some(plan) = faults {
+        universe = universe.with_faults(plan);
+    }
+    universe
+        .try_run(|mut comm| {
+            let mine = if comm.rank() == 1 {
+                Payload::SharedF64(Arc::clone(panel))
+            } else {
+                Payload::F64(Vec::new())
+            };
+            comm.try_bcast_with(1, mine, algo)?.try_into_shared_f64()
+        })
+        .expect("broadcast succeeds")
+}
+
+/// Sharing is structural, not assumed: over channels both broadcast
+/// algorithms deliver the root's allocation itself to every rank; over TCP
+/// the root keeps its buffer and the others get equal bytes.
+#[test]
+fn a_shared_panel_is_forwarded_by_reference() {
+    let panel = Arc::new(random_matrix(8, 16, 5).as_slice().to_vec());
+    for algo in [BcastAlgorithm::Flat, BcastAlgorithm::Binomial] {
+        let held = bcast_shared(Backend::Channel, algo, None, &panel);
+        for (rank, got) in held.iter().enumerate() {
+            assert!(
+                Arc::ptr_eq(got, &panel),
+                "{algo:?}: rank {rank} holds a copy"
+            );
+        }
+        drop(held);
+        assert_eq!(Arc::strong_count(&panel), 1, "{algo:?}: a reference leaked");
+        let held = bcast_shared(Backend::Tcp, algo, None, &panel);
+        assert!(Arc::ptr_eq(&held[1], &panel));
+        for got in &held {
+            assert_eq!(**got, *panel);
+        }
+    }
+}
+
+/// Corruption is copy-on-write: a flip addressed to one child reaches that
+/// child only; the root and the sibling keep sharing the intact buffer.
+#[test]
+fn corruption_of_a_shared_panel_stays_with_its_destination() {
+    let panel = Arc::new(random_matrix(8, 16, 6).as_slice().to_vec());
+    let pristine = (*panel).clone();
+    let plan = FaultPlan::new().corrupt_message(1, 3, 0, 21, -2.5);
+    let held = bcast_shared(Backend::Channel, BcastAlgorithm::Flat, Some(plan), &panel);
+    assert_eq!(*panel, pristine, "the root's buffer was written through");
+    for rank in [0, 1, 2, 4] {
+        assert!(Arc::ptr_eq(&held[rank], &panel), "rank {rank}");
+    }
+    assert!(!Arc::ptr_eq(&held[3], &panel));
+    for (i, (got, clean)) in held[3].iter().zip(&pristine).enumerate() {
+        let want = if i == 21 { clean - 2.5 } else { *clean };
+        assert_eq!(got.to_bits(), want.to_bits(), "element {i}");
+    }
+}
+
+/// The same through the executor: `multiply` has no checksums, so the
+/// flipped element does reach the addressed rank's product — and nobody
+/// else's. Every block the root or the sibling owns has the clean bits.
+#[test]
+fn a_corrupted_panel_damages_only_the_addressed_ranks_blocks() {
+    let n = 48;
+    let (a, b) = inputs(n);
+    let shape = Shape::OneDRectangular;
+    let spec = paper_spec(shape, n);
+    let clean = multiply(&spec, &a, &b, ExecutionMode::Real).c;
+    // One lane holds all three ranks; its first block's owner roots the
+    // first broadcast, so message 0 from it to `child` is that panel.
+    let root = spec.owner(0, 0);
+    let child = (root + 1) % 3;
+    let plan = FaultPlan::new().corrupt_message(root, child, 0, 7, 0.5);
+    let run = multiply_with_recovery(
+        shape,
+        &SPEEDS,
+        &a,
+        &b,
+        ExecutionMode::Real,
+        ZeroCost,
+        &[plan],
+        &RecoveryOptions::default(),
+    )
+    .expect("silent corruption fails nothing");
+    assert!(run.recovery.is_none());
+    let mut damaged = 0;
+    for proc in 0..spec.nprocs {
+        for blk in spec.blocks_of(proc) {
+            let got = run.c.submatrix(blk.row, blk.col, blk.rows, blk.cols);
+            let want = clean.submatrix(blk.row, blk.col, blk.rows, blk.cols);
+            let differing = got
+                .as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .filter(|(g, w)| g.to_bits() != w.to_bits())
+                .count();
+            if proc == child {
+                damaged += differing;
+            } else {
+                assert_eq!(
+                    differing, 0,
+                    "rank {proc}'s block saw rank {child}'s corruption"
+                );
+            }
+        }
+    }
+    assert!(damaged > 0, "the corruption never reached rank {child}");
+    // With the corruption gone the same call returns the clean product.
+    let rerun = multiply_with_recovery(
+        shape,
+        &SPEEDS,
+        &a,
+        &b,
+        ExecutionMode::Real,
+        ZeroCost,
+        &[],
+        &RecoveryOptions::default(),
+    )
+    .expect("fault-free run");
+    assert_eq!(digest(&rerun.c), digest(&clean));
+}
+
+/// However many kernel calls a block's chain makes, the outside sees one
+/// GEMM per owned block: one span with `k = n` carrying the summed kernel
+/// time, one wall-clock observation, one virtual-clock record.
+#[test]
+fn one_gemm_span_and_one_kernel_observation_per_owned_block() {
+    let n = 96;
+    let (a, b) = inputs(n);
+    for shape in ALL_FOUR_SHAPES {
+        let spec = paper_spec(shape, n);
+        let mut blocks: Vec<(usize, usize, usize)> = (0..spec.nprocs)
+            .flat_map(|p| spec.blocks_of(p))
+            .map(|blk| (blk.rows, blk.cols, n))
+            .collect();
+        blocks.sort_unstable();
+
+        let recorder = TraceRecorder::new(spec.nprocs);
+        let run = multiply_traced(
+            &spec,
+            &a,
+            &b,
+            ExecutionMode::Real,
+            ZeroCost,
+            recorder.clone() as Arc<_>,
+        );
+        assert_eq!(digest(&run.c), GOLDEN[0].1, "{}", shape.name());
+        let mut spans = Vec::new();
+        for ts in recorder.finish().iter() {
+            if let SpanKind::Gemm {
+                m, n, k, kernel_ns, ..
+            } = ts.record.kind
+            {
+                assert!(
+                    kernel_ns > 0,
+                    "{}: {m}x{n} span without kernel time",
+                    shape.name()
+                );
+                spans.push((m, n, k));
+            }
+        }
+        spans.sort_unstable();
+        assert_eq!(spans, blocks, "{}: GEMM spans", shape.name());
+
+        let metrics = RuntimeMetrics::fresh();
+        multiply_with_recovery(
+            shape,
+            &SPEEDS,
+            &a,
+            &b,
+            ExecutionMode::Real,
+            ZeroCost,
+            &[],
+            &RecoveryOptions {
+                metrics: Some(Arc::clone(&metrics)),
+                ..Default::default()
+            },
+        )
+        .expect("fault-free metered run");
+        let owned = blocks.len() as u64;
+        assert_eq!(
+            metrics.gemm.kernel_seconds.count(),
+            owned,
+            "{}",
+            shape.name()
+        );
+        assert_eq!(metrics.gemm.ops.get(), owned, "{}", shape.name());
+        assert_eq!(
+            metrics.gemm.flops.get(),
+            2 * (n as u64).pow(3),
+            "{}: flops",
+            shape.name()
+        );
+    }
+}
