@@ -26,7 +26,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use summagen_comm::{Backend, RuntimeMetrics};
-use summagen_core::{simulate_observed_on, SimReport};
+use summagen_core::{simulate_with_options, RunOptions, SimReport};
 use summagen_partition::{proportional_areas, Shape, ALL_FOUR_SHAPES};
 use summagen_platform::profile::hclserver1;
 use summagen_trace::{folded_stacks, TraceRecorder};
@@ -77,13 +77,16 @@ pub fn bench_shape(shape: Shape, backend: Backend) -> BenchShapeRun {
     let spec = shape.build(BENCH_N, &areas);
     let metrics = RuntimeMetrics::fresh();
     let recorder = TraceRecorder::new(spec.nprocs);
-    let cpm = simulate_observed_on(
+    let cpm = simulate_with_options(
         &spec,
         &platform,
         link_model(),
-        Some(recorder.clone()),
-        Some(metrics.clone()),
-        backend,
+        &RunOptions {
+            sink: Some(recorder.clone()),
+            metrics: Some(metrics.clone()),
+            backend,
+            ..RunOptions::default()
+        },
     );
     let folded = folded_stacks(&recorder.finish());
     let fpm = run_fpm_point(BENCH_FPM_N, shape, &platform);

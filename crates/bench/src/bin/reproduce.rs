@@ -926,6 +926,7 @@ fn recovery() {
 /// Quick numeric self-check: every multiplication algorithm in the
 /// workspace against one reference, printed as a checklist.
 fn verify() {
+    use summagen_comm::ZeroCost;
     use summagen_core::{
         cannon_multiply, caps_multiply, multiply, multiply_panelled, summa25d_multiply,
         summa_cyclic_multiply, summa_multiply, BlockCyclic, ExecutionMode,
@@ -974,7 +975,7 @@ fn verify() {
         );
         check(
             &format!("SummaGen panelled / {}", shape.name()),
-            &multiply_panelled(&spec, &a, &b, GemmKernel::Blocked).c,
+            &multiply_panelled(&spec, &a, &b, GemmKernel::Blocked, ZeroCost).c,
         );
     }
     check(
@@ -987,14 +988,23 @@ fn verify() {
         )
         .c,
     );
-    check("classic SUMMA (2x2)", &summa_multiply(&a, &b, 2, 2, 8).c);
+    check(
+        "classic SUMMA (2x2)",
+        &summa_multiply(&a, &b, 2, 2, 8, ZeroCost).c,
+    );
     check(
         "block-cyclic SUMMA",
-        &summa_cyclic_multiply(&a, &b, BlockCyclic::new(8, 2, 2)).0,
+        &summa_cyclic_multiply(&a, &b, BlockCyclic::new(8, 2, 2), ZeroCost).0,
     );
-    check("Cannon (4x4)", &cannon_multiply(&a, &b, 4).c);
-    check("2.5D (q=4, c=2)", &summa25d_multiply(&a, &b, 4, 2).c);
-    check("parallel Strassen (CAPS)", &caps_multiply(&a, &b).c);
+    check("Cannon (4x4)", &cannon_multiply(&a, &b, 4, ZeroCost).c);
+    check(
+        "2.5D (q=4, c=2)",
+        &summa25d_multiply(&a, &b, 4, 2, ZeroCost).c,
+    );
+    check(
+        "parallel Strassen (CAPS)",
+        &caps_multiply(&a, &b, ZeroCost).c,
+    );
     check("sequential Strassen", &strassen_multiply(&a, &b));
     let mut c = DenseMatrix::zeros(n, n);
     ooc_gemm(n, a.as_slice(), b.as_slice(), c.as_mut_slice(), 3 * 16 * 16);

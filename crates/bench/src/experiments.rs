@@ -1,7 +1,7 @@
 //! The experiments of Section VI, one function per table/figure.
 
 use summagen_comm::HockneyModel;
-use summagen_core::{simulate_with_energy, SimReport};
+use summagen_core::{simulate, SimReport};
 use summagen_partition::{
     load_imbalancing_areas, proportional_areas, DiscreteFpm, Shape, ALL_FOUR_SHAPES,
 };
@@ -33,7 +33,7 @@ pub fn link_model() -> HockneyModel {
 }
 
 /// Extracts a report's dynamic-energy reading, panicking with the run's
-/// shape and size on a miss — `simulate_with_energy` always populates
+/// shape and size on a miss — `SimReport::with_energy` always populates
 /// the reading, so an absent one is a harness wiring bug and the message
 /// should say exactly which experiment point hit it.
 pub fn dynamic_energy_j(r: &SimReport, shape: Shape, n: usize) -> f64 {
@@ -42,7 +42,7 @@ pub fn dynamic_energy_j(r: &SimReport, shape: Shape, n: usize) -> f64 {
         .unwrap_or_else(|| {
             panic!(
                 "no energy reading for {} at N = {n}: the point was simulated \
-                 without an energy meter (use simulate_with_energy)",
+                 without an energy meter (use SimReport::with_energy)",
                 shape.name()
             )
         })
@@ -137,7 +137,7 @@ pub fn fig5_series(step: usize) -> Vec<(usize, [f64; 3])> {
 pub fn run_cpm_point(n: usize, shape: Shape, platform: &Platform) -> SimReport {
     let areas = proportional_areas(n, &CPM_SPEEDS);
     let spec = shape.build(n, &areas);
-    simulate_with_energy(&spec, platform, link_model(), &hclserver1_power_model())
+    simulate(&spec, platform, link_model()).with_energy(&hclserver1_power_model())
 }
 
 /// Figure 6 (a, b, c): execution / computation / communication times of
@@ -172,7 +172,7 @@ pub fn run_fpm_point(n: usize, shape: Shape, platform: &Platform) -> SimReport {
         .collect();
     let areas = load_imbalancing_areas(n, &fpms);
     let spec = shape.build(n, &areas);
-    simulate_with_energy(&spec, platform, link_model(), &hclserver1_power_model())
+    simulate(&spec, platform, link_model()).with_energy(&hclserver1_power_model())
 }
 
 /// Figure 7 (a, b, c): the same three series under functional performance
@@ -374,7 +374,7 @@ pub fn energy_vs_time_partition() -> Vec<(usize, TimeEnergy, TimeEnergy)> {
             .collect();
         let run = |areas: &[f64]| {
             let spec = Shape::SquareRectangle.build(n, areas);
-            let r = simulate_with_energy(&spec, &platform, link_model(), &power);
+            let r = simulate(&spec, &platform, link_model()).with_energy(&power);
             (r.exec_time, dynamic_energy_j(&r, Shape::SquareRectangle, n))
         };
         let t_areas = load_imbalancing_areas(n, &fpms);
@@ -393,11 +393,10 @@ pub fn summa_comparison() -> Vec<(usize, f64, f64)> {
     let mut out = Vec::new();
     for &n in &[8_190usize, 16_384, 24_576] {
         let areas = proportional_areas(n, &CPM_SPEEDS);
-        let sg = simulate_with_energy(
+        let sg = simulate(
             &Shape::BlockRectangle.build(n, &areas),
             &platform,
             link_model(),
-            &hclserver1_power_model(),
         )
         .exec_time;
         let (classic, _) = summa_simulate(n, 1, 3, 1_024, &platform, link_model());

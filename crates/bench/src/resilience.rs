@@ -27,8 +27,8 @@ use std::time::Duration;
 
 use summagen_comm::{FaultPlan, HockneyModel};
 use summagen_core::{
-    multiply_abft, multiply_abft_traced, multiply_panelled_with_cost, multiply_with_recovery,
-    AbftOptions, AbftRunResult, ExecutionMode, RecoveryOptions,
+    multiply_abft, multiply_panelled, multiply_with_recovery, AbftOptions, AbftRunResult,
+    ExecutionMode, RecoveryOptions,
 };
 use summagen_matrix::{gemm_naive, max_abs_diff, random_matrix, DenseMatrix, GemmKernel};
 use summagen_partition::{proportional_areas, Shape, ALL_FOUR_SHAPES};
@@ -134,7 +134,7 @@ pub fn abft_shape_run(n: usize, shape: Shape) -> AbftShapeRun {
     let areas = proportional_areas(n, &CPM_SPEEDS);
     let spec = shape.build(n, &areas);
     let recorder = TraceRecorder::new(spec.nprocs);
-    let protected = multiply_abft_traced(
+    let protected = multiply_abft(
         shape,
         &CPM_SPEEDS,
         &a,
@@ -142,9 +142,11 @@ pub fn abft_shape_run(n: usize, shape: Shape) -> AbftShapeRun {
         mode(),
         cost,
         &[],
-        &opts,
+        &RecoveryOptions {
+            sink: Some(recorder.clone()),
+            ..opts.clone()
+        },
         &abft,
-        recorder.clone(),
     )
     .expect("fault-free protected run succeeds");
     assert!(
@@ -169,7 +171,7 @@ pub fn abft_shape_run(n: usize, shape: Shape) -> AbftShapeRun {
     // Unprotected baseline: the panelled executor the ABFT path mirrors
     // (same gather structure and panel traffic, minus the checksums), on
     // the identical partition and cost model.
-    let baseline = multiply_panelled_with_cost(&spec, &a, &b, GemmKernel::Blocked, cost);
+    let baseline = multiply_panelled(&spec, &a, &b, GemmKernel::Blocked, cost);
 
     // Corrupted run: one wire flip early plus one local-block flip at the
     // second panel boundary. Both are single-element events, so the run

@@ -113,6 +113,7 @@ fn recovery_options(
         heartbeat: Some(HeartbeatConfig::default()),
         metrics: Some(metrics),
         backend,
+        ..RecoveryOptions::default()
     }
 }
 

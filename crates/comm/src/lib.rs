@@ -63,8 +63,8 @@ pub use message::Payload;
 pub use span::{AbftLabel, CollectiveOp, EventSink, MsgOutcome, SpanKind, SpanRecord, StageLabel};
 pub use transport::Backend;
 pub use universe::{
-    recv_timeout_from_env, ConfigError, HeartbeatConfig, Universe, DEFAULT_RECV_TIMEOUT,
-    RECV_TIMEOUT_ENV,
+    default_recv_timeout, recv_timeout_from_env, ConfigError, HeartbeatConfig, Universe,
+    DEFAULT_RECV_TIMEOUT, RECV_TIMEOUT_ENV,
 };
 
 // Aggregate metrics live below comm (same layering as the span

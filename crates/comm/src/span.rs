@@ -295,8 +295,7 @@ impl AbftLabel {
     }
 }
 
-/// The SummaGen stages (and the classic-SUMMA panel loop) that emit
-/// enclosing [`SpanKind::Stage`] spans.
+/// The SummaGen stages that emit enclosing [`SpanKind::Stage`] spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageLabel {
     /// Stage 1: horizontal communications of `A`.
@@ -305,8 +304,6 @@ pub enum StageLabel {
     VerticalB,
     /// Stage 3: local computations.
     LocalCompute,
-    /// One iteration of the classic-SUMMA panel loop.
-    SummaPanel,
 }
 
 impl StageLabel {
@@ -316,7 +313,6 @@ impl StageLabel {
             StageLabel::HorizontalA => "horizontal-a",
             StageLabel::VerticalB => "vertical-b",
             StageLabel::LocalCompute => "local-compute",
-            StageLabel::SummaPanel => "summa-panel",
         }
     }
 }

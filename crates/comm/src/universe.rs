@@ -91,7 +91,12 @@ pub fn recv_timeout_from_env() -> Result<Option<Duration>, ConfigError> {
     }
 }
 
-fn default_recv_timeout() -> Duration {
+/// The receive timeout a run gets when nobody sets one: the
+/// [`RECV_TIMEOUT_ENV`] override if present and usable, else
+/// [`DEFAULT_RECV_TIMEOUT`]. [`Universe::new`] starts from it; a caller
+/// that stores a timeout of its own should default to it too, so that the
+/// stored value does not mask the environment.
+pub fn default_recv_timeout() -> Duration {
     match recv_timeout_from_env() {
         Ok(Some(d)) => d,
         Ok(None) => DEFAULT_RECV_TIMEOUT,
@@ -786,6 +791,9 @@ mod tests {
     fn recv_timeout_env_var_sets_default() {
         std::env::set_var(RECV_TIMEOUT_ENV, "90000");
         let configured = Universe::new(1, ZeroCost);
+        // What a caller-side options default must read, or it masks the
+        // environment by handing the compiled constant to `recv_timeout`.
+        assert_eq!(default_recv_timeout(), Duration::from_millis(90_000));
         assert_eq!(
             recv_timeout_from_env(),
             Ok(Some(Duration::from_millis(90_000)))
@@ -827,6 +835,7 @@ mod tests {
 
         let t = configured.run(|comm| comm.recv_timeout());
         assert_eq!(t, vec![Duration::from_millis(90_000)]);
+        assert_eq!(default_recv_timeout(), DEFAULT_RECV_TIMEOUT);
         let t = garbage.run(|comm| comm.recv_timeout());
         assert_eq!(t, vec![DEFAULT_RECV_TIMEOUT]);
         let t = unset.run(|comm| comm.recv_timeout());

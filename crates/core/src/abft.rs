@@ -20,9 +20,9 @@
 //! * **Escalation** — corruption the residuals cannot localize (two or
 //!   more damaged elements) is *detected but uncorrectable*: the rank
 //!   returns [`CommError::DataCorruption`], which
-//!   [`RankFailure::crashed_ranks`] treats as an own-cause crash, so
-//!   [`multiply_abft`] drops the device and re-partitions over the
-//!   survivors exactly like [`crate::multiply_with_recovery`].
+//!   [`summagen_comm::RankFailure::crashed_ranks`] treats as an own-cause
+//!   crash, so [`multiply_abft`] drops the device and re-partitions over
+//!   the survivors exactly like [`crate::multiply_with_recovery`].
 //! * **Checkpointing** — every `checkpoint_interval` completed (and
 //!   verified) panel steps, ranks snapshot their `C` data blocks into a
 //!   host-side store. A checkpoint is valid once *all* ranks have written
@@ -45,24 +45,18 @@
 //! Perfetto timelines and the critical-path decomposition.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Mutex;
 
-use summagen_comm::{
-    AbftLabel, CommError, Communicator, CostModel, EventSink, FaultPlan, Payload, RankFailure,
-    SpanKind, Universe,
-};
+use summagen_comm::{AbftLabel, CommError, Communicator, CostModel, FaultPlan, Payload, SpanKind};
 use summagen_matrix::{
     abft_tolerance, augment_a, augment_b, column_sums, verify_and_correct, AbftVerdict,
     DenseMatrix, GemmKernel,
 };
 use summagen_partition::{PartitionSpec, ProcBlock, Shape};
 
-use crate::executor::{
-    cause_counts, survivor_spec, ExecutionMode, RecoveryError, RecoveryOptions, RecoveryReport,
-    RunResult,
-};
-use crate::rankdata::{distribute, RankMatrices};
+use crate::engine::{self, survivor_spec, RankBlocks};
+use crate::executor::{ExecutionMode, RecoveryError, RunOptions, RunResult};
+use crate::rankdata::RankMatrices;
 
 /// Knobs for the checksum-protected executor.
 #[derive(Debug, Clone)]
@@ -740,90 +734,25 @@ fn run_rank_abft(
     Ok((blocks, stats))
 }
 
-/// One fallible protected attempt over a fixed partition.
-#[allow(clippy::too_many_arguments)]
-fn try_run_abft(
-    spec: &PartitionSpec,
-    a: &DenseMatrix,
-    b: &DenseMatrix,
+/// The protected panel loop as the engine's per-rank function: the
+/// segment `[resume.0, stop_k)` of the plan, starting from the k-prefix
+/// `resume.1` and checkpointing into `store`.
+fn protected_rank<'a>(
+    spec: &'a PartitionSpec,
     kernel: GemmKernel,
-    cost: impl CostModel,
-    faults: Option<FaultPlan>,
-    link: Option<summagen_comm::LinkPlan>,
-    heartbeat: Option<summagen_comm::HeartbeatConfig>,
-    recv_timeout: Duration,
-    sink: Option<Arc<dyn EventSink>>,
-    metrics: Option<Arc<summagen_comm::RuntimeMetrics>>,
-    backend: summagen_comm::Backend,
-    opts: &AbftOptions,
-    resume: Option<(usize, Arc<DenseMatrix>)>,
+    opts: &'a AbftOptions,
+    resume: Option<(usize, &'a DenseMatrix)>,
     stop_k: usize,
-    store: &CheckpointStore,
-) -> Result<(RunResult, Vec<AbftStats>), RankFailure> {
-    let rank_data = distribute(spec, a, b);
-    let mut universe = Universe::new(spec.nprocs, cost)
-        .recv_timeout(recv_timeout)
-        .with_backend(backend);
-    if let Some(plan) = faults {
-        universe = universe.with_faults(plan);
-    }
-    if let Some(plan) = link {
-        universe = universe.with_link_plan(plan);
-    }
-    if let Some(hb) = heartbeat {
-        universe = universe.with_heartbeat(hb);
-    }
-    if let Some(sink) = sink {
-        universe = universe.with_event_sink(sink);
-    }
-    if let Some(metrics) = metrics {
-        universe = universe.with_metrics(metrics);
-    }
-    let resume_k = resume.as_ref().map_or(0, |(k, _)| *k);
-    let resume_c = resume.map(|(_, c)| c);
-    let results = universe.try_run(|comm| {
+    store: &'a CheckpointStore,
+) -> impl Fn(&Communicator, &RankMatrices) -> Result<(RankBlocks, AbftStats), CommError> + Sync + 'a
+{
+    let (resume_k, resume_c) = resume.map_or((0, None), |(k, c)| (k, Some(c)));
+    move |comm, data| {
         let rank = comm.rank();
-        let (blocks, stats) = run_rank_abft(
-            &comm,
-            spec,
-            rank,
-            &rank_data[rank],
-            kernel,
-            opts,
-            resume_k,
-            resume_c.as_deref(),
-            stop_k,
-            store,
-        )?;
-        Ok((blocks, stats, comm.clock_snapshot(), comm.traffic()))
-    })?;
-
-    let mut blocks = Vec::with_capacity(spec.nprocs);
-    let mut stats = Vec::with_capacity(spec.nprocs);
-    let mut clocks = Vec::with_capacity(spec.nprocs);
-    let mut traffic = Vec::with_capacity(spec.nprocs);
-    for (b, s, c, t) in results {
-        blocks.push(b);
-        stats.push(s);
-        clocks.push(c);
-        traffic.push(t);
+        run_rank_abft(
+            comm, spec, rank, data, kernel, opts, resume_k, resume_c, stop_k, store,
+        )
     }
-    let c = crate::rankdata::assemble(spec, &blocks);
-    let exec_time = clocks.iter().map(|c| c.now).fold(0.0, f64::max);
-    let comp_time = clocks.iter().map(|c| c.comp_time).fold(0.0, f64::max);
-    let comm_time = clocks.iter().map(|c| c.comm_time).fold(0.0, f64::max);
-    Ok((
-        RunResult {
-            c,
-            clocks,
-            traffic,
-            exec_time,
-            comp_time,
-            comm_time,
-            recovery: None,
-        },
-        stats,
-    ))
 }
 
 /// Multiplies `A × B` with the checksum-protected, checkpointed SummaGen
@@ -840,6 +769,11 @@ fn try_run_abft(
 /// the newest checkpoint, so the recompute cost visible on the virtual
 /// clock is proportional to the panels since the last checkpoint rather
 /// than the whole plan.
+///
+/// `opts.sink` receives the ABFT verify/correct/checkpoint/rollback spans
+/// along with every other runtime event, and `opts.metrics` counts them
+/// (verifies, corrections, checkpoints, rollbacks, retained checkpoint
+/// bytes).
 #[allow(clippy::too_many_arguments)]
 pub fn multiply_abft(
     shape: Shape,
@@ -849,153 +783,25 @@ pub fn multiply_abft(
     mode: ExecutionMode,
     cost: impl CostModel + Clone,
     attempt_faults: &[FaultPlan],
-    opts: &RecoveryOptions,
+    opts: &RunOptions,
     abft: &AbftOptions,
 ) -> Result<AbftRunResult, RecoveryError> {
-    multiply_abft_inner(
-        shape,
-        rel_speeds,
-        a,
-        b,
-        mode,
-        cost,
-        attempt_faults,
-        opts,
-        abft,
-        None,
-        None,
-    )
-}
-
-/// [`multiply_abft`] reporting every runtime event — including the ABFT
-/// verify/correct/checkpoint/rollback spans — to `sink`. Only the
-/// successful attempt's spans end up in the sink's final trace windows
-/// coherently; failed attempts contribute their partial spans too, which
-/// is often exactly what a post-mortem wants.
-#[allow(clippy::too_many_arguments)]
-pub fn multiply_abft_traced(
-    shape: Shape,
-    rel_speeds: &[f64],
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    mode: ExecutionMode,
-    cost: impl CostModel + Clone,
-    attempt_faults: &[FaultPlan],
-    opts: &RecoveryOptions,
-    abft: &AbftOptions,
-    sink: Arc<dyn EventSink>,
-) -> Result<AbftRunResult, RecoveryError> {
-    multiply_abft_inner(
-        shape,
-        rel_speeds,
-        a,
-        b,
-        mode,
-        cost,
-        attempt_faults,
-        opts,
-        abft,
-        Some(sink),
-        None,
-    )
-}
-
-/// [`multiply_abft`] with both observability channels optional: an event
-/// sink for per-event spans and/or a metrics bundle for aggregate
-/// counters and histograms (ABFT verifies/corrections/checkpoints/
-/// rollbacks, panel steps, GEMM throughput, comm volume). Either can be
-/// `None`; with both `None` this is exactly [`multiply_abft`].
-#[allow(clippy::too_many_arguments)]
-pub fn multiply_abft_observed(
-    shape: Shape,
-    rel_speeds: &[f64],
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    mode: ExecutionMode,
-    cost: impl CostModel + Clone,
-    attempt_faults: &[FaultPlan],
-    opts: &RecoveryOptions,
-    abft: &AbftOptions,
-    sink: Option<Arc<dyn EventSink>>,
-    metrics: Option<Arc<summagen_comm::RuntimeMetrics>>,
-) -> Result<AbftRunResult, RecoveryError> {
-    multiply_abft_inner(
-        shape,
-        rel_speeds,
-        a,
-        b,
-        mode,
-        cost,
-        attempt_faults,
-        opts,
-        abft,
-        sink,
-        metrics,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn multiply_abft_inner(
-    shape: Shape,
-    rel_speeds: &[f64],
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    mode: ExecutionMode,
-    cost: impl CostModel + Clone,
-    attempt_faults: &[FaultPlan],
-    opts: &RecoveryOptions,
-    abft: &AbftOptions,
-    sink: Option<Arc<dyn EventSink>>,
-    metrics: Option<Arc<summagen_comm::RuntimeMetrics>>,
-) -> Result<AbftRunResult, RecoveryError> {
-    assert!(!rel_speeds.is_empty(), "need at least one device");
-    assert!(opts.max_attempts > 0, "need at least one attempt");
-    assert_eq!(a.rows(), b.rows(), "A and B must share dimension n");
-    // The explicit bundle wins; otherwise any bundle carried by the
-    // recovery options (the path `reproduce soak` uses) is installed.
-    let metrics = metrics.or_else(|| opts.metrics.clone());
     let n = a.rows();
-
-    let mut devices: Vec<usize> = (0..rel_speeds.len()).collect();
-    let mut failed_devices: Vec<usize> = Vec::new();
-    let mut causes: BTreeMap<String, usize> = BTreeMap::new();
+    let recompute_fraction = |resume_k: usize| (n - resume_k) as f64 / n.max(1) as f64;
+    // Complete checkpoints by ascending boundary, carried from attempt to
+    // attempt: the last one is the next attempt's resume point.
     let mut completed: Vec<(usize, DenseMatrix)> = Vec::new();
     let mut captured_boundaries: BTreeSet<usize> = BTreeSet::new();
     let mut checkpoints_evicted = 0usize;
-    let mut uncorrectable = 0u64;
-    let mut announced_failures = 0usize;
-    let mut detected_failures = 0usize;
-    let mut max_detection_latency = 0.0f64;
-    let mut attempt = 0;
-    loop {
-        attempt += 1;
-        let speeds: Vec<f64> = devices.iter().map(|&d| rel_speeds[d]).collect();
-        let spec = survivor_spec(shape, n, &speeds);
+    // `(resume_k, panels_total, per-rank stats)` of the attempt that ran
+    // to completion.
+    let mut finished = None;
+    let resume_from_checkpoint = |spec: &PartitionSpec, faults| {
         let store = CheckpointStore::new(spec.nprocs, n, abft.checkpoint_budget_bytes);
-        let resume = completed.last().map(|(k, c)| (*k, Arc::new(c.clone())));
-        let resume_k = resume.as_ref().map_or(0, |(k, _)| *k);
-        let faults = attempt_faults
-            .get(attempt - 1)
-            .filter(|p| !p.is_empty())
-            .cloned();
-        let outcome = try_run_abft(
-            &spec,
-            a,
-            b,
-            mode.kernel(),
-            cost.clone(),
-            faults,
-            opts.link_plan.clone(),
-            opts.heartbeat,
-            opts.recv_timeout,
-            sink.clone(),
-            metrics.clone(),
-            opts.backend,
-            abft,
-            resume,
-            usize::MAX,
-            &store,
-        );
+        let resume = completed.last().map(|(k, c)| (*k, c));
+        let resume_k = resume.map_or(0, |(k, _)| k);
+        let rank_fn = protected_rank(spec, mode.kernel(), abft, resume, usize::MAX, &store);
+        let outcome = engine::run_numeric(spec, (a, b), cost.clone(), faults, opts, rank_fn);
         // Harvest complete checkpoints whether the attempt lived or died:
         // snapshots written before a crash are exactly what the next
         // attempt resumes from. The harvested set is held to the same
@@ -1010,98 +816,47 @@ fn multiply_abft_inner(
         }
         completed.sort_by_key(|(k, _)| *k);
         checkpoints_evicted += evict_to_budget(&mut completed, abft.checkpoint_budget_bytes);
-        if let Some(m) = &metrics {
-            m.checkpoint_bytes.set(
-                completed
-                    .iter()
-                    .map(|(_, c)| matrix_bytes(c))
-                    .sum::<usize>() as f64,
-            );
+        if let Some(m) = &opts.metrics {
+            let retained: usize = completed.iter().map(|(_, c)| matrix_bytes(c)).sum();
+            m.checkpoint_bytes.set(retained as f64);
         }
-        match outcome {
-            Ok((mut run, stats)) => {
-                let backoff_time = (attempt - 1) as f64 * opts.retry_backoff;
-                run.exec_time += backoff_time;
-                let recompute_fraction = (n - resume_k) as f64 / n.max(1) as f64;
-                if attempt > 1 {
-                    let area = (n * n) as f64;
-                    run.recovery = Some(RecoveryReport {
-                        attempts: attempt,
-                        failed_devices: failed_devices.clone(),
-                        surviving_devices: devices.clone(),
-                        final_loads: spec.areas().iter().map(|&a| a as f64 / area).collect(),
-                        backoff_time,
-                        failure_causes: cause_counts(&causes),
-                        recompute_fraction,
-                        announced_failures,
-                        detected_failures,
-                        max_detection_latency,
-                    });
-                }
-                let report = AbftReport {
-                    attempts: attempt,
-                    detected: stats.iter().map(|s| s.detected).sum::<u64>() + uncorrectable,
-                    corrected: stats.iter().map(|s| s.corrected).sum(),
-                    uncorrectable,
-                    checkpoints: captured_boundaries.len(),
-                    checkpoints_evicted,
-                    resume_step: stats.iter().map(|s| s.first_panel).max().unwrap_or(0) as usize,
-                    resume_k,
-                    panels_total: spec.grid_cols,
-                    panels_executed: stats.iter().map(|s| s.panels_executed).max().unwrap_or(0)
-                        as usize,
-                    recompute_fraction,
-                };
-                return Ok(AbftRunResult { run, abft: report });
-            }
-            Err(failure) => {
-                for fr in &failure.failed {
-                    let label = fr.cause.kind_label();
-                    *causes.entry(label.to_string()).or_default() += 1;
-                    if label == "data-corruption" {
-                        uncorrectable += 1;
-                    }
-                    if let summagen_comm::FailureCause::DetectedHang {
-                        detection_latency, ..
-                    } = &fr.cause
-                    {
-                        detected_failures += 1;
-                        max_detection_latency = max_detection_latency.max(*detection_latency);
-                    } else {
-                        announced_failures += 1;
-                    }
-                }
-                if attempt >= opts.max_attempts {
-                    return Err(RecoveryError::AttemptsExhausted {
-                        attempts: attempt,
-                        last: failure,
-                    });
-                }
-                let mut roots = failure.crashed_ranks();
-                if roots.is_empty() {
-                    // A peer behind an exhausted link fails identically on
-                    // replay — shrink it out (see `multiply_with_recovery`).
-                    roots = failure.unreachable_peers();
-                }
-                if roots.is_empty() {
-                    continue; // pure timeout: retry the same device set
-                }
-                let mut dropped: Vec<usize> = roots.iter().map(|&r| devices[r]).collect();
-                devices.retain(|d| !dropped.contains(d));
-                failed_devices.append(&mut dropped);
-                if devices.is_empty() {
-                    return Err(RecoveryError::AllDevicesFailed { attempts: attempt });
-                }
-            }
-        }
-    }
+        let (run, stats) = outcome?;
+        finished = Some((resume_k, spec.grid_cols, stats));
+        Ok((run, recompute_fraction(resume_k)))
+    };
+    let done = engine::shrink_and_retry(
+        shape,
+        rel_speeds,
+        n,
+        attempt_faults,
+        opts,
+        resume_from_checkpoint,
+    )?;
+    let (resume_k, panels_total, stats) = finished.expect("an attempt succeeded");
+    let report = AbftReport {
+        attempts: done.attempts,
+        detected: stats.iter().map(|s| s.detected).sum::<u64>() + done.data_corruptions,
+        corrected: stats.iter().map(|s| s.corrected).sum(),
+        uncorrectable: done.data_corruptions,
+        checkpoints: captured_boundaries.len(),
+        checkpoints_evicted,
+        resume_step: stats.iter().map(|s| s.first_panel).max().unwrap_or(0) as usize,
+        resume_k,
+        panels_total,
+        panels_executed: stats.iter().map(|s| s.panels_executed).max().unwrap_or(0) as usize,
+        recompute_fraction: recompute_fraction(resume_k),
+    };
+    Ok(AbftRunResult {
+        run: done.run,
+        abft: report,
+    })
 }
 
 /// A partition-independent k-prefix snapshot of `C`: the product after
 /// `k` columns of the inner dimension, `C = A[:, :k] · B[:k, :]`.
 ///
-/// This is the same object the [`CheckpointStore`] assembles at panel
-/// boundaries, surfaced as a value so callers *outside* the executor —
+/// This is the same object the executor's checkpoint store assembles at
+/// panel boundaries, surfaced as a value so callers *outside* the executor —
 /// the service's preemption path — can stop a multiply at a boundary,
 /// park the prefix, run something more urgent, and resume later.
 /// Because the prefix is partition-independent, the resuming run does
@@ -1169,26 +924,11 @@ pub fn multiply_abft_prefix(
     let resume_k = resume.map_or(0, |c| c.k);
     assert!(resume_k < stop_k, "segment [{resume_k}, {stop_k}) is empty");
     let store = CheckpointStore::new(spec.nprocs, n, abft.checkpoint_budget_bytes);
-    let defaults = RecoveryOptions::default();
-    let (run, _stats) = try_run_abft(
-        &spec,
-        a,
-        b,
-        mode.kernel(),
-        cost,
-        None,
-        None,
-        None,
-        defaults.recv_timeout,
-        None,
-        None,
-        defaults.backend,
-        abft,
-        resume.map(|c| (c.k, Arc::new(c.c.clone()))),
-        stop_k,
-        &store,
-    )
-    .map_err(|last| RecoveryError::AttemptsExhausted { attempts: 1, last })?;
+    let resume = resume.map(|ckpt| (ckpt.k, &ckpt.c));
+    let rank_fn = protected_rank(&spec, mode.kernel(), abft, resume, stop_k, &store);
+    let (run, _stats) =
+        engine::run_numeric(&spec, (a, b), cost, None, &RunOptions::default(), rank_fn)
+            .map_err(|last| RecoveryError::AttemptsExhausted { attempts: 1, last })?;
     Ok(PanelCheckpoint {
         k: stop_k,
         c: run.c,
@@ -1199,6 +939,7 @@ pub fn multiply_abft_prefix(
 mod tests {
     use super::*;
     use crate::multiply_panelled;
+    use std::time::Duration;
     use summagen_comm::ZeroCost;
     use summagen_matrix::{approx_eq, gemm_naive, random_matrix};
     use summagen_partition::{proportional_areas, ALL_FOUR_SHAPES};
@@ -1224,8 +965,8 @@ mod tests {
         c
     }
 
-    fn fast_opts() -> RecoveryOptions {
-        RecoveryOptions {
+    fn fast_opts() -> RunOptions {
+        RunOptions {
             max_attempts: 4,
             retry_backoff: 0.25,
             recv_timeout: Duration::from_millis(500),
@@ -1295,7 +1036,7 @@ mod tests {
         let areas = proportional_areas(n, &SPEEDS);
         for shape in ALL_FOUR_SHAPES {
             let spec = shape.build(n, &areas);
-            let plain = multiply_panelled(&spec, &a, &b, GemmKernel::Blocked);
+            let plain = multiply_panelled(&spec, &a, &b, GemmKernel::Blocked, ZeroCost);
             let protected = multiply_abft(
                 shape,
                 &SPEEDS,
@@ -1330,7 +1071,7 @@ mod tests {
         let b = random_matrix(n, n, 42);
         let plan = FaultPlan::new().corrupt_block(2, 1, 5, 3.0);
         let metrics = summagen_comm::RuntimeMetrics::fresh();
-        let res = multiply_abft_observed(
+        let res = multiply_abft(
             summagen_partition::Shape::SquareCorner,
             &SPEEDS,
             &a,
@@ -1338,10 +1079,11 @@ mod tests {
             ExecutionMode::Real,
             ZeroCost,
             &[plan],
-            &fast_opts(),
+            &RunOptions {
+                metrics: Some(metrics.clone()),
+                ..fast_opts()
+            },
             &AbftOptions::default(),
-            None,
-            Some(metrics.clone()),
         )
         .expect("corrected run succeeds");
         assert!(approx_eq(&res.run.c, &reference(&a, &b), 1e-9));
@@ -1638,7 +1380,7 @@ mod tests {
             ..AbftOptions::default()
         };
         let metrics = summagen_comm::RuntimeMetrics::fresh();
-        let res = multiply_abft_observed(
+        let res = multiply_abft(
             summagen_partition::Shape::OneDRectangular,
             &[1.0, 1.0, 1.0],
             &a,
@@ -1646,10 +1388,11 @@ mod tests {
             ExecutionMode::Real,
             ZeroCost,
             &[],
-            &fast_opts(),
+            &RunOptions {
+                metrics: Some(metrics.clone()),
+                ..fast_opts()
+            },
             &abft,
-            None,
-            Some(metrics.clone()),
         )
         .expect("fault-free run succeeds under a tight budget");
         assert!(approx_eq(&res.run.c, &reference(&a, &b), 1e-9));

@@ -1,4 +1,4 @@
-//! Parallel Strassen à la CAPS (Ballard et al., reference [23] of the
+//! Parallel Strassen à la CAPS (Ballard et al., reference \[23\] of the
 //! paper's related work): a **BFS step** distributes Strassen's seven
 //! half-size products over seven processor groups, each of which solves
 //! its product sequentially (a **DFS step** — here the sequential
@@ -10,7 +10,7 @@
 //! SUMMA-family algorithms, processors are arranged in a *hierarchy*, not
 //! a grid, and no assumptions are made about the network topology.
 
-use summagen_comm::{ClockSnapshot, CostModel, Payload, TrafficStats, Universe, ZeroCost};
+use summagen_comm::{ClockSnapshot, CostModel, Payload, TrafficStats, Universe};
 use summagen_matrix::{strassen_multiply, DenseMatrix};
 
 /// Result of a CAPS-style parallel Strassen run.
@@ -43,16 +43,7 @@ fn msub(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
 ///
 /// # Panics
 /// Panics unless the matrices are square with even size ≥ 2.
-pub fn caps_multiply(a: &DenseMatrix, b: &DenseMatrix) -> CapsResult {
-    caps_multiply_with_cost(a, b, ZeroCost)
-}
-
-/// [`caps_multiply`] with a communication cost model.
-pub fn caps_multiply_with_cost(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    cost: impl CostModel,
-) -> CapsResult {
+pub fn caps_multiply(a: &DenseMatrix, b: &DenseMatrix, cost: impl CostModel) -> CapsResult {
     let n = a.rows();
     assert_eq!((a.rows(), a.cols()), (n, n), "A must be square");
     assert_eq!((b.rows(), b.cols()), (n, n), "B must be square");
@@ -138,7 +129,7 @@ pub fn caps_multiply_with_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use summagen_comm::HockneyModel;
+    use summagen_comm::{HockneyModel, ZeroCost};
     use summagen_matrix::{approx_eq, gemm_naive, gemm_tolerance, random_matrix};
 
     fn reference(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
@@ -165,7 +156,7 @@ mod tests {
         for n in [2usize, 16, 50, 128] {
             let a = random_matrix(n, n, 1);
             let b = random_matrix(n, n, 2);
-            let r = caps_multiply(&a, &b);
+            let r = caps_multiply(&a, &b, ZeroCost);
             assert!(
                 approx_eq(&r.c, &reference(&a, &b), gemm_tolerance(n) * 1e4),
                 "n = {n}"
@@ -178,7 +169,7 @@ mod tests {
         let n = 64;
         let a = random_matrix(n, n, 3);
         let b = random_matrix(n, n, 4);
-        let r = caps_multiply(&a, &b);
+        let r = caps_multiply(&a, &b, ZeroCost);
         let quad_bytes = (n / 2 * n / 2 * 8) as u64;
         for rank in 1..7 {
             assert_eq!(r.traffic[rank].bytes_sent, quad_bytes, "rank {rank}");
@@ -192,7 +183,7 @@ mod tests {
     #[should_panic(expected = "even n")]
     fn caps_rejects_odd_sizes() {
         let a = random_matrix(7, 7, 1);
-        caps_multiply(&a, &a);
+        caps_multiply(&a, &a, ZeroCost);
     }
 
     #[test]
@@ -200,7 +191,7 @@ mod tests {
         let n = 32;
         let a = random_matrix(n, n, 5);
         let b = random_matrix(n, n, 6);
-        let r = caps_multiply_with_cost(&a, &b, HockneyModel::intra_node());
+        let r = caps_multiply(&a, &b, HockneyModel::intra_node());
         assert!(r.clocks.iter().all(|c| c.comm_time > 0.0));
         assert!(approx_eq(&r.c, &reference(&a, &b), gemm_tolerance(n) * 1e4));
     }

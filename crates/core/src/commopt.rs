@@ -7,7 +7,7 @@
 //! baselines against which the non-rectangular layouts are compared on
 //! the simulated heterogeneous node.
 
-use summagen_comm::{ClockSnapshot, CostModel, Payload, TrafficStats, Universe, ZeroCost};
+use summagen_comm::{ClockSnapshot, CostModel, Payload, TrafficStats, Universe};
 use summagen_matrix::{gemm_blocked, DenseMatrix};
 
 /// Result of a Cannon or 2.5D run.
@@ -27,12 +27,7 @@ pub struct GridRunResult {
 ///
 /// # Panics
 /// Panics unless `A`/`B` are square `n × n` with `q | n` and `q ≥ 1`.
-pub fn cannon_multiply(a: &DenseMatrix, b: &DenseMatrix, q: usize) -> GridRunResult {
-    cannon_multiply_with_cost(a, b, q, ZeroCost)
-}
-
-/// [`cannon_multiply`] with a communication cost model.
-pub fn cannon_multiply_with_cost(
+pub fn cannon_multiply(
     a: &DenseMatrix,
     b: &DenseMatrix,
     q: usize,
@@ -123,12 +118,7 @@ fn assemble_grid(
 /// # Panics
 /// Panics unless `q | n`, `c | q` (each layer gets an equal share of the
 /// steps) and `c ≥ 1`.
-pub fn summa25d_multiply(a: &DenseMatrix, b: &DenseMatrix, q: usize, c: usize) -> GridRunResult {
-    summa25d_multiply_with_cost(a, b, q, c, ZeroCost)
-}
-
-/// [`summa25d_multiply`] with a communication cost model.
-pub fn summa25d_multiply_with_cost(
+pub fn summa25d_multiply(
     a: &DenseMatrix,
     b: &DenseMatrix,
     q: usize,
@@ -282,7 +272,7 @@ pub fn summa25d_multiply_with_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use summagen_comm::HockneyModel;
+    use summagen_comm::{HockneyModel, ZeroCost};
     use summagen_matrix::{approx_eq, gemm_naive, gemm_tolerance, random_matrix};
 
     fn reference(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
@@ -309,7 +299,7 @@ mod tests {
         for (n, q) in [(24usize, 1), (24, 2), (24, 3), (32, 4), (30, 5)] {
             let a = random_matrix(n, n, 1);
             let b = random_matrix(n, n, 2);
-            let r = cannon_multiply(&a, &b, q);
+            let r = cannon_multiply(&a, &b, q, ZeroCost);
             assert!(
                 approx_eq(&r.c, &reference(&a, &b), gemm_tolerance(n) * 100.0),
                 "n={n} q={q}"
@@ -321,7 +311,7 @@ mod tests {
     #[should_panic(expected = "q | n")]
     fn cannon_rejects_indivisible_size() {
         let a = random_matrix(10, 10, 1);
-        cannon_multiply(&a, &a, 3);
+        cannon_multiply(&a, &a, 3, ZeroCost);
     }
 
     #[test]
@@ -329,7 +319,7 @@ mod tests {
         let n = 32;
         let a = random_matrix(n, n, 3);
         let b = random_matrix(n, n, 4);
-        let r = cannon_multiply(&a, &b, 4);
+        let r = cannon_multiply(&a, &b, 4, ZeroCost);
         let bytes: Vec<u64> = r.traffic.iter().map(|t| t.bytes_sent).collect();
         let max = *bytes.iter().max().unwrap();
         let min = *bytes.iter().min().unwrap();
@@ -346,8 +336,8 @@ mod tests {
         let n = 24;
         let a = random_matrix(n, n, 5);
         let b = random_matrix(n, n, 6);
-        let r1 = cannon_multiply(&a, &b, 3);
-        let r2 = summa25d_multiply(&a, &b, 3, 1);
+        let r1 = cannon_multiply(&a, &b, 3, ZeroCost);
+        let r2 = summa25d_multiply(&a, &b, 3, 1, ZeroCost);
         assert!(approx_eq(&r1.c, &r2.c, 1e-10));
     }
 
@@ -356,7 +346,7 @@ mod tests {
         for (n, q, c) in [(16usize, 2, 2), (24, 4, 2), (32, 4, 4), (36, 6, 3)] {
             let a = random_matrix(n, n, 7);
             let b = random_matrix(n, n, 8);
-            let r = summa25d_multiply(&a, &b, q, c);
+            let r = summa25d_multiply(&a, &b, q, c, ZeroCost);
             assert!(
                 approx_eq(&r.c, &reference(&a, &b), gemm_tolerance(n) * 100.0),
                 "n={n} q={q} c={c}"
@@ -368,7 +358,7 @@ mod tests {
     #[should_panic(expected = "c | q")]
     fn two_five_d_rejects_bad_replication() {
         let a = random_matrix(12, 12, 1);
-        summa25d_multiply(&a, &a, 2, 4);
+        summa25d_multiply(&a, &a, 2, 4, ZeroCost);
     }
 
     #[test]
@@ -380,8 +370,8 @@ mod tests {
         let n = 48;
         let a = random_matrix(n, n, 9);
         let b = random_matrix(n, n, 10);
-        let cannon = cannon_multiply(&a, &b, 4);
-        let rep = summa25d_multiply(&a, &b, 4, 2);
+        let cannon = cannon_multiply(&a, &b, 4, ZeroCost);
+        let rep = summa25d_multiply(&a, &b, 4, 2, ZeroCost);
         let avg_sent = |r: &GridRunResult| {
             r.traffic.iter().map(|t| t.bytes_sent).sum::<u64>() as f64 / r.traffic.len() as f64
         };
@@ -398,7 +388,7 @@ mod tests {
         let n = 24;
         let a = random_matrix(n, n, 11);
         let b = random_matrix(n, n, 12);
-        let r = cannon_multiply_with_cost(&a, &b, 2, HockneyModel::intra_node());
+        let r = cannon_multiply(&a, &b, 2, HockneyModel::intra_node());
         assert!(r.exec_time > 0.0);
         assert!(r.clocks.iter().all(|c| c.comm_time > 0.0));
     }

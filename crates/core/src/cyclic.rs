@@ -6,7 +6,7 @@
 //! processor `(bi mod pr, bj mod pc)` of a `pr × pc` grid. Each rank
 //! stores its blocks packed into one contiguous local matrix.
 
-use summagen_comm::{ClockSnapshot, CostModel, Payload, TrafficStats, Universe, ZeroCost};
+use summagen_comm::{ClockSnapshot, CostModel, Payload, TrafficStats, Universe};
 use summagen_matrix::{gemm_blocked, DenseMatrix};
 
 /// A 2D block-cyclic distribution descriptor.
@@ -134,15 +134,6 @@ pub fn summa_cyclic_multiply(
     a: &DenseMatrix,
     b: &DenseMatrix,
     dist: BlockCyclic,
-) -> (DenseMatrix, Vec<ClockSnapshot>, Vec<TrafficStats>) {
-    summa_cyclic_multiply_with_cost(a, b, dist, ZeroCost)
-}
-
-/// [`summa_cyclic_multiply`] with a communication cost model.
-pub fn summa_cyclic_multiply_with_cost(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    dist: BlockCyclic,
     cost: impl CostModel,
 ) -> (DenseMatrix, Vec<ClockSnapshot>, Vec<TrafficStats>) {
     let n = a.rows();
@@ -226,6 +217,7 @@ pub fn summa_cyclic_multiply_with_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use summagen_comm::ZeroCost;
     use summagen_matrix::{approx_eq, gemm_naive, gemm_tolerance, random_matrix};
 
     fn reference(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
@@ -304,7 +296,7 @@ mod tests {
             let a = random_matrix(n, n, 1);
             let b = random_matrix(n, n, 2);
             let d = BlockCyclic::new(nb, pr, pc);
-            let (c, _, _) = summa_cyclic_multiply(&a, &b, d);
+            let (c, _, _) = summa_cyclic_multiply(&a, &b, d, ZeroCost);
             assert!(
                 approx_eq(&c, &reference(&a, &b), gemm_tolerance(n) * 100.0),
                 "n={n} nb={nb} grid {pr}x{pc}"
@@ -317,7 +309,7 @@ mod tests {
         let n = 10;
         let a = random_matrix(n, n, 3);
         let b = random_matrix(n, n, 4);
-        let (c, _, traffic) = summa_cyclic_multiply(&a, &b, BlockCyclic::new(4, 1, 1));
+        let (c, _, traffic) = summa_cyclic_multiply(&a, &b, BlockCyclic::new(4, 1, 1), ZeroCost);
         assert!(approx_eq(&c, &reference(&a, &b), gemm_tolerance(n) * 100.0));
         assert_eq!(traffic[0].msgs_sent, 0);
     }
@@ -342,7 +334,7 @@ mod tests {
         let n = 16;
         let a = random_matrix(n, n, 5);
         let b = random_matrix(n, n, 6);
-        let (_, clocks, _) = summa_cyclic_multiply_with_cost(
+        let (_, clocks, _) = summa_cyclic_multiply(
             &a,
             &b,
             BlockCyclic::new(4, 2, 2),

@@ -1,24 +1,25 @@
 //! Running SummaGen end-to-end on real matrices, with optional recovery
-//! from rank failures.
+//! from rank failures: the public types and the entry points, each of
+//! which hands a [`RunOptions`] to the crate's private engine.
 
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
 use summagen_comm::{
-    Backend, ClockSnapshot, CostModel, EventSink, FailureCause, FaultPlan, HeartbeatConfig,
-    HockneyModel, LinkPlan, RankFailure, TrafficStats, Universe, ZeroCost, DEFAULT_RECV_TIMEOUT,
+    default_recv_timeout, Backend, ClockSnapshot, CostModel, EventSink, FaultPlan, HeartbeatConfig,
+    HockneyModel, LinkPlan, RankFailure, TrafficStats, ZeroCost,
 };
 use summagen_matrix::{DenseMatrix, GemmKernel};
-use summagen_partition::{beaumont_column_layout, proportional_areas, PartitionSpec, Shape};
+use summagen_partition::{PartitionSpec, Shape};
 
-use crate::rankdata::{assemble, distribute};
-use crate::stages::{horizontal_a, local_compute, vertical_b, PanelTable, StageData};
+use crate::engine;
 
 /// How local computations execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
-    /// Real numeric execution with the given kernel.
+    /// Real numeric execution with the default kernel
+    /// ([`GemmKernel::default`]).
     #[default]
     Real,
     /// Real numeric execution with an explicit kernel choice.
@@ -54,6 +55,76 @@ pub struct RunResult {
     pub recovery: Option<RecoveryReport>,
 }
 
+/// Everything that can differ between two runs of the same algorithm on
+/// the same inputs. Every entry point of this crate — real or simulated,
+/// plain, recovering or checksum-protected — launches its ranks from one
+/// of these; the fixed-signature functions ([`multiply`], [`simulate`](
+/// crate::simulate()), …) use the defaults with one field changed.
+#[derive(Clone)]
+pub struct RunOptions {
+    /// Maximum number of executions (the first try plus retries) of the
+    /// recovering entry points; the single-attempt ones ignore it.
+    pub max_attempts: usize,
+    /// Virtual-clock seconds charged per retry, modelling failure
+    /// detection plus restart of the surviving ranks.
+    pub retry_backoff: f64,
+    /// Receive timeout applied to every attempt. Defaults to
+    /// [`default_recv_timeout`], i.e. the `SUMMAGEN_RECV_TIMEOUT_MS`
+    /// override if set; tests injecting faults should use milliseconds so
+    /// deadlocks resolve quickly.
+    pub recv_timeout: Duration,
+    /// Lossy-link plan applied to every attempt: sends go through the
+    /// seeded transport (retransmission, duplicate suppression, in-order
+    /// reassembly), and any configured silent hangs fire. `None` (the
+    /// default) runs on perfectly reliable links.
+    pub link_plan: Option<LinkPlan>,
+    /// Heartbeat failure-detector configuration applied to every
+    /// attempt. Required to recover from *silent* hangs — without it a
+    /// hung rank only surfaces as a receive timeout at its peers.
+    pub heartbeat: Option<HeartbeatConfig>,
+    /// Aggregate-metrics bundle shared by every attempt: message volume,
+    /// collective latencies, panel steps, GEMM throughput, ABFT events,
+    /// transport retransmits and heartbeat suspicions accumulate here
+    /// across retries. `None` (the default) skips metrics entirely.
+    pub metrics: Option<Arc<summagen_metrics::RuntimeMetrics>>,
+    /// Wire between ranks for every attempt: in-process channels (the
+    /// default) or loopback TCP. Virtual time is backend-blind, so clocks
+    /// and traffic are bit-identical across backends. Each attempt gets a
+    /// fresh transport, so TCP fault injectors (refused connects, resets,
+    /// stalls) re-fire per attempt.
+    pub backend: Backend,
+    /// Receives every runtime event — sends, receives, collectives,
+    /// per-block GEMMs, stages, ABFT verify/correct/checkpoint/rollback —
+    /// of every attempt, failed ones included (often exactly what a
+    /// post-mortem wants). A `summagen_trace::TraceRecorder` turns them
+    /// into Perfetto timelines and the critical path.
+    pub sink: Option<Arc<dyn EventSink>>,
+    /// Record every rank's compute / communicate / wait intervals in
+    /// virtual time ([`crate::SimReport::timelines`]) — the raw material
+    /// for Gantt charts and exact energy metering.
+    pub timelines: bool,
+}
+
+/// The name [`RunOptions`] had while only the recovering entry points
+/// took it.
+pub type RecoveryOptions = RunOptions;
+
+impl Default for RunOptions {
+    fn default() -> Self {
+        Self {
+            max_attempts: 3,
+            retry_backoff: 0.5,
+            recv_timeout: default_recv_timeout(),
+            link_plan: None,
+            heartbeat: None,
+            metrics: None,
+            backend: Backend::Channel,
+            sink: None,
+            timelines: false,
+        }
+    }
+}
+
 /// Multiplies `A × B` with SummaGen under the given partition, with free
 /// communication (pure correctness run).
 ///
@@ -61,7 +132,8 @@ pub struct RunResult {
 ///
 /// Panics if any rank fails (a bug in the worker closure, not an expected
 /// condition — no faults are injected on this path). Callers that need to
-/// handle failure as a value should use [`multiply_with_recovery`].
+/// handle failure as a value should use [`multiply_with_options`] or
+/// [`multiply_with_recovery`].
 ///
 /// ```
 /// use summagen_core::{multiply, ExecutionMode};
@@ -83,7 +155,14 @@ pub fn multiply(
     b: &DenseMatrix,
     mode: ExecutionMode,
 ) -> RunResult {
-    run_real(spec, a, b, mode, ZeroCost)
+    engine::infallible(multiply_with_options(
+        spec,
+        a,
+        b,
+        mode,
+        ZeroCost,
+        &RunOptions::default(),
+    ))
 }
 
 /// Multiplies `A × B` with SummaGen, pricing communication with a Hockney
@@ -95,13 +174,18 @@ pub fn multiply_with_cost(
     mode: ExecutionMode,
     cost: HockneyModel,
 ) -> RunResult {
-    run_real(spec, a, b, mode, cost)
+    engine::infallible(multiply_with_options(
+        spec,
+        a,
+        b,
+        mode,
+        cost,
+        &RunOptions::default(),
+    ))
 }
 
-/// Like [`multiply_with_cost`] but reporting every runtime event — sends,
-/// receives, collectives, per-block GEMMs (with measured kernel times),
-/// stages — to `sink`. Use a `summagen_trace::TraceRecorder` as the sink
-/// to get Perfetto export and critical-path analysis of the real run.
+/// Like [`multiply_with_cost`] but reporting every runtime event to `sink`
+/// ([`RunOptions::sink`]); GEMM spans carry measured kernel times.
 ///
 /// # Panics
 /// Panics if any rank fails, like [`multiply`].
@@ -113,166 +197,28 @@ pub fn multiply_traced(
     cost: impl CostModel,
     sink: Arc<dyn EventSink>,
 ) -> RunResult {
-    try_run_real(
-        spec,
-        a,
-        b,
-        mode,
-        cost,
-        None,
-        None,
-        None,
-        None,
-        DEFAULT_RECV_TIMEOUT,
-        Some(sink),
-        Backend::Channel,
-    )
-    .unwrap_or_else(|failure| panic!("rank panicked: {failure}"))
+    let opts = RunOptions {
+        sink: Some(sink),
+        ..RunOptions::default()
+    };
+    engine::infallible(multiply_with_options(spec, a, b, mode, cost, &opts))
 }
 
-fn run_real(
+/// One fault-free execution of SummaGen over `spec` under arbitrary
+/// [`RunOptions`] — any transport, link plan, heartbeat, metrics bundle or
+/// sink on a partition of the caller's choosing. A dying rank (a lossy
+/// link that gives up, a hang the heartbeat detects) is an
+/// `Err(RankFailure)`, not a panic; nothing is retried, so
+/// `max_attempts` and `retry_backoff` do not apply.
+pub fn multiply_with_options(
     spec: &PartitionSpec,
     a: &DenseMatrix,
     b: &DenseMatrix,
     mode: ExecutionMode,
     cost: impl CostModel,
-) -> RunResult {
-    try_run_real(
-        spec,
-        a,
-        b,
-        mode,
-        cost,
-        None,
-        None,
-        None,
-        None,
-        DEFAULT_RECV_TIMEOUT,
-        None,
-        Backend::Channel,
-    )
-    .unwrap_or_else(|failure| panic!("rank panicked: {failure}"))
-}
-
-/// One fallible execution attempt: runs the three stages under `try_run`,
-/// so a dying rank surfaces as `Err(RankFailure)` instead of a panic or a
-/// silent hang.
-#[allow(clippy::too_many_arguments)]
-fn try_run_real(
-    spec: &PartitionSpec,
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    mode: ExecutionMode,
-    cost: impl CostModel,
-    faults: Option<FaultPlan>,
-    link: Option<LinkPlan>,
-    heartbeat: Option<HeartbeatConfig>,
-    metrics: Option<Arc<summagen_metrics::RuntimeMetrics>>,
-    recv_timeout: Duration,
-    sink: Option<Arc<dyn EventSink>>,
-    backend: Backend,
+    opts: &RunOptions,
 ) -> Result<RunResult, RankFailure> {
-    let rank_data = distribute(spec, a, b);
-    let mut universe = Universe::new(spec.nprocs, cost)
-        .recv_timeout(recv_timeout)
-        .with_backend(backend);
-    if let Some(plan) = faults {
-        universe = universe.with_faults(plan);
-    }
-    if let Some(plan) = link {
-        universe = universe.with_link_plan(plan);
-    }
-    if let Some(hb) = heartbeat {
-        universe = universe.with_heartbeat(hb);
-    }
-    if let Some(m) = metrics {
-        universe = universe.with_metrics(m);
-    }
-    if let Some(sink) = sink {
-        universe = universe.with_event_sink(sink);
-    }
-    let results = universe.try_run(|comm| {
-        let rank = comm.rank();
-        let mut state = StageData::Real {
-            data: &rank_data[rank],
-            panels: PanelTable::new(spec),
-            kernel: mode.kernel(),
-        };
-        horizontal_a(&comm, spec, rank, &mut state)?;
-        vertical_b(&comm, spec, rank, &mut state)?;
-        // Real runs do not model device speeds: computation advances the
-        // clock by zero (timing studies use `simulate`).
-        let (blocks, _flops) = local_compute(&comm, spec, rank, &mut state, |_| 0.0);
-        Ok((blocks, comm.clock_snapshot(), comm.traffic()))
-    })?;
-
-    let mut blocks = Vec::with_capacity(spec.nprocs);
-    let mut clocks = Vec::with_capacity(spec.nprocs);
-    let mut traffic = Vec::with_capacity(spec.nprocs);
-    for (b, c, t) in results {
-        blocks.push(b);
-        clocks.push(c);
-        traffic.push(t);
-    }
-    let c = assemble(spec, &blocks);
-    let exec_time = clocks.iter().map(|c| c.now).fold(0.0, f64::max);
-    let comp_time = clocks.iter().map(|c| c.comp_time).fold(0.0, f64::max);
-    let comm_time = clocks.iter().map(|c| c.comm_time).fold(0.0, f64::max);
-    Ok(RunResult {
-        c,
-        clocks,
-        traffic,
-        exec_time,
-        comp_time,
-        comm_time,
-        recovery: None,
-    })
-}
-
-/// Policy knobs for [`multiply_with_recovery`].
-#[derive(Debug, Clone)]
-pub struct RecoveryOptions {
-    /// Maximum number of executions (the first try plus retries).
-    pub max_attempts: usize,
-    /// Virtual-clock seconds charged per retry, modelling failure
-    /// detection plus restart of the surviving ranks.
-    pub retry_backoff: f64,
-    /// Receive timeout applied to every attempt. Tests injecting faults
-    /// should use milliseconds so deadlocks resolve quickly.
-    pub recv_timeout: Duration,
-    /// Lossy-link plan applied to every attempt: sends go through the
-    /// seeded transport (retransmission, duplicate suppression, in-order
-    /// reassembly), and any configured silent hangs fire. `None` (the
-    /// default) runs on perfectly reliable links.
-    pub link_plan: Option<LinkPlan>,
-    /// Heartbeat failure-detector configuration applied to every
-    /// attempt. Required to recover from *silent* hangs — without it a
-    /// hung rank only surfaces as a receive timeout at its peers.
-    pub heartbeat: Option<HeartbeatConfig>,
-    /// Aggregate-metrics bundle shared by every attempt: transport
-    /// delivery/retransmit/duplicate counters, heartbeat ticks and
-    /// suspicion latencies accumulate here across retries. `None` (the
-    /// default) skips metrics entirely.
-    pub metrics: Option<Arc<summagen_metrics::RuntimeMetrics>>,
-    /// Wire between ranks for every attempt: in-process channels (the
-    /// default, bit-identical to the historical runtime) or loopback
-    /// TCP. Each attempt gets a fresh transport, so TCP fault injectors
-    /// (refused connects, resets, stalls) re-fire per attempt.
-    pub backend: Backend,
-}
-
-impl Default for RecoveryOptions {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            retry_backoff: 0.5,
-            recv_timeout: DEFAULT_RECV_TIMEOUT,
-            link_plan: None,
-            heartbeat: None,
-            metrics: None,
-            backend: Backend::Channel,
-        }
-    }
+    engine::run_real(spec, (a, b), mode, cost, None, opts)
 }
 
 /// What [`multiply_with_recovery`] did to complete a run.
@@ -313,14 +259,6 @@ pub struct RecoveryReport {
     pub max_detection_latency: f64,
 }
 
-/// Collapses a cause tally into the sorted `(label, count)` form stored
-/// in [`RecoveryReport::failure_causes`].
-pub(crate) fn cause_counts(
-    tally: &std::collections::BTreeMap<String, usize>,
-) -> Vec<(String, usize)> {
-    tally.iter().map(|(k, v)| (k.clone(), *v)).collect()
-}
-
 /// Why [`multiply_with_recovery`] gave up.
 #[derive(Debug)]
 pub enum RecoveryError {
@@ -353,38 +291,19 @@ impl fmt::Display for RecoveryError {
 
 impl std::error::Error for RecoveryError {}
 
-/// Builds a partition for the surviving device set: the requested paper
-/// shape while three devices remain (the shapes are three-processor
-/// constructions), otherwise Beaumont's column-based layout, which handles
-/// any processor count including one.
-pub(crate) fn survivor_spec(shape: Shape, n: usize, speeds: &[f64]) -> PartitionSpec {
-    if speeds.len() == 3 {
-        shape.build(n, &proportional_areas(n, speeds))
-    } else {
-        beaumont_column_layout(n, speeds)
-    }
-}
-
 /// Multiplies `A × B` with SummaGen, recovering from rank failures by
 /// re-partitioning over the surviving devices — the ULFM-style
 /// shrink-and-retry strategy.
 ///
-/// Each attempt `i` runs under `attempt_faults[i]` (attempts past the end
-/// of the slice run fault-free; pass `&[]` for a fully undisturbed run).
-/// When an attempt fails:
-///
-/// * *crashed* ranks (per [`RankFailure::crashed_ranks`]: panicked,
-///   kill-injected, or named dead by a peer — excluding ranks that merely
-///   starved on a timeout) map back to devices, which are removed from
-///   the pool before the matrix is re-partitioned over the survivors;
-/// * if nobody crashed but a rank reported a peer `Unreachable` (the
-///   transport exhausted its wire budget against it), the *blamed* peer's
-///   device is shrunk out — a dead link fails identically on replay;
-/// * failures identifying no crashed rank (timeouts, dropped messages)
-///   retry the same device set unchanged;
-/// * every retry charges `opts.retry_backoff` virtual seconds, added to
-///   the final `exec_time` (the failed attempt's own clocks are lost with
-///   its universe).
+/// Each attempt `i` is a full restart under `attempt_faults[i]` (attempts
+/// past the end of the slice run fault-free; pass `&[]` for a fully
+/// undisturbed run). When an attempt fails, devices whose ranks crashed —
+/// or, failing that, sit behind a link the transport gave up on — are
+/// dropped and the matrix is re-partitioned over the survivors (the
+/// requested shape while three remain, Beaumont's column layout
+/// otherwise); a failure that names no culprit (a pure timeout) retries
+/// the same device set. Every retry adds `opts.retry_backoff` virtual
+/// seconds to the final `exec_time`.
 ///
 /// On success, `RunResult::recovery` is `Some` iff at least one retry
 /// happened. Errors only when the attempt budget is exhausted or no
@@ -398,104 +317,13 @@ pub fn multiply_with_recovery(
     mode: ExecutionMode,
     cost: impl CostModel + Clone,
     attempt_faults: &[FaultPlan],
-    opts: &RecoveryOptions,
+    opts: &RunOptions,
 ) -> Result<RunResult, RecoveryError> {
-    assert!(!rel_speeds.is_empty(), "need at least one device");
-    assert!(opts.max_attempts > 0, "need at least one attempt");
-    assert_eq!(a.rows(), b.rows(), "A and B must share dimension n");
-    let n = a.rows();
-
-    let mut devices: Vec<usize> = (0..rel_speeds.len()).collect();
-    let mut failed_devices: Vec<usize> = Vec::new();
-    let mut causes: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
-    let mut announced_failures = 0usize;
-    let mut detected_failures = 0usize;
-    let mut max_detection_latency = 0.0f64;
-    let mut attempt = 0;
-    loop {
-        attempt += 1;
-        let speeds: Vec<f64> = devices.iter().map(|&d| rel_speeds[d]).collect();
-        let spec = survivor_spec(shape, n, &speeds);
-        let faults = attempt_faults
-            .get(attempt - 1)
-            .filter(|p| !p.is_empty())
-            .cloned();
-        match try_run_real(
-            &spec,
-            a,
-            b,
-            mode,
-            cost.clone(),
-            faults,
-            opts.link_plan.clone(),
-            opts.heartbeat,
-            opts.metrics.clone(),
-            opts.recv_timeout,
-            None,
-            opts.backend,
-        ) {
-            Ok(mut result) => {
-                let backoff_time = (attempt - 1) as f64 * opts.retry_backoff;
-                result.exec_time += backoff_time;
-                if attempt > 1 {
-                    let area = (n * n) as f64;
-                    result.recovery = Some(RecoveryReport {
-                        attempts: attempt,
-                        failed_devices: failed_devices.clone(),
-                        surviving_devices: devices.clone(),
-                        final_loads: spec.areas().iter().map(|&a| a as f64 / area).collect(),
-                        backoff_time,
-                        failure_causes: cause_counts(&causes),
-                        // Full restart: the retry recomputed everything.
-                        recompute_fraction: 1.0,
-                        announced_failures,
-                        detected_failures,
-                        max_detection_latency,
-                    });
-                }
-                return Ok(result);
-            }
-            Err(failure) => {
-                for fr in &failure.failed {
-                    *causes.entry(fr.cause.kind_label().to_string()).or_default() += 1;
-                    if let FailureCause::DetectedHang {
-                        detection_latency, ..
-                    } = &fr.cause
-                    {
-                        detected_failures += 1;
-                        max_detection_latency = max_detection_latency.max(*detection_latency);
-                    } else {
-                        announced_failures += 1;
-                    }
-                }
-                if attempt >= opts.max_attempts {
-                    return Err(RecoveryError::AttemptsExhausted {
-                        attempts: attempt,
-                        last: failure,
-                    });
-                }
-                let mut roots = failure.crashed_ranks();
-                if roots.is_empty() {
-                    // Nobody crashed outright, but a peer that exhausted
-                    // the transport's wire budget sits behind a dead link:
-                    // replaying the same device set replays the same
-                    // exhaustion, so shrink the blamed peer out instead.
-                    roots = failure.unreachable_peers();
-                }
-                if roots.is_empty() {
-                    // Timeouts without an identified crash: nothing to
-                    // shrink, so retry the same device set.
-                    continue;
-                }
-                let mut dropped: Vec<usize> = roots.iter().map(|&r| devices[r]).collect();
-                devices.retain(|d| !dropped.contains(d));
-                failed_devices.append(&mut dropped);
-                if devices.is_empty() {
-                    return Err(RecoveryError::AllDevicesFailed { attempts: attempt });
-                }
-            }
-        }
-    }
+    let restart = |spec: &PartitionSpec, faults| {
+        engine::run_real(spec, (a, b), mode, cost.clone(), faults, opts).map(|run| (run, 1.0))
+    };
+    engine::shrink_and_retry(shape, rel_speeds, a.rows(), attempt_faults, opts, restart)
+        .map(|recovered| recovered.run)
 }
 
 #[cfg(test)]

@@ -17,20 +17,44 @@
 //!    own partition of `C`; computing per sub-partition avoids the
 //!    redundant work a blanket `WA × WB` would do.
 //!
-//! Two execution modes share this code path:
+//! # One engine
 //!
-//! * [`ExecutionMode::Real`] — matrices are materialized and multiplied
-//!   with the kernels from `summagen-matrix`; the result is verified
-//!   against a sequential reference in the tests.
-//! * [`ExecutionMode::Simulated`] — payloads are phantom (size-only) and
-//!   local DGEMM advances the rank's virtual clock by the device-model
-//!   time from `summagen-platform`. This is how the paper-scale
-//!   experiments (N up to 38 416) run.
+//! Every run goes through one private engine: it builds the rank universe
+//! from a [`RunOptions`] (receive timeout, link plan, heartbeat, metrics,
+//! transport, event sink, timelines), runs a closure per rank, folds the
+//! per-rank clocks into `exec/comp/comm_time`, and — for the recovering
+//! entry points — drives the shrink-and-retry loop. What the ranks carry
+//! through the three stages decides the kind of run:
+//!
+//! * **real** ([`multiply_with_options`] → [`RunResult`]) — matrices are
+//!   materialized and multiplied with the kernel an [`ExecutionMode`]
+//!   names; local computation advances the virtual clock by zero. The
+//!   result is verified against a sequential reference in the tests.
+//! * **phantom** ([`simulate_with_options`] → [`SimReport`]) — payloads are
+//!   size-only and a local DGEMM advances the rank's virtual clock by the
+//!   device-model time from `summagen-platform`. This is how the
+//!   paper-scale experiments (N up to 38 416) run.
+//!
+//! [`multiply`], [`multiply_with_cost`], [`multiply_traced`],
+//! [`simulate()`] and [`simulate_instrumented`] are those two with default
+//! options and one value set. [`multiply_with_recovery`] restarts the real
+//! run over the surviving devices when ranks die; [`multiply_abft`] does
+//! the same for the checksum-protected panel executor, resuming from its
+//! newest checkpoint ([`multiply_abft_prefix`] is its preemption
+//! primitive, [`multiply_panelled`] its unprotected twin). Energy is a
+//! function of a finished report: [`SimReport::with_energy`],
+//! [`SimReport::timeline_energy`].
+//!
+//! The remaining modules are the baselines the paper compares against or
+//! cites — classic SUMMA ([`summa`]), block-cyclic SUMMA ([`cyclic`]),
+//! Cannon and 2.5D ([`commopt`]), parallel Strassen ([`caps`]) — each one
+//! function taking a cost model, none of them routed through the engine.
 
 pub mod abft;
 pub mod caps;
 pub mod commopt;
 pub mod cyclic;
+mod engine;
 pub mod executor;
 pub mod panelled;
 pub mod rankdata;
@@ -39,28 +63,17 @@ pub mod stages;
 pub mod summa;
 
 pub use abft::{
-    multiply_abft, multiply_abft_observed, multiply_abft_prefix, multiply_abft_traced,
-    panel_boundaries, AbftOptions, AbftReport, AbftRunResult, PanelCheckpoint,
+    multiply_abft, multiply_abft_prefix, panel_boundaries, AbftOptions, AbftReport, AbftRunResult,
+    PanelCheckpoint,
 };
-pub use caps::{caps_multiply, caps_multiply_with_cost, CapsResult};
-pub use commopt::{
-    cannon_multiply, cannon_multiply_with_cost, summa25d_multiply, summa25d_multiply_with_cost,
-    GridRunResult,
-};
-pub use cyclic::{summa_cyclic_multiply, summa_cyclic_multiply_with_cost, BlockCyclic};
+pub use caps::{caps_multiply, CapsResult};
+pub use commopt::{cannon_multiply, summa25d_multiply, GridRunResult};
+pub use cyclic::{summa_cyclic_multiply, BlockCyclic};
 pub use executor::{
-    multiply, multiply_traced, multiply_with_cost, multiply_with_recovery, ExecutionMode,
-    RecoveryError, RecoveryOptions, RecoveryReport, RunResult,
+    multiply, multiply_traced, multiply_with_cost, multiply_with_options, multiply_with_recovery,
+    ExecutionMode, RecoveryError, RecoveryOptions, RecoveryReport, RunOptions, RunResult,
 };
-pub use panelled::{
-    multiply_panelled, multiply_panelled_with_cost, peak_workspace_elems, simulate_panelled,
-};
+pub use panelled::multiply_panelled;
 pub use rankdata::{assemble, distribute, RankMatrices, SharedBlock};
-pub use simulate::{
-    metered_energy_from_timelines, simulate, simulate_instrumented, simulate_observed,
-    simulate_observed_on, simulate_traced, simulate_with_energy, SimReport,
-};
-pub use summa::{
-    summa_multiply, summa_multiply_with_cost, summa_simulate, summa_simulate_instrumented,
-    SummaResult,
-};
+pub use simulate::{simulate, simulate_instrumented, simulate_with_options, SimReport};
+pub use summa::{summa_multiply, summa_simulate, SummaResult};

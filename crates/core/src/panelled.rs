@@ -22,179 +22,36 @@
 //! owners hold their blocks, participants belong to their own
 //! row/column communicators).
 
-use summagen_comm::{Communicator, CostModel, Payload, Universe, ZeroCost};
+use summagen_comm::{Communicator, CostModel, Payload};
 use summagen_matrix::{DenseMatrix, GemmKernel};
 use summagen_partition::PartitionSpec;
 
-use crate::executor::RunResult;
-use crate::rankdata::{assemble, distribute, RankMatrices};
+use crate::engine::{self, RankBlocks};
+use crate::executor::{RunOptions, RunResult};
+use crate::rankdata::RankMatrices;
 
-/// Multiplies `A × B` with the panelled SummaGen variant (free
-/// communication).
+/// Multiplies `A × B` with the panelled SummaGen variant, pricing
+/// communication with `cost` ([`summagen_comm::ZeroCost`] for a pure
+/// correctness run).
 pub fn multiply_panelled(
     spec: &PartitionSpec,
     a: &DenseMatrix,
     b: &DenseMatrix,
     kernel: GemmKernel,
-) -> RunResult {
-    multiply_panelled_with_cost(spec, a, b, kernel, ZeroCost)
-}
-
-/// [`multiply_panelled`] with a communication cost model.
-pub fn multiply_panelled_with_cost(
-    spec: &PartitionSpec,
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    kernel: GemmKernel,
     cost: impl CostModel,
 ) -> RunResult {
-    let rank_data = distribute(spec, a, b);
-    let universe = Universe::new(spec.nprocs, cost);
-    let results = universe.run(|comm| {
-        let rank = comm.rank();
-        let blocks = run_rank_panelled(&comm, spec, rank, &rank_data[rank], kernel);
-        (blocks, comm.clock_snapshot(), comm.traffic())
-    });
-
-    let mut blocks = Vec::with_capacity(spec.nprocs);
-    let mut clocks = Vec::with_capacity(spec.nprocs);
-    let mut traffic = Vec::with_capacity(spec.nprocs);
-    for (b, c, t) in results {
-        blocks.push(b);
-        clocks.push(c);
-        traffic.push(t);
-    }
-    let c = assemble(spec, &blocks);
-    let exec_time = clocks.iter().map(|c| c.now).fold(0.0, f64::max);
-    let comp_time = clocks.iter().map(|c| c.comp_time).fold(0.0, f64::max);
-    let comm_time = clocks.iter().map(|c| c.comm_time).fold(0.0, f64::max);
-    RunResult {
-        c,
-        clocks,
-        traffic,
-        exec_time,
-        comp_time,
-        comm_time,
-        recovery: None,
-    }
-}
-
-/// Peak working-set size (elements of `WA`+`WB`-equivalents) per rank for
-/// the one-shot algorithm vs the panelled variant — the memory saving
-/// that motivates panelling. Returns `(one_shot, panelled)` maxima over
-/// ranks.
-pub fn peak_workspace_elems(spec: &PartitionSpec) -> (usize, usize) {
-    let n = spec.n;
-    let mut one_shot_max = 0;
-    let mut panelled_max = 0;
-    for rank in 0..spec.nprocs {
-        let rows: usize = (0..spec.grid_rows)
-            .filter(|&bi| spec.row_contains(rank, bi))
-            .map(|bi| spec.heights[bi])
-            .sum();
-        let cols: usize = (0..spec.grid_cols)
-            .filter(|&bj| spec.col_contains(rank, bj))
-            .map(|bj| spec.widths[bj])
-            .sum();
-        one_shot_max = one_shot_max.max(rows * n + n * cols);
-        let max_panel = spec.widths.iter().copied().max().unwrap_or(0);
-        panelled_max = panelled_max.max(rows * max_panel + max_panel * cols);
-    }
-    (one_shot_max, panelled_max)
-}
-
-/// Simulated-time panelled SummaGen: the panel schedule with phantom
-/// payloads and device-model compute times. Communication of later panels
-/// overlaps other ranks' computation of earlier ones, which is the
-/// pipelining benefit this variant buys on top of the memory saving.
-pub fn simulate_panelled(
-    spec: &PartitionSpec,
-    platform: &summagen_platform::Platform,
-    cost: impl CostModel,
-) -> crate::simulate::SimReport {
-    assert!(platform.len() >= spec.nprocs, "platform too small");
-    let areas = spec.areas();
-    let universe = Universe::new(spec.nprocs, cost);
-    let results = universe.run(|comm| {
-        let rank = comm.rank();
-        let proc = &platform.processors[rank];
-        let area = areas[rank] as f64;
-        for t in 0..spec.grid_cols {
-            let kb = spec.widths[t];
-            if let Some(m) = comm.metrics() {
-                m.panel_steps.inc();
-            }
-            // A blocks (bi, t).
-            for bi in 0..spec.grid_rows {
-                if !spec.row_contains(rank, bi) {
-                    continue;
-                }
-                let participants: Vec<usize> = (0..spec.nprocs)
-                    .filter(|&p| spec.row_contains(p, bi))
-                    .collect();
-                if participants.len() > 1 {
-                    let mut row_comm = comm
-                        .subgroup(&participants, (1 << 22) + (t * spec.grid_rows + bi) as u64)
-                        .unwrap();
-                    let owner = spec.owner(bi, t);
-                    let root = participants.iter().position(|&p| p == owner).unwrap();
-                    row_comm.bcast(
-                        root,
-                        Payload::Phantom {
-                            elems: spec.heights[bi] * kb,
-                        },
-                    );
-                }
-            }
-            // B slices for the panel's k-range.
-            let (k0, k1) = (spec.col_offset(t), spec.col_offset(t) + kb);
-            for bj in 0..spec.grid_cols {
-                if !spec.col_contains(rank, bj) {
-                    continue;
-                }
-                let participants: Vec<usize> = (0..spec.nprocs)
-                    .filter(|&p| spec.col_contains(p, bj))
-                    .collect();
-                for bi_b in 0..spec.grid_rows {
-                    let r0 = spec.row_offset(bi_b);
-                    let r1 = r0 + spec.heights[bi_b];
-                    let (lo, hi) = (r0.max(k0), r1.min(k1));
-                    if lo >= hi || participants.len() == 1 {
-                        continue;
-                    }
-                    let label =
-                        (1 << 23) + ((t * spec.grid_rows + bi_b) * spec.grid_cols + bj) as u64;
-                    let mut col_comm = comm.subgroup(&participants, label).unwrap();
-                    let owner = spec.owner(bi_b, bj);
-                    let root = participants.iter().position(|&p| p == owner).unwrap();
-                    col_comm.bcast(
-                        root,
-                        Payload::Phantom {
-                            elems: (hi - lo) * spec.widths[bj],
-                        },
-                    );
-                }
-            }
-            // Compute the panel's contribution for every owned block.
-            for blk in spec.blocks_of(rank) {
-                comm.advance_compute(proc.dgemm_time(blk.rows, kb, blk.cols, area));
-            }
-        }
-        (comm.clock_snapshot(), comm.traffic())
-    });
-    let clocks: Vec<_> = results.iter().map(|r| r.0).collect();
-    let traffic: Vec<_> = results.iter().map(|r| r.1).collect();
-    let n = spec.n;
-    crate::simulate::SimReport {
-        n,
-        exec_time: clocks.iter().map(|c| c.now).fold(0.0, f64::max),
-        comp_time: clocks.iter().map(|c| c.comp_time).fold(0.0, f64::max),
-        comm_time: clocks.iter().map(|c| c.comm_time).fold(0.0, f64::max),
-        clocks,
-        traffic,
-        total_flops: 2.0 * (n as f64).powi(3),
-        energy: None,
-    }
+    let rank_fn = |comm: &Communicator, data: &RankMatrices| {
+        Ok((run_rank_panelled(comm, spec, comm.rank(), data, kernel), ()))
+    };
+    engine::infallible(engine::run_numeric(
+        spec,
+        (a, b),
+        cost,
+        None,
+        &RunOptions::default(),
+        rank_fn,
+    ))
+    .0
 }
 
 fn run_rank_panelled(
@@ -203,10 +60,9 @@ fn run_rank_panelled(
     rank: usize,
     data: &RankMatrices,
     kernel: GemmKernel,
-) -> Vec<(summagen_partition::ProcBlock, DenseMatrix)> {
-    let n = spec.n;
+) -> RankBlocks {
     // Output blocks, zero-initialized, accumulated across panels.
-    let mut out: Vec<(summagen_partition::ProcBlock, DenseMatrix)> = spec
+    let mut out: RankBlocks = spec
         .blocks_of(rank)
         .into_iter()
         .map(|blk| {
@@ -338,7 +194,6 @@ fn run_rank_panelled(
                 blk.cols.max(1),
             );
         }
-        let _ = n;
     }
     out
 }
@@ -347,6 +202,7 @@ fn run_rank_panelled(
 mod tests {
     use super::*;
     use crate::executor::{multiply, ExecutionMode};
+    use summagen_comm::ZeroCost;
     use summagen_matrix::{approx_eq, gemm_tolerance, random_matrix};
     use summagen_partition::{proportional_areas, ALL_FOUR_SHAPES};
 
@@ -359,7 +215,7 @@ mod tests {
         for shape in ALL_FOUR_SHAPES {
             let spec = shape.build(n, &areas);
             let one_shot = multiply(&spec, &a, &b, ExecutionMode::Real);
-            let panelled = multiply_panelled(&spec, &a, &b, GemmKernel::Blocked);
+            let panelled = multiply_panelled(&spec, &a, &b, GemmKernel::Blocked, ZeroCost);
             assert!(
                 approx_eq(&one_shot.c, &panelled.c, gemm_tolerance(n) * 100.0),
                 "{} differs",
@@ -379,47 +235,10 @@ mod tests {
         for shape in ALL_FOUR_SHAPES {
             let spec = shape.build(n, &areas);
             let one_shot = multiply(&spec, &a, &b, ExecutionMode::Real);
-            let panelled = multiply_panelled(&spec, &a, &b, GemmKernel::Blocked);
+            let panelled = multiply_panelled(&spec, &a, &b, GemmKernel::Blocked, ZeroCost);
             let total = |r: &RunResult| r.traffic.iter().map(|t| t.bytes_sent).sum::<u64>();
             assert_eq!(total(&one_shot), total(&panelled), "{}", shape.name());
         }
-    }
-
-    #[test]
-    fn panelled_needs_much_less_workspace() {
-        let n = 25_600;
-        let areas = proportional_areas(n, &[1.0, 2.0, 0.9]);
-        let spec = summagen_partition::Shape::SquareCorner.build(n, &areas);
-        let (one_shot, panelled) = peak_workspace_elems(&spec);
-        // The saving factor is max-panel-width / n; for the square-corner
-        // grid the widest panel is the big square's side (~0.51 n).
-        assert!(
-            (panelled as f64) < 0.6 * one_shot as f64,
-            "panelled {panelled} vs one-shot {one_shot}"
-        );
-    }
-
-    #[test]
-    fn simulated_panelled_total_traffic_matches_one_shot() {
-        use summagen_platform::profile::hclserver1;
-        let n = 12_288;
-        let areas = proportional_areas(n, &[1.0, 2.0, 0.9]);
-        let spec = summagen_partition::Shape::SquareRectangle.build(n, &areas);
-        let platform = hclserver1();
-        let link = summagen_comm::HockneyModel::intra_node();
-        let one_shot = crate::simulate::simulate(&spec, &platform, link);
-        let panelled = simulate_panelled(&spec, &platform, link);
-        let bytes =
-            |r: &crate::simulate::SimReport| r.traffic.iter().map(|t| t.bytes_sent).sum::<u64>();
-        assert_eq!(bytes(&one_shot), bytes(&panelled));
-        // Pipelining can only help or tie the end-to-end time (modulo
-        // tiny extra latencies from the additional messages).
-        assert!(
-            panelled.exec_time <= one_shot.exec_time * 1.05,
-            "panelled {} vs one-shot {}",
-            panelled.exec_time,
-            one_shot.exec_time
-        );
     }
 
     #[test]
@@ -428,7 +247,7 @@ mod tests {
         let spec = PartitionSpec::new(vec![0], vec![n], vec![n], 1);
         let a = random_matrix(n, n, 5);
         let b = random_matrix(n, n, 6);
-        let r = multiply_panelled(&spec, &a, &b, GemmKernel::Blocked);
+        let r = multiply_panelled(&spec, &a, &b, GemmKernel::Blocked, ZeroCost);
         let want = multiply(&spec, &a, &b, ExecutionMode::Real);
         assert!(approx_eq(&r.c, &want.c, 1e-10));
     }
@@ -442,7 +261,7 @@ mod tests {
         let spec = summagen_partition::Shape::OneDRectangular.build(n, &areas);
         let a = random_matrix(n, n, 7);
         let b = random_matrix(n, n, 8);
-        let r = multiply_panelled(&spec, &a, &b, GemmKernel::Blocked);
+        let r = multiply_panelled(&spec, &a, &b, GemmKernel::Blocked, ZeroCost);
         let want = multiply(&spec, &a, &b, ExecutionMode::Real);
         assert!(approx_eq(&r.c, &want.c, 1e-10));
     }

@@ -10,12 +10,13 @@
 
 use std::sync::Arc;
 
-use summagen_comm::{ClockSnapshot, CostModel, EventSink, TrafficStats, Universe};
+use summagen_comm::{ClockSnapshot, CostModel, EventSink, TraceEvent, TraceKind, TrafficStats};
 use summagen_partition::PartitionSpec;
 use summagen_platform::energy::{EnergyMeter, MeterReading, PowerModel};
 use summagen_platform::Platform;
 
-use crate::stages::{horizontal_a, local_compute, vertical_b, StageData};
+use crate::engine;
+use crate::executor::RunOptions;
 
 /// The outcome of a simulated-time run.
 #[derive(Debug, Clone)]
@@ -34,9 +35,12 @@ pub struct SimReport {
     pub traffic: Vec<TrafficStats>,
     /// Total flops of the multiplication (`2·n³`).
     pub total_flops: f64,
-    /// Optional energy reading (present when run via
-    /// [`simulate_with_energy`]).
+    /// Energy reading, once [`SimReport::with_energy`] has metered the run.
     pub energy: Option<MeterReading>,
+    /// Per-rank event timelines (compute / communicate / wait intervals
+    /// in virtual time), present when the run set
+    /// [`RunOptions::timelines`].
+    pub timelines: Option<Vec<Vec<TraceEvent>>>,
 }
 
 impl SimReport {
@@ -49,6 +53,35 @@ impl SimReport {
             self.total_flops / self.exec_time
         }
     }
+
+    /// Meters the run with the paper's WattsUp-style 1 Hz meter and
+    /// Equation 5, from each rank's busy totals (computation first, then
+    /// communication, then idle until `exec_time`), and stores the reading
+    /// in [`SimReport::energy`].
+    pub fn with_energy(mut self, power: &PowerModel) -> Self {
+        let comp: Vec<f64> = self.clocks.iter().map(|c| c.comp_time).collect();
+        let comm: Vec<f64> = self.clocks.iter().map(|c| c.comm_time).collect();
+        self.energy = Some(EnergyMeter::default().sample_run(power, &comp, &comm, self.exec_time));
+        self
+    }
+
+    /// Meters the run with the same sampler applied to the *actual*
+    /// per-rank timelines (idle gaps and all) rather than the busy-first
+    /// approximation of [`SimReport::with_energy`]. `None` unless the run
+    /// recorded [`SimReport::timelines`].
+    pub fn timeline_energy(&self, power: &PowerModel) -> Option<MeterReading> {
+        let intervals: Vec<Vec<(f64, f64, bool)>> = self
+            .timelines
+            .as_ref()?
+            .iter()
+            .map(|tl| {
+                tl.iter()
+                    .map(|e| (e.start, e.end, e.kind == TraceKind::Compute))
+                    .collect()
+            })
+            .collect();
+        Some(EnergyMeter::default().sample_intervals(power, &intervals, self.exec_time))
+    }
 }
 
 /// Runs SummaGen in simulated time on the given platform.
@@ -56,12 +89,12 @@ impl SimReport {
 /// Rank `i` executes on `platform.processors[i]`; its local DGEMM times
 /// come from the processor's speed function evaluated at the rank's total
 /// partition area (the paper's `A(Z) / s(A(Z))` convention), and message
-/// costs from `hockney`.
+/// costs from `cost`.
 ///
 /// # Panics
 /// Panics if the platform has fewer processors than the spec.
 pub fn simulate(spec: &PartitionSpec, platform: &Platform, cost: impl CostModel) -> SimReport {
-    simulate_observed(spec, platform, cost, None, None)
+    simulate_with_options(spec, platform, cost, &RunOptions::default())
 }
 
 /// Like [`simulate`], additionally reporting every runtime event (sends,
@@ -74,173 +107,29 @@ pub fn simulate_instrumented(
     cost: impl CostModel,
     sink: Arc<dyn EventSink>,
 ) -> SimReport {
-    simulate_observed(spec, platform, cost, Some(sink), None)
-}
-
-/// Like [`simulate`], with both observability channels optional: an event
-/// sink for per-event spans and/or a [`summagen_comm::RuntimeMetrics`]
-/// bundle whose counters and histograms (message volume, collective
-/// latencies, panel steps, virtual GEMM throughput) aggregate across the
-/// whole run. Either can be `None`; with both `None` this is exactly
-/// [`simulate`].
-pub fn simulate_observed(
-    spec: &PartitionSpec,
-    platform: &Platform,
-    cost: impl CostModel,
-    sink: Option<Arc<dyn EventSink>>,
-    metrics: Option<Arc<summagen_comm::RuntimeMetrics>>,
-) -> SimReport {
-    simulate_observed_on(
-        spec,
-        platform,
-        cost,
-        sink,
-        metrics,
-        summagen_comm::Backend::Channel,
-    )
-}
-
-/// Like [`simulate_observed`], running the universe over an explicit
-/// transport [`summagen_comm::Backend`]. Virtual time is backend-blind,
-/// so the reports are bit-identical across backends — which is exactly
-/// what makes this useful: `bench --backend tcp` exercises the framed
-/// loopback wire under the same workload the channel baselines recorded.
-pub fn simulate_observed_on(
-    spec: &PartitionSpec,
-    platform: &Platform,
-    cost: impl CostModel,
-    sink: Option<Arc<dyn EventSink>>,
-    metrics: Option<Arc<summagen_comm::RuntimeMetrics>>,
-    backend: summagen_comm::Backend,
-) -> SimReport {
-    assert!(
-        platform.len() >= spec.nprocs,
-        "platform has {} processors, spec wants {}",
-        platform.len(),
-        spec.nprocs
-    );
-    let areas = spec.areas();
-    let mut universe = Universe::new(spec.nprocs, cost).with_backend(backend);
-    if let Some(sink) = sink {
-        universe = universe.with_event_sink(sink);
-    }
-    if let Some(metrics) = metrics {
-        universe = universe.with_metrics(metrics);
-    }
-    let results = universe.run(|comm| {
-        let rank = comm.rank();
-        let mut state = StageData::Phantom;
-        // No faults are injected on simulation runs, so a stage error here
-        // is a runtime bug: fail loudly rather than report bogus timings.
-        horizontal_a(&comm, spec, rank, &mut state).expect("horizontal A stage failed");
-        vertical_b(&comm, spec, rank, &mut state).expect("vertical B stage failed");
-        let proc = &platform.processors[rank];
-        let area = areas[rank] as f64;
-        let (_, flops) = local_compute(&comm, spec, rank, &mut state, |blk| {
-            proc.dgemm_time(blk.rows, spec.n, blk.cols, area)
-        });
-        (comm.clock_snapshot(), comm.traffic(), flops)
-    });
-
-    let clocks: Vec<ClockSnapshot> = results.iter().map(|r| r.0).collect();
-    let traffic: Vec<TrafficStats> = results.iter().map(|r| r.1).collect();
-    let n = spec.n;
-    SimReport {
-        n,
-        exec_time: clocks.iter().map(|c| c.now).fold(0.0, f64::max),
-        comp_time: clocks.iter().map(|c| c.comp_time).fold(0.0, f64::max),
-        comm_time: clocks.iter().map(|c| c.comm_time).fold(0.0, f64::max),
-        clocks,
-        traffic,
-        total_flops: 2.0 * (n as f64).powi(3),
-        energy: None,
-    }
-}
-
-/// Like [`simulate`], additionally recording per-rank event timelines
-/// (compute / communicate / wait intervals in virtual time) — the raw
-/// material for Gantt charts and exact energy metering.
-pub fn simulate_traced(
-    spec: &PartitionSpec,
-    platform: &Platform,
-    cost: impl CostModel,
-) -> (SimReport, Vec<Vec<summagen_comm::TraceEvent>>) {
-    assert!(
-        platform.len() >= spec.nprocs,
-        "platform has {} processors, spec wants {}",
-        platform.len(),
-        spec.nprocs
-    );
-    let areas = spec.areas();
-    let universe = Universe::new(spec.nprocs, cost).traced(true);
-    let results = universe.run(|comm| {
-        let rank = comm.rank();
-        let mut state = StageData::Phantom;
-        horizontal_a(&comm, spec, rank, &mut state).expect("horizontal A stage failed");
-        vertical_b(&comm, spec, rank, &mut state).expect("vertical B stage failed");
-        let proc = &platform.processors[rank];
-        let area = areas[rank] as f64;
-        local_compute(&comm, spec, rank, &mut state, |blk| {
-            proc.dgemm_time(blk.rows, spec.n, blk.cols, area)
-        });
-        (
-            comm.clock_snapshot(),
-            comm.traffic(),
-            comm.trace_snapshot().expect("tracing enabled"),
-        )
-    });
-
-    let clocks: Vec<ClockSnapshot> = results.iter().map(|r| r.0).collect();
-    let traffic: Vec<TrafficStats> = results.iter().map(|r| r.1).collect();
-    let timelines: Vec<Vec<summagen_comm::TraceEvent>> = results.into_iter().map(|r| r.2).collect();
-    let n = spec.n;
-    let report = SimReport {
-        n,
-        exec_time: clocks.iter().map(|c| c.now).fold(0.0, f64::max),
-        comp_time: clocks.iter().map(|c| c.comp_time).fold(0.0, f64::max),
-        comm_time: clocks.iter().map(|c| c.comm_time).fold(0.0, f64::max),
-        clocks,
-        traffic,
-        total_flops: 2.0 * (n as f64).powi(3),
-        energy: None,
+    let opts = RunOptions {
+        sink: Some(sink),
+        ..RunOptions::default()
     };
-    (report, timelines)
+    simulate_with_options(spec, platform, cost, &opts)
 }
 
-/// Meters a traced run with the WattsUp-style sampler applied to the
-/// *actual* per-rank timelines (idle gaps and all), rather than the
-/// busy-first approximation of [`simulate_with_energy`].
-pub fn metered_energy_from_timelines(
-    timelines: &[Vec<summagen_comm::TraceEvent>],
-    power: &PowerModel,
-    exec_time: f64,
-) -> summagen_platform::energy::MeterReading {
-    use summagen_comm::TraceKind;
-    let intervals: Vec<Vec<(f64, f64, bool)>> = timelines
-        .iter()
-        .map(|tl| {
-            tl.iter()
-                .map(|e| (e.start, e.end, e.kind == TraceKind::Compute))
-                .collect()
-        })
-        .collect();
-    EnergyMeter::default().sample_intervals(power, &intervals, exec_time)
-}
-
-/// Like [`simulate`], additionally metering the run with the paper's
-/// WattsUp-style 1 Hz meter and Equation 5.
-pub fn simulate_with_energy(
+/// [`simulate`] under arbitrary [`RunOptions`]: a metrics bundle, an event
+/// sink, recorded timelines, the TCP wire (`bench --backend tcp` exercises
+/// the framed loopback transport under the workload the channel baselines
+/// recorded). None of them moves a virtual clock, so `exec_time`,
+/// `comp_time` and `comm_time` are bit-identical to [`simulate`]'s.
+///
+/// # Panics
+/// Panics like [`simulate`], and if a rank fails (only `opts` can make one:
+/// a lossy link plan that gives up, a heartbeat that suspects a rank).
+pub fn simulate_with_options(
     spec: &PartitionSpec,
     platform: &Platform,
     cost: impl CostModel,
-    power: &PowerModel,
+    opts: &RunOptions,
 ) -> SimReport {
-    let mut report = simulate(spec, platform, cost);
-    let comp: Vec<f64> = report.clocks.iter().map(|c| c.comp_time).collect();
-    let comm: Vec<f64> = report.clocks.iter().map(|c| c.comm_time).collect();
-    let reading = EnergyMeter::default().sample_run(power, &comp, &comm, report.exec_time);
-    report.energy = Some(reading);
-    report
+    engine::run_phantom(spec, platform, cost, opts)
 }
 
 #[cfg(test)]
@@ -358,12 +247,8 @@ mod tests {
         let n = 25_600;
         let areas = proportional_areas(n, &[1.0, 2.0, 0.9]);
         let spec = Shape::SquareCorner.build(n, &areas);
-        let report = simulate_with_energy(
-            &spec,
-            &hclserver1(),
-            intra_node(),
-            &hclserver1_power_model(),
-        );
+        let report =
+            simulate(&spec, &hclserver1(), intra_node()).with_energy(&hclserver1_power_model());
         let e = report.energy.unwrap();
         assert!(e.dynamic_energy_j > 0.0);
         assert!(e.total_energy_j > e.dynamic_energy_j);
@@ -376,8 +261,18 @@ mod tests {
         let spec = Shape::SquareCorner.build(n, &areas);
         let platform = hclserver1();
         let plain = simulate(&spec, &platform, intra_node());
-        let (traced, timelines) = simulate_traced(&spec, &platform, intra_node());
+        let traced = simulate_with_options(
+            &spec,
+            &platform,
+            intra_node(),
+            &RunOptions {
+                timelines: true,
+                ..RunOptions::default()
+            },
+        );
         assert_eq!(plain.exec_time, traced.exec_time);
+        assert!(plain.timelines.is_none());
+        let timelines = traced.timelines.as_ref().expect("timelines were asked for");
         assert_eq!(timelines.len(), 3);
         // Per-rank timeline durations reconcile with the clock categories.
         use summagen_comm::TraceKind;
@@ -404,11 +299,17 @@ mod tests {
         let spec = Shape::BlockRectangle.build(n, &areas);
         let platform = hclserver1();
         let power = hclserver1_power_model();
-        let approx = simulate_with_energy(&spec, &platform, intra_node(), &power)
+        let approx = simulate(&spec, &platform, intra_node())
+            .with_energy(&power)
             .energy
             .unwrap();
-        let (report, timelines) = simulate_traced(&spec, &platform, intra_node());
-        let exact = metered_energy_from_timelines(&timelines, &power, report.exec_time);
+        let timed = RunOptions {
+            timelines: true,
+            ..RunOptions::default()
+        };
+        let exact = simulate_with_options(&spec, &platform, intra_node(), &timed)
+            .timeline_energy(&power)
+            .expect("timelines were asked for");
         let rel =
             (exact.dynamic_energy_j - approx.dynamic_energy_j).abs() / approx.dynamic_energy_j;
         assert!(rel < 0.05, "timeline vs approx energy differ by {rel}");
@@ -422,8 +323,15 @@ mod tests {
         let platform = hclserver1();
         let plain = simulate(&spec, &platform, intra_node());
         let metrics = summagen_comm::RuntimeMetrics::fresh();
-        let metered =
-            simulate_observed(&spec, &platform, intra_node(), None, Some(metrics.clone()));
+        let metered = simulate_with_options(
+            &spec,
+            &platform,
+            intra_node(),
+            &RunOptions {
+                metrics: Some(metrics.clone()),
+                ..RunOptions::default()
+            },
+        );
         assert_eq!(plain.exec_time, metered.exec_time);
         // One virtual GEMM record per owned sub-partition; flops match the
         // report's total.

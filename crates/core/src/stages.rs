@@ -84,35 +84,29 @@ fn col_participants(spec: &PartitionSpec, bj: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Stage 1 (Fig. 2): horizontal communications of `A`. After this call,
-/// every rank holds (or, in phantom mode, has paid the communication cost
-/// for) all `A` elements of every sub-partition row it participates in.
-///
-/// Returns `Err` if a broadcast fails — typically because a participating
-/// rank died mid-stage, surfaced as [`summagen_comm::CommError::PeerFailed`].
-pub(crate) fn horizontal_a(
+/// The paper's three stages on one rank: the horizontal communications of
+/// `A` (Fig. 2), the vertical communications of `B` (Fig. 3), then the
+/// local computations (Fig. 4), a block's DGEMM advancing the virtual clock
+/// by `block_seconds`. Returns the computed `C` blocks (none in phantom
+/// mode), or `Err` if a broadcast fails — typically because a
+/// participating rank died mid-stage, surfaced as
+/// [`summagen_comm::CommError::PeerFailed`].
+pub(crate) fn three_stages(
     comm: &Communicator,
     spec: &PartitionSpec,
-    rank: usize,
     state: &mut StageData<'_>,
-) -> CommResult<()> {
-    broadcast_stage(comm, spec, rank, state, Operand::A)
+    block_seconds: impl Fn(&ProcBlock) -> f64,
+) -> CommResult<Vec<(ProcBlock, DenseMatrix)>> {
+    let rank = comm.rank();
+    broadcast_stage(comm, spec, rank, state, Operand::A)?;
+    broadcast_stage(comm, spec, rank, state, Operand::B)?;
+    Ok(local_compute(comm, spec, rank, state, block_seconds).0)
 }
 
-/// Stage 2 (Fig. 3): vertical communications of `B`, symmetric to stage 1
-/// over sub-partition columns.
-pub(crate) fn vertical_b(
-    comm: &Communicator,
-    spec: &PartitionSpec,
-    rank: usize,
-    state: &mut StageData<'_>,
-) -> CommResult<()> {
-    broadcast_stage(comm, spec, rank, state, Operand::B)
-}
-
-/// Stages 1 and 2: one broadcast per block of every lane (a sub-partition
+/// Stage 1 or 2: one broadcast per block of every lane (a sub-partition
 /// row for `A`, a column for `B`) `rank` participates in, rooted at the
-/// block's owner. The owner sends the buffer it was dealt and everybody
+/// block's owner. Afterwards the rank holds (or, in phantom mode, has paid
+/// the communication cost for) every `operand` block of those lanes. The owner sends the buffer it was dealt and everybody
 /// files what they receive in the panel table — nothing is copied here.
 fn broadcast_stage(
     comm: &Communicator,
@@ -256,7 +250,7 @@ fn k_segments(spec: &PartitionSpec) -> Vec<KSegment> {
 /// call, 1 after). `Blocked` and `Parallel` add every element's terms one
 /// by one in ascending `k` whatever the split, so the chain yields the bits
 /// of the single call; `Naive` rounds once per call (see its rustdoc).
-pub(crate) fn local_compute(
+fn local_compute(
     comm: &Communicator,
     spec: &PartitionSpec,
     rank: usize,
@@ -426,8 +420,8 @@ mod tests {
                     panels: PanelTable::new(spec),
                     kernel: GemmKernel::default(),
                 };
-                horizontal_a(&comm, spec, rank, &mut state)?;
-                vertical_b(&comm, spec, rank, &mut state)?;
+                broadcast_stage(&comm, spec, rank, &mut state, Operand::A)?;
+                broadcast_stage(&comm, spec, rank, &mut state, Operand::B)?;
                 match state {
                     StageData::Real { panels, .. } => Ok(panels),
                     StageData::Phantom => unreachable!(),

@@ -11,12 +11,7 @@
 //! broadcasts — comparing the two on the same virtual platform is the
 //! baseline ablation in `benches/ablations.rs` and `reproduce summa`.
 
-use std::sync::Arc;
-
-use summagen_comm::{
-    ClockSnapshot, CostModel, EventSink, HockneyModel, SpanKind, StageLabel, TrafficStats,
-    Universe, ZeroCost,
-};
+use summagen_comm::{ClockSnapshot, CostModel, HockneyModel, TrafficStats, Universe};
 use summagen_matrix::{gemm_blocked, DenseMatrix};
 use summagen_platform::Platform;
 
@@ -41,24 +36,12 @@ fn offsets(n: usize, parts: usize) -> Vec<usize> {
 }
 
 /// Multiplies `A × B` with classic SUMMA on a `pr × pc` grid using panel
-/// width `nb`, with free communication.
+/// width `nb`, pricing communication with `cost`.
 ///
 /// # Panics
 /// Panics unless `A`/`B` are square and of equal size, `pr·pc ≥ 1`, and
 /// `n ≥ max(pr, pc)`.
 pub fn summa_multiply(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    pr: usize,
-    pc: usize,
-    nb: usize,
-) -> SummaResult {
-    summa_multiply_with_cost(a, b, pr, pc, nb, ZeroCost)
-}
-
-/// [`summa_multiply`] with a communication cost model for the virtual
-/// clocks.
-pub fn summa_multiply_with_cost(
     a: &DenseMatrix,
     b: &DenseMatrix,
     pr: usize,
@@ -103,9 +86,6 @@ pub fn summa_multiply_with_cost(
         // Panel loop: panels never straddle an owner boundary.
         let mut k0 = 0;
         while k0 < n {
-            if let Some(m) = comm.metrics() {
-                m.panel_steps.inc();
-            }
             // Owner column of A panel / owner row of B panel.
             let jk = cols.partition_point(|&c| c <= k0) - 1;
             let ik = rows.partition_point(|&r| r <= k0) - 1;
@@ -188,44 +168,12 @@ pub fn summa_simulate(
     platform: &Platform,
     hockney: HockneyModel,
 ) -> (f64, Vec<ClockSnapshot>) {
-    summa_simulate_with_sink(n, pr, pc, nb, platform, hockney, None)
-}
-
-/// Like [`summa_simulate`], additionally reporting every runtime event to
-/// `sink`, with one `summa-panel` stage span per panel-loop iteration —
-/// the pipelined schedule becomes directly comparable to SummaGen's
-/// three-stage traces in Perfetto.
-pub fn summa_simulate_instrumented(
-    n: usize,
-    pr: usize,
-    pc: usize,
-    nb: usize,
-    platform: &Platform,
-    hockney: HockneyModel,
-    sink: Arc<dyn EventSink>,
-) -> (f64, Vec<ClockSnapshot>) {
-    summa_simulate_with_sink(n, pr, pc, nb, platform, hockney, Some(sink))
-}
-
-fn summa_simulate_with_sink(
-    n: usize,
-    pr: usize,
-    pc: usize,
-    nb: usize,
-    platform: &Platform,
-    hockney: HockneyModel,
-    sink: Option<Arc<dyn EventSink>>,
-) -> (f64, Vec<ClockSnapshot>) {
     let p = pr * pc;
     assert!(platform.len() >= p, "platform too small for the grid");
     assert!(n >= pr && n >= pc && nb >= 1, "bad geometry");
     let rows = offsets(n, pr);
     let cols = offsets(n, pc);
-    let mut universe = Universe::new(p, hockney);
-    if let Some(sink) = sink {
-        universe = universe.with_event_sink(sink);
-    }
-    let clocks = universe.run(|comm| {
+    let clocks = Universe::new(p, hockney).run(|comm| {
         let rank = comm.rank();
         let (pi, pj) = (rank / pc, rank % pc);
         let (mr, mc) = (rows[pi + 1] - rows[pi], cols[pj + 1] - cols[pj]);
@@ -235,43 +183,15 @@ fn summa_simulate_with_sink(
         let mut col_comm = comm.subgroup(&col_members, 2_000 + pj as u64).unwrap();
         let proc = &platform.processors[rank];
         let area = (mr * mc) as f64;
-        let tracing = comm.tracing_enabled();
 
         let mut k0 = 0;
         while k0 < n {
-            if let Some(m) = comm.metrics() {
-                m.panel_steps.inc();
-            }
-            let panel_start = tracing.then(|| comm.now());
             let jk = cols.partition_point(|&c| c <= k0) - 1;
             let ik = rows.partition_point(|&r| r <= k0) - 1;
             let kb = nb.min(cols[jk + 1] - k0).min(rows[ik + 1] - k0).min(n - k0);
             row_comm.bcast(jk, summagen_comm::Payload::Phantom { elems: mr * kb });
             col_comm.bcast(ik, summagen_comm::Payload::Phantom { elems: kb * mc });
-            let gemm_start = tracing.then(|| comm.now());
             comm.advance_compute(proc.dgemm_time(mr, kb, mc, area));
-            if let Some(t0) = gemm_start {
-                comm.emit(
-                    t0,
-                    comm.now(),
-                    SpanKind::Gemm {
-                        m: mr,
-                        n: mc,
-                        k: kb,
-                        flops: 2.0 * mr as f64 * mc as f64 * kb as f64,
-                        kernel_ns: 0,
-                    },
-                );
-            }
-            if let Some(t0) = panel_start {
-                comm.emit(
-                    t0,
-                    comm.now(),
-                    SpanKind::Stage {
-                        stage: StageLabel::SummaPanel,
-                    },
-                );
-            }
             k0 += kb;
         }
         comm.clock_snapshot()
@@ -283,6 +203,7 @@ fn summa_simulate_with_sink(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use summagen_comm::ZeroCost;
     use summagen_matrix::{approx_eq, gemm_naive, gemm_tolerance, random_matrix};
 
     fn reference(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
@@ -309,7 +230,7 @@ mod tests {
         let n = 32;
         let a = random_matrix(n, n, 1);
         let b = random_matrix(n, n, 2);
-        let r = summa_multiply(&a, &b, 2, 2, 8);
+        let r = summa_multiply(&a, &b, 2, 2, 8, ZeroCost);
         assert!(approx_eq(
             &r.c,
             &reference(&a, &b),
@@ -327,7 +248,7 @@ mod tests {
         ] {
             let a = random_matrix(n, n, 10);
             let b = random_matrix(n, n, 11);
-            let r = summa_multiply(&a, &b, pr, pc, nb);
+            let r = summa_multiply(&a, &b, pr, pc, nb, ZeroCost);
             assert!(
                 approx_eq(&r.c, &reference(&a, &b), gemm_tolerance(n) * 100.0),
                 "n={n} grid {pr}x{pc} nb={nb}"
@@ -340,7 +261,7 @@ mod tests {
         let n = 16;
         let a = random_matrix(n, n, 3);
         let b = random_matrix(n, n, 4);
-        let r = summa_multiply(&a, &b, 1, 1, 4);
+        let r = summa_multiply(&a, &b, 1, 1, 4, ZeroCost);
         assert!(approx_eq(
             &r.c,
             &reference(&a, &b),
@@ -354,8 +275,8 @@ mod tests {
         let n = 24;
         let a = random_matrix(n, n, 5);
         let b = random_matrix(n, n, 6);
-        let r1 = summa_multiply(&a, &b, 2, 2, 1);
-        let r2 = summa_multiply(&a, &b, 2, 2, 12);
+        let r1 = summa_multiply(&a, &b, 2, 2, 1, ZeroCost);
+        let r2 = summa_multiply(&a, &b, 2, 2, 12, ZeroCost);
         assert!(approx_eq(&r1.c, &r2.c, 1e-10));
     }
 
@@ -364,8 +285,8 @@ mod tests {
         let n = 32;
         let a = random_matrix(n, n, 7);
         let b = random_matrix(n, n, 8);
-        let wide = summa_multiply(&a, &b, 2, 2, 16);
-        let narrow = summa_multiply(&a, &b, 2, 2, 2);
+        let wide = summa_multiply(&a, &b, 2, 2, 16, ZeroCost);
+        let narrow = summa_multiply(&a, &b, 2, 2, 2, ZeroCost);
         let msgs = |r: &SummaResult| r.traffic.iter().map(|t| t.msgs_sent).sum::<u64>();
         assert!(msgs(&narrow) > msgs(&wide));
     }
@@ -386,7 +307,7 @@ mod tests {
         let n = 24;
         let a = random_matrix(n, n, 9);
         let b = random_matrix(n, n, 10);
-        let r = summa_multiply_with_cost(&a, &b, 2, 2, 6, HockneyModel::intra_node());
+        let r = summa_multiply(&a, &b, 2, 2, 6, HockneyModel::intra_node());
         assert!(r.exec_time > 0.0);
         assert!(r.clocks.iter().all(|c| c.comm_time > 0.0));
     }

@@ -21,7 +21,7 @@
 //!   fsync), lazy vs. commit durability classes, and the crash seam
 //!   (unflushed records are exactly what a crash loses; a torn write
 //!   additionally truncates the durable tail mid-record).
-//! * [`replay`] — the recovery path: scan the durable bytes to the
+//! * [`mod@replay`] — the recovery path: scan the durable bytes to the
 //!   longest valid prefix and fold the records into a
 //!   [`RecoveredState`] — the queue, quotas, in-flight set with resume
 //!   fractions, and the terminal outcomes that make resubmission

@@ -9,7 +9,7 @@
 //!   faster, one link free) through the happens-before DAG and ranks
 //!   the makespan reductions ([`rank_opportunities`]), with
 //!   [`sensitivity`] curves showing how each win decays for partial
-//!   speedups. Built on [`summagen_trace::replay`].
+//!   speedups. Built on [`summagen_trace::replay()`].
 //! * **Is a tenant's SLO burning?** — [`slo`] evaluates declarative
 //!   per-tenant objectives ([`SloSpec`]: p95 latency, deadline
 //!   hit-rate, availability) with multi-window burn-rate alerting

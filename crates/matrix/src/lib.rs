@@ -18,7 +18,6 @@ pub mod gen;
 pub mod oocgemm;
 pub mod ops;
 pub mod strassen;
-pub mod trans;
 pub mod view;
 
 pub use abft::{
@@ -32,7 +31,6 @@ pub use gen::{deterministic_matrix, random_matrix, seeded_rng};
 pub use oocgemm::{ooc_gemm, OocStats};
 pub use ops::{add, all_finite, axpy, norm_inf, norm_max, norm_one, sub};
 pub use strassen::{strassen_multiply, STRASSEN_CUTOFF};
-pub use trans::{gemm_trans, mul_trans, Trans};
 pub use view::{MatrixView, MatrixViewMut};
 
 /// Maximum absolute elementwise difference between two equally-sized

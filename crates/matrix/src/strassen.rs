@@ -1,5 +1,5 @@
 //! Strassen's matrix multiplication — the fast-algorithm thread of the
-//! paper's related work (communication-optimal Strassen, reference [23]).
+//! paper's related work (communication-optimal Strassen, reference \[23\]).
 //!
 //! The recursion multiplies two `n × n` matrices with 7 half-size
 //! products instead of 8 (`O(n^2.807)` flops), padding odd sizes and

@@ -7,7 +7,7 @@
 //! * Column-based rectangular partitioning is a 1.25-approximation of LB
 //!   (Nagamochi & Abe), improved to 1.15 under assumptions (Fügenschuh et
 //!   al.), and NRRP achieves `2/√3 ≈ 1.1547` with no assumptions
-//!   (Beaumont et al., reference [11]).
+//!   (Beaumont et al., reference \[11\]).
 //!
 //! The [`approximation_ratio`] helper measures where a concrete layout
 //! lands relative to the lower bound for its *achieved* areas, which is
@@ -17,7 +17,7 @@
 use crate::cost::half_perimeter_lower_bound;
 use crate::spec::PartitionSpec;
 
-/// NRRP's approximation guarantee `2/√3` (reference [11]).
+/// NRRP's approximation guarantee `2/√3` (reference \[11\]).
 pub const NRRP_GUARANTEE: f64 = 1.154_700_538_379_251_7;
 
 /// Nagamochi & Abe's recursive rectangular guarantee.

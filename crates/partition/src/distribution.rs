@@ -103,7 +103,7 @@ pub fn balanced_fpm_areas(n: usize, speeds: &[&dyn SpeedFunction]) -> Vec<f64> {
 
 /// A discrete functional performance model: execution time sampled on a
 /// uniform grid of areas. This is the input representation of the paper's
-/// load-imbalancing partitioner [17] — no smoothness or monotonicity is
+/// load-imbalancing partitioner \[17\] — no smoothness or monotonicity is
 /// assumed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiscreteFpm {
@@ -139,7 +139,7 @@ impl DiscreteFpm {
 ///
 /// Unlike the balanced partitioner this explores *all* grid distributions,
 /// so it exploits drops in the speed functions even when that leaves
-/// processors unequally loaded — the defining behaviour of [17].
+/// processors unequally loaded — the defining behaviour of \[17\].
 ///
 /// Returns the areas per processor (summing to `n²`).
 ///

@@ -1,5 +1,5 @@
 //! Exact optimization over the candidate shape families — the "exact
-//! algorithm" of Beaumont et al. (reference [12] of the paper), used
+//! algorithm" of Beaumont et al. (reference \[12\] of the paper), used
 //! there to analyze how close the best approximate solutions come to the
 //! true optimum for three partitions.
 //!
@@ -12,7 +12,7 @@
 //! Section V constructions can be measured.
 //!
 //! Complexity is `O(n²)` candidates per two-parameter family, so this is
-//! meant for moderate `n` (the analysis scale of [12]), not for
+//! meant for moderate `n` (the analysis scale of \[12\]), not for
 //! production partitioning.
 
 use summagen_platform::speed::SpeedFunction;
@@ -157,21 +157,6 @@ pub fn exact_three_processor_optimum(
     result
 }
 
-/// How close a heuristic §V construction comes to the exact optimum:
-/// returns `heuristic_cost / exact_cost ≥ 1`.
-pub fn heuristic_accuracy(
-    n: usize,
-    shape: Shape,
-    areas: &[f64],
-    speeds: &[&dyn SpeedFunction],
-    alpha: f64,
-    beta: f64,
-) -> f64 {
-    let heuristic = shape.build(n, areas);
-    let exact = exact_three_processor_optimum(n, speeds, alpha, beta);
-    cost_of(&heuristic, speeds, alpha, beta) / exact.cost
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,8 +194,9 @@ mod tests {
         let ds = dyn_speeds(&sp);
         let n = 32;
         let areas = proportional_areas(n, &[1.0, 2.0, 0.9]);
+        let exact = exact_three_processor_optimum(n, &ds, 1e-6, 1e-9);
         for shape in crate::shapes::ALL_FOUR_SHAPES {
-            let ratio = heuristic_accuracy(n, shape, &areas, &ds, 1e-6, 1e-9);
+            let ratio = cost_of(&shape.build(n, &areas), &ds, 1e-6, 1e-9) / exact.cost;
             assert!(
                 (1.0..1.25).contains(&ratio),
                 "{}: heuristic/exact = {ratio}",

@@ -27,7 +27,6 @@ pub mod cost;
 pub mod distribution;
 pub mod energy_opt;
 pub mod exact;
-pub mod fpm2d;
 pub mod nrrp;
 pub mod placement;
 pub mod refine;
@@ -43,8 +42,7 @@ pub use distribution::{
     balanced_fpm_areas, load_imbalancing_areas, proportional_areas, DiscreteFpm,
 };
 pub use energy_opt::energy_optimal_areas;
-pub use exact::{exact_three_processor_optimum, heuristic_accuracy, ExactResult};
-pub use fpm2d::{fpm_kl_layout, AspectAwareSpeed, Bilinear2d, Speed2d};
+pub use exact::{exact_three_processor_optimum, ExactResult};
 pub use nrrp::nrrp_layout;
 pub use placement::{inter_node_traffic, optimal_placement, pairwise_traffic};
 pub use refine::{push_optimize, PushResult};

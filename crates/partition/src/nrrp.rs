@@ -1,5 +1,5 @@
 //! NRRP — non-rectangular recursive partitioning (Beaumont,
-//! Eyraud-Dubois & Lambert, IPDPS 2016; reference [11] of the paper).
+//! Eyraud-Dubois & Lambert, IPDPS 2016; reference \[11\] of the paper).
 //!
 //! NRRP combines the recursive guillotine partitioning of Nagamochi & Abe
 //! with the square-corner idea of Becker et al.: a rectangle is

@@ -1,5 +1,5 @@
 //! Shape refinement via the "Push Technique" (DeFlumere & Lastovetsky,
-//! references [9], [10] of the paper).
+//! references \[9\], \[10\] of the paper).
 //!
 //! The Push Technique incrementally improves a candidate partition shape
 //! by moving elements between processors whenever the move lowers the

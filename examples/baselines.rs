@@ -7,6 +7,7 @@
 //! cargo run --example baselines
 //! ```
 
+use summagen_comm::ZeroCost;
 use summagen_core::{
     cannon_multiply, caps_multiply, multiply, summa25d_multiply, summa_cyclic_multiply,
     summa_multiply, BlockCyclic, ExecutionMode,
@@ -54,27 +55,27 @@ fn main() {
     }
 
     // Classic SUMMA, 2x2 grid.
-    let r = summa_multiply(&a, &b, 2, 2, 8);
+    let r = summa_multiply(&a, &b, 2, 2, 8, ZeroCost);
     let bytes = r.traffic.iter().map(|t| t.bytes_sent).sum();
     report("classic SUMMA (2x2, nb=8)", 4, &r.c, bytes);
 
     // Block-cyclic SUMMA.
-    let (c, _, traffic) = summa_cyclic_multiply(&a, &b, BlockCyclic::new(8, 2, 2));
+    let (c, _, traffic) = summa_cyclic_multiply(&a, &b, BlockCyclic::new(8, 2, 2), ZeroCost);
     let bytes = traffic.iter().map(|t| t.bytes_sent).sum();
     report("block-cyclic SUMMA (nb=8, 2x2)", 4, &c, bytes);
 
     // Cannon on a 4x4 torus.
-    let r = cannon_multiply(&a, &b, 4);
+    let r = cannon_multiply(&a, &b, 4, ZeroCost);
     let bytes = r.traffic.iter().map(|t| t.bytes_sent).sum();
     report("Cannon (4x4)", 16, &r.c, bytes);
 
     // 2.5D with two replication layers.
-    let r = summa25d_multiply(&a, &b, 4, 2);
+    let r = summa25d_multiply(&a, &b, 4, 2, ZeroCost);
     let bytes = r.traffic.iter().map(|t| t.bytes_sent).sum();
     report("2.5D (q=4, c=2)", 32, &r.c, bytes);
 
     // Parallel Strassen (CAPS-style BFS step over 7 ranks).
-    let r = caps_multiply(&a, &b);
+    let r = caps_multiply(&a, &b, ZeroCost);
     let bytes = r.traffic.iter().map(|t| t.bytes_sent).sum();
     report("parallel Strassen (CAPS, p=7)", 7, &r.c, bytes);
 

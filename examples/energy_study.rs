@@ -7,7 +7,7 @@
 //! ```
 
 use summagen_comm::HockneyModel;
-use summagen_core::simulate_with_energy;
+use summagen_core::simulate;
 use summagen_partition::{proportional_areas, ALL_FOUR_SHAPES};
 use summagen_platform::energy::hclserver1_power_model;
 use summagen_platform::profile::hclserver1;
@@ -35,7 +35,7 @@ fn main() {
         let mut energies = Vec::new();
         for shape in ALL_FOUR_SHAPES {
             let spec = shape.build(n, &areas);
-            let r = simulate_with_energy(&spec, &platform, link, &power);
+            let r = simulate(&spec, &platform, link).with_energy(&power);
             let e = r.energy.unwrap().dynamic_energy_j;
             energies.push(e);
             row.push_str(&format!("{e:>18.0}"));

@@ -8,7 +8,7 @@
 //! ```
 
 use summagen_comm::HockneyModel;
-use summagen_core::simulate_with_energy;
+use summagen_core::simulate;
 use summagen_partition::{proportional_areas, ALL_FOUR_SHAPES};
 use summagen_platform::energy::hclserver1_power_model;
 use summagen_platform::profile::hclserver1;
@@ -40,7 +40,7 @@ fn main() {
     let mut times = Vec::new();
     for shape in ALL_FOUR_SHAPES {
         let spec = shape.build(n, &areas);
-        let r = simulate_with_energy(&spec, &platform, link, &power);
+        let r = simulate(&spec, &platform, link).with_energy(&power);
         println!(
             "{:<20}{:>10.2}{:>10.2}{:>10.2}{:>12.0}{:>10.2}",
             shape.name(),

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::thread;
 
 use summagen_comm::{HockneyModel, RuntimeMetrics};
-use summagen_core::simulate_observed;
+use summagen_core::{simulate_with_options, RunOptions};
 use summagen_metrics::MetricsRegistry;
 use summagen_partition::{proportional_areas, Shape};
 use summagen_platform::profile::hclserver1;
@@ -48,12 +48,14 @@ fn kernel_renderer(n: usize) -> Renderer {
     let areas = proportional_areas(n, &[1.0, 2.0, 0.9]);
     let spec = Shape::SquareCorner.build(n, &areas);
     let metrics = RuntimeMetrics::fresh();
-    let report = simulate_observed(
+    let report = simulate_with_options(
         &spec,
         &platform,
         HockneyModel::intra_node(),
-        None,
-        Some(metrics.clone()),
+        &RunOptions {
+            metrics: Some(metrics.clone()),
+            ..RunOptions::default()
+        },
     );
     eprintln!(
         "SummaGen / square corner, N = {n}: exec {:.4} s, {} sends / {} bytes metered",

@@ -8,7 +8,7 @@
 //! ```
 
 use summagen_comm::{HockneyModel, TraceKind};
-use summagen_core::{metered_energy_from_timelines, simulate_traced};
+use summagen_core::{simulate_with_options, RunOptions};
 use summagen_partition::{proportional_areas, Shape};
 use summagen_platform::energy::hclserver1_power_model;
 use summagen_platform::profile::hclserver1;
@@ -22,7 +22,16 @@ fn main() {
     let platform = hclserver1();
     let areas = proportional_areas(n, &[1.0, 2.0, 0.9]);
     let spec = Shape::SquareCorner.build(n, &areas);
-    let (report, timelines) = simulate_traced(&spec, &platform, HockneyModel::intra_node());
+    let report = simulate_with_options(
+        &spec,
+        &platform,
+        HockneyModel::intra_node(),
+        &RunOptions {
+            timelines: true,
+            ..RunOptions::default()
+        },
+    );
+    let timelines = report.timelines.as_ref().expect("timelines were asked for");
 
     println!(
         "SummaGen / square corner, N = {n}: exec {:.2} s (comp {:.2} s, comm {:.2} s)\n",
@@ -58,7 +67,9 @@ fn main() {
     }
 
     let power = hclserver1_power_model();
-    let exact = metered_energy_from_timelines(&timelines, &power, report.exec_time);
+    let exact = report
+        .timeline_energy(&power)
+        .expect("timelines were asked for");
     println!(
         "\ndynamic energy (timeline-sampled, 1 Hz WattsUp model): {:.0} J",
         exact.dynamic_energy_j

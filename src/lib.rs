@@ -28,10 +28,10 @@ pub mod prelude {
         RankFailure, SpanKind, SpanRecord, Universe, ZeroCost,
     };
     pub use summagen_core::{
-        multiply, multiply_abft, multiply_abft_traced, multiply_traced, multiply_with_cost,
-        multiply_with_recovery, simulate, simulate_instrumented, simulate_with_energy, AbftOptions,
-        AbftReport, AbftRunResult, ExecutionMode, RecoveryOptions, RecoveryReport, RunResult,
-        SimReport,
+        multiply, multiply_abft, multiply_traced, multiply_with_cost, multiply_with_options,
+        multiply_with_recovery, simulate, simulate_instrumented, simulate_with_options,
+        AbftOptions, AbftReport, AbftRunResult, ExecutionMode, RecoveryOptions, RecoveryReport,
+        RunOptions, RunResult, SimReport,
     };
     pub use summagen_matrix::{random_matrix, DenseMatrix, GemmKernel};
     pub use summagen_partition::{

@@ -1,0 +1,128 @@
+//! The shape of `summagen-core`'s public surface after ISSUE 16: a fixed
+//! list of entry points over one engine, and one place where a run's
+//! receive timeout comes from.
+//!
+//! The environment test is the only test of this binary that launches
+//! ranks, so setting a process-wide variable in it cannot disturb another.
+
+use std::time::{Duration, Instant};
+
+use summagen_comm::{FaultPlan, ZeroCost, RECV_TIMEOUT_ENV};
+use summagen_core::{multiply_with_recovery, ExecutionMode, RecoveryOptions};
+use summagen_matrix::{gemm_naive, max_abs_diff, random_matrix, DenseMatrix};
+use summagen_partition::Shape;
+
+/// Every `multiply*` / `simulate*` / `summa*` name `summagen-core` exports.
+/// A new `_with_x` variant fails here: what differs between two runs is a
+/// field of `RunOptions`, not a function.
+const ENTRY_POINTS: [&str; 15] = [
+    "multiply",
+    "multiply_abft",
+    "multiply_abft_prefix",
+    "multiply_panelled",
+    "multiply_traced",
+    "multiply_with_cost",
+    "multiply_with_options",
+    "multiply_with_recovery",
+    "simulate",
+    "simulate_instrumented",
+    "simulate_with_options",
+    "summa25d_multiply",
+    "summa_cyclic_multiply",
+    "summa_multiply",
+    "summa_simulate",
+];
+
+/// The identifiers of `text` that start like an entry point, sorted.
+fn entry_point_names<'a>(text: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
+    let mut names: Vec<&str> = text
+        .flat_map(|line| line.split(|c: char| !c.is_ascii_alphanumeric() && c != '_'))
+        .filter(|word| {
+            ["multiply", "simulate", "summa"]
+                .iter()
+                .any(|prefix| word.starts_with(prefix))
+        })
+        .collect();
+    names.sort_unstable();
+    names.dedup();
+    names
+}
+
+#[test]
+fn the_exported_entry_points_are_exactly_the_pinned_list() {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src");
+    let read = |path: &std::path::Path| std::fs::read_to_string(path).expect("readable source");
+
+    // What the crate root re-exports (the module name `summa` rides along).
+    let lib = read(&src.join("lib.rs"));
+    let reexported = entry_point_names(lib.lines().skip_while(|l| !l.starts_with("pub use")));
+    let mut want: Vec<&str> = ENTRY_POINTS.to_vec();
+    want.push("summa");
+    want.sort_unstable();
+    assert_eq!(reexported, want, "re-exports of crates/core/src/lib.rs");
+
+    // What the crate's public modules declare, re-exported or not.
+    let sources: Vec<String> = std::fs::read_dir(&src)
+        .expect("crates/core/src")
+        .map(|entry| read(&entry.expect("directory entry").path()))
+        .collect();
+    let declared = entry_point_names(
+        sources
+            .iter()
+            .flat_map(|file| file.lines())
+            .filter_map(|line| line.trim_start().strip_prefix("pub fn ")),
+    );
+    assert_eq!(declared, ENTRY_POINTS, "`pub fn`s under crates/core/src");
+}
+
+/// `RecoveryOptions::default()` used to store the compiled 60 s constant
+/// and hand it to `Universe::recv_timeout`, overriding the environment the
+/// runtime documents. A dropped panel makes the difference observable: the
+/// starved receivers give up after the configured 300 ms, not after a
+/// minute, and an explicitly set timeout still wins over the environment.
+#[test]
+fn default_recovery_options_run_under_the_environments_receive_timeout() {
+    let n = 24;
+    let a = random_matrix(n, n, 29);
+    let b = random_matrix(n, n, 30);
+    let mut want = DenseMatrix::zeros(n, n);
+    let (x, y) = (a.as_slice(), b.as_slice());
+    gemm_naive(n, n, n, 1.0, x, n, y, n, 0.0, want.as_mut_slice(), n);
+    // Rank 0's first broadcast panel never arrives: attempt 1 ends in
+    // timeouts that name no culprit, attempt 2 reuses all three devices.
+    let faults = [FaultPlan::new().drop_message(0, 1, 0)];
+    let run = |opts: &RecoveryOptions| {
+        let start = Instant::now();
+        let res = multiply_with_recovery(
+            Shape::SquareCorner,
+            &[1.0, 2.0, 0.9],
+            &a,
+            &b,
+            ExecutionMode::Real,
+            ZeroCost,
+            &faults,
+            opts,
+        )
+        .expect("the retry succeeds");
+        let report = res.recovery.expect("a retry happened");
+        assert_eq!(report.attempts, 2);
+        assert!(report.failed_devices.is_empty());
+        assert!(report.failure_causes.iter().any(|(l, _)| l == "timeout"));
+        assert!(max_abs_diff(&res.c, &want) < 1e-9);
+        start.elapsed()
+    };
+
+    std::env::set_var(RECV_TIMEOUT_ENV, "300");
+    let from_env = RecoveryOptions::default();
+    std::env::set_var(RECV_TIMEOUT_ENV, "3600000");
+    let explicit = RecoveryOptions {
+        recv_timeout: Duration::from_millis(300),
+        ..RecoveryOptions::default()
+    };
+    let took = [run(&from_env), run(&explicit)];
+    std::env::remove_var(RECV_TIMEOUT_ENV);
+    assert_eq!(from_env.recv_timeout, Duration::from_millis(300));
+    for t in took {
+        assert!(t < Duration::from_secs(20), "a 300 ms timeout took {t:?}");
+    }
+}

@@ -3,7 +3,7 @@
 //! criteria from DESIGN.md.
 
 use summagen_comm::HockneyModel;
-use summagen_core::{simulate, simulate_with_energy};
+use summagen_core::simulate;
 use summagen_partition::{
     load_imbalancing_areas, proportional_areas, DiscreteFpm, Shape, ALL_FOUR_SHAPES,
 };
@@ -75,7 +75,8 @@ fn cpm_dynamic_energies_tie() {
     let energies: Vec<f64> = ALL_FOUR_SHAPES
         .iter()
         .map(|s| {
-            simulate_with_energy(&s.build(n, &areas), &platform, link(), &power)
+            simulate(&s.build(n, &areas), &platform, link())
+                .with_energy(&power)
                 .energy
                 .unwrap()
                 .dynamic_energy_j

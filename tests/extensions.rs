@@ -2,6 +2,7 @@
 //! refinement, the energy-optimal partitioner and classic SUMMA, all
 //! exercised through the full pipeline.
 
+use summagen_comm::ZeroCost;
 use summagen_core::{multiply, summa_multiply, ExecutionMode};
 use summagen_matrix::{approx_eq, gemm_naive, gemm_tolerance, random_matrix, DenseMatrix};
 use summagen_partition::{
@@ -145,7 +146,7 @@ fn summa_and_summagen_agree_numerically() {
     let n = 36;
     let a = random_matrix(n, n, 9);
     let b = random_matrix(n, n, 10);
-    let summa = summa_multiply(&a, &b, 2, 2, 6);
+    let summa = summa_multiply(&a, &b, 2, 2, 6, ZeroCost);
     let areas = summagen_partition::proportional_areas(n, &[1.0, 1.0, 1.0, 1.0]);
     let spec = Shape::OneDRectangular.build(n, &areas);
     let sg = multiply(&spec, &a, &b, ExecutionMode::Real);

@@ -13,14 +13,18 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::prelude::*;
 use summagen_comm::{
-    Backend, BcastAlgorithm, FaultPlan, Payload, RuntimeMetrics, SpanKind, Universe, ZeroCost,
+    Backend, BcastAlgorithm, FaultPlan, HockneyModel, Payload, RuntimeMetrics, SpanKind, Universe,
+    ZeroCost,
 };
 use summagen_core::{
-    multiply, multiply_traced, multiply_with_recovery, ExecutionMode, RecoveryOptions,
+    multiply, multiply_abft, multiply_traced, multiply_with_cost, multiply_with_options,
+    multiply_with_recovery, simulate, simulate_instrumented, simulate_with_options, AbftOptions,
+    ExecutionMode, RecoveryOptions, RunOptions, RunResult,
 };
 use summagen_durable::fnv1a_words;
 use summagen_matrix::{gemm_blocked, random_matrix, DenseMatrix, GemmKernel};
 use summagen_partition::{proportional_areas, PartitionSpec, Shape, ALL_FOUR_SHAPES};
+use summagen_platform::profile::hclserver1;
 use summagen_trace::TraceRecorder;
 
 const SPEEDS: [f64; 3] = [1.0, 2.0, 0.9];
@@ -104,7 +108,172 @@ fn products_and_traffic_match_the_goldens_on_both_backends() {
             )
             .expect("fault-free TCP run");
             assert_eq!(digest(&tcp.c), want, "{ctx}: TCP backend");
+            // Options do not interact with the matrix size; once is enough.
+            if n == GOLDEN[0].0 {
+                wrappers_are_the_engine_with_equivalent_options(shape, &a, &b, &run);
+            }
         }
+    }
+}
+
+/// Every fixed-signature entry point is `multiply_with_options` with the
+/// equivalent options: the same bits of `C`, the same per-rank clocks and
+/// the same traffic, on the channel backend and over TCP. `plain` is what
+/// `multiply` returned for the same inputs.
+fn wrappers_are_the_engine_with_equivalent_options(
+    shape: Shape,
+    a: &DenseMatrix,
+    b: &DenseMatrix,
+    plain: &RunResult,
+) {
+    let n = a.rows();
+    let spec = paper_spec(shape, n);
+    let real = ExecutionMode::Real;
+    // A cost model that moves the clocks; under `ZeroCost` they all read 0.
+    let cost = HockneyModel::intra_node();
+    let same = |got: &RunResult, want: &RunResult, what: &str| {
+        let ctx = format!("{what}: {} at n = {n}", shape.name());
+        assert_eq!(digest(&got.c), digest(&want.c), "{ctx}: C");
+        assert_eq!(got.clocks, want.clocks, "{ctx}: clocks");
+        assert_eq!(got.traffic, want.traffic, "{ctx}: traffic");
+        let times = |r: &RunResult| [r.exec_time, r.comp_time, r.comm_time].map(f64::to_bits);
+        assert_eq!(times(got), times(want), "{ctx}: folded times");
+    };
+    let with = |opts: &RunOptions| {
+        multiply_with_options(&spec, a, b, real, cost, opts).expect("fault-free run")
+    };
+
+    let free = multiply_with_options(&spec, a, b, real, ZeroCost, &RunOptions::default())
+        .expect("fault-free run");
+    same(plain, &free, "multiply");
+    let priced = with(&RunOptions::default());
+    assert!(
+        priced.comm_time > 0.0,
+        "the cost model must move the clocks"
+    );
+    same(
+        &multiply_with_cost(&spec, a, b, real, cost),
+        &priced,
+        "multiply_with_cost",
+    );
+    // Watching a run changes nothing it reports.
+    let recorder = TraceRecorder::new(spec.nprocs);
+    let traced = multiply_traced(&spec, a, b, real, cost, recorder.clone() as Arc<_>);
+    same(&traced, &priced, "multiply_traced");
+    let observed = with(&RunOptions {
+        sink: Some(TraceRecorder::new(spec.nprocs) as Arc<_>),
+        metrics: Some(RuntimeMetrics::fresh()),
+        timelines: true,
+        ..RunOptions::default()
+    });
+    same(&observed, &priced, "sink + metrics + timelines");
+    for backend in [Backend::Channel, Backend::Tcp] {
+        let opts = RunOptions {
+            backend,
+            ..RunOptions::default()
+        };
+        let recovering = multiply_with_recovery(shape, &SPEEDS, a, b, real, cost, &[], &opts)
+            .expect("fault-free run");
+        assert!(recovering.recovery.is_none());
+        same(&recovering, &with(&opts), backend.name());
+        same(&recovering, &priced, "virtual time is backend-blind");
+    }
+}
+
+/// The phantom path's two fixed-signature entry points against
+/// `simulate_with_options`: whatever is watching — a sink, a metrics
+/// bundle, recorded timelines, any combination — `exec/comp/comm_time`
+/// keep their bits, and so do the clocks and the traffic.
+#[test]
+fn simulate_is_the_engine_whatever_is_watching() {
+    let platform = hclserver1();
+    let cost = HockneyModel::intra_node();
+    let n = 4_096;
+    for shape in ALL_FOUR_SHAPES {
+        let spec = paper_spec(shape, n);
+        let plain = simulate(&spec, &platform, cost);
+        assert!(plain.timelines.is_none() && plain.energy.is_none());
+        let times = |r: &summagen_core::SimReport| {
+            [r.exec_time, r.comp_time, r.comm_time].map(f64::to_bits)
+        };
+        let recorder = TraceRecorder::new(spec.nprocs);
+        let instrumented = simulate_instrumented(&spec, &platform, cost, recorder as Arc<_>);
+        assert_eq!(times(&instrumented), times(&plain), "{}", shape.name());
+        for watching in 0..8u32 {
+            let opts = RunOptions {
+                sink: (watching & 1 != 0).then(|| TraceRecorder::new(spec.nprocs) as Arc<_>),
+                metrics: (watching & 2 != 0).then(RuntimeMetrics::fresh),
+                timelines: watching & 4 != 0,
+                ..RunOptions::default()
+            };
+            let got = simulate_with_options(&spec, &platform, cost, &opts);
+            let ctx = format!("{} with watchers {watching:03b}", shape.name());
+            assert_eq!(times(&got), times(&plain), "{ctx}");
+            assert_eq!(got.clocks, plain.clocks, "{ctx}");
+            assert_eq!(got.traffic, plain.traffic, "{ctx}");
+            assert_eq!(
+                got.timelines.as_ref().map(Vec::len),
+                opts.timelines.then_some(spec.nprocs),
+                "{ctx}"
+            );
+        }
+    }
+}
+
+/// What lets the two recovery loops be one: the same kill, driven through
+/// the restarting executor and through the checkpointing one, is told the
+/// same way. Only `recompute_fraction` may differ (a resumed run executes
+/// less), and here not even that: the rank dies before any checkpoint.
+#[test]
+fn both_recovering_executors_report_a_kill_the_same_way() {
+    let n = 48;
+    let (a, b) = inputs(n);
+    let plan = [FaultPlan::new().kill_rank(1, 0)];
+    let opts = RecoveryOptions {
+        retry_backoff: 0.25,
+        recv_timeout: std::time::Duration::from_millis(2_000),
+        ..RecoveryOptions::default()
+    };
+    for shape in ALL_FOUR_SHAPES {
+        let real = ExecutionMode::Real;
+        let restarted =
+            multiply_with_recovery(shape, &SPEEDS, &a, &b, real, ZeroCost, &plan, &opts)
+                .expect("recovery absorbs the kill");
+        let resumed = multiply_abft(
+            shape,
+            &SPEEDS,
+            &a,
+            &b,
+            real,
+            ZeroCost,
+            &plan,
+            &opts,
+            &AbftOptions::default(),
+        )
+        .expect("recovery absorbs the kill");
+        assert_eq!(
+            digest(&restarted.c),
+            digest(&resumed.run.c),
+            "{}",
+            shape.name()
+        );
+        assert_eq!(resumed.abft.attempts, 2);
+        assert_eq!(resumed.abft.uncorrectable, 0);
+        let (x, y) = (
+            restarted.recovery.expect("a retry happened"),
+            resumed.run.recovery.expect("a retry happened"),
+        );
+        assert_eq!(x.attempts, y.attempts);
+        assert_eq!(x.failed_devices, y.failed_devices);
+        assert_eq!(x.surviving_devices, y.surviving_devices);
+        assert_eq!(x.final_loads, y.final_loads);
+        assert_eq!(x.backoff_time.to_bits(), y.backoff_time.to_bits());
+        assert_eq!(x.failure_causes, y.failure_causes, "{}", shape.name());
+        assert_eq!(x.announced_failures, y.announced_failures);
+        assert_eq!(x.detected_failures, y.detected_failures);
+        assert_eq!(x.max_detection_latency, y.max_detection_latency);
+        assert_eq!((x.recompute_fraction, y.recompute_fraction), (1.0, 1.0));
+        assert_eq!(y.recompute_fraction, resumed.abft.recompute_fraction);
     }
 }
 
