@@ -295,8 +295,9 @@ pub(crate) struct Shared {
     /// branch on the hot path.
     pub sink: Option<Arc<dyn EventSink>>,
     /// Per-global-rank send sequence counters, advanced only when a sink
-    /// is installed. Each rank's counter is touched only by its own
-    /// thread, so the sequence stream is deterministic.
+    /// is installed. Each rank's counter is touched only by the one thread
+    /// driving that rank (its own, or the thread hosting it), in the rank's
+    /// program order, so the sequence stream is deterministic.
     pub send_seq: Vec<AtomicU64>,
     /// Aggregate metrics bundle, if the universe was built with one
     /// (`Universe::with_metrics`). Like `sink`, `None` keeps every hook
@@ -308,8 +309,8 @@ pub(crate) struct Shared {
     /// reliable transport.
     pub link: Option<LinkState>,
     /// Per-`(src, dst)` transport sequence counters. Each counter is
-    /// only advanced from the sending rank's own thread, so sequence
-    /// streams are deterministic.
+    /// only advanced by the one thread driving the sending rank (its own,
+    /// or the thread hosting it), so sequence streams are deterministic.
     pub link_send_seq: Mutex<HashMap<(usize, usize), u64>>,
     /// At most one reordered packet held back per directed link, put on
     /// the wire when the next packet on that link overtakes it (or
@@ -984,9 +985,10 @@ impl Communicator {
 
     /// Delivers a span to the universe's event sink, if one is installed.
     /// This is how the algorithm layers (stages, GEMM wrappers) report
-    /// events without depending on the trace crate. Call only from this
-    /// rank's own thread (which is the only place a `Communicator` is
-    /// reachable from anyway).
+    /// events without depending on the trace crate. Call only from the
+    /// thread driving this rank — its own, or the one hosting it under
+    /// `Universe::host` — so that the sink keeps one producer per rank at a
+    /// time (a `Communicator` is not reachable from anywhere else anyway).
     pub fn emit(&self, start: f64, end: f64, kind: SpanKind) {
         if let Some(sink) = &self.shared.sink {
             sink.record(SpanRecord {

@@ -342,18 +342,23 @@ impl SpanRecord {
 
 /// Where the runtime delivers [`SpanRecord`]s.
 ///
-/// Implementations must be cheap and wait-free on the record path: every
-/// rank thread calls [`EventSink::record`] from inside its communication
-/// hot path. `summagen-trace`'s `TraceRecorder` (one single-writer ring
-/// buffer per rank) is the canonical implementation.
+/// Implementations must be cheap and wait-free on the record path:
+/// [`EventSink::record`] is called from inside the communication hot path.
+/// `summagen-trace`'s `TraceRecorder` (one single-producer ring buffer per
+/// rank) is the canonical implementation.
 ///
 /// # Threading contract
 ///
-/// `record` is called concurrently from all rank threads, but for a given
-/// `SpanRecord::rank` only ever from that rank's own thread — per-rank
-/// storage therefore needs no writer-side synchronization.
+/// *One producer per rank at a time, reads after the run returns.* For a
+/// given `SpanRecord::rank`, `record` is only ever called by the one thread
+/// driving that rank — the rank's own thread under `Universe::run` /
+/// `try_run` (so calls for *different* ranks are concurrent), the hosting
+/// thread under `Universe::host` (which is then the single producer for
+/// every rank). Per-rank storage therefore needs no writer-side
+/// synchronization; what was recorded may be read once the run has
+/// returned.
 pub trait EventSink: Send + Sync {
-    /// Delivers one span. Called from the recording rank's own thread.
+    /// Delivers one span. Called from the thread driving `span.rank`.
     fn record(&self, span: SpanRecord);
 }
 

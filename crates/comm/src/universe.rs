@@ -1,14 +1,18 @@
-//! The [`Universe`]: spawns one OS thread per rank and hands each a root
-//! [`Communicator`], the analogue of `MPI_COMM_WORLD`.
+//! The [`Universe`]: builds one root [`Communicator`] per rank, the
+//! analogue of `MPI_COMM_WORLD`, and runs them.
 //!
-//! Two entry points share the spawning machinery:
+//! There are two ways to run, over the same fabric (one private `open`
+//! builds the shared state, the transport and the communicators for both):
 //!
-//! * [`Universe::run`] — the historical infallible API: any rank panic
-//!   propagates as a `"rank panicked"` panic at the call site.
-//! * [`Universe::try_run`] — the fault-tolerant API: each rank's closure
-//!   returns `Result<R, CommError>`, rank panics (including injected
+//! * one OS thread per rank — [`Universe::run`], the historical infallible
+//!   API (any rank panic propagates as a `"rank panicked"` panic at the call
+//!   site), and [`Universe::try_run`], the fault-tolerant API: each rank's
+//!   closure returns `Result<R, CommError>`, rank panics (including injected
 //!   kills from a [`FaultPlan`]) are caught with `catch_unwind`, and the
-//!   aggregate outcome is `Result<Vec<R>, RankFailure>`.
+//!   aggregate outcome is `Result<Vec<R>, RankFailure>`;
+//! * no rank threads at all — [`Universe::host`] lends every communicator to
+//!   one closure on the calling thread, which issues each rank's operations
+//!   itself in an order that never receives before the matching send.
 //!
 //! When a rank dies under `try_run`, the *death-notice protocol* runs
 //! before its thread exits: the rank's death flag is set, its inbox is
@@ -353,13 +357,10 @@ impl Universe {
         self.size
     }
 
-    #[allow(clippy::type_complexity)]
-    fn build_shared(
-        &self,
-    ) -> (
-        Arc<Shared>,
-        Vec<crate::chan::Receiver<crate::message::Envelope>>,
-    ) {
+    /// A fresh fabric for one run, however it is driven: the shared state
+    /// (transport, fault and link state, sink, metrics) and one root
+    /// communicator per rank, clocks at zero.
+    fn open(&self) -> (Arc<Shared>, Vec<Communicator>) {
         let p = self.size;
         let mut senders = Vec::with_capacity(p);
         let mut receivers = Vec::with_capacity(p);
@@ -411,17 +412,9 @@ impl Universe {
             suspected: (0..p).map(|_| AtomicBool::new(false)).collect(),
             epoch: Instant::now(),
         });
-        (shared, receivers)
-    }
-
-    fn build_comms(
-        &self,
-        shared: &Arc<Shared>,
-        receivers: Vec<crate::chan::Receiver<crate::message::Envelope>>,
-        world_id: u64,
-    ) -> Vec<Communicator> {
-        let group: Arc<Vec<usize>> = Arc::new((0..self.size).collect());
-        receivers
+        let world_id = UNIVERSE_COUNTER.fetch_add(1, Ordering::Relaxed);
+        let group: Arc<Vec<usize>> = Arc::new((0..p).collect());
+        let comms = receivers
             .into_iter()
             .enumerate()
             .map(|(rank, rx)| {
@@ -433,13 +426,14 @@ impl Universe {
                     world_id,
                     rank,
                     Arc::clone(&group),
-                    Arc::clone(shared),
+                    Arc::clone(&shared),
                     Arc::new(Mutex::new(Mailbox::new(rx))),
                     Arc::new(Mutex::new(clock)),
                     Arc::new(Mutex::new(TrafficStats::default())),
                 )
             })
-            .collect()
+            .collect();
+        (shared, comms)
     }
 
     /// Runs `f` on every rank concurrently (one OS thread per rank) and
@@ -473,15 +467,58 @@ impl Universe {
         self.launch(f)
     }
 
+    /// Runs all ranks on the *calling* thread: `f` is lent every rank's
+    /// root communicator (index = rank) and issues their operations itself.
+    /// Same fabric as [`Universe::try_run`] — transport, cost model, link
+    /// plan, sink, metrics, per-rank clocks and mailboxes — so every
+    /// virtual time, counter and span is what the threaded run produces,
+    /// because a rank's clock depends only on the order of *its own*
+    /// operations and on the `arrival` stamps of what it receives.
+    ///
+    /// **Ordering obligation.** A receive is still the ordinary blocking
+    /// one, and nobody else will run the sender: `f` must issue, for every
+    /// message, the send before the matching receive (for a collective, the
+    /// root's call before the other members'), and each rank's operations in
+    /// that rank's program order. On channels the message is then already in
+    /// the mailbox; over [`Backend::Tcp`] the receive waits for the
+    /// transport's reader thread. A mis-ordered host gets
+    /// [`CommError::Timeout`] after the receive timeout, like any deadlock.
+    ///
+    /// **What it does not start:** no rank threads, no heartbeat watchdog
+    /// (a configured [`HeartbeatConfig`] still stamps activity and emits
+    /// `Heartbeat` spans, but nothing polls them — a hosted rank cannot hang
+    /// while its host runs) and no `catch_unwind` — a panic in `f`,
+    /// including a [`FaultPlan`] kill, unwinds through the caller, and no
+    /// death notice or `RankDeath` span is produced; a run that injects
+    /// failures belongs on [`Universe::try_run`]. The transport is shut down
+    /// when `f` returns.
+    ///
+    /// ```
+    /// use summagen_comm::{Payload, Universe, ZeroCost};
+    ///
+    /// let got = Universe::new(3, ZeroCost).host(|comms| {
+    ///     // Root first, then the receivers.
+    ///     for rank in [1, 0, 2] {
+    ///         comms[rank].bcast(1, Payload::U64(vec![7]));
+    ///     }
+    ///     comms[2].traffic().msgs_recv
+    /// });
+    /// assert_eq!(got, 1);
+    /// ```
+    pub fn host<R>(&self, f: impl FnOnce(&mut [Communicator]) -> R) -> R {
+        let (shared, mut comms) = self.open();
+        let out = f(&mut comms);
+        shared.transport.shutdown();
+        out
+    }
+
     fn launch<R, F>(&self, f: F) -> Result<Vec<R>, RankFailure>
     where
         R: Send,
         F: Fn(Communicator) -> Result<R, CommError> + Sync,
     {
         install_kill_silencer();
-        let (shared, receivers) = self.build_shared();
-        let world_id = UNIVERSE_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let comms = self.build_comms(&shared, receivers, world_id);
+        let (shared, comms) = self.open();
         // Ranks that returned (normally or with an error) stop stamping
         // activity; the watchdog must not mistake "done" for "hung".
         let finished: Arc<Vec<AtomicBool>> =
@@ -702,6 +739,43 @@ mod tests {
         let b = u.run(|comm| comm.now());
         assert_eq!(a, vec![1.0, 1.0]);
         assert_eq!(b, vec![0.0, 0.0]);
+    }
+
+    /// Two broadcasts rooted at different ranks, as each rank's program.
+    fn two_bcasts(comm: &mut Communicator) -> (f64, TrafficStats) {
+        comm.bcast(0, Payload::Phantom { elems: 1 << 16 });
+        comm.bcast(2, Payload::Phantom { elems: 1 << 10 });
+        (comm.now(), comm.traffic())
+    }
+
+    #[test]
+    fn hosted_run_reproduces_the_threaded_clocks_on_both_backends() {
+        for backend in [Backend::Channel, Backend::Tcp] {
+            let universe =
+                Universe::new(4, crate::HockneyModel::intra_node()).with_backend(backend);
+            let threaded = universe.run(|mut comm| two_bcasts(&mut comm));
+            let hosted = universe.host(|comms| {
+                // Each broadcast's root first; otherwise any order.
+                for rank in [0, 3, 1, 2] {
+                    comms[rank].bcast(0, Payload::Phantom { elems: 1 << 16 });
+                }
+                for rank in [2, 0, 1, 3] {
+                    comms[rank].bcast(2, Payload::Phantom { elems: 1 << 10 });
+                }
+                let read = |c: &Communicator| (c.now(), c.traffic());
+                comms.iter().map(read).collect::<Vec<_>>()
+            });
+            assert_eq!(hosted, threaded, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn a_host_that_receives_before_it_sent_times_out() {
+        let err = Universe::new(2, ZeroCost)
+            .recv_timeout(Duration::from_millis(20))
+            .host(|comms| comms[1].try_bcast(0, Payload::U64(vec![1])))
+            .unwrap_err();
+        assert!(matches!(err, CommError::Timeout { .. }), "got {err:?}");
     }
 
     #[test]

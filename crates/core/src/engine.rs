@@ -4,9 +4,10 @@
 //! panelled or checksum-protected, one attempt or shrink-and-retry — a run
 //! is the same three things, and each exists here once:
 //!
-//! * [`launch`] turns a [`RunOptions`] into a configured [`Universe`], runs
-//!   one closure per rank and collects every rank's clock, traffic and
-//!   (optionally) timeline;
+//! * `universe` turns a [`RunOptions`] into a configured [`Universe`];
+//!   [`launch`] runs one closure per rank, a thread each, [`run_phantom`]
+//!   hosts all ranks on its caller ([`Universe::host`]), and both collect
+//!   every rank's clock, traffic and (optionally) timeline the same way;
 //! * [`Launched::times`] folds the per-rank clocks into the
 //!   `exec/comp/comm_time` that [`RunResult`] and [`SimReport`] report;
 //! * [`shrink_and_retry`] is the ULFM-style recovery loop: what one
@@ -15,7 +16,8 @@
 //!   what happens *between* attempts is here.
 //!
 //! Real and phantom runs differ only in the [`StageData`] their ranks
-//! carry and in what a block's GEMM costs on the virtual clock.
+//! carry and in what a block's GEMM costs on the virtual clock — and so in
+//! who hosts the ranks: phantom blocks move nothing and need no thread.
 
 use std::collections::BTreeMap;
 
@@ -32,7 +34,7 @@ use summagen_platform::Platform;
 use crate::executor::{ExecutionMode, RecoveryError, RecoveryReport, RunOptions, RunResult};
 use crate::rankdata::{assemble, distribute, RankMatrices};
 use crate::simulate::SimReport;
-use crate::stages::{three_stages, PanelTable, StageData};
+use crate::stages::{three_stages, Lanes, PanelTable, StageData};
 
 /// The `C` blocks one rank computed, with their placement.
 pub(crate) type RankBlocks = Vec<(ProcBlock, DenseMatrix)>;
@@ -54,18 +56,36 @@ impl<R> Launched<R> {
         let max = |f: fn(&ClockSnapshot) -> f64| self.clocks.iter().map(f).fold(0.0, f64::max);
         (max(|c| c.now), max(|c| c.comp_time), max(|c| c.comm_time))
     }
+
+    fn new(ranks: impl IntoIterator<Item = (R, Readout)>) -> Self {
+        let (per_rank, (clocks, (traffic, timelines))): (_, (_, (_, Vec<_>))) =
+            ranks.into_iter().unzip();
+        Launched {
+            per_rank,
+            clocks,
+            traffic,
+            // `Some` iff every rank recorded one, i.e. iff `opts.timelines`.
+            timelines: timelines.into_iter().collect(),
+        }
+    }
 }
 
-/// Runs `rank_fn` once per rank of a fresh universe configured from
-/// `opts`, under `faults` if given. A dying rank surfaces as
-/// `Err(RankFailure)` instead of a panic or a silent hang.
-pub(crate) fn launch<R: Send>(
+/// What the engine reads off a rank once its work is done.
+type Readout = (ClockSnapshot, (TrafficStats, Option<Vec<TraceEvent>>));
+
+fn readout(comm: &Communicator) -> Readout {
+    let timeline = comm.trace_snapshot();
+    (comm.clock_snapshot(), (comm.traffic(), timeline))
+}
+
+/// A fresh universe of `nprocs` ranks configured from `opts`, under
+/// `faults` if given — the one place a SummaGen run builds one.
+fn universe(
     nprocs: usize,
     cost: impl CostModel,
     faults: Option<FaultPlan>,
     opts: &RunOptions,
-    rank_fn: impl Fn(&Communicator) -> CommResult<R> + Sync,
-) -> Result<Launched<R>, RankFailure> {
+) -> Universe {
     let mut universe = Universe::new(nprocs, cost)
         .recv_timeout(opts.recv_timeout)
         .with_backend(opts.backend)
@@ -85,36 +105,27 @@ pub(crate) fn launch<R: Send>(
     if let Some(sink) = &opts.sink {
         universe = universe.with_event_sink(sink.clone());
     }
-    let results = universe.try_run(|comm| {
-        let out = rank_fn(&comm)?;
-        Ok((
-            out,
-            comm.clock_snapshot(),
-            comm.traffic(),
-            comm.trace_snapshot(),
-        ))
-    })?;
+    universe
+}
 
-    let (mut per_rank, mut clocks) = (Vec::with_capacity(nprocs), Vec::with_capacity(nprocs));
-    let (mut traffic, mut timelines) = (Vec::with_capacity(nprocs), Vec::with_capacity(nprocs));
-    for (out, clock, sent, timeline) in results {
-        per_rank.push(out);
-        clocks.push(clock);
-        traffic.push(sent);
-        timelines.push(timeline);
-    }
-    Ok(Launched {
-        per_rank,
-        clocks,
-        traffic,
-        // `Some` iff every rank recorded one, i.e. iff `opts.timelines`.
-        timelines: timelines.into_iter().collect(),
-    })
+/// Runs `rank_fn` once per rank, one thread each, and collects what every
+/// rank brought back. A dying rank surfaces as `Err(RankFailure)` instead
+/// of a panic or a silent hang.
+pub(crate) fn launch<R: Send>(
+    nprocs: usize,
+    cost: impl CostModel,
+    faults: Option<FaultPlan>,
+    opts: &RunOptions,
+    rank_fn: impl Fn(&Communicator) -> CommResult<R> + Sync,
+) -> Result<Launched<R>, RankFailure> {
+    let results = universe(nprocs, cost, faults, opts)
+        .try_run(|comm| Ok((rank_fn(&comm)?, readout(&comm))))?;
+    Ok(Launched::new(results))
 }
 
 /// Unwraps a run on a path where nothing injects faults: a rank failure
 /// there is a bug to fail loudly on, not a condition to report.
-pub(crate) fn infallible<T>(run: Result<T, RankFailure>) -> T {
+pub(crate) fn infallible<T, E: std::fmt::Display>(run: Result<T, E>) -> T {
     run.unwrap_or_else(|failure| panic!("rank panicked: {failure}"))
 }
 
@@ -158,13 +169,15 @@ pub(crate) fn run_real(
     faults: Option<FaultPlan>,
     opts: &RunOptions,
 ) -> Result<RunResult, RankFailure> {
+    let lanes = Lanes::new(spec);
     let rank_fn = |comm: &Communicator, data: &RankMatrices| {
-        let mut state = StageData::Real {
+        let state = StageData::Real {
             data,
             panels: PanelTable::new(spec),
             kernel: mode.kernel(),
         };
-        Ok((three_stages(comm, spec, &mut state, |_| 0.0)?, ()))
+        let mut blocks = three_stages(&mut [(comm, state)], spec, &lanes, |_, _| 0.0)?;
+        Ok((blocks.pop().expect("one hosted rank"), ()))
     };
     run_numeric(spec, ab, cost, faults, opts, rank_fn).map(|(run, _)| run)
 }
@@ -172,11 +185,12 @@ pub(crate) fn run_real(
 /// The three-stage algorithm with phantom payloads: rank `i` runs on
 /// `platform.processors[i]`, whose speed function (evaluated at the rank's
 /// total partition area — the paper's `A(Z) / s(A(Z))` convention) times
-/// its DGEMMs.
+/// its DGEMMs. No data moves, so no rank needs a thread: the caller hosts
+/// them all and walks the schedule in its one global order.
 ///
 /// # Panics
-/// Panics if the platform has fewer processors than the spec, or if a rank
-/// fails (bogus timings are worse than none).
+/// Panics if the platform has fewer processors than the spec, or if a
+/// broadcast fails (bogus timings are worse than none).
 pub(crate) fn run_phantom(
     spec: &PartitionSpec,
     platform: &Platform,
@@ -190,12 +204,13 @@ pub(crate) fn run_phantom(
         spec.nprocs
     );
     let areas = spec.areas();
-    let launched = infallible(launch(spec.nprocs, cost, None, opts, |comm| {
-        let proc = &platform.processors[comm.rank()];
-        let area = areas[comm.rank()] as f64;
-        three_stages(comm, spec, &mut StageData::Phantom, |blk| {
-            proc.dgemm_time(blk.rows, spec.n, blk.cols, area)
-        })
+    let launched = infallible(universe(spec.nprocs, cost, None, opts).host(|comms| {
+        let mut ranks: Vec<_> = comms.iter().map(|c| (c, StageData::Phantom)).collect();
+        let blocks = three_stages(&mut ranks, spec, &Lanes::new(spec), |rank, blk| {
+            platform.processors[rank].dgemm_time(blk.rows, spec.n, blk.cols, areas[rank] as f64)
+        })?;
+        let readouts = comms.iter().map(readout);
+        CommResult::Ok(Launched::new(blocks.into_iter().zip(readouts)))
     }));
     let (exec_time, comp_time, comm_time) = launched.times();
     SimReport {
@@ -351,8 +366,109 @@ pub(crate) fn shrink_and_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Mutex};
     use std::time::Duration;
-    use summagen_comm::{ZeroCost, RECV_TIMEOUT_ENV};
+    use summagen_comm::{
+        Backend, EventSink, HockneyModel, RuntimeMetrics, SpanRecord, ZeroCost, RECV_TIMEOUT_ENV,
+    };
+    use summagen_partition::ALL_FOUR_SHAPES;
+    use summagen_platform::profile::hclserver1;
+
+    /// Every span, in delivery order.
+    #[derive(Default)]
+    struct SpanLog(Mutex<Vec<SpanRecord>>);
+
+    impl EventSink for SpanLog {
+        fn record(&self, span: SpanRecord) {
+            self.0.lock().expect("no recorder panics").push(span);
+        }
+    }
+
+    impl SpanLog {
+        /// Each rank's spans in the order that rank emitted them.
+        fn per_rank(&self, nprocs: usize) -> Vec<Vec<SpanRecord>> {
+            let all = self.0.lock().expect("no recorder panics");
+            let of = |rank| all.iter().filter(|s| s.rank == rank).cloned().collect();
+            (0..nprocs).map(of).collect()
+        }
+    }
+
+    /// The displaced arrangement, kept as the oracle: the same phantom
+    /// `three_stages`, one hosted rank per thread of the threaded launcher.
+    fn threaded_phantom(
+        spec: &PartitionSpec,
+        platform: &Platform,
+        opts: &RunOptions,
+    ) -> Launched<RankBlocks> {
+        let areas = spec.areas();
+        let lanes = Lanes::new(spec);
+        let cost = HockneyModel::intra_node();
+        infallible(launch(spec.nprocs, cost, None, opts, |comm| {
+            let mut hosted = [(comm, StageData::Phantom)];
+            let block_seconds = |rank: usize, blk: &ProcBlock| {
+                platform.processors[rank].dgemm_time(blk.rows, spec.n, blk.cols, areas[rank] as f64)
+            };
+            let mut blocks = three_stages(&mut hosted, spec, &lanes, block_seconds)?;
+            Ok(blocks.pop().expect("one hosted rank"))
+        }))
+    }
+
+    /// Hosting all ranks on the caller changes nothing a run reports:
+    /// clocks, traffic, timelines and every rank's ordered span list equal
+    /// the one-thread-per-rank run's, whatever is watching and on either
+    /// wire.
+    #[test]
+    fn hosted_phantom_run_equals_one_thread_per_rank() {
+        // HCLServer1 three times over, so that a nine-rank layout fits.
+        let mut platform = hclserver1();
+        platform.processors = [(); 3].map(|()| platform.processors.clone()).concat();
+        let beaumont =
+            beaumont_column_layout(6_144, &[1.0, 2.0, 0.9, 1.5, 0.7, 1.2, 2.5, 0.8, 1.1]);
+        let paper = ALL_FOUR_SHAPES.map(|shape| survivor_spec(shape, 4_096, &[1.0, 2.0, 0.9]));
+        for (spec, backend, watching) in paper
+            .iter()
+            .chain([&beaumont])
+            .flat_map(|spec| (0..8u32).map(move |w| (spec, Backend::Channel, w)))
+            .chain([(&paper[0], Backend::Tcp, 0), (&beaumont, Backend::Tcp, 7)])
+        {
+            let logs = [Arc::new(SpanLog::default()), Arc::new(SpanLog::default())];
+            let opts = |log: &Arc<SpanLog>| RunOptions {
+                backend,
+                sink: (watching & 1 != 0).then(|| Arc::clone(log) as Arc<dyn EventSink>),
+                metrics: (watching & 2 != 0).then(RuntimeMetrics::fresh),
+                timelines: watching & 4 != 0,
+                ..RunOptions::default()
+            };
+            let (watched_threaded, watched_hosted) = (opts(&logs[0]), opts(&logs[1]));
+            let threaded = threaded_phantom(spec, &platform, &watched_threaded);
+            let hosted = run_phantom(spec, &platform, HockneyModel::intra_node(), &watched_hosted);
+            let ctx = format!(
+                "{}x{} grid, {backend:?}, watchers {watching:03b}",
+                spec.grid_rows, spec.grid_cols
+            );
+            assert_eq!(hosted.clocks, threaded.clocks, "{ctx}");
+            assert_eq!(hosted.traffic, threaded.traffic, "{ctx}");
+            assert_eq!(hosted.timelines, threaded.timelines, "{ctx}");
+            assert_eq!(hosted.timelines.is_some(), watching & 4 != 0, "{ctx}");
+            let spans = logs.map(|log| log.per_rank(spec.nprocs));
+            assert_eq!(spans[1], spans[0], "{ctx}");
+            assert_eq!(
+                spans[1].iter().all(Vec::is_empty),
+                watching & 1 == 0,
+                "{ctx}"
+            );
+            let counted = |o: &RunOptions| {
+                let m = o.metrics.as_ref()?;
+                let counters = [&m.send_msgs, &m.send_bytes, &m.recv_msgs, &m.gemm.ops];
+                Some(counters.map(|c| c.get()))
+            };
+            assert_eq!(
+                counted(&watched_hosted),
+                counted(&watched_threaded),
+                "{ctx}"
+            );
+        }
+    }
 
     /// The only test of this crate that touches the environment. The value
     /// it sets is larger than the compiled default, so a test that builds

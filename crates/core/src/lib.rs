@@ -21,19 +21,22 @@
 //!
 //! Every run goes through one private engine: it builds the rank universe
 //! from a [`RunOptions`] (receive timeout, link plan, heartbeat, metrics,
-//! transport, event sink, timelines), runs a closure per rank, folds the
-//! per-rank clocks into `exec/comp/comm_time`, and — for the recovering
-//! entry points — drives the shrink-and-retry loop. What the ranks carry
-//! through the three stages decides the kind of run:
+//! transport, event sink, timelines), drives the ranks through the three
+//! stages, folds the per-rank clocks into `exec/comp/comm_time`, and — for
+//! the recovering entry points — drives the shrink-and-retry loop. The
+//! stage walk takes *the ranks one thread hosts*; what those ranks carry
+//! decides the kind of run, and with it who hosts them:
 //!
 //! * **real** ([`multiply_with_options`] → [`RunResult`]) — matrices are
 //!   materialized and multiplied with the kernel an [`ExecutionMode`]
-//!   names; local computation advances the virtual clock by zero. The
-//!   result is verified against a sequential reference in the tests.
+//!   names; local computation advances the virtual clock by zero. One
+//!   thread per rank. The result is verified against a sequential
+//!   reference in the tests.
 //! * **phantom** ([`simulate_with_options`] → [`SimReport`]) — payloads are
 //!   size-only and a local DGEMM advances the rank's virtual clock by the
-//!   device-model time from `summagen-platform`. This is how the
-//!   paper-scale experiments (N up to 38 416) run.
+//!   device-model time from `summagen-platform`. No threads: the caller
+//!   hosts every rank and issues the same calls in one global order. This
+//!   is how the paper-scale experiments (N up to 38 416) run.
 //!
 //! [`multiply`], [`multiply_with_cost`], [`multiply_traced`],
 //! [`simulate()`] and [`simulate_instrumented`] are those two with default

@@ -1,12 +1,17 @@
 //! Simulated-time SummaGen runs at paper scale.
 //!
-//! The communication schedule is *executed* (threads, communicators,
-//! broadcasts — with phantom payloads), so virtual times emerge from the
-//! actual message pattern of the algorithm, while local DGEMMs advance each
-//! rank's clock by the device-model execution time. This is how every
-//! figure of the evaluation section is regenerated: the matrices for
-//! N = 38 416 would occupy ~35 GB and ~10¹³ flops, far beyond a test
-//! machine, but their *schedule* is cheap to execute.
+//! The communication schedule is *executed* (communicators, broadcasts —
+//! with phantom payloads), so virtual times emerge from the actual message
+//! pattern of the algorithm, while local DGEMMs advance each rank's clock by
+//! the device-model execution time. This is how every figure of the
+//! evaluation section is regenerated: the matrices for N = 38 416 would
+//! occupy ~35 GB and ~10¹³ flops, far beyond a test machine, but their
+//! *schedule* is cheap to execute.
+//!
+//! No rank gets a thread: a virtual clock needs only the *order* of its
+//! rank's operations and the arrival stamps of what it receives, so the
+//! caller hosts all `p` communicators and walks the broadcasts in their one
+//! global order (`Universe::host`, DESIGN.md §18) — `p` is a loop bound.
 
 use std::sync::Arc;
 
@@ -121,8 +126,10 @@ pub fn simulate_instrumented(
 /// `comp_time` and `comm_time` are bit-identical to [`simulate`]'s.
 ///
 /// # Panics
-/// Panics like [`simulate`], and if a rank fails (only `opts` can make one:
-/// a lossy link plan that gives up, a heartbeat that suspects a rank).
+/// Panics like [`simulate`], and if a broadcast fails (only `opts` can make
+/// one: a lossy link plan that gives up or hangs a rank). `opts.heartbeat`
+/// has no watchdog on this path: hosted ranks still emit `Heartbeat` spans,
+/// but none can fall silent while its host runs, so none is ever suspected.
 pub fn simulate_with_options(
     spec: &PartitionSpec,
     platform: &Platform,

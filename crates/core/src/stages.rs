@@ -13,6 +13,7 @@
 //! the communicator built from its own participant list. Violating one of
 //! these is a partitioner bug, not a runtime condition, so they panic.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use summagen_comm::{CommResult, Communicator, Payload, SpanKind, StageLabel};
@@ -68,129 +69,143 @@ enum Operand {
     B,
 }
 
-/// The sorted list of processors owning at least one sub-partition in grid
-/// row `bi`.
-fn row_participants(spec: &PartitionSpec, bi: usize) -> Vec<usize> {
-    (0..spec.nprocs)
-        .filter(|&p| spec.row_contains(p, bi))
-        .collect()
+/// Each broadcast lane's communicator members, computed once per run:
+/// `rows[bi]` is the sorted list of processors owning a sub-partition in
+/// grid row `bi`, `cols[bj]` likewise for grid column `bj`.
+pub(crate) struct Lanes {
+    rows: Vec<Vec<usize>>,
+    cols: Vec<Vec<usize>>,
 }
 
-/// The sorted list of processors owning at least one sub-partition in grid
-/// column `bj`.
-fn col_participants(spec: &PartitionSpec, bj: usize) -> Vec<usize> {
-    (0..spec.nprocs)
-        .filter(|&p| spec.col_contains(p, bj))
-        .collect()
+impl Lanes {
+    pub fn new(spec: &PartitionSpec) -> Self {
+        fn members(owners: impl Iterator<Item = usize>) -> Vec<usize> {
+            owners.collect::<BTreeSet<_>>().into_iter().collect()
+        }
+        let row = |bi| members((0..spec.grid_cols).map(|bj| spec.owner(bi, bj)));
+        let col = |bj| members((0..spec.grid_rows).map(|bi| spec.owner(bi, bj)));
+        Self {
+            rows: (0..spec.grid_rows).map(row).collect(),
+            cols: (0..spec.grid_cols).map(col).collect(),
+        }
+    }
 }
 
-/// The paper's three stages on one rank: the horizontal communications of
-/// `A` (Fig. 2), the vertical communications of `B` (Fig. 3), then the
-/// local computations (Fig. 4), a block's DGEMM advancing the virtual clock
-/// by `block_seconds`. Returns the computed `C` blocks (none in phantom
-/// mode), or `Err` if a broadcast fails — typically because a
-/// participating rank died mid-stage, surfaced as
-/// [`summagen_comm::CommError::PeerFailed`].
+/// One rank of a run, as driven by the thread that hosts it.
+pub(crate) type HostedRank<'a> = (&'a Communicator, StageData<'a>);
+
+/// The paper's three stages for the ranks *this thread hosts* (ascending):
+/// the horizontal communications of `A` (Fig. 2), the vertical ones of `B`
+/// (Fig. 3), then the local computations (Fig. 4), a block's DGEMM
+/// advancing its rank's clock by `block_seconds(rank, block)`. Returns each
+/// hosted rank's `C` blocks (none in phantom mode), or `Err` if a broadcast
+/// fails — typically [`summagen_comm::CommError::PeerFailed`], a member
+/// having died mid-stage.
+///
+/// The real executor hosts one rank per thread, the phantom engine all of
+/// them on its caller. Either way the operations are issued in one global
+/// order — stage, lane, position, the root of each broadcast first — which
+/// is every rank's own program order and never receives before it sent.
 pub(crate) fn three_stages(
-    comm: &Communicator,
+    ranks: &mut [HostedRank<'_>],
     spec: &PartitionSpec,
-    state: &mut StageData<'_>,
-    block_seconds: impl Fn(&ProcBlock) -> f64,
-) -> CommResult<Vec<(ProcBlock, DenseMatrix)>> {
-    let rank = comm.rank();
-    broadcast_stage(comm, spec, rank, state, Operand::A)?;
-    broadcast_stage(comm, spec, rank, state, Operand::B)?;
-    Ok(local_compute(comm, spec, rank, state, block_seconds).0)
+    lanes: &Lanes,
+    block_seconds: impl Fn(usize, &ProcBlock) -> f64,
+) -> CommResult<Vec<Vec<(ProcBlock, DenseMatrix)>>> {
+    debug_assert!(ranks.is_sorted_by_key(|(comm, _)| comm.rank()));
+    broadcast_stage(ranks, spec, lanes, Operand::A)?;
+    broadcast_stage(ranks, spec, lanes, Operand::B)?;
+    let compute =
+        |(comm, state): &mut HostedRank<'_>| local_compute(comm, spec, state, &block_seconds);
+    Ok(ranks.iter_mut().map(compute).collect())
 }
 
 /// Stage 1 or 2: one broadcast per block of every lane (a sub-partition
-/// row for `A`, a column for `B`) `rank` participates in, rooted at the
-/// block's owner. Afterwards the rank holds (or, in phantom mode, has paid
-/// the communication cost for) every `operand` block of those lanes. The owner sends the buffer it was dealt and everybody
-/// files what they receive in the panel table — nothing is copied here.
+/// row for `A`, a column for `B`), rooted at the block's owner, issued for
+/// every hosted member of the lane, which afterwards holds (or, in phantom
+/// mode, has paid the communication cost for) every `operand` block of the
+/// lane. The owner sends the buffer it was dealt and everybody files what
+/// they receive in the panel table — nothing is copied here.
 fn broadcast_stage(
-    comm: &Communicator,
+    ranks: &mut [HostedRank<'_>],
     spec: &PartitionSpec,
-    rank: usize,
-    state: &mut StageData<'_>,
+    lanes: &Lanes,
     operand: Operand,
 ) -> CommResult<()> {
-    let stage_start = comm.tracing_enabled().then(|| comm.now());
-    let (lanes, lane_len, label_base, stage) = match operand {
-        Operand::A => (
-            spec.grid_rows,
-            spec.grid_cols,
-            ROW_LABEL_BASE,
-            StageLabel::HorizontalA,
-        ),
-        Operand::B => (
-            spec.grid_cols,
-            spec.grid_rows,
-            COL_LABEL_BASE,
-            StageLabel::VerticalB,
-        ),
+    // Empty unless the universe (one for all hosted ranks) has a sink.
+    let traced = ranks.iter().filter(|(comm, _)| comm.tracing_enabled());
+    let stage_starts: Vec<f64> = traced.map(|(comm, _)| comm.now()).collect();
+    use StageLabel::{HorizontalA, VerticalB};
+    let (lane_members, lane_len, label_base, stage) = match operand {
+        Operand::A => (&lanes.rows, spec.grid_cols, ROW_LABEL_BASE, HorizontalA),
+        Operand::B => (&lanes.cols, spec.grid_rows, COL_LABEL_BASE, VerticalB),
     };
-    for lane in 0..lanes {
-        let participants = match operand {
-            Operand::A => row_participants(spec, lane),
-            Operand::B => col_participants(spec, lane),
+    for (lane, members) in lane_members.iter().enumerate() {
+        // The lane's hosted members, by index into `ranks`, each with its
+        // lane communicator — none for a lane that is wholly one rank's,
+        // which needs no communication (Fig. 2 line 8).
+        let lane_comm = |i: usize| match members.len() {
+            1 => None,
+            _ => ranks[i].0.subgroup(members, label_base + lane as u64),
         };
-        if !participants.contains(&rank) {
-            continue;
-        }
-        // Special case (Fig. 2 line 8): a lane that is wholly ours needs no
-        // communication.
-        let mut lane_comm = (participants.len() > 1).then(|| {
-            comm.subgroup(&participants, label_base + lane as u64)
-                .expect("participant missing from its lane communicator")
-        });
+        let mut here: Vec<(usize, Option<Communicator>)> = members
+            .iter()
+            .filter_map(|&m| ranks.binary_search_by_key(&m, |(comm, _)| comm.rank()).ok())
+            .map(|i| (i, lane_comm(i)))
+            .collect();
         for pos in 0..lane_len {
             let (bi, bj) = match operand {
                 Operand::A => (lane, pos),
                 Operand::B => (pos, lane),
             };
             let owner = spec.owner(bi, bj);
-            let own = match state {
-                StageData::Real { data, .. } if owner == rank => {
-                    let block = match operand {
-                        Operand::A => data.a_block(bi, bj),
-                        Operand::B => data.b_block(bi, bj),
-                    };
-                    Some(Arc::clone(block.expect("missing own block").shared()))
-                }
-                _ => None,
-            };
-            let held = match &mut lane_comm {
-                None => own,
-                Some(lane_comm) => {
-                    let root = participants
-                        .iter()
-                        .position(|&p| p == owner)
-                        .expect("owner not in its lane communicator");
-                    let payload = match (&*state, own) {
-                        (StageData::Phantom, _) => Payload::Phantom {
-                            elems: spec.heights[bi] * spec.widths[bj],
-                        },
-                        (StageData::Real { .. }, Some(block)) => Payload::SharedF64(block),
-                        (StageData::Real { .. }, None) => Payload::F64(Vec::new()),
-                    };
-                    let received = lane_comm.try_bcast(root, payload)?;
-                    match state {
-                        StageData::Real { .. } => Some(received.try_into_shared_f64()?),
-                        StageData::Phantom => None,
+            let root = members
+                .binary_search(&owner)
+                .expect("owner not in its lane communicator");
+            // The owner's call first: it is the one that sends.
+            let root_at = here.iter().position(|h| ranks[h.0].0.rank() == owner);
+            let others = (0..here.len()).filter(|&k| Some(k) != root_at);
+            for k in root_at.into_iter().chain(others) {
+                let (i, lane_comm) = &mut here[k];
+                let (comm, state) = &mut ranks[*i];
+                let own = match state {
+                    StageData::Real { data, .. } if owner == comm.rank() => {
+                        let block = match operand {
+                            Operand::A => data.a_block(bi, bj),
+                            Operand::B => data.b_block(bi, bj),
+                        };
+                        Some(Arc::clone(block.expect("missing own block").shared()))
                     }
-                }
-            };
-            if let StageData::Real { panels, .. } = state {
-                let table = match operand {
-                    Operand::A => &mut panels.a,
-                    Operand::B => &mut panels.b,
+                    _ => None,
                 };
-                table[bi * spec.grid_cols + bj] = held;
+                let held = match lane_comm {
+                    None => own,
+                    Some(lane_comm) => {
+                        let payload = match (&*state, own) {
+                            (StageData::Phantom, _) => Payload::Phantom {
+                                elems: spec.heights[bi] * spec.widths[bj],
+                            },
+                            (StageData::Real { .. }, Some(block)) => Payload::SharedF64(block),
+                            (StageData::Real { .. }, None) => Payload::F64(Vec::new()),
+                        };
+                        let received = lane_comm.try_bcast(root, payload)?;
+                        match state {
+                            StageData::Real { .. } => Some(received.try_into_shared_f64()?),
+                            StageData::Phantom => None,
+                        }
+                    }
+                };
+                if let StageData::Real { panels, .. } = state {
+                    let table = match operand {
+                        Operand::A => &mut panels.a,
+                        Operand::B => &mut panels.b,
+                    };
+                    table[bi * spec.grid_cols + bj] = held;
+                }
             }
         }
     }
-    if let Some(t0) = stage_start {
+    for ((comm, _), t0) in ranks.iter().zip(stage_starts) {
         comm.emit(t0, comm.now(), SpanKind::Stage { stage });
     }
     Ok(())
@@ -241,7 +256,7 @@ fn k_segments(spec: &PartitionSpec) -> Vec<KSegment> {
 
 /// Stage 3 (Fig. 4): local computations, one DGEMM per owned sub-partition
 /// (`height × n` times `n × width`). Returns the computed `C` blocks (empty
-/// in phantom mode) and the total flops performed.
+/// in phantom mode).
 ///
 /// The `height × n` rows of `A` and `n × width` columns of `B` are not
 /// gathered: the product is a chain of kernel calls, one per
@@ -253,11 +268,11 @@ fn k_segments(spec: &PartitionSpec) -> Vec<KSegment> {
 fn local_compute(
     comm: &Communicator,
     spec: &PartitionSpec,
-    rank: usize,
     state: &mut StageData<'_>,
-    block_compute_seconds: impl Fn(&ProcBlock) -> f64,
-) -> (Vec<(ProcBlock, DenseMatrix)>, f64) {
+    block_compute_seconds: impl Fn(usize, &ProcBlock) -> f64,
+) -> Vec<(ProcBlock, DenseMatrix)> {
     let n = spec.n;
+    let rank = comm.rank();
     let tracing = comm.tracing_enabled();
     let metrics = comm.metrics();
     let observing = tracing || metrics.is_some();
@@ -276,10 +291,8 @@ fn local_compute(
         StageData::Phantom => Vec::new(),
     };
     let mut out = Vec::new();
-    let mut total_flops = 0.0;
     for blk in spec.blocks_of(rank) {
         let flops = 2.0 * blk.rows as f64 * blk.cols as f64 * n as f64;
-        total_flops += flops;
         kernel_ns.0.set(0);
         if let StageData::Real { panels, kernel, .. } = state {
             let mut c = DenseMatrix::zeros(blk.rows, blk.cols);
@@ -311,7 +324,7 @@ fn local_compute(
             out.push((blk, c));
         }
         let gemm_start = observing.then(|| comm.now());
-        comm.advance_compute(block_compute_seconds(&blk));
+        comm.advance_compute(block_compute_seconds(rank, &blk));
         if let Some(t0) = gemm_start {
             let t1 = comm.now();
             if tracing {
@@ -341,7 +354,7 @@ fn local_compute(
             },
         );
     }
-    (out, total_flops)
+    out
 }
 
 #[cfg(test)]
@@ -359,12 +372,22 @@ mod tests {
 
     #[test]
     fn participants_for_fig1a() {
-        let s = fig1a();
-        assert_eq!(row_participants(&s, 0), vec![0, 1]);
-        assert_eq!(row_participants(&s, 1), vec![1]);
-        assert_eq!(row_participants(&s, 2), vec![1, 2]);
-        assert_eq!(col_participants(&s, 0), vec![0, 1]);
-        assert_eq!(col_participants(&s, 2), vec![1, 2]);
+        let lanes = Lanes::new(&fig1a());
+        assert_eq!(lanes.rows, vec![vec![0, 1], vec![1], vec![1, 2]]);
+        assert_eq!(lanes.cols, vec![vec![0, 1], vec![1], vec![1, 2]]);
+        // Against the per-rank scan the lists replace (`row_contains_rank`
+        // of the paper's Fig. 2), on a layout with repeated owners.
+        let speeds = [1.0, 2.0, 0.9, 1.5, 3.0, 0.4, 1.1];
+        let s = summagen_partition::beaumont_column_layout(90, &speeds);
+        let lanes = Lanes::new(&s);
+        for bi in 0..s.grid_rows {
+            let scan: Vec<usize> = (0..s.nprocs).filter(|&p| s.row_contains(p, bi)).collect();
+            assert_eq!(lanes.rows[bi], scan, "row {bi}");
+        }
+        for bj in 0..s.grid_cols {
+            let scan: Vec<usize> = (0..s.nprocs).filter(|&p| s.col_contains(p, bj)).collect();
+            assert_eq!(lanes.cols[bj], scan, "column {bj}");
+        }
     }
 
     #[test]
@@ -412,19 +435,20 @@ mod tests {
         if let Some(plan) = faults {
             universe = universe.with_faults(plan);
         }
+        let lanes = Lanes::new(spec);
         let tables = universe
             .try_run(|comm| {
-                let rank = comm.rank();
-                let mut state = StageData::Real {
-                    data: &dealt[rank],
+                let state = StageData::Real {
+                    data: &dealt[comm.rank()],
                     panels: PanelTable::new(spec),
                     kernel: GemmKernel::default(),
                 };
-                broadcast_stage(&comm, spec, rank, &mut state, Operand::A)?;
-                broadcast_stage(&comm, spec, rank, &mut state, Operand::B)?;
-                match state {
-                    StageData::Real { panels, .. } => Ok(panels),
-                    StageData::Phantom => unreachable!(),
+                let mut hosted = [(&comm, state)];
+                broadcast_stage(&mut hosted, spec, &lanes, Operand::A)?;
+                broadcast_stage(&mut hosted, spec, &lanes, Operand::B)?;
+                match hosted {
+                    [(_, StageData::Real { panels, .. })] => Ok(panels),
+                    _ => unreachable!(),
                 }
             })
             .expect("fault-free stages");

@@ -1,6 +1,12 @@
 //! The [`TraceRecorder`]: the canonical [`EventSink`] — one lock-free
 //! ring per rank, wall-clock stamping, and extraction into a
 //! [`RecordedTrace`] once the run has finished.
+//!
+//! Producer contract, inherited from [`EventSink`] and relied on by
+//! [`RingBuffer`]: *one producer per ring at a time, reads after the run
+//! returns*. In a threaded run each rank's thread writes its own ring; in
+//! a hosted run (`Universe::host`) the hosting thread is the single
+//! producer of every ring.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,7 +39,9 @@ pub struct TraceSpan {
 /// Install with `Universe::with_event_sink(recorder.clone())`, run, then
 /// call [`TraceRecorder::finish`]. The record path is wait-free: a slot
 /// store and one atomic increment per event (see [`RingBuffer`]); ranks
-/// never contend because each writes only its own ring.
+/// never contend because each ring has one producer at a time. Rings grow
+/// with what they record, so a recorder for a thousand ranks costs nothing
+/// until spans arrive.
 pub struct TraceRecorder {
     rings: Vec<RingBuffer<TraceSpan>>,
     epoch: Instant,
@@ -63,9 +71,10 @@ impl TraceRecorder {
 
     /// Extracts everything recorded so far into a [`RecordedTrace`].
     ///
-    /// Call only after the traced run has returned (`Universe::run` /
-    /// `try_run` join every rank thread, which is the synchronization
-    /// point the lock-free rings rely on).
+    /// Call only after the traced run has returned: `Universe::run` /
+    /// `try_run` join every rank thread and `Universe::host` runs on the
+    /// caller, which is the synchronization point the lock-free rings rely
+    /// on.
     pub fn finish(&self) -> RecordedTrace {
         let spans: Vec<Vec<TraceSpan>> = self.rings.iter().map(|r| r.snapshot()).collect();
         let dropped = self.rings.iter().map(|r| r.dropped()).sum();

@@ -1,73 +1,92 @@
 //! A lock-free single-producer ring buffer for span records.
 //!
-//! Each rank thread owns exactly one ring (see
-//! [`crate::recorder::TraceRecorder`]): only that thread ever writes, so
-//! the write path is a plain slot store plus one atomic counter bump —
-//! no CAS loops, no locks, nothing that could perturb the schedule being
+//! **Producer contract: one producer per ring at a time, reads after the
+//! run returns.** Each rank of a run has exactly one ring (see
+//! [`crate::recorder::TraceRecorder`]) and a rank's spans are emitted by
+//! whichever thread drives that rank — its own thread in a threaded run,
+//! the hosting thread (the single producer of *every* ring) in a hosted
+//! one. Either way nobody else writes that ring while it does, so the
+//! write path is a plain slot store plus one atomic counter bump — no CAS
+//! loops, no locks, nothing that could perturb the schedule being
 //! measured. When the ring fills it overwrites the *oldest* entries and
 //! counts how many were lost, so a bounded recorder degrades to "most
 //! recent window" instead of failing.
 //!
-//! Readers (`drain`) run only after the producing thread has been joined;
-//! the `Release` store on the write counter paired with the reader's
-//! `Acquire` load — and, in practice, the stronger happens-before edge
-//! the thread join itself provides — makes every written slot visible.
+//! Readers (`snapshot`, `drain`) run only after the run has returned — the
+//! rank threads joined, or the host back in its caller; the `Release`
+//! store on the write counter paired with the reader's `Acquire` load —
+//! and, in practice, the stronger happens-before edge a thread join (or
+//! plain program order on the hosting thread) provides — makes every
+//! written slot visible.
+//!
+//! Storage grows on demand up to the capacity: a recorder costs what it
+//! records, not what it could hold.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Fixed-capacity overwrite-oldest ring written by exactly one thread.
+/// Bounded overwrite-oldest ring written by one producer at a time.
 ///
-/// `Sync` is asserted manually: the safety argument is the single-writer
-/// discipline documented on [`RingBuffer::push`] plus join-synchronized
-/// reads ([`RingBuffer::drain`]).
+/// `Sync` is asserted manually: the safety argument is the single-producer
+/// discipline documented on [`RingBuffer::push`] plus reads that happen
+/// only once the producer is done ([`RingBuffer::drain`]).
 pub struct RingBuffer<T> {
-    slots: Box<[UnsafeCell<Option<T>>]>,
+    /// The first `min(written, capacity)` slots, in index order; grown by
+    /// `push` until it holds `capacity` of them, never beyond.
+    slots: UnsafeCell<Vec<Option<T>>>,
+    capacity: usize,
     /// Total values ever pushed (not an index); `written % capacity` is
     /// the next slot. Stored with `Release` so a reader that `Acquire`s
     /// it sees every slot the count covers.
     written: AtomicU64,
 }
 
-// SAFETY: `push` is documented to be called from a single producer
-// thread per ring, and `drain` only after that producer has stopped
-// (joined). Under that protocol no slot is accessed concurrently.
+// SAFETY: `push` is documented to have a single producer per ring at any
+// time, and `snapshot`/`drain` to run only after that producer has stopped
+// (its run has returned). Under that protocol neither the slot vector nor
+// any slot is accessed concurrently; values of `T` cross threads, hence
+// `T: Send`.
 unsafe impl<T: Send> Sync for RingBuffer<T> {}
 
 impl<T> RingBuffer<T> {
-    /// Creates a ring holding at most `capacity` values.
+    /// Creates a ring holding at most `capacity` values. Allocates
+    /// nothing until the first push.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring buffer capacity must be positive");
-        let slots: Vec<UnsafeCell<Option<T>>> =
-            (0..capacity).map(|_| UnsafeCell::new(None)).collect();
         Self {
-            slots: slots.into_boxed_slice(),
+            slots: UnsafeCell::new(Vec::new()),
+            capacity,
             written: AtomicU64::new(0),
         }
     }
 
-    /// Number of slots.
+    /// Maximum number of values kept.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Appends a value, overwriting the oldest entry when full.
     ///
     /// # Safety contract (enforced by the caller, not the compiler)
-    /// Must only ever be called from one thread per ring — the recorder
-    /// guarantees this by giving each rank its own ring and the comm
-    /// layer by emitting a rank's spans only from that rank's thread.
+    /// One producer per ring at a time, and no reader until it is done —
+    /// the recorder gives each rank its own ring, and the comm layer emits
+    /// a rank's spans only from the one thread driving that rank (its own,
+    /// or the thread hosting it).
     pub fn push(&self, value: T) {
         let n = self.written.load(Ordering::Relaxed);
-        let idx = (n % self.slots.len() as u64) as usize;
+        let idx = (n % self.capacity as u64) as usize;
         // SAFETY: single-producer discipline (see above) means no other
-        // thread reads or writes this slot until after we bump `written`
-        // and the producer thread is joined.
-        unsafe {
-            *self.slots[idx].get() = Some(value);
+        // thread reads or writes the vector or this slot until after we
+        // bump `written` and the producer's run has returned.
+        let slots = unsafe { &mut *self.slots.get() };
+        match slots.get_mut(idx) {
+            Some(slot) => *slot = Some(value),
+            // Still growing: slots fill in index order, so this is the
+            // next one (`idx == slots.len() < capacity`).
+            None => slots.push(Some(value)),
         }
         self.written.store(n + 1, Ordering::Release);
     }
@@ -79,28 +98,31 @@ impl<T> RingBuffer<T> {
 
     /// How many values were lost to overwriting.
     pub fn dropped(&self) -> u64 {
-        self.pushed().saturating_sub(self.slots.len() as u64)
+        self.pushed().saturating_sub(self.capacity as u64)
     }
 
     /// Clones out the surviving values, oldest first, without consuming
     /// them.
     ///
     /// # Safety contract (enforced by the caller, not the compiler)
-    /// Must only be called after the producer thread has stopped pushing
-    /// and been joined (the recorder reads traces only after
-    /// `Universe::run`/`try_run` returns, which joins every rank thread).
+    /// Must only be called after the producer has stopped pushing (the
+    /// recorder reads traces only after the traced run has returned:
+    /// `Universe::run`/`try_run` join every rank thread, `Universe::host`
+    /// runs on the reader's own thread).
     pub fn snapshot(&self) -> Vec<T>
     where
         T: Clone,
     {
         let n = self.written.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
+        let cap = self.capacity as u64;
         let kept = n.min(cap);
+        // SAFETY: quiescence contract above — no concurrent writer.
+        let slots = unsafe { &*self.slots.get() };
         let mut out = Vec::with_capacity(kept as usize);
         for i in 0..kept {
+            // Below capacity the survivors are slots `0..n`, all present.
             let idx = ((n - kept + i) % cap) as usize;
-            // SAFETY: quiescence contract above — no concurrent writer.
-            if let Some(v) = unsafe { (*self.slots[idx].get()).clone() } {
+            if let Some(v) = slots[idx].clone() {
                 out.push(v);
             }
         }
@@ -109,19 +131,19 @@ impl<T> RingBuffer<T> {
 
     /// Removes and returns the surviving values, oldest first.
     ///
-    /// Requires exclusive access (`&mut self`), which the recorder obtains
-    /// only after every producer thread has been joined — that join is the
-    /// synchronization point making all writes visible here.
+    /// Requires exclusive access (`&mut self`), which a caller can obtain
+    /// only once no producer holds the ring any more — that hand-over is
+    /// the synchronization point making all writes visible here.
     pub fn drain(&mut self) -> Vec<T> {
         let n = self.written.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
+        let cap = self.capacity as u64;
         let kept = n.min(cap);
+        let slots = self.slots.get_mut();
         let mut out = Vec::with_capacity(kept as usize);
         for i in 0..kept {
             // Oldest surviving entry is at `n - kept`, then in push order.
             let idx = ((n - kept + i) % cap) as usize;
-            // SAFETY: `&mut self` gives exclusive access to every slot.
-            if let Some(v) = unsafe { (*self.slots[idx].get()).take() } {
+            if let Some(v) = slots[idx].take() {
                 out.push(v);
             }
         }
@@ -216,6 +238,19 @@ mod tests {
             let expect: Vec<i32> = ((i - 2).max(0)..=i).collect();
             assert_eq!(ring.snapshot(), expect, "after push {i}");
         }
+    }
+
+    #[test]
+    fn storage_follows_what_was_pushed_not_the_capacity() {
+        // A capacity no allocation could back: only the pushes cost.
+        let mut ring = RingBuffer::new(usize::MAX / 2);
+        assert_eq!(ring.capacity(), usize::MAX / 2);
+        for i in 0..1000u32 {
+            ring.push(i);
+        }
+        assert_eq!(ring.dropped(), 0);
+        assert_eq!(ring.snapshot().len(), 1000);
+        assert_eq!(ring.drain(), (0..1000).collect::<Vec<_>>());
     }
 
     #[test]
