@@ -113,7 +113,7 @@ fn bench_bcast_algorithms(c: &mut Criterion) {
 
 fn bench_baseline_algorithms(c: &mut Criterion) {
     use summagen_comm::ZeroCost;
-    use summagen_core::{cannon_multiply, summa25d_multiply, summa_multiply};
+    use summagen_core::summa_multiply;
     let n = 96;
     let a = random_matrix(n, n, 1);
     let b = random_matrix(n, n, 2);
@@ -121,12 +121,6 @@ fn bench_baseline_algorithms(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("classic_summa_2x2", |bch| {
         bch.iter(|| summa_multiply(&a, &b, 2, 2, 16, ZeroCost))
-    });
-    group.bench_function("cannon_4x4", |bch| {
-        bch.iter(|| cannon_multiply(&a, &b, 4, ZeroCost))
-    });
-    group.bench_function("summa25d_q4_c2", |bch| {
-        bch.iter(|| summa25d_multiply(&a, &b, 4, 2, ZeroCost))
     });
     group.finish();
 }

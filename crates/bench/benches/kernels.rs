@@ -75,37 +75,5 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_fast_and_ooc(c: &mut Criterion) {
-    use summagen_matrix::{ooc_gemm, strassen_multiply};
-    let mut group = c.benchmark_group("strassen_and_ooc");
-    group.sample_size(10);
-    // Against `gemm_kernels/blocked/<n>`: the crossover data behind
-    // `STRASSEN_CUTOFF` (EXPERIMENTS.md). 2048 is the first size where the
-    // shipped cutoff recurses at all.
-    for n in [192usize, 256, 512, 1024, 2048] {
-        let a = random_matrix(n, n, 5);
-        let b = random_matrix(n, n, 6);
-        group.bench_function(format!("strassen_{n}"), |bch| {
-            bch.iter(|| strassen_multiply(&a, &b))
-        });
-    }
-    let n = 192;
-    let a = random_matrix(n, n, 5);
-    let b = random_matrix(n, n, 6);
-    group.bench_function("ooc_gemm_192_tight", |bch| {
-        bch.iter(|| {
-            let mut cm = vec![0.0; n * n];
-            ooc_gemm(n, a.as_slice(), b.as_slice(), &mut cm, 3 * 32 * 32)
-        })
-    });
-    group.bench_function("ooc_gemm_192_roomy", |bch| {
-        bch.iter(|| {
-            let mut cm = vec![0.0; n * n];
-            ooc_gemm(n, a.as_slice(), b.as_slice(), &mut cm, 3 * 128 * 128)
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernels, bench_fast_and_ooc);
+criterion_group!(benches, bench_kernels);
 criterion_main!(benches);

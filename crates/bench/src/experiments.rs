@@ -399,7 +399,7 @@ pub fn summa_comparison() -> Vec<(usize, f64, f64)> {
             link_model(),
         )
         .exec_time;
-        let (classic, _) = summa_simulate(n, 1, 3, 1_024, &platform, link_model());
+        let classic = summa_simulate(n, 1, 3, 1_024, &platform, link_model()).exec_time;
         out.push((n, sg, classic));
     }
     out

@@ -1,9 +1,11 @@
 //! ABFT checksum-protected SummaGen with panel-boundary checkpointing.
 //!
-//! This is the panelled variant of [`crate::panelled`] hardened against
-//! *silent data corruption* with Huang–Abraham algorithm-based fault
-//! tolerance, plus checkpoint/restart so recovery does not recompute the
-//! whole product:
+//! This is the panel loop of [`crate::panelled`] — the same loop, handed a
+//! `Protection` — hardened against *silent data corruption* with
+//! Huang–Abraham algorithm-based fault tolerance, plus checkpoint/restart
+//! so recovery does not recompute the whole product. This module holds
+//! what the protection *is* (encodings, verification, the checkpoint store,
+//! the recovering entry points); the walk itself lives there:
 //!
 //! * **Wire protection** — every broadcast panel travels *fully
 //!   checksummed* (an extra row of column sums and an extra column of row
@@ -34,10 +36,10 @@
 //!   partition's panel boundaries do not align with the checkpoint.
 //!
 //! The zero-fault protected path is **bit-identical** to
-//! [`crate::multiply_panelled`]: augmentation appends checksum rows and
-//! columns without touching the data region, and the widened GEMM
-//! accumulates each data element in exactly the same k-order as the
-//! unprotected kernel.
+//! [`crate::multiply_panelled`] — one loop, padded or not: augmentation
+//! appends checksum rows and columns without touching the data region, and
+//! the widened GEMM accumulates each data element in exactly the same
+//! k-order as the unprotected kernel.
 //!
 //! Verification, correction, checkpoint, and rollback work is charged to
 //! the virtual clock (per-element costs in [`AbftOptions`]) and emitted as
@@ -47,16 +49,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
-use summagen_comm::{AbftLabel, CommError, Communicator, CostModel, FaultPlan, Payload, SpanKind};
+use summagen_comm::{AbftLabel, CommError, Communicator, CostModel, FaultPlan, SpanKind};
 use summagen_matrix::{
-    abft_tolerance, augment_a, augment_b, column_sums, verify_and_correct, AbftVerdict,
-    DenseMatrix, GemmKernel,
+    abft_tolerance, augment_a, augment_b, column_sums, verify_and_correct, AbftVerdict, DenseMatrix,
 };
 use summagen_partition::{PartitionSpec, ProcBlock, Shape};
 
 use crate::engine::{self, survivor_spec, RankBlocks};
 use crate::executor::{ExecutionMode, RecoveryError, RunOptions, RunResult};
-use crate::rankdata::RankMatrices;
+use crate::panelled::panel_loop;
+use crate::rankdata::{assemble, RankMatrices};
+use crate::stages::{Lanes, Operand};
 
 /// Knobs for the checksum-protected executor.
 #[derive(Debug, Clone)]
@@ -155,12 +158,11 @@ pub struct AbftRunResult {
 
 /// Per-rank ABFT counters, aggregated by the driver.
 #[derive(Debug, Clone, Copy, Default)]
-struct AbftStats {
-    detected: u64,
-    corrected: u64,
-    first_panel: u64,
-    panels_executed: u64,
-    checkpoints_written: u64,
+pub(crate) struct AbftStats {
+    pub detected: u64,
+    pub corrected: u64,
+    pub first_panel: u64,
+    pub panels_executed: u64,
 }
 
 /// Host-side checkpoint store shared by the ranks of one attempt.
@@ -176,9 +178,8 @@ struct AbftStats {
 /// [`AbftOptions::checkpoint_budget_bytes`] the oldest boundaries are
 /// evicted. The newest boundary is never evicted — it is what a resumed
 /// attempt rolls back to.
-struct CheckpointStore {
-    nprocs: usize,
-    n: usize,
+pub(crate) struct CheckpointStore<'a> {
+    spec: &'a PartitionSpec,
     budget_bytes: usize,
     inner: Mutex<StoreInner>,
 }
@@ -230,11 +231,10 @@ fn evict_to_budget(completed: &mut Vec<(usize, DenseMatrix)>, budget: usize) -> 
     dropped
 }
 
-impl CheckpointStore {
-    fn new(nprocs: usize, n: usize, budget_bytes: usize) -> Self {
+impl<'a> CheckpointStore<'a> {
+    fn new(spec: &'a PartitionSpec, budget_bytes: usize) -> Self {
         Self {
-            nprocs,
-            n,
+            spec,
             budget_bytes,
             inner: Mutex::new(StoreInner::default()),
         }
@@ -242,28 +242,18 @@ impl CheckpointStore {
 
     fn write(&self, k_prefix: usize, rank: usize, blocks: RankDeposit) {
         let mut inner = self.inner.lock().unwrap();
-        let nprocs = self.nprocs;
-        let complete = {
-            let entry = inner
-                .pending
-                .entry(k_prefix)
-                .or_insert_with(|| vec![None; nprocs]);
-            entry[rank] = Some(blocks);
-            entry.iter().all(Option::is_some)
-        };
-        if complete {
-            let per_rank = inner.pending.remove(&k_prefix).unwrap();
-            let mut c = DenseMatrix::zeros(self.n, self.n);
-            for blocks in per_rank.into_iter().flatten() {
-                for (blk, m) in blocks {
-                    c.set_submatrix(blk.row, blk.col, &m);
-                }
-            }
+        let entry = inner
+            .pending
+            .entry(k_prefix)
+            .or_insert_with(|| vec![None; self.spec.nprocs]);
+        entry[rank] = Some(blocks);
+        if entry.iter().all(Option::is_some) {
+            let deposits = inner.pending.remove(&k_prefix);
+            let per_rank: Vec<RankDeposit> = deposits.into_iter().flatten().flatten().collect();
+            let c = assemble(self.spec, &per_rank);
             inner.completed.push((k_prefix, c));
             inner.captured.insert(k_prefix);
-            let budget = self.budget_bytes;
-            let dropped = evict_to_budget(&mut inner.completed, budget);
-            inner.evicted += dropped;
+            inner.evicted += evict_to_budget(&mut inner.completed, self.budget_bytes);
         }
     }
 
@@ -281,40 +271,11 @@ impl CheckpointStore {
         done + pending
     }
 
-    /// Distinct boundaries assembled over the store's lifetime
-    /// (eviction does not subtract).
-    fn captured_boundaries(&self) -> Vec<usize> {
-        self.inner
-            .lock()
-            .unwrap()
-            .captured
-            .iter()
-            .copied()
-            .collect()
+    /// What the attempt left behind, once its ranks are gone.
+    fn harvest(self) -> StoreInner {
+        let poisoned = "no rank panics while it holds the store";
+        self.inner.into_inner().expect(poisoned)
     }
-
-    /// Completed prefixes dropped to stay within the byte budget.
-    fn evicted(&self) -> usize {
-        self.inner.lock().unwrap().evicted
-    }
-
-    fn take_completed(&self) -> Vec<(usize, DenseMatrix)> {
-        std::mem::take(&mut self.inner.lock().unwrap().completed)
-    }
-}
-
-/// Wire encoding of an `A` panel slice: checksum row (column sums, kept
-/// for the product encoding) plus a transit checksum column (row sums,
-/// stripped after verification).
-fn transit_a(slice: &DenseMatrix) -> DenseMatrix {
-    augment_b(&augment_a(slice))
-}
-
-/// Wire encoding of a `B` panel slice: checksum column (row sums, kept
-/// for the product encoding) plus a transit checksum row (column sums,
-/// stripped after verification).
-fn transit_b(slice: &DenseMatrix) -> DenseMatrix {
-    augment_a(&augment_b(slice))
 }
 
 /// Largest absolute value in the data region (all but the last row and
@@ -352,301 +313,95 @@ fn refresh_checksums(c: &mut DenseMatrix) {
     data[h * ld + w] = corner;
 }
 
-/// Verifies (and if possible corrects) one received transit panel,
-/// charging the scan to the virtual clock and emitting Abft spans.
-fn verify_received(
-    comm: &Communicator,
-    m: &mut DenseMatrix,
-    step: usize,
-    opts: &AbftOptions,
-    stats: &mut AbftStats,
-) -> Result<(), CommError> {
-    let elems = (m.rows() * m.cols()) as u64;
+/// Charges `seconds` of protection work to the rank's virtual clock and
+/// reports it as one [`SpanKind::Abft`] leaf span.
+fn charge(comm: &Communicator, seconds: f64, op: AbftLabel, step: usize, elems: u64) {
     let start = comm.now();
-    comm.advance_compute(opts.verify_cost * elems as f64);
-    let tol = abft_tolerance(m.rows().max(m.cols()), data_scale(m));
-    let verdict = verify_and_correct(m, tol);
-    comm.emit(
-        start,
-        comm.now(),
-        SpanKind::Abft {
-            op: AbftLabel::Verify,
-            step: step as u64,
-            elems,
-        },
-    );
-    if let Some(m) = comm.metrics() {
-        m.abft_verifies.inc();
-    }
-    match verdict {
-        AbftVerdict::Clean => Ok(()),
-        AbftVerdict::Corrected { .. } => {
-            stats.detected += 1;
-            stats.corrected += 1;
-            if let Some(m) = comm.metrics() {
-                m.abft_corrections.inc();
-            }
-            let cs = comm.now();
-            comm.advance_compute(opts.verify_cost);
-            comm.emit(
-                cs,
-                comm.now(),
-                SpanKind::Abft {
-                    op: AbftLabel::Correct,
-                    step: step as u64,
-                    elems: 1,
-                },
-            );
-            Ok(())
-        }
-        AbftVerdict::Uncorrectable { .. } => {
-            stats.detected += 1;
-            Err(CommError::DataCorruption {
-                rank: comm.global_rank(),
-                step: step as u64,
-            })
-        }
-    }
+    comm.advance_compute(seconds);
+    let step = step as u64;
+    comm.emit(start, comm.now(), SpanKind::Abft { op, step, elems });
 }
 
-/// The per-rank protected panel loop. Mirrors
-/// [`crate::panelled::multiply_panelled`]'s gather structure (same
-/// subgroup labels, same block traffic) with checksummed payloads,
-/// per-step verification, and checkpoint writes. `resume_k` is the
-/// k-prefix already present in `resume_c`; panels fully covered by it are
-/// skipped and the first overlapping panel executes partially.
-#[allow(clippy::too_many_arguments)]
-fn run_rank_abft(
-    comm: &Communicator,
-    spec: &PartitionSpec,
-    rank: usize,
-    data: &RankMatrices,
-    kernel: GemmKernel,
-    opts: &AbftOptions,
-    resume_k: usize,
-    resume_c: Option<&DenseMatrix>,
-    stop_k: usize,
-    store: &CheckpointStore,
-) -> Result<(Vec<(ProcBlock, DenseMatrix)>, AbftStats), CommError> {
-    let mut stats = AbftStats::default();
-    let total_panels = spec.grid_cols;
+/// What the panel loop needs to run protected: the per-element costs and
+/// checkpoint cadence, the k-prefix to start from, the horizon to stop at
+/// and the store that collects this attempt's checkpoints.
+pub(crate) struct Protection<'a> {
+    pub opts: &'a AbftOptions,
+    /// `(k, C prefix)`: the first `k` columns of the inner dimension are
+    /// already accumulated in the prefix.
+    pub resume: Option<(usize, &'a DenseMatrix)>,
+    /// Panels starting at or past this `k` are not executed.
+    pub stop_k: usize,
+    pub store: &'a CheckpointStore<'a>,
+}
 
-    // Augmented accumulators: data region plus a checksum row and column,
-    // maintained across panel accumulation by the Ã·B̃ encoding.
-    let mut out: Vec<(ProcBlock, DenseMatrix)> = spec
-        .blocks_of(rank)
-        .into_iter()
-        .map(|blk| {
-            let mut m = DenseMatrix::zeros(blk.rows + 1, blk.cols + 1);
-            if let Some(c0) = resume_c {
-                m.set_submatrix(0, 0, &c0.submatrix(blk.row, blk.col, blk.rows, blk.cols));
-                refresh_checksums(&mut m);
-            }
-            (blk, m)
-        })
-        .collect();
+impl Protection<'_> {
+    pub fn resume_k(&self) -> usize {
+        self.resume.map_or(0, |(k, _)| k)
+    }
 
-    if resume_k > 0 {
-        let elems: u64 = out.iter().map(|(b, _)| (b.rows * b.cols) as u64).sum();
-        let first = (0..total_panels)
-            .take_while(|&t| spec.col_offset(t) + spec.widths[t] <= resume_k)
-            .count();
-        let start = comm.now();
-        comm.advance_compute(opts.rollback_cost * elems as f64);
-        comm.emit(
-            start,
-            comm.now(),
-            SpanKind::Abft {
-                op: AbftLabel::Rollback,
-                step: first as u64,
-                elems,
-            },
-        );
-        if let Some(m) = comm.metrics() {
-            m.abft_rollbacks.inc();
+    /// Wire encoding of a panel slice. An `A` slice gets a checksum row
+    /// (column sums, kept for the product encoding) plus a transit checksum
+    /// column (row sums, stripped after verification); a `B` slice a
+    /// checksum column (kept) plus a transit checksum row (stripped).
+    pub fn transit(operand: Operand, slice: &DenseMatrix) -> DenseMatrix {
+        match operand {
+            Operand::A => augment_b(&augment_a(slice)),
+            Operand::B => augment_a(&augment_b(slice)),
         }
     }
 
-    for t in 0..total_panels {
-        let k0 = spec.col_offset(t);
-        let k1 = k0 + spec.widths[t];
-        if k0 >= stop_k {
-            break; // preemption horizon reached: a clean k-prefix stop
+    /// What stays of a verified transit block once its transit checksums
+    /// have done their job: `Ã` (data + checksum row) or the rows of `B̃`
+    /// (data + their row-sum entries).
+    pub fn product_encoding(operand: Operand, transit: &DenseMatrix) -> DenseMatrix {
+        let (h, w) = (transit.rows() - 1, transit.cols() - 1);
+        match operand {
+            Operand::A => transit.submatrix(0, 0, h + 1, w),
+            Operand::B => transit.submatrix(0, 0, h, w + 1),
         }
-        let lo = k0.max(resume_k);
-        if lo >= k1 {
-            continue; // panel fully covered by the restored checkpoint
-        }
-        if stats.panels_executed == 0 {
-            stats.first_panel = t as u64;
-        }
-        stats.panels_executed += 1;
-        if let Some(m) = comm.metrics() {
-            m.panel_steps.inc();
-        }
-        let kb = k1 - lo;
+    }
 
-        // --- Gather the A blocks (bi, t), column-sliced to [lo, k1).
-        let mut a_panel: Vec<Option<DenseMatrix>> = vec![None; spec.grid_rows];
-        for (bi, slot) in a_panel.iter_mut().enumerate() {
-            if !spec.row_contains(rank, bi) {
-                continue;
-            }
-            let participants: Vec<usize> = (0..spec.nprocs)
-                .filter(|&p| spec.row_contains(p, bi))
-                .collect();
-            let owner = spec.owner(bi, t);
-            let h = spec.heights[bi];
-            let own_slice = || {
-                data.a_block(bi, t)
-                    .expect("missing own A block")
-                    .submatrix(0, lo - k0, h, kb)
-            };
-            let transit = if participants.len() == 1 {
-                transit_a(&own_slice())
-            } else {
-                let mut row_comm = comm
-                    .subgroup(&participants, (1 << 22) + (t * spec.grid_rows + bi) as u64)
-                    .expect("missing from row communicator");
-                let root = participants.iter().position(|&p| p == owner).unwrap();
-                let payload = if owner == rank {
-                    Payload::F64(transit_a(&own_slice()).as_slice().to_vec())
-                } else {
-                    Payload::F64(Vec::new())
-                };
-                let raw = row_comm.try_bcast(root, payload)?.try_into_f64()?;
-                let mut m = DenseMatrix::from_vec(h + 1, kb + 1, raw);
-                if owner != rank {
-                    verify_received(comm, &mut m, t, opts, &mut stats)?;
-                }
-                m
-            };
-            // Keep the product encoding Ã (data + checksum row); the
-            // transit checksum column has done its job.
-            *slot = Some(transit.submatrix(0, 0, h + 1, kb));
+    /// Loads the restored prefix into the rank's (augmented, still zero)
+    /// accumulators and charges the rollback.
+    pub fn restore(&self, comm: &Communicator, spec: &PartitionSpec, out: &mut RankBlocks) {
+        let Some((resume_k, c0)) = self.resume else {
+            return;
+        };
+        for (blk, m) in out.iter_mut() {
+            m.set_submatrix(0, 0, &c0.submatrix(blk.row, blk.col, blk.rows, blk.cols));
+            refresh_checksums(m);
         }
-
-        // --- Gather the B rows [lo, k1), with the product checksum column.
-        let mut b_panel: Vec<Option<DenseMatrix>> = vec![None; spec.grid_cols];
-        for (bj, slot) in b_panel.iter_mut().enumerate() {
-            if !spec.col_contains(rank, bj) {
-                continue;
-            }
-            let w = spec.widths[bj];
-            let mut panel = DenseMatrix::zeros(kb, w + 1);
-            let participants: Vec<usize> = (0..spec.nprocs)
-                .filter(|&p| spec.col_contains(p, bj))
-                .collect();
-            for bi_b in 0..spec.grid_rows {
-                let r0 = spec.row_offset(bi_b);
-                let r1 = r0 + spec.heights[bi_b];
-                let (slo, shi) = (r0.max(lo), r1.min(k1));
-                if slo >= shi {
-                    continue; // block does not overlap this panel
-                }
-                let rows = shi - slo;
-                let owner = spec.owner(bi_b, bj);
-                let own_slice = || {
-                    data.b_block(bi_b, bj)
-                        .expect("missing own B block")
-                        .submatrix(slo - r0, 0, rows, w)
-                };
-                let transit = if participants.len() == 1 {
-                    transit_b(&own_slice())
-                } else {
-                    let label =
-                        (1 << 23) + ((t * spec.grid_rows + bi_b) * spec.grid_cols + bj) as u64;
-                    let mut col_comm = comm
-                        .subgroup(&participants, label)
-                        .expect("missing from column communicator");
-                    let root = participants.iter().position(|&p| p == owner).unwrap();
-                    let payload = if owner == rank {
-                        Payload::F64(transit_b(&own_slice()).as_slice().to_vec())
-                    } else {
-                        Payload::F64(Vec::new())
-                    };
-                    let raw = col_comm.try_bcast(root, payload)?.try_into_f64()?;
-                    let mut m = DenseMatrix::from_vec(rows + 1, w + 1, raw);
-                    if owner != rank {
-                        verify_received(comm, &mut m, t, opts, &mut stats)?;
-                    }
-                    m
-                };
-                // Strip the transit checksum row; rows keep their row-sum
-                // entries, so the assembled panel is B̃ directly.
-                panel.set_submatrix(slo - lo, 0, &transit.submatrix(0, 0, rows, w + 1));
-            }
-            *slot = Some(panel);
-        }
-
-        // --- Accumulate C̃(bi, bj) += Ã(bi, t) · B̃(t, bj). The widened
-        // dims do not perturb data elements: each c[i][j] with i,j in the
-        // data region sees exactly the unprotected kernel's k-order.
-        for (blk, cmat) in &mut out {
-            let ap = a_panel[blk.block_i]
-                .as_ref()
-                .expect("A panel block missing for owned row");
-            let bp = b_panel[blk.block_j]
-                .as_ref()
-                .expect("B panel block missing for owned column");
-            debug_assert_eq!(ap.cols(), bp.rows());
-            let (m, nc) = (blk.rows + 1, blk.cols + 1);
-            // `Parallel` runs as `Blocked` here — the same bits. A kernel
-            // thread beside each rank thread means one more malloc arena
-            // per thread, each retaining rank-sized free memory: measured
-            // on `abft-1024`, +47 % peak RSS for +6 % throughput.
-            let serial = match kernel {
-                GemmKernel::Naive => GemmKernel::Naive,
-                _ => GemmKernel::Blocked,
-            };
-            serial.run(
-                m,
-                nc,
-                kb,
-                1.0,
-                ap.as_slice(),
-                kb.max(1),
-                bp.as_slice(),
-                nc,
-                1.0,
-                cmat.as_mut_slice(),
-                nc,
-            );
-            if opts.gemm_cost > 0.0 {
-                comm.advance_compute(opts.gemm_cost * (m * nc * kb) as f64);
+        if resume_k > 0 {
+            let elems: u64 = out.iter().map(|(b, _)| (b.rows * b.cols) as u64).sum();
+            let first = (0..spec.grid_cols)
+                .take_while(|&t| spec.col_offset(t) + spec.widths[t] <= resume_k)
+                .count();
+            let seconds = self.opts.rollback_cost * elems as f64;
+            charge(comm, seconds, AbftLabel::Rollback, first, elems);
+            if let Some(m) = comm.metrics() {
+                m.abft_rollbacks.inc();
             }
         }
+    }
 
-        // --- Injected memory faults on the local accumulators ("a rank's
-        // local block between panel steps").
-        let corruptions = comm.block_corruptions(t as u64);
-        if !corruptions.is_empty() {
-            let total: u64 = out.iter().map(|(_, c)| c.as_slice().len() as u64).sum();
-            for (elem, delta) in corruptions {
-                if total == 0 {
-                    break;
-                }
-                let mut idx = elem % total;
-                for (_, c) in &mut out {
-                    let len = c.as_slice().len() as u64;
-                    if idx < len {
-                        c.as_mut_slice()[idx as usize] += delta;
-                        break;
-                    }
-                    idx -= len;
-                }
-            }
-        }
-
-        // --- Verify every owned accumulator at the panel boundary.
-        let c_elems: u64 = out.iter().map(|(_, c)| c.as_slice().len() as u64).sum();
-        let start = comm.now();
-        comm.advance_compute(opts.verify_cost * c_elems as f64);
-        let mut corrections = 0u64;
-        let mut uncorrectable = false;
-        for (_, cmat) in &mut out {
-            let tol = abft_tolerance(cmat.rows().max(cmat.cols()), data_scale(cmat));
-            match verify_and_correct(cmat, tol) {
+    /// Verifies fully-checksummed matrices — one received transit block,
+    /// or every accumulator at a panel boundary — correcting single-element
+    /// damage in place. The scan (and each correction) is charged to the
+    /// virtual clock and emitted as Abft spans; damage the residuals cannot
+    /// localize ends the rank with [`CommError::DataCorruption`].
+    pub fn verify<'m>(
+        &self,
+        comm: &Communicator,
+        blocks: impl Iterator<Item = &'m mut DenseMatrix>,
+        step: usize,
+        stats: &mut AbftStats,
+    ) -> Result<(), CommError> {
+        let (mut elems, mut corrections, mut uncorrectable) = (0u64, 0u64, false);
+        for m in blocks {
+            elems += (m.rows() * m.cols()) as u64;
+            let tol = abft_tolerance(m.rows().max(m.cols()), data_scale(m));
+            match verify_and_correct(m, tol) {
                 AbftVerdict::Clean => {}
                 AbftVerdict::Corrected { .. } => {
                     stats.detected += 1;
@@ -659,99 +414,73 @@ fn run_rank_abft(
                 }
             }
         }
-        comm.emit(
-            start,
-            comm.now(),
-            SpanKind::Abft {
-                op: AbftLabel::Verify,
-                step: t as u64,
-                elems: c_elems,
-            },
-        );
+        let verify_cost = self.opts.verify_cost;
+        let seconds = verify_cost * elems as f64;
+        charge(comm, seconds, AbftLabel::Verify, step, elems);
         if let Some(m) = comm.metrics() {
             m.abft_verifies.inc();
             m.abft_corrections.add(corrections);
         }
         if corrections > 0 {
-            let cs = comm.now();
-            comm.advance_compute(opts.verify_cost * corrections as f64);
-            comm.emit(
-                cs,
-                comm.now(),
-                SpanKind::Abft {
-                    op: AbftLabel::Correct,
-                    step: t as u64,
-                    elems: corrections,
-                },
-            );
+            let seconds = verify_cost * corrections as f64;
+            charge(comm, seconds, AbftLabel::Correct, step, corrections);
         }
         if uncorrectable {
             return Err(CommError::DataCorruption {
                 rank: comm.global_rank(),
-                step: t as u64,
+                step: step as u64,
             });
         }
+        Ok(())
+    }
+
+    /// The end of panel step `t` (whose k-range ends at `k1`): applies the
+    /// memory faults injected on the accumulators, verifies every owned
+    /// accumulator and — unless the step is the plan's `last` —
+    /// checkpoints the verified data at the cadence the options set.
+    pub fn close_panel(
+        &self,
+        comm: &Communicator,
+        t: usize,
+        k1: usize,
+        last: bool,
+        out: &mut RankBlocks,
+        stats: &mut AbftStats,
+    ) -> Result<(), CommError> {
+        let (opts, store) = (self.opts, self.store);
+        // --- Injected memory faults on the local accumulators ("a rank's
+        // local block between panel steps").
+        let total: u64 = out.iter().map(|(_, c)| c.as_slice().len() as u64).sum();
+        for (elem, delta) in comm.block_corruptions(t as u64) {
+            let mut elements = out.iter_mut().flat_map(|(_, c)| c.as_mut_slice());
+            if let Some(x) = elements.nth((elem % total.max(1)) as usize) {
+                *x += delta;
+            }
+        }
+
+        // --- Verify every owned accumulator at the panel boundary.
+        self.verify(comm, out.iter_mut().map(|(_, c)| c), t, stats)?;
 
         // --- Checkpoint the verified data blocks at the boundary.
         if opts.checkpoint_interval > 0
             && opts.checkpoint_interval != usize::MAX
-            && (t + 1) % opts.checkpoint_interval == 0
-            && t + 1 < total_panels
+            && (t + 1).is_multiple_of(opts.checkpoint_interval)
+            && !last
         {
             let data_elems: u64 = out.iter().map(|(b, _)| (b.rows * b.cols) as u64).sum();
-            let start = comm.now();
-            comm.advance_compute(opts.checkpoint_cost * data_elems as f64);
-            let blocks: Vec<(ProcBlock, DenseMatrix)> = out
+            let seconds = opts.checkpoint_cost * data_elems as f64;
+            charge(comm, seconds, AbftLabel::Checkpoint, t, data_elems);
+            let blocks: RankDeposit = out
                 .iter()
                 .map(|(b, c)| (*b, c.submatrix(0, 0, b.rows, b.cols)))
                 .collect();
-            store.write(k1, rank, blocks);
-            comm.emit(
-                start,
-                comm.now(),
-                SpanKind::Abft {
-                    op: AbftLabel::Checkpoint,
-                    step: t as u64,
-                    elems: data_elems,
-                },
-            );
+            store.write(k1, comm.rank(), blocks);
             if let Some(m) = comm.metrics() {
                 m.abft_checkpoints.inc();
                 m.checkpoint_bytes.set(store.bytes() as f64);
             }
-            stats.checkpoints_written += 1;
         }
-    }
-
-    // Strip the checksums; the data region is returned bit-for-bit.
-    let blocks = out
-        .into_iter()
-        .map(|(b, c)| {
-            let d = c.submatrix(0, 0, b.rows, b.cols);
-            (b, d)
-        })
-        .collect();
-    Ok((blocks, stats))
-}
-
-/// The protected panel loop as the engine's per-rank function: the
-/// segment `[resume.0, stop_k)` of the plan, starting from the k-prefix
-/// `resume.1` and checkpointing into `store`.
-fn protected_rank<'a>(
-    spec: &'a PartitionSpec,
-    kernel: GemmKernel,
-    opts: &'a AbftOptions,
-    resume: Option<(usize, &'a DenseMatrix)>,
-    stop_k: usize,
-    store: &'a CheckpointStore,
-) -> impl Fn(&Communicator, &RankMatrices) -> Result<(RankBlocks, AbftStats), CommError> + Sync + 'a
-{
-    let (resume_k, resume_c) = resume.map_or((0, None), |(k, c)| (k, Some(c)));
-    move |comm, data| {
-        let rank = comm.rank();
-        run_rank_abft(
-            comm, spec, rank, data, kernel, opts, resume_k, resume_c, stop_k, store,
-        )
+        Ok(())
     }
 }
 
@@ -797,19 +526,27 @@ pub fn multiply_abft(
     // to completion.
     let mut finished = None;
     let resume_from_checkpoint = |spec: &PartitionSpec, faults| {
-        let store = CheckpointStore::new(spec.nprocs, n, abft.checkpoint_budget_bytes);
-        let resume = completed.last().map(|(k, c)| (*k, c));
-        let resume_k = resume.map_or(0, |(k, _)| k);
-        let rank_fn = protected_rank(spec, mode.kernel(), abft, resume, usize::MAX, &store);
+        let store = CheckpointStore::new(spec, abft.checkpoint_budget_bytes);
+        let protection = Protection {
+            opts: abft,
+            resume: completed.last().map(|(k, c)| (*k, c)),
+            stop_k: usize::MAX,
+            store: &store,
+        };
+        let resume_k = protection.resume_k();
+        let rank_fn = |comm: &Communicator, data: &RankMatrices, lanes: &Lanes| {
+            panel_loop(comm, spec, lanes, data, mode.kernel(), Some(&protection))
+        };
         let outcome = engine::run_numeric(spec, (a, b), cost.clone(), faults, opts, rank_fn);
         // Harvest complete checkpoints whether the attempt lived or died:
         // snapshots written before a crash are exactly what the next
         // attempt resumes from. The harvested set is held to the same
         // byte budget as the in-attempt store — oldest boundaries go
         // first, the newest (the resume point) is never dropped.
-        captured_boundaries.extend(store.captured_boundaries());
-        checkpoints_evicted += store.evicted();
-        for (k, c) in store.take_completed() {
+        let harvested = store.harvest();
+        captured_boundaries.extend(harvested.captured);
+        checkpoints_evicted += harvested.evicted;
+        for (k, c) in harvested.completed {
             if !completed.iter().any(|(ck, _)| *ck == k) {
                 completed.push((k, c));
             }
@@ -923,9 +660,16 @@ pub fn multiply_abft_prefix(
     );
     let resume_k = resume.map_or(0, |c| c.k);
     assert!(resume_k < stop_k, "segment [{resume_k}, {stop_k}) is empty");
-    let store = CheckpointStore::new(spec.nprocs, n, abft.checkpoint_budget_bytes);
-    let resume = resume.map(|ckpt| (ckpt.k, &ckpt.c));
-    let rank_fn = protected_rank(&spec, mode.kernel(), abft, resume, stop_k, &store);
+    let store = CheckpointStore::new(&spec, abft.checkpoint_budget_bytes);
+    let protection = Protection {
+        opts: abft,
+        resume: resume.map(|ckpt| (ckpt.k, &ckpt.c)),
+        stop_k,
+        store: &store,
+    };
+    let rank_fn = |comm: &Communicator, data: &RankMatrices, lanes: &Lanes| {
+        panel_loop(comm, &spec, lanes, data, mode.kernel(), Some(&protection))
+    };
     let (run, _stats) =
         engine::run_numeric(&spec, (a, b), cost, None, &RunOptions::default(), rank_fn)
             .map_err(|last| RecoveryError::AttemptsExhausted { attempts: 1, last })?;
@@ -941,7 +685,7 @@ mod tests {
     use crate::multiply_panelled;
     use std::time::Duration;
     use summagen_comm::ZeroCost;
-    use summagen_matrix::{approx_eq, gemm_naive, random_matrix};
+    use summagen_matrix::{approx_eq, gemm_naive, random_matrix, GemmKernel};
     use summagen_partition::{proportional_areas, ALL_FOUR_SHAPES};
 
     const SPEEDS: [f64; 3] = [1.0, 2.0, 0.9];
@@ -1311,9 +1055,10 @@ mod tests {
     #[test]
     fn checkpoint_store_evicts_oldest_boundary_first() {
         let n = 8;
+        let spec = PartitionSpec::new(vec![0], vec![n], vec![n], 1);
         let prefix_bytes = n * n * std::mem::size_of::<f64>();
         // Budget fits exactly one assembled prefix.
-        let store = CheckpointStore::new(1, n, prefix_bytes);
+        let store = CheckpointStore::new(&spec, prefix_bytes);
         let deposit = || {
             vec![(
                 ProcBlock {
@@ -1332,20 +1077,24 @@ mod tests {
         store.write(4, 0, deposit());
         store.write(6, 0, deposit());
         // Two evictions; only the newest boundary is retained.
-        assert_eq!(store.evicted(), 2);
         assert_eq!(store.bytes(), prefix_bytes);
-        assert_eq!(store.captured_boundaries(), vec![2, 4, 6]);
-        let kept = store.take_completed();
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].0, 6, "the newest boundary survives eviction");
+        let left = store.harvest();
+        assert_eq!(left.evicted, 2);
+        assert_eq!(left.captured.into_iter().collect::<Vec<_>>(), vec![2, 4, 6]);
+        assert_eq!(left.completed.len(), 1);
+        assert_eq!(
+            left.completed[0].0, 6,
+            "the newest boundary survives eviction"
+        );
     }
 
     #[test]
     fn checkpoint_store_never_evicts_its_only_snapshot() {
         let n = 8;
+        let spec = PartitionSpec::new(vec![0], vec![n], vec![n], 1);
         // Budget smaller than a single prefix: the sole snapshot stays
         // (it is the resume point) even though it exceeds the budget.
-        let store = CheckpointStore::new(1, n, 1);
+        let store = CheckpointStore::new(&spec, 1);
         store.write(
             4,
             0,
@@ -1361,8 +1110,8 @@ mod tests {
                 DenseMatrix::zeros(n, n),
             )],
         );
-        assert_eq!(store.evicted(), 0);
-        assert_eq!(store.take_completed().len(), 1);
+        let left = store.harvest();
+        assert_eq!((left.evicted, left.completed.len()), (0, 1));
     }
 
     #[test]

@@ -57,6 +57,22 @@ impl<R> Launched<R> {
         (max(|c| c.now), max(|c| c.comp_time), max(|c| c.comm_time))
     }
 
+    /// The report of a phantom run of an `n × n` product.
+    pub fn sim_report(self, n: usize) -> SimReport {
+        let (exec_time, comp_time, comm_time) = self.times();
+        SimReport {
+            n,
+            exec_time,
+            comp_time,
+            comm_time,
+            clocks: self.clocks,
+            traffic: self.traffic,
+            total_flops: 2.0 * (n as f64).powi(3),
+            energy: None,
+            timelines: self.timelines,
+        }
+    }
+
     fn new(ranks: impl IntoIterator<Item = (R, Readout)>) -> Self {
         let (per_rank, (clocks, (traffic, timelines))): (_, (_, (_, Vec<_>))) =
             ranks.into_iter().unzip();
@@ -129,20 +145,22 @@ pub(crate) fn infallible<T, E: std::fmt::Display>(run: Result<T, E>) -> T {
     run.unwrap_or_else(|failure| panic!("rank panicked: {failure}"))
 }
 
-/// One real-numeric execution over a fixed partition: deals the blocks,
-/// launches `rank_fn` (which returns the rank's `C` blocks plus whatever
-/// else its executor tracks), reassembles `C` and folds the clocks.
+/// One real-numeric execution over a fixed partition: deals the blocks and
+/// lists every broadcast lane's members, launches `rank_fn` (which returns
+/// the rank's `C` blocks plus whatever else its executor tracks),
+/// reassembles `C` and folds the clocks.
 pub(crate) fn run_numeric<S: Send>(
     spec: &PartitionSpec,
     (a, b): (&DenseMatrix, &DenseMatrix),
     cost: impl CostModel,
     faults: Option<FaultPlan>,
     opts: &RunOptions,
-    rank_fn: impl Fn(&Communicator, &RankMatrices) -> CommResult<(RankBlocks, S)> + Sync,
+    rank_fn: impl Fn(&Communicator, &RankMatrices, &Lanes) -> CommResult<(RankBlocks, S)> + Sync,
 ) -> Result<(RunResult, Vec<S>), RankFailure> {
     let rank_data = distribute(spec, a, b);
+    let lanes = Lanes::new(spec);
     let launched = launch(spec.nprocs, cost, faults, opts, |comm| {
-        rank_fn(comm, &rank_data[comm.rank()])
+        rank_fn(comm, &rank_data[comm.rank()], &lanes)
     })?;
     let (exec_time, comp_time, comm_time) = launched.times();
     let (blocks, extras): (Vec<RankBlocks>, Vec<S>) = launched.per_rank.into_iter().unzip();
@@ -169,14 +187,13 @@ pub(crate) fn run_real(
     faults: Option<FaultPlan>,
     opts: &RunOptions,
 ) -> Result<RunResult, RankFailure> {
-    let lanes = Lanes::new(spec);
-    let rank_fn = |comm: &Communicator, data: &RankMatrices| {
+    let rank_fn = |comm: &Communicator, data: &RankMatrices, lanes: &Lanes| {
         let state = StageData::Real {
             data,
             panels: PanelTable::new(spec),
             kernel: mode.kernel(),
         };
-        let mut blocks = three_stages(&mut [(comm, state)], spec, &lanes, |_, _| 0.0)?;
+        let mut blocks = three_stages(&mut [(comm, state)], spec, lanes, |_, _| 0.0)?;
         Ok((blocks.pop().expect("one hosted rank"), ()))
     };
     run_numeric(spec, ab, cost, faults, opts, rank_fn).map(|(run, _)| run)
@@ -212,18 +229,7 @@ pub(crate) fn run_phantom(
         let readouts = comms.iter().map(readout);
         CommResult::Ok(Launched::new(blocks.into_iter().zip(readouts)))
     }));
-    let (exec_time, comp_time, comm_time) = launched.times();
-    SimReport {
-        n: spec.n,
-        exec_time,
-        comp_time,
-        comm_time,
-        clocks: launched.clocks,
-        traffic: launched.traffic,
-        total_flops: 2.0 * (spec.n as f64).powi(3),
-        energy: None,
-        timelines: launched.timelines,
-    }
+    launched.sim_report(spec.n)
 }
 
 /// Builds a partition for the surviving device set: the requested paper

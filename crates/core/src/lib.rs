@@ -41,22 +41,22 @@
 //! [`multiply`], [`multiply_with_cost`], [`multiply_traced`],
 //! [`simulate()`] and [`simulate_instrumented`] are those two with default
 //! options and one value set. [`multiply_with_recovery`] restarts the real
-//! run over the surviving devices when ranks die; [`multiply_abft`] does
-//! the same for the checksum-protected panel executor, resuming from its
-//! newest checkpoint ([`multiply_abft_prefix`] is its preemption
-//! primitive, [`multiply_panelled`] its unprotected twin). Energy is a
-//! function of a finished report: [`SimReport::with_energy`],
+//! run over the surviving devices when ranks die. A second rank program,
+//! the panel loop of [`panelled`], walks the inner dimension one grid
+//! column at a time: bare it is [`multiply_panelled`]; padded with
+//! checksums, verified and checkpointed it is [`multiply_abft`], which
+//! recovers like [`multiply_with_recovery`] but resumes from its newest
+//! checkpoint ([`multiply_abft_prefix`] is its preemption primitive).
+//! Energy is a function of a finished report: [`SimReport::with_energy`],
 //! [`SimReport::timeline_energy`].
 //!
-//! The remaining modules are the baselines the paper compares against or
-//! cites — classic SUMMA ([`summa`]), block-cyclic SUMMA ([`cyclic`]),
-//! Cannon and 2.5D ([`commopt`]), parallel Strassen ([`caps`]) — each one
-//! function taking a cost model, none of them routed through the engine.
+//! One baseline remains: classic SUMMA ([`summa`]), the algorithm SummaGen
+//! generalises and the one `reproduce summa` compares against — a third
+//! rank program on the same launcher, over the [`uniform_grid`] partition.
+//! Cannon, 2.5D, block-cyclic SUMMA and parallel Strassen appear in the
+//! paper's Section III as citations only and are not reproduced.
 
 pub mod abft;
-pub mod caps;
-pub mod commopt;
-pub mod cyclic;
 mod engine;
 pub mod executor;
 pub mod panelled;
@@ -69,9 +69,6 @@ pub use abft::{
     multiply_abft, multiply_abft_prefix, panel_boundaries, AbftOptions, AbftReport, AbftRunResult,
     PanelCheckpoint,
 };
-pub use caps::{caps_multiply, CapsResult};
-pub use commopt::{cannon_multiply, summa25d_multiply, GridRunResult};
-pub use cyclic::{summa_cyclic_multiply, BlockCyclic};
 pub use executor::{
     multiply, multiply_traced, multiply_with_cost, multiply_with_options, multiply_with_recovery,
     ExecutionMode, RecoveryError, RecoveryOptions, RecoveryReport, RunOptions, RunResult,
@@ -79,4 +76,4 @@ pub use executor::{
 pub use panelled::multiply_panelled;
 pub use rankdata::{assemble, distribute, RankMatrices, SharedBlock};
 pub use simulate::{simulate, simulate_instrumented, simulate_with_options, SimReport};
-pub use summa::{summa_multiply, summa_simulate, SummaResult};
+pub use summa::{summa_multiply, summa_simulate, uniform_grid};

@@ -64,7 +64,7 @@ pub(crate) enum StageData<'a> {
 /// Which matrix a broadcast stage moves: `A` along sub-partition rows
 /// (stage 1) or `B` along sub-partition columns (stage 2).
 #[derive(Clone, Copy)]
-enum Operand {
+pub(crate) enum Operand {
     A,
     B,
 }
@@ -88,6 +88,16 @@ impl Lanes {
             rows: (0..spec.grid_rows).map(row).collect(),
             cols: (0..spec.grid_cols).map(col).collect(),
         }
+    }
+
+    /// The members of grid row `bi`'s lane, ascending.
+    pub fn row(&self, bi: usize) -> &[usize] {
+        &self.rows[bi]
+    }
+
+    /// The members of grid column `bj`'s lane, ascending.
+    pub fn col(&self, bj: usize) -> &[usize] {
+        &self.cols[bj]
     }
 }
 

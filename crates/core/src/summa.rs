@@ -1,38 +1,116 @@
 //! Classic SUMMA (van de Geijn & Watts) on a 2D processor grid — the
-//! homogeneous rectangular baseline from the paper's related work
-//! (Section III-D / the Elemental library).
+//! homogeneous rectangular algorithm SummaGen generalises (Section III-D /
+//! the Elemental library), and the one baseline this crate keeps.
 //!
-//! Matrices are block-distributed over a `pr × pc` grid; the product is
-//! accumulated in panels of width `nb`: for each panel, the owning
-//! processor column broadcasts its slice of `A` along processor rows, the
-//! owning processor row broadcasts its slice of `B` along processor
-//! columns, and every processor runs a rank-`nb` update on its local `C`
-//! block. Unlike SummaGen's one-shot gather, SUMMA pipelines many small
-//! broadcasts — comparing the two on the same virtual platform is the
-//! baseline ablation in `benches/ablations.rs` and `reproduce summa`.
+//! Matrices are block-distributed over a `pr × pc` grid — which is the
+//! [`uniform_grid`] partition, so the engine deals the blocks, lists the
+//! row and column communicators' members and reassembles `C` exactly as it
+//! does for SummaGen. The product is accumulated in panels of width `nb`:
+//! for each panel, the owning processor column broadcasts its slice of `A`
+//! along processor rows, the owning processor row broadcasts its slice of
+//! `B` along processor columns, and every processor runs a rank-`nb`
+//! update on its local `C` block. Unlike SummaGen's one-shot gather, SUMMA
+//! pipelines many small broadcasts, one aggregated message per lane per
+//! panel — comparing the two on the same virtual platform is the baseline
+//! ablation in `benches/ablations.rs` and `reproduce summa`.
 
-use summagen_comm::{ClockSnapshot, CostModel, HockneyModel, TrafficStats, Universe};
-use summagen_matrix::{gemm_blocked, DenseMatrix};
+use summagen_comm::{CommResult, Communicator, CostModel, HockneyModel, Payload};
+use summagen_matrix::{gemm_blocked, window_to_vec, DenseMatrix};
+use summagen_partition::PartitionSpec;
 use summagen_platform::Platform;
 
-/// Outcome of a classic SUMMA run.
-#[derive(Debug, Clone)]
-pub struct SummaResult {
-    /// The assembled product (real mode) — always present here since the
-    /// numeric entry point assembles it.
-    pub c: DenseMatrix,
-    /// Per-rank clock snapshots.
-    pub clocks: Vec<ClockSnapshot>,
-    /// Per-rank traffic.
-    pub traffic: Vec<TrafficStats>,
-    /// Max over ranks of final virtual time.
-    pub exec_time: f64,
+use crate::engine;
+use crate::executor::{RunOptions, RunResult};
+use crate::rankdata::RankMatrices;
+use crate::simulate::SimReport;
+use crate::stages::Lanes;
+
+/// The block distribution of an `n × n` matrix over a `pr × pc` processor
+/// grid as a partition: cut `i` of a dimension falls at `i·n / parts`, and
+/// processor `pi·pc + pj` owns cell `(pi, pj)`. SummaGen over this
+/// partition and classic SUMMA on the grid compute the same bits of `C`
+/// and move the same bytes.
+///
+/// # Panics
+/// Panics unless `1 ≤ pr, pc ≤ n`.
+pub fn uniform_grid(n: usize, pr: usize, pc: usize) -> PartitionSpec {
+    assert!(pr >= 1 && pc >= 1, "grid must be non-empty");
+    assert!(n >= pr && n >= pc, "matrix too small for the grid");
+    let cuts = |parts: usize| -> Vec<usize> {
+        (0..parts)
+            .map(|i| (i + 1) * n / parts - i * n / parts)
+            .collect()
+    };
+    PartitionSpec::new((0..pr * pc).collect(), cuts(pr), cuts(pc), pr * pc)
 }
 
-/// Block boundaries for distributing `n` items over `parts` processors:
-/// returns `parts + 1` offsets.
-fn offsets(n: usize, parts: usize) -> Vec<usize> {
-    (0..=parts).map(|i| i * n / parts).collect()
+/// One step of the panel loop: the next `kb` columns of `A` (rows of `B`).
+/// A panel never straddles an owner boundary: its `A` columns lie in grid
+/// column `jk` from local column `a_off`, its `B` rows in grid row `ik`
+/// from local row `b_off`.
+struct Panel {
+    kb: usize,
+    jk: usize,
+    a_off: usize,
+    ik: usize,
+    b_off: usize,
+}
+
+/// The panel schedule of `grid` for panel width `nb`, in ascending `k`.
+fn schedule(grid: &PartitionSpec, nb: usize) -> Vec<Panel> {
+    assert!(nb >= 1, "panel width must be positive");
+    let mut panels = Vec::new();
+    let (mut jk, mut ik) = (0, 0);
+    let (mut a_off, mut b_off) = (0, 0);
+    let mut k0 = 0;
+    while k0 < grid.n {
+        let kb = nb
+            .min(grid.widths[jk] - a_off)
+            .min(grid.heights[ik] - b_off);
+        panels.push(Panel {
+            kb,
+            jk,
+            a_off,
+            ik,
+            b_off,
+        });
+        k0 += kb;
+        (a_off, b_off) = (a_off + kb, b_off + kb);
+        if a_off == grid.widths[jk] {
+            (jk, a_off) = (jk + 1, 0);
+        }
+        if b_off == grid.heights[ik] {
+            (ik, b_off) = (ik + 1, 0);
+        }
+    }
+    panels
+}
+
+/// One rank's SUMMA, the rank holding cell `(pi, pj)` of the grid: per
+/// panel, the broadcast of the `A` slice along its processor row and of
+/// the `B` slice along its processor column — the root contributing what
+/// `own` cuts for it — then `update` with the two panels received.
+fn rank_program(
+    comm: &Communicator,
+    (pi, pj): (usize, usize),
+    lanes: &Lanes,
+    panels: &[Panel],
+    own: impl Fn(&Panel) -> (Payload, Payload),
+    mut update: impl FnMut(&Panel, Payload, Payload) -> CommResult<()>,
+) -> CommResult<()> {
+    let mut row_comm = comm
+        .subgroup(lanes.row(pi), 1_000 + pi as u64)
+        .expect("rank missing from its row");
+    let mut col_comm = comm
+        .subgroup(lanes.col(pj), 2_000 + pj as u64)
+        .expect("rank missing from its column");
+    for panel in panels {
+        let (a_slice, b_slice) = own(panel);
+        let a_panel = row_comm.try_bcast(panel.jk, a_slice)?;
+        let b_panel = col_comm.try_bcast(panel.ik, b_slice)?;
+        update(panel, a_panel, b_panel)?;
+    }
+    Ok(())
 }
 
 /// Multiplies `A × B` with classic SUMMA on a `pr × pc` grid using panel
@@ -48,113 +126,44 @@ pub fn summa_multiply(
     pc: usize,
     nb: usize,
     cost: impl CostModel,
-) -> SummaResult {
+) -> RunResult {
     let n = a.rows();
     assert_eq!((a.rows(), a.cols()), (n, n), "A must be square");
     assert_eq!((b.rows(), b.cols()), (n, n), "B must be square");
-    assert!(pr >= 1 && pc >= 1, "grid must be non-empty");
-    assert!(n >= pr && n >= pc, "matrix too small for the grid");
-    assert!(nb >= 1, "panel width must be positive");
+    let grid = uniform_grid(n, pr, pc);
+    let panels = schedule(&grid, nb);
 
-    let p = pr * pc;
-    let rows = offsets(n, pr);
-    let cols = offsets(n, pc);
-    let universe = Universe::new(p, cost);
-
-    let results = universe.run(|comm| {
-        let rank = comm.rank();
-        let (pi, pj) = (rank / pc, rank % pc);
-        let (r0, r1) = (rows[pi], rows[pi + 1]);
-        let (c0, c1) = (cols[pj], cols[pj + 1]);
-        let (mr, mc) = (r1 - r0, c1 - c0);
-
-        // Row communicator (same pi) and column communicator (same pj).
-        let row_members: Vec<usize> = (0..pc).map(|j| pi * pc + j).collect();
-        let col_members: Vec<usize> = (0..pr).map(|i| i * pc + pj).collect();
-        let mut row_comm = comm
-            .subgroup(&row_members, 1_000 + pi as u64)
-            .expect("rank missing from its row");
-        let mut col_comm = comm
-            .subgroup(&col_members, 2_000 + pj as u64)
-            .expect("rank missing from its column");
-
-        // Local blocks.
-        let a_local = a.submatrix(r0, c0, mr, mc);
-        let b_local = b.submatrix(r0, c0, mr, mc);
+    let rank_fn = |comm: &Communicator, data: &RankMatrices, lanes: &Lanes| {
+        // The one block of each matrix this rank was dealt.
+        let (blk, a_local) = &data.a_blocks[0];
+        let (_, b_local) = &data.b_blocks[0];
+        let (pi, pj) = (blk.block_i, blk.block_j);
+        let (mr, mc) = (blk.rows, blk.cols);
         let mut c_local = DenseMatrix::zeros(mr, mc);
-
-        // Panel loop: panels never straddle an owner boundary.
-        let mut k0 = 0;
-        while k0 < n {
-            // Owner column of A panel / owner row of B panel.
-            let jk = cols.partition_point(|&c| c <= k0) - 1;
-            let ik = rows.partition_point(|&r| r <= k0) - 1;
-            let kb = nb.min(cols[jk + 1] - k0).min(rows[ik + 1] - k0).min(n - k0);
-
-            // A panel: my rows × columns k0..k0+kb, owned by (pi, jk).
-            let a_panel = {
-                let payload = if pj == jk {
-                    a_local
-                        .submatrix(0, k0 - cols[jk], mr, kb)
-                        .as_slice()
-                        .to_vec()
-                } else {
-                    Vec::new()
-                };
-                row_comm
-                    .bcast(jk, summagen_comm::Payload::F64(payload))
-                    .into_f64()
-            };
-            // B panel: rows k0..k0+kb × my columns, owned by (ik, pj).
-            let b_panel = {
-                let payload = if pi == ik {
-                    b_local
-                        .submatrix(k0 - rows[ik], 0, kb, mc)
-                        .as_slice()
-                        .to_vec()
-                } else {
-                    Vec::new()
-                };
-                col_comm
-                    .bcast(ik, summagen_comm::Payload::F64(payload))
-                    .into_f64()
-            };
-
-            // Rank-kb update: C_local += A_panel (mr x kb) * B_panel (kb x mc).
-            gemm_blocked(
-                mr,
-                mc,
-                kb,
-                1.0,
-                &a_panel,
-                kb,
-                &b_panel,
-                mc,
-                1.0,
-                c_local.as_mut_slice(),
-                mc,
-            );
-            k0 += kb;
-        }
-
-        ((r0, c0, c_local), comm.clock_snapshot(), comm.traffic())
-    });
-
-    let mut c = DenseMatrix::zeros(n, n);
-    let mut clocks = Vec::with_capacity(p);
-    let mut traffic = Vec::with_capacity(p);
-    for ((r0, c0, blk), clk, tr) in results {
-        c.set_submatrix(r0, c0, &blk);
-        clocks.push(clk);
-        traffic.push(tr);
-    }
-    let exec_time = clocks.iter().map(|c| c.now).fold(0.0, f64::max);
-    SummaResult {
-        c,
-        clocks,
-        traffic,
-        exec_time,
-    }
+        // A panel: my rows × columns k0..k0+kb, owned by (pi, jk);
+        // B panel: rows k0..k0+kb × my columns, owned by (ik, pj).
+        let own = |panel: &Panel| {
+            let kb = panel.kb;
+            let a_slice = (pj == panel.jk)
+                .then(|| window_to_vec(a_local.as_slice(), mc, 0, panel.a_off, mr, kb));
+            let b_slice = (pi == panel.ik)
+                .then(|| window_to_vec(b_local.as_slice(), mc, panel.b_off, 0, kb, mc));
+            let payload = |slice: Option<Vec<f64>>| Payload::F64(slice.unwrap_or_default());
+            (payload(a_slice), payload(b_slice))
+        };
+        // Rank-kb update: C_local += A_panel (mr x kb) * B_panel (kb x mc).
+        let update = |panel: &Panel, a_panel: Payload, b_panel: Payload| -> CommResult<()> {
+            let (a_panel, b_panel) = (a_panel.try_into_f64()?, b_panel.try_into_f64()?);
+            let (kb, c) = (panel.kb, c_local.as_mut_slice());
+            gemm_blocked(mr, mc, kb, 1.0, &a_panel, kb, &b_panel, mc, 1.0, c, mc);
+            Ok(())
+        };
+        rank_program(comm, (pi, pj), lanes, &panels, own, update)?;
+        Ok((vec![(*blk, c_local)], ()))
+    };
+    let opts = RunOptions::default();
+    let run = engine::run_numeric(&grid, (a, b), cost, None, &opts, rank_fn);
+    engine::infallible(run).0
 }
 
 /// Simulated-time classic SUMMA at paper scale: executes the same panel
@@ -167,37 +176,34 @@ pub fn summa_simulate(
     nb: usize,
     platform: &Platform,
     hockney: HockneyModel,
-) -> (f64, Vec<ClockSnapshot>) {
-    let p = pr * pc;
-    assert!(platform.len() >= p, "platform too small for the grid");
-    assert!(n >= pr && n >= pc && nb >= 1, "bad geometry");
-    let rows = offsets(n, pr);
-    let cols = offsets(n, pc);
-    let clocks = Universe::new(p, hockney).run(|comm| {
-        let rank = comm.rank();
-        let (pi, pj) = (rank / pc, rank % pc);
-        let (mr, mc) = (rows[pi + 1] - rows[pi], cols[pj + 1] - cols[pj]);
-        let row_members: Vec<usize> = (0..pc).map(|j| pi * pc + j).collect();
-        let col_members: Vec<usize> = (0..pr).map(|i| i * pc + pj).collect();
-        let mut row_comm = comm.subgroup(&row_members, 1_000 + pi as u64).unwrap();
-        let mut col_comm = comm.subgroup(&col_members, 2_000 + pj as u64).unwrap();
-        let proc = &platform.processors[rank];
-        let area = (mr * mc) as f64;
-
-        let mut k0 = 0;
-        while k0 < n {
-            let jk = cols.partition_point(|&c| c <= k0) - 1;
-            let ik = rows.partition_point(|&r| r <= k0) - 1;
-            let kb = nb.min(cols[jk + 1] - k0).min(rows[ik + 1] - k0).min(n - k0);
-            row_comm.bcast(jk, summagen_comm::Payload::Phantom { elems: mr * kb });
-            col_comm.bcast(ik, summagen_comm::Payload::Phantom { elems: kb * mc });
-            comm.advance_compute(proc.dgemm_time(mr, kb, mc, area));
-            k0 += kb;
-        }
-        comm.clock_snapshot()
-    });
-    let exec = clocks.iter().map(|c| c.now).fold(0.0, f64::max);
-    (exec, clocks)
+) -> SimReport {
+    assert!(platform.len() >= pr * pc, "platform too small for the grid");
+    let grid = uniform_grid(n, pr, pc);
+    let (panels, lanes) = (schedule(&grid, nb), Lanes::new(&grid));
+    let rank_fn = |comm: &Communicator| {
+        let proc = &platform.processors[comm.rank()];
+        let blk = grid.blocks_of(comm.rank())[0];
+        let (mr, mc) = (blk.rows, blk.cols);
+        let own = |panel: &Panel| {
+            let phantom = |elems| Payload::Phantom { elems };
+            (phantom(mr * panel.kb), phantom(panel.kb * mc))
+        };
+        let update = |panel: &Panel, _: Payload, _: Payload| {
+            comm.advance_compute(proc.dgemm_time(mr, panel.kb, mc, blk.area() as f64));
+            Ok(())
+        };
+        rank_program(
+            comm,
+            (blk.block_i, blk.block_j),
+            &lanes,
+            &panels,
+            own,
+            update,
+        )
+    };
+    let opts = RunOptions::default();
+    let launched = engine::launch(pr * pc, hockney, None, &opts, rank_fn);
+    engine::infallible(launched).sim_report(n)
 }
 
 #[cfg(test)]
@@ -287,7 +293,7 @@ mod tests {
         let b = random_matrix(n, n, 8);
         let wide = summa_multiply(&a, &b, 2, 2, 16, ZeroCost);
         let narrow = summa_multiply(&a, &b, 2, 2, 2, ZeroCost);
-        let msgs = |r: &SummaResult| r.traffic.iter().map(|t| t.msgs_sent).sum::<u64>();
+        let msgs = |r: &RunResult| r.traffic.iter().map(|t| t.msgs_sent).sum::<u64>();
         assert!(msgs(&narrow) > msgs(&wide));
     }
 
@@ -295,11 +301,10 @@ mod tests {
     fn simulated_summa_runs_at_paper_scale() {
         use summagen_platform::profile::hclserver1;
         // 3 abstract processors in a 1x3 grid (degenerate but valid).
-        let (exec, clocks) =
-            summa_simulate(8_192, 1, 3, 512, &hclserver1(), HockneyModel::intra_node());
-        assert!(exec > 0.0);
-        assert_eq!(clocks.len(), 3);
-        assert!(clocks.iter().all(|c| c.comp_time > 0.0));
+        let sim = summa_simulate(8_192, 1, 3, 512, &hclserver1(), HockneyModel::intra_node());
+        assert!(sim.exec_time > 0.0);
+        assert_eq!(sim.clocks.len(), 3);
+        assert!(sim.clocks.iter().all(|c| c.comp_time > 0.0));
     }
 
     #[test]

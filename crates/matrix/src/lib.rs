@@ -8,17 +8,16 @@
 //! thread. All kernels operate on strided submatrices so
 //! that SummaGen can multiply the `A` and `B` blocks it received, where
 //! they lie, into its local `C` partition, exactly like the
-//! `localDgemm` call in Fig. 4 of the paper.
+//! `localDgemm` call in Fig. 4 of the paper. [`abft`] holds the
+//! Huang–Abraham checksum algebra of the protected executor. (Strassen, an
+//! out-of-core GEMM, strided views and BLAS-1 helpers lived here until
+//! ISSUE 19's audit: nothing the repo measures or gates reached them.)
 
 pub mod abft;
 pub mod block;
 pub mod dense;
 pub mod gemm;
 pub mod gen;
-pub mod oocgemm;
-pub mod ops;
-pub mod strassen;
-pub mod view;
 
 pub use abft::{
     abft_tolerance, augment_a, augment_b, column_sums, strip_checksums, verify_and_correct,
@@ -28,10 +27,6 @@ pub use block::{window_to_vec, Block};
 pub use dense::DenseMatrix;
 pub use gemm::{gemm_blocked, gemm_naive, gemm_parallel, GemmKernel, GemmObserver};
 pub use gen::{deterministic_matrix, random_matrix, seeded_rng};
-pub use oocgemm::{ooc_gemm, OocStats};
-pub use ops::{add, all_finite, axpy, norm_inf, norm_max, norm_one, sub};
-pub use strassen::{strassen_multiply, STRASSEN_CUTOFF};
-pub use view::{MatrixView, MatrixViewMut};
 
 /// Maximum absolute elementwise difference between two equally-sized
 /// matrices. Panics if the shapes differ.

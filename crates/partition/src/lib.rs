@@ -21,21 +21,18 @@
 //!   partitioning (the baseline thread of related work), for arbitrary `p`.
 
 pub mod auto;
-pub mod bounds;
 pub mod columns;
 pub mod cost;
 pub mod distribution;
 pub mod energy_opt;
 pub mod exact;
 pub mod nrrp;
-pub mod placement;
 pub mod refine;
 pub mod shapes;
 pub mod spec;
 pub mod two_proc;
 
 pub use auto::{auto_layout, AutoOptions};
-pub use bounds::{approximation_ratio, NRRP_GUARANTEE, RECTANGULAR_GUARANTEE};
 pub use columns::beaumont_column_layout;
 pub use cost::{comm_volume_elements, comp_times, half_perimeter_lower_bound, CostSummary};
 pub use distribution::{
@@ -44,7 +41,6 @@ pub use distribution::{
 pub use energy_opt::energy_optimal_areas;
 pub use exact::{exact_three_processor_optimum, ExactResult};
 pub use nrrp::nrrp_layout;
-pub use placement::{inter_node_traffic, optimal_placement, pairwise_traffic};
 pub use refine::{push_optimize, PushResult};
 pub use shapes::{Shape, ALL_FOUR_SHAPES};
 pub use spec::{PartitionSpec, ProcBlock, SpecError};

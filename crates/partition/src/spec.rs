@@ -166,51 +166,7 @@ impl PartitionSpec {
     /// heights/widths not summing to `n`, owners out of range, or a
     /// processor owning nothing.
     pub fn new(owners: Vec<usize>, heights: Vec<usize>, widths: Vec<usize>, nprocs: usize) -> Self {
-        let grid_rows = heights.len();
-        let grid_cols = widths.len();
-        assert!(grid_rows > 0 && grid_cols > 0, "empty grid");
-        assert_eq!(
-            owners.len(),
-            grid_rows * grid_cols,
-            "owners length {} != {grid_rows}x{grid_cols}",
-            owners.len()
-        );
-        assert!(nprocs > 0, "need at least one processor");
-        assert!(
-            heights.iter().all(|&h| h > 0),
-            "zero-height sub-partition row"
-        );
-        assert!(
-            widths.iter().all(|&w| w > 0),
-            "zero-width sub-partition column"
-        );
-        let n = heights.iter().sum::<usize>();
-        assert_eq!(
-            widths.iter().sum::<usize>(),
-            n,
-            "heights sum {n} != widths sum {}",
-            widths.iter().sum::<usize>()
-        );
-        for &o in &owners {
-            assert!(o < nprocs, "owner {o} out of range (p = {nprocs})");
-        }
-        let mut seen = vec![false; nprocs];
-        for &o in &owners {
-            seen[o] = true;
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "some processor owns no sub-partition"
-        );
-        Self {
-            grid_rows,
-            grid_cols,
-            owners,
-            heights,
-            widths,
-            nprocs,
-            n,
-        }
+        Self::try_new(owners, heights, widths, nprocs).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Owner of sub-partition `(bi, bj)`.

@@ -1,6 +1,7 @@
-//! The shape of `summagen-core`'s public surface after ISSUE 16: a fixed
-//! list of entry points over one engine, and one place where a run's
-//! receive timeout comes from.
+//! The shape of `summagen-core`'s public surface after ISSUEs 16 and 19: a
+//! fixed list of entry points over one engine — one launcher, one clock
+//! fold, one panel loop — a fixed list of modules in the three algorithm
+//! crates, and one place where a run's receive timeout comes from.
 //!
 //! The environment test is the only test of this binary that launches
 //! ranks, so setting a process-wide variable in it cannot disturb another.
@@ -15,7 +16,7 @@ use summagen_partition::Shape;
 /// Every `multiply*` / `simulate*` / `summa*` name `summagen-core` exports.
 /// A new `_with_x` variant fails here: what differs between two runs is a
 /// field of `RunOptions`, not a function.
-const ENTRY_POINTS: [&str; 15] = [
+const ENTRY_POINTS: [&str; 13] = [
     "multiply",
     "multiply_abft",
     "multiply_abft_prefix",
@@ -27,8 +28,6 @@ const ENTRY_POINTS: [&str; 15] = [
     "simulate",
     "simulate_instrumented",
     "simulate_with_options",
-    "summa25d_multiply",
-    "summa_cyclic_multiply",
     "summa_multiply",
     "summa_simulate",
 ];
@@ -62,17 +61,85 @@ fn the_exported_entry_points_are_exactly_the_pinned_list() {
     assert_eq!(reexported, want, "re-exports of crates/core/src/lib.rs");
 
     // What the crate's public modules declare, re-exported or not.
-    let sources: Vec<String> = std::fs::read_dir(&src)
-        .expect("crates/core/src")
-        .map(|entry| read(&entry.expect("directory entry").path()))
-        .collect();
+    let sources = core_sources();
     let declared = entry_point_names(
         sources
             .iter()
-            .flat_map(|file| file.lines())
+            .flat_map(|(_, code)| code.lines())
             .filter_map(|line| line.trim_start().strip_prefix("pub fn ")),
     );
     assert_eq!(declared, ENTRY_POINTS, "`pub fn`s under crates/core/src");
+}
+
+/// The non-test text of every `crates/core/src/*.rs`: what precedes the
+/// file's first `#[cfg(test)]`.
+fn core_sources() -> Vec<(String, String)> {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src");
+    let mut files: Vec<(String, String)> = std::fs::read_dir(&src)
+        .expect("crates/core/src")
+        .map(|entry| {
+            let path = entry.expect("directory entry").path();
+            let text = std::fs::read_to_string(&path).expect("readable source");
+            let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+            let name = path.file_name().expect("a file").to_string_lossy();
+            (name.into_owned(), code.to_string())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Every rank program of the crate — SummaGen's three stages, the panel
+/// loop bare or protected, classic SUMMA — is launched by `engine.rs`: one
+/// place builds a `Universe`, one folds the per-rank clocks, and the panel
+/// loop exists once.
+#[test]
+fn one_launcher_one_clock_fold_and_one_panel_loop() {
+    let sources = core_sources();
+    let sites = |needle: &str| -> Vec<&str> {
+        sources
+            .iter()
+            .flat_map(|(name, code)| code.matches(needle).map(move |_| name.as_str()))
+            .collect()
+    };
+    assert_eq!(sites("Universe::new"), ["engine.rs"]);
+    assert_eq!(sites("fold(0.0, f64::max)"), ["engine.rs"]);
+    assert_eq!(sites("fn run_rank_panelled"), [""; 0]);
+    // Both lane-label spaces of the panel loop live in its one function.
+    assert_eq!(sites("(1 << 22)"), ["panelled.rs"]);
+    assert_eq!(sites("(1 << 23)"), ["panelled.rs"]);
+}
+
+/// A module deleted by the ISSUE 19 audit (no paper figure, committed
+/// baseline, CI gate, `perf/` workload or checked EXPERIMENTS.md row
+/// reached it) cannot come back unnoticed, and a new one has to be named
+/// here.
+#[test]
+fn the_module_lists_of_the_algorithm_crates_are_the_pinned_ones() {
+    let pinned = [
+        (
+            "core",
+            "abft executor panelled rankdata simulate stages summa",
+        ),
+        ("matrix", "abft block dense gemm gen"),
+        (
+            "partition",
+            "auto columns cost distribution energy_opt exact nrrp refine shapes spec two_proc",
+        ),
+    ];
+    for (krate, want) in pinned {
+        let lib = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("crates")
+            .join(krate)
+            .join("src/lib.rs");
+        let text = std::fs::read_to_string(&lib).expect("readable lib.rs");
+        let declared: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("pub mod ")?.strip_suffix(';'))
+            .collect();
+        let want: Vec<&str> = want.split(' ').collect();
+        assert_eq!(declared, want, "`pub mod`s of crates/{krate}/src/lib.rs");
+    }
 }
 
 /// `RecoveryOptions::default()` used to store the compiled 60 s constant

@@ -17,8 +17,9 @@ use summagen_comm::{
     ZeroCost,
 };
 use summagen_core::{
-    multiply, multiply_abft, multiply_traced, multiply_with_cost, multiply_with_options,
-    multiply_with_recovery, simulate, simulate_instrumented, simulate_with_options, AbftOptions,
+    multiply, multiply_abft, multiply_abft_prefix, multiply_panelled, multiply_traced,
+    multiply_with_cost, multiply_with_options, multiply_with_recovery, panel_boundaries, simulate,
+    simulate_instrumented, simulate_with_options, summa_multiply, summa_simulate, AbftOptions,
     ExecutionMode, RecoveryOptions, RunOptions, RunResult,
 };
 use summagen_durable::fnv1a_words;
@@ -81,11 +82,177 @@ const GOLDEN: [Golden; 3] = [
     ),
 ];
 
+/// `(messages, bytes, exec_time bits)` of one run priced with
+/// `HockneyModel::intra_node()`.
+type Priced = (u64, u64, u64);
+
+fn priced(run: &RunResult) -> Priced {
+    let msgs = run.traffic.iter().map(|t| t.msgs_sent).sum();
+    let bytes = run.traffic.iter().map(|t| t.bytes_sent).sum();
+    (msgs, bytes, run.exec_time.to_bits())
+}
+
+/// What the panel loop must reproduce for one paper shape at one size:
+/// `multiply_panelled`'s [`Priced`], a clean `multiply_abft`'s, that run's
+/// `(checkpoints, panels_executed, Abft spans)`, and the digest of the
+/// k-prefix of `C` that `multiply_abft_prefix` parks at the first panel
+/// boundary.
+type PanelGolden = (Priced, Priced, (usize, usize, usize), u64);
+
+/// Captured at f011ee1, while the panelled and the protected executor each
+/// had a rank loop of their own; `ALL_FOUR_SHAPES` order, for `GOLDEN[0]` and `GOLDEN[1]`.
+const PANEL_GOLDEN: [[PanelGolden; 4]; 2] = [
+    [
+        (
+            (12, 145_920, 0x3f20b9f99ae7f695),
+            (12, 153_648, 0x3f2236b4282d7418),
+            (1, 3, 24),
+            0x9209823a8cbc6fd8,
+        ),
+        (
+            (13, 144_384, 0x3f20e9a62f25c8c2),
+            (13, 152_440, 0x3f21e93320430a79),
+            (1, 3, 25),
+            0x64f3b362608248a6,
+        ),
+        (
+            (8, 109_824, 0x3f1950ad185bd458),
+            (8, 115_248, 0x3f1aab669b7685c8),
+            (0, 2, 14),
+            0x9ca8258f2aac002b,
+        ),
+        (
+            (6, 147_456, 0x3f1a8e49fae2ef2b),
+            (6, 153_648, 0x3f1cc91034129cb4),
+            (1, 3, 18),
+            0x64f3b362608248a6,
+        ),
+    ],
+    [
+        (
+            (12, 1_040_336, 0x3f37789b05fb22be),
+            (12, 1_060_800, 0x3f3c1e9de9a437c8),
+            (1, 3, 24),
+            0x99a443f7c6fdce30,
+        ),
+        (
+            (13, 1_034_168, 0x3f384aca5fa75de8),
+            (13, 1_055_552, 0x3f3b2a549ca25321),
+            (1, 3, 25),
+            0x61cfa91331987299,
+        ),
+        (
+            (8, 785_392, 0x3f3511154361933e),
+            (8, 799_792, 0x3f36f309ee028bfe),
+            (0, 2, 14),
+            0xb78145faa7735006,
+        ),
+        (
+            (6, 1_056_784, 0x3f3b6c2d7fdeeb30),
+            (6, 1_073_280, 0x3f3ec32e7b590ae1),
+            (1, 3, 18),
+            0xa1a3c3d2fc47c090,
+        ),
+    ],
+];
+
+/// The one panel loop, bare and protected, against what its two
+/// predecessors produced: `want` is the digest of the full product.
+fn the_panel_loop_matches_both_of_its_predecessors(
+    shape: Shape,
+    (a, b): (&DenseMatrix, &DenseMatrix),
+    want: u64,
+    (panelled, protected, protection, prefix): PanelGolden,
+) {
+    let n = a.rows();
+    let ctx = format!("{} at n = {n}", shape.name());
+    let cost = HockneyModel::intra_node();
+    let real = ExecutionMode::Real;
+    let abft = AbftOptions::default();
+
+    let run = multiply_panelled(&paper_spec(shape, n), a, b, GemmKernel::Blocked, cost);
+    assert_eq!(digest(&run.c), want, "{ctx}: panelled C");
+    assert_eq!(priced(&run), panelled, "{ctx}: panelled");
+
+    let recorder = TraceRecorder::new(SPEEDS.len());
+    let opts = RunOptions {
+        sink: Some(recorder.clone() as Arc<_>),
+        ..RunOptions::default()
+    };
+    let run = multiply_abft(shape, &SPEEDS, a, b, real, cost, &[], &opts, &abft)
+        .expect("fault-free protected run");
+    assert_eq!(digest(&run.run.c), want, "{ctx}: protected C");
+    assert_eq!(priced(&run.run), protected, "{ctx}: protected");
+    let abft_spans = recorder
+        .finish()
+        .iter()
+        .filter(|ts| matches!(ts.record.kind, SpanKind::Abft { .. }))
+        .count();
+    assert_eq!(
+        (run.abft.checkpoints, run.abft.panels_executed, abft_spans),
+        protection,
+        "{ctx}: checkpoints, panels, Abft spans"
+    );
+
+    let boundary = panel_boundaries(shape, n, &SPEEDS)[0];
+    let parked = multiply_abft_prefix(shape, &SPEEDS, a, b, real, cost, &abft, None, boundary)
+        .expect("fault-free first segment");
+    assert_eq!((parked.k, digest(&parked.c)), (boundary, prefix), "{ctx}");
+    let resumed = multiply_abft_prefix(shape, &SPEEDS, a, b, real, cost, &abft, Some(&parked), n)
+        .expect("fault-free second segment");
+    assert_eq!((resumed.k, digest(&resumed.c)), (n, want), "{ctx}: resumed");
+}
+
+/// `(n, pr, pc, nb)`, the digest of `C` for `inputs(n)` and the run's
+/// [`Priced`].
+type SummaGolden = ((usize, usize, usize, usize), u64, Priced);
+
+/// Captured at f011ee1, while SUMMA built its own universe.
+const SUMMA_GOLDEN: [SummaGolden; 3] = [
+    (
+        (32, 2, 2, 8),
+        0xf063316b1eb3d6fe,
+        (16, 16_384, 0x3f15d49c87b226df),
+    ),
+    (
+        (30, 3, 2, 4),
+        0x92e8be228b6df40b,
+        (70, 21_600, 0x3f334034df96e51c),
+    ),
+    (
+        (40, 4, 1, 3),
+        0xd14a3e97f4258bd9,
+        (48, 38_400, 0x3f3e7900b6a30393),
+    ),
+];
+
+/// Classic SUMMA on the engine's launcher is classic SUMMA: products,
+/// traffic and virtual time, real and at paper scale.
+#[test]
+fn classic_summa_matches_the_goldens_on_the_engines_launcher() {
+    let cost = HockneyModel::intra_node();
+    for ((n, pr, pc, nb), want, traffic) in SUMMA_GOLDEN {
+        let (a, b) = inputs(n);
+        let run = summa_multiply(&a, &b, pr, pc, nb, cost);
+        let ctx = format!("n = {n}, {pr}x{pc} grid, nb = {nb}");
+        assert_eq!(digest(&run.c), want, "{ctx}: C");
+        assert_eq!(priced(&run), traffic, "{ctx}");
+    }
+    let sim = summa_simulate(8_192, 1, 3, 512, &hclserver1(), cost);
+    assert_eq!(sim.exec_time.to_bits(), 0x3ff0bd5e5a5dcf20);
+    assert_eq!(sim.clocks[0].comm_time.to_bits(), 0x3fd6a94150f6180d);
+    let sim = summa_simulate(24_576, 1, 3, 1_024, &hclserver1(), cost);
+    assert_eq!(sim.exec_time.to_bits(), 0x4034ab0bdfe00a54);
+}
+
 #[test]
 fn products_and_traffic_match_the_goldens_on_both_backends() {
-    for (n, want, traffic) in GOLDEN {
+    for (size, (n, want, traffic)) in GOLDEN.into_iter().enumerate() {
         let (a, b) = inputs(n);
-        for (shape, (msgs, bytes)) in ALL_FOUR_SHAPES.into_iter().zip(traffic) {
+        for (at, (shape, (msgs, bytes))) in ALL_FOUR_SHAPES.into_iter().zip(traffic).enumerate() {
+            if let Some(golden) = PANEL_GOLDEN.get(size) {
+                the_panel_loop_matches_both_of_its_predecessors(shape, (&a, &b), want, golden[at]);
+            }
             let ctx = format!("{} at n = {n}", shape.name());
             let run = multiply(&paper_spec(shape, n), &a, &b, ExecutionMode::Real);
             assert_eq!(digest(&run.c), want, "{ctx}: channel backend");
