@@ -31,6 +31,7 @@ use summagen_partition::{proportional_areas, Shape, ALL_FOUR_SHAPES};
 use summagen_platform::profile::hclserver1;
 use summagen_trace::{folded_stacks, TraceRecorder};
 
+use crate::harness::{shape_file, shape_slug, Artifacts, Error, Outcome};
 use crate::json::{with_metadata, Json, SCHEMA_VERSION};
 use crate::resilience::{self, AbftShapeRun};
 use crate::{link_model, run_fpm_point, CPM_SPEEDS};
@@ -71,7 +72,7 @@ pub struct BenchShapeRun {
 
 /// Runs the three regression scenarios for one shape, with the CPM run
 /// carried over `backend`.
-pub fn bench_shape(shape: Shape, backend: Backend) -> BenchShapeRun {
+pub fn bench_shape(shape: Shape, backend: Backend) -> Outcome<BenchShapeRun> {
     let platform = hclserver1();
     let areas = proportional_areas(BENCH_N, &CPM_SPEEDS);
     let spec = shape.build(BENCH_N, &areas);
@@ -90,8 +91,8 @@ pub fn bench_shape(shape: Shape, backend: Backend) -> BenchShapeRun {
     );
     let folded = folded_stacks(&recorder.finish());
     let fpm = run_fpm_point(BENCH_FPM_N, shape, &platform);
-    let abft = resilience::abft_shape_run(resilience::ABFT_N, shape);
-    BenchShapeRun {
+    let abft = resilience::abft_shape_run(resilience::ABFT_N, shape)?;
+    Ok(BenchShapeRun {
         shape,
         cpm,
         metrics,
@@ -99,7 +100,7 @@ pub fn bench_shape(shape: Shape, backend: Backend) -> BenchShapeRun {
         fpm,
         abft,
         backend,
-    }
+    })
 }
 
 /// The schema-stamped regression document for one shape.
@@ -168,10 +169,7 @@ pub fn bench_json(run: &BenchShapeRun) -> Json {
             ("cpm_n", Json::from(BENCH_N)),
             ("fpm_n", Json::from(BENCH_FPM_N)),
             ("abft_n", Json::from(resilience::ABFT_N)),
-            (
-                "cpm_speeds",
-                Json::arr(CPM_SPEEDS.iter().copied().map(Json::from)),
-            ),
+            ("cpm_speeds", Json::arr(CPM_SPEEDS)),
         ]),
     )
 }
@@ -188,44 +186,28 @@ fn hist_quantiles(h: &summagen_metrics::Histogram) -> Json {
     ])
 }
 
-fn shape_slug(shape: Shape) -> String {
-    shape.name().replace(' ', "-")
-}
-
-/// Artifact name for one shape's document: channel runs keep the
-/// historical `BENCH_<shape>.json` so committed baselines stay valid;
-/// other backends get a `_<backend>` suffix and never collide with them.
-pub fn bench_artifact_name(shape: Shape, backend: Backend) -> String {
-    let slug = shape_slug(shape);
-    match backend {
-        Backend::Channel => format!("BENCH_{slug}.json"),
-        other => format!("BENCH_{slug}_{}.json", other.name()),
-    }
-}
-
 /// Runs all four shapes over `backend`, writing `BENCH_<shape>.json`
 /// (suffixed with the backend name off the default channel) and
 /// `flame_<shape>.folded` into `out_dir` and printing a summary table.
-pub fn run_bench(out_dir: &Path, backend: Backend) -> io::Result<()> {
-    fs::create_dir_all(out_dir)?;
+pub fn run_bench(out_dir: &Path, backend: Backend) -> Outcome {
+    let out = Artifacts::create(out_dir)?;
     println!(
         "\nBENCH — regression harness (CPM N = {BENCH_N}, FPM N = {BENCH_FPM_N}, \
          ABFT N = {}, backend = {backend}), output in {}",
         resilience::ABFT_N,
-        out_dir.display()
+        out.dir().display()
     );
     println!(
         "{:>20} {:>12} {:>10} {:>8} {:>10} {:>12}",
         "shape", "makespan(s)", "GFLOP/s", "comm%", "abft+%", "p99 send(s)"
     );
     for shape in ALL_FOUR_SHAPES {
-        let run = bench_shape(shape, backend);
-        let slug = shape_slug(shape);
-        fs::write(
-            out_dir.join(bench_artifact_name(shape, backend)),
+        let run = bench_shape(shape, backend)?;
+        out.write(
+            &shape_file("BENCH", shape, backend),
             bench_json(&run).pretty(),
         )?;
-        fs::write(out_dir.join(format!("flame_{slug}.folded")), &run.folded)?;
+        out.write(&format!("flame_{}.folded", shape_slug(shape)), &run.folded)?;
         println!(
             "{:>20} {:>12.4} {:>10.1} {:>7.2}% {:>9.2}% {:>12.3e}",
             shape.name(),
@@ -242,9 +224,8 @@ pub fn run_bench(out_dir: &Path, backend: Backend) -> io::Result<()> {
 /// One `--check` violation, human-readable.
 pub type CheckViolation = String;
 
-/// Why a `--check` run could not even be attempted — distinct from a
-/// [`CheckOutcome`] with violations (the comparison ran and failed).
-/// Every variant names the offending path, so a typo'd `--check DIR`
+/// Why a `--check` run could not even be attempted — distinct from
+/// violations (the comparison ran and failed). Every variant names the offending path, so a typo'd `--check DIR`
 /// fails with the directory it looked in rather than a bare "No such
 /// file or directory".
 #[derive(Debug)]
@@ -277,14 +258,7 @@ impl std::fmt::Display for CheckError {
     }
 }
 
-impl std::error::Error for CheckError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckError::UnreadableBaseline(_, e) => Some(e),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for CheckError {}
 
 /// Reads and parses one baseline artifact, wrapping both failure modes
 /// with the offending path. Shared by `bench --check` and
@@ -293,16 +267,6 @@ pub fn read_baseline(path: &Path) -> Result<Json, CheckError> {
     let text = fs::read_to_string(path)
         .map_err(|e| CheckError::UnreadableBaseline(path.to_path_buf(), e))?;
     Json::parse(&text).map_err(|e| CheckError::MalformedBaseline(path.to_path_buf(), e))
-}
-
-/// Fails fast with a typed error if `baseline_dir` is not a directory,
-/// before any expensive fresh runs are attempted.
-pub fn require_baseline_dir(baseline_dir: &Path) -> Result<(), CheckError> {
-    if baseline_dir.is_dir() {
-        Ok(())
-    } else {
-        Err(CheckError::MissingBaselineDir(baseline_dir.to_path_buf()))
-    }
 }
 
 /// The relative drift of one numeric leaf between baseline and fresh
@@ -331,27 +295,6 @@ impl std::fmt::Display for LeafDrift {
             self.baseline,
             self.fresh
         )
-    }
-}
-
-/// Everything a `--check` run learned: the violations (empty = pass)
-/// plus the worst-drifting leaf across every compared document, even
-/// when that drift is within tolerance.
-#[derive(Debug, Default)]
-pub struct CheckOutcome {
-    /// Out-of-tolerance (or structural) violations.
-    pub violations: Vec<CheckViolation>,
-    /// The numeric leaf with the largest relative drift seen anywhere.
-    pub worst: Option<LeafDrift>,
-}
-
-impl CheckOutcome {
-    pub(crate) fn absorb(&mut self, drift: Option<LeafDrift>) {
-        if let Some(d) = drift {
-            if self.worst.as_ref().is_none_or(|w| d.rel > w.rel) {
-                self.worst = Some(d);
-            }
-        }
     }
 }
 
@@ -462,43 +405,82 @@ pub fn compare_docs_drift(
     (violations, worst)
 }
 
-/// Reruns the harness over `backend` and checks each shape's fresh
-/// document against the matching artifact in `baseline_dir` (channel
-/// baselines are the unsuffixed `BENCH_<shape>.json`). Returns every
-/// violation (empty = within tolerance) plus the worst-drifting leaf
-/// across all shapes, so a failure names where to look first. A missing
-/// or unreadable baseline is a typed [`CheckError`] naming the path —
-/// detected before the expensive fresh runs start.
-pub fn check_bench(
+/// The one `--check` loop of `reproduce <what> --check`: pulls
+/// `(label, baseline file, fresh document)` from `docs` one at a time,
+/// compares each against the baseline of that name in `baseline_dir` and
+/// prints one line per document. The directory is checked before the
+/// first document is pulled, so a typo'd `--check DIR` fails before any
+/// expensive fresh run; a missing or unreadable baseline is a typed
+/// [`CheckError`] naming the path. Any violation fails the check, with
+/// every violation and the worst-drifting leaf of all documents named.
+pub fn check_docs(
+    what: &str,
+    fresh_run: &str,
     baseline_dir: &Path,
     tol: f64,
-    backend: Backend,
-) -> Result<CheckOutcome, CheckError> {
-    require_baseline_dir(baseline_dir)?;
-    let mut outcome = CheckOutcome::default();
+    docs: impl IntoIterator<Item = Outcome<(String, String, Json)>>,
+) -> Outcome {
+    if !baseline_dir.is_dir() {
+        return Err(CheckError::MissingBaselineDir(baseline_dir.to_path_buf()).into());
+    }
     println!(
-        "\nBENCH CHECK — fresh {backend} run vs baselines in {} (tolerance ±{:.2}%)",
+        "\n{} CHECK — {fresh_run} vs baselines in {} (tolerance ±{:.2}%)",
+        what.to_uppercase(),
         baseline_dir.display(),
         100.0 * tol
     );
-    for shape in ALL_FOUR_SHAPES {
-        let path = baseline_dir.join(bench_artifact_name(shape, backend));
-        let baseline = read_baseline(&path)?;
-        let fresh = bench_json(&bench_shape(shape, backend));
-        let (v, drift) = compare_docs_drift(shape.name(), &baseline, &fresh, tol);
-        println!(
-            "  {:<20} {}",
-            shape.name(),
-            if v.is_empty() {
-                "ok".to_string()
-            } else {
-                format!("{} violation(s)", v.len())
-            }
-        );
-        outcome.violations.extend(v);
-        outcome.absorb(drift);
+    let mut violations = Vec::new();
+    let mut worst: Option<LeafDrift> = None;
+    for doc in docs {
+        let (label, file, fresh) = doc?;
+        let baseline = read_baseline(&baseline_dir.join(file))?;
+        let (v, drift) = compare_docs_drift(&label, &baseline, &fresh, tol);
+        let verdict = if v.is_empty() {
+            "ok".to_string()
+        } else {
+            format!("{} violation(s)", v.len())
+        };
+        println!("  {label:<20} {verdict}");
+        violations.extend(v);
+        if let Some(d) = drift.filter(|d| worst.as_ref().is_none_or(|w| d.rel > w.rel)) {
+            worst = Some(d);
+        }
     }
-    Ok(outcome)
+    if violations.is_empty() {
+        println!(
+            "{what} check passed: all metrics within ±{:.2}%",
+            100.0 * tol
+        );
+        return Ok(());
+    }
+    let mut lines = vec![format!(
+        "{what} check FAILED ({} violations):",
+        violations.len()
+    )];
+    lines.extend(violations.iter().map(|v| format!("  {v}")));
+    lines.extend(worst.map(|w| format!("  worst drift: {w}")));
+    Err(Error::Failed(lines.join("\n")))
+}
+
+/// Reruns the harness over `backend` and checks each shape's fresh
+/// document against the matching artifact in `baseline_dir` (channel
+/// baselines are the unsuffixed `BENCH_<shape>.json`).
+pub fn check_bench(baseline_dir: &Path, tol: f64, backend: Backend) -> Outcome {
+    let docs = ALL_FOUR_SHAPES.iter().map(|&shape| {
+        let fresh = bench_json(&bench_shape(shape, backend)?);
+        Ok((
+            shape.name().to_string(),
+            shape_file("BENCH", shape, backend),
+            fresh,
+        ))
+    });
+    check_docs(
+        "bench",
+        &format!("fresh {backend} run"),
+        baseline_dir,
+        tol,
+        docs,
+    )
 }
 
 #[cfg(test)]
@@ -510,7 +492,7 @@ mod tests {
         let dir = Path::new("target/no-such-baseline-dir");
         let err = check_bench(dir, 0.01, Backend::Channel).unwrap_err();
         match &err {
-            CheckError::MissingBaselineDir(p) => assert_eq!(p, dir),
+            Error::Check(CheckError::MissingBaselineDir(p)) => assert_eq!(p, dir),
             other => panic!("expected MissingBaselineDir, got {other:?}"),
         }
         let msg = err.to_string();
@@ -535,15 +517,16 @@ mod tests {
             Err(CheckError::MalformedBaseline(p, _)) => assert_eq!(p, bad),
             other => panic!("expected MalformedBaseline, got {other:?}"),
         }
-        // The dir exists, so the fast pre-check passes.
-        assert!(require_baseline_dir(&dir).is_ok());
+        // The dir exists, so the fast pre-check passes (and no documents
+        // means no violations).
+        assert!(check_docs("bench", "fresh run", &dir, 0.01, std::iter::empty()).is_ok());
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn bench_json_is_deterministic_and_parseable() {
-        let a = bench_json(&bench_shape(Shape::SquareCorner, Backend::Channel));
-        let b = bench_json(&bench_shape(Shape::SquareCorner, Backend::Channel));
+        let a = bench_json(&bench_shape(Shape::SquareCorner, Backend::Channel).unwrap());
+        let b = bench_json(&bench_shape(Shape::SquareCorner, Backend::Channel).unwrap());
         // Virtual-time determinism: identical documents run-to-run.
         assert_eq!(a.pretty(), b.pretty());
         let parsed = Json::parse(&a.pretty()).expect("own output parses");
@@ -576,8 +559,8 @@ mod tests {
     fn bench_over_tcp_is_bit_identical_and_stamped() {
         // Virtual time is backend-blind: the TCP document differs from
         // the channel one only in its `run_config.backend` stamp.
-        let chan = bench_json(&bench_shape(Shape::SquareCorner, Backend::Channel));
-        let tcp = bench_json(&bench_shape(Shape::SquareCorner, Backend::Tcp));
+        let chan = bench_json(&bench_shape(Shape::SquareCorner, Backend::Channel).unwrap());
+        let tcp = bench_json(&bench_shape(Shape::SquareCorner, Backend::Tcp).unwrap());
         assert_eq!(
             tcp.path("run_config.backend").and_then(Json::as_str),
             Some("tcp")
@@ -587,15 +570,15 @@ mod tests {
             tcp.pretty().replace("\"backend\": \"tcp\"", "")
         );
         assert_eq!(
-            bench_artifact_name(Shape::SquareCorner, Backend::Tcp),
+            shape_file("BENCH", Shape::SquareCorner, Backend::Tcp),
             "BENCH_square-corner_tcp.json"
         );
     }
 
     #[test]
     fn compare_rejects_cross_backend_checks_but_tolerates_legacy_baselines() {
-        let chan = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Channel));
-        let tcp = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Tcp));
+        let chan = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Channel).unwrap());
+        let tcp = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Tcp).unwrap());
         let v = compare_docs("cross", &chan, &tcp, 0.05);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("backend mismatch"), "{v:?}");
@@ -616,7 +599,7 @@ mod tests {
 
     #[test]
     fn compare_accepts_identical_and_rejects_perturbed() {
-        let doc = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Channel));
+        let doc = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Channel).unwrap());
         assert!(compare_docs("self", &doc, &doc, 0.0).is_empty());
 
         // Perturb one metric by 10%: must be flagged at 5% tolerance.
@@ -637,7 +620,7 @@ mod tests {
 
     #[test]
     fn worst_drift_names_the_most_perturbed_leaf() {
-        let doc = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Channel));
+        let doc = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Channel).unwrap());
 
         // Identical documents: every leaf drifts 0%, but a worst leaf is
         // still reported (ties resolve to the first).

@@ -1,433 +1,268 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! reproduce table1 | fig1 | fig5 | fig6 | fig7 | fig8 | summary
-//!           | crossover | nrrp | energyopt | summa | cluster | exact
-//!           | auto | fig5measured | verify | recovery | trace | abft
-//!           | bench | soak | serve | degrade | crash | insight | all
+//! reproduce [COMMAND] [--json] [--out DIR] [--check DIR] [--tol FRACTION]
+//!           [--backend channel|tcp] [--mix small|hetero]
+//!           [--policy fifo|rr|fpm] [--jobs N]
 //! ```
 //!
-//! Output is whitespace-aligned text: one row per problem size with one
-//! column per shape (for the figure commands), matching the series the
-//! paper plots. `trace [--out DIR]` additionally writes Perfetto trace
-//! files and metrics summaries (default `target/trace`); `abft [--out
-//! DIR]` writes the ABFT overhead summaries and Perfetto traces of the
-//! checksum-protected runs (default `target/abft`); `bench [--out DIR]
-//! [--backend channel|tcp]` writes the schema-stamped
-//! `BENCH_<shape>.json` regression documents (suffixed `_tcp` off the
-//! default backend) and folded-stack flamegraphs (default
-//! `target/bench`), and `bench --check DIR [--tol FRACTION]` instead
-//! reruns the harness and compares against the like-named baselines in
-//! DIR, exiting nonzero on any regression or backend mismatch.
-//! `soak [--out DIR] [--backend channel|tcp]` runs the seeded lossy-link
-//! chaos soak (wire drops, duplicates, reorders, delays, plus a silent
-//! rank hang caught by the heartbeat detector) and writes
-//! `SOAK_<shape>.json` summaries (default `target/soak`; TCP artifacts
-//! are suffixed `_tcp`), exiting nonzero on any correctness mismatch.
-//! `--backend tcp` runs the identical chaos over a loopback-TCP
-//! universe instead of in-process channels.
-//! `serve [--mix small|hetero] [--policy fifo|rr|fpm] [--jobs N]
-//! [--out DIR]` drives the multi-tenant GEMM service with a seeded
-//! tenant load, prints the per-policy/per-tenant latency comparison,
-//! and writes `LOAD_<mix>.json`, `LOAD_<mix>.prom`, and per-policy
-//! `SCHEDULE_<mix>_<policy>.json` Perfetto timelines (default
-//! `target/serve`); with all three policies it exits nonzero unless the
-//! FPM-aware scheduler beats FIFO on both makespan and p95 latency.
-//! `degrade [--mix small|hetero] [--out DIR]` runs the same seeded
-//! stream with seeded device faults at 1×/2×/5× the mix's arrival rate,
-//! baseline (no degradation) against the full degradation layer
-//! (deadline admission, checkpoint preemption, quarantine, brownout),
-//! writes `DEGRADE_<mix>.json` and the top-factor
-//! `SCHEDULE_DEGRADE_<mix>_<mode>.json` timelines (default
-//! `target/degrade`), and exits nonzero unless jobs are conserved,
-//! every deadline outcome is typed, the degraded run reproduces its
-//! digest, the top tenant's p95 improves at 5×, and the real
-//! checkpointed executor resumes bit-identically across every panel
-//! boundary.
-//! `crash [--mix small|hetero] [--out DIR]` runs the durable-journal
-//! kill-point ladder at 5× load: 25 seeded crash/restart cycles
-//! (at-admission, mid-batch, torn mid-append, mid-checkpoint), each
-//! restart reopening the journal and resubmitting the whole stream,
-//! then a crash-free drain compared against a crash-free control. It
-//! writes `CRASH_<mix>.json`, the journal/recovery Prometheus
-//! exposition `CRASH_<mix>.prom`, and the final epoch's
-//! `SCHEDULE_CRASH_<mix>.json` timeline (default `target/crash`), and
-//! exits nonzero unless every armed cycle crashed, the terminal ledgers
-//! match the control exactly (same keys, bit-identical digests), at
-//! least one torn tail was truncated, replay stayed bounded, and the
-//! rerun ladder reproduces the document byte-for-byte.
-//! `insight [--out DIR]` replays the recorded schedules of the four
-//! paper shapes under virtual interventions (communication free, one
-//! link free, one device's GEMMs doubled), writes the ranked
-//! opportunity tables and sensitivity curves as `INSIGHT_<shape>.json`,
-//! and drives the hetero mix with a per-tenant SLO burn-rate policy —
-//! a healthy 1× control against a degraded 5× stampede — writing
-//! `INSIGHT_slo_hetero.json`, the Prometheus exposition, and the
-//! alert-annotated Perfetto timeline (default `target/insight`); it
-//! exits nonzero unless the comm-free replay matches the analyzer's
-//! compute bound within 1% and the control is silent while the
-//! stampede alerts. `insight --check DIR [--tol FRACTION]` instead
-//! reruns the suite and compares against the like-named baselines.
-//! `all` runs every text command plus the trace, recovery, abft, bench,
-//! soak, serve, degrade, crash, and insight exporters.
+//! The commands, in order, are the rows of `COMMANDS` below; an unknown
+//! command name lists them.
+//!
+//! The text commands print whitespace-aligned tables: one row per problem
+//! size with one column per shape (for the figure commands), matching the
+//! series the paper plots; `--json` prints a figure's series as a
+//! schema-stamped document instead. The exporters write artifacts into
+//! `--out DIR` (default `target/<command>`) and exit nonzero when a gate
+//! fails; what each writes and gates is documented in its module:
+//! `trace` (`tracecmd`), `abft` and `recovery --json` (`resilience`),
+//! `bench` (`benchcmd`), `soak` (`soak`), `serve` (`servecmd`),
+//! `degrade` (`degradecmd`), `crash` (`crashcmd`) and `insight`
+//! (`insightcmd`). `bench --check DIR` and `insight --check DIR` rerun
+//! and compare against the like-named baselines in DIR within `--tol`.
+//! `--backend tcp` runs `bench` and `soak` over loopback TCP; `--mix`
+//! picks the tenant mix of `serve`, `degrade` and `crash`. `all` runs
+//! every command but `verify`, in table order, and never checks.
+//!
+//! Exit status: 0 on success, 1 when a run, gate or check fails, 2 on a
+//! bad invocation.
 
 use std::env;
-use std::str::FromStr;
+use std::path::{Path, PathBuf};
 
 use summagen_comm::Backend;
+use summagen_service::Policy;
 
+use summagen_bench::benchcmd::{check_bench, run_bench, DEFAULT_CHECK_TOLERANCE};
+use summagen_bench::crashcmd::run_crash;
+use summagen_bench::degradecmd::run_degrade;
+use summagen_bench::harness::{ensure, reference, Error, Outcome};
+use summagen_bench::insightcmd::{check_insight, run_insight};
+use summagen_bench::json::{with_metadata, Json};
+use summagen_bench::resilience::{recovery_json, recovery_series, run_abft, ABFT_N};
+use summagen_bench::servecmd::run_serve;
+use summagen_bench::soak::{run_soak, SOAK_N};
+use summagen_bench::tracecmd::{run_trace, TRACE_N};
 use summagen_bench::*;
-use summagen_partition::ALL_FOUR_SHAPES;
+use summagen_core::SimReport;
+use summagen_partition::{Shape, ALL_FOUR_SHAPES};
+use InAll::{Run, RunThenBlankLine, Skip};
+
+/// Runs a command: `(parsed arguments, output directory)`.
+type Runner = fn(&Args, &Path) -> Outcome;
+
+/// Builds a command's `--json` document, given its name.
+type JsonDoc = fn(&str) -> Json;
+
+/// What `all` does with a command.
+#[derive(Clone, Copy, PartialEq)]
+enum InAll {
+    Skip,
+    Run,
+    /// Run it, then print a blank line (the next output opens without one).
+    RunThenBlankLine,
+}
+
+/// The name that runs every command marked for it, in table order.
+const ALL: &str = "all";
+
+/// Every command: name, runner, `--json` document, part in `all`. The
+/// order is the order `all` runs them and the usage error lists them.
+const COMMANDS: [(&str, Runner, Option<JsonDoc>, InAll); 25] = [
+    ("table1", |_, _| show(table1()), None, RunThenBlankLine),
+    ("fig1", |_, _| show(fig1()), None, Run),
+    ("fig5", |_, _| text(fig5), Some(fig5_doc), Run),
+    ("fig6", |_, _| text(fig6), Some(fig6_doc), Run),
+    ("fig7", |_, _| text(fig7), Some(fig7_doc), Run),
+    ("fig8", |_, _| text(fig8), Some(fig8_doc), Run),
+    ("summary", |_, _| text(summary), Some(summary_doc), Run),
+    ("crossover", |_, _| text(crossover), None, Run),
+    ("nrrp", |_, _| text(nrrp), None, Run),
+    ("energyopt", |_, _| text(energyopt), None, Run),
+    ("summa", |_, _| text(summa), None, Run),
+    ("cluster", |_, _| text(cluster), None, Run),
+    ("exact", |_, _| text(exact), None, Run),
+    ("auto", |_, _| text(auto_gen), None, Run),
+    ("fig5measured", |_, _| text(fig5measured), None, Run),
+    ("verify", |_, _| verify(), None, Skip),
+    ("recovery", |_, _| text(recovery), Some(recovery_doc), Run),
+    ("trace", |_, out| run_trace(TRACE_N, out), None, Run),
+    ("abft", |_, out| run_abft(ABFT_N, out), None, Run),
+    ("bench", bench, None, Run),
+    ("soak", |a, out| run_soak(SOAK_N, out, a.backend), None, Run),
+    ("serve", serve, None, Run),
+    ("degrade", |a, out| run_degrade(&a.mix, out), None, Run),
+    ("crash", |a, out| run_crash(&a.mix, out), None, Run),
+    ("insight", insight, None, Run),
+];
+
+/// The parsed command line.
+#[derive(Clone, Default)]
+struct Args {
+    command: Option<String>,
+    json: bool,
+    out: Option<PathBuf>,
+    check: Option<PathBuf>,
+    tol: f64,
+    backend: Backend,
+    mix: String,
+    policy: Option<Policy>,
+    jobs: Option<usize>,
+}
 
 fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let mut json = false;
-    let mut out_dir: Option<String> = None;
-    let mut check_dir: Option<String> = None;
-    let mut tol: Option<f64> = None;
-    let mut backend = Backend::default();
-    let mut mix = "small".to_string();
-    let mut policy: Option<summagen_service::Policy> = None;
-    let mut jobs: Option<usize> = None;
-    let mut what: Option<String> = None;
+    let argv: Vec<String> = env::args().skip(1).collect();
+    if let Err(e) = parse(&argv).and_then(|args| run(&args)) {
+        eprintln!("{e}");
+        std::process::exit(e.exit_code());
+    }
+}
+
+fn parse(argv: &[String]) -> Outcome<Args> {
+    let mut args = Args {
+        tol: DEFAULT_CHECK_TOLERANCE,
+        mix: "small".to_string(),
+        ..Args::default()
+    };
     let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--out" => {
-                if let Some(v) = args.get(i + 1) {
-                    out_dir = Some(v.clone());
-                    i += 1;
-                } else {
-                    eprintln!("--out requires a directory argument");
-                    std::process::exit(2);
-                }
-            }
+    while i < argv.len() {
+        let dir = |v: &str| Some(PathBuf::from(v));
+        match argv[i].as_str() {
+            "--json" => args.json = true,
+            "--out" => args.out = Some(value(argv, &mut i, "a directory argument", dir)?),
             "--check" => {
-                if let Some(v) = args.get(i + 1) {
-                    check_dir = Some(v.clone());
-                    i += 1;
-                } else {
-                    eprintln!("--check requires a baseline directory argument");
-                    std::process::exit(2);
-                }
+                args.check = Some(value(argv, &mut i, "a baseline directory argument", dir)?)
             }
             "--backend" => {
-                match args.get(i + 1).map(|v| Backend::from_str(v)) {
-                    Some(Ok(b)) => backend = b,
-                    Some(Err(e)) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("--backend requires 'channel' or 'tcp'");
-                        std::process::exit(2);
-                    }
-                }
-                i += 1;
+                args.backend = value(argv, &mut i, "'channel' or 'tcp'", |v| v.parse().ok())?
             }
             "--mix" => {
-                if let Some(v) = args.get(i + 1) {
-                    mix = v.clone();
-                    i += 1;
-                } else {
-                    eprintln!("--mix requires a mix name (small or hetero)");
-                    std::process::exit(2);
-                }
+                args.mix = value(argv, &mut i, "a mix name (small or hetero)", |v| {
+                    Some(v.to_string())
+                })?
             }
             "--policy" => {
-                match args
-                    .get(i + 1)
-                    .map(|v| summagen_service::Policy::from_str(v))
-                {
-                    Some(Ok(p)) => policy = Some(p),
-                    Some(Err(e)) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("--policy requires fifo, round-robin, or fpm-aware");
-                        std::process::exit(2);
-                    }
-                }
-                i += 1;
+                let what = "fifo, round-robin, or fpm-aware";
+                args.policy = Some(value(argv, &mut i, what, |v| v.parse().ok())?)
             }
             "--jobs" => {
-                match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(v) if v > 0 => jobs = Some(v),
-                    _ => {
-                        eprintln!("--jobs requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-                i += 1;
+                let positive = |v: &str| v.parse().ok().filter(|&n: &usize| n > 0);
+                args.jobs = Some(value(argv, &mut i, "a positive integer", positive)?)
             }
             "--tol" => {
-                match args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(v) if v >= 0.0 => tol = Some(v),
-                    _ => {
-                        eprintln!("--tol requires a non-negative fraction (e.g. 0.05)");
-                        std::process::exit(2);
-                    }
-                }
-                i += 1;
+                let what = "a non-negative fraction (e.g. 0.05)";
+                args.tol = value(argv, &mut i, what, |v| {
+                    v.parse().ok().filter(|&t: &f64| t >= 0.0)
+                })?
             }
-            a if !a.starts_with("--") && what.is_none() => what = Some(a.to_string()),
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
+            a if !a.starts_with("--") && args.command.is_none() => {
+                args.command = Some(a.to_string())
             }
+            other => return Err(Error::Usage(format!("unknown argument '{other}'"))),
         }
         i += 1;
     }
-    let what = what.as_deref().unwrap_or("all");
-    if json {
-        return emit_json(what);
+    Ok(args)
+}
+
+/// The value after the flag at `argv[*i]`, which it consumes; `what`
+/// says what the flag needs when the value is missing or does not parse.
+fn value<T>(
+    argv: &[String],
+    i: &mut usize,
+    what: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Outcome<T> {
+    let flag = &argv[*i];
+    *i += 1;
+    let raw = argv.get(*i);
+    raw.and_then(|v| parse(v)).ok_or_else(|| {
+        let got = raw.map(|v| format!(", got '{v}'")).unwrap_or_default();
+        Error::Usage(format!("{flag} requires {what}{got}"))
+    })
+}
+
+/// Dispatches the parsed command line through [`COMMANDS`].
+fn run(args: &Args) -> Outcome {
+    let name = args.command.as_deref().unwrap_or(ALL);
+    let out = |name: &str| {
+        args.out
+            .clone()
+            .unwrap_or_else(|| Path::new("target").join(name))
+    };
+    let names = |with_json: bool| -> Vec<&str> {
+        let rows = COMMANDS.iter().filter(|c| !with_json || c.2.is_some());
+        rows.map(|c| c.0).collect()
+    };
+    if args.json {
+        let doc = COMMANDS.iter().find(|c| c.0 == name).and_then(|c| c.2);
+        let doc = doc.ok_or_else(|| {
+            let names = names(true).join(" ");
+            Error::Usage(format!("--json supports: {names} (got '{name}')"))
+        })?;
+        println!("{}", doc(name).pretty());
+        return Ok(());
     }
-    match what {
-        "table1" => print!("{}", table1()),
-        "fig1" => print!("{}", fig1()),
-        "fig5" => fig5(),
-        "fig6" => fig6(),
-        "fig7" => fig7(),
-        "fig8" => fig8(),
-        "summary" => summary(),
-        "crossover" => crossover(),
-        "nrrp" => nrrp(),
-        "energyopt" => energyopt(),
-        "summa" => summa(),
-        "cluster" => cluster(),
-        "exact" => exact(),
-        "auto" => auto_gen(),
-        "fig5measured" => fig5measured(),
-        "verify" => verify(),
-        "recovery" => recovery(),
-        "trace" => trace(out_dir.as_deref().unwrap_or("target/trace")),
-        "abft" => abft(out_dir.as_deref().unwrap_or("target/abft")),
-        "bench" => bench(
-            out_dir.as_deref().unwrap_or("target/bench"),
-            check_dir.as_deref(),
-            tol,
-            backend,
-        ),
-        "soak" => soak(out_dir.as_deref().unwrap_or("target/soak"), backend),
-        "serve" => serve(
-            &mix,
-            policy,
-            jobs,
-            out_dir.as_deref().unwrap_or("target/serve"),
-        ),
-        "degrade" => degrade(&mix, out_dir.as_deref().unwrap_or("target/degrade")),
-        "crash" => crash(&mix, out_dir.as_deref().unwrap_or("target/crash")),
-        "insight" => insight(
-            out_dir.as_deref().unwrap_or("target/insight"),
-            check_dir.as_deref(),
-            tol,
-        ),
-        "all" => {
-            print!("{}", table1());
-            println!();
-            print!("{}", fig1());
-            fig5();
-            fig6();
-            fig7();
-            fig8();
-            summary();
-            crossover();
-            nrrp();
-            energyopt();
-            summa();
-            cluster();
-            exact();
-            auto_gen();
-            fig5measured();
-            recovery();
-            trace(out_dir.as_deref().unwrap_or("target/trace"));
-            abft(out_dir.as_deref().unwrap_or("target/abft"));
-            bench(
-                out_dir.as_deref().unwrap_or("target/bench"),
-                None,
-                tol,
-                backend,
-            );
-            soak(out_dir.as_deref().unwrap_or("target/soak"), backend);
-            serve(
-                &mix,
-                policy,
-                jobs,
-                out_dir.as_deref().unwrap_or("target/serve"),
-            );
-            degrade(&mix, out_dir.as_deref().unwrap_or("target/degrade"));
-            crash(&mix, out_dir.as_deref().unwrap_or("target/crash"));
-            insight(out_dir.as_deref().unwrap_or("target/insight"), None, tol);
+    if name == ALL {
+        // `all` writes artifacts; it never checks against baselines.
+        let all = Args {
+            check: None,
+            ..args.clone()
+        };
+        for (name, run, _, in_all) in COMMANDS.iter().filter(|c| c.3 != Skip) {
+            run(&all, &out(name))?;
+            if *in_all == RunThenBlankLine {
+                println!();
+            }
         }
-        other => {
-            eprintln!(
-                "unknown figure '{other}'; expected one of: table1 fig1 fig5 fig6 fig7 fig8 summary crossover nrrp energyopt summa cluster exact auto fig5measured verify recovery trace abft bench soak serve degrade crash insight all"
-            );
-            std::process::exit(2);
+        return Ok(());
+    }
+    match COMMANDS.iter().find(|c| c.0 == name) {
+        Some((name, run, _, _)) => run(args, &out(name)),
+        None => {
+            let names = names(false).join(" ");
+            Err(Error::Usage(format!(
+                "unknown figure '{name}'; expected one of: {names} {ALL}"
+            )))
         }
     }
+}
+
+/// A text command: prints its table and cannot fail.
+fn text(print: fn()) -> Outcome {
+    print();
+    Ok(())
+}
+
+/// A text command whose table is built as a string.
+fn show(table: String) -> Outcome {
+    print!("{table}");
+    Ok(())
+}
+
+/// Regression harness: writes `BENCH_<shape>.json` + flamegraphs, or —
+/// with `--check DIR` — reruns and compares against committed baselines
+/// (see `benchcmd`).
+fn bench(args: &Args, out: &Path) -> Outcome {
+    match &args.check {
+        Some(dir) => check_bench(dir, args.tol, args.backend),
+        None => run_bench(out, args.backend),
+    }
+}
+
+/// The multi-tenant service under each scheduling policy (see `servecmd`).
+fn serve(args: &Args, out: &Path) -> Outcome {
+    run_serve(&args.mix, args.policy, args.jobs, out)
 }
 
 /// Causal what-if profiles of the four paper shapes plus the SLO
 /// burn-rate scenario, or — with `--check DIR` — a rerun compared
 /// against committed baselines (see `insightcmd`).
-fn insight(out_dir: &str, check_dir: Option<&str>, tol: Option<f64>) {
-    use summagen_bench::{benchcmd, insightcmd};
-    let tol = tol.unwrap_or(benchcmd::DEFAULT_CHECK_TOLERANCE);
-    match check_dir {
-        Some(dir) => match insightcmd::check_insight(std::path::Path::new(dir), tol) {
-            Ok(outcome) if outcome.violations.is_empty() => {
-                println!(
-                    "insight check passed: all metrics within ±{:.2}%",
-                    100.0 * tol
-                );
-            }
-            Ok(outcome) => {
-                eprintln!(
-                    "insight check FAILED ({} violations):",
-                    outcome.violations.len()
-                );
-                for v in &outcome.violations {
-                    eprintln!("  {v}");
-                }
-                if let Some(worst) = &outcome.worst {
-                    eprintln!("  worst drift: {worst}");
-                }
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("insight check against '{dir}' failed to run: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => {
-            if let Err(e) = insightcmd::run_insight(
-                summagen_bench::tracecmd::TRACE_N,
-                std::path::Path::new(out_dir),
-            ) {
-                eprintln!("insight run to '{out_dir}' failed: {e}");
-                std::process::exit(1);
-            }
-        }
+fn insight(args: &Args, out: &Path) -> Outcome {
+    match &args.check {
+        Some(dir) => check_insight(dir, args.tol),
+        None => run_insight(TRACE_N, out),
     }
-}
-
-/// Graceful-degradation comparison under overload and seeded device
-/// faults: baseline vs the full degradation layer at 1×/2×/5× load,
-/// with the acceptance gates of `degradecmd`.
-fn degrade(mix: &str, out_dir: &str) {
-    use summagen_bench::degradecmd;
-    if let Err(e) = degradecmd::run_degrade(mix, std::path::Path::new(out_dir)) {
-        eprintln!("degrade run to '{out_dir}' failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Durable-journal kill-point ladder: 25 seeded crash/restart cycles
-/// against a crash-free control, with the exactly-once, torn-tail, and
-/// bounded-replay acceptance gates of `crashcmd`.
-fn crash(mix: &str, out_dir: &str) {
-    use summagen_bench::crashcmd;
-    if let Err(e) = crashcmd::run_crash(mix, std::path::Path::new(out_dir)) {
-        eprintln!("crash run to '{out_dir}' failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Instrumented runs of the four paper shapes: Perfetto trace files,
-/// metrics summaries, and critical-path tables (see `tracecmd`).
-fn trace(out_dir: &str) {
-    use summagen_bench::tracecmd;
-    if let Err(e) = tracecmd::run_trace(tracecmd::TRACE_N, std::path::Path::new(out_dir)) {
-        eprintln!("trace export to '{out_dir}' failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Checksum-protected runs of the four paper shapes: ABFT overhead
-/// summaries and Perfetto traces of the resilience spans (see
-/// `resilience`).
-fn abft(out_dir: &str) {
-    use summagen_bench::resilience;
-    if let Err(e) = resilience::run_abft(resilience::ABFT_N, std::path::Path::new(out_dir)) {
-        eprintln!("abft export to '{out_dir}' failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Seeded lossy-link chaos soak: wire drops/duplicates/reorders/delays
-/// with the heartbeat detector armed, plus a silent-hang recovery per
-/// shape, writing `SOAK_<shape>.json` summaries (see `soak`). The
-/// backend selects the wire the chaos runs over: in-process channels
-/// (default) or loopback TCP.
-fn soak(out_dir: &str, backend: Backend) {
-    use summagen_bench::soak;
-    if let Err(e) = soak::run_soak(soak::SOAK_N, std::path::Path::new(out_dir), backend) {
-        eprintln!("soak export to '{out_dir}' failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Regression harness: writes `BENCH_<shape>.json` + flamegraphs, or —
-/// with `--check DIR` — reruns and compares against committed baselines,
-/// exiting nonzero on any out-of-tolerance metric (see `benchcmd`).
-fn bench(out_dir: &str, check_dir: Option<&str>, tol: Option<f64>, backend: Backend) {
-    use summagen_bench::benchcmd;
-    let tol = tol.unwrap_or(benchcmd::DEFAULT_CHECK_TOLERANCE);
-    match check_dir {
-        Some(dir) => match benchcmd::check_bench(std::path::Path::new(dir), tol, backend) {
-            Ok(outcome) if outcome.violations.is_empty() => {
-                println!(
-                    "bench check passed: all metrics within ±{:.2}%",
-                    100.0 * tol
-                );
-            }
-            Ok(outcome) => {
-                eprintln!(
-                    "bench check FAILED ({} violations):",
-                    outcome.violations.len()
-                );
-                for v in &outcome.violations {
-                    eprintln!("  {v}");
-                }
-                if let Some(worst) = &outcome.worst {
-                    eprintln!("  worst drift: {worst}");
-                }
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("bench check against '{dir}' failed to run: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => {
-            if let Err(e) = benchcmd::run_bench(std::path::Path::new(out_dir), backend) {
-                eprintln!("bench export to '{out_dir}' failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-/// Multi-tenant GEMM service load run: seeded tenant mix through each
-/// scheduling policy, per-tenant latency artifacts, schedule Perfetto
-/// timelines, and the FPM-beats-FIFO gate (see `servecmd`).
-fn serve(mix: &str, policy: Option<summagen_service::Policy>, jobs: Option<usize>, out_dir: &str) {
-    use summagen_bench::servecmd;
-    if let Err(e) = servecmd::run_serve(mix, policy, jobs, std::path::Path::new(out_dir)) {
-        eprintln!("serve run to '{out_dir}' failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn shape_header() -> String {
-    let names: Vec<String> = ALL_FOUR_SHAPES
-        .iter()
-        .map(|s| format!("{:>18}", s.name()))
-        .collect();
-    format!("{:>8}{}", "N", names.join(""))
 }
 
 fn fig5() {
@@ -446,70 +281,56 @@ fn fig5() {
     }
 }
 
-fn print_shape_table(title: &str, points: &[ShapePoint], metric: impl Fn(&ShapePoint) -> f64) {
+/// One row per problem size, one column per shape, values to `prec`
+/// decimals.
+fn print_shape_table(title: &str, cells: &[(usize, Shape, f64)], prec: usize) {
     println!("\n{title}");
-    println!("{}", shape_header());
-    let ns: std::collections::BTreeSet<usize> = points.iter().map(|p| p.n).collect();
+    let names: String = ALL_FOUR_SHAPES
+        .iter()
+        .map(|s| format!("{:>18}", s.name()))
+        .collect();
+    println!("{:>8}{names}", "N");
+    let ns: std::collections::BTreeSet<usize> = cells.iter().map(|c| c.0).collect();
     for n in ns {
         let mut row = format!("{n:>8}");
         for shape in ALL_FOUR_SHAPES {
-            let p = points
-                .iter()
-                .find(|p| p.n == n && p.shape == shape)
-                .expect("missing point");
-            row.push_str(&format!("{:>18.3}", metric(p)));
+            let cell = cells.iter().find(|c| c.0 == n && c.1 == shape);
+            let v = cell.expect("missing point").2;
+            row.push_str(&format!("{v:>18.prec$}"));
         }
         println!("{row}");
     }
+}
+
+/// Figures 6 and 7: (a) execution time, titled `title`, (b) computation
+/// and (c) communication time of each point.
+fn print_time_tables(fig: u8, title: &str, points: &[ShapePoint]) {
+    let table = |panel: &str, what: &str, metric: fn(&SimReport) -> f64| {
+        let cells: Vec<_> = points
+            .iter()
+            .map(|p| (p.n, p.shape, metric(&p.report)))
+            .collect();
+        print_shape_table(&format!("FIGURE {fig}{panel} — {what}"), &cells, 3);
+    };
+    table("a", title, |r| r.exec_time);
+    table("b", "computation time (s)", |r| r.comp_time);
+    table("c", "communication time (s)", |r| r.comm_time);
 }
 
 fn fig6() {
-    let points = fig6_series();
-    print_shape_table(
-        "FIGURE 6a — PMM execution time (s), constant performance models",
-        &points,
-        |p| p.report.exec_time,
-    );
-    print_shape_table("FIGURE 6b — computation time (s)", &points, |p| {
-        p.report.comp_time
-    });
-    print_shape_table("FIGURE 6c — communication time (s)", &points, |p| {
-        p.report.comm_time
-    });
+    let title = "PMM execution time (s), constant performance models";
+    print_time_tables(6, title, &fig6_series());
 }
 
 fn fig7() {
-    let points = fig7_series();
-    print_shape_table(
-        "FIGURE 7a — PMM execution time (s), non-constant performance models (load-imbalancing partitioner)",
-        &points,
-        |p| p.report.exec_time,
-    );
-    print_shape_table("FIGURE 7b — computation time (s)", &points, |p| {
-        p.report.comp_time
-    });
-    print_shape_table("FIGURE 7c — communication time (s)", &points, |p| {
-        p.report.comm_time
-    });
+    let title =
+        "PMM execution time (s), non-constant performance models (load-imbalancing partitioner)";
+    print_time_tables(7, title, &fig7_series());
 }
 
 fn fig8() {
-    println!("\nFIGURE 8 — dynamic energy (J), constant performance models");
-    println!("{}", shape_header());
-    let series = fig8_series();
-    let ns: std::collections::BTreeSet<usize> = series.iter().map(|&(n, _, _)| n).collect();
-    for n in ns {
-        let mut row = format!("{n:>8}");
-        for shape in ALL_FOUR_SHAPES {
-            let e = series
-                .iter()
-                .find(|&&(m, s, _)| m == n && s == shape)
-                .map(|&(_, _, e)| e)
-                .expect("missing point");
-            row.push_str(&format!("{e:>18.0}"));
-        }
-        println!("{row}");
-    }
+    let title = "FIGURE 8 — dynamic energy (J), constant performance models";
+    print_shape_table(title, &fig8_series(), 0);
 }
 
 fn summary() {
@@ -613,11 +434,7 @@ fn exact() {
     println!(
         "\nABLATION — §V heuristics vs the exact three-processor optimum (n = 32, speeds 1:2:0.9)"
     );
-    let sp = [
-        ConstantSpeed::new(1.0e9),
-        ConstantSpeed::new(2.0e9),
-        ConstantSpeed::new(0.9e9),
-    ];
+    let sp = [1.0e9, 2.0e9, 0.9e9].map(ConstantSpeed::new);
     let speeds: Vec<&dyn SpeedFunction> = sp.iter().map(|s| s as _).collect();
     let n = 32;
     let (alpha, beta) = (1e-6, 1e-9);
@@ -641,118 +458,100 @@ fn exact() {
     }
 }
 
-/// Machine-readable output: `reproduce <figure> --json` prints a JSON
-/// document with the same series the text tables show, stamped with the
-/// standard provenance header (`schema_version`, `git_commit`,
-/// `run_config`).
-fn emit_json(what: &str) {
-    use summagen_bench::json::{with_metadata, Json};
-    let doc = match what {
-        "fig5" => Json::obj([
-            ("figure", Json::from("fig5")),
-            ("unit", Json::from("flops")),
-            (
-                "series",
-                Json::arr(fig5_series(1024).into_iter().map(|(x, s)| {
-                    Json::obj([
-                        ("x", Json::from(x)),
-                        ("cpu", Json::from(s[0])),
-                        ("gpu", Json::from(s[1])),
-                        ("phi", Json::from(s[2])),
-                    ])
-                })),
-            ),
-        ]),
-        "fig6" | "fig7" => {
-            let points = if what == "fig6" {
-                fig6_series()
-            } else {
-                fig7_series()
-            };
-            Json::obj([
-                ("figure", Json::from(what)),
-                (
-                    "series",
-                    Json::arr(points.iter().map(|p| {
-                        Json::obj([
-                            ("n", Json::from(p.n)),
-                            ("shape", Json::from(p.shape.name())),
-                            ("exec_time_s", Json::from(p.report.exec_time)),
-                            ("comp_time_s", Json::from(p.report.comp_time)),
-                            ("comm_time_s", Json::from(p.report.comm_time)),
-                            ("achieved_flops", Json::from(p.report.achieved_flops())),
-                            (
-                                "dynamic_energy_j",
-                                Json::from(p.report.energy.as_ref().map(|e| e.dynamic_energy_j)),
-                            ),
-                        ])
-                    })),
-                ),
-            ])
-        }
-        "fig8" => Json::obj([
-            ("figure", Json::from("fig8")),
-            ("unit", Json::from("joules")),
-            (
-                "series",
-                Json::arr(fig8_series().into_iter().map(|(n, shape, e)| {
-                    Json::obj([
-                        ("n", Json::from(n)),
-                        ("shape", Json::from(shape.name())),
-                        ("dynamic_energy_j", Json::from(e)),
-                    ])
-                })),
-            ),
-        ]),
-        "summary" => {
-            let s = summarize(&fig6_series(), &fig7_series());
-            Json::obj([
-                ("figure", Json::from("summary")),
-                ("cpm_max_spread_pct", Json::from(s.cpm_max_spread_pct)),
-                ("cpm_max_spread_n", Json::from(s.cpm_max_spread_n)),
-                ("cpm_avg_spread_pct", Json::from(s.cpm_avg_spread_pct)),
-                ("peak_tflops", Json::from(s.peak_tflops)),
-                ("peak_shape", Json::from(s.peak_shape.name())),
-                ("peak_n", Json::from(s.peak_n)),
-                ("peak_fraction", Json::from(s.peak_fraction)),
-                ("avg_fraction", Json::from(s.avg_fraction)),
-                ("energy_avg_spread_pct", Json::from(s.energy_avg_spread_pct)),
-                (
-                    "fpm_mean_time_per_shape",
-                    Json::arr(s.fpm_mean_time_per_shape.iter().map(|(sh, t)| {
-                        Json::obj([
-                            ("shape", Json::from(sh.name())),
-                            ("mean_exec_time_s", Json::from(*t)),
-                        ])
-                    })),
-                ),
-            ])
-        }
-        "recovery" => {
-            // The resilience module stamps its own run_config (seeds and
-            // grid size), so print and return directly.
-            println!("{}", summagen_bench::resilience::recovery_json(32).pretty());
-            return;
-        }
-        other => {
-            eprintln!("--json supports: fig5 fig6 fig7 fig8 summary recovery (got '{other}')");
-            std::process::exit(2);
-        }
-    };
+/// A figure's `--json` document: `figure` is the command's name, then
+/// `body`, under the standard provenance header (`schema_version`,
+/// `git_commit`, `run_config`) with `extra` appended to the run config.
+fn figure_doc(name: &str, body: Vec<(&str, Json)>, extra: Vec<(&str, Json)>) -> Json {
     let mut config = vec![
-        (
-            "command".to_string(),
-            Json::from(format!("reproduce {what} --json")),
-        ),
-        (
-            "cpm_speeds".to_string(),
-            Json::arr(CPM_SPEEDS.iter().copied().map(Json::from)),
-        ),
+        ("command", Json::from(format!("reproduce {name} --json"))),
+        ("cpm_speeds", Json::arr(CPM_SPEEDS)),
     ];
-    if what == "fig7" {
-        config.push(("fpm_grid_steps".to_string(), Json::from(FPM_GRID_STEPS)));
-    }
-    println!("{}", with_metadata(doc, Json::Obj(config)).pretty());
+    config.extend(extra);
+    let mut doc = vec![("figure", Json::from(name))];
+    doc.extend(body);
+    with_metadata(Json::obj(doc), Json::obj(config))
+}
+
+fn fig5_doc(name: &str) -> Json {
+    let series = fig5_series(1024).into_iter().map(|(x, s)| {
+        Json::obj([
+            ("x", Json::from(x)),
+            ("cpu", Json::from(s[0])),
+            ("gpu", Json::from(s[1])),
+            ("phi", Json::from(s[2])),
+        ])
+    });
+    let body = vec![("unit", Json::from("flops")), ("series", Json::arr(series))];
+    figure_doc(name, body, vec![])
+}
+
+fn points_doc(name: &str, points: &[ShapePoint], extra: Vec<(&str, Json)>) -> Json {
+    let series = points.iter().map(|p| {
+        Json::obj([
+            ("n", Json::from(p.n)),
+            ("shape", Json::from(p.shape.name())),
+            ("exec_time_s", Json::from(p.report.exec_time)),
+            ("comp_time_s", Json::from(p.report.comp_time)),
+            ("comm_time_s", Json::from(p.report.comm_time)),
+            ("achieved_flops", Json::from(p.report.achieved_flops())),
+            (
+                "dynamic_energy_j",
+                Json::from(p.report.energy.as_ref().map(|e| e.dynamic_energy_j)),
+            ),
+        ])
+    });
+    figure_doc(name, vec![("series", Json::arr(series))], extra)
+}
+
+fn fig6_doc(name: &str) -> Json {
+    points_doc(name, &fig6_series(), vec![])
+}
+
+fn fig7_doc(name: &str) -> Json {
+    let extra = vec![("fpm_grid_steps", Json::from(FPM_GRID_STEPS))];
+    points_doc(name, &fig7_series(), extra)
+}
+
+fn fig8_doc(name: &str) -> Json {
+    let series = fig8_series().into_iter().map(|(n, shape, e)| {
+        Json::obj([
+            ("n", Json::from(n)),
+            ("shape", Json::from(shape.name())),
+            ("dynamic_energy_j", Json::from(e)),
+        ])
+    });
+    let body = vec![
+        ("unit", Json::from("joules")),
+        ("series", Json::arr(series)),
+    ];
+    figure_doc(name, body, vec![])
+}
+
+fn summary_doc(name: &str) -> Json {
+    let s = summarize(&fig6_series(), &fig7_series());
+    let fpm = s.fpm_mean_time_per_shape.iter().map(|(sh, t)| {
+        Json::obj([
+            ("shape", Json::from(sh.name())),
+            ("mean_exec_time_s", Json::from(*t)),
+        ])
+    });
+    let body = vec![
+        ("cpm_max_spread_pct", Json::from(s.cpm_max_spread_pct)),
+        ("cpm_max_spread_n", Json::from(s.cpm_max_spread_n)),
+        ("cpm_avg_spread_pct", Json::from(s.cpm_avg_spread_pct)),
+        ("peak_tflops", Json::from(s.peak_tflops)),
+        ("peak_shape", Json::from(s.peak_shape.name())),
+        ("peak_n", Json::from(s.peak_n)),
+        ("peak_fraction", Json::from(s.peak_fraction)),
+        ("avg_fraction", Json::from(s.avg_fraction)),
+        ("energy_avg_spread_pct", Json::from(s.energy_avg_spread_pct)),
+        ("fpm_mean_time_per_shape", Json::arr(fpm)),
+    ];
+    figure_doc(name, body, vec![])
+}
+
+fn recovery_doc(_: &str) -> Json {
+    recovery_json(32)
 }
 
 fn auto_gen() {
@@ -807,100 +606,41 @@ fn fig5measured() {
 }
 
 /// Fault-tolerance demo: runs every paper shape under seeded fault plans
-/// through `multiply_with_recovery` and reports how each run ended, then
+/// through `multiply_with_recovery` (the grid of
+/// `resilience::recovery_series`) and reports how each run ended, then
 /// prints the analytical device-failure model the recovery policy targets.
 fn recovery() {
-    use std::time::Duration;
-    use summagen_comm::{FaultPlan, ZeroCost};
-    use summagen_core::{multiply_with_recovery, ExecutionMode, RecoveryOptions};
-    use summagen_matrix::{gemm_naive, max_abs_diff, random_matrix, DenseMatrix};
     use summagen_platform::{
         degraded_capacity, expected_runtime_with_restarts, fleet_survival, DeviceKind, FailureModel,
     };
 
     let n = 32;
-    let a = random_matrix(n, n, 41);
-    let b = random_matrix(n, n, 42);
-    let mut want = DenseMatrix::zeros(n, n);
-    gemm_naive(
-        n,
-        n,
-        n,
-        1.0,
-        a.as_slice(),
-        n,
-        b.as_slice(),
-        n,
-        0.0,
-        want.as_mut_slice(),
-        n,
-    );
-    let opts = RecoveryOptions {
-        max_attempts: 3,
-        retry_backoff: 0.25,
-        recv_timeout: Duration::from_millis(500),
-        ..RecoveryOptions::default()
-    };
-
     println!("\nROBUSTNESS — shrink-and-retry recovery under seeded fault plans (n = {n})");
     println!(
         "{:>20}{:>6}{:>12}{:>10}{:>10}{:>10}{:>12}",
         "shape", "seed", "outcome", "attempts", "failed", "capacity", "max err"
     );
-    for shape in ALL_FOUR_SHAPES {
-        for seed in 1..=3u64 {
-            let plan = FaultPlan::seeded(seed, 3);
-            let row = match multiply_with_recovery(
-                shape,
-                &CPM_SPEEDS,
-                &a,
-                &b,
-                ExecutionMode::Real,
-                ZeroCost,
-                std::slice::from_ref(&plan),
-                &opts,
-            ) {
-                Ok(res) => {
-                    let err = max_abs_diff(&res.c, &want);
-                    match &res.recovery {
-                        Some(rep) => format!(
-                            "{:>20}{seed:>6}{:>12}{:>10}{:>10}{:>10.2}{err:>12.2e}",
-                            shape.name(),
-                            "recovered",
-                            rep.attempts,
-                            format!("{:?}", rep.failed_devices),
-                            degraded_capacity(&CPM_SPEEDS, &rep.failed_devices),
-                        ),
-                        None => format!(
-                            "{:>20}{seed:>6}{:>12}{:>10}{:>10}{:>10.2}{err:>12.2e}",
-                            shape.name(),
-                            "clean",
-                            1,
-                            "[]",
-                            1.0,
-                        ),
-                    }
-                }
-                Err(e) => format!(
-                    "{:>20}{seed:>6}{:>12}{:>10}{:>10}{:>10}{:>12}",
-                    shape.name(),
-                    "error",
-                    "-",
-                    "-",
-                    "-",
-                    format!("{e:.30}"),
-                ),
-            };
-            println!("{row}");
+    for r in recovery_series(n, &[1, 2, 3]) {
+        let lead = format!("{:>20}{:>6}{:>12}", r.shape.name(), r.seed, r.outcome);
+        match (r.max_err, r.error) {
+            (Some(err), _) => println!(
+                "{lead}{:>10}{:>10}{:>10.2}{err:>12.2e}",
+                r.attempts,
+                format!("{:?}", r.failed_devices),
+                degraded_capacity(&CPM_SPEEDS, &r.failed_devices),
+            ),
+            (None, e) => println!(
+                "{lead}{:>10}{:>10}{:>10}{:>12}",
+                "-",
+                "-",
+                "-",
+                e.unwrap_or_default()
+            ),
         }
     }
 
     println!("\n  analytical failure model (typical MTBFs, one hour of failure-free work):");
-    let models = [
-        FailureModel::typical(DeviceKind::Cpu),
-        FailureModel::typical(DeviceKind::Gpu),
-        FailureModel::typical(DeviceKind::XeonPhi),
-    ];
+    let models = [DeviceKind::Cpu, DeviceKind::Gpu, DeviceKind::XeonPhi].map(FailureModel::typical);
     let work = 3600.0;
     println!(
         "    fleet survival over the run: {:.4}",
@@ -910,11 +650,7 @@ fn recovery() {
         "    expected makespan with restart-from-scratch: {:.1} s (vs {work:.0} s failure-free)",
         expected_runtime_with_restarts(work, &models)
     );
-    for (name, m) in [
-        ("AbsCPU", models[0]),
-        ("AbsGPU", models[1]),
-        ("AbsXeonPhi", models[2]),
-    ] {
+    for (name, m) in ["AbsCPU", "AbsGPU", "AbsXeonPhi"].into_iter().zip(models) {
         println!(
             "    {name:<12} MTBF {:>9.0} s   P(fail during run) {:.4}",
             m.mtbf_seconds,
@@ -924,30 +660,18 @@ fn recovery() {
 }
 
 /// Quick numeric self-check: every multiplication algorithm in the
-/// workspace against one reference, printed as a checklist.
-fn verify() {
+/// workspace against one reference, printed as a checklist; the first
+/// failure ends the run with an error.
+fn verify() -> Outcome {
     use summagen_comm::ZeroCost;
     use summagen_core::{multiply, multiply_panelled, summa_multiply, ExecutionMode};
-    use summagen_matrix::{gemm_naive, max_abs_diff, random_matrix, DenseMatrix, GemmKernel};
+    use summagen_matrix::{max_abs_diff, random_matrix, DenseMatrix, GemmKernel};
     use summagen_partition::{nrrp_layout, proportional_areas};
 
     let n = 48;
     let a = random_matrix(n, n, 1);
     let b = random_matrix(n, n, 2);
-    let mut want = DenseMatrix::zeros(n, n);
-    gemm_naive(
-        n,
-        n,
-        n,
-        1.0,
-        a.as_slice(),
-        n,
-        b.as_slice(),
-        n,
-        0.0,
-        want.as_mut_slice(),
-        n,
-    );
+    let want = reference(&a, &b);
 
     println!("\nVERIFY — every algorithm vs the sequential reference (n = {n})");
     let check = |name: &str, c: &DenseMatrix| {
@@ -957,7 +681,7 @@ fn verify() {
             "  [{}] {name:<40} max err {err:.2e}",
             if ok { "ok" } else { "FAIL" }
         );
-        assert!(ok, "{name} failed verification");
+        ensure(ok, || format!("{name} failed verification"))
     };
 
     let areas = proportional_areas(n, &CPM_SPEEDS);
@@ -966,25 +690,21 @@ fn verify() {
         check(
             &format!("SummaGen / {}", shape.name()),
             &multiply(&spec, &a, &b, ExecutionMode::Real).c,
-        );
+        )?;
         check(
             &format!("SummaGen panelled / {}", shape.name()),
             &multiply_panelled(&spec, &a, &b, GemmKernel::Blocked, ZeroCost).c,
-        );
+        )?;
     }
+    let nrrp = nrrp_layout(n, &[1.0, 2.0, 0.9, 1.5]);
     check(
         "SummaGen / NRRP layout (p = 4)",
-        &multiply(
-            &nrrp_layout(n, &[1.0, 2.0, 0.9, 1.5]),
-            &a,
-            &b,
-            ExecutionMode::Real,
-        )
-        .c,
-    );
+        &multiply(&nrrp, &a, &b, ExecutionMode::Real).c,
+    )?;
     check(
         "classic SUMMA (2x2)",
         &summa_multiply(&a, &b, 2, 2, 8, ZeroCost).c,
-    );
+    )?;
     println!("  all algorithms verified");
+    Ok(())
 }

@@ -47,24 +47,21 @@
 //! * the artifact seed's whole ladder, rerun from scratch, reproduces
 //!   the `CRASH_<mix>.json` document exactly.
 
-use std::fs;
-use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 use summagen_durable::{
-    decode_frames, replay, CrashKind, CrashSpec, GroupCommitConfig, Journal, RecoveredState,
-    TerminalRecord,
+    decode_frames, fnv1a_words, replay, CrashKind, CrashSpec, GroupCommitConfig, Journal,
+    RecoveredState, TerminalRecord,
 };
-use summagen_metrics::MetricsRegistry;
-use summagen_platform::profile::hclserver1;
 use summagen_service::{
-    generate, mix_by_name, AdmissionConfig, DevicePool, DurableRun, FaultProfile, GemmService,
-    LoadMix, Policy, RecoveryStats, ServiceConfig, ServiceMetrics, ServiceReport,
+    generate, AdmissionConfig, DurableRun, FaultProfile, GemmService, LoadMix, Policy,
+    RecoveryStats, ServiceConfig, ServiceReport,
 };
-use summagen_trace::{perfetto_json, TraceRecorder};
 
 use crate::degradecmd::scaled_mix;
+use crate::harness::{
+    chaos_seeds, digest_json, ensure, load_mix, observe, service_pool, Artifacts, Error, Outcome,
+};
 use crate::json::{with_metadata, Json};
 use crate::servecmd::{SERVE_ALPHA, SERVE_BETA};
 
@@ -97,20 +94,6 @@ pub const CRASH_BASE_SEEDS: [u64; 1] = [7];
 /// [`CRASH_MAX_EVENT`] keeps far below this).
 pub const CRASH_REPLAY_SLACK_PER_CYCLE: usize = 64;
 
-/// The seed list with any `SUMMAGEN_CHAOS_SEED` from the environment
-/// folded in (same convention as the degrade and soak grids).
-pub fn crash_seeds() -> Vec<u64> {
-    let mut seeds = CRASH_BASE_SEEDS.to_vec();
-    if let Ok(v) = std::env::var("SUMMAGEN_CHAOS_SEED") {
-        if let Ok(s) = v.trim().parse::<u64>() {
-            if !seeds.contains(&s) {
-                seeds.push(s);
-            }
-        }
-    }
-    seeds
-}
-
 /// Service config of the crash harness. Admission bounds are ample on
 /// purpose: the exactly-once gates compare terminal ledgers between the
 /// ladder and the control, which is only meaningful when *every* job
@@ -132,10 +115,6 @@ pub fn crash_config(fault_seed: u64) -> ServiceConfig {
         },
         ..ServiceConfig::default()
     }
-}
-
-fn pool() -> DevicePool {
-    DevicePool::from_platform(&hclserver1(), SERVE_ALPHA, SERVE_BETA)
 }
 
 /// One armed cycle of the ladder: the kill point that fired and what
@@ -175,50 +154,42 @@ pub struct CrashLadder {
     pub perfetto: String,
 }
 
-/// The crash-free control for the same stream and seed.
-pub struct ControlRun {
-    /// Replay of the control journal: the expected terminal ledger.
-    pub state: RecoveredState,
-    /// The control epoch's service report.
-    pub report: ServiceReport,
+impl CrashLadder {
+    /// Cycles whose crash left a torn tail for the reopen to truncate.
+    pub fn torn_cycles(&self) -> usize {
+        self.cycles.iter().filter(|c| c.torn_at_reopen > 0).count()
+    }
 }
 
-/// Runs the control: one journaled epoch, no crashes, whole stream.
-pub fn run_control(mix: &LoadMix, seed: u64) -> Result<ControlRun, String> {
+/// Runs the crash-free control — one journaled epoch, no crashes, whole
+/// stream — and replays its journal: the expected terminal ledger.
+pub fn run_control(mix: &LoadMix, seed: u64) -> Outcome<RecoveredState> {
     let jobs = generate(mix);
-    let mut service = GemmService::new(pool(), crash_config(seed));
+    let mut service = GemmService::new(service_pool(), crash_config(seed));
     match service.run_durable(jobs, Journal::new(GroupCommitConfig::default()), None) {
-        DurableRun::Finished(rep) => Ok(ControlRun {
-            state: replay(rep.journal.durable()).state,
-            report: rep.report,
-        }),
-        DurableRun::Crashed(_) => Err(format!(
+        DurableRun::Finished(rep) => Ok(replay(rep.journal.durable()).state),
+        DurableRun::Crashed(_) => Err(Error::Failed(format!(
             "seed {seed}: control run crashed with no injector armed"
-        )),
+        ))),
     }
 }
 
 /// Runs the kill-point ladder: `cycles` armed epochs (each must crash),
 /// then one crash-free epoch that drains the rest. Every epoch
 /// resubmits the entire stream — recovery must suppress the duplicates.
-pub fn run_ladder(
-    mix: &LoadMix,
-    seed: u64,
-    cycles: u64,
-    max_event: u64,
-) -> Result<CrashLadder, String> {
+pub fn run_ladder(mix: &LoadMix, seed: u64, cycles: u64, max_event: u64) -> Outcome<CrashLadder> {
     let jobs = generate(mix);
     let mut journal = Journal::new(GroupCommitConfig::default());
     let mut outcomes = Vec::new();
     for cycle in 0..cycles {
         let spec = CrashSpec::draw(seed, cycle, max_event);
-        let mut service = GemmService::new(pool(), crash_config(seed));
+        let mut service = GemmService::new(service_pool(), crash_config(seed));
         match service.recover(journal, jobs.clone(), Some(spec)) {
             DurableRun::Finished(_) => {
-                return Err(format!(
+                return Err(Error::Failed(format!(
                     "seed {seed}, cycle {cycle}: kill point {:?} fizzled — epoch ran to completion",
                     spec.kind
-                ));
+                )));
             }
             DurableRun::Crashed(c) => {
                 let (bytes, _) = c.journal.into_durable();
@@ -237,113 +208,89 @@ pub fn run_ladder(
     }
 
     // The final epoch drains crash-free, instrumented for the artifacts.
-    let pool = pool();
-    let tenant_names = mix.tenant_names();
-    let device_names: Vec<&'static str> = pool.devices().iter().map(|d| d.name).collect();
-    let registry = Arc::new(MetricsRegistry::new());
-    let metrics = ServiceMetrics::register(&registry, &tenant_names, &device_names);
-    let recorder = TraceRecorder::new(pool.devices().len());
-    let mut service = GemmService::new(pool, crash_config(seed))
-        .with_metrics(metrics)
-        .with_sink(recorder.clone());
-    match service.recover(journal, jobs, None) {
+    let title = format!("{} final recovery epoch schedule", mix.name);
+    let last = observe(mix, crash_config(seed), None, &title, |service| {
+        service.recover(journal, jobs, None)
+    });
+    match last.report {
         DurableRun::Finished(rep) => Ok(CrashLadder {
             cycles: outcomes,
             final_recovery: rep.recovery,
             state: replay(rep.journal.durable()).state,
             final_report: rep.report,
-            exposition: summagen_metrics::prometheus::render(&registry),
-            perfetto: perfetto_json(
-                &recorder.finish(),
-                &format!("{} final recovery epoch schedule", mix.name),
-            ),
+            exposition: last.exposition,
+            perfetto: last.perfetto,
         }),
-        DurableRun::Crashed(c) => Err(format!(
+        DurableRun::Crashed(c) => Err(Error::Failed(format!(
             "seed {seed}: final drain crashed with no injector armed ({:?} at event {})",
             c.kind, c.event
-        )),
+        ))),
     }
 }
 
 /// FNV-1a over the sorted terminal ledger — one number that pins which
 /// keys reached which terminal digest.
 pub fn ledger_digest(terminal: &std::collections::BTreeMap<u64, TerminalRecord>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut word = |w: u64| {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for (key, rec) in terminal {
-        word(*key);
-        word(rec.digest);
-    }
-    h
+    let words: Vec<u64> = terminal
+        .iter()
+        .flat_map(|(key, rec)| [*key, rec.digest])
+        .collect();
+    fnv1a_words(&words)
 }
 
 /// Every submitted job reached a durable terminal record, and none were
 /// rejected: the precondition for comparing terminal ledgers.
-fn check_drained(
-    mix: &LoadMix,
-    state: &RecoveredState,
-    jobs: usize,
-    what: &str,
-) -> Result<(), String> {
-    if !state.rejected.is_empty() {
-        return Err(format!(
+fn check_drained(mix: &LoadMix, state: &RecoveredState, jobs: usize, what: &str) -> Outcome {
+    ensure(state.rejected.is_empty(), || {
+        format!(
             "{what}: {} durable rejections under ample admission bounds",
             state.rejected.len()
-        ));
-    }
+        )
+    })?;
     let terminal = state.completed.len() + state.failed.len();
-    if terminal != jobs {
-        return Err(format!(
+    ensure(terminal == jobs, || {
+        format!(
             "{what}: mix '{}' submitted {jobs} jobs but only {terminal} are durably terminal \
              ({} completed, {} failed)",
             mix.name,
             state.completed.len(),
             state.failed.len()
-        ));
-    }
-    if !state.queued.is_empty() || !state.in_flight.is_empty() {
-        return Err(format!(
-            "{what}: drained journal still holds {} queued and {} in-flight jobs",
-            state.queued.len(),
-            state.in_flight.len()
-        ));
-    }
-    Ok(())
+        )
+    })?;
+    ensure(
+        state.queued.is_empty() && state.in_flight.is_empty(),
+        || {
+            format!(
+                "{what}: drained journal still holds {} queued and {} in-flight jobs",
+                state.queued.len(),
+                state.in_flight.len()
+            )
+        },
+    )
 }
 
 /// Exactly-once: ladder and control agree on which keys completed (with
 /// bit-identical digests) and which failed.
-fn check_exactly_once(
-    ladder: &RecoveredState,
-    control: &RecoveredState,
-    what: &str,
-) -> Result<(), String> {
+fn check_exactly_once(ladder: &RecoveredState, control: &RecoveredState, what: &str) -> Outcome {
     for (label, got, want) in [
         ("completed", &ladder.completed, &control.completed),
         ("failed", &ladder.failed, &control.failed),
     ] {
-        let got_keys: Vec<u64> = got.keys().copied().collect();
-        let want_keys: Vec<u64> = want.keys().copied().collect();
-        if got_keys != want_keys {
-            return Err(format!(
+        ensure(got.keys().eq(want.keys()), || {
+            format!(
                 "{what}: {label} key sets diverge — ladder has {} keys, control {}",
-                got_keys.len(),
-                want_keys.len()
-            ));
-        }
+                got.len(),
+                want.len()
+            )
+        })?;
         for (key, rec) in got {
             let expect = &want[key];
-            if rec.digest != expect.digest {
-                return Err(format!(
+            ensure(rec.digest == expect.digest, || {
+                format!(
                     "{what}: {label} job {} (key {key:016x}) digest {:016x} != control {:016x}",
                     rec.job, rec.digest, expect.digest
-                ));
-            }
+                )
+            })?;
         }
     }
     Ok(())
@@ -355,61 +302,61 @@ pub fn gate(
     seed: u64,
     cycles: u64,
     ladder: &CrashLadder,
-    control: &ControlRun,
-) -> Result<(), String> {
+    control: &RecoveredState,
+) -> Outcome {
     let what = format!("seed {seed}");
     let jobs = mix.jobs;
-    if ladder.cycles.len() as u64 != cycles {
-        return Err(format!(
+    ensure(ladder.cycles.len() as u64 == cycles, || {
+        format!(
             "{what}: only {} of {cycles} armed cycles crashed",
             ladder.cycles.len()
-        ));
-    }
-    check_drained(mix, &control.state, jobs, &format!("{what} control"))?;
+        )
+    })?;
+    check_drained(mix, control, jobs, &format!("{what} control"))?;
     check_drained(mix, &ladder.state, jobs, &format!("{what} ladder"))?;
-    check_exactly_once(&ladder.state, &control.state, &what)?;
-    let torn_cycles = ladder
-        .cycles
-        .iter()
-        .filter(|c| c.torn_at_reopen > 0)
-        .count();
-    if torn_cycles == 0 {
-        return Err(format!(
+    check_exactly_once(&ladder.state, control, &what)?;
+    ensure(ladder.torn_cycles() > 0, || {
+        format!(
             "{what}: no cycle tore the durable tail — the torn-tail recovery path went unexercised"
-        ));
-    }
-    let bound = control.state.records + cycles as usize * CRASH_REPLAY_SLACK_PER_CYCLE;
-    if ladder.state.records > bound {
-        return Err(format!(
+        )
+    })?;
+    let bound = control.records + cycles as usize * CRASH_REPLAY_SLACK_PER_CYCLE;
+    ensure(ladder.state.records <= bound, || {
+        format!(
             "{what}: replay unbounded — final journal holds {} records, control {} \
              (bound {bound}); duplicate resubmissions are leaking into the log",
-            ladder.state.records, control.state.records
-        ));
-    }
-    Ok(())
+            ladder.state.records, control.records
+        )
+    })
+}
+
+/// What an epoch's recovery found, as the cycle and final-epoch entries
+/// of the crash document both spell it.
+fn recovery_fields(r: &RecoveryStats) -> Vec<(&'static str, Json)> {
+    vec![
+        ("epoch", Json::from(r.epoch as usize)),
+        ("resume_clock_s", Json::from(r.resume_clock)),
+        ("replayed_records", Json::from(r.replayed_records)),
+        ("recovered_jobs", Json::from(r.recovered_jobs)),
+        (
+            "resumed_from_checkpoint",
+            Json::from(r.resumed_from_checkpoint),
+        ),
+        ("suppressed_duplicates", Json::from(r.suppressed_duplicates)),
+    ]
 }
 
 fn cycle_json(c: &CycleOutcome) -> Json {
-    Json::obj([
+    let mut fields = vec![
         ("cycle", Json::from(c.cycle as usize)),
         ("kind", Json::from(c.kind.label())),
         ("event", Json::from(c.event as usize)),
         ("at_s", Json::from(c.at)),
-        ("epoch", Json::from(c.recovery.epoch as usize)),
-        ("resume_clock_s", Json::from(c.recovery.resume_clock)),
-        ("replayed_records", Json::from(c.recovery.replayed_records)),
-        ("recovered_jobs", Json::from(c.recovery.recovered_jobs)),
-        (
-            "resumed_from_checkpoint",
-            Json::from(c.recovery.resumed_from_checkpoint),
-        ),
-        (
-            "suppressed_duplicates",
-            Json::from(c.recovery.suppressed_duplicates),
-        ),
-        ("torn_bytes_at_replay", Json::from(c.recovery.torn_bytes)),
-        ("torn_bytes_at_reopen", Json::from(c.torn_at_reopen)),
-    ])
+    ];
+    fields.extend(recovery_fields(&c.recovery));
+    fields.push(("torn_bytes_at_replay", Json::from(c.recovery.torn_bytes)));
+    fields.push(("torn_bytes_at_reopen", Json::from(c.torn_at_reopen)));
+    Json::obj(fields)
 }
 
 fn ledger_json(state: &RecoveredState) -> Json {
@@ -421,77 +368,42 @@ fn ledger_json(state: &RecoveredState) -> Json {
         ("epochs", Json::from(state.epochs as usize)),
         (
             "completed_digest",
-            Json::from(format!("{:016x}", ledger_digest(&state.completed))),
+            digest_json(ledger_digest(&state.completed)),
         ),
-        (
-            "failed_digest",
-            Json::from(format!("{:016x}", ledger_digest(&state.failed))),
-        ),
+        ("failed_digest", digest_json(ledger_digest(&state.failed))),
     ])
 }
 
 /// The crash document: the kill ladder next to the control ledger.
 /// Virtual clocks only — no wall times — so the same seed reproduces it
 /// byte-for-byte.
-pub fn crash_json(mix: &LoadMix, seed: u64, ladder: &CrashLadder, control: &ControlRun) -> Json {
+pub fn crash_json(
+    mix: &LoadMix,
+    seed: u64,
+    ladder: &CrashLadder,
+    control: &RecoveredState,
+) -> Json {
     let torn_total: usize = ladder.cycles.iter().map(|c| c.torn_at_reopen).sum();
+    let mut final_epoch = recovery_fields(&ladder.final_recovery);
+    final_epoch.push(("makespan_s", Json::from(ladder.final_report.makespan)));
+    final_epoch.push((
+        "schedule_digest",
+        digest_json(ladder.final_report.schedule_digest),
+    ));
+    let replay_bound = control.records + ladder.cycles.len() * CRASH_REPLAY_SLACK_PER_CYCLE;
     let doc = Json::obj([
         ("mix", Json::from(mix.name)),
         ("cycles", Json::arr(ladder.cycles.iter().map(cycle_json))),
-        (
-            "final_epoch",
-            Json::obj([
-                ("epoch", Json::from(ladder.final_recovery.epoch as usize)),
-                (
-                    "resume_clock_s",
-                    Json::from(ladder.final_recovery.resume_clock),
-                ),
-                (
-                    "replayed_records",
-                    Json::from(ladder.final_recovery.replayed_records),
-                ),
-                (
-                    "recovered_jobs",
-                    Json::from(ladder.final_recovery.recovered_jobs),
-                ),
-                (
-                    "resumed_from_checkpoint",
-                    Json::from(ladder.final_recovery.resumed_from_checkpoint),
-                ),
-                (
-                    "suppressed_duplicates",
-                    Json::from(ladder.final_recovery.suppressed_duplicates),
-                ),
-                ("makespan_s", Json::from(ladder.final_report.makespan)),
-                (
-                    "schedule_digest",
-                    Json::from(format!("{:016x}", ladder.final_report.schedule_digest)),
-                ),
-            ]),
-        ),
+        ("final_epoch", Json::obj(final_epoch)),
         ("ladder_ledger", ledger_json(&ladder.state)),
-        ("control_ledger", ledger_json(&control.state)),
+        ("control_ledger", ledger_json(control)),
         (
             "gates",
             Json::obj([
                 ("crashes", Json::from(ladder.cycles.len())),
-                (
-                    "torn_cycles",
-                    Json::from(
-                        ladder
-                            .cycles
-                            .iter()
-                            .filter(|c| c.torn_at_reopen > 0)
-                            .count(),
-                    ),
-                ),
+                ("torn_cycles", Json::from(ladder.torn_cycles())),
                 ("torn_bytes_total", Json::from(torn_total)),
-                (
-                    "replay_bound",
-                    Json::from(
-                        control.state.records + ladder.cycles.len() * CRASH_REPLAY_SLACK_PER_CYCLE,
-                    ),
-                ),
+                ("replay_bound", Json::from(replay_bound)),
             ]),
         ),
     ]);
@@ -515,7 +427,7 @@ pub fn crash_json(mix: &LoadMix, seed: u64, ladder: &CrashLadder, control: &Cont
     )
 }
 
-fn print_ladder(mix: &LoadMix, seed: u64, ladder: &CrashLadder, control: &ControlRun) {
+fn print_ladder(mix: &LoadMix, seed: u64, ladder: &CrashLadder, control: &RecoveredState) {
     println!(
         "\nCRASH — kill-point ladder, mix '{}' ({} jobs at {}x, seed {}, {}‰ faults)",
         mix.name, mix.jobs, CRASH_LOAD_FACTOR, seed, CRASH_FAIL_PERMILLE
@@ -549,16 +461,16 @@ fn print_ladder(mix: &LoadMix, seed: u64, ladder: &CrashLadder, control: &Contro
          digests {:016x}/{:016x} vs {:016x}/{:016x}",
         ladder.state.completed.len(),
         ladder.state.failed.len(),
-        control.state.completed.len(),
-        control.state.failed.len(),
+        control.completed.len(),
+        control.failed.len(),
         ledger_digest(&ladder.state.completed),
         ledger_digest(&ladder.state.failed),
-        ledger_digest(&control.state.completed),
-        ledger_digest(&control.state.failed),
+        ledger_digest(&control.completed),
+        ledger_digest(&control.failed),
     );
     println!(
         "  journal: ladder {} records over {} epochs vs control {} in one",
-        ladder.state.records, ladder.state.epochs, control.state.records,
+        ladder.state.records, ladder.state.epochs, control.records,
     );
 }
 
@@ -566,52 +478,46 @@ fn print_ladder(mix: &LoadMix, seed: u64, ladder: &CrashLadder, control: &Contro
 /// The artifacts use the base seed; the gates additionally cover every
 /// folded chaos seed, and the artifact seed's ladder is rerun from
 /// scratch to pin the document's reproducibility.
-pub fn run_crash(mix_name: &str, out_dir: &Path) -> Result<(), String> {
-    let mix = mix_by_name(mix_name)
-        .ok_or_else(|| format!("unknown mix '{mix_name}'; expected small or hetero"))?;
-    let scaled = scaled_mix(&mix, CRASH_LOAD_FACTOR);
-    let seeds = crash_seeds();
+pub fn run_crash(mix_name: &str, out_dir: &Path) -> Outcome {
+    let scaled = scaled_mix(&load_mix(mix_name)?, CRASH_LOAD_FACTOR);
+    let seeds = chaos_seeds(&CRASH_BASE_SEEDS)?;
     let artifact_seed = seeds[0];
 
-    let mut artifact: Option<(CrashLadder, ControlRun)> = None;
-    for &seed in &seeds {
+    let gated = |seed| -> Outcome<(CrashLadder, RecoveredState)> {
         let control = run_control(&scaled, seed)?;
         let ladder = run_ladder(&scaled, seed, CRASH_CYCLES, CRASH_MAX_EVENT)?;
         print_ladder(&scaled, seed, &ladder, &control);
         gate(&scaled, seed, CRASH_CYCLES, &ladder, &control)?;
-        if seed == artifact_seed {
-            artifact = Some((ladder, control));
-        }
+        Ok((ladder, control))
+    };
+    let (ladder, control) = gated(artifact_seed)?;
+    for &seed in &seeds[1..] {
+        gated(seed)?;
     }
-    let (ladder, control) = artifact.expect("artifact seed is always in the grid");
 
     // Reproducibility: the whole ladder again, same seed, compared at
     // the document level (the artifact the seed promises to pin).
     let doc = crash_json(&scaled, artifact_seed, &ladder, &control);
     let again = run_ladder(&scaled, artifact_seed, CRASH_CYCLES, CRASH_MAX_EVENT)?;
     let again_doc = crash_json(&scaled, artifact_seed, &again, &control);
-    if doc != again_doc {
-        return Err(format!(
+    ensure(doc == again_doc, || {
+        format!(
             "seed {artifact_seed}: ladder rerun does not reproduce CRASH_{}.json — \
              the crash document is not a pure function of the seed",
             scaled.name
-        ));
-    }
+        )
+    })?;
     println!("  rerun with seed {artifact_seed}: document reproduced byte-for-byte");
 
-    fs::create_dir_all(out_dir).map_err(|e| io_err(out_dir, &e))?;
-    let doc_path = out_dir.join(format!("CRASH_{}.json", scaled.name));
-    fs::write(&doc_path, doc.pretty()).map_err(|e| io_err(&doc_path, &e))?;
-    let prom_path = out_dir.join(format!("CRASH_{}.prom", scaled.name));
-    fs::write(&prom_path, &ladder.exposition).map_err(|e| io_err(&prom_path, &e))?;
-    let sched_path = out_dir.join(format!("SCHEDULE_CRASH_{}.json", scaled.name));
-    fs::write(&sched_path, &ladder.perfetto).map_err(|e| io_err(&sched_path, &e))?;
-    println!("crash artifacts written to {}", out_dir.display());
+    let out = Artifacts::create(out_dir)?;
+    out.write(&format!("CRASH_{}.json", scaled.name), doc.pretty())?;
+    out.write(&format!("CRASH_{}.prom", scaled.name), &ladder.exposition)?;
+    out.write(
+        &format!("SCHEDULE_CRASH_{}.json", scaled.name),
+        &ladder.perfetto,
+    )?;
+    println!("crash artifacts written to {}", out.dir().display());
     Ok(())
-}
-
-fn io_err(path: &Path, e: &io::Error) -> String {
-    format!("{}: {e}", path.display())
 }
 
 #[cfg(test)]
@@ -644,10 +550,15 @@ mod tests {
         seed: u64,
         cycles: u64,
         ladder: &CrashLadder,
-        control: &ControlRun,
-    ) -> Result<(), String> {
+        control: &RecoveredState,
+    ) -> Outcome {
         match gate(mix, seed, cycles, ladder, control) {
-            Err(e) if e.contains("torn-tail recovery path went unexercised") => Ok(()),
+            Err(e)
+                if e.to_string()
+                    .contains("torn-tail recovery path went unexercised") =>
+            {
+                Ok(())
+            }
             other => other,
         }
     }
@@ -716,7 +627,7 @@ mod tests {
 
     #[test]
     fn chaos_seed_env_widens_the_grid() {
-        let seeds = crash_seeds();
+        let seeds = chaos_seeds(&CRASH_BASE_SEEDS).unwrap();
         assert!(seeds.contains(&CRASH_BASE_SEEDS[0]));
     }
 }

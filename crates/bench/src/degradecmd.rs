@@ -35,23 +35,22 @@
 //!   product bit-for-bit (the contract the service's checkpoint
 //!   preemption model stands on).
 
-use std::fs;
-use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 use summagen_comm::HockneyModel;
 use summagen_core::{multiply_abft_prefix, panel_boundaries, AbftOptions, ExecutionMode};
+use summagen_insight::SloPolicy;
 use summagen_matrix::random_matrix;
-use summagen_metrics::MetricsRegistry;
 use summagen_partition::ALL_FOUR_SHAPES;
-use summagen_platform::profile::hclserver1;
 use summagen_service::{
-    generate, mix_by_name, DeadlineVerdict, DegradeConfig, DevicePool, FaultProfile, GemmService,
-    JobSpec, LoadMix, Policy, ServiceConfig, ServiceMetrics, ServiceReport,
+    generate, DeadlineVerdict, DegradeConfig, FaultProfile, JobSpec, LoadMix, Policy,
+    ServiceConfig, ServiceReport,
 };
-use summagen_trace::{perfetto_json, TraceRecorder};
 
+use crate::harness::{
+    chaos_seeds, digest_json, ensure, load_mix, observe, print_tenant_table, Artifacts, Error,
+    Outcome,
+};
 use crate::json::{with_metadata, Json};
 use crate::servecmd::{SERVE_ALPHA, SERVE_BETA};
 
@@ -85,50 +84,60 @@ pub fn degrade_config() -> DegradeConfig {
     config
 }
 
-/// The seed list with any `SUMMAGEN_CHAOS_SEED` from the environment
-/// folded in (same convention as the soak grid).
-pub fn degrade_seeds() -> Vec<u64> {
-    let mut seeds = DEGRADE_BASE_SEEDS.to_vec();
-    if let Ok(v) = std::env::var("SUMMAGEN_CHAOS_SEED") {
-        if let Ok(s) = v.trim().parse::<u64>() {
-            if !seeds.contains(&s) {
-                seeds.push(s);
-            }
-        }
-    }
-    seeds
-}
+/// The mode label of a run with the degradation layer armed.
+pub const DEGRADED: &str = "degraded";
 
-/// One (load factor, mode) run.
-pub struct DegradeRun {
+/// One (load factor, mode) run of the degrade sweep or of the insight
+/// SLO scenario.
+pub struct LoadRun {
     /// The service report.
     pub report: ServiceReport,
+    /// Prometheus exposition after the run.
+    pub exposition: String,
     /// Perfetto timeline of the schedule.
     pub perfetto: String,
-    /// Whether the degradation layer was armed.
-    pub degraded: bool,
+    /// [`DEGRADED`], or what the command calls the run it compares with.
+    pub mode: &'static str,
     /// The arrival-rate multiplier.
     pub load_factor: f64,
 }
 
-/// The mix at `factor` times its tuned arrival rate.
-pub fn scaled_mix(mix: &LoadMix, factor: f64) -> LoadMix {
-    let mut scaled = mix.clone();
-    scaled.arrival_rate *= factor;
-    scaled
+impl LoadRun {
+    /// Whether the degradation layer was armed.
+    pub fn degraded(&self) -> bool {
+        self.mode == DEGRADED
+    }
 }
 
-/// Runs one mode of the comparison: the scaled stream through a fresh
-/// pool, with the degradation layer armed or not.
-pub fn run_mode(mix: &LoadMix, factor: f64, fault_seed: u64, degraded: bool) -> DegradeRun {
+/// Runs `mix` at `factor` times its arrival rate through an observed
+/// service under `config`, `slo` armed when given; the timeline is the
+/// `what` schedule of that factor and `mode`.
+pub fn load_run(
+    mix: &LoadMix,
+    factor: f64,
+    mode: &'static str,
+    config: ServiceConfig,
+    slo: Option<SloPolicy>,
+    what: &str,
+) -> LoadRun {
     let scaled = scaled_mix(mix, factor);
-    let pool = DevicePool::from_platform(&hclserver1(), SERVE_ALPHA, SERVE_BETA);
-    let tenant_names = scaled.tenant_names();
-    let device_names: Vec<&'static str> = pool.devices().iter().map(|d| d.name).collect();
-    let registry = Arc::new(MetricsRegistry::new());
-    let metrics = ServiceMetrics::register(&registry, &tenant_names, &device_names);
-    let recorder = TraceRecorder::new(pool.devices().len());
-    let config = ServiceConfig {
+    let title = format!("{} {what} schedule ({factor}x, {mode})", mix.name);
+    let run = observe(&scaled, config, slo, &title, |service| {
+        service.run(generate(&scaled))
+    });
+    LoadRun {
+        report: run.report,
+        exposition: run.exposition,
+        perfetto: run.perfetto,
+        mode,
+        load_factor: factor,
+    }
+}
+
+/// The service under seeded device faults, the degradation layer armed
+/// when `degraded`.
+pub fn faulty_config(fault_seed: u64, degraded: bool) -> ServiceConfig {
+    ServiceConfig {
         policy: Policy::FpmAware,
         faults: FaultProfile {
             fail_permille: DEGRADE_FAIL_PERMILLE,
@@ -141,22 +150,22 @@ pub fn run_mode(mix: &LoadMix, factor: f64, fault_seed: u64, degraded: bool) -> 
             DegradeConfig::default()
         },
         ..ServiceConfig::default()
-    };
-    let mut service = GemmService::new(pool, config)
-        .with_metrics(metrics)
-        .with_sink(recorder.clone());
-    let report = service.run(generate(&scaled));
-    let trace = recorder.finish();
-    let mode = if degraded { "degraded" } else { "baseline" };
-    DegradeRun {
-        perfetto: perfetto_json(
-            &trace,
-            &format!("{} degrade schedule ({factor}x, {mode})", mix.name),
-        ),
-        report,
-        degraded,
-        load_factor: factor,
     }
+}
+
+/// The mix at `factor` times its tuned arrival rate.
+pub fn scaled_mix(mix: &LoadMix, factor: f64) -> LoadMix {
+    let mut scaled = mix.clone();
+    scaled.arrival_rate *= factor;
+    scaled
+}
+
+/// Runs one mode of the comparison: the scaled stream through a fresh
+/// pool, with the degradation layer armed or not.
+pub fn run_mode(mix: &LoadMix, factor: f64, fault_seed: u64, degraded: bool) -> LoadRun {
+    let mode = if degraded { DEGRADED } else { "baseline" };
+    let config = faulty_config(fault_seed, degraded);
+    load_run(mix, factor, mode, config, None, "degrade")
 }
 
 /// Index of the mix's highest-priority tenant (the tier the gates
@@ -172,7 +181,7 @@ pub fn top_tier(mix: &LoadMix) -> usize {
 
 /// Conservation: records + rejections partition the submitted ids
 /// exactly.
-fn check_conservation(jobs: &[JobSpec], report: &ServiceReport, what: &str) -> Result<(), String> {
+fn check_conservation(jobs: &[JobSpec], report: &ServiceReport, what: &str) -> Outcome {
     let mut ids: Vec<u64> = report
         .records
         .iter()
@@ -182,19 +191,18 @@ fn check_conservation(jobs: &[JobSpec], report: &ServiceReport, what: &str) -> R
     ids.sort_unstable();
     let mut want: Vec<u64> = jobs.iter().map(|j| j.id).collect();
     want.sort_unstable();
-    if ids != want {
-        return Err(format!(
+    ensure(ids == want, || {
+        format!(
             "{what}: jobs lost or invented ({} accounted, {} submitted)",
             ids.len(),
             want.len()
-        ));
-    }
-    Ok(())
+        )
+    })
 }
 
 /// Deadline typing: every finished job with a deadline carries a
 /// Met/Missed verdict consistent with its finish time.
-fn check_deadline_verdicts(report: &ServiceReport, what: &str) -> Result<(), String> {
+fn check_deadline_verdicts(report: &ServiceReport, what: &str) -> Outcome {
     for r in &report.records {
         match (r.spec.deadline, r.deadline) {
             (None, DeadlineVerdict::NoDeadline) => {}
@@ -202,10 +210,10 @@ fn check_deadline_verdicts(report: &ServiceReport, what: &str) -> Result<(), Str
             (Some(d), DeadlineVerdict::Missed { late_by })
                 if r.finish_time > d && (late_by - (r.finish_time - d)).abs() < 1e-9 => {}
             (spec, verdict) => {
-                return Err(format!(
+                return Err(Error::Failed(format!(
                     "{what}: job {} finish {:.3} has verdict {verdict:?} for deadline {spec:?}",
                     r.spec.id, r.finish_time
-                ));
+                )));
             }
         }
     }
@@ -216,7 +224,7 @@ fn check_deadline_verdicts(report: &ServiceReport, what: &str) -> Result<(), Str
 /// executor: chaining `multiply_abft_prefix` through every panel
 /// boundary of every paper shape reproduces the uninterrupted product
 /// bit-for-bit.
-pub fn check_preempt_resume_identity(n: usize) -> Result<(), String> {
+pub fn check_preempt_resume_identity(n: usize) -> Outcome {
     let speeds = [3.0, 2.0, 1.0];
     let a = random_matrix(n, n, 11);
     let b = random_matrix(n, n, 12);
@@ -234,45 +242,37 @@ pub fn check_preempt_resume_identity(n: usize) -> Result<(), String> {
                 resume,
                 stop_k,
             )
-            .map_err(|e| format!("{shape:?}: prefix run to k={stop_k} failed: {e:?}"))
+            .map_err(|e| {
+                Error::Failed(format!("{shape:?}: prefix run to k={stop_k} failed: {e:?}"))
+            })
         };
         let whole = run(None, n)?;
         let mut chained: Option<summagen_core::PanelCheckpoint> = None;
         for k in panel_boundaries(shape, n, &speeds) {
             chained = Some(run(chained.as_ref(), k)?);
         }
-        let chained = chained.ok_or_else(|| format!("{shape:?}: no panel boundaries"))?;
-        if chained.k != n {
-            return Err(format!(
-                "{shape:?}: chained run stopped at k={} of {n}",
-                chained.k
-            ));
-        }
-        for (i, (got, want)) in chained
-            .c
-            .as_slice()
-            .iter()
-            .zip(whole.c.as_slice())
-            .enumerate()
-        {
-            if got.to_bits() != want.to_bits() {
-                return Err(format!(
-                    "{shape:?}: element {i} differs after chained resume: {got} vs {want}"
-                ));
-            }
+        let chained =
+            chained.ok_or_else(|| Error::Failed(format!("{shape:?}: no panel boundaries")))?;
+        ensure(chained.k == n, || {
+            format!("{shape:?}: chained run stopped at k={} of {n}", chained.k)
+        })?;
+        let mut elems = chained.c.as_slice().iter().zip(whole.c.as_slice());
+        if let Some(i) = elems.position(|(got, want)| got.to_bits() != want.to_bits()) {
+            return Err(Error::Failed(format!(
+                "{shape:?}: element {i} differs after chained resume: {} vs {}",
+                chained.c.as_slice()[i],
+                whole.c.as_slice()[i]
+            )));
         }
     }
     Ok(())
 }
 
-fn mode_json(mix: &LoadMix, run: &DegradeRun) -> Json {
+fn mode_json(mix: &LoadMix, run: &LoadRun) -> Json {
     let report = &run.report;
     let tenants = report.tenant_summaries(mix.tenants.len());
     Json::obj([
-        (
-            "mode",
-            Json::from(if run.degraded { "degraded" } else { "baseline" }),
-        ),
+        ("mode", Json::from(run.mode)),
         ("makespan_s", Json::from(report.makespan)),
         ("completed", Json::from(report.completed())),
         ("failed", Json::from(report.failed())),
@@ -282,10 +282,7 @@ fn mode_json(mix: &LoadMix, run: &DegradeRun) -> Json {
         ("preemptions", Json::from(report.preemptions)),
         ("retries", Json::from(report.retries)),
         ("p95_s", Json::from(report.latency_quantile(0.95))),
-        (
-            "schedule_digest",
-            Json::from(format!("{:016x}", report.schedule_digest)),
-        ),
+        ("schedule_digest", digest_json(report.schedule_digest)),
         (
             "quarantine_timeline",
             Json::arr(report.quarantine_events.iter().map(|e| {
@@ -317,7 +314,7 @@ fn mode_json(mix: &LoadMix, run: &DegradeRun) -> Json {
 }
 
 /// The degrade document: per load factor, baseline next to degraded.
-pub fn degrade_json(mix: &LoadMix, fault_seed: u64, pairs: &[(DegradeRun, DegradeRun)]) -> Json {
+pub fn degrade_json(mix: &LoadMix, fault_seed: u64, pairs: &[(LoadRun, LoadRun)]) -> Json {
     let doc = Json::obj([
         ("mix", Json::from(mix.name)),
         (
@@ -346,17 +343,14 @@ pub fn degrade_json(mix: &LoadMix, fault_seed: u64, pairs: &[(DegradeRun, Degrad
             ("fault_seed", Json::from(fault_seed)),
             ("fail_permille", Json::from(DEGRADE_FAIL_PERMILLE as usize)),
             ("jobs", Json::from(mix.jobs)),
-            (
-                "load_factors",
-                Json::arr(DEGRADE_LOAD_FACTORS.iter().map(|&f| Json::from(f))),
-            ),
+            ("load_factors", Json::arr(DEGRADE_LOAD_FACTORS)),
             ("alpha_s", Json::from(SERVE_ALPHA)),
             ("beta_s_per_byte", Json::from(SERVE_BETA)),
         ]),
     )
 }
 
-fn print_comparison(mix: &LoadMix, top: usize, pairs: &[(DegradeRun, DegradeRun)]) {
+fn print_comparison(mix: &LoadMix, top: usize, pairs: &[(LoadRun, LoadRun)]) {
     println!(
         "\nDEGRADE — graceful degradation, mix '{}' ({} jobs, seed {}, {}‰ faults)",
         mix.name, mix.jobs, mix.seed, DEGRADE_FAIL_PERMILLE
@@ -386,7 +380,7 @@ fn print_comparison(mix: &LoadMix, top: usize, pairs: &[(DegradeRun, DegradeRun)
             println!(
                 "{:>6}{:>10}{:>10.3}{:>8}{:>8}{:>7}{:>9}{:>12}{:>11}{:>13.3}",
                 format!("{}x", run.load_factor),
-                if run.degraded { "degraded" } else { "baseline" },
+                run.mode,
                 r.makespan,
                 r.completed(),
                 r.rejections.len(),
@@ -398,24 +392,10 @@ fn print_comparison(mix: &LoadMix, top: usize, pairs: &[(DegradeRun, DegradeRun)
             );
         }
     }
-    println!(
-        "\n  per-tenant deadline hit rate at {}x:",
-        pairs[pairs.len() - 1].0.load_factor
-    );
-    print!("{:>10}", "mode");
-    for t in &mix.tenants {
-        print!("{:>14}", t.name);
-    }
-    println!();
     if let Some((base, deg)) = pairs.last() {
-        for run in [base, deg] {
-            let summaries = run.report.tenant_summaries(mix.tenants.len());
-            print!("{:>10}", if run.degraded { "degraded" } else { "baseline" });
-            for s in &summaries {
-                print!("{:>14.3}", s.deadline_hit_rate());
-            }
-            println!();
-        }
+        println!("\n  per-tenant deadline hit rate at {}x:", base.load_factor);
+        let rows = [base, deg].map(|run| (run.mode, &run.report));
+        print_tenant_table(mix, 10, "mode", rows, |t| t.deadline_hit_rate());
     }
 }
 
@@ -425,9 +405,9 @@ fn gate(
     top: usize,
     fault_seed: u64,
     jobs: &[JobSpec],
-    base: &DegradeRun,
-    deg: &DegradeRun,
-) -> Result<(), String> {
+    base: &LoadRun,
+    deg: &LoadRun,
+) -> Outcome {
     let what = |mode: &str| format!("seed {fault_seed}, {}x {mode}", base.load_factor);
     check_conservation(jobs, &base.report, &what("baseline"))?;
     check_conservation(jobs, &deg.report, &what("degraded"))?;
@@ -435,37 +415,38 @@ fn gate(
     check_deadline_verdicts(&deg.report, &what("degraded"))?;
     let base_p95 = base.report.tenant_summaries(mix.tenants.len())[top].p95;
     let deg_p95 = deg.report.tenant_summaries(mix.tenants.len())[top].p95;
-    if deg_p95 >= base_p95 {
-        return Err(format!(
+    ensure(deg_p95 < base_p95, || {
+        format!(
             "{}: top-tier '{}' p95 did not improve: degraded {deg_p95:.3}s vs baseline {base_p95:.3}s",
             what("gate"),
             mix.tenants[top].name
-        ));
-    }
+        )
+    })?;
     // Reproducibility of the degraded schedule, from scratch.
     let again = run_mode(mix, deg.load_factor, fault_seed, true);
-    if again.report.schedule_digest != deg.report.schedule_digest {
-        return Err(format!(
-            "{}: degraded rerun digest {:016x} != {:016x}",
-            what("degraded"),
-            again.report.schedule_digest,
-            deg.report.schedule_digest
-        ));
-    }
-    Ok(())
+    ensure(
+        again.report.schedule_digest == deg.report.schedule_digest,
+        || {
+            format!(
+                "{}: degraded rerun digest {:016x} != {:016x}",
+                what("degraded"),
+                again.report.schedule_digest,
+                deg.report.schedule_digest
+            )
+        },
+    )
 }
 
 /// Runs the degrade experiment for `mix_name`, artifacts into `out_dir`.
 /// The artifact grid uses the base fault seed; the gates additionally
 /// cover every folded chaos seed at the top load factor.
-pub fn run_degrade(mix_name: &str, out_dir: &Path) -> Result<(), String> {
-    let mix = mix_by_name(mix_name)
-        .ok_or_else(|| format!("unknown mix '{mix_name}'; expected small or hetero"))?;
+pub fn run_degrade(mix_name: &str, out_dir: &Path) -> Outcome {
+    let mix = load_mix(mix_name)?;
     let top = top_tier(&mix);
-    let seeds = degrade_seeds();
+    let seeds = chaos_seeds(&DEGRADE_BASE_SEEDS)?;
     let artifact_seed = seeds[0];
 
-    let pairs: Vec<(DegradeRun, DegradeRun)> = DEGRADE_LOAD_FACTORS
+    let pairs: Vec<(LoadRun, LoadRun)> = DEGRADE_LOAD_FACTORS
         .iter()
         .map(|&f| {
             (
@@ -476,43 +457,33 @@ pub fn run_degrade(mix_name: &str, out_dir: &Path) -> Result<(), String> {
         .collect();
     print_comparison(&mix, top, &pairs);
 
-    let top_factor = *DEGRADE_LOAD_FACTORS.last().expect("factors");
-    for &seed in &seeds {
-        let jobs = generate(&scaled_mix(&mix, top_factor));
-        if seed == artifact_seed {
-            let (base, deg) = pairs.last().expect("pairs");
-            gate(&mix, top, seed, &jobs, base, deg)?;
-        } else {
-            let base = run_mode(&mix, top_factor, seed, false);
-            let deg = run_mode(&mix, top_factor, seed, true);
-            gate(&mix, top, seed, &jobs, &base, &deg)?;
-        }
+    let (base, deg) = pairs.last().expect("one load factor at least");
+    let top_factor = base.load_factor;
+    let jobs = generate(&scaled_mix(&mix, top_factor));
+    gate(&mix, top, artifact_seed, &jobs, base, deg)?;
+    for &seed in &seeds[1..] {
+        let base = run_mode(&mix, top_factor, seed, false);
+        let deg = run_mode(&mix, top_factor, seed, true);
+        gate(&mix, top, seed, &jobs, &base, &deg)?;
     }
     check_preempt_resume_identity(48)?;
     println!(
         "  preempt/resume chain across every panel boundary: bit-identical (n=48, all shapes)"
     );
 
-    fs::create_dir_all(out_dir).map_err(|e| io_err(out_dir, &e))?;
-    let doc_path = out_dir.join(format!("DEGRADE_{}.json", mix.name));
-    fs::write(
-        &doc_path,
+    let out = Artifacts::create(out_dir)?;
+    out.write(
+        &format!("DEGRADE_{}.json", mix.name),
         degrade_json(&mix, artifact_seed, &pairs).pretty(),
-    )
-    .map_err(|e| io_err(&doc_path, &e))?;
-    if let Some((base, deg)) = pairs.last() {
-        for run in [base, deg] {
-            let mode = if run.degraded { "degraded" } else { "baseline" };
-            let sched_path = out_dir.join(format!("SCHEDULE_DEGRADE_{}_{mode}.json", mix.name));
-            fs::write(&sched_path, &run.perfetto).map_err(|e| io_err(&sched_path, &e))?;
-        }
+    )?;
+    for run in [base, deg] {
+        out.write(
+            &format!("SCHEDULE_DEGRADE_{}_{}.json", mix.name, run.mode),
+            &run.perfetto,
+        )?;
     }
-    println!("degrade artifacts written to {}", out_dir.display());
+    println!("degrade artifacts written to {}", out.dir().display());
     Ok(())
-}
-
-fn io_err(path: &Path, e: &io::Error) -> String {
-    format!("{}: {e}", path.display())
 }
 
 #[cfg(test)]
@@ -585,7 +556,7 @@ mod tests {
     fn chaos_seed_env_widens_the_grid() {
         // No env manipulation (tests run in parallel): just the base
         // list's shape.
-        let seeds = degrade_seeds();
+        let seeds = chaos_seeds(&DEGRADE_BASE_SEEDS).unwrap();
         assert!(seeds.contains(&DEGRADE_BASE_SEEDS[0]));
     }
 }

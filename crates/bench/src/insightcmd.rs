@@ -47,28 +47,19 @@
 //! `SUMMAGEN_CHAOS_SEED`: the alert gate is calibrated against the base
 //! seed's schedule, and the check mode compares byte-stable documents.
 
-use std::fs;
-use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 use summagen_insight::{
     opportunity_table, rank_opportunities, sensitivity, BurnConfig, Opportunity, SensitivityCurve,
     SloKind, SloPolicy, SloSpec,
 };
-use summagen_metrics::MetricsRegistry;
 use summagen_partition::{Shape, ALL_FOUR_SHAPES};
-use summagen_platform::profile::hclserver1;
-use summagen_service::{
-    generate, DegradeConfig, DevicePool, FaultProfile, GemmService, LoadMix, Policy, ServiceConfig,
-    ServiceMetrics, ServiceReport,
-};
-use summagen_trace::{perfetto_json, replay, Intervention, Replay, Target, TraceRecorder};
+use summagen_service::{LoadMix, ServiceConfig};
+use summagen_trace::{replay, Intervention, Replay, Target};
 
-use crate::benchcmd::{
-    compare_docs_drift, read_baseline, require_baseline_dir, CheckError, CheckOutcome,
-};
-use crate::degradecmd::{degrade_config, scaled_mix, DEGRADE_FAIL_PERMILLE};
+use crate::benchcmd::check_docs;
+use crate::degradecmd::{faulty_config, load_run, LoadRun, DEGRADED, DEGRADE_FAIL_PERMILLE};
+use crate::harness::{digest_json, ensure, shape_slug, Artifacts, Error, Outcome};
 use crate::json::{with_metadata, Json};
 use crate::servecmd::{SERVE_ALPHA, SERVE_BETA};
 use crate::tracecmd::{trace_shape, TraceRun, TRACE_N};
@@ -131,46 +122,35 @@ pub fn insight_shape(n: usize, shape: Shape) -> InsightShape {
     }
 }
 
-fn shape_slug(shape: Shape) -> String {
-    shape.name().replace(' ', "-")
-}
-
 /// The per-shape acceptance gates: identity-replay fidelity, the
 /// comm-free counterfactual against the analyzer's compute bound, and
 /// (for square corner, the paper's communication-dominated layout) the
 /// top-ranked opportunity being communication.
-fn gate_shape(is: &InsightShape) -> Result<(), String> {
+fn gate_shape(is: &InsightShape) -> Outcome {
     let name = is.run.shape.name();
     let drift = (is.baseline.makespan - is.run.exec_time).abs() / is.run.exec_time;
-    if drift > 1e-9 {
-        return Err(format!(
+    ensure(drift <= 1e-9, || {
+        format!(
             "{name}: identity replay makespan {:.9e} != executor {:.9e} (rel {drift:.2e})",
             is.baseline.makespan, is.run.exec_time
-        ));
-    }
+        )
+    })?;
     let bound = compute_bound(&is.run);
     let rel = (is.comm_free.makespan - bound).abs() / bound;
-    if rel > COMM_FREE_TOLERANCE {
-        return Err(format!(
+    ensure(rel <= COMM_FREE_TOLERANCE, || {
+        format!(
             "{name}: comm-free replay {:.6e}s misses compute bound {:.6e}s by {:.2}% (> {:.0}%)",
             is.comm_free.makespan,
             bound,
             100.0 * rel,
             100.0 * COMM_FREE_TOLERANCE
-        ));
-    }
-    if is.run.shape == Shape::SquareCorner {
-        match is.opportunities.first() {
-            Some(top) if top.description == "communication free" => {}
-            top => {
-                return Err(format!(
-                    "{name}: top opportunity is {:?}, expected communication",
-                    top.map(|o| o.description.as_str())
-                ));
-            }
-        }
-    }
-    Ok(())
+        )
+    })?;
+    let top = is.opportunities.first().map(|o| o.description.as_str());
+    ensure(
+        is.run.shape != Shape::SquareCorner || top == Some("communication free"),
+        || format!("{name}: top opportunity is {top:?}, expected communication"),
+    )
 }
 
 /// The per-shape what-if document.
@@ -250,10 +230,7 @@ pub fn insight_json(is: &InsightShape) -> Json {
         Json::obj([
             ("command", Json::from("reproduce insight")),
             ("n", Json::from(run.n)),
-            (
-                "factors",
-                Json::arr(INSIGHT_FACTORS.iter().map(|&f| Json::from(f))),
-            ),
+            ("factors", Json::arr(INSIGHT_FACTORS)),
         ]),
     )
 }
@@ -299,68 +276,17 @@ pub fn insight_policy() -> SloPolicy {
     }
 }
 
-/// One load factor of the SLO scenario.
-pub struct SloRun {
-    /// The service report (alerts included).
-    pub report: ServiceReport,
-    /// Perfetto timeline of the schedule, alert spans included.
-    pub perfetto: String,
-    /// Prometheus exposition after the run.
-    pub exposition: String,
-    /// The arrival-rate multiplier.
-    pub load_factor: f64,
-    /// Whether faults and the degradation layer were armed (the 5×
-    /// stampede); the 1× control runs healthy.
-    pub degraded: bool,
-}
-
 /// Runs one load factor of the SLO scenario: the scaled stream through
 /// a fresh pool with the SLO policy armed. The control runs the plain
 /// fault-free service; the stampede arms seeded device faults and the
 /// full degradation layer, same as the degrade sweep.
-pub fn run_slo_mode(mix: &LoadMix, factor: f64, degraded: bool) -> SloRun {
-    let scaled = scaled_mix(mix, factor);
-    let pool = DevicePool::from_platform(&hclserver1(), SERVE_ALPHA, SERVE_BETA);
-    let tenant_names = scaled.tenant_names();
-    let device_names: Vec<&'static str> = pool.devices().iter().map(|d| d.name).collect();
-    let registry = Arc::new(MetricsRegistry::new());
-    let metrics = ServiceMetrics::register(&registry, &tenant_names, &device_names);
-    let recorder = TraceRecorder::new(pool.devices().len());
-    let config = if degraded {
-        ServiceConfig {
-            policy: Policy::FpmAware,
-            faults: FaultProfile {
-                fail_permille: DEGRADE_FAIL_PERMILLE,
-                seed: INSIGHT_FAULT_SEED,
-                ..FaultProfile::default()
-            },
-            degrade: degrade_config(),
-            ..ServiceConfig::default()
-        }
+pub fn run_slo_mode(mix: &LoadMix, factor: f64, degraded: bool) -> LoadRun {
+    let (mode, config) = if degraded {
+        (DEGRADED, faulty_config(INSIGHT_FAULT_SEED, true))
     } else {
-        ServiceConfig {
-            policy: Policy::FpmAware,
-            degrade: DegradeConfig::default(),
-            ..ServiceConfig::default()
-        }
+        ("healthy", ServiceConfig::default())
     };
-    let mut service = GemmService::new(pool, config)
-        .with_metrics(metrics)
-        .with_slo(insight_policy())
-        .with_sink(recorder.clone());
-    let report = service.run(generate(&scaled));
-    let trace = recorder.finish();
-    let mode = if degraded { "degraded" } else { "healthy" };
-    SloRun {
-        perfetto: perfetto_json(
-            &trace,
-            &format!("{} slo schedule ({factor}x, {mode})", mix.name),
-        ),
-        exposition: summagen_metrics::prometheus::render(&registry),
-        report,
-        load_factor: factor,
-        degraded,
-    }
+    load_run(mix, factor, mode, config, Some(insight_policy()), "slo")
 }
 
 /// Sum of a counter family's samples in a rendered exposition.
@@ -375,72 +301,67 @@ fn exposition_total(exposition: &str, metric: &str) -> f64 {
 /// The SLO scenario gates: a silent control, a loud stampede (visible
 /// in the report, the exposition, and the timeline), and a reproducible
 /// stampede schedule.
-fn gate_slo(mix: &LoadMix, runs: &[SloRun]) -> Result<(), String> {
+fn gate_slo(mix: &LoadMix, runs: &[LoadRun]) -> Outcome {
     for run in runs {
         let what = format!("{}x {}", run.load_factor, mix.name);
         let alerts = &run.report.slo_alerts;
-        if run.degraded {
-            if alerts.is_empty() {
-                return Err(format!("{what}: degraded stampede fired no SLO alerts"));
-            }
+        if run.degraded() {
+            ensure(!alerts.is_empty(), || {
+                format!("{what}: degraded stampede fired no SLO alerts")
+            })?;
             let total = exposition_total(&run.exposition, "summagen_service_slo_alerts_total");
-            if total < alerts.len() as f64 {
-                return Err(format!(
+            ensure(total >= alerts.len() as f64, || {
+                format!(
                     "{what}: exposition counts {total} alerts, report has {}",
                     alerts.len()
-                ));
-            }
-            if !run.perfetto.contains("slo-alert") {
-                return Err(format!("{what}: no slo-alert spans in the timeline"));
-            }
-        } else if !alerts.is_empty() {
-            let a = &alerts[0];
-            return Err(format!(
+                )
+            })?;
+            ensure(run.perfetto.contains("slo-alert"), || {
+                format!("{what}: no slo-alert spans in the timeline")
+            })?;
+        } else if let Some(a) = alerts.first() {
+            return Err(Error::Failed(format!(
                 "{what}: healthy control fired {} alert(s), first: tenant {} {} at {:.3}s",
                 alerts.len(),
                 a.tenant,
                 a.kind.label(),
                 a.fired_at
-            ));
+            )));
         }
     }
     // Reproducibility of the stampede, from scratch.
-    if let Some(run) = runs.iter().find(|r| r.degraded) {
+    if let Some(run) = runs.iter().find(|r| r.degraded()) {
         let again = run_slo_mode(mix, run.load_factor, true);
-        if again.report.schedule_digest != run.report.schedule_digest
-            || again.report.slo_alerts != run.report.slo_alerts
-        {
-            return Err(format!(
-                "{}x {}: degraded rerun digest {:016x}/{} alerts != {:016x}/{} alerts",
-                run.load_factor,
-                mix.name,
-                again.report.schedule_digest,
-                again.report.slo_alerts.len(),
-                run.report.schedule_digest,
-                run.report.slo_alerts.len()
-            ));
-        }
+        ensure(
+            again.report.schedule_digest == run.report.schedule_digest
+                && again.report.slo_alerts == run.report.slo_alerts,
+            || {
+                format!(
+                    "{}x {}: degraded rerun digest {:016x}/{} alerts != {:016x}/{} alerts",
+                    run.load_factor,
+                    mix.name,
+                    again.report.schedule_digest,
+                    again.report.slo_alerts.len(),
+                    run.report.schedule_digest,
+                    run.report.slo_alerts.len()
+                )
+            },
+        )?;
     }
     Ok(())
 }
 
-fn slo_run_json(mix: &LoadMix, run: &SloRun) -> Json {
+fn slo_run_json(mix: &LoadMix, run: &LoadRun) -> Json {
     let report = &run.report;
     let tenants = report.tenant_summaries(mix.tenants.len());
     Json::obj([
         ("load_factor", Json::from(run.load_factor)),
-        (
-            "mode",
-            Json::from(if run.degraded { "degraded" } else { "healthy" }),
-        ),
+        ("mode", Json::from(run.mode)),
         ("makespan_s", Json::from(report.makespan)),
         ("completed", Json::from(report.completed())),
         ("rejected", Json::from(report.rejections.len())),
         ("shed", Json::from(report.shed())),
-        (
-            "schedule_digest",
-            Json::from(format!("{:016x}", report.schedule_digest)),
-        ),
+        ("schedule_digest", digest_json(report.schedule_digest)),
         (
             "alerts",
             Json::arr(report.slo_alerts.iter().map(|a| {
@@ -476,7 +397,7 @@ fn slo_run_json(mix: &LoadMix, run: &SloRun) -> Json {
 
 /// The SLO scenario document: the control next to the stampede, with
 /// the policy that judged both.
-pub fn slo_json(mix: &LoadMix, runs: &[SloRun]) -> Json {
+pub fn slo_json(mix: &LoadMix, runs: &[LoadRun]) -> Json {
     let policy = insight_policy();
     let doc = Json::obj([
         ("mix", Json::from(mix.name)),
@@ -496,10 +417,7 @@ pub fn slo_json(mix: &LoadMix, runs: &[SloRun]) -> Json {
             ("fault_seed", Json::from(INSIGHT_FAULT_SEED)),
             ("fail_permille", Json::from(DEGRADE_FAIL_PERMILLE as usize)),
             ("jobs", Json::from(mix.jobs)),
-            (
-                "load_factors",
-                Json::arr(INSIGHT_LOAD_FACTORS.iter().map(|&f| Json::from(f))),
-            ),
+            ("load_factors", Json::arr(INSIGHT_LOAD_FACTORS)),
             ("alpha_s", Json::from(SERVE_ALPHA)),
             ("beta_s_per_byte", Json::from(SERVE_BETA)),
             (
@@ -531,7 +449,7 @@ pub fn slo_json(mix: &LoadMix, runs: &[SloRun]) -> Json {
     )
 }
 
-fn print_slo(mix: &LoadMix, runs: &[SloRun]) {
+fn print_slo(mix: &LoadMix, runs: &[LoadRun]) {
     println!(
         "\nSLO — burn-rate alerting, mix '{}' ({} jobs, seed {})",
         mix.name, mix.jobs, mix.seed
@@ -545,7 +463,7 @@ fn print_slo(mix: &LoadMix, runs: &[SloRun]) {
         println!(
             "{:>6}{:>10}{:>10.3}{:>8}{:>8}{:>7}{:>8}",
             format!("{}x", run.load_factor),
-            if run.degraded { "degraded" } else { "healthy" },
+            run.mode,
             r.makespan,
             r.completed(),
             r.rejections.len(),
@@ -577,11 +495,19 @@ pub fn insight_mix() -> LoadMix {
     summagen_service::hetero_mix()
 }
 
+/// The SLO scenario's runs: the healthy control, then the stampede.
+fn slo_runs(mix: &LoadMix) -> Vec<LoadRun> {
+    INSIGHT_LOAD_FACTORS
+        .iter()
+        .map(|&f| run_slo_mode(mix, f, f > 1.0))
+        .collect()
+}
+
 /// Runs the full insight suite — what-if profiles of the four paper
 /// shapes plus the SLO scenario — writing artifacts into `out_dir` and
 /// enforcing the acceptance gates.
-pub fn run_insight(n: usize, out_dir: &Path) -> Result<(), String> {
-    fs::create_dir_all(out_dir).map_err(|e| io_err(out_dir, &e))?;
+pub fn run_insight(n: usize, out_dir: &Path) -> Outcome {
+    let out = Artifacts::create(out_dir)?;
 
     println!("\nINSIGHT — causal what-if profiles (n = {n})");
     for shape in ALL_FOUR_SHAPES {
@@ -591,85 +517,52 @@ pub fn run_insight(n: usize, out_dir: &Path) -> Result<(), String> {
         for line in opportunity_table(is.baseline.makespan, &is.opportunities).lines() {
             println!("    {line}");
         }
-        let path = out_dir.join(format!("INSIGHT_{}.json", shape_slug(shape)));
-        fs::write(&path, insight_json(&is).pretty()).map_err(|e| io_err(&path, &e))?;
+        out.write(
+            &format!("INSIGHT_{}.json", shape_slug(shape)),
+            insight_json(&is).pretty(),
+        )?;
     }
 
     let mix = insight_mix();
-    let runs: Vec<SloRun> = INSIGHT_LOAD_FACTORS
-        .iter()
-        .map(|&f| run_slo_mode(&mix, f, f > 1.0))
-        .collect();
+    let runs = slo_runs(&mix);
     print_slo(&mix, &runs);
     gate_slo(&mix, &runs)?;
 
-    let doc_path = out_dir.join(format!("INSIGHT_slo_{}.json", mix.name));
-    fs::write(&doc_path, slo_json(&mix, &runs).pretty()).map_err(|e| io_err(&doc_path, &e))?;
-    if let Some(run) = runs.iter().find(|r| r.degraded) {
-        let prom_path = out_dir.join(format!("SLO_INSIGHT_{}.prom", mix.name));
-        fs::write(&prom_path, &run.exposition).map_err(|e| io_err(&prom_path, &e))?;
-        let sched_path = out_dir.join(format!(
-            "SCHEDULE_INSIGHT_{}_{}x.json",
-            mix.name, run.load_factor
-        ));
-        fs::write(&sched_path, &run.perfetto).map_err(|e| io_err(&sched_path, &e))?;
+    out.write(
+        &format!("INSIGHT_slo_{}.json", mix.name),
+        slo_json(&mix, &runs).pretty(),
+    )?;
+    if let Some(run) = runs.iter().find(|r| r.degraded()) {
+        out.write(&format!("SLO_INSIGHT_{}.prom", mix.name), &run.exposition)?;
+        out.write(
+            &format!("SCHEDULE_INSIGHT_{}_{}x.json", mix.name, run.load_factor),
+            &run.perfetto,
+        )?;
     }
-    println!("\ninsight artifacts written to {}", out_dir.display());
+    println!("\ninsight artifacts written to {}", out.dir().display());
     Ok(())
 }
 
 /// Check mode: reruns the suite and compares every `INSIGHT_*.json`
-/// against the like-named baselines in `baseline_dir`, same drift
-/// machinery as `bench --check`. A missing or unreadable baseline is a
-/// typed [`CheckError`] naming the path — detected before the expensive
-/// fresh runs start.
-pub fn check_insight(baseline_dir: &Path, tol: f64) -> Result<CheckOutcome, CheckError> {
-    require_baseline_dir(baseline_dir)?;
-    let mut outcome = CheckOutcome::default();
-    println!(
-        "\nINSIGHT CHECK — fresh run vs baselines in {} (tolerance ±{:.2}%)",
-        baseline_dir.display(),
-        100.0 * tol
-    );
-    let mut one = |label: &str, file: String, fresh: Json| -> Result<(), CheckError> {
-        let path = baseline_dir.join(file);
-        let baseline = read_baseline(&path)?;
-        let (v, drift) = compare_docs_drift(label, &baseline, &fresh, tol);
-        println!(
-            "  {:<20} {}",
-            label,
-            if v.is_empty() {
-                "ok".to_string()
-            } else {
-                format!("{} violation(s)", v.len())
-            }
-        );
-        outcome.violations.extend(v);
-        outcome.absorb(drift);
-        Ok(())
-    };
-    for shape in ALL_FOUR_SHAPES {
-        one(
-            shape.name(),
+/// against the like-named baselines in `baseline_dir` through the same
+/// [`check_docs`] loop as `bench --check`.
+pub fn check_insight(baseline_dir: &Path, tol: f64) -> Outcome {
+    let shapes = ALL_FOUR_SHAPES.iter().map(|&shape| {
+        Ok((
+            shape.name().to_string(),
             format!("INSIGHT_{}.json", shape_slug(shape)),
             insight_json(&insight_shape(TRACE_N, shape)),
-        )?;
-    }
-    let mix = insight_mix();
-    let runs: Vec<SloRun> = INSIGHT_LOAD_FACTORS
-        .iter()
-        .map(|&f| run_slo_mode(&mix, f, f > 1.0))
-        .collect();
-    one(
-        "slo",
-        format!("INSIGHT_slo_{}.json", mix.name),
-        slo_json(&mix, &runs),
-    )?;
-    Ok(outcome)
-}
-
-fn io_err(path: &Path, e: &io::Error) -> String {
-    format!("{}: {e}", path.display())
+        ))
+    });
+    let slo = std::iter::once_with(|| {
+        let mix = insight_mix();
+        Ok((
+            "slo".to_string(),
+            format!("INSIGHT_slo_{}.json", mix.name),
+            slo_json(&mix, &slo_runs(&mix)),
+        ))
+    });
+    check_docs("insight", "fresh run", baseline_dir, tol, shapes.chain(slo))
 }
 
 #[cfg(test)]
@@ -716,10 +609,7 @@ mod tests {
     #[test]
     fn control_is_silent_and_stampede_fires_through_every_surface() {
         let mix = insight_mix();
-        let runs: Vec<SloRun> = INSIGHT_LOAD_FACTORS
-            .iter()
-            .map(|&f| run_slo_mode(&mix, f, f > 1.0))
-            .collect();
+        let runs = slo_runs(&mix);
         gate_slo(&mix, &runs).unwrap();
         let healthy = &runs[0];
         let degraded = &runs[1];

@@ -360,17 +360,21 @@ pub const SCHEMA_VERSION: u32 = 1;
 
 /// The git commit the binary's source tree was at, or `"unknown"` when
 /// the repository (or git itself) is unavailable — machine-readable
-/// output must never fail just because provenance is missing.
-pub fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+/// output must never fail just because provenance is missing. Asked of
+/// git once per process, however many documents are stamped.
+pub fn git_commit() -> &'static str {
+    static COMMIT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    COMMIT.get_or_init(|| {
+        std::process::Command::new("git")
+            .args(["rev-parse", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_string())
+    })
 }
 
 /// Prepends the standard provenance header — `schema_version`, the git

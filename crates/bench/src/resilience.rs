@@ -20,8 +20,6 @@
 //! and the recompute fraction, so checkpointed and full-restart recovery
 //! are comparable from artifacts alone.
 
-use std::fs;
-use std::io;
 use std::path::Path;
 use std::time::Duration;
 
@@ -30,10 +28,11 @@ use summagen_core::{
     multiply_abft, multiply_panelled, multiply_with_recovery, AbftOptions, AbftRunResult,
     ExecutionMode, RecoveryOptions,
 };
-use summagen_matrix::{gemm_naive, max_abs_diff, random_matrix, DenseMatrix, GemmKernel};
+use summagen_matrix::{max_abs_diff, random_matrix, GemmKernel};
 use summagen_partition::{proportional_areas, Shape, ALL_FOUR_SHAPES};
 use summagen_trace::{metrics, perfetto_json, TraceRecorder};
 
+use crate::harness::{ensure, reference, shape_slug, Artifacts, Error, Outcome};
 use crate::json::{with_metadata, Json};
 use crate::CPM_SPEEDS;
 
@@ -45,45 +44,6 @@ pub const ABFT_N: usize = 96;
 /// Checkpoint interval of the overhead runs: every panel boundary, the
 /// worst case for checkpoint cost and therefore the honest overhead bound.
 pub const ABFT_CHECKPOINT_INTERVAL: usize = 1;
-
-fn mode() -> ExecutionMode {
-    ExecutionMode::RealWith(GemmKernel::Blocked)
-}
-
-fn abft_options() -> AbftOptions {
-    AbftOptions {
-        checkpoint_interval: ABFT_CHECKPOINT_INTERVAL,
-        ..AbftOptions::default()
-    }
-}
-
-fn recovery_options() -> RecoveryOptions {
-    RecoveryOptions {
-        max_attempts: 4,
-        retry_backoff: 0.25,
-        recv_timeout: Duration::from_millis(1_000),
-        ..RecoveryOptions::default()
-    }
-}
-
-fn reference(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    let n = a.rows();
-    let mut c = DenseMatrix::zeros(n, n);
-    gemm_naive(
-        n,
-        n,
-        n,
-        1.0,
-        a.as_slice(),
-        n,
-        b.as_slice(),
-        n,
-        0.0,
-        c.as_mut_slice(),
-        n,
-    );
-    c
-}
 
 /// Everything measured about one shape's protected runs.
 #[derive(Debug)]
@@ -121,14 +81,26 @@ pub struct AbftShapeRun {
     pub corrupted_max_err: f64,
 }
 
-/// Runs the clean-overhead and corrupted scenarios for one shape.
-pub fn abft_shape_run(n: usize, shape: Shape) -> AbftShapeRun {
+/// Runs the clean-overhead and corrupted scenarios for one shape. A
+/// failed protected run or a wrong clean product is an error.
+pub fn abft_shape_run(n: usize, shape: Shape) -> Outcome<AbftShapeRun> {
     let a = random_matrix(n, n, 71);
     let b = random_matrix(n, n, 72);
     let want = reference(&a, &b);
-    let cost = HockneyModel::intra_node();
-    let opts = recovery_options();
-    let abft = abft_options();
+    let (mode, cost) = (
+        ExecutionMode::RealWith(GemmKernel::Blocked),
+        HockneyModel::intra_node(),
+    );
+    let opts = RecoveryOptions {
+        max_attempts: 4,
+        retry_backoff: 0.25,
+        recv_timeout: Duration::from_millis(1_000),
+        ..RecoveryOptions::default()
+    };
+    let abft = AbftOptions {
+        checkpoint_interval: ABFT_CHECKPOINT_INTERVAL,
+        ..AbftOptions::default()
+    };
 
     // Clean protected run, traced.
     let areas = proportional_areas(n, &CPM_SPEEDS);
@@ -139,7 +111,7 @@ pub fn abft_shape_run(n: usize, shape: Shape) -> AbftShapeRun {
         &CPM_SPEEDS,
         &a,
         &b,
-        mode(),
+        mode,
         cost,
         &[],
         &RecoveryOptions {
@@ -148,12 +120,10 @@ pub fn abft_shape_run(n: usize, shape: Shape) -> AbftShapeRun {
         },
         &abft,
     )
-    .expect("fault-free protected run succeeds");
-    assert!(
-        max_abs_diff(&protected.run.c, &want) < 1e-9,
-        "{}: protected product drifted",
-        shape.name()
-    );
+    .map_err(|e| Error::Failed(format!("{}: protected run failed: {e}", shape.name())))?;
+    ensure(max_abs_diff(&protected.run.c, &want) < 1e-9, || {
+        format!("{}: protected product drifted", shape.name())
+    })?;
     let trace = recorder.finish();
     let m = metrics(&trace);
     let abft_time_max = m
@@ -184,16 +154,21 @@ pub fn abft_shape_run(n: usize, shape: Shape) -> AbftShapeRun {
         &CPM_SPEEDS,
         &a,
         &b,
-        mode(),
+        mode,
         cost,
         std::slice::from_ref(&plan),
         &opts,
         &abft,
     )
-    .expect("correctable corruption never fails the run");
+    .map_err(|e| {
+        Error::Failed(format!(
+            "{}: correctable corruption failed the run: {e}",
+            shape.name()
+        ))
+    })?;
     let corrupted_max_err = max_abs_diff(&corrupted.run.c, &want);
 
-    AbftShapeRun {
+    Ok(AbftShapeRun {
         shape,
         n,
         exec_protected: protected.run.exec_time,
@@ -208,7 +183,7 @@ pub fn abft_shape_run(n: usize, shape: Shape) -> AbftShapeRun {
         perfetto,
         corrupted,
         corrupted_max_err,
-    }
+    })
 }
 
 /// The schema-stamped JSON summary for one shape's ABFT runs.
@@ -247,27 +222,20 @@ pub fn abft_json(run: &AbftShapeRun) -> Json {
             ("n", Json::from(run.n)),
             ("shape", Json::from(run.shape.name())),
             ("checkpoint_interval", Json::from(ABFT_CHECKPOINT_INTERVAL)),
-            (
-                "cpm_speeds",
-                Json::arr(CPM_SPEEDS.iter().copied().map(Json::from)),
-            ),
+            ("cpm_speeds", Json::arr(CPM_SPEEDS)),
         ]),
     )
 }
 
-fn shape_slug(shape: Shape) -> String {
-    shape.name().replace(' ', "-")
-}
-
 /// Runs the four paper shapes, writing `abft_<shape>.json` and
 /// `abft_trace_<shape>.json` into `out_dir` and printing the overhead
-/// table. Panics (failing CI) if a trace is missing the verify or
+/// table. Fails (failing CI) if a trace is missing the verify or
 /// checkpoint spans, or if a corrupted run was not fully repaired.
-pub fn run_abft(n: usize, out_dir: &Path) -> io::Result<()> {
-    fs::create_dir_all(out_dir)?;
+pub fn run_abft(n: usize, out_dir: &Path) -> Outcome {
+    let out = Artifacts::create(out_dir)?;
     println!(
         "\nABFT — checksum-protected SummaGen overhead (N = {n}, checkpoint every {ABFT_CHECKPOINT_INTERVAL} panel), output in {}",
-        out_dir.display()
+        out.dir().display()
     );
     println!(
         "{:>20}{:>14}{:>14}{:>10}{:>10}{:>7}{:>10}{:>11}{:>10}",
@@ -282,35 +250,28 @@ pub fn run_abft(n: usize, out_dir: &Path) -> io::Result<()> {
         "max err"
     );
     for shape in ALL_FOUR_SHAPES {
-        let run = abft_shape_run(n, shape);
-        assert!(
+        let run = abft_shape_run(n, shape)?;
+        let name = shape.name();
+        ensure(
             run.perfetto.contains("abft-verify") && run.perfetto.contains("abft-checkpoint"),
-            "{}: Perfetto export is missing ABFT spans",
-            shape.name()
-        );
-        assert_eq!(
-            run.corrupted.abft.attempts,
-            1,
-            "{}: correctable corruption must not trigger recovery",
-            shape.name()
-        );
-        assert!(
-            run.corrupted.abft.corrected >= 1,
-            "{}: the injected corruption was never seen",
-            shape.name()
-        );
-        assert!(
-            run.corrupted_max_err < 1e-9,
-            "{}: corrupted run returned a wrong product (err {:.2e})",
-            shape.name(),
-            run.corrupted_max_err
-        );
+            || format!("{name}: Perfetto export is missing ABFT spans"),
+        )?;
+        ensure(run.corrupted.abft.attempts == 1, || {
+            format!("{name}: correctable corruption must not trigger recovery")
+        })?;
+        ensure(run.corrupted.abft.corrected >= 1, || {
+            format!("{name}: the injected corruption was never seen")
+        })?;
+        ensure(run.corrupted_max_err < 1e-9, || {
+            format!(
+                "{name}: corrupted run returned a wrong product (err {:.2e})",
+                run.corrupted_max_err
+            )
+        })?;
 
         let slug = shape_slug(shape);
-        let json_path = out_dir.join(format!("abft_{slug}.json"));
-        fs::write(&json_path, abft_json(&run).pretty())?;
-        let trace_path = out_dir.join(format!("abft_trace_{slug}.json"));
-        fs::write(&trace_path, &run.perfetto)?;
+        out.write(&format!("abft_{slug}.json"), abft_json(&run).pretty())?;
+        out.write(&format!("abft_trace_{slug}.json"), &run.perfetto)?;
 
         println!(
             "{:>20}{:>14.6}{:>14.6}{:>9.2}%{:>9.3}%{:>7}{:>10}{:>11}{:>10.1e}",
@@ -369,7 +330,18 @@ pub fn recovery_series(n: usize, seeds: &[u64]) -> Vec<RecoveryRow> {
     for shape in ALL_FOUR_SHAPES {
         for &seed in seeds {
             let plan = FaultPlan::seeded(seed, CPM_SPEEDS.len());
-            let row = match multiply_with_recovery(
+            let mut row = RecoveryRow {
+                shape,
+                seed,
+                outcome: "clean",
+                attempts: 1,
+                failed_devices: Vec::new(),
+                failure_causes: Vec::new(),
+                recompute_fraction: 1.0,
+                max_err: None,
+                error: None,
+            };
+            match multiply_with_recovery(
                 shape,
                 &CPM_SPEEDS,
                 &a,
@@ -380,44 +352,22 @@ pub fn recovery_series(n: usize, seeds: &[u64]) -> Vec<RecoveryRow> {
                 &opts,
             ) {
                 Ok(res) => {
-                    let max_err = Some(max_abs_diff(&res.c, &want));
-                    match res.recovery {
-                        Some(rep) => RecoveryRow {
-                            shape,
-                            seed,
-                            outcome: "recovered",
-                            attempts: rep.attempts,
-                            failed_devices: rep.failed_devices,
-                            failure_causes: rep.failure_causes,
-                            recompute_fraction: rep.recompute_fraction,
-                            max_err,
-                            error: None,
-                        },
-                        None => RecoveryRow {
-                            shape,
-                            seed,
-                            outcome: "clean",
-                            attempts: 1,
-                            failed_devices: Vec::new(),
-                            failure_causes: Vec::new(),
-                            recompute_fraction: 1.0,
-                            max_err,
-                            error: None,
-                        },
+                    row.max_err = Some(max_abs_diff(&res.c, &want));
+                    if let Some(rep) = res.recovery {
+                        row.outcome = "recovered";
+                        row.attempts = rep.attempts;
+                        row.failed_devices = rep.failed_devices;
+                        row.failure_causes = rep.failure_causes;
+                        row.recompute_fraction = rep.recompute_fraction;
                     }
                 }
-                Err(e) => RecoveryRow {
-                    shape,
-                    seed,
-                    outcome: "error",
-                    attempts: 0,
-                    failed_devices: Vec::new(),
-                    failure_causes: Vec::new(),
-                    recompute_fraction: 0.0,
-                    max_err: None,
-                    error: Some(e.to_string()),
-                },
-            };
+                Err(e) => {
+                    row.outcome = "error";
+                    row.attempts = 0;
+                    row.recompute_fraction = 0.0;
+                    row.error = Some(e.to_string());
+                }
+            }
             rows.push(row);
         }
     }
@@ -441,7 +391,7 @@ pub fn recovery_json(n: usize) -> Json {
                 ("attempts", Json::from(r.attempts)),
                 (
                     "failed_devices",
-                    Json::arr(r.failed_devices.iter().copied().map(Json::from)),
+                    Json::arr(r.failed_devices.iter().copied()),
                 ),
                 (
                     "failure_causes",
@@ -463,14 +413,8 @@ pub fn recovery_json(n: usize) -> Json {
         Json::obj([
             ("command", Json::from("reproduce recovery --json")),
             ("n", Json::from(n)),
-            (
-                "seeds",
-                Json::arr(RECOVERY_SEEDS.iter().copied().map(Json::from)),
-            ),
-            (
-                "cpm_speeds",
-                Json::arr(CPM_SPEEDS.iter().copied().map(Json::from)),
-            ),
+            ("seeds", Json::arr(RECOVERY_SEEDS.iter().copied())),
+            ("cpm_speeds", Json::arr(CPM_SPEEDS)),
         ]),
     )
 }
@@ -481,7 +425,7 @@ mod tests {
 
     #[test]
     fn abft_shape_run_measures_overhead_and_repairs_corruption() {
-        let run = abft_shape_run(48, Shape::OneDRectangular);
+        let run = abft_shape_run(48, Shape::OneDRectangular).unwrap();
         assert!(run.exec_protected > 0.0);
         assert!(run.abft_time_total > 0.0, "verification must cost time");
         assert!(run.overhead_pct > 0.0 && run.overhead_pct < 50.0);

@@ -25,19 +25,13 @@
 //! that comparison is the service-level restatement of the paper's
 //! claim, and this gate is what the CI load job regression-tests.
 
-use std::fs;
-use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
-use summagen_metrics::MetricsRegistry;
-use summagen_platform::profile::hclserver1;
-use summagen_service::{
-    generate, mix_by_name, DevicePool, GemmService, LoadMix, Policy, ServiceConfig, ServiceMetrics,
-    ServiceReport,
+use summagen_service::{generate, LoadMix, Policy, ServiceConfig};
+
+use crate::harness::{
+    digest_json, ensure, load_mix, observe, print_tenant_table, Artifacts, Observed, Outcome,
 };
-use summagen_trace::{perfetto_json, TraceRecorder};
-
 use crate::json::{with_metadata, Json};
 
 /// Hockney link parameters of the pool (same intra-node class the other
@@ -46,48 +40,18 @@ pub const SERVE_ALPHA: f64 = 1e-5;
 pub const SERVE_BETA: f64 = 4e-10;
 
 /// One policy's run, kept for the artifact and the comparison gate.
-pub struct PolicyRun {
-    /// The report of the run.
-    pub report: ServiceReport,
-    /// The Prometheus exposition of the run's registry.
-    pub exposition: String,
-    /// Perfetto timeline of the schedule.
-    pub perfetto: String,
-}
+pub type PolicyRun = Observed;
 
 /// Runs one policy over a fresh pool and the given job stream.
 pub fn run_policy(mix: &LoadMix, policy: Policy) -> PolicyRun {
-    let pool = DevicePool::from_platform(&hclserver1(), SERVE_ALPHA, SERVE_BETA);
-    let tenant_names = mix.tenant_names();
-    let device_names: Vec<&'static str> = pool.devices().iter().map(|d| d.name).collect();
-    let registry = Arc::new(MetricsRegistry::new());
-    let metrics = ServiceMetrics::register(&registry, &tenant_names, &device_names);
-    let recorder = TraceRecorder::new(pool.devices().len());
     let config = ServiceConfig {
         policy,
         ..ServiceConfig::default()
     };
-    let mut service = GemmService::new(pool, config)
-        .with_metrics(metrics)
-        .with_sink(recorder.clone());
-    let report = service.run(generate(mix));
-    let trace = recorder.finish();
-    PolicyRun {
-        exposition: summagen_metrics::prometheus::render(&registry),
-        perfetto: perfetto_json(
-            &trace,
-            &format!("{} schedule ({})", mix.name, policy.name()),
-        ),
-        report,
-    }
-}
-
-fn rejection_count(report: &ServiceReport, label: &str) -> usize {
-    report
-        .rejections
-        .iter()
-        .filter(|(_, r)| r.label() == label)
-        .count()
+    let title = format!("{} schedule ({})", mix.name, policy.name());
+    observe(mix, config, None, &title, |service| {
+        service.run(generate(mix))
+    })
 }
 
 fn policy_json(mix: &LoadMix, run: &PolicyRun) -> Json {
@@ -106,10 +70,7 @@ fn policy_json(mix: &LoadMix, run: &PolicyRun) -> Json {
         ("peak_queue_depth", Json::from(report.peak_queue_depth)),
         ("batches", Json::from(report.batches)),
         ("retries", Json::from(report.retries)),
-        (
-            "schedule_digest",
-            Json::from(format!("{:016x}", report.schedule_digest)),
-        ),
+        ("schedule_digest", digest_json(report.schedule_digest)),
         (
             "device_busy_s",
             Json::arr(
@@ -124,20 +85,13 @@ fn policy_json(mix: &LoadMix, run: &PolicyRun) -> Json {
         ),
         (
             "rejections_by_reason",
-            Json::obj([
-                (
-                    "queue-full",
-                    Json::from(rejection_count(report, "queue-full")),
-                ),
-                (
-                    "quota-exceeded",
-                    Json::from(rejection_count(report, "quota-exceeded")),
-                ),
-                (
-                    "too-large",
-                    Json::from(rejection_count(report, "too-large")),
-                ),
-            ]),
+            Json::obj(["queue-full", "quota-exceeded", "too-large"].map(|reason| {
+                let count = report
+                    .rejections
+                    .iter()
+                    .filter(|(_, r)| r.label() == reason);
+                (reason, Json::from(count.count()))
+            })),
         ),
         (
             "tenants",
@@ -214,19 +168,8 @@ fn print_comparison(mix: &LoadMix, runs: &[PolicyRun]) {
         );
     }
     println!("\n  per-tenant p95 latency (s):");
-    print!("{:>12}", "policy");
-    for t in &mix.tenants {
-        print!("{:>14}", t.name);
-    }
-    println!();
-    for run in runs {
-        let summaries = run.report.tenant_summaries(mix.tenants.len());
-        print!("{:>12}", run.report.policy.name());
-        for s in &summaries {
-            print!("{:>14.3}", s.p95);
-        }
-        println!();
-    }
+    let rows = runs.iter().map(|r| (r.report.policy.name(), &r.report));
+    print_tenant_table(mix, 12, "policy", rows, |t| t.p95);
     // What the CI load job compares against the golden constants of
     // `tests/service_load.rs`.
     println!("\n  schedule digests:");
@@ -244,35 +187,31 @@ pub fn run_serve(
     policy: Option<Policy>,
     jobs_override: Option<usize>,
     out_dir: &Path,
-) -> Result<(), String> {
-    let mut mix = mix_by_name(mix_name)
-        .ok_or_else(|| format!("unknown mix '{mix_name}'; expected small or hetero"))?;
+) -> Outcome {
+    let mut mix = load_mix(mix_name)?;
     if let Some(jobs) = jobs_override {
         mix.jobs = jobs;
     }
-    let policies: Vec<Policy> = match policy {
-        Some(p) => vec![p],
-        None => Policy::ALL.to_vec(),
-    };
+    let policies = policy.map_or(Policy::ALL.to_vec(), |p| vec![p]);
     let runs: Vec<PolicyRun> = policies.iter().map(|&p| run_policy(&mix, p)).collect();
     print_comparison(&mix, &runs);
 
-    fs::create_dir_all(out_dir).map_err(|e| io_err(out_dir, &e))?;
-    let doc_path = out_dir.join(format!("LOAD_{}.json", mix.name));
-    fs::write(&doc_path, serve_json(&mix, &runs).pretty()).map_err(|e| io_err(&doc_path, &e))?;
+    let out = Artifacts::create(out_dir)?;
+    out.write(
+        &format!("LOAD_{}.json", mix.name),
+        serve_json(&mix, &runs).pretty(),
+    )?;
     for run in &runs {
-        let sched_path = out_dir.join(format!(
-            "SCHEDULE_{}_{}.json",
-            mix.name,
-            run.report.policy.name()
-        ));
-        fs::write(&sched_path, &run.perfetto).map_err(|e| io_err(&sched_path, &e))?;
-        if run.report.policy == Policy::FpmAware {
-            let prom_path = out_dir.join(format!("LOAD_{}.prom", mix.name));
-            fs::write(&prom_path, &run.exposition).map_err(|e| io_err(&prom_path, &e))?;
+        let policy = run.report.policy;
+        out.write(
+            &format!("SCHEDULE_{}_{}.json", mix.name, policy.name()),
+            &run.perfetto,
+        )?;
+        if policy == Policy::FpmAware {
+            out.write(&format!("LOAD_{}.prom", mix.name), &run.exposition)?;
         }
     }
-    println!("\nserve artifacts written to {}", out_dir.display());
+    println!("\nserve artifacts written to {}", out.dir().display());
 
     let fifo = runs.iter().find(|r| r.report.policy == Policy::Fifo);
     let fpm = runs.iter().find(|r| r.report.policy == Policy::FpmAware);
@@ -287,17 +226,13 @@ pub fn run_serve(
             fm / pm,
             f95 / p95
         );
-        if pm >= fm || p95 >= f95 {
-            return Err(format!(
+        ensure(pm < fm && p95 < f95, || {
+            format!(
                 "FPM-aware failed to beat FIFO: makespan {pm:.3} vs {fm:.3}, p95 {p95:.3} vs {f95:.3}"
-            ));
-        }
+            )
+        })?;
     }
     Ok(())
-}
-
-fn io_err(path: &Path, e: &io::Error) -> String {
-    format!("{}: {e}", path.display())
 }
 
 #[cfg(test)]

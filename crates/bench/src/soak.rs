@@ -20,19 +20,21 @@
 //!   announced-vs-detected split of the recovery report.
 //!
 //! Artifacts: one schema-stamped `SOAK_<shape>.json` per shape. Any
-//! correctness mismatch panics, which is what fails the CI soak job.
+//! correctness mismatch is an error, which is what fails the CI soak job.
 
-use std::fs;
-use std::io;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
 use summagen_comm::{Backend, HeartbeatConfig, HockneyModel, LinkPlan, RuntimeMetrics};
 use summagen_core::{multiply_with_recovery, ExecutionMode, RecoveryOptions, RecoveryReport};
-use summagen_matrix::{gemm_naive, max_abs_diff, random_matrix, DenseMatrix};
+use summagen_matrix::{max_abs_diff, random_matrix};
 use summagen_partition::{Shape, ALL_FOUR_SHAPES};
 
+use crate::harness::{
+    chaos_env, chaos_seeds, ensure, reference, shape_file, Artifacts, Error, Outcome,
+    CHAOS_SEED_ENV,
+};
 use crate::json::{with_metadata, Json};
 use crate::CPM_SPEEDS;
 
@@ -42,7 +44,7 @@ use crate::CPM_SPEEDS;
 pub const SOAK_N: usize = 64;
 
 /// Base seeds of the soak grid. The CI soak matrix adds one extra seed
-/// per job via `SUMMAGEN_CHAOS_SEED`, widening the grid covered across
+/// per job via [`CHAOS_SEED_ENV`], widening the grid covered across
 /// the matrix beyond any single local run.
 pub const SOAK_SEEDS: [u64; 3] = [1, 2, 3];
 
@@ -68,25 +70,11 @@ pub const SOAK_HANG_RANK: usize = 2;
 pub const SOAK_HANG_AT_OP: u64 = 2;
 
 /// Human-readable reproduction context for failure messages: the active
-/// backend and the raw `SUMMAGEN_CHAOS_SEED` environment value, so a red
-/// soak log alone is enough to rerun the exact scenario.
+/// backend and the raw [`CHAOS_SEED_ENV`] value, so a red soak log alone
+/// is enough to rerun the exact scenario.
 pub fn chaos_context(backend: Backend) -> String {
-    let seed_env = std::env::var("SUMMAGEN_CHAOS_SEED").unwrap_or_else(|_| "<unset>".into());
-    format!("backend={} SUMMAGEN_CHAOS_SEED={seed_env}", backend.name())
-}
-
-/// The seed list with any `SUMMAGEN_CHAOS_SEED` from the environment
-/// folded in (the CI soak matrix sets one per job).
-pub fn soak_seeds() -> Vec<u64> {
-    let mut seeds = SOAK_SEEDS.to_vec();
-    if let Ok(v) = std::env::var("SUMMAGEN_CHAOS_SEED") {
-        if let Ok(s) = v.trim().parse::<u64>() {
-            if !seeds.contains(&s) {
-                seeds.push(s);
-            }
-        }
-    }
-    seeds
+    let seed_env = chaos_env().unwrap_or("<unset>");
+    format!("backend={} {CHAOS_SEED_ENV}={seed_env}", backend.name())
 }
 
 /// The seeded wire-fault plan of the lossy scenario.
@@ -115,25 +103,6 @@ fn recovery_options(
         backend,
         ..RecoveryOptions::default()
     }
-}
-
-fn reference(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    let n = a.rows();
-    let mut c = DenseMatrix::zeros(n, n);
-    gemm_naive(
-        n,
-        n,
-        n,
-        1.0,
-        a.as_slice(),
-        n,
-        b.as_slice(),
-        n,
-        0.0,
-        c.as_mut_slice(),
-        n,
-    );
-    c
 }
 
 /// One `(shape, seed)` cell of the lossy grid.
@@ -188,14 +157,22 @@ pub struct SoakShapeRun {
 }
 
 /// Runs the lossy grid and the hang scenario for one shape over the
-/// given backend.
-pub fn soak_shape_run(n: usize, shape: Shape, seeds: &[u64], backend: Backend) -> SoakShapeRun {
+/// given backend. A run that fails, or recovers where it must not (or
+/// the other way round), is an error carrying the backend and the raw
+/// chaos seed so the cell can be replayed.
+pub fn soak_shape_run(
+    n: usize,
+    shape: Shape,
+    seeds: &[u64],
+    backend: Backend,
+) -> Outcome<SoakShapeRun> {
     let a = random_matrix(n, n, 51);
     let b = random_matrix(n, n, 52);
     let want = reference(&a, &b);
     let cost = HockneyModel::intra_node();
     let mode = ExecutionMode::Real;
     let ctx = chaos_context(backend);
+    let failed = |what: String| Error::Failed(format!("{} {what}", shape.name()));
 
     // Reliable-link baseline: the identical executor and partition with
     // the fault injection disengaged, on the same backend. Fault-free,
@@ -214,29 +191,23 @@ pub fn soak_shape_run(n: usize, shape: Shape, seeds: &[u64], backend: Backend) -
             ..RecoveryOptions::default()
         },
     )
-    .unwrap_or_else(|e| panic!("{} [{ctx}]: reliable run failed: {e}", shape.name()));
-    assert!(
-        reliable.recovery.is_none(),
-        "{} [{ctx}]: reliable run must not recover",
-        shape.name()
-    );
+    .map_err(|e| failed(format!("[{ctx}]: reliable run failed: {e}")))?;
+    ensure(reliable.recovery.is_none(), || {
+        format!("{} [{ctx}]: reliable run must not recover", shape.name())
+    })?;
 
     let mut lossy = Vec::new();
     for &seed in seeds {
         let m = RuntimeMetrics::fresh();
         let opts = recovery_options(lossy_plan(seed), m.clone(), backend);
         let run = multiply_with_recovery(shape, &CPM_SPEEDS, &a, &b, mode, cost, &[], &opts)
-            .unwrap_or_else(|e| {
-                panic!(
-                    "{} seed {seed} [{ctx}]: lossy run failed: {e}",
-                    shape.name()
-                )
-            });
-        assert!(
-            run.recovery.is_none(),
-            "{} seed {seed} [{ctx}]: wire faults alone must not trigger recovery",
-            shape.name()
-        );
+            .map_err(|e| failed(format!("seed {seed} [{ctx}]: lossy run failed: {e}")))?;
+        ensure(run.recovery.is_none(), || {
+            format!(
+                "{} seed {seed} [{ctx}]: wire faults alone must not trigger recovery",
+                shape.name()
+            )
+        })?;
         let diff = max_abs_diff(&run.c, &reliable.c);
         lossy.push(LossyRun {
             seed,
@@ -262,11 +233,11 @@ pub fn soak_shape_run(n: usize, shape: Shape, seeds: &[u64], backend: Backend) -
     let plan = lossy_plan(hang_seed).hang_rank(SOAK_HANG_RANK, SOAK_HANG_AT_OP);
     let opts = recovery_options(plan, m.clone(), backend);
     let run = multiply_with_recovery(shape, &CPM_SPEEDS, &a, &b, mode, cost, &[], &opts)
-        .unwrap_or_else(|e| panic!("{} [{ctx}]: hang run failed to recover: {e}", shape.name()));
+        .map_err(|e| failed(format!("[{ctx}]: hang run failed to recover: {e}")))?;
     let report = run
         .recovery
         .clone()
-        .unwrap_or_else(|| panic!("{} [{ctx}]: a hung rank must force a retry", shape.name()));
+        .ok_or_else(|| failed(format!("[{ctx}]: a hung rank must force a retry")))?;
     let hang = HangRun {
         seed: hang_seed,
         report,
@@ -274,13 +245,13 @@ pub fn soak_shape_run(n: usize, shape: Shape, seeds: &[u64], backend: Backend) -
         max_err: max_abs_diff(&run.c, &want),
     };
 
-    SoakShapeRun {
+    Ok(SoakShapeRun {
         shape,
         n,
         backend,
         lossy,
         hang,
-    }
+    })
 }
 
 /// The schema-stamped `SOAK_<shape>.json` document.
@@ -290,27 +261,22 @@ pub fn soak_json(run: &SoakShapeRun, seeds: &[u64]) -> Json {
     let doc = Json::obj([
         (
             "lossy",
-            Json::Arr(
-                run.lossy
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("seed", Json::from(r.seed)),
-                            ("delivered", Json::from(r.delivered)),
-                            ("retransmits", Json::from(r.retransmits)),
-                            ("duplicates", Json::from(r.duplicates)),
-                            ("dup_dropped", Json::from(r.dup_dropped)),
-                            ("heartbeats", Json::from(r.heartbeats)),
-                            ("suspicions", Json::from(r.suspicions)),
-                            ("exec_lossy_s", Json::from(r.exec_lossy)),
-                            ("exec_reliable_s", Json::from(r.exec_reliable)),
-                            ("makespan_inflation_pct", Json::from(r.inflation_pct)),
-                            ("bit_identical", Json::from(r.bit_identical)),
-                            ("max_abs_err", Json::from(r.max_err)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::arr(run.lossy.iter().map(|r| {
+                Json::obj([
+                    ("seed", Json::from(r.seed)),
+                    ("delivered", Json::from(r.delivered)),
+                    ("retransmits", Json::from(r.retransmits)),
+                    ("duplicates", Json::from(r.duplicates)),
+                    ("dup_dropped", Json::from(r.dup_dropped)),
+                    ("heartbeats", Json::from(r.heartbeats)),
+                    ("suspicions", Json::from(r.suspicions)),
+                    ("exec_lossy_s", Json::from(r.exec_lossy)),
+                    ("exec_reliable_s", Json::from(r.exec_reliable)),
+                    ("makespan_inflation_pct", Json::from(r.inflation_pct)),
+                    ("bit_identical", Json::from(r.bit_identical)),
+                    ("max_abs_err", Json::from(r.max_err)),
+                ])
+            })),
         ),
         (
             "hang",
@@ -321,7 +287,7 @@ pub fn soak_json(run: &SoakShapeRun, seeds: &[u64]) -> Json {
                 ("attempts", Json::from(rep.attempts)),
                 (
                     "failed_devices",
-                    Json::arr(rep.failed_devices.iter().copied().map(Json::from)),
+                    Json::arr(rep.failed_devices.iter().copied()),
                 ),
                 ("announced_failures", Json::from(rep.announced_failures)),
                 ("detected_failures", Json::from(rep.detected_failures)),
@@ -339,7 +305,7 @@ pub fn soak_json(run: &SoakShapeRun, seeds: &[u64]) -> Json {
             ("backend", Json::from(run.backend.name())),
             ("n", Json::from(run.n)),
             ("shape", Json::from(run.shape.name())),
-            ("seeds", Json::arr(seeds.iter().copied().map(Json::from))),
+            ("seeds", Json::arr(seeds.iter().copied())),
             ("drop_permille", Json::from(u64::from(SOAK_DROP_PERMILLE))),
             ("dup_permille", Json::from(u64::from(SOAK_DUP_PERMILLE))),
             (
@@ -347,34 +313,27 @@ pub fn soak_json(run: &SoakShapeRun, seeds: &[u64]) -> Json {
                 Json::from(u64::from(SOAK_REORDER_PERMILLE)),
             ),
             ("delay_permille", Json::from(u64::from(SOAK_DELAY_PERMILLE))),
-            (
-                "cpm_speeds",
-                Json::arr(CPM_SPEEDS.iter().copied().map(Json::from)),
-            ),
+            ("cpm_speeds", Json::arr(CPM_SPEEDS)),
         ]),
     )
 }
 
-fn shape_slug(shape: Shape) -> String {
-    shape.name().replace(' ', "-")
-}
-
 /// Runs the soak over the four paper shapes on the given backend,
 /// writing `SOAK_<shape>.json` (or `SOAK_<shape>_tcp.json` for the TCP
-/// backend) into `out_dir` and printing the chaos table. Panics (failing
+/// backend) into `out_dir` and printing the chaos table. Fails (failing
 /// CI) if a lossy run is not bit-identical to its reliable-link twin, if
 /// the detector raised a false suspicion, or if the hang was not
 /// *detected* (as opposed to announced) and recovered with a correct
-/// product. Every panic message carries the backend and the raw
-/// `SUMMAGEN_CHAOS_SEED` so the failing cell can be replayed.
-pub fn run_soak(n: usize, out_dir: &Path, backend: Backend) -> io::Result<()> {
-    fs::create_dir_all(out_dir)?;
-    let seeds = soak_seeds();
+/// product. Every message carries the backend and the raw chaos seed so
+/// the failing cell can be replayed.
+pub fn run_soak(n: usize, out_dir: &Path, backend: Backend) -> Outcome {
+    let out = Artifacts::create(out_dir)?;
+    let seeds = chaos_seeds(&SOAK_SEEDS)?;
     let ctx = chaos_context(backend);
     println!(
         "\nSOAK — lossy-link chaos + silent-hang detection (N = {n}, seeds {seeds:?}, backend {}), output in {}",
         backend.name(),
-        out_dir.display()
+        out.dir().display()
     );
     println!(
         "{:>20}{:>6}{:>10}{:>8}{:>7}{:>9}{:>9}{:>9}{:>10}{:>9}",
@@ -390,28 +349,19 @@ pub fn run_soak(n: usize, out_dir: &Path, backend: Backend) -> io::Result<()> {
         "attempts"
     );
     for shape in ALL_FOUR_SHAPES {
-        let run = soak_shape_run(n, shape, &seeds, backend);
+        let run = soak_shape_run(n, shape, &seeds, backend)?;
+        let name = shape.name();
         for r in &run.lossy {
-            assert!(
-                r.bit_identical,
-                "{} seed {} [{ctx}]: lossy product diverged from the reliable-link run",
-                shape.name(),
-                r.seed
-            );
-            assert!(
-                r.max_err < 1e-9,
-                "{} seed {} [{ctx}]: lossy product wrong (err {:.2e})",
-                shape.name(),
-                r.seed,
-                r.max_err
-            );
-            assert_eq!(
-                r.suspicions,
-                0,
-                "{} seed {} [{ctx}]: false suspicion on a healthy run",
-                shape.name(),
-                r.seed
-            );
+            let cell = format!("{name} seed {} [{ctx}]", r.seed);
+            ensure(r.bit_identical, || {
+                format!("{cell}: lossy product diverged from the reliable-link run")
+            })?;
+            ensure(r.max_err < 1e-9, || {
+                format!("{cell}: lossy product wrong (err {:.2e})", r.max_err)
+            })?;
+            ensure(r.suspicions == 0, || {
+                format!("{cell}: false suspicion on a healthy run")
+            })?;
             println!(
                 "{:>20}{:>6}{:>10}{:>8}{:>7}{:>9}{:>8.2}%{:>9}{:>10}{:>9}",
                 shape.name(),
@@ -430,41 +380,35 @@ pub fn run_soak(n: usize, out_dir: &Path, backend: Backend) -> io::Result<()> {
         // only ~10 packets), but across the whole seed list the 12 %
         // drop rate must bite at least once per shape.
         let total_retx: u64 = run.lossy.iter().map(|r| r.retransmits).sum();
-        assert!(
-            total_retx > 0,
-            "{} [{ctx}]: no retransmissions across seeds {seeds:?}",
-            shape.name()
-        );
+        ensure(total_retx > 0, || {
+            format!("{name} [{ctx}]: no retransmissions across seeds {seeds:?}")
+        })?;
         let hang = &run.hang;
         let rep = &hang.report;
-        assert!(
-            rep.detected_failures >= 1,
-            "{} [{ctx}]: the silent hang was never *detected* (announced: {})",
-            shape.name(),
-            rep.announced_failures
-        );
-        assert!(
-            rep.max_detection_latency > 0.0,
-            "{} [{ctx}]: detection latency missing from the report",
-            shape.name()
-        );
-        assert!(
-            hang.suspicions >= 1,
-            "{} [{ctx}]: the watchdog never suspected anyone",
-            shape.name()
-        );
-        assert!(
-            rep.failed_devices.contains(&SOAK_HANG_RANK),
-            "{} [{ctx}]: recovery dropped {:?}, not the hung rank {SOAK_HANG_RANK}",
-            shape.name(),
-            rep.failed_devices
-        );
-        assert!(
-            hang.max_err < 1e-9,
-            "{} [{ctx}]: recovered product wrong (err {:.2e})",
-            shape.name(),
-            hang.max_err
-        );
+        ensure(rep.detected_failures >= 1, || {
+            format!(
+                "{name} [{ctx}]: the silent hang was never *detected* (announced: {})",
+                rep.announced_failures
+            )
+        })?;
+        ensure(rep.max_detection_latency > 0.0, || {
+            format!("{name} [{ctx}]: detection latency missing from the report")
+        })?;
+        ensure(hang.suspicions >= 1, || {
+            format!("{name} [{ctx}]: the watchdog never suspected anyone")
+        })?;
+        ensure(rep.failed_devices.contains(&SOAK_HANG_RANK), || {
+            format!(
+                "{name} [{ctx}]: recovery dropped {:?}, not the hung rank {SOAK_HANG_RANK}",
+                rep.failed_devices
+            )
+        })?;
+        ensure(hang.max_err < 1e-9, || {
+            format!(
+                "{name} [{ctx}]: recovered product wrong (err {:.2e})",
+                hang.max_err
+            )
+        })?;
         println!(
             "{:>20}{:>6}{:>10}{:>8}{:>7}{:>9}{:>9}{:>9}{:>10.3}{:>9}",
             shape.name(),
@@ -478,17 +422,10 @@ pub fn run_soak(n: usize, out_dir: &Path, backend: Backend) -> io::Result<()> {
             rep.max_detection_latency,
             rep.attempts,
         );
-
-        // Channel keeps the historical artifact names so committed
-        // baselines and dashboards stay addressable; other backends tag
-        // the filename so one out_dir can hold both sides of a parity
-        // run.
-        let slug = shape_slug(shape);
-        let path = match backend {
-            Backend::Channel => out_dir.join(format!("SOAK_{slug}.json")),
-            other => out_dir.join(format!("SOAK_{slug}_{}.json", other.name())),
-        };
-        fs::write(&path, soak_json(&run, &seeds).pretty())?;
+        out.write(
+            &shape_file("SOAK", shape, backend),
+            soak_json(&run, &seeds).pretty(),
+        )?;
     }
     println!("\nall lossy runs bit-identical; every silent hang detected by heartbeat suspicion");
     Ok(())
@@ -500,7 +437,8 @@ mod tests {
 
     #[test]
     fn lossy_soak_is_bit_identical_and_counts_retransmits() {
-        let run = soak_shape_run(32, Shape::OneDRectangular, &SOAK_SEEDS, Backend::Channel);
+        let run =
+            soak_shape_run(32, Shape::OneDRectangular, &SOAK_SEEDS, Backend::Channel).unwrap();
         assert_eq!(run.lossy.len(), SOAK_SEEDS.len());
         for r in &run.lossy {
             assert!(r.bit_identical, "seed {}: lossy product diverged", r.seed);
@@ -529,7 +467,7 @@ mod tests {
         // still zero suspicions, and the product is bit-identical to the
         // reliable run — which in turn is bit-identical to the channel
         // run of the other tests, so the two backends agree.
-        let run = soak_shape_run(32, Shape::OneDRectangular, &[2], Backend::Tcp);
+        let run = soak_shape_run(32, Shape::OneDRectangular, &[2], Backend::Tcp).unwrap();
         assert_eq!(run.backend, Backend::Tcp);
         for r in &run.lossy {
             assert!(
@@ -545,7 +483,7 @@ mod tests {
 
     #[test]
     fn hang_soak_detects_and_recovers() {
-        let run = soak_shape_run(32, Shape::SquareCorner, &[2], Backend::Channel);
+        let run = soak_shape_run(32, Shape::SquareCorner, &[2], Backend::Channel).unwrap();
         let rep = &run.hang.report;
         assert!(rep.attempts >= 2, "a hang must force a retry");
         assert!(rep.detected_failures >= 1, "hang must be detected");
@@ -557,7 +495,7 @@ mod tests {
 
     #[test]
     fn soak_json_is_schema_stamped() {
-        let run = soak_shape_run(32, Shape::OneDRectangular, &[1], Backend::Channel);
+        let run = soak_shape_run(32, Shape::OneDRectangular, &[1], Backend::Channel).unwrap();
         let doc = soak_json(&run, &[1]).pretty();
         assert!(doc.contains("\"schema_version\""));
         assert!(doc.contains("\"command\": \"reproduce soak\""));
@@ -573,5 +511,6 @@ mod tests {
         // Can't set the env var safely in a threaded test harness; just
         // pin the base list the CI matrix extends.
         assert_eq!(SOAK_SEEDS, [1, 2, 3]);
+        assert!(chaos_seeds(&SOAK_SEEDS).unwrap().starts_with(&SOAK_SEEDS));
     }
 }

@@ -13,8 +13,6 @@
 //! * the critical-path table on stdout, with a consistency check that
 //!   the path's makespan equals the executor's reported virtual time.
 
-use std::fs;
-use std::io;
 use std::path::Path;
 
 use summagen_core::simulate_instrumented;
@@ -24,6 +22,7 @@ use summagen_trace::{
     critical_path, metrics, perfetto_json, CriticalPath, RecordedTrace, TraceMetrics, TraceRecorder,
 };
 
+use crate::harness::{ensure, shape_slug, Artifacts, Outcome};
 use crate::json::{with_metadata, Json};
 use crate::{link_model, CPM_SPEEDS};
 
@@ -79,10 +78,6 @@ pub fn trace_shape(n: usize, shape: Shape) -> TraceRun {
     }
 }
 
-fn shape_slug(shape: Shape) -> String {
-    shape.name().replace(' ', "-")
-}
-
 /// The machine-readable metrics summary for one traced run, stamped with
 /// the standard schema metadata.
 pub fn metrics_json(run: &TraceRun) -> Json {
@@ -133,32 +128,32 @@ pub fn metrics_json(run: &TraceRun) -> Json {
             ("command", Json::from("reproduce trace")),
             ("n", Json::from(run.n)),
             ("shape", Json::from(run.shape.name())),
-            (
-                "cpm_speeds",
-                Json::arr(CPM_SPEEDS.iter().copied().map(Json::from)),
-            ),
+            ("cpm_speeds", Json::arr(CPM_SPEEDS)),
         ]),
     )
 }
 
 /// Runs all four paper shapes at size `n`, writing
 /// `trace_<shape>.json` / `metrics_<shape>.json` into `out_dir` and
-/// printing per-rank summaries plus the critical-path tables.
-pub fn run_trace(n: usize, out_dir: &Path) -> io::Result<()> {
-    fs::create_dir_all(out_dir)?;
+/// printing per-rank summaries plus the critical-path tables. Fails if a
+/// critical path disagrees with the executor's virtual time.
+pub fn run_trace(n: usize, out_dir: &Path) -> Outcome {
+    let out = Artifacts::create(out_dir)?;
     println!(
         "\nTRACE — instrumented SummaGen runs (N = {n}, CPM areas 1:2:0.9), output in {}",
-        out_dir.display()
+        out.dir().display()
     );
     for shape in ALL_FOUR_SHAPES {
         let run = trace_shape(n, shape);
         let slug = shape_slug(shape);
 
-        let trace_path = out_dir.join(format!("trace_{slug}.json"));
         let title = format!("SummaGen {} N={n}", shape.name());
-        fs::write(&trace_path, perfetto_json(&run.trace, &title))?;
-        let metrics_path = out_dir.join(format!("metrics_{slug}.json"));
-        fs::write(&metrics_path, metrics_json(&run).pretty())?;
+        let trace_path = out.write(
+            &format!("trace_{slug}.json"),
+            perfetto_json(&run.trace, &title),
+        )?;
+        let metrics_path =
+            out.write(&format!("metrics_{slug}.json"), metrics_json(&run).pretty())?;
 
         let wire_bytes: u64 = run.metrics.links.iter().map(|l| l.bytes).sum();
         let drift = run.makespan_drift();
@@ -170,13 +165,14 @@ pub fn run_trace(n: usize, out_dir: &Path) -> io::Result<()> {
             wire_bytes,
             run.exec_time,
         );
-        assert!(
-            drift < 1e-9,
-            "{}: critical-path makespan {} disagrees with executor time {}",
-            shape.name(),
-            run.path.makespan,
-            run.exec_time
-        );
+        ensure(drift < 1e-9, || {
+            format!(
+                "{}: critical-path makespan {} disagrees with executor time {}",
+                shape.name(),
+                run.path.makespan,
+                run.exec_time
+            )
+        })?;
         println!(
             "  makespan check: critical path {:.9} s vs executor {:.9} s (drift {drift:.2e}) ok",
             run.path.makespan, run.exec_time

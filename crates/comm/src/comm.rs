@@ -183,18 +183,17 @@ impl Mailbox {
         }
     }
 
-    fn take_match(&mut self, src: Option<usize>, comm_id: u64, tag: u64) -> Option<Envelope> {
+    fn take_match(&mut self, src: usize, comm_id: u64, tag: u64) -> Option<Envelope> {
         let pos = self
             .pending
             .iter()
-            .position(|e| e.comm_id == comm_id && e.tag == tag && src.is_none_or(|s| e.src == s))?;
+            .position(|e| e.comm_id == comm_id && e.tag == tag && e.src == src)?;
         Some(self.pending.remove(pos))
     }
 
     /// Blocking receive of the first message matching `(src, comm_id,
-    /// tag)`, where `src = None` means any source. Failure-aware: if a
-    /// rank in `watch` dies while we wait, returns `PeerFailed` instead of
-    /// blocking out the full timeout.
+    /// tag)`. Failure-aware: if a rank in `watch` dies while we wait,
+    /// returns `PeerFailed` instead of blocking out the full timeout.
     ///
     /// The check order — match, drain, match, *then* read failure flags,
     /// then drain and match once more — closes the race where a rank's
@@ -204,7 +203,7 @@ impl Mailbox {
     /// to surface any matching message that beat the death.
     fn try_recv_match(
         &mut self,
-        src: Option<usize>,
+        src: usize,
         comm_id: u64,
         tag: u64,
         shared: &Shared,
@@ -236,7 +235,7 @@ impl Mailbox {
             let now = Instant::now();
             if now >= deadline {
                 return Err(CommError::Timeout {
-                    src,
+                    src: Some(src),
                     tag,
                     waited: timeout,
                 });
@@ -260,7 +259,7 @@ impl Mailbox {
                 Err(RecvError::Timeout) => {
                     if Instant::now() >= deadline {
                         return Err(CommError::Timeout {
-                            src,
+                            src: Some(src),
                             tag,
                             waited: timeout,
                         });
@@ -856,7 +855,7 @@ impl Communicator {
         self.maybe_hang();
         let src_global = self.group[src];
         let env = self.mailbox.lock().try_recv_match(
-            Some(src_global),
+            src_global,
             self.comm_id,
             tag,
             &self.shared,
@@ -893,77 +892,6 @@ impl Communicator {
             });
         }
         Ok(env.payload)
-    }
-
-    /// Receive from any source (`MPI_ANY_SOURCE`): returns the sender's
-    /// communicator-local rank and the payload. First-come-first-served
-    /// among pending matches; waiting counts as communication time.
-    ///
-    /// # Panics
-    /// Panics on timeout or peer failure; see [`Communicator::try_recv_any`].
-    pub fn recv_any(&self, tag: u64) -> (usize, Payload) {
-        self.try_recv_any(tag).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible any-source receive. If *any* other member of this
-    /// communicator dies while we wait, returns `Err(PeerFailed)` — the
-    /// runtime cannot know whether the dead rank was the intended sender,
-    /// so it fails conservatively.
-    pub fn try_recv_any(&self, tag: u64) -> CommResult<(usize, Payload)> {
-        assert!(
-            tag < COLLECTIVE_TAG_BASE,
-            "tag {tag} reserved for collectives"
-        );
-        self.heartbeat_tick();
-        if let Some(fs) = &self.shared.fault {
-            fs.before_op(self.global_rank());
-        }
-        self.maybe_hang();
-        let me = self.global_rank();
-        let watch: Vec<usize> = self.group.iter().copied().filter(|&g| g != me).collect();
-        let env = self.mailbox.lock().try_recv_match(
-            None,
-            self.comm_id,
-            tag,
-            &self.shared,
-            &watch,
-            me,
-        )?;
-        let (start, end) = {
-            let mut clock = self.clock.lock();
-            let start = clock.now();
-            clock.wait_until(env.arrival);
-            (start, clock.now())
-        };
-        {
-            let mut s = self.stats.lock();
-            s.msgs_recv += 1;
-            s.bytes_recv += env.payload.bytes() as u64;
-        }
-        if let Some(m) = &self.shared.metrics {
-            m.recv_msgs.inc();
-            m.recv_bytes.add(env.payload.bytes() as u64);
-            m.recv_wait_seconds.observe(end - start);
-        }
-        if let Some(sink) = &self.shared.sink {
-            sink.record(SpanRecord {
-                rank: me,
-                start,
-                end,
-                kind: SpanKind::Recv {
-                    src: env.src,
-                    tag,
-                    bytes: env.payload.bytes() as u64,
-                    seq: env.seq,
-                },
-            });
-        }
-        let local = self
-            .group
-            .iter()
-            .position(|&g| g == env.src)
-            .expect("sender not in this communicator");
-        Ok((local, env.payload))
     }
 
     /// Whether the universe was built with an event sink
@@ -1028,13 +956,7 @@ impl Communicator {
             );
         }
         if let Some(m) = &self.shared.metrics {
-            let label = match op {
-                CollectiveOp::Bcast => "bcast",
-                CollectiveOp::Gather => "gather",
-                CollectiveOp::Scatter => "scatter",
-                CollectiveOp::Barrier => "barrier",
-            };
-            if let Some((ops, seconds)) = m.collective(label) {
+            if let Some((ops, seconds)) = m.collective(op.label()) {
                 ops.inc();
                 seconds.observe(end - start);
             }
@@ -1239,76 +1161,6 @@ impl Communicator {
             op.apply(&mut acc, p);
         }
         Ok(acc)
-    }
-
-    /// Scatter: the root distributes one payload to each rank (index =
-    /// destination rank); every rank returns its own piece. Non-roots
-    /// pass `None`.
-    ///
-    /// # Panics
-    /// Panics if the root's vector length differs from the communicator
-    /// size, or a non-root passes `Some`.
-    pub fn scatter(&mut self, root: usize, payloads: Option<Vec<Payload>>) -> Payload {
-        self.try_scatter(root, payloads)
-            .unwrap_or_else(|e| panic!("scatter from root {root} failed: {e}"))
-    }
-
-    /// Fallible [`Communicator::scatter`]. Shape violations (wrong payload
-    /// count, non-root passing `Some`) still panic — they are programming
-    /// errors, not platform faults.
-    pub fn try_scatter(
-        &mut self,
-        root: usize,
-        payloads: Option<Vec<Payload>>,
-    ) -> CommResult<Payload> {
-        assert!(root < self.size(), "scatter root {root} out of range");
-        let tag = self.next_coll_tag();
-        self.with_collective_span(CollectiveOp::Scatter, root, |comm| {
-            if comm.rank == root {
-                let mut payloads = payloads.expect("root must provide payloads");
-                assert_eq!(payloads.len(), comm.size(), "scatter payload count");
-                let mine = payloads[root].clone();
-                for (dst, p) in payloads.drain(..).enumerate() {
-                    if dst != root {
-                        comm.try_send_internal(dst, tag, p)?;
-                    }
-                }
-                Ok(mine)
-            } else {
-                assert!(payloads.is_none(), "non-root passed scatter payloads");
-                comm.try_recv_internal(root, tag)
-            }
-        })
-    }
-
-    /// Reduce to the root: the root returns the elementwise reduction of
-    /// all ranks' vectors (in rank order, so results are deterministic);
-    /// others return `None`.
-    pub fn reduce_f64(&mut self, root: usize, data: &[f64], op: ReduceOp) -> Option<Vec<f64>> {
-        self.try_reduce_f64(root, data, op)
-            .unwrap_or_else(|e| panic!("reduce_f64 to root {root} failed: {e}"))
-    }
-
-    /// Fallible [`Communicator::reduce_f64`].
-    pub fn try_reduce_f64(
-        &mut self,
-        root: usize,
-        data: &[f64],
-        op: ReduceOp,
-    ) -> CommResult<Option<Vec<f64>>> {
-        let parts = match self.try_gather(root, Payload::F64(data.to_vec()))? {
-            Some(parts) => parts,
-            None => return Ok(None),
-        };
-        let mut acc: Option<Vec<f64>> = None;
-        for p in parts {
-            let v = p.try_into_f64()?;
-            match &mut acc {
-                None => acc = Some(v),
-                Some(a) => op.apply(a, &v),
-            }
-        }
-        Ok(Some(acc.expect("empty gather")))
     }
 
     /// Combined send and receive (like `MPI_Sendrecv`): ships `payload`
@@ -1606,25 +1458,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_collects_from_all_workers() {
-        let out = Universe::new(4, ZeroCost).run(|comm| {
-            if comm.rank() == 0 {
-                let mut seen = Vec::new();
-                for _ in 0..3 {
-                    let (src, payload) = comm.recv_any(5);
-                    seen.push((src, payload.into_u64()[0]));
-                }
-                seen.sort_unstable();
-                seen
-            } else {
-                comm.send(0, 5, Payload::U64(vec![comm.rank() as u64 * 10]));
-                vec![]
-            }
-        });
-        assert_eq!(out[0], vec![(1, 10), (2, 20), (3, 30)]);
-    }
-
-    #[test]
     fn tracing_records_timeline_intervals() {
         use crate::clock::TraceKind;
         let model = HockneyModel {
@@ -1664,30 +1497,6 @@ mod tests {
             comm.trace_snapshot()
         });
         assert!(out[0].is_none());
-    }
-
-    #[test]
-    fn scatter_distributes_pieces() {
-        let out = Universe::new(3, ZeroCost).run(|mut comm| {
-            let payloads = (comm.rank() == 1).then(|| {
-                (0..3)
-                    .map(|i| Payload::U64(vec![i as u64 * 11]))
-                    .collect::<Vec<_>>()
-            });
-            comm.scatter(1, payloads).into_u64()[0]
-        });
-        assert_eq!(out, vec![0, 11, 22]);
-    }
-
-    #[test]
-    fn reduce_to_root_only() {
-        let out = Universe::new(4, ZeroCost).run(|mut comm| {
-            let r = comm.rank() as f64;
-            comm.reduce_f64(2, &[r, 1.0], ReduceOp::Sum)
-        });
-        assert_eq!(out[2], Some(vec![6.0, 4.0]));
-        assert_eq!(out[0], None);
-        assert_eq!(out[3], None);
     }
 
     #[test]

@@ -226,8 +226,6 @@ pub enum CollectiveOp {
     Bcast,
     /// Gather to root.
     Gather,
-    /// Scatter from root.
-    Scatter,
     /// Barrier (gather + bcast of empty messages).
     Barrier,
 }
@@ -238,7 +236,6 @@ impl CollectiveOp {
         match self {
             CollectiveOp::Bcast => "bcast",
             CollectiveOp::Gather => "gather",
-            CollectiveOp::Scatter => "scatter",
             CollectiveOp::Barrier => "barrier",
         }
     }

@@ -113,10 +113,6 @@ pub struct RuntimeMetrics {
     pub gather_ops: Arc<Counter>,
     /// Gather duration per participant, virtual seconds.
     pub gather_seconds: Arc<Histogram>,
-    /// Completed scatters (per participating rank).
-    pub scatter_ops: Arc<Counter>,
-    /// Scatter duration per participant, virtual seconds.
-    pub scatter_seconds: Arc<Histogram>,
     /// Completed barriers (per participating rank).
     pub barrier_ops: Arc<Counter>,
     /// Barrier duration per participant, virtual seconds.
@@ -221,12 +217,6 @@ impl RuntimeMetrics {
                 "Collective duration per participating rank, virtual seconds.",
                 &[("op", "gather")],
             ),
-            scatter_ops: coll_ops("scatter"),
-            scatter_seconds: reg.histogram_with(
-                "summagen_comm_collective_seconds",
-                "Collective duration per participating rank, virtual seconds.",
-                &[("op", "scatter")],
-            ),
             barrier_ops: coll_ops("barrier"),
             barrier_seconds: reg.histogram_with(
                 "summagen_comm_collective_seconds",
@@ -320,13 +310,11 @@ impl RuntimeMetrics {
     }
 
     /// The (ops counter, duration histogram) pair for a collective,
-    /// keyed by its lower-case label (`"bcast"`, `"gather"`, `"scatter"`,
-    /// `"barrier"`).
+    /// keyed by its lower-case label (`"bcast"`, `"gather"`, `"barrier"`).
     pub fn collective(&self, label: &str) -> Option<(&Counter, &Histogram)> {
         match label {
             "bcast" => Some((&self.bcast_ops, &self.bcast_seconds)),
             "gather" => Some((&self.gather_ops, &self.gather_seconds)),
-            "scatter" => Some((&self.scatter_ops, &self.scatter_seconds)),
             "barrier" => Some((&self.barrier_ops, &self.barrier_seconds)),
             _ => None,
         }
@@ -367,7 +355,7 @@ mod tests {
     #[test]
     fn collective_lookup_covers_all_ops() {
         let m = RuntimeMetrics::fresh();
-        for op in ["bcast", "gather", "scatter", "barrier"] {
+        for op in ["bcast", "gather", "barrier"] {
             let (ops, secs) = m.collective(op).expect(op);
             ops.inc();
             secs.observe(0.25);
