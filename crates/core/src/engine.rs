@@ -32,7 +32,7 @@ use summagen_partition::{
 use summagen_platform::Platform;
 
 use crate::executor::{ExecutionMode, RecoveryError, RecoveryReport, RunOptions, RunResult};
-use crate::rankdata::{assemble, distribute, RankMatrices};
+use crate::rankdata::{assemble, deal, RankMatrices};
 use crate::simulate::SimReport;
 use crate::stages::{three_stages, Lanes, PanelTable, StageData};
 
@@ -145,19 +145,21 @@ pub(crate) fn infallible<T, E: std::fmt::Display>(run: Result<T, E>) -> T {
     run.unwrap_or_else(|failure| panic!("rank panicked: {failure}"))
 }
 
-/// One real-numeric execution over a fixed partition: deals the blocks and
-/// lists every broadcast lane's members, launches `rank_fn` (which returns
-/// the rank's `C` blocks plus whatever else its executor tracks),
-/// reassembles `C` and folds the clocks.
+/// One real-numeric execution over a fixed partition: deals the blocks
+/// (fully checksummed if `checksums`, see [`deal`]) and lists every
+/// broadcast lane's members, launches `rank_fn` (which returns the rank's
+/// `C` blocks plus whatever else its executor tracks), reassembles `C` and
+/// folds the clocks.
 pub(crate) fn run_numeric<S: Send>(
     spec: &PartitionSpec,
-    (a, b): (&DenseMatrix, &DenseMatrix),
+    ab: (&DenseMatrix, &DenseMatrix),
+    checksums: bool,
     cost: impl CostModel,
     faults: Option<FaultPlan>,
     opts: &RunOptions,
     rank_fn: impl Fn(&Communicator, &RankMatrices, &Lanes) -> CommResult<(RankBlocks, S)> + Sync,
 ) -> Result<(RunResult, Vec<S>), RankFailure> {
-    let rank_data = distribute(spec, a, b);
+    let rank_data = deal(spec, ab, checksums);
     let lanes = Lanes::new(spec);
     let launched = launch(spec.nprocs, cost, faults, opts, |comm| {
         rank_fn(comm, &rank_data[comm.rank()], &lanes)
@@ -196,7 +198,7 @@ pub(crate) fn run_real(
         let mut blocks = three_stages(&mut [(comm, state)], spec, lanes, |_, _| 0.0)?;
         Ok((blocks.pop().expect("one hosted rank"), ()))
     };
-    run_numeric(spec, ab, cost, faults, opts, rank_fn).map(|(run, _)| run)
+    run_numeric(spec, ab, false, cost, faults, opts, rank_fn).map(|(run, _)| run)
 }
 
 /// The three-stage algorithm with phantom payloads: rank `i` runs on

@@ -23,6 +23,14 @@ pub enum ExecutionMode {
     #[default]
     Real,
     /// Real numeric execution with an explicit kernel choice.
+    ///
+    /// `Blocked` and `Parallel` give the bits of `Real`. `Naive` rounds
+    /// once per kernel call, and every real path chains its calls over
+    /// `k` — `multiply` one per k-segment, the panel loop behind
+    /// `multiply_panelled` and `multiply_abft*` one per overlapping `B`
+    /// block of a panel — so with `Naive` a product agrees with one
+    /// `gemm_naive` to within `gemm_tolerance`, not to the bit, and moves
+    /// at rounding level when the chain's cuts move.
     RealWith(GemmKernel),
 }
 

@@ -7,36 +7,40 @@
 
 use std::sync::Arc;
 
-use summagen_matrix::{window_to_vec, DenseMatrix};
+use summagen_matrix::{checksummed, window_to_vec, Checksums, DenseMatrix};
 use summagen_partition::{PartitionSpec, ProcBlock};
 
-/// One sub-partition of `A` or `B`: `rows × cols` row-major elements in an
+/// One sub-partition of `A` or `B`: row-major elements in an
 /// immutable, reference-counted buffer. [`distribute`] cuts it out of the
 /// global matrix once; the broadcast stages then pass the *buffer* around
 /// (see [`summagen_comm::Payload::SharedF64`]) and the local GEMMs read it
 /// where it lies, so on the channel backend every rank that needs the
-/// block holds this very allocation.
+/// block holds this very allocation. A checksum-protected run deals every
+/// block with its Huang–Abraham checksum row and column already appended,
+/// one row and one column wider than the sub-partition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharedBlock {
-    rows: usize,
     cols: usize,
     data: Arc<Vec<f64>>,
 }
 
 impl SharedBlock {
-    fn cut(m: &DenseMatrix, blk: &ProcBlock) -> Self {
+    /// `blk` of `m`, with `sums` appended if given.
+    fn cut(m: &DenseMatrix, blk: &ProcBlock, sums: Option<Checksums>) -> Self {
+        let (src, ld) = (m.as_slice(), m.cols());
+        let data = match sums {
+            None => window_to_vec(src, ld, blk.row, blk.col, blk.rows, blk.cols),
+            Some(sums) => checksummed(src, ld, (blk.row, blk.col), (blk.rows, blk.cols), sums),
+        };
         Self {
-            rows: blk.rows,
-            cols: blk.cols,
-            data: Arc::new(window_to_vec(
-                m.as_slice(),
-                m.cols(),
-                blk.row,
-                blk.col,
-                blk.rows,
-                blk.cols,
-            )),
+            cols: blk.cols + usize::from(sums.is_some()),
+            data: Arc::new(data),
         }
+    }
+
+    /// Columns held (the leading dimension), checksum column included.
+    pub fn cols(&self) -> usize {
+        self.cols
     }
 
     /// The elements, row-major with leading dimension `cols`.
@@ -47,20 +51,6 @@ impl SharedBlock {
     /// The buffer itself, for sending or keeping without a copy.
     pub fn shared(&self) -> &Arc<Vec<f64>> {
         &self.data
-    }
-
-    /// Copies the `h × w` window at `(i0, j0)` into an owned matrix.
-    ///
-    /// # Panics
-    /// Panics if the window does not fit.
-    pub fn submatrix(&self, i0: usize, j0: usize, h: usize, w: usize) -> DenseMatrix {
-        assert!(
-            i0 + h <= self.rows && j0 + w <= self.cols,
-            "submatrix ({i0},{j0}) {h}x{w} out of bounds for {}x{}",
-            self.rows,
-            self.cols
-        );
-        DenseMatrix::from_vec(h, w, window_to_vec(&self.data, self.cols, i0, j0, h, w))
     }
 }
 
@@ -97,20 +87,32 @@ impl RankMatrices {
 /// # Panics
 /// Panics if the matrices are not `n × n` for the spec's `n`.
 pub fn distribute(spec: &PartitionSpec, a: &DenseMatrix, b: &DenseMatrix) -> Vec<RankMatrices> {
+    deal(spec, (a, b), false)
+}
+
+/// [`distribute`]; with `checksums`, every block is cut fully checksummed
+/// in the copy's one pass — `A` column sums first, `B` row sums first: the
+/// encodings the protected panel loop ships, computed once per run.
+pub(crate) fn deal(
+    spec: &PartitionSpec,
+    (a, b): (&DenseMatrix, &DenseMatrix),
+    checksums: bool,
+) -> Vec<RankMatrices> {
     assert_eq!((a.rows(), a.cols()), (spec.n, spec.n), "A shape mismatch");
     assert_eq!((b.rows(), b.cols()), (spec.n, spec.n), "B shape mismatch");
-    let cut = |m: &DenseMatrix, blocks: &[ProcBlock]| {
+    let cut = |m: &DenseMatrix, blocks: &[ProcBlock], sums| {
+        let sums = checksums.then_some(sums);
         blocks
             .iter()
-            .map(|blk| (*blk, SharedBlock::cut(m, blk)))
+            .map(|blk| (*blk, SharedBlock::cut(m, blk, sums)))
             .collect()
     };
     (0..spec.nprocs)
         .map(|proc| {
             let blocks = spec.blocks_of(proc);
             RankMatrices {
-                a_blocks: cut(a, &blocks),
-                b_blocks: cut(b, &blocks),
+                a_blocks: cut(a, &blocks, Checksums::ColumnsThenRows),
+                b_blocks: cut(b, &blocks, Checksums::RowsThenColumns),
             }
         })
         .collect()
@@ -155,7 +157,12 @@ mod tests {
             .map(|r| {
                 r.a_blocks
                     .iter()
-                    .map(|(blk, m)| (*blk, m.submatrix(0, 0, blk.rows, blk.cols)))
+                    .map(|(blk, m)| {
+                        (
+                            *blk,
+                            DenseMatrix::from_vec(blk.rows, blk.cols, m.as_slice().to_vec()),
+                        )
+                    })
                     .collect()
             })
             .collect()
@@ -175,7 +182,34 @@ mod tests {
         let (blk, m) = &ranks[2].a_blocks[0];
         assert_eq!((blk.row, blk.col), (12, 12));
         assert_eq!(m.as_slice(), a.submatrix(12, 12, 4, 4).as_slice());
-        assert_eq!(m.submatrix(1, 2, 3, 2), a.submatrix(13, 14, 3, 2));
+        assert_eq!(m.cols(), 4);
+    }
+
+    /// A protected run's blocks carry the encodings the panel loop ships:
+    /// an `A` block column sums first, a `B` block row sums first.
+    #[test]
+    fn checksummed_blocks_carry_the_transit_encodings() {
+        use summagen_matrix::{augment_a, augment_b, random_matrix};
+        let spec = fig1a();
+        let (a, b) = (random_matrix(16, 16, 3), random_matrix(16, 16, 4));
+        let bits = |m: &[f64]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for rank in deal(&spec, (&a, &b), true) {
+            for ((blk, ab), (_, bb)) in rank.a_blocks.iter().zip(&rank.b_blocks) {
+                let (x, y) = (
+                    a.submatrix(blk.row, blk.col, blk.rows, blk.cols),
+                    b.submatrix(blk.row, blk.col, blk.rows, blk.cols),
+                );
+                assert_eq!((ab.cols(), bb.cols()), (blk.cols + 1, blk.cols + 1));
+                assert_eq!(
+                    bits(ab.as_slice()),
+                    bits(augment_b(&augment_a(&x)).as_slice())
+                );
+                assert_eq!(
+                    bits(bb.as_slice()),
+                    bits(augment_a(&augment_b(&y)).as_slice())
+                );
+            }
+        }
     }
 
     #[test]

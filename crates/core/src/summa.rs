@@ -162,7 +162,7 @@ pub fn summa_multiply(
         Ok((vec![(*blk, c_local)], ()))
     };
     let opts = RunOptions::default();
-    let run = engine::run_numeric(&grid, (a, b), cost, None, &opts, rank_fn);
+    let run = engine::run_numeric(&grid, (a, b), false, cost, None, &opts, rank_fn);
     engine::infallible(run).0
 }
 

@@ -19,9 +19,10 @@ pub enum GemmKernel {
     /// and rounds, so — unlike `Blocked` and `Parallel`, which add term by
     /// term into `C` — splitting `k` over chained calls changes the
     /// rounding. The SummaGen executor runs one call per k-segment of the
-    /// partition grid (it never gathers a block's operands into one
-    /// buffer), so through it `Naive` agrees with one `gemm_naive` over the
-    /// whole product to within [`crate::gemm_tolerance`], not to the bit.
+    /// partition grid, its panel loop one per overlapping `B` block (they
+    /// never gather a block's operands into one buffer), so through them
+    /// `Naive` agrees with one `gemm_naive` over the whole product to within
+    /// [`crate::gemm_tolerance`], not to the bit.
     Naive,
     /// Packed, register-tiled serial kernel (panels of `A` and `B` copied
     /// into contiguous strips, a 4 x 8 accumulator tile).

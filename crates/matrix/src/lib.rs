@@ -20,8 +20,8 @@ pub mod gemm;
 pub mod gen;
 
 pub use abft::{
-    abft_tolerance, augment_a, augment_b, column_sums, strip_checksums, verify_and_correct,
-    AbftVerdict,
+    abft_tolerance, augment_a, augment_b, checksummed, diagnose, verify_and_correct, AbftVerdict,
+    Checksums,
 };
 pub use block::{window_to_vec, Block};
 pub use dense::DenseMatrix;

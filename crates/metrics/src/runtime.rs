@@ -162,7 +162,7 @@ pub struct RuntimeMetrics {
     /// Checkpoint restores (rollbacks) performed.
     pub abft_rollbacks: Arc<Counter>,
     /// Host bytes currently held by retained checkpoint snapshots
-    /// (assembled prefixes plus pending per-rank deposits).
+    /// (complete snapshots plus pending per-rank deposits).
     pub checkpoint_bytes: Arc<Gauge>,
 }
 

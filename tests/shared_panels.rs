@@ -203,6 +203,140 @@ fn the_panel_loop_matches_both_of_its_predecessors(
     assert_eq!((resumed.k, digest(&resumed.c)), (n, want), "{ctx}: resumed");
 }
 
+/// A kill that strikes after a checkpoint: the survivors' grid has no
+/// panel boundary at the restored `k`, so the retry's first panel runs
+/// partially and its `A` blocks travel as column slices. The shape, the
+/// `(rank, op)` killed, the `resume_k` the retry starts from and the
+/// retry's [`Priced`].
+type ResumedGolden = (Shape, (usize, u64), usize, Priced);
+
+/// Captured at 8c9d88c, while every protected panel was cut, augmented and
+/// copied on each step, for `inputs(48)` under `HockneyModel::intra_node()`
+/// with a checkpoint at every panel boundary. Resumed or not, every element
+/// of `C` is one ascending-`k` sum: all three carry the clean digest.
+const RESUMED_GOLDEN: [ResumedGolden; 3] = [
+    (
+        Shape::SquareCorner,
+        (0, 2),
+        24,
+        (2, 10_192, 0x3fe00038e2f21388),
+    ),
+    (
+        Shape::BlockRectangle,
+        (2, 2),
+        22,
+        (2, 10_976, 0x3fe0003995d4bc50),
+    ),
+    (
+        Shape::OneDRectangular,
+        (1, 1),
+        12,
+        (2, 14_896, 0x3fe0003d14420836),
+    ),
+];
+
+/// The digest of `C` for `inputs(48)`, whatever the partition.
+const CLEAN_48: u64 = 0x1f25eb8c7a8d3332;
+
+#[test]
+fn a_resumed_partial_first_panel_matches_the_goldens() {
+    let n = 48;
+    let (a, b) = inputs(n);
+    let abft = AbftOptions {
+        checkpoint_interval: 1,
+        ..AbftOptions::default()
+    };
+    let opts = RecoveryOptions {
+        recv_timeout: std::time::Duration::from_millis(2_000),
+        ..RecoveryOptions::default()
+    };
+    let (real, cost) = (ExecutionMode::Real, HockneyModel::intra_node());
+    for (shape, (rank, op), resume_k, traffic) in RESUMED_GOLDEN {
+        let plan = [FaultPlan::new().kill_rank(rank, op)];
+        let res = multiply_abft(shape, &SPEEDS, &a, &b, real, cost, &plan, &opts, &abft)
+            .expect("recovery absorbs the kill");
+        let rec = res.run.recovery.as_ref().expect("a retry happened");
+        let speeds: Vec<f64> = rec.surviving_devices.iter().map(|&d| SPEEDS[d]).collect();
+        let ctx = format!("{} with rank {rank} killed at op {op}", shape.name());
+        assert!(
+            !panel_boundaries(shape, n, &speeds).contains(&res.abft.resume_k),
+            "{ctx}: the retry's first panel is whole"
+        );
+        assert_eq!(
+            (res.abft.attempts, res.abft.resume_k, priced(&res.run)),
+            (2, resume_k, traffic),
+            "{ctx}: attempts, resume_k, priced"
+        );
+        assert_eq!(digest(&res.run.c), CLEAN_48, "{ctx}: C");
+    }
+}
+
+/// Wire corruption of the first message on one link of block-rectangle
+/// (row cuts 25 | 23, column cuts 22 | 26). From rank 1 to rank 0 that is
+/// the first 22 rows of `B(0, 1)`, a row slice (23 × 27 with its transit
+/// sums); from rank 2 to rank 0 the whole of `A(1, 0)` (24 × 23). The link,
+/// the element hit, the corrections the run reports, its `exec_time` bits
+/// and the digest of `C`.
+type WireGolden = ((usize, usize), u64, u64, u64, u64);
+
+/// Captured at 8c9d88c. A hit checksum entry is put back exactly, so `C`
+/// keeps the clean bits; a hit data entry is put back to within rounding
+/// (its error is the mean of two residuals), which moves `C`'s digest.
+const WIRE_GOLDEN: [WireGolden; 6] = [
+    // B(0, 1) rows 0..22: data (3, 5), row sum of row 4, column sum 10.
+    (
+        (1, 0),
+        3 * 27 + 5,
+        1,
+        0x3f129385a24e9b85,
+        0x9f04a69bfad35a5e,
+    ),
+    ((1, 0), 4 * 27 + 26, 1, 0x3f129385a24e9b85, CLEAN_48),
+    ((1, 0), 22 * 27 + 10, 1, 0x3f129385a24e9b85, CLEAN_48),
+    // A(1, 0): data (5, 7), row sum of row 2, column sum 4.
+    (
+        (2, 0),
+        5 * 23 + 7,
+        1,
+        0x3f12938232b2a04a,
+        0x8c6e39f62face3a1,
+    ),
+    ((2, 0), 2 * 23 + 22, 1, 0x3f12938232b2a04a, CLEAN_48),
+    ((2, 0), 23 * 23 + 4, 1, 0x3f12938232b2a04a, CLEAN_48),
+];
+
+#[test]
+fn wire_corruption_of_a_row_slice_or_a_whole_block_matches_the_goldens() {
+    let n = 48;
+    let (a, b) = inputs(n);
+    let shape = Shape::BlockRectangle;
+    let spec = paper_spec(shape, n);
+    assert_eq!(
+        (&spec.heights[..], &spec.widths[..]),
+        (&[25, 23][..], &[22, 26][..])
+    );
+    let (real, cost) = (ExecutionMode::Real, HockneyModel::intra_node());
+    let (opts, abft) = (RecoveryOptions::default(), AbftOptions::default());
+    let run = |faults: &[FaultPlan]| {
+        multiply_abft(shape, &SPEEDS, &a, &b, real, cost, faults, &opts, &abft)
+            .expect("a corrected run needs no retry")
+    };
+    let clean = run(&[]);
+    assert_eq!(digest(&clean.run.c), CLEAN_48);
+    for ((src, dst), elem, corrected, exec_time, c) in WIRE_GOLDEN {
+        let hit = run(&[FaultPlan::new().corrupt_message(src, dst, 0, elem, 0.625)]);
+        let ctx = format!("message {src} -> {dst}, element {elem}");
+        assert_eq!(
+            (hit.abft.attempts, hit.abft.detected, hit.abft.corrected),
+            (1, corrected, corrected),
+            "{ctx}: attempts, detected, corrected"
+        );
+        let (msgs, bytes, _) = priced(&clean.run);
+        assert_eq!(priced(&hit.run), (msgs, bytes, exec_time), "{ctx}: priced");
+        assert_eq!(digest(&hit.run.c), c, "{ctx}: C");
+    }
+}
+
 /// `(n, pr, pc, nb)`, the digest of `C` for `inputs(n)` and the run's
 /// [`Priced`].
 type SummaGolden = ((usize, usize, usize, usize), u64, Priced);
