@@ -134,66 +134,104 @@ impl DiscreteFpm {
 
 /// The load-imbalancing data-partitioning algorithm over non-smooth
 /// discrete FPMs: finds the grid distribution `(k_1, …, k_p)` with
-/// `Σ k_i = g` and `k_i ≥ 1` minimizing `max_i t_i(k_i)`, by exact dynamic
-/// programming (`O(p · g²)`).
+/// `Σ k_i = g` and `k_i ≥ 1` minimizing `max_i t_i(k_i)`, exactly.
 ///
 /// Unlike the balanced partitioner this explores *all* grid distributions,
 /// so it exploits drops in the speed functions even when that leaves
 /// processors unequally loaded — the defining behaviour of \[17\].
 ///
+/// Cost: a dynamic program over min-max *values* only. Each middle
+/// processor's layer is `g` branch-free elementwise sweeps
+/// `best[c + k] = min(best[c + k], max(prev[c], t_i(k)))`, which the compiler
+/// vectorises; the last processor is evaluated at cell `g` alone (`O(g)`);
+/// and the steps each processor gets are recovered afterwards by one walk
+/// back along the optimal path (`O(p · g)`), not stored for every cell.
+///
+/// Ties: the walk gives processor `i` at cell `c` the *largest* `k` whose
+/// candidate `max(prev[c − k], t_i(k))` equals the optimum there. `min` and
+/// `max` are exact, so no value depends on the order candidates are
+/// evaluated in, and the largest such `k` is what a DP that scans sources
+/// in ascending order and keeps only strict improvements stores: the first
+/// candidate to reach the minimum. A non-finite partial time is infeasible;
+/// as `+∞` it loses every comparison.
+///
 /// Returns the areas per processor (summing to `n²`).
 ///
 /// # Panics
-/// Panics if the FPMs use different grids or `p > g`.
+/// Panics if the FPMs use different grids, `p > g`, a time is NaN (the
+/// message names the processor and step) or every distribution takes an
+/// infinite time.
 pub fn load_imbalancing_areas(n: usize, fpms: &[DiscreteFpm]) -> Vec<f64> {
+    grid_optimal_areas(n, fpms, |_, t| t, |a, b| if a > b { a } else { b })
+}
+
+/// The exact grid search both partitioners share: the distribution
+/// `(k_0, …, k_{p−1})`, `Σ k_i = g`, `k_i ≥ 1`, minimizing the fold by
+/// `combine` of the weights `cost(i, t_i(k_i))`, as areas summing to `n²`.
+/// `combine` must be deterministic, non-decreasing in both arguments and
+/// keep a `+∞` partial value non-finite, as `max` and `+` do. Cost and ties
+/// are as described on [`load_imbalancing_areas`].
+pub(crate) fn grid_optimal_areas(
+    n: usize,
+    fpms: &[DiscreteFpm],
+    cost: impl Fn(usize, f64) -> f64,
+    combine: impl Fn(f64, f64) -> f64,
+) -> Vec<f64> {
     let p = fpms.len();
     assert!(p >= 1, "no FPMs");
     let g = fpms[0].steps();
-    for f in fpms {
+    for (i, f) in fpms.iter().enumerate() {
         assert_eq!(f.steps(), g, "FPMs must share one grid");
         assert!(
             (f.granularity - fpms[0].granularity).abs() < 1e-9,
             "FPMs must share one granularity"
         );
+        if let Some(k) = f.times.iter().position(|t| t.is_nan()) {
+            panic!("FPM {i} has a NaN time at step {k}");
+        }
     }
     assert!(p <= g, "grid too coarse: {p} processors, {g} steps");
 
-    // dp[i][c] = minimal max-time assigning c grid steps to procs 0..=i,
-    // each getting >= 1 step. choice[i][c] = steps given to proc i.
+    // layers[i][c] = best value giving c steps to procs 0..=i, each >= 1,
+    // for every processor but the last; +inf where none is finite.
     let inf = f64::INFINITY;
-    let mut dp = vec![inf; g + 1];
-    let mut choices: Vec<Vec<usize>> = Vec::with_capacity(p);
-    for (k, t) in fpms[0].times.iter().enumerate() {
-        if k >= 1 && k <= g {
-            dp[k] = *t;
-        }
-    }
-    choices.push((0..=g).collect()); // proc 0 takes everything so far
-    for fpm in &fpms[1..] {
+    let feasible = |v: f64| if v.is_finite() { v } else { inf };
+    let min = |a: f64, b: f64| if a < b { a } else { b };
+    let mut first: Vec<f64> = fpms[0]
+        .times
+        .iter()
+        .map(|&t| feasible(cost(0, t)))
+        .collect();
+    first[0] = inf;
+    let mut layers = vec![first];
+    for (i, fpm) in fpms.iter().enumerate().take(p - 1).skip(1) {
         let mut next = vec![inf; g + 1];
-        let mut choice = vec![0usize; g + 1];
-        for c in 0..=g {
-            if dp[c].is_finite() {
-                for k in 1..=(g - c) {
-                    let cand = dp[c].max(fpm.times[k]);
-                    if cand < next[c + k] {
-                        next[c + k] = cand;
-                        choice[c + k] = k;
-                    }
-                }
+        for k in 1..=g {
+            let w = cost(i, fpm.times[k]);
+            for (best, &prev) in next[k..].iter_mut().zip(&layers[i - 1]) {
+                *best = min(combine(prev, w), *best);
             }
         }
-        dp = next;
-        choices.push(choice);
+        next.iter_mut().for_each(|v| *v = feasible(*v));
+        layers.push(next);
     }
-    assert!(dp[g].is_finite(), "no feasible distribution");
+    let cand =
+        |i: usize, c: usize, k: usize| combine(layers[i - 1][c - k], cost(i, fpms[i].times[k]));
+    let mut best = match p {
+        1 => layers[0][g],
+        _ => (1..=g).fold(inf, |b, k| min(cand(p - 1, g, k), b)),
+    };
+    assert!(best.is_finite(), "no feasible distribution");
 
-    // Recover the distribution.
+    // Walk back from g: the largest k reaching each cell's optimum.
     let mut ks = vec![0usize; p];
     let mut c = g;
     for i in (1..p).rev() {
-        ks[i] = choices[i][c];
-        c -= ks[i];
+        let k = (1..=c)
+            .rev()
+            .find(|&k| cand(i, c, k) == best)
+            .expect("an optimum has a source");
+        (ks[i], best, c) = (k, layers[i - 1][c - k], c - k);
     }
     ks[0] = c;
     debug_assert_eq!(ks.iter().sum::<usize>(), g);
@@ -209,6 +247,108 @@ pub fn load_imbalancing_areas(n: usize, fpms: &[DiscreteFpm]) -> Vec<f64> {
         .unwrap();
     areas[idx] += n2 - sum;
     areas
+}
+
+/// What the value-only search must reproduce, and the inputs it is
+/// checked on.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::DiscreteFpm;
+    use proptest::TestRng;
+
+    /// `load_imbalancing_areas` as it was while it stored a choice table
+    /// per processor (`O(p · g²)` compares, branchy), verbatim.
+    pub(crate) fn choice_table_areas(n: usize, fpms: &[DiscreteFpm]) -> Vec<f64> {
+        let p = fpms.len();
+        assert!(p >= 1, "no FPMs");
+        let g = fpms[0].steps();
+        for f in fpms {
+            assert_eq!(f.steps(), g, "FPMs must share one grid");
+            assert!(
+                (f.granularity - fpms[0].granularity).abs() < 1e-9,
+                "FPMs must share one granularity"
+            );
+        }
+        assert!(p <= g, "grid too coarse: {p} processors, {g} steps");
+
+        // dp[i][c] = minimal max-time assigning c grid steps to procs 0..=i,
+        // each getting >= 1 step. choice[i][c] = steps given to proc i.
+        let inf = f64::INFINITY;
+        let mut dp = vec![inf; g + 1];
+        let mut choices: Vec<Vec<usize>> = Vec::with_capacity(p);
+        for (k, t) in fpms[0].times.iter().enumerate() {
+            if k >= 1 && k <= g {
+                dp[k] = *t;
+            }
+        }
+        choices.push((0..=g).collect()); // proc 0 takes everything so far
+        for fpm in &fpms[1..] {
+            let mut next = vec![inf; g + 1];
+            let mut choice = vec![0usize; g + 1];
+            for c in 0..=g {
+                if dp[c].is_finite() {
+                    for k in 1..=(g - c) {
+                        let cand = dp[c].max(fpm.times[k]);
+                        if cand < next[c + k] {
+                            next[c + k] = cand;
+                            choice[c + k] = k;
+                        }
+                    }
+                }
+            }
+            dp = next;
+            choices.push(choice);
+        }
+        assert!(dp[g].is_finite(), "no feasible distribution");
+
+        // Recover the distribution.
+        let mut ks = vec![0usize; p];
+        let mut c = g;
+        for i in (1..p).rev() {
+            ks[i] = choices[i][c];
+            c -= ks[i];
+        }
+        ks[0] = c;
+        debug_assert_eq!(ks.iter().sum::<usize>(), g);
+
+        let n2 = (n * n) as f64;
+        let gran = fpms[0].granularity;
+        let mut areas: Vec<f64> = ks.iter().map(|&k| k as f64 * gran).collect();
+        // Grid quantization: areas already sum to n² exactly because
+        // g * gran = n², but guard against floating error.
+        let sum: f64 = areas.iter().sum();
+        let idx = (0..p)
+            .max_by(|&a, &b| areas[a].partial_cmp(&areas[b]).unwrap())
+            .unwrap();
+        areas[idx] += n2 - sum;
+        areas
+    }
+
+    /// `p` non-monotone FPMs on `g` steps for an `n × n` PMM, drawn from
+    /// `seed`: most times sit on six levels `{±0, 0.5, …, 2.5}` so that
+    /// distributions tie, a quarter are arbitrary, 1 in 32 is `+∞`.
+    /// Step 1 of every FPM and step `g − p + 1` of the first stay finite,
+    /// so at least one distribution is feasible.
+    pub(crate) fn random_fpms(seed: u64, n: usize, p: usize, g: usize) -> Vec<DiscreteFpm> {
+        let mut rng = TestRng::new(seed);
+        let granularity = (n * n) as f64 / g as f64;
+        (0..p)
+            .map(|i| {
+                let mut times = vec![0.0];
+                for k in 1..=g {
+                    let r = rng.next_u64();
+                    let must_be_finite = k == 1 || (i == 0 && k == g - p + 1);
+                    times.push(match (r % 32, (r >> 8) % 6) {
+                        (0, _) if !must_be_finite => f64::INFINITY,
+                        (1..=8, _) => (r >> 11) as f64 / (1u64 << 53) as f64,
+                        (_, 0) if r & (1 << 20) != 0 => -0.0,
+                        (_, level) => level as f64 * 0.5,
+                    });
+                }
+                DiscreteFpm { times, granularity }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -362,6 +502,103 @@ mod tests {
         let areas = load_imbalancing_areas(n, &fpms);
         assert!(areas.iter().all(|&a| a > 0.0));
     }
+
+    /// An FPM with unit granularity, so an area reads as its step count
+    /// when `g = n²`.
+    fn unit_fpm(times: &[f64]) -> DiscreteFpm {
+        DiscreteFpm {
+            times: times.to_vec(),
+            granularity: 1.0,
+        }
+    }
+
+    /// The search's areas, after checking them against the oracle bit for
+    /// bit.
+    fn searched(n: usize, fpms: &[DiscreteFpm]) -> Vec<f64> {
+        let areas = load_imbalancing_areas(n, fpms);
+        let want = oracle::choice_table_areas(n, fpms);
+        let bits = |a: &[f64]| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&areas), bits(&want), "{areas:?} vs oracle {want:?}");
+        areas
+    }
+
+    #[test]
+    fn all_times_equal_gives_the_last_processor_the_rest() {
+        // Every distribution ties; the largest-k rule hands the last
+        // processor all it can take and each other one step.
+        let flat = unit_fpm(&[1.0; 17]);
+        let areas = searched(4, &[flat.clone(), flat.clone(), flat]);
+        assert_eq!(areas, vec![1.0, 1.0, 14.0]);
+    }
+
+    #[test]
+    fn as_many_processors_as_steps_get_one_step_each() {
+        let fpms = [
+            unit_fpm(&[0.0, 3.0, 1.0, 4.0, 1.0]),
+            unit_fpm(&[0.0, 5.0, 9.0, 2.0, 6.0]),
+            unit_fpm(&[0.0, 5.0, 3.0, 5.0, 8.0]),
+            unit_fpm(&[0.0, 9.0, 7.0, 9.0, 3.0]),
+        ];
+        assert_eq!(searched(2, &fpms), vec![1.0; 4]);
+    }
+
+    #[test]
+    fn one_processor_takes_the_whole_grid() {
+        let fpm = unit_fpm(&[0.0, 2.0, 1.0, 3.0, 0.5, 4.0, 4.0, 1.0, 2.0, 9.0]);
+        assert_eq!(searched(3, &[fpm]), vec![9.0]);
+    }
+
+    #[test]
+    fn the_one_feasible_distribution_is_found() {
+        let inf = f64::INFINITY;
+        let only = |k: usize| {
+            let mut times = vec![inf; 10];
+            times[k] = 1.0;
+            unit_fpm(&times)
+        };
+        assert_eq!(
+            searched(3, &[only(2), only(3), only(4)]),
+            vec![2.0, 3.0, 4.0]
+        );
+    }
+
+    #[test]
+    fn a_last_processor_with_one_finite_step_gets_that_step() {
+        let linear: Vec<f64> = (0..=16).map(|k| k as f64).collect();
+        let mut last = vec![f64::INFINITY; 17];
+        last[5] = 0.5;
+        let fpms = [unit_fpm(&linear), unit_fpm(&linear), unit_fpm(&last)];
+        // The first two split the other 11 steps; of the tied 5 + 6 and
+        // 6 + 5, the largest-k rule gives the second processor 6.
+        assert_eq!(searched(4, &fpms), vec![5.0, 6.0, 5.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "FPM 1 has a NaN time at step 1")]
+    fn load_imbalancing_rejects_nan_times() {
+        // `f64::max` drops NaN: the choice-table DP handed such a processor
+        // 3 of 4 steps as if they were free.
+        let p0 = unit_fpm(&[0.0, 1.0, 2.0, 3.0, 4.0]);
+        let p1 = unit_fpm(&[0.0, f64::NAN, f64::NAN, f64::NAN, f64::NAN]);
+        load_imbalancing_areas(2, &[p0, p1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "FPM 0 has a NaN time at step 3")]
+    fn load_imbalancing_rejects_a_nan_on_the_first_processor() {
+        let p0 = unit_fpm(&[0.0, 1.0, 2.0, f64::NAN, 4.0]);
+        let p1 = unit_fpm(&[0.0, 1.0, 2.0, 3.0, 4.0]);
+        load_imbalancing_areas(2, &[p0, p1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no feasible distribution")]
+    fn load_imbalancing_rejects_an_infeasible_grid() {
+        let inf = f64::INFINITY;
+        let p0 = unit_fpm(&[0.0, 1.0, inf, inf, inf]);
+        let p1 = unit_fpm(&[0.0, 1.0, inf, inf, inf]);
+        load_imbalancing_areas(2, &[p0, p1]);
+    }
 }
 
 #[cfg(test)]
@@ -424,6 +661,29 @@ mod proptests {
                 })
                 .fold(0.0, f64::max);
             prop_assert!(t_dp <= t_prop + 1e-9, "dp {t_dp} vs prop {t_prop}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The value-only search returns the choice-table DP's areas bit
+        /// for bit on random non-monotone FPMs with ties, signed zeros and
+        /// `+∞` steps: `p` in 1..=6, `g` in `p..=64`.
+        #[test]
+        fn search_equals_the_choice_table_dp(
+            p in 1usize..7,
+            extra in 0usize..64,
+            seed in 0u64..u64::MAX,
+        ) {
+            let g = p + extra % (65 - p);
+            let fpms = super::oracle::random_fpms(seed, 97, p, g);
+            let bits = |a: Vec<f64>| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(load_imbalancing_areas(97, &fpms)),
+                bits(super::oracle::choice_table_areas(97, &fpms)),
+                "p {} g {} seed {}", p, g, seed
+            );
         }
     }
 }

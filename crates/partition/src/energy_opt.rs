@@ -11,74 +11,25 @@
 //! the same discrete FPM grid by dynamic programming, plus the
 //! energy/time Pareto sweep used by the ablation bench.
 
-use crate::distribution::DiscreteFpm;
+use crate::distribution::{grid_optimal_areas, DiscreteFpm};
 
 /// Finds the grid distribution minimizing total dynamic energy
-/// `Σ_i P_i · t_i(k_i)` with `Σ k_i = g`, `k_i ≥ 1`, by exact DP
-/// (`O(p · g²)`), mirroring [`crate::distribution::load_imbalancing_areas`]
-/// but with an additive objective.
+/// `Σ_i P_i · t_i(k_i)` with `Σ k_i = g`, `k_i ≥ 1`, exactly: the search of
+/// [`crate::distribution::load_imbalancing_areas`] with an additive
+/// objective (sum layers instead of max layers, the same path recovery).
 ///
 /// `powers[i]` is the dynamic power draw (watts) of processor `i` while
 /// computing. Returns areas per processor summing to `n²`.
 ///
 /// # Panics
-/// Panics on mismatched FPM grids or `powers.len() != fpms.len()`.
+/// Panics on mismatched FPM grids, `powers.len() != fpms.len()`, an invalid
+/// power, a NaN time or when every distribution costs infinite energy.
 pub fn energy_optimal_areas(n: usize, fpms: &[DiscreteFpm], powers: &[f64]) -> Vec<f64> {
-    let p = fpms.len();
-    assert!(p >= 1, "no FPMs");
-    assert_eq!(powers.len(), p, "power count != processor count");
+    assert_eq!(powers.len(), fpms.len(), "power count != processor count");
     for (i, &w) in powers.iter().enumerate() {
         assert!(w > 0.0 && w.is_finite(), "power[{i}] = {w} invalid");
     }
-    let g = fpms[0].steps();
-    for f in fpms {
-        assert_eq!(f.steps(), g, "FPMs must share one grid");
-    }
-    assert!(p <= g, "grid too coarse: {p} processors, {g} steps");
-
-    let inf = f64::INFINITY;
-    // dp[c] = minimal total energy assigning c steps to procs 0..=i.
-    let mut dp = vec![inf; g + 1];
-    for (k, slot) in dp.iter_mut().enumerate().skip(1) {
-        *slot = powers[0] * fpms[0].times[k];
-    }
-    let mut choices: Vec<Vec<usize>> = vec![(0..=g).collect()];
-    for (i, fpm) in fpms.iter().enumerate().skip(1) {
-        let mut next = vec![inf; g + 1];
-        let mut choice = vec![0usize; g + 1];
-        for c in 0..=g {
-            if dp[c].is_finite() {
-                for k in 1..=(g - c) {
-                    let cand = dp[c] + powers[i] * fpm.times[k];
-                    if cand < next[c + k] {
-                        next[c + k] = cand;
-                        choice[c + k] = k;
-                    }
-                }
-            }
-        }
-        dp = next;
-        choices.push(choice);
-    }
-    assert!(dp[g].is_finite(), "no feasible distribution");
-
-    let mut ks = vec![0usize; p];
-    let mut c = g;
-    for i in (1..p).rev() {
-        ks[i] = choices[i][c];
-        c -= ks[i];
-    }
-    ks[0] = c;
-
-    let n2 = (n * n) as f64;
-    let gran = fpms[0].granularity;
-    let mut areas: Vec<f64> = ks.iter().map(|&k| k as f64 * gran).collect();
-    let sum: f64 = areas.iter().sum();
-    let idx = (0..p)
-        .max_by(|&a, &b| areas[a].partial_cmp(&areas[b]).unwrap())
-        .unwrap();
-    areas[idx] += n2 - sum;
-    areas
+    grid_optimal_areas(n, fpms, |i, t| powers[i] * t, |a, b| a + b)
 }
 
 /// Total dynamic energy of a grid distribution (joules).
@@ -197,5 +148,101 @@ mod tests {
         let areas = energy_optimal_areas(n, &fpms, &[1000.0, 10.0, 10.0]);
         assert!(areas.iter().all(|&a| a > 0.0), "{areas:?}");
         assert!((areas.iter().sum::<f64>() - (n * n) as f64).abs() < 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "FPM 2 has a NaN time at step 7")]
+    fn rejects_nan_times() {
+        let mut fpms = fpms3(64, &[1.0e9, 1.0e9, 1.0e9], 16);
+        fpms[2].times[7] = f64::NAN;
+        energy_optimal_areas(64, &fpms, &[100.0, 100.0, 100.0]);
+    }
+
+    /// `energy_optimal_areas` as it was while it stored a choice table per
+    /// processor, verbatim.
+    fn choice_table_areas(n: usize, fpms: &[DiscreteFpm], powers: &[f64]) -> Vec<f64> {
+        let p = fpms.len();
+        assert!(p >= 1, "no FPMs");
+        assert_eq!(powers.len(), p, "power count != processor count");
+        for (i, &w) in powers.iter().enumerate() {
+            assert!(w > 0.0 && w.is_finite(), "power[{i}] = {w} invalid");
+        }
+        let g = fpms[0].steps();
+        for f in fpms {
+            assert_eq!(f.steps(), g, "FPMs must share one grid");
+        }
+        assert!(p <= g, "grid too coarse: {p} processors, {g} steps");
+
+        let inf = f64::INFINITY;
+        // dp[c] = minimal total energy assigning c steps to procs 0..=i.
+        let mut dp = vec![inf; g + 1];
+        for (k, slot) in dp.iter_mut().enumerate().skip(1) {
+            *slot = powers[0] * fpms[0].times[k];
+        }
+        let mut choices: Vec<Vec<usize>> = vec![(0..=g).collect()];
+        for (i, fpm) in fpms.iter().enumerate().skip(1) {
+            let mut next = vec![inf; g + 1];
+            let mut choice = vec![0usize; g + 1];
+            for c in 0..=g {
+                if dp[c].is_finite() {
+                    for k in 1..=(g - c) {
+                        let cand = dp[c] + powers[i] * fpm.times[k];
+                        if cand < next[c + k] {
+                            next[c + k] = cand;
+                            choice[c + k] = k;
+                        }
+                    }
+                }
+            }
+            dp = next;
+            choices.push(choice);
+        }
+        assert!(dp[g].is_finite(), "no feasible distribution");
+
+        let mut ks = vec![0usize; p];
+        let mut c = g;
+        for i in (1..p).rev() {
+            ks[i] = choices[i][c];
+            c -= ks[i];
+        }
+        ks[0] = c;
+
+        let n2 = (n * n) as f64;
+        let gran = fpms[0].granularity;
+        let mut areas: Vec<f64> = ks.iter().map(|&k| k as f64 * gran).collect();
+        let sum: f64 = areas.iter().sum();
+        let idx = (0..p)
+            .max_by(|&a, &b| areas[a].partial_cmp(&areas[b]).unwrap())
+            .unwrap();
+        areas[idx] += n2 - sum;
+        areas
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// The shared value-only search, with a `+` combine, returns the
+        /// choice-table DP's areas bit for bit: `p` in 1..=6, `g` in
+        /// `p..=64`, tied and `+∞` times, powers in `[1, 500)` W.
+        #[test]
+        fn search_equals_the_choice_table_dp(
+            p in 1usize..7,
+            extra in 0usize..64,
+            seed in 0u64..u64::MAX,
+            power_seed in 0u64..u64::MAX,
+        ) {
+            let g = p + extra % (65 - p);
+            let fpms = crate::distribution::oracle::random_fpms(seed, 97, p, g);
+            let mut rng = proptest::TestRng::new(power_seed);
+            let powers: Vec<f64> = (0..p)
+                .map(|_| 1.0 + (rng.next_u64() % 499) as f64 + 0.25 * (rng.next_u64() % 4) as f64)
+                .collect();
+            let bits = |a: Vec<f64>| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(
+                bits(energy_optimal_areas(97, &fpms, &powers)),
+                bits(choice_table_areas(97, &fpms, &powers)),
+                "p {} g {} seed {} powers {:?}", p, g, seed, powers
+            );
+        }
     }
 }
