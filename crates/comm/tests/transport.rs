@@ -94,19 +94,27 @@ fn seeded_drops_retransmit_deterministically_and_deliver_everything() {
 fn wire_duplicates_are_suppressed_at_the_receiver() {
     let m = RuntimeMetrics::fresh();
     let plan = LinkPlan::seeded(5).duplicate_rate(1000);
+    // The last packet's second copy may land after its first was read. Rank
+    // 0 has delivered every copy before it reaches the barrier, so the
+    // receive after it — which nothing answers — drains that copy too.
+    let sent = std::sync::Barrier::new(2);
     let out = Universe::new(2, ZeroCost)
         .with_link_plan(plan)
         .with_metrics(m.clone())
+        .recv_timeout(Duration::from_millis(300))
         .run(|comm| {
             let mut got = Vec::new();
             if comm.rank() == 0 {
                 for i in 0..10u64 {
                     comm.send(1, 0, Payload::U64(vec![i]));
                 }
+                sent.wait();
             } else {
                 for _ in 0..10 {
                     got.push(comm.recv(0, 0).into_u64()[0]);
                 }
+                sent.wait();
+                assert!(comm.try_recv(0, 0).is_err(), "only ten were sent");
             }
             got
         });
@@ -286,11 +294,17 @@ proptest! {
         prop_assert_eq!(clean, lossy);
     }
 
-    /// The same seed must reproduce the same retransmit / duplicate /
-    /// suppression counts: wire fates are a pure function of
-    /// `(seed, src, dst, seq, attempt)`.
+    /// The same seed must reproduce the same retransmit and duplicate
+    /// counts: wire fates are a pure function of
+    /// `(seed, src, dst, seq, attempt)`. Suppressions are not: a duplicate
+    /// that lands after its receiver has finished is never read, so never
+    /// counted — each run may only drop what was duplicated.
     #[test]
     fn same_seed_reproduces_same_transport_counts(seed in 0u64..1_000) {
-        prop_assert_eq!(seeded_retx_counts(seed), seeded_retx_counts(seed));
+        let (first, second) = (seeded_retx_counts(seed), seeded_retx_counts(seed));
+        prop_assert_eq!((first.0, first.1), (second.0, second.1));
+        for (_, duplicates, dropped) in [first, second] {
+            prop_assert!(dropped <= duplicates, "{dropped} dropped of {duplicates}");
+        }
     }
 }

@@ -15,9 +15,10 @@
 //!   from scratch, the ABFT executor resumes from its newest checkpoint),
 //!   what happens *between* attempts is here.
 //!
-//! Real and phantom runs differ only in the [`StageData`] their ranks
-//! carry and in what a block's GEMM costs on the virtual clock — and so in
-//! who hosts the ranks: phantom blocks move nothing and need no thread.
+//! Every SummaGen rank runs the one walk of [`crate::stages`]. Real and
+//! phantom runs differ only in whether their ranks carry dealt blocks
+//! ([`Hosted`]) and in what a block's GEMM costs on the virtual clock — and
+//! so in who hosts the ranks: phantom blocks move nothing and need no thread.
 
 use std::collections::BTreeMap;
 
@@ -25,16 +26,17 @@ use summagen_comm::{
     ClockSnapshot, CommError, CommResult, Communicator, CostModel, FailureCause, FaultPlan,
     RankFailure, TraceEvent, TrafficStats, Universe,
 };
-use summagen_matrix::DenseMatrix;
+use summagen_matrix::{DenseMatrix, GemmKernel};
 use summagen_partition::{
     beaumont_column_layout, proportional_areas, PartitionSpec, ProcBlock, Shape,
 };
 use summagen_platform::Platform;
 
+use crate::abft::AbftStats;
 use crate::executor::{ExecutionMode, RecoveryError, RecoveryReport, RunOptions, RunResult};
 use crate::rankdata::{assemble, deal, RankMatrices};
 use crate::simulate::SimReport;
-use crate::stages::{three_stages, Lanes, PanelTable, StageData};
+use crate::stages::{whole, Hosted, Lanes, Walk};
 
 /// The `C` blocks one rank computed, with their placement.
 pub(crate) type RankBlocks = Vec<(ProcBlock, DenseMatrix)>;
@@ -178,9 +180,29 @@ pub(crate) fn run_numeric<S: Send>(
     Ok((run, extras))
 }
 
-/// One attempt of the three-stage algorithm on real matrices. Real runs do
-/// not model device speeds: computation advances the clock by zero (timing
-/// studies use the phantom path).
+/// [`run_numeric`] with every rank walking `walk` on a thread of its own;
+/// a protected walk is dealt checksummed blocks.
+pub(crate) fn run_walk(
+    spec: &PartitionSpec,
+    ab: (&DenseMatrix, &DenseMatrix),
+    cost: impl CostModel,
+    faults: Option<FaultPlan>,
+    opts: &RunOptions,
+    walk: &Walk,
+) -> Result<(RunResult, Vec<AbftStats>), RankFailure> {
+    let rank_fn = |comm: &Communicator, data: &RankMatrices, lanes: &Lanes| {
+        let mut hosted = [Hosted::new(comm, Some(data))];
+        walk.run(&mut hosted, spec, lanes)?;
+        let [rank] = hosted;
+        Ok((rank.out, rank.stats))
+    };
+    let checksums = walk.protection.is_some();
+    run_numeric(spec, ab, checksums, cost, faults, opts, rank_fn)
+}
+
+/// One attempt of the three-stage algorithm on real matrices: the walk of
+/// one window. Real runs do not model device speeds: computation advances
+/// the clock by zero (timing studies use the phantom path).
 pub(crate) fn run_real(
     spec: &PartitionSpec,
     ab: (&DenseMatrix, &DenseMatrix),
@@ -189,16 +211,13 @@ pub(crate) fn run_real(
     faults: Option<FaultPlan>,
     opts: &RunOptions,
 ) -> Result<RunResult, RankFailure> {
-    let rank_fn = |comm: &Communicator, data: &RankMatrices, lanes: &Lanes| {
-        let state = StageData::Real {
-            data,
-            panels: PanelTable::new(spec),
-            kernel: mode.kernel(),
-        };
-        let mut blocks = three_stages(&mut [(comm, state)], spec, lanes, |_, _| 0.0)?;
-        Ok((blocks.pop().expect("one hosted rank"), ()))
+    let walk = Walk {
+        windows: &whole(spec),
+        kernel: mode.kernel(),
+        charge: Some(&|_, _, _| 0.0),
+        protection: None,
     };
-    run_numeric(spec, ab, false, cost, faults, opts, rank_fn).map(|(run, _)| run)
+    run_walk(spec, ab, cost, faults, opts, &walk).map(|(run, _)| run)
 }
 
 /// The three-stage algorithm with phantom payloads: rank `i` runs on
@@ -223,13 +242,21 @@ pub(crate) fn run_phantom(
         spec.nprocs
     );
     let areas = spec.areas();
+    let block_seconds = |rank: usize, blk: &ProcBlock, kb: usize| {
+        platform.processors[rank].dgemm_time(blk.rows, kb, blk.cols, areas[rank] as f64)
+    };
+    let walk = Walk {
+        windows: &whole(spec),
+        kernel: GemmKernel::default(),
+        charge: Some(&block_seconds),
+        protection: None,
+    };
     let launched = infallible(universe(spec.nprocs, cost, None, opts).host(|comms| {
-        let mut ranks: Vec<_> = comms.iter().map(|c| (c, StageData::Phantom)).collect();
-        let blocks = three_stages(&mut ranks, spec, &Lanes::new(spec), |rank, blk| {
-            platform.processors[rank].dgemm_time(blk.rows, spec.n, blk.cols, areas[rank] as f64)
-        })?;
+        let mut ranks: Vec<_> = comms.iter().map(|c| Hosted::new(c, None)).collect();
+        walk.run(&mut ranks, spec, &Lanes::new(spec))?;
         let readouts = comms.iter().map(readout);
-        CommResult::Ok(Launched::new(blocks.into_iter().zip(readouts)))
+        let blocks = ranks.into_iter().map(|r| r.out);
+        CommResult::Ok(Launched::new(blocks.zip(readouts)))
     }));
     launched.sim_report(spec.n)
 }
@@ -402,7 +429,7 @@ mod tests {
     }
 
     /// The displaced arrangement, kept as the oracle: the same phantom
-    /// `three_stages`, one hosted rank per thread of the threaded launcher.
+    /// walk, one hosted rank per thread of the threaded launcher.
     fn threaded_phantom(
         spec: &PartitionSpec,
         platform: &Platform,
@@ -411,13 +438,20 @@ mod tests {
         let areas = spec.areas();
         let lanes = Lanes::new(spec);
         let cost = HockneyModel::intra_node();
+        let block_seconds = |rank: usize, blk: &ProcBlock, _: usize| {
+            platform.processors[rank].dgemm_time(blk.rows, spec.n, blk.cols, areas[rank] as f64)
+        };
+        let walk = Walk {
+            windows: &whole(spec),
+            kernel: GemmKernel::default(),
+            charge: Some(&block_seconds),
+            protection: None,
+        };
         infallible(launch(spec.nprocs, cost, None, opts, |comm| {
-            let mut hosted = [(comm, StageData::Phantom)];
-            let block_seconds = |rank: usize, blk: &ProcBlock| {
-                platform.processors[rank].dgemm_time(blk.rows, spec.n, blk.cols, areas[rank] as f64)
-            };
-            let mut blocks = three_stages(&mut hosted, spec, &lanes, block_seconds)?;
-            Ok(blocks.pop().expect("one hosted rank"))
+            let mut hosted = [Hosted::new(comm, None)];
+            walk.run(&mut hosted, spec, &lanes)?;
+            let [rank] = hosted;
+            Ok(rank.out)
         }))
     }
 

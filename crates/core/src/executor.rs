@@ -14,6 +14,7 @@ use summagen_matrix::{DenseMatrix, GemmKernel};
 use summagen_partition::{PartitionSpec, Shape};
 
 use crate::engine;
+use crate::stages::{panels, Walk};
 
 /// How local computations execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,11 +27,9 @@ pub enum ExecutionMode {
     ///
     /// `Blocked` and `Parallel` give the bits of `Real`. `Naive` rounds
     /// once per kernel call, and every real path chains its calls over
-    /// `k` — `multiply` one per k-segment, the panel loop behind
-    /// `multiply_panelled` and `multiply_abft*` one per overlapping `B`
-    /// block of a panel — so with `Naive` a product agrees with one
-    /// `gemm_naive` to within `gemm_tolerance`, not to the bit, and moves
-    /// at rounding level when the chain's cuts move.
+    /// `k`, one per k-segment of the walk's windows, so with `Naive` a
+    /// product agrees with one `gemm_naive` to within `gemm_tolerance`, not
+    /// to the bit, and moves at rounding level when the chain's cuts move.
     RealWith(GemmKernel),
 }
 
@@ -227,6 +226,35 @@ pub fn multiply_with_options(
     opts: &RunOptions,
 ) -> Result<RunResult, RankFailure> {
     engine::run_real(spec, (a, b), mode, cost, None, opts)
+}
+
+/// Multiplies `A × B` with panelled SummaGen, pricing communication with
+/// `cost` ([`summagen_comm::ZeroCost`] for a pure correctness run): the
+/// walk of one window per grid column of `A`. Each rank gathers only the
+/// `A` blocks `(bi, t)` and the rows of `B` that panel `t` needs, then
+/// accumulates `C(bi, bj) += A(bi, t) · B(t, bj)`; the same blocks travel
+/// over the same lanes as in [`multiply`], so the volume and the bits of
+/// `C` are the same, but a rank holds one panel's blocks at a time instead
+/// of every block of its rows and columns.
+///
+/// # Panics
+/// Panics if any rank fails, like [`multiply`].
+pub fn multiply_panelled(
+    spec: &PartitionSpec,
+    a: &DenseMatrix,
+    b: &DenseMatrix,
+    kernel: GemmKernel,
+    cost: impl CostModel,
+) -> RunResult {
+    let windows = panels(spec, 0, usize::MAX);
+    let walk = Walk {
+        windows: &windows,
+        kernel,
+        charge: None,
+        protection: None,
+    };
+    let run = engine::run_walk(spec, (a, b), cost, None, &RunOptions::default(), &walk);
+    engine::infallible(run).0
 }
 
 /// What [`multiply_with_recovery`] did to complete a run.

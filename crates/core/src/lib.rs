@@ -24,8 +24,9 @@
 //! transport, event sink, timelines), drives the ranks through the three
 //! stages, folds the per-rank clocks into `exec/comp/comm_time`, and — for
 //! the recovering entry points — drives the shrink-and-retry loop. The
-//! stage walk takes *the ranks one thread hosts*; what those ranks carry
-//! decides the kind of run, and with it who hosts them:
+//! stages are one walk over a list of k-windows ([`stages`]), taking *the
+//! ranks one thread hosts*; what those ranks carry decides the kind of run,
+//! and with it who hosts them:
 //!
 //! * **real** ([`multiply_with_options`] → [`RunResult`]) — matrices are
 //!   materialized and multiplied with the kernel an [`ExecutionMode`]
@@ -41,12 +42,12 @@
 //! [`multiply`], [`multiply_with_cost`], [`multiply_traced`],
 //! [`simulate()`] and [`simulate_instrumented`] are those two with default
 //! options and one value set. [`multiply_with_recovery`] restarts the real
-//! run over the surviving devices when ranks die. A second rank program,
-//! the panel loop of [`panelled`], walks the inner dimension one grid
-//! column at a time: bare it is [`multiply_panelled`]; padded with
-//! checksums, verified and checkpointed it is [`multiply_abft`], which
-//! recovers like [`multiply_with_recovery`] but resumes from its newest
-//! checkpoint ([`multiply_abft_prefix`] is its preemption primitive).
+//! run over the surviving devices when ranks die. All of these walk one
+//! window, the whole of `k`. The same walk over one window per grid column
+//! of `A` is [`multiply_panelled`]; padded with checksums, verified and
+//! checkpointed it is [`multiply_abft`], which recovers like
+//! [`multiply_with_recovery`] but resumes from its newest checkpoint
+//! ([`multiply_abft_prefix`] is its preemption primitive).
 //! Energy is a function of a finished report: [`SimReport::with_energy`],
 //! [`SimReport::timeline_energy`].
 //!
@@ -59,7 +60,6 @@
 pub mod abft;
 mod engine;
 pub mod executor;
-pub mod panelled;
 pub mod rankdata;
 pub mod simulate;
 pub mod stages;
@@ -70,10 +70,10 @@ pub use abft::{
     PanelCheckpoint,
 };
 pub use executor::{
-    multiply, multiply_traced, multiply_with_cost, multiply_with_options, multiply_with_recovery,
-    ExecutionMode, RecoveryError, RecoveryOptions, RecoveryReport, RunOptions, RunResult,
+    multiply, multiply_panelled, multiply_traced, multiply_with_cost, multiply_with_options,
+    multiply_with_recovery, ExecutionMode, RecoveryError, RecoveryOptions, RecoveryReport,
+    RunOptions, RunResult,
 };
-pub use panelled::multiply_panelled;
 pub use rankdata::{assemble, distribute, RankMatrices, SharedBlock};
 pub use simulate::{simulate, simulate_instrumented, simulate_with_options, SimReport};
 pub use summa::{summa_multiply, summa_simulate, uniform_grid};

@@ -1,7 +1,7 @@
-//! The shape of `summagen-core`'s public surface after ISSUEs 16 and 19: a
-//! fixed list of entry points over one engine — one launcher, one clock
-//! fold, one panel loop — a fixed list of modules in the three algorithm
-//! crates, and one place where a run's receive timeout comes from.
+//! The shape of `summagen-core`'s public surface: a fixed list of entry
+//! points over one engine — one launcher, one clock fold, one rank walk — a
+//! fixed list of modules in the three algorithm crates, and one place where
+//! a run's receive timeout comes from.
 //!
 //! The environment test is the only test of this binary that launches
 //! ranks, so setting a process-wide variable in it cannot disturb another.
@@ -89,10 +89,11 @@ fn core_sources() -> Vec<(String, String)> {
     files
 }
 
-/// Every rank program of the crate — SummaGen's three stages, the panel
-/// loop bare or protected, classic SUMMA — is launched by `engine.rs`: one
-/// place builds a `Universe`, one folds the per-rank clocks, and the panel
-/// loop exists once.
+/// Every rank program of the crate — SummaGen's walk over one window or
+/// one per panel, bare or protected, and classic SUMMA — is launched by
+/// `engine.rs`: one place builds a `Universe`, one folds the per-rank
+/// clocks, and the rank walk exists once. Outside classic SUMMA's own rank
+/// program, one line builds a lane communicator and one broadcasts on it.
 #[test]
 fn one_launcher_one_clock_fold_and_one_panel_loop() {
     let sources = core_sources();
@@ -104,10 +105,22 @@ fn one_launcher_one_clock_fold_and_one_panel_loop() {
     };
     assert_eq!(sites("Universe::new"), ["engine.rs"]);
     assert_eq!(sites("fold(0.0, f64::max)"), ["engine.rs"]);
-    assert_eq!(sites("fn run_rank_panelled"), [""; 0]);
-    // Both lane-label spaces of the panel loop live in its one function.
-    assert_eq!(sites("(1 << 22)"), ["panelled.rs"]);
-    assert_eq!(sites("(1 << 23)"), ["panelled.rs"]);
+    for walk in [
+        "fn run_rank_panelled",
+        "fn three_stages",
+        "fn broadcast_stage",
+        "fn local_compute",
+        "fn panel_loop",
+    ] {
+        assert_eq!(sites(walk), [""; 0], "{walk}");
+    }
+    for call in ["try_bcast(", "subgroup("] {
+        let outside_summa: Vec<&str> = sites(call)
+            .into_iter()
+            .filter(|f| *f != "summa.rs")
+            .collect();
+        assert_eq!(outside_summa, ["stages.rs"], "{call}");
+    }
 }
 
 /// A module deleted by the ISSUE 19 audit (no paper figure, committed
@@ -117,10 +130,7 @@ fn one_launcher_one_clock_fold_and_one_panel_loop() {
 #[test]
 fn the_module_lists_of_the_algorithm_crates_are_the_pinned_ones() {
     let pinned = [
-        (
-            "core",
-            "abft executor panelled rankdata simulate stages summa",
-        ),
+        ("core", "abft executor rankdata simulate stages summa"),
         ("matrix", "abft block dense gemm gen"),
         (
             "partition",

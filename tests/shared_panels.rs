@@ -680,6 +680,8 @@ fn hand_picked_grids_chain_to_the_bits_of_one_gemm() {
         for kernel in [GemmKernel::Blocked, GemmKernel::Parallel] {
             let run = multiply(&spec, &a, &b, ExecutionMode::RealWith(kernel));
             assert_blocks_match_one_gemm(&spec, &a, &b, &run.c);
+            let run = multiply_panelled(&spec, &a, &b, kernel, ZeroCost);
+            assert_blocks_match_one_gemm(&spec, &a, &b, &run.c);
         }
     }
 }
@@ -687,8 +689,9 @@ fn hand_picked_grids_chain_to_the_bits_of_one_gemm() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Segment-chained `multiply` is `to_bits`-equal to one `gemm_blocked`
-    /// per block over the gathered operands, on arbitrary grids.
+    /// Segment-chained `multiply` — one window — and `multiply_panelled` —
+    /// one window per panel — are `to_bits`-equal to one `gemm_blocked` per
+    /// block over the gathered operands, on arbitrary grids.
     #[test]
     fn random_grids_chain_to_the_bits_of_one_gemm(
         n in 8usize..=64,
@@ -700,6 +703,10 @@ proptest! {
         let b = random_matrix(n, n, seed ^ 0xB);
         let run = multiply(&spec, &a, &b, ExecutionMode::Real);
         assert_blocks_match_one_gemm(&spec, &a, &b, &run.c);
+        for kernel in [GemmKernel::Blocked, GemmKernel::Parallel] {
+            let run = multiply_panelled(&spec, &a, &b, kernel, ZeroCost);
+            assert_blocks_match_one_gemm(&spec, &a, &b, &run.c);
+        }
     }
 }
 
