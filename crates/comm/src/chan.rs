@@ -5,8 +5,17 @@
 //! *close* a dead rank's inbox from outside (so senders fail fast instead
 //! of queueing into the void), and freedom from external dependencies (the
 //! build environment is offline). The implementation is a `VecDeque`
-//! behind a mutex/condvar pair — messages here are coarse (whole matrix
-//! panels), so throughput of the queue itself is irrelevant.
+//! behind a mutex/condvar pair.
+//!
+//! Messages are coarse (whole matrix panels), but the queue's fixed cost
+//! per message still matters: hosted phantom runs send hundreds of
+//! thousands of them a second through one thread, and a condvar notify is
+//! a `FUTEX_WAKE` syscall even when nobody waits (≈ 210–250 ns on a
+//! 2-vCPU x86-64 VM, ten times an uncontended lock and unlock). So `State`
+//! counts the receivers parked in [`Receiver::recv_deadline`] and
+//! [`Sender::send`] notifies only when one is. No wake-up is lost: a receiver registers
+//! under the mutex before it waits, and the sender reads the count under
+//! the same mutex after it pushes.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -40,6 +49,8 @@ struct Inner<T> {
 struct State<T> {
     queue: VecDeque<T>,
     closed: bool,
+    /// Receivers inside `wait_timeout` right now.
+    waiting: usize,
 }
 
 /// Sending endpoint. Cloneable; also carries the close capability, which
@@ -67,6 +78,7 @@ pub(crate) fn channel<T>() -> (Sender<T>, Receiver<T>) {
         state: Mutex::new(State {
             queue: VecDeque::new(),
             closed: false,
+            waiting: 0,
         }),
         cv: Condvar::new(),
     });
@@ -79,15 +91,19 @@ pub(crate) fn channel<T>() -> (Sender<T>, Receiver<T>) {
 }
 
 impl<T> Sender<T> {
-    /// Enqueues a message; returns it back if the channel is closed.
+    /// Enqueues a message; returns it back if the channel is closed. Wakes
+    /// a receiver only if one is waiting.
     pub(crate) fn send(&self, value: T) -> Result<(), T> {
         let mut st = self.inner.state.lock();
         if st.closed {
             return Err(value);
         }
         st.queue.push_back(value);
+        let wake = st.waiting > 0;
         drop(st);
-        self.inner.cv.notify_one();
+        if wake {
+            self.inner.cv.notify_one();
+        }
         Ok(())
     }
 
@@ -133,9 +149,17 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvError::Timeout);
             }
+            st.waiting += 1;
             let (guard, _timed_out) = self.inner.cv.wait_timeout(st, deadline - now);
             st = guard;
+            st.waiting -= 1;
         }
+    }
+
+    /// Receivers currently parked in [`Receiver::recv_deadline`].
+    #[cfg(test)]
+    fn waiting(&self) -> usize {
+        self.inner.state.lock().waiting
     }
 
     /// Blocking receive with a relative timeout.
@@ -148,6 +172,7 @@ impl<T> Receiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::time::Duration;
 
     #[test]
@@ -189,5 +214,57 @@ mod tests {
             tx.send(42u64).unwrap();
         });
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(42));
+    }
+
+    /// A receiver that is already parked when the message is sent must be
+    /// woken. Round `i` sends only once the receiver has taken message
+    /// `i - 1` and registered as waiting again. A lost wake-up would leave
+    /// it asleep until its 5 s deadline (then it finds the message, so the
+    /// lateness itself is what is checked).
+    #[test]
+    fn parked_receiver_is_woken_by_a_later_send() {
+        const ROUNDS: u64 = 1_000;
+        let (tx, rx) = channel::<u64>();
+        let rx = Arc::new(rx);
+        let taken = Arc::new(AtomicU64::new(0));
+        let receiver = {
+            let (rx, taken) = (Arc::clone(&rx), Arc::clone(&taken));
+            std::thread::spawn(move || {
+                (0..ROUNDS)
+                    .map(|_| {
+                        let deadline = Instant::now() + Duration::from_secs(5);
+                        let got = rx.recv_deadline(deadline);
+                        taken.fetch_add(1, Ordering::SeqCst);
+                        (got, Instant::now() < deadline)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        };
+        for i in 0..ROUNDS {
+            let t0 = Instant::now();
+            while taken.load(Ordering::SeqCst) < i || rx.waiting() == 0 {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(5),
+                    "round {i}: never parked"
+                );
+                std::thread::yield_now();
+            }
+            tx.send(i).unwrap();
+        }
+        let got = receiver.join().unwrap();
+        assert_eq!(got, (0..ROUNDS).map(|i| (Ok(i), true)).collect::<Vec<_>>());
+        assert_eq!(rx.waiting(), 0);
+    }
+
+    #[test]
+    fn timed_out_wait_unregisters_and_the_next_send_delivers() {
+        let (tx, rx) = channel::<u64>();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(5)),
+            Err(RecvError::Timeout)
+        );
+        assert_eq!(rx.waiting(), 0);
+        tx.send(9).unwrap();
+        assert_eq!(rx.try_recv(), Ok(9));
     }
 }

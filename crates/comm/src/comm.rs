@@ -211,7 +211,9 @@ impl Mailbox {
         me: usize,
     ) -> CommResult<Envelope> {
         let timeout = shared.recv_timeout;
-        let deadline = Instant::now() + timeout;
+        // Read the clock only once the receive has to block: most
+        // receives (all hosted ones) match on the first pass.
+        let mut deadline = None;
         loop {
             if let Some(env) = self.take_match(src, comm_id, tag) {
                 return Ok(env);
@@ -233,6 +235,7 @@ impl Mailbox {
                 return Err(CommError::PeerFailed { rank: dead });
             }
             let now = Instant::now();
+            let deadline = *deadline.get_or_insert(now + timeout);
             if now >= deadline {
                 return Err(CommError::Timeout {
                     src: Some(src),

@@ -115,14 +115,25 @@ pub struct DiscreteFpm {
 
 impl DiscreteFpm {
     /// Samples a speed function on a grid of `g` steps spanning `[0, n²]`
-    /// for an `n × n` PMM.
+    /// for an `n × n` PMM: `times[k]` is [`partition_time`] at area
+    /// `k · granularity`, bit for bit, from one ascending
+    /// [`SpeedFunction::flops_ascending`] sweep over the grid.
     pub fn from_speed(speed: &dyn SpeedFunction, n: usize, g: usize) -> Self {
         assert!(g >= 1, "need at least one grid step");
         let n2 = (n * n) as f64;
         let granularity = n2 / g as f64;
-        let times = (0..=g)
-            .map(|k| partition_time(k as f64 * granularity, n, speed))
-            .collect();
+        // `times` holds the grid's areas until the speeds are known.
+        let mut times: Vec<f64> = (0..=g).map(|k| k as f64 * granularity).collect();
+        let mut flops = Vec::with_capacity(times.len());
+        speed.flops_ascending(&times, &mut flops);
+        for (t, s) in times.iter_mut().zip(flops) {
+            let area = *t;
+            *t = if area <= 0.0 {
+                0.0
+            } else {
+                2.0 * area * n as f64 / s
+            };
+        }
         Self { times, granularity }
     }
 

@@ -24,6 +24,13 @@ pub trait SpeedFunction: Send + Sync + 'static {
     fn flops_at_square(&self, x: f64) -> f64 {
         self.flops(x * x)
     }
+
+    /// Pushes `self.flops(a)` onto `out` for each area in `areas`, bit for
+    /// bit. Any order is correct; a model may make ascending areas (an FPM
+    /// grid) cheaper than one [`SpeedFunction::flops`] call each.
+    fn flops_ascending(&self, areas: &[f64], out: &mut Vec<f64>) {
+        out.extend(areas.iter().map(|&a| self.flops(a)));
+    }
 }
 
 /// Constant performance model (CPM): speed does not depend on problem size.
@@ -122,11 +129,44 @@ impl SpeedFunction for TabulatedSpeed {
         }
         // Binary search for the bracketing interval.
         let idx = pts.partition_point(|&(a, _)| a <= area);
-        let (a0, s0) = pts[idx - 1];
-        let (a1, s1) = pts[idx];
-        let t = (area - a0) / (a1 - a0);
-        s0 + t * (s1 - s0)
+        lerp(pts[idx - 1], pts[idx], area)
     }
+
+    /// One forward cursor over `points` instead of a binary search per
+    /// area. The clamps, the bracket `idx` and `lerp` are `flops`'s, so
+    /// every value is bit-equal: with `points[idx - 1].0 <= area`, stepping
+    /// `idx` up while `points[idx].0 <= area` stops at the first knot past
+    /// `area`, which is what `partition_point` returns. A query below the
+    /// cursor's bracket re-finds it by that binary search.
+    fn flops_ascending(&self, areas: &[f64], out: &mut Vec<f64>) {
+        let pts = &self.points;
+        let (first, last) = (pts[0], pts[pts.len() - 1]);
+        let mut idx = 1;
+        out.extend(areas.iter().map(|&area| {
+            if area <= first.0 {
+                return first.1;
+            }
+            if area >= last.0 {
+                return last.1;
+            }
+            // False for NaN too, which then fails in the search as it
+            // does in `flops`.
+            let ahead = pts[idx - 1].0 <= area;
+            if !ahead {
+                idx = pts.partition_point(|&(a, _)| a <= area);
+            }
+            while pts[idx].0 <= area {
+                idx += 1;
+            }
+            lerp(pts[idx - 1], pts[idx], area)
+        }));
+    }
+}
+
+/// Linear interpolation between the knots `(a0, s0)` and `(a1, s1)`.
+fn lerp((a0, s0): (f64, f64), (a1, s1): (f64, f64), area: f64) -> f64 {
+    let t = (area - a0) / (a1 - a0);
+    s0 + t * (s1 - s0)
 }
 
 /// Akima-spline interpolated speed function. Akima interpolation is local
@@ -319,8 +359,8 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    fn sorted_points() -> impl Strategy<Value = Vec<(f64, f64)>> {
-        proptest::collection::vec((0.0f64..1e6, 1.0f64..1e12), 3..20).prop_map(|mut v| {
+    fn sorted_points(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(f64, f64)>> {
+        proptest::collection::vec((0.0f64..1e6, 1.0f64..1e12), len).prop_map(|mut v| {
             v.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
             v.dedup_by(|a, b| a.0 == b.0);
             // Ensure strictly increasing by nudging duplicates.
@@ -339,7 +379,7 @@ mod proptests {
         /// Tabulated interpolation stays within the convex hull of the
         /// bracketing sample speeds.
         #[test]
-        fn tabulated_bounded_by_samples(pts in sorted_points(), q in 0.0f64..2e6) {
+        fn tabulated_bounded_by_samples(pts in sorted_points(3..20), q in 0.0f64..2e6) {
             let s = TabulatedSpeed::new(pts.clone());
             let v = s.flops(q);
             let lo = pts.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
@@ -349,10 +389,48 @@ mod proptests {
 
         /// Akima output is always positive (required by compute_time).
         #[test]
-        fn akima_always_positive(pts in sorted_points(), q in 0.0f64..2e6) {
+        fn akima_always_positive(pts in sorted_points(3..20), q in 0.0f64..2e6) {
             prop_assume!(pts.len() >= 3);
             let s = AkimaSpline::new(pts);
             prop_assert!(s.flops(q) > 0.0);
+        }
+
+        /// The cursor sweep is `flops` bit for bit: ascending queries that
+        /// hit 0, every knot exactly, runs of equal areas and both clamps,
+        /// then the same batch shuffled (the backwards fallback).
+        #[test]
+        fn tabulated_sweep_is_flops_bit_for_bit(
+            pts in sorted_points(1..40),
+            fracs in proptest::collection::vec(0.0f64..1.0, 0..64),
+            repeats in 1usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let s = TabulatedSpeed::new(pts.clone());
+            let (lo, hi) = (pts[0].0, pts[pts.len() - 1].0);
+            let mut areas = vec![0.0, 0.5 * lo];
+            areas.extend(pts.iter().map(|p| p.0));
+            areas.extend(fracs.iter().map(|f| lo + f * (hi - lo)));
+            areas.extend([2.0 * hi, 4.0 * hi]);
+            areas.sort_by(f64::total_cmp);
+            let ascending: Vec<f64> = areas
+                .iter()
+                .flat_map(|&a| std::iter::repeat_n(a, repeats))
+                .collect();
+            let mut shuffled = ascending.clone();
+            let mut x = seed | 1;
+            for i in (1..shuffled.len()).rev() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                shuffled.swap(i, (x % (i as u64 + 1)) as usize);
+            }
+            for batch in [ascending, shuffled] {
+                let mut got = Vec::new();
+                s.flops_ascending(&batch, &mut got);
+                let want: Vec<u64> = batch.iter().map(|&a| s.flops(a).to_bits()).collect();
+                let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(got, want);
+            }
         }
     }
 }

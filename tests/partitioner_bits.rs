@@ -11,10 +11,15 @@
 //!   `tests/experiments.rs`;
 //! * `energy_optimal_areas` on `energy_vs_time_partition`'s four sizes.
 //!
-//! A change to the search or the area fix-up moves one of them;
-//! re-capture only on purpose. No two distributions tie on these inputs,
-//! so tie-breaking is checked in `summagen-partition` instead, against the
-//! choice-table DPs kept there as test oracles.
+//! The `*_TIMES` constants pin the partitioners' input instead: the
+//! `times` bits `DiscreteFpm::from_speed` samples for `hclserver1`'s three
+//! processors at the Fig. 7 and `g` = 160 inputs, captured at d27b2b5,
+//! before sampling became one ascending sweep per speed function.
+//!
+//! A change to the search, the area fix-up or the sampling moves one of
+//! them; re-capture only on purpose. No two distributions tie on these
+//! inputs, so tie-breaking is checked in `summagen-partition` instead,
+//! against the choice-table DPs kept there as test oracles.
 
 use summagen_bench::experiments::{fpm_problem_sizes, FPM_GRID_STEPS};
 use summagen_durable::fnv1a_words;
@@ -77,6 +82,40 @@ const ENERGY: [(usize, u64); 4] = [
     (20_480, 0xddc5_702e_91ed_e0bf),
 ];
 
+/// `(n, digest)` over the `times` of the three `hclserver1` FPMs in
+/// processor order, `g` = 192, Fig. 7's sizes.
+const FIG7_TIMES: [(usize, u64); 20] = [
+    (1_024, 0x82f3_0d5a_685b_9d5f),
+    (2_048, 0x711e_a044_5472_3c2a),
+    (3_072, 0x18cb_b418_4e29_f82b),
+    (4_096, 0x58bf_acba_5b1b_ca32),
+    (5_120, 0x2202_46ef_c188_7a10),
+    (6_144, 0x65d0_3749_06a1_1c0b),
+    (7_168, 0xe234_3b0d_b022_5ac8),
+    (8_192, 0x736f_c8f9_ccbc_c8af),
+    (9_216, 0xcc99_517a_cb86_62fc),
+    (10_240, 0xf3e4_a55c_b8fa_7c70),
+    (11_264, 0x19fc_f17f_4ce8_7f6d),
+    (12_288, 0xdc01_217e_7719_6220),
+    (13_312, 0xdb67_f384_02e4_8d09),
+    (14_336, 0xbadc_fba8_2694_d3f6),
+    (15_360, 0x9bc5_83ca_0a7c_26b4),
+    (16_384, 0x48cc_581e_3ace_e65a),
+    (17_408, 0x5d45_79fc_2382_35f0),
+    (18_432, 0xc035_b4a9_9e1a_ebb0),
+    (19_456, 0x678f_d64e_f3de_7d64),
+    (20_480, 0x522d_ec03_8eef_ca29),
+];
+
+/// The same over the `g` = 160 inputs.
+const EXPERIMENTS_G160_TIMES: [(usize, u64); 5] = [
+    (4_096, 0x22d9_99de_dd1c_759d),
+    (8_192, 0x841b_5cbb_6b16_6e31),
+    (12_288, 0xfe02_0bbc_6eab_7d96),
+    (16_384, 0x7bb3_ff08_7e23_4b4d),
+    (20_480, 0x27b6_902c_dcf7_b4b3),
+];
+
 fn check(label: &str, golden: &[(usize, u64)], areas_of: impl Fn(usize) -> Vec<f64>) {
     let got: Vec<(usize, u64)> = golden
         .iter()
@@ -102,6 +141,17 @@ fn g160_areas_are_the_pinned_ones() {
     check("g160", &EXPERIMENTS_G160, |n| {
         load_imbalancing_areas(n, &fpms(n, 160))
     });
+}
+
+/// The sampled times themselves: a change to `from_speed` that left every
+/// optimum where it was would pass the area goldens above.
+#[test]
+fn sampled_fpm_times_are_the_pinned_ones() {
+    let times = |g: usize| {
+        move |n: usize| -> Vec<f64> { fpms(n, g).into_iter().flat_map(|f| f.times).collect() }
+    };
+    check("fig7 times", &FIG7_TIMES, times(FPM_GRID_STEPS));
+    check("g160 times", &EXPERIMENTS_G160_TIMES, times(160));
 }
 
 #[test]
