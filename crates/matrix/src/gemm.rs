@@ -25,7 +25,8 @@ pub enum GemmKernel {
     /// [`crate::gemm_tolerance`], not to the bit.
     Naive,
     /// Packed, register-tiled serial kernel (panels of `A` and `B` copied
-    /// into contiguous strips, a 4 x 8 accumulator tile).
+    /// into contiguous strips; a 4 x 16 accumulator tile under AVX-512F,
+    /// 4 x 8 under AVX2 or the baseline instruction set).
     Blocked,
     /// The `Blocked` kernel over one contiguous band of `C` rows per
     /// hardware thread; bit-identical to `Blocked`. This is the
@@ -173,9 +174,16 @@ pub fn gemm_naive(
 }
 
 /// Register tile: the micro-kernel keeps an `MR x NR` block of `C` in
-/// accumulators (4 x 8 doubles = eight 256-bit registers under AVX2).
+/// accumulators. `MR` is 4 in every instance; `NR` is the instance's
+/// const parameter, two vector registers per row: 8 for the portable and
+/// AVX2 instances (eight 256-bit accumulators under AVX2), 16 for AVX-512
+/// (eight 512-bit accumulators). Eight independent chains are the fewest
+/// that hide the add's latency on two vector pipes; the tiles were picked
+/// by measurement (DESIGN.md §15).
 const MR: usize = 4;
-const NR: usize = 8;
+const NR_AVX2: usize = 8;
+#[cfg(target_arch = "x86_64")]
+const NR_AVX512: usize = 16;
 /// Cache tiles: an `MC x KC` packed panel of `A` stays in L2 while it is
 /// swept against `NR`-wide strips of a `KC x NC` packed panel of `B`.
 const MC: usize = 96;
@@ -204,7 +212,7 @@ fn pack_a(mb: usize, kb: usize, alpha: f64, a: &[f64], lda: usize, ap: &mut [f64
 /// Packs `B[0..kb, 0..nb]` into `NR`-wide strips (`NR` values per `l`),
 /// short edge strips zero-padded.
 #[inline(always)]
-fn pack_b(kb: usize, nb: usize, b: &[f64], ldb: usize, bp: &mut [f64]) {
+fn pack_b<const NR: usize>(kb: usize, nb: usize, b: &[f64], ldb: usize, bp: &mut [f64]) {
     for (s, strip) in bp.chunks_exact_mut(NR * kb).enumerate() {
         let cols = NR.min(nb - s * NR);
         for (l, row) in strip.chunks_exact_mut(NR).enumerate() {
@@ -222,7 +230,14 @@ fn pack_b(kb: usize, nb: usize, b: &[f64], ldb: usize, bp: &mut [f64]) {
 /// tile sizes, so results do not depend on the blocking. Accumulators past
 /// `mr`/`nr` only ever see the packed zero padding and are not stored.
 #[inline(always)]
-fn micro_kernel(ap: &[f64], bp: &[f64], c: &mut [f64], ldc: usize, mr: usize, nr: usize) {
+fn micro_kernel<const NR: usize>(
+    ap: &[f64],
+    bp: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+) {
     let mut acc = [[0.0f64; NR]; MR];
     for (i, row) in acc.iter_mut().enumerate().take(mr) {
         row[..nr].copy_from_slice(&c[i * ldc..i * ldc + nr]);
@@ -241,12 +256,12 @@ fn micro_kernel(ap: &[f64], bp: &[f64], c: &mut [f64], ldc: usize, mr: usize, nr
     }
 }
 
-/// The packed loop nest (`beta` already applied, `m, n, k > 0`).
-/// `inline(always)` so each caller below compiles its own copy under its
-/// own target features.
+/// The packed loop nest (`beta` already applied, `m, n, k > 0`) over
+/// `MR x NR` tiles. `inline(always)` so each instance below compiles its
+/// own copy under its own target features.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn macro_kernel(
+fn macro_kernel<const NR: usize>(
     m: usize,
     n: usize,
     k: usize,
@@ -269,7 +284,7 @@ fn macro_kernel(
         for l0 in (0..k).step_by(KC) {
             let kb = KC.min(k - l0);
             let bp = &mut bp[..kb * nb.next_multiple_of(NR)];
-            pack_b(kb, nb, &b[l0 * ldb + j0..], ldb, bp);
+            pack_b::<NR>(kb, nb, &b[l0 * ldb + j0..], ldb, bp);
             for i0 in (0..m).step_by(MC) {
                 let mb = MC.min(m - i0);
                 let ap = &mut ap[..mb.next_multiple_of(MR) * kb];
@@ -279,7 +294,7 @@ fn macro_kernel(
                     for (is, a_s) in ap.chunks_exact(MR * kb).enumerate() {
                         let mr = MR.min(mb - is * MR);
                         let at = (i0 + is * MR) * ldc + j0 + js * NR;
-                        micro_kernel(a_s, bs, &mut c[at..], ldc, mr, nr);
+                        micro_kernel::<NR>(a_s, bs, &mut c[at..], ldc, mr, nr);
                     }
                 }
             }
@@ -287,9 +302,31 @@ fn macro_kernel(
     }
 }
 
-/// [`macro_kernel`] compiled with AVX2 but **not** FMA: wider registers,
-/// the same separate multiply and add, hence the same bits as the
-/// portable instance.
+/// [`macro_kernel`] compiled with AVX-512F over a 4 x 16 tile. The
+/// feature makes FMA available but nothing asks for it: Rust never
+/// contracts `x + a * b`, so every term is still a separate multiply and
+/// add, and the bits are those of the other instances.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+fn macro_kernel_avx512(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    macro_kernel::<NR_AVX512>(m, n, k, alpha, a, lda, b, ldb, c, ldc);
+}
+
+/// [`macro_kernel`] compiled with AVX2 but **not** FMA over a 4 x 8 tile:
+/// wider registers, the same separate multiply and add, hence the same
+/// bits as the portable instance.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -305,7 +342,83 @@ fn macro_kernel_avx2(
     c: &mut [f64],
     ldc: usize,
 ) {
-    macro_kernel(m, n, k, alpha, a, lda, b, ldb, c, ldc);
+    macro_kernel::<NR_AVX2>(m, n, k, alpha, a, lda, b, ldb, c, ldc);
+}
+
+/// One compiled instance of the packed loop nest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Instance {
+    /// [`macro_kernel_avx512`], 4 x 16.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    /// [`macro_kernel_avx2`], 4 x 8.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// The build's baseline instruction set (SSE2 on x86-64), 4 x 8.
+    Portable,
+}
+
+impl Instance {
+    /// Every instance compiled for this target, widest first: the order
+    /// [`gemm_blocked`] tries them in.
+    #[cfg(target_arch = "x86_64")]
+    const ALL: [Instance; 3] = [Instance::Avx512, Instance::Avx2, Instance::Portable];
+    #[cfg(not(target_arch = "x86_64"))]
+    const ALL: [Instance; 1] = [Instance::Portable];
+
+    /// Whether this CPU has the instance's target feature.
+    fn runs_here(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Instance::Avx512 => is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Instance::Avx2 => is_x86_feature_detected!("avx2"),
+            Instance::Portable => true,
+        }
+    }
+
+    /// The widest instance this CPU runs.
+    fn widest() -> Instance {
+        Instance::ALL
+            .into_iter()
+            .find(|i| i.runs_here())
+            .expect("the portable instance runs anywhere")
+    }
+
+    /// Runs this instance's [`macro_kernel`]. Panics if the CPU lacks the
+    /// instance's target feature.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        self,
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f64,
+        a: &[f64],
+        lda: usize,
+        b: &[f64],
+        ldb: usize,
+        c: &mut [f64],
+        ldc: usize,
+    ) {
+        assert!(
+            self.runs_here(),
+            "{self:?} GEMM instance on a CPU without it"
+        );
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: the only requirement of a `#[target_feature]` function
+            // is that the CPU supports the feature; `runs_here` detected
+            // `avx512f` in the assert above.
+            Instance::Avx512 => unsafe {
+                macro_kernel_avx512(m, n, k, alpha, a, lda, b, ldb, c, ldc)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above; `runs_here` detected `avx2`.
+            Instance::Avx2 => unsafe { macro_kernel_avx2(m, n, k, alpha, a, lda, b, ldb, c, ldc) },
+            Instance::Portable => macro_kernel::<NR_AVX2>(m, n, k, alpha, a, lda, b, ldb, c, ldc),
+        }
+    }
 }
 
 /// Packed, register-tiled serial GEMM. `C = alpha*A*B + beta*C`.
@@ -314,9 +427,42 @@ fn macro_kernel_avx2(
 /// (alpha*a[i][l]) * b[l][j] }` (the micro-kernel loads the `C` tile into
 /// its accumulators and never fuses the multiply with the add), so the
 /// result does not depend on tile sizes, on the instruction set picked at
-/// run time, or on how a caller splits `k` or the rows of `C` across calls.
+/// run time (AVX-512F, else AVX2, else the baseline), or on how a caller
+/// splits `k` or the rows of `C` across calls.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_blocked(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    ldb: usize,
+    beta: f64,
+    c: &mut [f64],
+    ldc: usize,
+) {
+    gemm_blocked_on(
+        Instance::widest(),
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        lda,
+        b,
+        ldb,
+        beta,
+        c,
+        ldc,
+    );
+}
+
+/// [`gemm_blocked`] on the given instance.
+#[allow(clippy::too_many_arguments)]
+fn gemm_blocked_on(
+    instance: Instance,
     m: usize,
     n: usize,
     k: usize,
@@ -344,13 +490,7 @@ pub fn gemm_blocked(
     if k == 0 || alpha == 0.0 {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: the only requirement of a `#[target_feature]` function is
-        // that the CPU supports the feature, which was just detected.
-        return unsafe { macro_kernel_avx2(m, n, k, alpha, a, lda, b, ldb, c, ldc) };
-    }
-    macro_kernel(m, n, k, alpha, a, lda, b, ldb, c, ldc);
+    instance.run(m, n, k, alpha, a, lda, b, ldb, c, ldc);
 }
 
 /// Below this many multiply-adds the fork-join costs more than it saves.
@@ -733,9 +873,84 @@ mod tests {
         }
     }
 
-    /// Runs the reference, `Blocked` and `Parallel` on the same windows of
-    /// randomly filled buffers (so cells between rows hold data a misread
-    /// or stray write would expose) and compares whole `C` buffers.
+    /// One way to compute `C = alpha*A*B + beta*C` that must give the
+    /// reference's bits: a compiled instance called directly, or a
+    /// `GemmKernel` through its run-time dispatch.
+    #[derive(Debug, Clone, Copy)]
+    enum Runner {
+        Instance(Instance),
+        Kernel(GemmKernel),
+    }
+
+    impl Runner {
+        #[allow(clippy::too_many_arguments)]
+        fn run(
+            self,
+            m: usize,
+            n: usize,
+            k: usize,
+            alpha: f64,
+            a: &[f64],
+            lda: usize,
+            b: &[f64],
+            ldb: usize,
+            beta: f64,
+            c: &mut [f64],
+            ldc: usize,
+        ) {
+            match self {
+                Runner::Instance(i) => {
+                    gemm_blocked_on(i, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+                }
+                Runner::Kernel(kernel) => kernel.run(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc),
+            }
+        }
+    }
+
+    /// The instances this CPU runs; each one it lacks is named on stderr.
+    fn instances_here() -> Vec<Instance> {
+        Instance::ALL
+            .into_iter()
+            .filter(|i| {
+                let here = i.runs_here();
+                if !here {
+                    eprintln!("skipped the {i:?} GEMM instance: this CPU lacks its feature");
+                }
+                here
+            })
+            .collect()
+    }
+
+    /// Every instance this CPU runs, then `Blocked` and `Parallel`.
+    fn runners() -> Vec<Runner> {
+        let mut runners: Vec<Runner> = instances_here().into_iter().map(Runner::Instance).collect();
+        runners.extend([GemmKernel::Blocked, GemmKernel::Parallel].map(Runner::Kernel));
+        runners
+    }
+
+    /// The register-tile width of an instance.
+    fn nr(instance: Instance) -> usize {
+        match instance {
+            #[cfg(target_arch = "x86_64")]
+            Instance::Avx512 => NR_AVX512,
+            #[cfg(target_arch = "x86_64")]
+            Instance::Avx2 => NR_AVX2,
+            Instance::Portable => NR_AVX2,
+        }
+    }
+
+    /// The widest register tile compiled for this target.
+    fn widest_nr() -> usize {
+        Instance::ALL
+            .into_iter()
+            .map(nr)
+            .max()
+            .expect("one instance at least")
+    }
+
+    /// Runs the reference and every runner on the same windows of randomly
+    /// filled buffers (so cells between rows hold data a misread or stray
+    /// write would expose) and compares whole `C` buffers.
     fn check_bits(
         m: usize,
         n: usize,
@@ -761,9 +976,9 @@ mod tests {
             want.as_mut_slice(),
             ldc,
         );
-        for kernel in [GemmKernel::Blocked, GemmKernel::Parallel] {
+        for runner in runners() {
             let mut c = c0.clone();
-            kernel.run(
+            runner.run(
                 m,
                 n,
                 k,
@@ -777,7 +992,7 @@ mod tests {
                 ldc,
             );
             let what =
-                format!("{kernel:?} {m}x{n}x{k} ld ({lda},{ldb},{ldc}) alpha {alpha} beta {beta}");
+                format!("{runner:?} {m}x{n}x{k} ld ({lda},{ldb},{ldc}) alpha {alpha} beta {beta}");
             assert_same_bits(c.as_slice(), want.as_slice(), &what);
         }
     }
@@ -788,44 +1003,55 @@ mod tests {
 
     #[test]
     fn bits_match_reference_across_every_tile_edge() {
+        // Every runner meets every instance's tile edges: NR = 15/16/17
+        // reaches the AVX-512 instance, NR = 7/8/9 the other two.
+        let nr_max = widest_nr();
         let ms = [1, MR - 1, MR, MR + 1, MC - 1, MC, MC + 1];
-        let ns = [1, NR - 1, NR, NR + 1, NC - 1, NC, NC + 1];
+        let mut ns = vec![1, NC - 1, NC, NC + 1];
+        ns.extend(
+            Instance::ALL
+                .into_iter()
+                .flat_map(|i| [nr(i) - 1, nr(i), nr(i) + 1]),
+        );
+        ns.sort_unstable();
+        ns.dedup();
         let ks = [0, 1, KC - 1, KC, KC + 1];
-        // One dimension at a time around a base that is itself ragged
-        // (m < 2*MR, n < 2*NR), then the far corner of all three at once —
-        // large enough that `Parallel` really forks.
+        // One dimension at a time around a base that is itself ragged for
+        // every tile (m < 2*MR, n = NR + 1 of the widest), then the far
+        // corner of all three at once — large enough that `Parallel` forks.
         for m in ms {
-            check_dense(m, NR + 1, 3);
+            check_dense(m, nr_max + 1, 3);
         }
         for n in ns {
             check_dense(MR + 1, n, 3);
         }
         for k in ks {
-            check_dense(MR + 1, NR + 1, k);
+            check_dense(MR + 1, nr_max + 1, k);
         }
-        check_dense(MR - 1, NR - 1, 1);
+        check_dense(MR - 1, nr_max - 1, 1);
         check_dense(MC + 1, NC + 1, KC + 1);
-        check_dense(2 * MC + MR + 1, NR + 3, 2 * KC + 1);
+        check_dense(2 * MC + MR + 1, nr_max + 3, 2 * KC + 1);
     }
 
     #[test]
     fn bits_match_reference_for_alpha_beta_and_strided_windows() {
+        let nr = widest_nr();
         for alpha in [1.0, 2.0, -0.5] {
             for beta in [0.0, 1.0, 0.5] {
                 check_bits(
                     MR + 1,
-                    NR + 1,
+                    nr + 1,
                     KC + 1,
-                    (KC + 1, NR + 1, NR + 1),
+                    (KC + 1, nr + 1, nr + 1),
                     alpha,
                     beta,
                 );
                 // lda > k, ldb > n, ldc > n.
                 check_bits(
                     MR + 2,
-                    2 * NR + 3,
+                    2 * nr + 3,
                     19,
-                    (23, 2 * NR + 5, 2 * NR + 9),
+                    (23, 2 * nr + 5, 2 * nr + 9),
                     alpha,
                     beta,
                 );
@@ -835,95 +1061,61 @@ mod tests {
         check_bits(150, 140, 130, (133, 147, 141), -0.5, 0.5);
     }
 
-    /// The PR 8 resume property at kernel level: a `k`-prefix call followed
-    /// by a `beta = 1` call on the remainder is one call, and so is any
-    /// split of the rows of `C` (what makes `Parallel`'s bands safe for
-    /// every thread count).
+    /// The preempt/resume property at kernel level, for every runner: a
+    /// `k`-prefix call followed by a `beta = 1` call on the remainder gives
+    /// the reference's one call, and so does any split of the rows of `C`
+    /// (what makes `Parallel`'s bands safe for every thread count).
     #[test]
     fn split_k_and_split_rows_chain_to_the_same_bits() {
-        let (m, n, k) = (13, 21, 2 * KC + 5);
+        let (m, n, k) = (13, 2 * widest_nr() + 5, 2 * KC + 5);
         let a = random_matrix(m, k, 7);
         let b = random_matrix(k, n, 8);
         let c0 = random_matrix(m, n, 9);
+        let (a, b) = (a.as_slice(), b.as_slice());
         let (alpha, beta) = (-0.5, 0.5);
-        let one_call = |c: &mut DenseMatrix| {
-            let (a, b) = (a.as_slice(), b.as_slice());
-            gemm_blocked(m, n, k, alpha, a, k, b, n, beta, c.as_mut_slice(), n)
-        };
         let mut want = c0.clone();
-        one_call(&mut want);
-        for cut in [1, 7, KC - 1, KC, KC + 1, k - 1] {
-            let mut c = c0.clone();
-            let (a, b) = (a.as_slice(), b.as_slice());
-            gemm_blocked(m, n, cut, alpha, a, k, b, n, beta, c.as_mut_slice(), n);
-            let (a, b) = (&a[cut..], &b[cut * n..]);
-            gemm_blocked(m, n, k - cut, alpha, a, k, b, n, 1.0, c.as_mut_slice(), n);
-            assert_same_bits(c.as_slice(), want.as_slice(), &format!("k cut at {cut}"));
-        }
-        for cut in [1, MR - 1, MR + 1, m - 1] {
-            let mut c = c0.clone();
-            let (a, b) = (a.as_slice(), b.as_slice());
-            let (top, bottom) = c.as_mut_slice().split_at_mut(cut * n);
-            gemm_blocked(cut, n, k, alpha, a, k, b, n, beta, top, n);
-            gemm_blocked(
-                m - cut,
-                n,
-                k,
-                alpha,
-                &a[cut * k..],
-                k,
-                b,
-                n,
-                beta,
-                bottom,
-                n,
-            );
-            assert_same_bits(c.as_slice(), want.as_slice(), &format!("row cut at {cut}"));
+        gemm_unpacked(m, n, k, alpha, a, k, b, n, beta, want.as_mut_slice(), n);
+        for runner in runners() {
+            for cut in [1, 7, KC - 1, KC, KC + 1, k - 1] {
+                let mut c = c0.clone();
+                runner.run(m, n, cut, alpha, a, k, b, n, beta, c.as_mut_slice(), n);
+                let (a, b) = (&a[cut..], &b[cut * n..]);
+                runner.run(m, n, k - cut, alpha, a, k, b, n, 1.0, c.as_mut_slice(), n);
+                let what = format!("{runner:?} k cut at {cut}");
+                assert_same_bits(c.as_slice(), want.as_slice(), &what);
+            }
+            for cut in [1, MR - 1, MR + 1, m - 1] {
+                let mut c = c0.clone();
+                let (top, bottom) = c.as_mut_slice().split_at_mut(cut * n);
+                runner.run(cut, n, k, alpha, a, k, b, n, beta, top, n);
+                let a = &a[cut * k..];
+                runner.run(m - cut, n, k, alpha, a, k, b, n, beta, bottom, n);
+                let what = format!("{runner:?} row cut at {cut}");
+                assert_same_bits(c.as_slice(), want.as_slice(), &what);
+            }
         }
     }
 
+    /// Every instance this CPU runs, and the dispatched `gemm_blocked`,
+    /// gives the portable instance's bits on a shape that leaves every
+    /// tile and cache block ragged.
     #[test]
-    #[cfg(target_arch = "x86_64")]
-    fn avx2_instance_matches_portable_instance() {
-        if !is_x86_feature_detected!("avx2") {
-            return; // gemm_blocked is already the portable instance here
-        }
-        let (m, n, k) = (MC + 3, 2 * NR + 5, KC + 7);
+    fn every_instance_matches_the_portable_instance() {
+        let (m, n, k) = (MC + 3, 2 * widest_nr() + 5, KC + 7);
         let a = random_matrix(m, k, 11);
         let b = random_matrix(k, n, 12);
         let c0 = random_matrix(m, n, 13);
-        let mut portable = c0.clone();
-        macro_kernel(
-            m,
-            n,
-            k,
-            2.0,
-            a.as_slice(),
-            k,
-            b.as_slice(),
-            n,
-            portable.as_mut_slice(),
-            n,
-        );
-        let mut dispatched = c0.clone();
-        gemm_blocked(
-            m,
-            n,
-            k,
-            2.0,
-            a.as_slice(),
-            k,
-            b.as_slice(),
-            n,
-            1.0,
-            dispatched.as_mut_slice(),
-            n,
-        );
-        assert_same_bits(
-            dispatched.as_slice(),
-            portable.as_slice(),
-            "avx2 vs portable",
-        );
+        let run = |runner: Runner| {
+            let mut c = c0.clone();
+            let (a, b) = (a.as_slice(), b.as_slice());
+            runner.run(m, n, k, 2.0, a, k, b, n, 0.5, c.as_mut_slice(), n);
+            c
+        };
+        let portable = run(Runner::Instance(Instance::Portable));
+        for runner in runners() {
+            let what = format!("{runner:?} vs Portable");
+            assert_same_bits(run(runner).as_slice(), portable.as_slice(), &what);
+        }
     }
 
     /// The one documented departure from the unpacked loop: it skipped
