@@ -101,7 +101,8 @@ fn bench_bcast_algorithms(c: &mut Criterion) {
             b.iter(|| {
                 Universe::new(8, ZeroCost).run(|mut comm| {
                     for _ in 0..16 {
-                        comm.bcast_with(0, Payload::F64(vec![1.0; 1024]), algo);
+                        comm.try_bcast_with(0, Payload::F64(vec![1.0; 1024]), algo)
+                            .expect("bcast");
                     }
                     comm.rank()
                 })

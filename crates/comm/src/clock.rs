@@ -96,31 +96,6 @@ impl HockneyModel {
     }
 }
 
-impl HockneyModel {
-    /// Fits `(α, β)` to measured `(bytes, seconds)` transfer samples by
-    /// ordinary least squares — how one calibrates the model against a
-    /// real interconnect (ping-pong benchmarks at multiple sizes).
-    ///
-    /// # Panics
-    /// Panics with fewer than two samples or degenerate (all-equal) sizes.
-    pub fn fit(samples: &[(usize, f64)]) -> Self {
-        assert!(samples.len() >= 2, "need at least two samples");
-        let n = samples.len() as f64;
-        let sx: f64 = samples.iter().map(|&(b, _)| b as f64).sum();
-        let sy: f64 = samples.iter().map(|&(_, t)| t).sum();
-        let sxx: f64 = samples.iter().map(|&(b, _)| (b as f64) * (b as f64)).sum();
-        let sxy: f64 = samples.iter().map(|&(b, t)| b as f64 * t).sum();
-        let denom = n * sxx - sx * sx;
-        assert!(denom.abs() > 1e-30, "degenerate samples (all sizes equal)");
-        let beta = (n * sxy - sx * sy) / denom;
-        let alpha = (sy - beta * sx) / n;
-        Self {
-            alpha: alpha.max(0.0),
-            beta: beta.max(0.0),
-        }
-    }
-}
-
 impl CostModel for HockneyModel {
     fn transfer_time(&self, bytes: usize) -> f64 {
         self.alpha + self.beta * bytes as f64
@@ -138,49 +113,17 @@ impl CostModel for ZeroCost {
     }
 }
 
-/// What a rank was doing during a traced interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// Local computation (a DGEMM).
-    Compute,
-    /// Active communication (occupying a link).
-    Comm,
-    /// Blocked waiting for a message to arrive.
-    Wait,
-}
-
-/// One interval of a rank's timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceEvent {
-    /// Activity during the interval.
-    pub kind: TraceKind,
-    /// Interval start (virtual seconds).
-    pub start: f64,
-    /// Interval end.
-    pub end: f64,
-}
-
-impl TraceEvent {
-    /// Interval length.
-    pub fn duration(&self) -> f64 {
-        self.end - self.start
-    }
-}
-
 /// Per-rank virtual clock with attributed time categories.
 ///
 /// `now` is the rank's position on the virtual timeline. Time advances are
 /// attributed to computation (`advance_compute`) or communication
 /// (`advance_comm` / `wait_until`), mirroring how the paper separates
-/// Figures 6b/7b (computation) from 6c/7c (communication). With tracing
-/// enabled every advance is also recorded as a [`TraceEvent`], giving a
-/// full Gantt timeline of the run.
+/// Figures 6b/7b (computation) from 6c/7c (communication).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct VirtualClock {
     now: f64,
     comp_time: f64,
     comm_time: f64,
-    trace: Option<Vec<TraceEvent>>,
 }
 
 impl VirtualClock {
@@ -194,43 +137,19 @@ impl VirtualClock {
         self.now
     }
 
-    /// Enables event tracing from this moment on.
-    pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Vec::new());
-        }
-    }
-
-    /// The recorded timeline, if tracing is enabled.
-    pub fn trace(&self) -> Option<&[TraceEvent]> {
-        self.trace.as_deref()
-    }
-
-    fn record(&mut self, kind: TraceKind, start: f64, end: f64) {
-        if end > start {
-            if let Some(t) = &mut self.trace {
-                t.push(TraceEvent { kind, start, end });
-            }
-        }
-    }
-
     /// Advances the clock by `dt` seconds of computation.
     pub fn advance_compute(&mut self, dt: f64) {
         assert!(dt >= 0.0 && dt.is_finite(), "invalid compute advance {dt}");
-        let start = self.now;
         self.now += dt;
         self.comp_time += dt;
-        self.record(TraceKind::Compute, start, start + dt);
     }
 
     /// Advances the clock by `dt` seconds of communication work (e.g. the
     /// sender side of a transfer).
     pub fn advance_comm(&mut self, dt: f64) {
         assert!(dt >= 0.0 && dt.is_finite(), "invalid comm advance {dt}");
-        let start = self.now;
         self.now += dt;
         self.comm_time += dt;
-        self.record(TraceKind::Comm, start, start + dt);
     }
 
     /// Moves the clock forward to `t` if `t` is in the future, attributing
@@ -239,10 +158,8 @@ impl VirtualClock {
     pub fn wait_until(&mut self, t: f64) -> f64 {
         if t > self.now {
             let waited = t - self.now;
-            let start = self.now;
             self.comm_time += waited;
             self.now = t;
-            self.record(TraceKind::Wait, start, t);
             waited
         } else {
             0.0
@@ -297,45 +214,6 @@ mod tests {
     #[should_panic(expected = "non-positive bandwidth")]
     fn hockney_rejects_zero_bandwidth() {
         HockneyModel::from_latency_bandwidth(0.0, 0.0);
-    }
-
-    #[test]
-    fn fit_recovers_exact_parameters() {
-        let truth = HockneyModel {
-            alpha: 5e-6,
-            beta: 2e-10,
-        };
-        let samples: Vec<(usize, f64)> = [0usize, 1_000, 10_000, 1_000_000]
-            .iter()
-            .map(|&b| (b, truth.transfer_time(b)))
-            .collect();
-        let fitted = HockneyModel::fit(&samples);
-        assert!((fitted.alpha - truth.alpha).abs() < 1e-12);
-        assert!((fitted.beta - truth.beta).abs() < 1e-18);
-    }
-
-    #[test]
-    fn fit_tolerates_noise() {
-        let truth = HockneyModel {
-            alpha: 1e-5,
-            beta: 4e-10,
-        };
-        // Deterministic +-5 % noise.
-        let samples: Vec<(usize, f64)> = (1..=20)
-            .map(|k| {
-                let b = k * 100_000;
-                let noise = 1.0 + 0.05 * if k % 2 == 0 { 1.0 } else { -1.0 };
-                (b, truth.transfer_time(b) * noise)
-            })
-            .collect();
-        let fitted = HockneyModel::fit(&samples);
-        assert!((fitted.beta - truth.beta).abs() / truth.beta < 0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "degenerate samples")]
-    fn fit_rejects_constant_sizes() {
-        HockneyModel::fit(&[(100, 1.0), (100, 2.0)]);
     }
 
     #[test]

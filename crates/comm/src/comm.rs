@@ -1,13 +1,14 @@
-//! The [`Communicator`]: ranks, point-to-point messaging, collectives, and
-//! `split` — the subset of MPI that SummaGen uses.
+//! The [`Communicator`]: ranks, point-to-point messaging, broadcast,
+//! gather, barrier and sub-communicators — the subset of MPI that SummaGen
+//! uses.
 //!
-//! Every blocking operation exists in two forms: the historical infallible
-//! method (`send`, `recv`, `bcast`, …) which panics on failure, and a
-//! fallible `try_` twin returning [`CommResult`]. The `try_` family is what
-//! makes the runtime fault-tolerant: when a peer dies mid-collective the
-//! survivors get `Err(CommError::PeerFailed { .. })` within milliseconds
-//! (a *death notice* wakes their blocked receives) instead of hanging
-//! until the receive timeout.
+//! Every operation has one fallible form returning [`CommResult`]. That is
+//! what makes the runtime fault-tolerant: when a peer dies mid-collective
+//! the survivors get `Err(CommError::PeerFailed { .. })` within
+//! milliseconds (a *death notice* wakes their blocked receives) instead of
+//! hanging until the receive timeout. `send`, `recv` and `bcast` also keep
+//! a panicking form for the wall-clock benchmark's ping-pong and panel
+//! layers.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,7 +40,7 @@ pub struct TrafficStats {
     pub bytes_recv: u64,
 }
 
-/// Broadcast algorithm selection for [`Communicator::bcast_with`].
+/// Broadcast algorithm selection for [`Communicator::try_bcast_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BcastAlgorithm {
     /// Root sends to every rank sequentially — `p - 1` link occupations
@@ -49,30 +50,6 @@ pub enum BcastAlgorithm {
     /// Binomial tree — `⌈log₂ p⌉` rounds, forwarding through
     /// intermediate ranks.
     Binomial,
-}
-
-/// Reduction operators for [`Communicator::allreduce_f64`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceOp {
-    /// Elementwise sum.
-    Sum,
-    /// Elementwise maximum.
-    Max,
-    /// Elementwise minimum.
-    Min,
-}
-
-impl ReduceOp {
-    fn apply(&self, acc: &mut [f64], x: &[f64]) {
-        assert_eq!(acc.len(), x.len(), "reduce length mismatch");
-        for (a, b) in acc.iter_mut().zip(x) {
-            *a = match self {
-                ReduceOp::Sum => *a + *b,
-                ReduceOp::Max => a.max(*b),
-                ReduceOp::Min => a.min(*b),
-            };
-        }
-    }
 }
 
 /// Reserved communicator id for control (death-notice) envelopes. User
@@ -270,7 +247,7 @@ impl Mailbox {
                     shared.beat(me);
                 }
                 // Our own inbox was closed: this rank has been marked dead
-                // (it resigned) — it cannot receive anything anymore.
+                // (it died) — it cannot receive anything anymore.
                 Err(RecvError::Closed) => return Err(CommError::ChannelClosed { rank: me }),
             }
         }
@@ -409,8 +386,6 @@ pub struct Communicator {
     stats: Arc<Mutex<TrafficStats>>,
     /// Sequence number for collective operations (tag disambiguation).
     coll_seq: u64,
-    /// Sequence number for `split` (deterministic child communicator ids).
-    split_seq: u64,
 }
 
 /// Tags at or above this value are reserved for collectives.
@@ -453,7 +428,6 @@ impl Communicator {
             clock,
             stats,
             coll_seq: 0,
-            split_seq: 0,
         }
     }
 
@@ -465,11 +439,6 @@ impl Communicator {
     /// Number of ranks in the communicator.
     pub fn size(&self) -> usize {
         self.group.len()
-    }
-
-    /// Translates a communicator-local rank to the universe-global rank.
-    pub fn global_rank_of(&self, local: usize) -> usize {
-        self.group[local]
     }
 
     /// This rank's universe-global rank.
@@ -499,29 +468,10 @@ impl Communicator {
         *self.stats.lock()
     }
 
-    /// The rank's recorded event timeline, if the universe was created
-    /// with tracing enabled.
-    pub fn trace_snapshot(&self) -> Option<Vec<crate::clock::TraceEvent>> {
-        self.clock.lock().trace().map(|t| t.to_vec())
-    }
-
     /// The configured blocking-receive timeout (see
     /// `Universe::recv_timeout`).
     pub fn recv_timeout(&self) -> Duration {
         self.shared.recv_timeout
-    }
-
-    /// Whether the given universe-global rank has been marked dead.
-    pub fn is_failed(&self, global_rank: usize) -> bool {
-        self.shared.failed[global_rank].load(Ordering::SeqCst)
-    }
-
-    /// Voluntarily marks this rank as dead and wakes every peer blocked on
-    /// it. `Universe::try_run` calls this automatically when a rank's
-    /// closure panics or returns `Err`; call it directly only when bailing
-    /// out of a run by other means.
-    pub fn resign(&self) {
-        self.shared.death_notice(self.global_rank());
     }
 
     /// Advances this rank's virtual clock by `dt` seconds of computation.
@@ -977,8 +927,13 @@ impl Communicator {
     /// MPI implementations behave for the paper's 3-rank communicators).
     /// Every rank passes its payload; non-roots' inputs are ignored and the
     /// root's payload is returned on every rank.
+    ///
+    /// # Panics
+    /// Panics if a member has failed or the receive times out; use
+    /// [`Communicator::try_bcast`] to handle those cases.
     pub fn bcast(&mut self, root: usize, payload: Payload) -> Payload {
-        self.bcast_with(root, payload, BcastAlgorithm::Flat)
+        self.try_bcast(root, payload)
+            .unwrap_or_else(|e| panic!("bcast from root {root} failed: {e}"))
     }
 
     /// Fallible [`Communicator::bcast`].
@@ -991,15 +946,11 @@ impl Communicator {
     /// `Binomial` forwards along a binomial tree (`O(log p)` rounds), the
     /// usual MPI choice for larger communicators. Results are identical;
     /// only the virtual-time profile differs.
-    pub fn bcast_with(&mut self, root: usize, payload: Payload, algo: BcastAlgorithm) -> Payload {
-        self.try_bcast_with(root, payload, algo)
-            .unwrap_or_else(|e| panic!("bcast from root {root} failed: {e}"))
-    }
-
-    /// Fallible [`Communicator::bcast_with`]. On failure the collective is
-    /// *not* transactional: some ranks may already hold the payload while
-    /// others got an error — the caller must treat the whole attempt as
-    /// void (re-partition and retry, as `multiply_with_recovery` does).
+    ///
+    /// On failure the collective is *not* transactional: some ranks may
+    /// already hold the payload while others got an error — the caller
+    /// must treat the whole attempt as void (re-partition and retry, as
+    /// `multiply_with_recovery` does).
     pub fn try_bcast_with(
         &mut self,
         root: usize,
@@ -1070,12 +1021,6 @@ impl Communicator {
 
     /// Gather: every rank contributes a payload; the root receives all of
     /// them indexed by rank and returns `Some(vec)`, others return `None`.
-    pub fn gather(&mut self, root: usize, payload: Payload) -> Option<Vec<Payload>> {
-        self.try_gather(root, payload)
-            .unwrap_or_else(|e| panic!("gather to root {root} failed: {e}"))
-    }
-
-    /// Fallible [`Communicator::gather`].
     pub fn try_gather(
         &mut self,
         root: usize,
@@ -1098,103 +1043,9 @@ impl Communicator {
         })
     }
 
-    /// All-gather of `u64` metadata (used by `split` and the partition
-    /// distribution phase).
-    pub fn allgather_u64(&mut self, data: &[u64]) -> Vec<Vec<u64>> {
-        self.try_allgather_u64(data)
-            .unwrap_or_else(|e| panic!("allgather_u64 failed: {e}"))
-    }
-
-    /// Fallible [`Communicator::allgather_u64`].
-    pub fn try_allgather_u64(&mut self, data: &[u64]) -> CommResult<Vec<Vec<u64>>> {
-        let gathered = self.try_gather(0, Payload::U64(data.to_vec()))?;
-        let flat: Vec<u64> = match gathered {
-            Some(parts) => {
-                let mut flat = Vec::new();
-                for p in parts {
-                    flat.extend(p.try_into_u64()?);
-                }
-                flat
-            }
-            None => Vec::new(),
-        };
-        let out = self.try_bcast(0, Payload::U64(flat))?.try_into_u64()?;
-        let each = data.len();
-        assert_eq!(out.len(), each * self.size(), "ragged allgather_u64");
-        Ok(out.chunks(each).map(|c| c.to_vec()).collect())
-    }
-
-    /// All-gather of `f64` vectors of uniform length.
-    pub fn allgather_f64(&mut self, data: &[f64]) -> Vec<Vec<f64>> {
-        self.try_allgather_f64(data)
-            .unwrap_or_else(|e| panic!("allgather_f64 failed: {e}"))
-    }
-
-    /// Fallible [`Communicator::allgather_f64`].
-    pub fn try_allgather_f64(&mut self, data: &[f64]) -> CommResult<Vec<Vec<f64>>> {
-        let gathered = self.try_gather(0, Payload::F64(data.to_vec()))?;
-        let flat: Vec<f64> = match gathered {
-            Some(parts) => {
-                let mut flat = Vec::new();
-                for p in parts {
-                    flat.extend(p.try_into_f64()?);
-                }
-                flat
-            }
-            None => Vec::new(),
-        };
-        let out = self.try_bcast(0, Payload::F64(flat))?.try_into_f64()?;
-        let each = data.len();
-        assert_eq!(out.len(), each * self.size(), "ragged allgather_f64");
-        Ok(out.chunks(each).map(|c| c.to_vec()).collect())
-    }
-
-    /// All-reduce over `f64` vectors. Reduction is performed in rank order,
-    /// so results are bit-deterministic.
-    pub fn allreduce_f64(&mut self, data: &[f64], op: ReduceOp) -> Vec<f64> {
-        self.try_allreduce_f64(data, op)
-            .unwrap_or_else(|e| panic!("allreduce_f64 failed: {e}"))
-    }
-
-    /// Fallible [`Communicator::allreduce_f64`].
-    pub fn try_allreduce_f64(&mut self, data: &[f64], op: ReduceOp) -> CommResult<Vec<f64>> {
-        let parts = self.try_allgather_f64(data)?;
-        let mut acc = parts[0].clone();
-        for p in &parts[1..] {
-            op.apply(&mut acc, p);
-        }
-        Ok(acc)
-    }
-
-    /// Combined send and receive (like `MPI_Sendrecv`): ships `payload`
-    /// to `dst` and returns the message received from `src`, without
-    /// deadlock regardless of ordering (sends are buffered).
-    pub fn sendrecv(&self, dst: usize, src: usize, tag: u64, payload: Payload) -> Payload {
-        self.send(dst, tag, payload);
-        self.recv(src, tag)
-    }
-
-    /// Fallible [`Communicator::sendrecv`].
-    pub fn try_sendrecv(
-        &self,
-        dst: usize,
-        src: usize,
-        tag: u64,
-        payload: Payload,
-    ) -> CommResult<Payload> {
-        self.try_send(dst, tag, payload)?;
-        self.try_recv(src, tag)
-    }
-
     /// Barrier: no rank leaves before every rank has entered. Virtual
     /// clocks are synchronized to the latest participant (plus the small
     /// control-message cost).
-    pub fn barrier(&mut self) {
-        self.try_barrier()
-            .unwrap_or_else(|e| panic!("barrier failed: {e}"));
-    }
-
-    /// Fallible [`Communicator::barrier`].
     pub fn try_barrier(&mut self) -> CommResult<()> {
         self.with_collective_span(CollectiveOp::Barrier, 0, |comm| {
             // Gather an empty message to rank 0, then broadcast it back.
@@ -1207,35 +1058,24 @@ impl Communicator {
     /// Builds a sub-communicator from an explicitly known member list
     /// without any communication. All members must call with the *same*
     /// sorted list of parent-local ranks and the same `label`; the label
-    /// distinguishes different subgroups with identical membership.
+    /// distinguishes different subgroups with identical membership, and
+    /// groups with different membership never share an id, whatever their
+    /// labels.
     ///
     /// This is how SummaGen builds its per-sub-partition-row and -column
     /// communicators: group membership is fully determined by the partition
     /// spec every rank already holds, so the `MPI_Comm_split` exchange can
     /// be skipped. Ranks not in `members` should simply not call.
     ///
-    /// Returns `None` if this rank is not in `members`.
-    ///
-    /// # Panics
-    /// Panics if `members` is not strictly increasing or contains an
-    /// out-of-range rank; use [`Communicator::try_subgroup`] for the typed
-    /// [`CommError::InvalidGroup`] error instead.
-    pub fn subgroup(&self, members: &[usize], label: u64) -> Option<Communicator> {
-        self.try_subgroup(members, label)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Communicator::subgroup`]: returns
-    /// [`CommError::InvalidGroup`] when the member list is empty, not
-    /// strictly increasing, or names an out-of-range rank, instead of
-    /// panicking. `Ok(None)` means the list was valid but this rank is
-    /// not in it.
+    /// Returns [`CommError::InvalidGroup`] when the member list is empty,
+    /// not strictly increasing, or names an out-of-range rank. `Ok(None)`
+    /// means the list was valid but this rank is not in it.
     pub fn try_subgroup(&self, members: &[usize], label: u64) -> CommResult<Option<Communicator>> {
-        if members.is_empty() {
+        let Some(&last) = members.last() else {
             return Err(CommError::InvalidGroup {
                 reason: "member list is empty".into(),
             });
-        }
+        };
         for w in members.windows(2) {
             if w[0] >= w[1] {
                 return Err(CommError::InvalidGroup {
@@ -1246,7 +1086,6 @@ impl Communicator {
                 });
             }
         }
-        let last = *members.last().unwrap();
         if last >= self.size() {
             return Err(CommError::InvalidGroup {
                 reason: format!(
@@ -1259,53 +1098,8 @@ impl Communicator {
             return Ok(None);
         };
         let group: Vec<usize> = members.iter().map(|&m| self.group[m]).collect();
-        let child_id = mix(mix(self.comm_id ^ mix(label)) ^ 0x5347_5542); // "SGUB"
-        Ok(Some(Communicator::new(
-            child_id,
-            new_rank,
-            Arc::new(group),
-            Arc::clone(&self.shared),
-            Arc::clone(&self.mailbox),
-            Arc::clone(&self.clock),
-            Arc::clone(&self.stats),
-        )))
-    }
-
-    /// Splits the communicator by color, ordering the members of each child
-    /// communicator by `(key, parent rank)`. Ranks passing `None` receive
-    /// `None` (they do not join any child). This mirrors `MPI_Comm_split`
-    /// and is what builds SummaGen's per-sub-partition-row and -column
-    /// communicators.
-    pub fn split(&mut self, color: Option<u64>, key: u64) -> Option<Communicator> {
-        self.try_split(color, key)
-            .unwrap_or_else(|e| panic!("split failed: {e}"))
-    }
-
-    /// Fallible [`Communicator::split`]. The color/key exchange is a
-    /// collective, so it fails like one when a member is dead.
-    pub fn try_split(&mut self, color: Option<u64>, key: u64) -> CommResult<Option<Communicator>> {
-        let split_seq = self.split_seq;
-        self.split_seq += 1;
-        // Exchange (participates, color, key) triples.
-        let mine = [u64::from(color.is_some()), color.unwrap_or(0), key];
-        let all = self.try_allgather_u64(&mine)?;
-        let my_color = match color {
-            Some(c) => c,
-            None => return Ok(None),
-        };
-        let mut members: Vec<(u64, usize)> = all
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v[0] == 1 && v[1] == my_color)
-            .map(|(r, v)| (v[2], r))
-            .collect();
-        members.sort_unstable();
-        let group: Vec<usize> = members.iter().map(|&(_, r)| self.group[r]).collect();
-        let new_rank = group
-            .iter()
-            .position(|&g| g == self.global_rank())
-            .expect("rank missing from its own split group");
-        let child_id = mix(mix(self.comm_id ^ mix(split_seq)) ^ mix(my_color));
+        let seed = mix(mix(self.comm_id ^ mix(label)) ^ 0x5347_5542); // "SGUB"
+        let child_id = group.iter().fold(seed, |id, &g| mix(id ^ g as u64));
         Ok(Some(Communicator::new(
             child_id,
             new_rank,
@@ -1324,26 +1118,15 @@ mod tests {
     use crate::{HockneyModel, Universe, ZeroCost};
 
     #[test]
-    fn reduce_ops_apply() {
-        let mut acc = vec![1.0, 5.0, -2.0];
-        ReduceOp::Sum.apply(&mut acc, &[1.0, 1.0, 1.0]);
-        assert_eq!(acc, vec![2.0, 6.0, -1.0]);
-        ReduceOp::Max.apply(&mut acc, &[0.0, 10.0, 0.0]);
-        assert_eq!(acc, vec![2.0, 10.0, 0.0]);
-        ReduceOp::Min.apply(&mut acc, &[3.0, 3.0, -5.0]);
-        assert_eq!(acc, vec![2.0, 3.0, -5.0]);
-    }
-
-    #[test]
     fn p2p_send_recv() {
         let out = Universe::new(2, ZeroCost).run(|mut comm| {
             if comm.rank() == 0 {
                 comm.send(1, 7, Payload::F64(vec![1.0, 2.0, 3.0]));
-                comm.barrier();
+                comm.try_barrier().expect("barrier");
                 0.0
             } else {
                 let p = comm.recv(0, 7).into_f64();
-                comm.barrier();
+                comm.try_barrier().expect("barrier");
                 p.iter().sum()
             }
         });
@@ -1379,7 +1162,9 @@ mod tests {
     #[test]
     fn gather_collects_in_rank_order() {
         let out = Universe::new(3, ZeroCost).run(|mut comm| {
-            let res = comm.gather(1, Payload::U64(vec![comm.rank() as u64 * 10]));
+            let res = comm
+                .try_gather(1, Payload::U64(vec![comm.rank() as u64 * 10]))
+                .expect("gather");
             match res {
                 Some(parts) => parts
                     .into_iter()
@@ -1394,123 +1179,19 @@ mod tests {
     }
 
     #[test]
-    fn allgather_and_allreduce() {
-        let out = Universe::new(3, ZeroCost).run(|mut comm| {
-            let r = comm.rank() as f64;
-            let gathered = comm.allgather_f64(&[r, r * r]);
-            let sum = comm.allreduce_f64(&[r], ReduceOp::Sum)[0];
-            let max = comm.allreduce_f64(&[r], ReduceOp::Max)[0];
-            (gathered, sum, max)
-        });
-        for (gathered, sum, max) in out {
-            assert_eq!(
-                gathered,
-                vec![vec![0.0, 0.0], vec![1.0, 1.0], vec![2.0, 4.0]]
-            );
-            assert_eq!(sum, 3.0);
-            assert_eq!(max, 2.0);
-        }
-    }
-
-    #[test]
-    fn split_forms_correct_groups() {
-        let out = Universe::new(6, ZeroCost).run(|mut comm| {
-            // Even ranks -> color 0, odd -> color 1.
-            let color = (comm.rank() % 2) as u64;
-            let mut sub = comm.split(Some(color), comm.rank() as u64).unwrap();
-            // Inside the sub-communicator, gather global ranks at local 0.
-            let parts = sub.allgather_u64(&[comm.rank() as u64]);
-            let members: Vec<u64> = parts.into_iter().map(|v| v[0]).collect();
-            (sub.rank(), sub.size(), members)
-        });
-        assert_eq!(out[0], (0, 3, vec![0, 2, 4]));
-        assert_eq!(out[3], (1, 3, vec![1, 3, 5]));
-        assert_eq!(out[5], (2, 3, vec![1, 3, 5]));
-    }
-
-    #[test]
-    fn split_nonparticipant_gets_none() {
-        let out = Universe::new(3, ZeroCost).run(|mut comm| {
-            let color = if comm.rank() == 1 { None } else { Some(0) };
-            comm.split(color, 0).is_some()
-        });
-        assert_eq!(out, vec![true, false, true]);
-    }
-
-    #[test]
-    fn split_key_reorders_ranks() {
-        let out = Universe::new(3, ZeroCost).run(|mut comm| {
-            // Reverse order via key.
-            let key = (10 - comm.rank()) as u64;
-            let sub = comm.split(Some(0), key).unwrap();
-            sub.rank()
-        });
-        assert_eq!(out, vec![2, 1, 0]);
-    }
-
-    #[test]
     fn sub_communicators_do_not_crosstalk() {
-        let out = Universe::new(4, ZeroCost).run(|mut comm| {
-            let color = (comm.rank() / 2) as u64;
-            let mut sub = comm.split(Some(color), 0).unwrap();
-            // Both groups bcast concurrently with the same tag sequence.
+        let out = Universe::new(4, ZeroCost).run(|comm| {
+            let members = if comm.rank() < 2 { [0, 1] } else { [2, 3] };
+            let mut sub = comm
+                .try_subgroup(&members, 0)
+                .expect("valid")
+                .expect("member");
+            // Both groups bcast concurrently with the same label and tag
+            // sequence.
             let v = sub.bcast(0, Payload::U64(vec![comm.rank() as u64]));
             v.into_u64()[0]
         });
         assert_eq!(out, vec![0, 0, 2, 2]);
-    }
-
-    #[test]
-    fn tracing_records_timeline_intervals() {
-        use crate::clock::TraceKind;
-        let model = HockneyModel {
-            alpha: 1e-3,
-            beta: 1e-9,
-        };
-        let out = Universe::new(2, model).traced(true).run(|comm| {
-            if comm.rank() == 0 {
-                comm.advance_compute(0.5);
-                comm.send(1, 0, Payload::Phantom { elems: 1000 });
-            } else {
-                comm.recv(0, 0);
-                comm.advance_compute(0.25);
-            }
-            comm.trace_snapshot().expect("tracing enabled")
-        });
-        // Rank 0: one Compute then one Comm (the send).
-        assert_eq!(out[0].len(), 2);
-        assert_eq!(out[0][0].kind, TraceKind::Compute);
-        assert!((out[0][0].duration() - 0.5).abs() < 1e-12);
-        assert_eq!(out[0][1].kind, TraceKind::Comm);
-        // Rank 1: a Wait (blocked on the late sender) then Compute.
-        assert_eq!(out[1][0].kind, TraceKind::Wait);
-        assert_eq!(out[1][1].kind, TraceKind::Compute);
-        // Intervals are contiguous and monotone.
-        for tl in &out {
-            for w in tl.windows(2) {
-                assert!(w[0].end <= w[1].start + 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn tracing_off_by_default() {
-        let out = Universe::new(1, ZeroCost).run(|comm| {
-            comm.advance_compute(1.0);
-            comm.trace_snapshot()
-        });
-        assert!(out[0].is_none());
-    }
-
-    #[test]
-    fn sendrecv_ring_rotation() {
-        let out = Universe::new(4, ZeroCost).run(|comm| {
-            let right = (comm.rank() + 1) % 4;
-            let left = (comm.rank() + 3) % 4;
-            comm.sendrecv(right, left, 9, Payload::U64(vec![comm.rank() as u64]))
-                .into_u64()[0]
-        });
-        assert_eq!(out, vec![3, 0, 1, 2]);
     }
 
     #[test]
@@ -1563,7 +1244,8 @@ mod tests {
             for root in [0, p / 2, p - 1] {
                 let out = Universe::new(p, ZeroCost).run(|mut comm| {
                     let mine = Payload::U64(vec![comm.rank() as u64 + 100]);
-                    comm.bcast_with(root, mine, BcastAlgorithm::Binomial)
+                    comm.try_bcast_with(root, mine, BcastAlgorithm::Binomial)
+                        .expect("bcast")
                         .into_u64()[0]
                 });
                 assert_eq!(out, vec![root as u64 + 100; p], "p={p} root={root}");
@@ -1579,7 +1261,8 @@ mod tests {
         };
         let time_with = |algo: BcastAlgorithm| {
             let out = Universe::new(16, model).run(|mut comm| {
-                comm.bcast_with(0, Payload::Phantom { elems: 1 }, algo);
+                comm.try_bcast_with(0, Payload::Phantom { elems: 1 }, algo)
+                    .expect("bcast");
                 comm.now()
             });
             out.into_iter().fold(0.0, f64::max)
@@ -1597,18 +1280,20 @@ mod tests {
     fn flat_and_binomial_agree_on_payload() {
         let out = Universe::new(6, ZeroCost).run(|mut comm| {
             let a = comm
-                .bcast_with(
+                .try_bcast_with(
                     2,
                     Payload::U64(vec![comm.rank() as u64]),
                     BcastAlgorithm::Flat,
                 )
+                .expect("flat bcast")
                 .into_u64();
             let b = comm
-                .bcast_with(
+                .try_bcast_with(
                     2,
                     Payload::U64(vec![comm.rank() as u64 * 7]),
                     BcastAlgorithm::Binomial,
                 )
+                .expect("binomial bcast")
                 .into_u64();
             (a[0], b[0])
         });
@@ -1620,12 +1305,15 @@ mod tests {
         let out = Universe::new(4, ZeroCost).run(|comm| {
             let members = [1, 3];
             if members.contains(&comm.rank()) {
-                let mut sub = comm.subgroup(&members, 7).unwrap();
+                let mut sub = comm
+                    .try_subgroup(&members, 7)
+                    .expect("valid")
+                    .expect("member");
                 let v = sub.bcast(0, Payload::U64(vec![comm.rank() as u64]));
                 let traffic_before_world_ops = comm.traffic();
                 (v.into_u64()[0], traffic_before_world_ops.msgs_sent <= 1)
             } else {
-                assert!(comm.subgroup(&members, 7).is_none());
+                assert!(comm.try_subgroup(&members, 7).expect("valid").is_none());
                 // Non-members did not communicate at all.
                 (99, comm.traffic().msgs_sent == 0)
             }
@@ -1639,8 +1327,14 @@ mod tests {
     #[test]
     fn subgroups_with_same_members_different_labels_are_isolated() {
         let out = Universe::new(2, ZeroCost).run(|comm| {
-            let mut s1 = comm.subgroup(&[0, 1], 1).unwrap();
-            let mut s2 = comm.subgroup(&[0, 1], 2).unwrap();
+            let mut s1 = comm
+                .try_subgroup(&[0, 1], 1)
+                .expect("valid")
+                .expect("member");
+            let mut s2 = comm
+                .try_subgroup(&[0, 1], 2)
+                .expect("valid")
+                .expect("member");
             // Interleave: send on s2 first, receive on s1 first.
             if comm.rank() == 0 {
                 s2.bcast(0, Payload::U64(vec![200]));
@@ -1656,11 +1350,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank panicked")]
     fn subgroup_rejects_unsorted_members() {
-        Universe::new(2, ZeroCost).run(|comm| {
-            comm.subgroup(&[1, 0], 0);
-        });
+        let out = Universe::new(2, ZeroCost).run(|comm| comm.try_subgroup(&[1, 0], 0).err());
+        assert!(out
+            .iter()
+            .all(|e| matches!(e, Some(CommError::InvalidGroup { .. }))));
     }
 
     #[test]
@@ -1732,7 +1426,7 @@ mod tests {
     fn barrier_synchronizes_virtual_time() {
         let out = Universe::new(3, ZeroCost).run(|mut comm| {
             comm.advance_compute(comm.rank() as f64 * 2.0);
-            comm.barrier();
+            comm.try_barrier().expect("barrier");
             comm.now()
         });
         // After the barrier every clock is at least the max pre-barrier time.
@@ -1752,7 +1446,7 @@ mod tests {
                 comm.advance_compute(0.25 * (comm.rank() + 1) as f64);
                 let v = comm.bcast(0, Payload::Phantom { elems: 4096 });
                 comm.advance_compute(v.elems() as f64 * 1e-6);
-                comm.barrier();
+                comm.try_barrier().expect("barrier");
                 comm.now()
             })
         };
@@ -1783,12 +1477,12 @@ mod tests {
     }
 
     #[test]
-    fn survivor_sees_peer_failed_when_sender_resigns() {
+    fn survivor_sees_peer_failed_when_sender_dies() {
         let out = Universe::new(2, ZeroCost)
             .recv_timeout(Duration::from_secs(30))
             .run(|comm| {
                 if comm.rank() == 0 {
-                    comm.resign();
+                    comm.shared.death_notice(comm.global_rank());
                     Ok(Payload::U64(vec![]))
                 } else {
                     // Without the death notice this would block 30 s; the
@@ -1807,7 +1501,7 @@ mod tests {
         let out = Universe::new(2, ZeroCost).run(|comm| {
             if comm.rank() == 0 {
                 comm.send(1, 4, Payload::U64(vec![77]));
-                comm.resign();
+                comm.shared.death_notice(comm.global_rank());
                 0
             } else {
                 // Give the peer time to die first: its final message must
@@ -1823,7 +1517,7 @@ mod tests {
     fn send_to_dead_rank_fails_fast() {
         let out = Universe::new(2, ZeroCost).run(|comm| {
             if comm.rank() == 0 {
-                comm.resign();
+                comm.shared.death_notice(comm.global_rank());
                 Ok(())
             } else {
                 std::thread::sleep(Duration::from_millis(20));

@@ -317,16 +317,6 @@ impl RankFailure {
         out.dedup();
         out
     }
-
-    /// Whether every failure is a timeout (no identified dead rank) — the
-    /// signature of a deadlock or dropped message rather than a crash.
-    pub fn all_timeouts(&self) -> bool {
-        !self.failed.is_empty()
-            && self
-                .failed
-                .iter()
-                .all(|fr| matches!(&fr.cause, FailureCause::Error(CommError::Timeout { .. })))
-    }
 }
 
 impl fmt::Display for RankFailure {
@@ -382,7 +372,6 @@ mod tests {
             ],
         };
         assert_eq!(rf.root_failed_ranks(), vec![1]);
-        assert!(!rf.all_timeouts());
     }
 
     #[test]
@@ -527,7 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn all_timeouts_detects_deadlock_signature() {
+    fn timeouts_alone_name_no_root_failed_rank() {
         let timeout = || {
             FailureCause::Error(CommError::Timeout {
                 src: None,
@@ -547,7 +536,6 @@ mod tests {
                 },
             ],
         };
-        assert!(rf.all_timeouts());
         assert!(rf.root_failed_ranks().is_empty());
     }
 }

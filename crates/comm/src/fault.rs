@@ -507,20 +507,6 @@ impl LinkPlan {
         self
     }
 
-    /// Whether the plan can actually perturb traffic (a lossless plan
-    /// still installs the transport, but nothing will ever retransmit).
-    pub fn is_lossless(&self) -> bool {
-        self.drop_permille == 0
-            && self.dup_permille == 0
-            && self.reorder_permille == 0
-            && self.delay_permille == 0
-            && self.link_drop.iter().all(|&(_, _, p)| p == 0)
-            && self.hangs.is_empty()
-            && self.tcp_refuse.is_empty()
-            && self.tcp_reset.is_empty()
-            && self.tcp_stall.is_empty()
-    }
-
     /// Capped exponential backoff charged before retransmission
     /// `attempt` (1-based retry index).
     pub(crate) fn rto(&self, attempt: u32) -> f64 {
@@ -951,8 +937,6 @@ mod tests {
         assert_eq!(st.check_hang(1), None); // op 1
         assert_eq!(st.check_hang(1), Some(2));
         assert_eq!(st.check_hang(0), None);
-        assert!(!st.plan.is_lossless());
-        assert!(LinkPlan::seeded(9).is_lossless());
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! The paper executes SummaGen with Intel MPI, mapping one MPI process to
 //! one *abstract processor* (a CPU socket group, a GPU plus its host core,
 //! or a Xeon Phi plus its host core). This crate reproduces the MPI
-//! machinery SummaGen needs — ranks, communicators, `split` (the paper's
-//! `get_subp_comm` builds row/column communicators), point-to-point
-//! send/receive, broadcast, barrier, gather, and all-reduce — on top of OS
-//! threads and an in-crate channel implementation.
+//! machinery SummaGen needs — ranks, communicators, sub-communicators
+//! from a known member list (the paper's `get_subp_comm` builds
+//! row/column communicators), point-to-point send/receive, broadcast,
+//! gather and barrier — on top of OS threads and an in-crate channel
+//! implementation (or loopback TCP).
 //!
 //! Three things distinguish it from a plain channel wrapper:
 //!
@@ -20,10 +21,11 @@
 //!   tens of gigabytes) a message can carry only its element count. The cost
 //!   model and traffic accounting see the same byte counts either way, so
 //!   timed experiments and numeric correctness runs share one code path.
-//! * **Fault tolerance.** Every blocking operation has a fallible `try_`
-//!   variant returning [`CommResult`]; a deterministic [`FaultPlan`] can
-//!   kill ranks, drop or delay messages, and slow clocks at seeded trigger
-//!   points; and [`Universe::try_run`] catches per-rank panics, runs a
+//! * **Fault tolerance.** Every operation has one fallible `try_` form
+//!   returning [`CommResult`] (`send`, `recv` and `bcast` also keep a
+//!   panicking form for the wall-clock benchmark); a deterministic
+//!   [`FaultPlan`] can kill ranks, drop or delay messages, and slow clocks
+//!   at seeded trigger points; and [`Universe::try_run`] catches per-rank panics, runs a
 //!   death-notice protocol that unblocks the victim's peers within
 //!   milliseconds, and reports the aggregate [`RankFailure`].
 //!
@@ -49,11 +51,8 @@ mod sync;
 mod tcp;
 mod transport;
 
-pub use clock::{
-    ClockSnapshot, CostModel, HockneyModel, TraceEvent, TraceKind, TwoLevelTopology, VirtualClock,
-    ZeroCost,
-};
-pub use comm::{BcastAlgorithm, Communicator, ReduceOp, TrafficStats};
+pub use clock::{ClockSnapshot, CostModel, HockneyModel, TwoLevelTopology, VirtualClock, ZeroCost};
+pub use comm::{BcastAlgorithm, Communicator, TrafficStats};
 pub use error::{CommError, CommResult, FailedRank, FailureCause, RankFailure};
 pub use fault::{
     BlockCorrupt, FaultPlan, HangSpec, InjectedHang, InjectedKill, KillSpec, LinkPlan, MsgCorrupt,

@@ -107,11 +107,6 @@ impl Payload {
             }),
         }
     }
-
-    /// Whether this payload carries no real data.
-    pub fn is_phantom(&self) -> bool {
-        matches!(self, Payload::Phantom { .. })
-    }
 }
 
 /// A message in flight between two global ranks.
@@ -119,7 +114,7 @@ impl Payload {
 pub(crate) struct Envelope {
     /// Global rank of the sender.
     pub src: usize,
-    /// Communicator identity (so split communicators do not cross-talk).
+    /// Communicator identity (so sub-communicators do not cross-talk).
     pub comm_id: u64,
     /// User tag.
     pub tag: u64,
@@ -151,12 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn phantom_detection() {
-        assert!(Payload::Phantom { elems: 1 }.is_phantom());
-        assert!(!Payload::F64(vec![]).is_phantom());
-    }
-
-    #[test]
     fn into_f64_roundtrip() {
         let v = vec![1.5, 2.5];
         assert_eq!(Payload::F64(v.clone()).into_f64(), v);
@@ -167,7 +156,6 @@ mod tests {
         let buf = Arc::new(vec![1.5, 2.5, 3.5]);
         let p = Payload::SharedF64(Arc::clone(&buf));
         assert_eq!((p.elems(), p.bytes(), p.kind()), (3, 24, "F64"));
-        assert!(!p.is_phantom());
         // A clone is the same buffer, and extraction hands it over as is.
         assert!(Arc::ptr_eq(&p.clone().try_into_shared_f64().unwrap(), &buf));
         // An owned vector moves behind a reference without a copy.

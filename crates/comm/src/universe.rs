@@ -191,7 +191,6 @@ impl HeartbeatConfig {
 pub struct Universe {
     size: usize,
     cost: Arc<dyn CostModel>,
-    traced: bool,
     recv_timeout: Duration,
     faults: Option<FaultPlan>,
     link: Option<LinkPlan>,
@@ -231,7 +230,6 @@ impl Universe {
         Self {
             size,
             cost: Arc::new(cost),
-            traced: false,
             recv_timeout: default_recv_timeout(),
             faults: None,
             link: None,
@@ -255,7 +253,6 @@ impl Universe {
         Ok(Self {
             size,
             cost: Arc::new(cost),
-            traced: false,
             recv_timeout,
             faults: None,
             link: None,
@@ -264,14 +261,6 @@ impl Universe {
             metrics: None,
             backend: Backend::Channel,
         })
-    }
-
-    /// Enables per-rank event tracing: every rank's clock records a
-    /// [`crate::clock::TraceEvent`] timeline, retrievable through
-    /// [`crate::Communicator::trace_snapshot`].
-    pub fn traced(mut self, on: bool) -> Self {
-        self.traced = on;
-        self
     }
 
     /// Sets how long a blocking receive waits for a matching message
@@ -418,17 +407,13 @@ impl Universe {
             .into_iter()
             .enumerate()
             .map(|(rank, rx)| {
-                let mut clock = VirtualClock::new();
-                if self.traced {
-                    clock.enable_trace();
-                }
                 Communicator::new(
                     world_id,
                     rank,
                     Arc::clone(&group),
                     Arc::clone(&shared),
                     Arc::new(Mutex::new(Mailbox::new(rx))),
-                    Arc::new(Mutex::new(clock)),
+                    Arc::new(Mutex::new(VirtualClock::new())),
                     Arc::new(Mutex::new(TrafficStats::default())),
                 )
             })

@@ -17,8 +17,9 @@ fn metrics_account_every_message_and_collective() {
         .run(|mut comm| {
             let v = comm.bcast(0, Payload::U64(vec![7, 7, 7])).into_u64();
             assert_eq!(v, vec![7, 7, 7]);
-            comm.barrier();
-            comm.gather(1, Payload::U64(vec![comm.rank() as u64]));
+            comm.try_barrier().expect("barrier");
+            comm.try_gather(1, Payload::U64(vec![comm.rank() as u64]))
+                .expect("gather");
         });
     // Flat bcast: p-1 sends; barrier: gather-to-0 (p-1) + bcast (p-1);
     // gather-to-1: p-1. Each send has a matching recv.

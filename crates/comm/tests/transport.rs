@@ -30,7 +30,7 @@ fn lossless_link_plan_keeps_reliable_timing() {
                 let got = comm.recv(0, 7).into_f64();
                 assert_eq!(got.len(), 4096);
             }
-            comm.barrier();
+            comm.try_barrier().expect("barrier");
             comm.clock_snapshot().now
         })
     };
@@ -56,7 +56,7 @@ fn lossy_exchange(seed: u64, drop_permille: u16) -> (Vec<u64>, u64, u64, f64) {
                     got.push(comm.recv(0, i).into_u64()[0]);
                 }
             }
-            comm.barrier();
+            comm.try_barrier().expect("barrier");
             (got, comm.clock_snapshot().now)
         });
     let (got, _) = out[1].clone();
@@ -230,8 +230,38 @@ fn empty_subgroup_members_is_a_typed_error() {
     }
 }
 
-/// Broadcast + allreduce under the given plan; returns the bit patterns
-/// every rank ended up with so runs can be compared exactly.
+/// Two subgroups under one label but with different members must not
+/// share a communicator id: rank 0 broadcasts on the 3-group first, rank 1
+/// joins the 2-group's broadcast first, and each must still get its own
+/// group's value.
+#[test]
+fn same_label_different_members_do_not_cross_talk() {
+    let out = Universe::new(3, ZeroCost).run(|comm| {
+        let mut three = comm
+            .try_subgroup(&[0, 1, 2], 7)
+            .expect("valid")
+            .expect("member");
+        let mut two = comm.try_subgroup(&[0, 1], 7).expect("valid");
+        let bcast = |c: &mut summagen_comm::Communicator, v: u64| {
+            c.try_bcast(0, Payload::U64(vec![v]))
+                .expect("bcast")
+                .into_u64()[0]
+        };
+        match (comm.rank(), two.as_mut()) {
+            (0, Some(two)) => (bcast(&mut three, 111), bcast(two, 222)),
+            (1, Some(two)) => {
+                let b = bcast(two, 0);
+                (bcast(&mut three, 0), b)
+            }
+            (_, _) => (bcast(&mut three, 0), 0),
+        }
+    });
+    assert_eq!(out, vec![(111, 222), (111, 222), (111, 0)]);
+}
+
+/// Broadcast, gather and a rank-order sum broadcast back, under the given
+/// plan; returns the bit patterns every rank ended up with so runs can be
+/// compared exactly.
 fn collective_bits(plan: Option<LinkPlan>, data: &[f64]) -> Vec<Vec<u64>> {
     let data = data.to_vec();
     let mut u = Universe::new(3, HockneyModel::intra_node());
@@ -246,7 +276,17 @@ fn collective_bits(plan: Option<LinkPlan>, data: &[f64]) -> Vec<Vec<u64>> {
             .iter()
             .map(|v| v * (comm.rank() as f64 + 1.0))
             .collect();
-        let sum = comm.allreduce_f64(&contrib, summagen_comm::ReduceOp::Sum);
+        let parts = comm.try_gather(0, Payload::F64(contrib)).expect("gather");
+        let sum = parts.map(|parts| {
+            parts
+                .into_iter()
+                .map(Payload::into_f64)
+                .reduce(|acc, x| acc.iter().zip(&x).map(|(a, b)| a + b).collect())
+                .expect("one part per rank")
+        });
+        let sum = comm
+            .bcast(0, Payload::F64(sum.unwrap_or_default()))
+            .into_f64();
         root_view
             .iter()
             .chain(sum.iter())
@@ -266,8 +306,9 @@ fn seeded_retx_counts(seed: u64) -> (u64, u64, u64) {
         .with_heartbeat(HeartbeatConfig::default())
         .with_metrics(m.clone())
         .run(|mut comm| {
-            let v = comm.bcast(0, Payload::F64(vec![2.5; 64])).into_f64();
-            comm.allreduce_f64(&v, summagen_comm::ReduceOp::Max);
+            let v = comm.bcast(0, Payload::F64(vec![2.5; 64]));
+            comm.try_gather(0, v).expect("gather");
+            comm.try_barrier().expect("barrier");
         });
     (
         m.transport_retransmits.get(),

@@ -7,7 +7,7 @@
 //! * `universe` turns a [`RunOptions`] into a configured [`Universe`];
 //!   [`launch`] runs one closure per rank, a thread each, [`run_phantom`]
 //!   hosts all ranks on its caller ([`Universe::host`]), and both collect
-//!   every rank's clock, traffic and (optionally) timeline the same way;
+//!   every rank's clock and traffic the same way;
 //! * [`Launched::times`] folds the per-rank clocks into the
 //!   `exec/comp/comm_time` that [`RunResult`] and [`SimReport`] report;
 //! * [`shrink_and_retry`] is the ULFM-style recovery loop: what one
@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 
 use summagen_comm::{
     ClockSnapshot, CommError, CommResult, Communicator, CostModel, FailureCause, FaultPlan,
-    RankFailure, TraceEvent, TrafficStats, Universe,
+    RankFailure, TrafficStats, Universe,
 };
 use summagen_matrix::{DenseMatrix, GemmKernel};
 use summagen_partition::{
@@ -47,8 +47,6 @@ pub(crate) struct Launched<R> {
     pub per_rank: Vec<R>,
     pub clocks: Vec<ClockSnapshot>,
     pub traffic: Vec<TrafficStats>,
-    /// Per-rank timelines, when [`RunOptions::timelines`] asked for them.
-    pub timelines: Option<Vec<Vec<TraceEvent>>>,
 }
 
 impl<R> Launched<R> {
@@ -71,29 +69,24 @@ impl<R> Launched<R> {
             traffic: self.traffic,
             total_flops: 2.0 * (n as f64).powi(3),
             energy: None,
-            timelines: self.timelines,
         }
     }
 
     fn new(ranks: impl IntoIterator<Item = (R, Readout)>) -> Self {
-        let (per_rank, (clocks, (traffic, timelines))): (_, (_, (_, Vec<_>))) =
-            ranks.into_iter().unzip();
+        let (per_rank, (clocks, traffic)) = ranks.into_iter().unzip();
         Launched {
             per_rank,
             clocks,
             traffic,
-            // `Some` iff every rank recorded one, i.e. iff `opts.timelines`.
-            timelines: timelines.into_iter().collect(),
         }
     }
 }
 
 /// What the engine reads off a rank once its work is done.
-type Readout = (ClockSnapshot, (TrafficStats, Option<Vec<TraceEvent>>));
+type Readout = (ClockSnapshot, TrafficStats);
 
 fn readout(comm: &Communicator) -> Readout {
-    let timeline = comm.trace_snapshot();
-    (comm.clock_snapshot(), (comm.traffic(), timeline))
+    (comm.clock_snapshot(), comm.traffic())
 }
 
 /// A fresh universe of `nprocs` ranks configured from `opts`, under
@@ -106,8 +99,7 @@ fn universe(
 ) -> Universe {
     let mut universe = Universe::new(nprocs, cost)
         .recv_timeout(opts.recv_timeout)
-        .with_backend(opts.backend)
-        .traced(opts.timelines);
+        .with_backend(opts.backend);
     if let Some(plan) = faults {
         universe = universe.with_faults(plan);
     }
@@ -456,7 +448,7 @@ mod tests {
     }
 
     /// Hosting all ranks on the caller changes nothing a run reports:
-    /// clocks, traffic, timelines and every rank's ordered span list equal
+    /// clocks, traffic and every rank's ordered span list equal
     /// the one-thread-per-rank run's, whatever is watching and on either
     /// wire.
     #[test]
@@ -470,28 +462,25 @@ mod tests {
         for (spec, backend, watching) in paper
             .iter()
             .chain([&beaumont])
-            .flat_map(|spec| (0..8u32).map(move |w| (spec, Backend::Channel, w)))
-            .chain([(&paper[0], Backend::Tcp, 0), (&beaumont, Backend::Tcp, 7)])
+            .flat_map(|spec| (0..4u32).map(move |w| (spec, Backend::Channel, w)))
+            .chain([(&paper[0], Backend::Tcp, 0), (&beaumont, Backend::Tcp, 3)])
         {
             let logs = [Arc::new(SpanLog::default()), Arc::new(SpanLog::default())];
             let opts = |log: &Arc<SpanLog>| RunOptions {
                 backend,
                 sink: (watching & 1 != 0).then(|| Arc::clone(log) as Arc<dyn EventSink>),
                 metrics: (watching & 2 != 0).then(RuntimeMetrics::fresh),
-                timelines: watching & 4 != 0,
                 ..RunOptions::default()
             };
             let (watched_threaded, watched_hosted) = (opts(&logs[0]), opts(&logs[1]));
             let threaded = threaded_phantom(spec, &platform, &watched_threaded);
             let hosted = run_phantom(spec, &platform, HockneyModel::intra_node(), &watched_hosted);
             let ctx = format!(
-                "{}x{} grid, {backend:?}, watchers {watching:03b}",
+                "{}x{} grid, {backend:?}, watchers {watching:02b}",
                 spec.grid_rows, spec.grid_cols
             );
             assert_eq!(hosted.clocks, threaded.clocks, "{ctx}");
             assert_eq!(hosted.traffic, threaded.traffic, "{ctx}");
-            assert_eq!(hosted.timelines, threaded.timelines, "{ctx}");
-            assert_eq!(hosted.timelines.is_some(), watching & 4 != 0, "{ctx}");
             let spans = logs.map(|log| log.per_rank(spec.nprocs));
             assert_eq!(spans[1], spans[0], "{ctx}");
             assert_eq!(

@@ -106,10 +106,6 @@ pub struct RunOptions {
     /// post-mortem wants). A `summagen_trace::TraceRecorder` turns them
     /// into Perfetto timelines and the critical path.
     pub sink: Option<Arc<dyn EventSink>>,
-    /// Record every rank's compute / communicate / wait intervals in
-    /// virtual time ([`crate::SimReport::timelines`]) — the raw material
-    /// for Gantt charts and exact energy metering.
-    pub timelines: bool,
 }
 
 /// The name [`RunOptions`] had while only the recovering entry points
@@ -127,7 +123,6 @@ impl Default for RunOptions {
             metrics: None,
             backend: Backend::Channel,
             sink: None,
-            timelines: false,
         }
     }
 }

@@ -21,7 +21,7 @@
 //!
 //! Every run goes through one private engine: it builds the rank universe
 //! from a [`RunOptions`] (receive timeout, link plan, heartbeat, metrics,
-//! transport, event sink, timelines), drives the ranks through the three
+//! transport, event sink), drives the ranks through the three
 //! stages, folds the per-rank clocks into `exec/comp/comm_time`, and — for
 //! the recovering entry points — drives the shrink-and-retry loop. The
 //! stages are one walk over a list of k-windows ([`stages`]), taking *the
@@ -48,8 +48,7 @@
 //! checkpointed it is [`multiply_abft`], which recovers like
 //! [`multiply_with_recovery`] but resumes from its newest checkpoint
 //! ([`multiply_abft_prefix`] is its preemption primitive).
-//! Energy is a function of a finished report: [`SimReport::with_energy`],
-//! [`SimReport::timeline_energy`].
+//! Energy is a function of a finished report: [`SimReport::with_energy`].
 //!
 //! One baseline remains: classic SUMMA ([`summa`]), the algorithm SummaGen
 //! generalises and the one `reproduce summa` compares against — a third

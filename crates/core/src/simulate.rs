@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use summagen_comm::{ClockSnapshot, CostModel, EventSink, TraceEvent, TraceKind, TrafficStats};
+use summagen_comm::{ClockSnapshot, CostModel, EventSink, TrafficStats};
 use summagen_partition::PartitionSpec;
 use summagen_platform::energy::{EnergyMeter, MeterReading, PowerModel};
 use summagen_platform::Platform;
@@ -42,10 +42,6 @@ pub struct SimReport {
     pub total_flops: f64,
     /// Energy reading, once [`SimReport::with_energy`] has metered the run.
     pub energy: Option<MeterReading>,
-    /// Per-rank event timelines (compute / communicate / wait intervals
-    /// in virtual time), present when the run set
-    /// [`RunOptions::timelines`].
-    pub timelines: Option<Vec<Vec<TraceEvent>>>,
 }
 
 impl SimReport {
@@ -68,24 +64,6 @@ impl SimReport {
         let comm: Vec<f64> = self.clocks.iter().map(|c| c.comm_time).collect();
         self.energy = Some(EnergyMeter::default().sample_run(power, &comp, &comm, self.exec_time));
         self
-    }
-
-    /// Meters the run with the same sampler applied to the *actual*
-    /// per-rank timelines (idle gaps and all) rather than the busy-first
-    /// approximation of [`SimReport::with_energy`]. `None` unless the run
-    /// recorded [`SimReport::timelines`].
-    pub fn timeline_energy(&self, power: &PowerModel) -> Option<MeterReading> {
-        let intervals: Vec<Vec<(f64, f64, bool)>> = self
-            .timelines
-            .as_ref()?
-            .iter()
-            .map(|tl| {
-                tl.iter()
-                    .map(|e| (e.start, e.end, e.kind == TraceKind::Compute))
-                    .collect()
-            })
-            .collect();
-        Some(EnergyMeter::default().sample_intervals(power, &intervals, self.exec_time))
     }
 }
 
@@ -120,7 +98,7 @@ pub fn simulate_instrumented(
 }
 
 /// [`simulate`] under arbitrary [`RunOptions`]: a metrics bundle, an event
-/// sink, recorded timelines, the TCP wire (`bench --backend tcp` exercises
+/// sink, the TCP wire (`bench --backend tcp` exercises
 /// the framed loopback transport under the workload the channel baselines
 /// recorded). None of them moves a virtual clock, so `exec_time`,
 /// `comp_time` and `comm_time` are bit-identical to [`simulate`]'s.
@@ -259,67 +237,6 @@ mod tests {
         let e = report.energy.unwrap();
         assert!(e.dynamic_energy_j > 0.0);
         assert!(e.total_energy_j > e.dynamic_energy_j);
-    }
-
-    #[test]
-    fn traced_run_matches_untraced_times() {
-        let n = 8_192;
-        let areas = proportional_areas(n, &[1.0, 2.0, 0.9]);
-        let spec = Shape::SquareCorner.build(n, &areas);
-        let platform = hclserver1();
-        let plain = simulate(&spec, &platform, intra_node());
-        let traced = simulate_with_options(
-            &spec,
-            &platform,
-            intra_node(),
-            &RunOptions {
-                timelines: true,
-                ..RunOptions::default()
-            },
-        );
-        assert_eq!(plain.exec_time, traced.exec_time);
-        assert!(plain.timelines.is_none());
-        let timelines = traced.timelines.as_ref().expect("timelines were asked for");
-        assert_eq!(timelines.len(), 3);
-        // Per-rank timeline durations reconcile with the clock categories.
-        use summagen_comm::TraceKind;
-        for (tl, clk) in timelines.iter().zip(&traced.clocks) {
-            let comp: f64 = tl
-                .iter()
-                .filter(|e| e.kind == TraceKind::Compute)
-                .map(|e| e.duration())
-                .sum();
-            assert!((comp - clk.comp_time).abs() < 1e-9);
-            let comm: f64 = tl
-                .iter()
-                .filter(|e| e.kind != TraceKind::Compute)
-                .map(|e| e.duration())
-                .sum();
-            assert!((comm - clk.comm_time).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn timeline_energy_close_to_busy_first_approximation() {
-        let n = 25_600;
-        let areas = proportional_areas(n, &[1.0, 2.0, 0.9]);
-        let spec = Shape::BlockRectangle.build(n, &areas);
-        let platform = hclserver1();
-        let power = hclserver1_power_model();
-        let approx = simulate(&spec, &platform, intra_node())
-            .with_energy(&power)
-            .energy
-            .unwrap();
-        let timed = RunOptions {
-            timelines: true,
-            ..RunOptions::default()
-        };
-        let exact = simulate_with_options(&spec, &platform, intra_node(), &timed)
-            .timeline_energy(&power)
-            .expect("timelines were asked for");
-        let rel =
-            (exact.dynamic_energy_j - approx.dynamic_energy_j).abs() / approx.dynamic_energy_j;
-        assert!(rel < 0.05, "timeline vs approx energy differ by {rel}");
     }
 
     #[test]

@@ -291,14 +291,14 @@ impl Walk<'_> {
             // span shows it.
             let label = ((2 * w as u64 + operand as u64) << 32) + lane as u64;
             let lane_comm = |i: usize| match members.len() {
-                1 => None,
-                _ => ranks[i].comm.subgroup(members, label),
+                1 => Ok(None),
+                _ => ranks[i].comm.try_subgroup(members, label),
             };
             let mut here: Vec<(usize, Option<Communicator>)> = members
                 .iter()
                 .filter_map(|&m| ranks.binary_search_by_key(&m, |r| r.comm.rank()).ok())
-                .map(|i| (i, lane_comm(i)))
-                .collect();
+                .map(|i| Ok((i, lane_comm(i)?)))
+                .collect::<CommResult<_>>()?;
             let mut k0 = 0;
             for (pos, len) in cuts.iter().enumerate() {
                 let (start, lo, hi) = (k0, k0.max(window.lo), (k0 + len).min(window.hi));
@@ -862,7 +862,7 @@ mod tests {
                     dims: (spec.heights[bi], spec.widths[bj]),
                 };
                 let mut hosted = Hosted::new(&comm, Some(&dealt[comm.rank()]));
-                let mut lane_comm = comm.subgroup(&members, 0);
+                let mut lane_comm = comm.try_subgroup(&members, 0)?;
                 let held = lane.exchange(&mut hosted, lane_comm.as_mut(), Some(&protection), 0)?;
                 Ok((held.expect("real payloads"), hosted.stats.corrected))
             })

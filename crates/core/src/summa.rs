@@ -99,10 +99,10 @@ fn rank_program(
     mut update: impl FnMut(&Panel, Payload, Payload) -> CommResult<()>,
 ) -> CommResult<()> {
     let mut row_comm = comm
-        .subgroup(lanes.row(pi), 1_000 + pi as u64)
+        .try_subgroup(lanes.row(pi), 1_000 + pi as u64)?
         .expect("rank missing from its row");
     let mut col_comm = comm
-        .subgroup(lanes.col(pj), 2_000 + pj as u64)
+        .try_subgroup(lanes.col(pj), 2_000 + pj as u64)?
         .expect("rank missing from its column");
     for panel in panels {
         let (a_slice, b_slice) = own(panel);

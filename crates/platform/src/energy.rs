@@ -133,53 +133,6 @@ impl EnergyMeter {
     }
 }
 
-impl EnergyMeter {
-    /// Samples a run from explicit per-device activity intervals
-    /// `(start, end, is_compute)` — e.g. converted from a traced virtual
-    /// timeline — instead of the busy-first layout of
-    /// [`EnergyMeter::sample_run`]. This reproduces exactly what the
-    /// WattsUp meter would have seen.
-    pub fn sample_intervals(
-        &self,
-        model: &PowerModel,
-        intervals: &[Vec<(f64, f64, bool)>],
-        exec_time_s: f64,
-    ) -> MeterReading {
-        assert_eq!(intervals.len(), model.compute_power_w.len(), "device count");
-        assert!(exec_time_s >= 0.0, "negative execution time");
-        let dt = self.sample_interval_s;
-        let steps = (exec_time_s / dt).ceil().max(1.0) as usize;
-        let mut total = 0.0;
-        for k in 0..steps {
-            let t0 = k as f64 * dt;
-            let t1 = (t0 + dt).min(exec_time_s);
-            if t1 <= t0 {
-                break;
-            }
-            let tm = 0.5 * (t0 + t1);
-            let mut power = model.static_power_w;
-            for (i, tl) in intervals.iter().enumerate() {
-                for &(s, e, is_compute) in tl {
-                    if tm >= s && tm < e {
-                        power += if is_compute {
-                            model.compute_power_w[i]
-                        } else {
-                            model.compute_power_w[i] * model.comm_power_fraction
-                        };
-                        break;
-                    }
-                }
-            }
-            total += power * (t1 - t0);
-        }
-        MeterReading {
-            total_energy_j: total,
-            dynamic_energy_j: dynamic_energy(total, model.static_power_w, exec_time_s),
-            exec_time_s,
-        }
-    }
-}
-
 /// Dynamic power draws of the three HCLServer1 abstract processors,
 /// in platform rank order (AbsCPU, AbsGPU, AbsXeonPhi).
 pub fn hclserver1_power_model() -> PowerModel {
@@ -245,31 +198,6 @@ mod tests {
         let m = PowerModel::new(100.0, vec![10.0]);
         let r = EnergyMeter::default().sample_run(&m, &[0.0], &[0.0], 0.0);
         assert_eq!(r.total_energy_j, 0.0);
-    }
-
-    #[test]
-    fn interval_sampling_matches_exact_for_dense_timelines() {
-        let m = PowerModel::new(100.0, vec![50.0, 80.0]);
-        // Device 0: compute [0, 30); device 1: comm [0, 10) then compute
-        // [10, 35).
-        let intervals = vec![
-            vec![(0.0, 30.0, true)],
-            vec![(0.0, 10.0, false), (10.0, 35.0, true)],
-        ];
-        let r = EnergyMeter::default().sample_intervals(&m, &intervals, 40.0);
-        let exact = 50.0 * 30.0 + 80.0 * 0.15 * 10.0 + 80.0 * 25.0;
-        let rel = (r.dynamic_energy_j - exact).abs() / exact;
-        assert!(rel < 0.03, "rel {rel}: {} vs {exact}", r.dynamic_energy_j);
-    }
-
-    #[test]
-    fn interval_sampling_sees_idle_gaps() {
-        // Busy-first layout would smear these apart; interval sampling
-        // sees the true (identical-integral) timeline.
-        let m = PowerModel::new(0.0, vec![100.0]);
-        let intervals = vec![vec![(0.0, 5.0, true), (15.0, 20.0, true)]];
-        let r = EnergyMeter::default().sample_intervals(&m, &intervals, 20.0);
-        assert!((r.dynamic_energy_j - 1000.0).abs() < 20.0);
     }
 
     #[test]

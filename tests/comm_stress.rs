@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use summagen_comm::{
-    BcastAlgorithm, CommError, CommResult, FailureCause, Payload, ReduceOp, Universe, ZeroCost,
+    BcastAlgorithm, CommError, CommResult, FailureCause, Payload, Universe, ZeroCost,
 };
 
 #[test]
@@ -22,7 +22,10 @@ fn many_interleaved_subgroups() {
             for j in (i + 1)..p {
                 if me == i || me == j {
                     let label = (i * p + j) as u64;
-                    let mut sub = comm.subgroup(&[i, j], label).unwrap();
+                    let mut sub = comm
+                        .try_subgroup(&[i, j], label)
+                        .expect("valid")
+                        .expect("member");
                     let v = sub.bcast(0, Payload::U64(vec![(i * 100 + j) as u64]));
                     received.push(v.into_u64()[0]);
                 }
@@ -66,10 +69,13 @@ fn nested_subgroups() {
     // Subgroup of a subgroup: {0..5} -> evens {0,2,4} -> {0,4}.
     let out = Universe::new(6, ZeroCost).run(|comm| {
         let evens = [0usize, 2, 4];
-        if let Some(sub) = comm.subgroup(&evens, 1) {
+        if let Some(sub) = comm.try_subgroup(&evens, 1).expect("valid") {
             // Within the even group, local ranks 0 and 2 are global 0, 4.
             if sub.rank() == 0 || sub.rank() == 2 {
-                let mut inner = sub.subgroup(&[0, 2], 2).unwrap();
+                let mut inner = sub
+                    .try_subgroup(&[0, 2], 2)
+                    .expect("valid")
+                    .expect("member");
                 let v = inner.bcast(1, Payload::U64(vec![comm.rank() as u64]));
                 return v.into_u64()[0] as i64;
             }
@@ -87,8 +93,10 @@ fn nested_subgroups() {
 fn collectives_with_empty_payloads() {
     let out = Universe::new(4, ZeroCost).run(|mut comm| {
         let b = comm.bcast(0, Payload::F64(Vec::new())).into_f64();
-        let g = comm.gather(0, Payload::U64(Vec::new()));
-        comm.barrier();
+        let g = comm
+            .try_gather(0, Payload::U64(Vec::new()))
+            .expect("gather");
+        comm.try_barrier().expect("barrier");
         (b.len(), g.map(|v| v.len()))
     });
     assert_eq!(out[0], (0, Some(4)));
@@ -221,7 +229,10 @@ proptest! {
                     BcastAlgorithm::Binomial
                 };
                 let payload = Payload::F64(vec![root as f64; len]);
-                let got = comm.bcast_with(root, payload, algo).into_f64();
+                let got = comm
+                    .try_bcast_with(root, payload, algo)
+                    .expect("bcast")
+                    .into_f64();
                 ok &= got.len() == len && got.iter().all(|&x| x == root as f64);
             }
             (ok, comm.traffic())
@@ -232,39 +243,9 @@ proptest! {
         prop_assert_eq!(sent, recv);
     }
 
-    /// allreduce results agree on every rank and match a serial fold,
-    /// regardless of op and vector contents.
-    #[test]
-    fn allreduce_agrees_with_serial_fold(
-        p in 1usize..6,
-        data in proptest::collection::vec(-100.0f64..100.0, 1..8),
-        op_idx in 0usize..3,
-    ) {
-        let op = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min][op_idx];
-        let out = Universe::new(p, ZeroCost).run(|mut comm| {
-            // Rank r contributes data shifted by r.
-            let mine: Vec<f64> = data.iter().map(|&x| x + comm.rank() as f64).collect();
-            comm.allreduce_f64(&mine, op)
-        });
-        // Serial expectation.
-        let mut expect: Vec<f64> = data.clone();
-        for r in 1..p {
-            let contrib: Vec<f64> = data.iter().map(|&x| x + r as f64).collect();
-            for (e, c) in expect.iter_mut().zip(&contrib) {
-                *e = match op {
-                    ReduceOp::Sum => *e + c,
-                    ReduceOp::Max => e.max(*c),
-                    ReduceOp::Min => e.min(*c),
-                };
-            }
-        }
-        for r in &out {
-            prop_assert_eq!(r.clone(), expect.clone());
-        }
-    }
-
     /// Ring send/recv of random payload sizes conserves content through
-    /// arbitrary rotations.
+    /// arbitrary rotations: every rank sends right before it receives from
+    /// the left, which cannot deadlock because sends are buffered.
     #[test]
     fn ring_rotation_conserves_data(
         p in 2usize..7,
@@ -277,9 +258,8 @@ proptest! {
             for round in 0..rounds {
                 let right = (me + 1) % p;
                 let left = (me + p - 1) % p;
-                data = comm
-                    .sendrecv(right, left, round as u64, Payload::F64(data))
-                    .into_f64();
+                comm.send(right, round as u64, Payload::F64(data));
+                data = comm.recv(left, round as u64).into_f64();
             }
             data
         });

@@ -1,7 +1,8 @@
 //! The shape of `summagen-core`'s public surface: a fixed list of entry
 //! points over one engine — one launcher, one clock fold, one rank walk — a
 //! fixed list of modules in the three algorithm crates, and one place where
-//! a run's receive timeout comes from.
+//! a run's receive timeout comes from. Also `summagen-comm`'s re-exports and
+//! `Communicator` methods, and the panic budget of comm, core and service.
 //!
 //! The environment test is the only test of this binary that launches
 //! ranks, so setting a process-wide variable in it cannot disturb another.
@@ -61,7 +62,7 @@ fn the_exported_entry_points_are_exactly_the_pinned_list() {
     assert_eq!(reexported, want, "re-exports of crates/core/src/lib.rs");
 
     // What the crate's public modules declare, re-exported or not.
-    let sources = core_sources();
+    let sources = crate_sources("core");
     let declared = entry_point_names(
         sources
             .iter()
@@ -71,12 +72,15 @@ fn the_exported_entry_points_are_exactly_the_pinned_list() {
     assert_eq!(declared, ENTRY_POINTS, "`pub fn`s under crates/core/src");
 }
 
-/// The non-test text of every `crates/core/src/*.rs`: what precedes the
-/// file's first `#[cfg(test)]`.
-fn core_sources() -> Vec<(String, String)> {
-    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src");
+/// The non-test text of every `crates/<krate>/src/*.rs`, by file name: what
+/// precedes the file's first `#[cfg(test)]`.
+fn crate_sources(krate: &str) -> Vec<(String, String)> {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("crates")
+        .join(krate)
+        .join("src");
     let mut files: Vec<(String, String)> = std::fs::read_dir(&src)
-        .expect("crates/core/src")
+        .expect("a crate's src directory")
         .map(|entry| {
             let path = entry.expect("directory entry").path();
             let text = std::fs::read_to_string(&path).expect("readable source");
@@ -96,7 +100,7 @@ fn core_sources() -> Vec<(String, String)> {
 /// program, one line builds a lane communicator and one broadcasts on it.
 #[test]
 fn one_launcher_one_clock_fold_and_one_panel_loop() {
-    let sources = core_sources();
+    let sources = crate_sources("core");
     let sites = |needle: &str| -> Vec<&str> {
         sources
             .iter()
@@ -149,6 +153,93 @@ fn the_module_lists_of_the_algorithm_crates_are_the_pinned_ones() {
             .collect();
         let want: Vec<&str> = want.split(' ').collect();
         assert_eq!(declared, want, "`pub mod`s of crates/{krate}/src/lib.rs");
+    }
+}
+
+/// Everything `summagen-comm` re-exports from its crate root, sorted. A
+/// collective, a second event recorder or a new knob added to the crate's
+/// surface fails here and has to be named.
+const COMM_REEXPORTS: &str = "AbftLabel Backend BcastAlgorithm BlockCorrupt ClockSnapshot \
+    CollectiveOp CommError CommResult Communicator ConfigError CostModel DEFAULT_RECV_TIMEOUT \
+    EventSink FailedRank FailureCause FaultPlan HangSpec HeartbeatConfig HockneyModel \
+    InjectedHang InjectedKill KillSpec LinkPlan MsgCorrupt MsgFault MsgOutcome Payload \
+    RECV_TIMEOUT_ENV RankFailure RuntimeMetrics SpanKind SpanRecord StageLabel TrafficStats \
+    TwoLevelTopology Universe VirtualClock ZeroCost default_recv_timeout recv_timeout_from_env";
+
+/// `Communicator`'s `pub fn`s, in source order. Every operation has one
+/// fallible `try_` form; only `send`, `recv` and `bcast` keep a panicking
+/// form beside it, because the wall-clock benchmark calls them.
+const COMMUNICATOR_FNS: &str = "rank size global_rank now clock_snapshot traffic recv_timeout \
+    advance_compute block_corruptions send try_send recv try_recv tracing_enabled metrics emit \
+    bcast try_bcast try_bcast_with try_gather try_barrier try_subgroup";
+
+#[test]
+fn the_comm_surface_is_the_pinned_one() {
+    let sources = crate_sources("comm");
+    let code = |file: &str| {
+        let (_, code) = sources
+            .iter()
+            .find(|(name, _)| name == file)
+            .expect("a comm source file");
+        code.as_str()
+    };
+
+    // The names inside every `pub use …;` of the crate root.
+    let mut reexported: Vec<&str> = code("lib.rs")
+        .split("pub use ")
+        .skip(1)
+        .filter_map(|stmt| stmt.split(';').next())
+        .flat_map(|stmt| {
+            let names = stmt.rsplit("::").next().unwrap_or_default();
+            names.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        })
+        .filter(|name| !name.is_empty())
+        .collect();
+    reexported.sort_unstable();
+    let want: Vec<&str> = COMM_REEXPORTS.split_whitespace().collect();
+    assert_eq!(reexported, want, "`pub use`s of crates/comm/src/lib.rs");
+
+    // The `pub fn`s of `impl Communicator`, the one public impl of comm.rs.
+    let methods: Vec<&str> = code("comm.rs")
+        .lines()
+        .filter_map(|line| line.strip_prefix("    pub fn "))
+        .filter_map(|rest| rest.split(['(', '<']).next())
+        .collect();
+    let want: Vec<&str> = COMMUNICATOR_FNS.split_whitespace().collect();
+    assert_eq!(methods, want, "`pub fn`s of crates/comm/src/comm.rs");
+    let panicking: Vec<&str> = methods
+        .iter()
+        .copied()
+        .filter(|name| methods.contains(&format!("try_{name}").as_str()))
+        .collect();
+    assert_eq!(panicking, ["send", "recv", "bcast"]);
+}
+
+/// The panic budget: how many times the non-test text of each crate (every
+/// line of `crates/<krate>/src/*.rs` before the file's first `#[cfg(test)]`)
+/// contains one of the substrings `unwrap()`, `expect(`, `assert!` or
+/// `panic!`. `assert!` also matches inside `debug_assert!`; `assert_eq!`
+/// does not match. The pins are today's counts: a new site fails here, and
+/// a removed one fails too until its pin is lowered, so the budget only
+/// falls.
+#[test]
+fn the_panic_budget_of_comm_core_and_service_only_falls() {
+    const PATTERNS: [&str; 4] = ["unwrap()", "expect(", "assert!", "panic!"];
+    const BUDGET: [(&str, usize); 3] = [("comm", 34), ("core", 24), ("service", 17)];
+    for (krate, pinned) in BUDGET {
+        let sites: usize = crate_sources(krate)
+            .iter()
+            .map(|(_, code)| {
+                PATTERNS
+                    .iter()
+                    .map(|p| code.matches(p).count())
+                    .sum::<usize>()
+            })
+            .sum();
+        assert_eq!(
+            sites, pinned,
+            "non-test panic sites in crates/{krate}/src (lower the pin when it falls)"
+        );
     }
 }
 

@@ -464,10 +464,9 @@ fn wrappers_are_the_engine_with_equivalent_options(
     let observed = with(&RunOptions {
         sink: Some(TraceRecorder::new(spec.nprocs) as Arc<_>),
         metrics: Some(RuntimeMetrics::fresh()),
-        timelines: true,
         ..RunOptions::default()
     });
-    same(&observed, &priced, "sink + metrics + timelines");
+    same(&observed, &priced, "sink + metrics");
     for backend in [Backend::Channel, Backend::Tcp] {
         let opts = RunOptions {
             backend,
@@ -483,7 +482,7 @@ fn wrappers_are_the_engine_with_equivalent_options(
 
 /// The phantom path's two fixed-signature entry points against
 /// `simulate_with_options`: whatever is watching — a sink, a metrics
-/// bundle, recorded timelines, any combination — `exec/comp/comm_time`
+/// bundle, both or neither — `exec/comp/comm_time`
 /// keep their bits, and so do the clocks and the traffic.
 #[test]
 fn simulate_is_the_engine_whatever_is_watching() {
@@ -493,30 +492,24 @@ fn simulate_is_the_engine_whatever_is_watching() {
     for shape in ALL_FOUR_SHAPES {
         let spec = paper_spec(shape, n);
         let plain = simulate(&spec, &platform, cost);
-        assert!(plain.timelines.is_none() && plain.energy.is_none());
+        assert!(plain.energy.is_none());
         let times = |r: &summagen_core::SimReport| {
             [r.exec_time, r.comp_time, r.comm_time].map(f64::to_bits)
         };
         let recorder = TraceRecorder::new(spec.nprocs);
         let instrumented = simulate_instrumented(&spec, &platform, cost, recorder as Arc<_>);
         assert_eq!(times(&instrumented), times(&plain), "{}", shape.name());
-        for watching in 0..8u32 {
+        for watching in 0..4u32 {
             let opts = RunOptions {
                 sink: (watching & 1 != 0).then(|| TraceRecorder::new(spec.nprocs) as Arc<_>),
                 metrics: (watching & 2 != 0).then(RuntimeMetrics::fresh),
-                timelines: watching & 4 != 0,
                 ..RunOptions::default()
             };
             let got = simulate_with_options(&spec, &platform, cost, &opts);
-            let ctx = format!("{} with watchers {watching:03b}", shape.name());
+            let ctx = format!("{} with watchers {watching:02b}", shape.name());
             assert_eq!(times(&got), times(&plain), "{ctx}");
             assert_eq!(got.clocks, plain.clocks, "{ctx}");
             assert_eq!(got.traffic, plain.traffic, "{ctx}");
-            assert_eq!(
-                got.timelines.as_ref().map(Vec::len),
-                opts.timelines.then_some(spec.nprocs),
-                "{ctx}"
-            );
         }
     }
 }
