@@ -583,6 +583,9 @@ impl Universe {
                 .collect();
             watchdog_done.store(true, Ordering::SeqCst);
             if let Some(h) = watchdog {
+                // Cut the watchdog's current poll short: the launch
+                // returns now, not up to one `poll` later.
+                h.thread().unpark();
                 let _ = h.join();
             }
             outcomes
@@ -610,7 +613,8 @@ impl Universe {
 
 /// The failure-detector watchdog: polls per-rank activity stamps and
 /// declares silent ranks dead. Runs on its own thread inside the launch
-/// scope; `done` is set once every rank has been joined.
+/// scope; `done` is set, and the thread unparked, once every rank has been
+/// joined.
 ///
 /// Two trigger paths:
 /// * **Relative liveness** — a rank is suspected when it has been silent
@@ -629,7 +633,9 @@ fn run_watchdog(shared: &Shared, finished: &[AtomicBool], done: &AtomicBool, hb:
     let suspicion = hb.suspicion.as_nanos() as u64;
     let stall = hb.stall.as_nanos() as u64;
     while !done.load(Ordering::SeqCst) {
-        std::thread::sleep(hb.poll);
+        // Parked rather than asleep, so the launcher can wake it once the
+        // ranks are joined (a spurious wake-up only polls early).
+        std::thread::park_timeout(hb.poll);
         let now = shared.wall_ns();
         let alive: Vec<(usize, u64)> = (0..p)
             .filter(|&r| {
@@ -706,6 +712,21 @@ mod tests {
     #[should_panic(expected = "at least one rank")]
     fn zero_rank_universe_rejected() {
         Universe::new(0, ZeroCost);
+    }
+
+    #[test]
+    fn a_heartbeat_launch_returns_without_waiting_out_the_poll() {
+        let hb = HeartbeatConfig {
+            poll: Duration::from_millis(500),
+            ..HeartbeatConfig::default()
+        };
+        let started = Instant::now();
+        let out = Universe::new(3, ZeroCost)
+            .with_heartbeat(hb)
+            .run(|comm| comm.rank());
+        let took = started.elapsed();
+        assert_eq!(out, vec![0, 1, 2]);
+        assert!(took < Duration::from_millis(250), "launch took {took:?}");
     }
 
     #[test]

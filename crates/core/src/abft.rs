@@ -53,9 +53,7 @@ use std::sync::{Arc, Mutex};
 use summagen_comm::{
     AbftLabel, CommError, Communicator, CostModel, FaultPlan, RankFailure, SpanKind,
 };
-use summagen_matrix::{
-    abft_tolerance, checksummed, diagnose, AbftVerdict, Checksums, DenseMatrix, GemmKernel,
-};
+use summagen_matrix::{abft_tolerance, checksummed, diagnose, AbftVerdict, Checksums, DenseMatrix};
 use summagen_partition::{PartitionSpec, ProcBlock, Shape};
 
 use crate::engine::{self, survivor_spec, RankBlocks};
@@ -474,18 +472,9 @@ fn protected_run(
     let gemm = |_: usize, blk: &ProcBlock, kb: usize| {
         gemm_cost * ((blk.rows + 1) * (blk.cols + 1) * kb) as f64
     };
-    // `Parallel` runs as `Blocked` under protection — the same bits. A
-    // kernel thread beside each rank thread means one more malloc arena
-    // per thread, each retaining rank-sized free memory: measured on
-    // `abft-1024` over shared checksummed blocks, +8 % throughput for
-    // +57 % peak RSS (123 → 193 MB).
-    let kernel = match mode.kernel() {
-        GemmKernel::Naive => GemmKernel::Naive,
-        _ => GemmKernel::Blocked,
-    };
     let walk = Walk {
         windows: &windows,
-        kernel,
+        kernel: mode.kernel(),
         charge: (gemm_cost > 0.0).then_some(&gemm as Charge),
         protection: Some(protection),
     };

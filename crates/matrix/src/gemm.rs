@@ -493,7 +493,8 @@ fn gemm_blocked_on(
     instance.run(m, n, k, alpha, a, lda, b, ldb, c, ldc);
 }
 
-/// Below this many multiply-adds the fork-join costs more than it saves.
+/// Below this many multiply-adds handing bands to the kernel pool (a
+/// worker wake-up and a join) costs more than it saves.
 const PARALLEL_MIN_WORK: usize = 128 * 128 * 128;
 
 /// Parallel GEMM: `C` is split into one contiguous `MR`-aligned band of
@@ -517,7 +518,7 @@ pub fn gemm_parallel(
     if m == 0 || n == 0 {
         return;
     }
-    // Small problems are not worth the fork-join overhead. Checked before
+    // Small problems are not worth the pool's hand-off. Checked before
     // the thread count is asked for: tiny calls dominate the service and
     // test paths, and the first lookup reads cgroup files.
     if m * n * k < PARALLEL_MIN_WORK {
