@@ -111,7 +111,6 @@ pub fn crash_config(fault_seed: u64) -> ServiceConfig {
         faults: FaultProfile {
             fail_permille: CRASH_FAIL_PERMILLE,
             seed: fault_seed,
-            ..FaultProfile::default()
         },
         ..ServiceConfig::default()
     }

@@ -73,15 +73,12 @@ pub const DEGRADE_FAIL_PERMILLE: u16 = 250;
 /// trigger — sensible for a long-lived deployment — would simply never
 /// fire here).
 pub fn degrade_config() -> DegradeConfig {
-    let mut config = DegradeConfig::standard();
-    if let Some(p) = config.preemption.as_mut() {
-        p.min_wait = 0.05;
+    DegradeConfig {
+        preemption_min_wait: 0.05,
+        brownout_p95_threshold: 1.0,
+        brownout_window: 32,
+        ..DegradeConfig::standard()
     }
-    if let Some(b) = config.brownout.as_mut() {
-        b.p95_threshold = 1.0;
-        b.window = 32;
-    }
-    config
 }
 
 /// The mode label of a run with the degradation layer armed.
@@ -142,7 +139,6 @@ pub fn faulty_config(fault_seed: u64, degraded: bool) -> ServiceConfig {
         faults: FaultProfile {
             fail_permille: DEGRADE_FAIL_PERMILLE,
             seed: fault_seed,
-            ..FaultProfile::default()
         },
         degrade: if degraded {
             degrade_config()

@@ -9,7 +9,7 @@
 //! (`Universe::with_event_sink`). The default is *no* sink: every hook is
 //! a single `Option` check, so an untraced run pays nothing.
 //!
-//! The recorder itself (per-rank lock-free ring buffers), the aggregation
+//! The recorder itself (per-rank bounded ring buffers), the aggregation
 //! pass, and the Perfetto/JSON exporters live in the `summagen-trace`
 //! crate; keeping only the vocabulary here means `summagen-comm` stays
 //! dependency-free and the trace crate depends on comm, not vice versa.
@@ -341,7 +341,7 @@ impl SpanRecord {
 ///
 /// Implementations must be cheap and wait-free on the record path:
 /// [`EventSink::record`] is called from inside the communication hot path.
-/// `summagen-trace`'s `TraceRecorder` (one single-producer ring buffer per
+/// `summagen-trace`'s `TraceRecorder` (one uncontended ring buffer per
 /// rank) is the canonical implementation.
 ///
 /// # Threading contract

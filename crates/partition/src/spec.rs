@@ -289,24 +289,6 @@ impl PartitionSpec {
         self.half_perimeters().iter().sum()
     }
 
-    /// An ASCII rendering of the ownership grid (one cell per
-    /// sub-partition), e.g. for examples and debugging.
-    pub fn ascii_grid(&self) -> String {
-        let mut s = String::new();
-        for bi in 0..self.grid_rows {
-            for bj in 0..self.grid_cols {
-                s.push_str(&format!(
-                    "P{}[{}x{}] ",
-                    self.owner(bi, bj),
-                    self.heights[bi],
-                    self.widths[bj]
-                ));
-            }
-            s.push('\n');
-        }
-        s
-    }
-
     /// Renders the partition at element granularity as a character map
     /// (processor digit per element), scaled down to at most `max_dim`
     /// characters per side. Handy in examples.

@@ -37,16 +37,6 @@ pub struct DeviceSpec {
     pub dynamic_power_w: f64,
 }
 
-impl DeviceSpec {
-    /// Largest square problem size `N` for which an in-core DGEMM
-    /// (three `N x N` f64 matrices plus ~30 % workspace) fits in memory.
-    pub fn max_incore_n(&self) -> usize {
-        // 3 matrices * N^2 * 8 bytes * 1.3 workspace factor <= memory
-        let n2 = self.memory_bytes as f64 / (3.0 * 8.0 * 1.3);
-        n2.sqrt().floor() as usize
-    }
-}
-
 /// AbsCPU: 22 cores of the dual-socket Haswell E5-2670 v3 (two cores are
 /// dedicated to driving the accelerators). Peaks are scaled so the
 /// platform total matches the paper's 2.5 TFLOPs.
@@ -223,16 +213,6 @@ mod tests {
         assert_eq!(HASWELL_E5_2670V3.memory_bandwidth, 68.0e9);
         assert_eq!(NVIDIA_K40C.memory_bandwidth, 288.0e9);
         assert_eq!(XEON_PHI_3120P.memory_bandwidth, 240.0e9);
-    }
-
-    #[test]
-    fn incore_limits_are_plausible() {
-        // The paper reports memory failures past N = 22592 with the CPU's
-        // 64 GB and out-of-card computation on the Phi past ~13824.
-        let gpu = NVIDIA_K40C.max_incore_n();
-        let phi = XEON_PHI_3120P.max_incore_n();
-        assert!((18_000..24_000).contains(&gpu), "gpu in-core limit {gpu}");
-        assert!((12_000..16_000).contains(&phi), "phi in-core limit {phi}");
     }
 
     #[test]

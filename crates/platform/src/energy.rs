@@ -48,11 +48,6 @@ impl PowerModel {
             .map(|((&tc, &tm), &p)| p * tc + p * self.comm_power_fraction * tm)
             .sum()
     }
-
-    /// Total platform energy (J) for a run of `exec_time_s` seconds.
-    pub fn total_energy_exact(&self, comp: &[f64], comm: &[f64], exec_time_s: f64) -> f64 {
-        self.static_power_w * exec_time_s + self.dynamic_energy_exact(comp, comm)
-    }
 }
 
 /// A simulated WattsUp-style meter: builds a per-device busy timeline,
@@ -156,13 +151,6 @@ mod tests {
         let e = m.dynamic_energy_exact(&[2.0, 1.0], &[0.0, 1.0]);
         let want = 100.0 * 2.0 + 200.0 * 1.0 + 200.0 * 0.15;
         assert!((e - want).abs() < 1e-9);
-    }
-
-    #[test]
-    fn total_energy_includes_static() {
-        let m = PowerModel::new(100.0, vec![50.0]);
-        let e = m.total_energy_exact(&[1.0], &[0.0], 4.0);
-        assert!((e - (400.0 + 50.0)).abs() < 1e-9);
     }
 
     #[test]

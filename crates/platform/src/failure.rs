@@ -99,64 +99,6 @@ pub fn expected_runtime_with_restarts(work_seconds: f64, models: &[FailureModel]
     (1.0 / lambda + restart) * ((lambda * work_seconds).exp_m1())
 }
 
-/// Reliability of one network link, the analytical counterpart of the
-/// comm runtime's seeded `LinkPlan`: packets are lost independently with
-/// probability `drop_probability`, and every loss costs the sender a
-/// retransmission (timeout plus a resend of the same bytes).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkReliability {
-    /// Per-packet loss probability, in `[0, 1)`.
-    pub drop_probability: f64,
-}
-
-impl LinkReliability {
-    /// A link losing each packet independently with probability `p`.
-    pub fn new(drop_probability: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&drop_probability),
-            "drop probability must be in [0, 1), got {drop_probability}"
-        );
-        Self { drop_probability }
-    }
-
-    /// A perfectly reliable link.
-    pub fn reliable() -> Self {
-        Self::new(0.0)
-    }
-
-    /// Expected wire transmissions per delivered packet under
-    /// stop-and-wait ARQ with unbounded retries: the geometric mean
-    /// `1 / (1 − p)`.
-    pub fn expected_transmissions(&self) -> f64 {
-        1.0 / (1.0 - self.drop_probability)
-    }
-
-    /// Expected *extra* transmissions (retransmits) per delivered
-    /// packet: `p / (1 − p)`.
-    pub fn expected_retransmits(&self) -> f64 {
-        self.expected_transmissions() - 1.0
-    }
-
-    /// Probability that a packet is still undelivered after `attempts`
-    /// independent wire attempts — the chance a bounded-retry transport
-    /// declares the peer unreachable.
-    pub fn residual_loss(&self, attempts: u32) -> f64 {
-        self.drop_probability.powi(attempts as i32)
-    }
-
-    /// Multiplies a fault-free communication time by the expected ARQ
-    /// inflation: each of the expected retransmits costs one
-    /// retransmission timeout (`rto_seconds`) plus a resend of the
-    /// original transfer. `comm_seconds` is the fault-free wire time of
-    /// the traffic being priced.
-    pub fn expected_comm_seconds(&self, comm_seconds: f64, rto_seconds: f64) -> f64 {
-        assert!(comm_seconds >= 0.0, "comm time must be non-negative");
-        assert!(rto_seconds >= 0.0, "rto must be non-negative");
-        let r = self.expected_retransmits();
-        comm_seconds * (1.0 + r) + r * rto_seconds
-    }
-}
-
 /// Fraction of the pool's aggregate speed that survives once the devices
 /// in `failed` are removed — the capacity available to a shrink-and-retry
 /// recovery. Duplicate or out-of-range indices in `failed` are ignored.
@@ -224,25 +166,6 @@ mod tests {
         let phi = FailureModel::typical(DeviceKind::XeonPhi);
         assert!(cpu.mtbf_seconds > gpu.mtbf_seconds);
         assert!(gpu.mtbf_seconds > phi.mtbf_seconds);
-    }
-
-    #[test]
-    fn link_reliability_prices_retransmission_overhead() {
-        let perfect = LinkReliability::reliable();
-        assert!((perfect.expected_transmissions() - 1.0).abs() < 1e-12);
-        assert!((perfect.expected_comm_seconds(2.0, 1e-3) - 2.0).abs() < 1e-12);
-
-        // 20% loss: 1.25 transmissions per delivery, 0.25 retransmits.
-        let lossy = LinkReliability::new(0.2);
-        assert!((lossy.expected_transmissions() - 1.25).abs() < 1e-12);
-        assert!((lossy.expected_retransmits() - 0.25).abs() < 1e-12);
-        // Inflated comm time: 2s of traffic becomes 2.5s of wire plus
-        // 0.25 timeouts of 1ms each.
-        let e = lossy.expected_comm_seconds(2.0, 1e-3);
-        assert!((e - (2.5 + 0.25e-3)).abs() < 1e-12, "got {e}");
-        // Residual loss decays geometrically with the retry budget.
-        assert!((lossy.residual_loss(3) - 0.008).abs() < 1e-15);
-        assert!(lossy.residual_loss(30) < 1e-20);
     }
 
     #[test]

@@ -39,7 +39,6 @@ pub use device::{AbstractProcessor, DeviceKind, DeviceSpec, Platform};
 pub use energy::{dynamic_energy, EnergyMeter, PowerModel};
 pub use failure::{
     degraded_capacity, expected_runtime_with_restarts, fleet_rate, fleet_survival, FailureModel,
-    LinkReliability,
 };
 pub use measurement::{build_fpm_via_protocol, MeasuredPoint, NoisyTimer};
 pub use ooc::OutOfCoreModel;

@@ -111,11 +111,6 @@ impl TabulatedSpeed {
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
     }
-
-    /// Largest sampled area.
-    pub fn max_area(&self) -> f64 {
-        self.points.last().unwrap().0
-    }
 }
 
 impl SpeedFunction for TabulatedSpeed {

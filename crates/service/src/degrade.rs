@@ -1,9 +1,9 @@
 //! The degradation layer: what the service does when demand or faults
 //! exceed capacity, instead of silently going non-linear.
 //!
-//! Four cooperating mechanisms, each individually optional and all off
-//! by default (a [`DegradeConfig::default`] service behaves exactly like
-//! the PR-7 service):
+//! Four cooperating mechanisms, armed together by one switch and off by
+//! default (a [`DegradeConfig::default`] service schedules exactly as if
+//! this layer did not exist):
 //!
 //! * **Deadline-aware admission** — at submit, the paper-shape cost
 //!   model plus the current queue backlog give an earliest feasible
@@ -23,67 +23,83 @@
 //!   threshold, the lowest tiers' deadline-less jobs are shed with typed
 //!   rejections so the paying tiers' tails survive the overload.
 //!
+//! Three thresholds scale the layer to a load's timescale and stay
+//! settable; every other tuning is one of the constants below, because no
+//! caller ever set it to another value (DESIGN.md §12).
+//!
 //! Everything here is pure state-machine code on the virtual clock: no
 //! wall time, no randomness — the degradation decisions are as
 //! deterministic as the schedule they protect.
 
 use std::collections::VecDeque;
 
-/// Knobs of the whole degradation layer. `None`/`false` everywhere (the
-/// default) disables each mechanism independently.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// The degradation layer: one switch arms all four mechanisms, and three
+/// thresholds scale preemption and brownout to the load's timescale.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradeConfig {
-    /// Reject deadline jobs whose earliest feasible completion already
-    /// overruns their deadline at submit time.
-    pub deadline_admission: bool,
-    /// Checkpoint preemption of running batches for urgent jobs.
-    pub preemption: Option<PreemptionConfig>,
-    /// Per-device circuit breakers.
-    pub quarantine: Option<QuarantineConfig>,
-    /// Brownout load shedding.
-    pub brownout: Option<BrownoutConfig>,
+    /// Arms deadline-aware admission, checkpoint preemption, device
+    /// quarantine and brownout shedding together.
+    pub armed: bool,
+    /// A batch is only preempted when the urgent job would otherwise
+    /// wait longer than this for a device (virtual seconds).
+    pub preemption_min_wait: f64,
+    /// Queue-wait p95 (virtual seconds) that activates the brownout.
+    pub brownout_p95_threshold: f64,
+    /// Queue waits the brownout's sliding p95 window holds.
+    pub brownout_window: usize,
+}
+
+impl Default for DegradeConfig {
+    /// Disarmed, with the thresholds of a long-lived deployment.
+    fn default() -> Self {
+        Self {
+            armed: false,
+            preemption_min_wait: 0.25,
+            brownout_p95_threshold: 8.0,
+            brownout_window: 64,
+        }
+    }
 }
 
 impl DegradeConfig {
-    /// All four mechanisms on with the tuned defaults — what
-    /// `reproduce degrade` runs against the baseline.
+    /// All four mechanisms armed with the default thresholds.
     pub fn standard() -> Self {
         Self {
-            deadline_admission: true,
-            preemption: Some(PreemptionConfig::default()),
-            quarantine: Some(QuarantineConfig::default()),
-            brownout: Some(BrownoutConfig::default()),
+            armed: true,
+            ..Self::default()
         }
     }
 }
 
-/// Checkpoint-preemption knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PreemptionConfig {
-    /// Minimum priority a queued job needs to trigger a preemption.
-    pub min_priority: u8,
-    /// A batch is only preempted when the urgent job would otherwise
-    /// wait longer than this for a device (virtual seconds).
-    pub min_wait: f64,
-    /// Panel boundaries the running job's execution is divided into —
-    /// the preemption granularity. Matches the panel count of the
-    /// checkpointed executor the real backend runs.
-    pub panels: usize,
-    /// Virtual seconds a resumed job pays to restore its checkpoint
-    /// (the rollback cost of the ABFT executor, service-side).
-    pub resume_overhead: f64,
-}
+/// Minimum priority a queued job needs to trigger a preemption.
+pub(crate) const PREEMPTION_MIN_PRIORITY: u8 = 2;
 
-impl Default for PreemptionConfig {
-    fn default() -> Self {
-        Self {
-            min_priority: 2,
-            min_wait: 0.25,
-            panels: 8,
-            resume_overhead: 0.01,
-        }
-    }
-}
+/// Panel boundaries a running job's execution is divided into — the
+/// preemption granularity, and the checkpoint records a durable run
+/// journals per completing member while the layer is armed. Matches the
+/// panel count of the checkpointed executor the real backend runs.
+pub(crate) const PREEMPTION_PANELS: usize = 8;
+
+/// Virtual seconds a resumed job pays to restore its checkpoint (the
+/// rollback cost of the ABFT executor, service-side).
+pub(crate) const RESUME_OVERHEAD: f64 = 0.01;
+
+/// The breakers the service builds for device quarantine.
+pub(crate) const QUARANTINE: QuarantineConfig = QuarantineConfig {
+    failure_threshold: 3,
+    base_backoff: 2.0,
+    max_backoff: 60.0,
+};
+
+/// The brownout deactivates when p95 drops below this fraction of its
+/// threshold — hysteresis, so the shed/no-shed decision does not flap at
+/// the threshold.
+pub(crate) const BROWNOUT_EXIT_FRACTION: f64 = 0.7;
+
+/// The one priority tier the brownout sheds, the lowest (deadline-less
+/// jobs only; a job that carries a deadline was admitted as feasible and
+/// is never shed).
+pub(crate) const BROWNOUT_SHED_PRIORITY: u8 = 0;
 
 /// Circuit-breaker knobs for device quarantine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,44 +110,6 @@ pub struct QuarantineConfig {
     pub base_backoff: f64,
     /// Backoff ceiling (virtual seconds).
     pub max_backoff: f64,
-}
-
-impl Default for QuarantineConfig {
-    fn default() -> Self {
-        Self {
-            failure_threshold: 3,
-            base_backoff: 2.0,
-            max_backoff: 60.0,
-        }
-    }
-}
-
-/// Brownout-shedding knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BrownoutConfig {
-    /// Queue-wait p95 (virtual seconds) that activates the brownout.
-    pub p95_threshold: f64,
-    /// The brownout deactivates when p95 drops below
-    /// `exit_fraction * p95_threshold` — hysteresis, so the shed/no-shed
-    /// decision does not flap at the threshold.
-    pub exit_fraction: f64,
-    /// Queue waits the sliding p95 window holds.
-    pub window: usize,
-    /// Highest priority tier the brownout may shed (deadline-less jobs
-    /// only; a job that carries a deadline was admitted as feasible and
-    /// is never shed).
-    pub max_shed_priority: u8,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        Self {
-            p95_threshold: 8.0,
-            exit_fraction: 0.7,
-            window: 64,
-            max_shed_priority: 0,
-        }
-    }
 }
 
 /// Circuit-breaker state, in the classic three positions.
@@ -439,12 +417,13 @@ mod tests {
     #[test]
     fn default_config_disables_everything() {
         let d = DegradeConfig::default();
-        assert!(!d.deadline_admission);
-        assert!(d.preemption.is_none());
-        assert!(d.quarantine.is_none());
-        assert!(d.brownout.is_none());
+        assert!(!d.armed);
         let s = DegradeConfig::standard();
-        assert!(s.deadline_admission);
-        assert!(s.preemption.is_some() && s.quarantine.is_some() && s.brownout.is_some());
+        assert!(s.armed);
+        assert_eq!(
+            DegradeConfig { armed: false, ..s },
+            d,
+            "standard() differs from the default only in the switch"
+        );
     }
 }

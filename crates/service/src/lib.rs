@@ -25,7 +25,7 @@
 //! * [`degrade`] — graceful degradation under overload and device
 //!   failure: deadline-aware admission, checkpoint preemption at panel
 //!   boundaries, per-device circuit-breaker quarantine, and brownout
-//!   load shedding — each optional, all deterministic.
+//!   load shedding — armed together by one switch, all deterministic.
 //!
 //! Durable runs ([`GemmService::run_durable`] / [`GemmService::recover`])
 //! additionally write every job-lifecycle event ahead to a
@@ -47,8 +47,8 @@ pub mod scheduler;
 pub mod service;
 
 pub use degrade::{
-    BrownoutConfig, CircuitBreaker, CircuitState, DegradeConfig, PreemptionConfig,
-    QuarantineConfig, QuarantineEvent, QuarantineTransition, WaitWindow,
+    CircuitBreaker, CircuitState, DegradeConfig, QuarantineConfig, QuarantineEvent,
+    QuarantineTransition, WaitWindow,
 };
 pub use job::{DeadlineVerdict, JobId, JobOutcome, JobRecord, JobSpec, Rejection};
 pub use loadgen::{generate, hetero_mix, mix_by_name, small_mix, LoadMix, TenantProfile};
@@ -56,6 +56,6 @@ pub use metrics::ServiceMetrics;
 pub use queue::{AdmissionConfig, JobQueue};
 pub use scheduler::{commit, plan, service_time, DevicePool, Placement, Policy, PoolDevice};
 pub use service::{
-    BatchingConfig, CrashedRun, DurableReport, DurableRun, FaultProfile, GemmService,
-    RecoveryStats, ServiceBackend, ServiceConfig, ServiceReport, TenantSummary,
+    CrashedRun, DurableReport, DurableRun, FaultProfile, GemmService, RecoveryStats,
+    ServiceBackend, ServiceConfig, ServiceReport, TenantSummary,
 };

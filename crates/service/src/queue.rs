@@ -177,25 +177,6 @@ impl JobQueue {
     pub fn get(&self, index: usize) -> Option<&JobSpec> {
         self.jobs.get(index)
     }
-
-    /// Index of the queued job the given urgency key ranks first, or
-    /// `None` on an empty queue. The key orders descending (larger =
-    /// more urgent); ties resolve to the earliest-submitted job, which
-    /// keeps every policy deterministic.
-    pub fn most_urgent_by<K: PartialOrd>(&self, key: impl Fn(&JobSpec) -> K) -> Option<usize> {
-        let mut best: Option<(usize, K)> = None;
-        for (i, job) in self.jobs.iter().enumerate() {
-            let k = key(job);
-            let better = match &best {
-                None => true,
-                Some((_, bk)) => k.partial_cmp(bk) == Some(std::cmp::Ordering::Greater),
-            };
-            if better {
-                best = Some((i, k));
-            }
-        }
-        best.map(|(i, _)| i)
-    }
 }
 
 #[cfg(test)]
@@ -312,17 +293,5 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.tenant_depth(0), 0);
         assert_eq!(q.tenant_depth(1), 1);
-    }
-
-    #[test]
-    fn most_urgent_prefers_earliest_on_ties() {
-        let mut q = JobQueue::new(AdmissionConfig::default());
-        q.offer(job(0, 0, 10)).unwrap();
-        q.offer(job(1, 0, 10)).unwrap();
-        q.offer(job(2, 0, 20)).unwrap();
-        // Priority key is equal for 0 and 1: the earlier submission wins.
-        assert_eq!(q.most_urgent_by(|j| j.priority), Some(0));
-        // Size key singles out job 2.
-        assert_eq!(q.most_urgent_by(|j| j.n), Some(2));
     }
 }

@@ -21,15 +21,14 @@
 //! fair. Same jobs + same config ⇒ byte-identical report, which the
 //! schedule digest asserts cheaply.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
 use summagen_comm::span::{EventSink, SpanKind, SpanRecord};
 use summagen_comm::{FaultPlan, HockneyModel};
-use summagen_core::{
-    multiply_abft, multiply_with_recovery, AbftOptions, ExecutionMode, RecoveryOptions,
-};
+use summagen_core::{multiply_abft, AbftOptions, ExecutionMode, RecoveryOptions};
 use summagen_durable::{
     fnv1a_words, replay, CrashKind, CrashSpec, JobMeta, Journal, JournalRecord, RejectionReason,
     TerminalKind,
@@ -37,7 +36,11 @@ use summagen_durable::{
 use summagen_insight::{SloAlert, SloEngine, SloPolicy};
 use summagen_matrix::{gemm_naive, max_abs_diff, random_matrix, DenseMatrix};
 
-use crate::degrade::{CircuitBreaker, CircuitState, DegradeConfig, QuarantineEvent, WaitWindow};
+use crate::degrade::{
+    CircuitBreaker, CircuitState, DegradeConfig, QuarantineEvent, WaitWindow,
+    BROWNOUT_EXIT_FRACTION, BROWNOUT_SHED_PRIORITY, PREEMPTION_MIN_PRIORITY, PREEMPTION_PANELS,
+    QUARANTINE, RESUME_OVERHEAD,
+};
 use crate::job::{DeadlineVerdict, JobId, JobOutcome, JobRecord, JobSpec, Rejection};
 use crate::metrics::ServiceMetrics;
 use crate::queue::{AdmissionConfig, JobQueue};
@@ -46,6 +49,22 @@ use crate::scheduler::{commit, plan, service_time, DevicePool, Placement, Policy
 /// Comparison slack for virtual-clock instants.
 const EPS: f64 = 1e-9;
 
+/// Most jobs dispatched per batch: the seed job plus same-size mates.
+const MAX_BATCH: usize = 4;
+
+/// Virtual seconds of per-batch setup the batch amortizes.
+const BATCH_SETUP_COST: f64 = 0.002;
+
+/// Executions allowed per job (first try plus retries).
+const MAX_ATTEMPTS: usize = 3;
+
+/// Virtual seconds charged per retry (detection + restart).
+const RETRY_BACKOFF: f64 = 0.05;
+
+/// Checkpoint records a durable run journals per completing member while
+/// the degradation layer is disarmed ([`PREEMPTION_PANELS`] while armed).
+const DISARMED_CHECKPOINT_PANELS: usize = 4;
+
 /// How dispatched jobs execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServiceBackend {
@@ -53,57 +72,20 @@ pub enum ServiceBackend {
     /// materialized. This is how the load mixes run at scale.
     #[default]
     Virtual,
-    /// Every job numerically executes through the recovery-capable
+    /// Every job numerically executes through the ABFT checkpointed
     /// executor on matrices seeded from its id, and the product is
     /// verified against a sequential reference. Timing stays virtual
     /// (the schedule must not depend on host speed). For test-sized jobs.
-    Real {
-        /// Route through the ABFT checkpointed executor instead of the
-        /// plain shrink-and-retry one.
-        abft: bool,
-    },
+    Real,
 }
 
 /// Seeded device-failure injection.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultProfile {
     /// Per-attempt failure probability in permille (0 = no faults).
     pub fail_permille: u16,
     /// Seed of the failure draws.
     pub seed: u64,
-    /// Executions allowed per job (first try plus retries).
-    pub max_attempts: usize,
-    /// Virtual seconds charged per retry (detection + restart).
-    pub retry_backoff: f64,
-}
-
-impl Default for FaultProfile {
-    fn default() -> Self {
-        Self {
-            fail_permille: 0,
-            seed: 0,
-            max_attempts: 3,
-            retry_backoff: 0.05,
-        }
-    }
-}
-
-/// Batching knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchingConfig {
-    /// Most jobs dispatched per batch (1 disables batching).
-    pub max_batch: usize,
-    /// Virtual seconds of per-batch setup the batch amortizes.
-    pub setup_cost: f64,
-}
-
-impl Default for BatchingConfig {
-    fn default() -> Self {
-        Self {
-            max_batch: 4,
-            setup_cost: 0.002,
-        }
-    }
 }
 
 /// Full service configuration.
@@ -113,13 +95,11 @@ pub struct ServiceConfig {
     pub admission: AdmissionConfig,
     /// Scheduling policy.
     pub policy: Policy,
-    /// Batching knobs.
-    pub batching: BatchingConfig,
     /// Failure injection.
     pub faults: FaultProfile,
     /// Execution backend.
     pub backend: ServiceBackend,
-    /// The degradation layer (all mechanisms off by default).
+    /// The degradation layer (disarmed by default).
     pub degrade: DegradeConfig,
 }
 
@@ -608,6 +588,28 @@ impl RunState {
             .as_ref()
             .is_some_and(|ctx| ctx.crashed.is_some())
     }
+
+    /// Closes one dispatch round of the event loop: a due `MidBatch` kill
+    /// fires while a batch is in flight, the journal flushes what is due,
+    /// and the answer is whether the run survived.
+    fn end_step(&mut self) -> bool {
+        if let Some(ctx) = self.durable.as_mut() {
+            if ctx.due_kind() == Some(CrashKind::MidBatch) && !self.in_flight.is_empty() {
+                ctx.crash_now(self.now, CrashKind::MidBatch);
+            }
+            ctx.journal.maybe_flush(self.now);
+        }
+        !self.crashed()
+    }
+}
+
+/// Urgency order: higher priority first, then the earlier deadline (none
+/// counts as infinitely late). Ties are the caller's to break.
+fn urgency(a: &JobSpec, b: &JobSpec) -> Ordering {
+    let deadline = |j: &JobSpec| j.deadline.unwrap_or(f64::INFINITY);
+    b.priority
+        .cmp(&a.priority)
+        .then(deadline(a).total_cmp(&deadline(b)))
 }
 
 impl GemmService {
@@ -725,11 +727,7 @@ impl GemmService {
                 || open.contains(&key)
             {
                 suppressed += 1;
-                let rej = Rejection::Duplicate { idempotency: key };
-                if let Some(m) = &self.metrics {
-                    m.record_rejection(job.tenant, &rej);
-                }
-                st.rejections.push((job, rej));
+                self.reject(&mut st, job, Rejection::Duplicate { idempotency: key });
             } else {
                 fresh.push(job);
             }
@@ -815,7 +813,11 @@ impl GemmService {
             crash,
             events: 0,
             crashed: None,
-            panels: self.config.degrade.preemption.map_or(4, |p| p.panels),
+            panels: if self.config.degrade.armed {
+                PREEMPTION_PANELS
+            } else {
+                DISARMED_CHECKPOINT_PANELS
+            },
             digests: BTreeMap::new(),
             stats,
         };
@@ -865,7 +867,7 @@ impl GemmService {
 
     /// A fresh event-loop state under the current config.
     fn base_state(&self) -> RunState {
-        let degrade = self.config.degrade;
+        let armed = self.config.degrade.armed;
         RunState {
             queue: JobQueue::new(self.config.admission),
             in_flight: Vec::new(),
@@ -874,14 +876,13 @@ impl GemmService {
             next_batch: 0,
             retries: 0,
             preemptions: 0,
-            breakers: match degrade.quarantine {
-                Some(q) => (0..self.pool.len())
-                    .map(|_| CircuitBreaker::new(q))
-                    .collect(),
-                None => Vec::new(),
+            breakers: if armed {
+                vec![CircuitBreaker::new(QUARANTINE); self.pool.len()]
+            } else {
+                Vec::new()
             },
             quarantine_events: Vec::new(),
-            waits: degrade.brownout.map(|b| WaitWindow::new(b.window)),
+            waits: armed.then(|| WaitWindow::new(self.config.degrade.brownout_window)),
             brownout_active: false,
             resume: BTreeMap::new(),
             slo: self.slo.clone().map(SloEngine::new),
@@ -908,13 +909,7 @@ impl GemmService {
         // waiting for (or missing) a wake-up event.
         if !st.queue.is_empty() {
             self.dispatch_all(st);
-            if let Some(ctx) = st.durable.as_mut() {
-                if ctx.due_kind() == Some(CrashKind::MidBatch) && !st.in_flight.is_empty() {
-                    ctx.crash_now(st.now, CrashKind::MidBatch);
-                }
-                ctx.journal.maybe_flush(st.now);
-            }
-            if st.crashed() {
+            if !st.end_step() {
                 return false;
             }
         }
@@ -953,13 +948,7 @@ impl GemmService {
                 self.pool.set_eligible(&mask);
             }
             self.dispatch_all(st);
-            if let Some(ctx) = st.durable.as_mut() {
-                if ctx.due_kind() == Some(CrashKind::MidBatch) && !st.in_flight.is_empty() {
-                    ctx.crash_now(st.now, CrashKind::MidBatch);
-                }
-                ctx.journal.maybe_flush(st.now);
-            }
-            if st.crashed() {
+            if !st.end_step() {
                 return false;
             }
             if let Some(m) = &self.metrics {
@@ -1168,11 +1157,7 @@ impl GemmService {
                 let failures = match tr.from {
                     // Closed → open fires at the configured streak; a
                     // half-open probe re-opens on its single failure.
-                    CircuitState::Closed => self
-                        .config
-                        .degrade
-                        .quarantine
-                        .map_or(0, |q| u64::from(q.failure_threshold)),
+                    CircuitState::Closed => u64::from(QUARANTINE.failure_threshold),
                     _ => 1,
                 };
                 sink.record(SpanRecord {
@@ -1193,19 +1178,18 @@ impl GemmService {
     /// after the size bound so an oversized job still bounces as
     /// `TooLarge` — rejection reasons stay deterministic per job.
     fn admit(&mut self, st: &mut RunState, job: JobSpec) {
-        let deadline_rej =
-            if self.config.degrade.deadline_admission && job.n <= self.config.admission.max_n {
-                job.deadline.and_then(|d| {
-                    let est = self.estimate_completion(st, &job);
-                    (est > d + EPS).then_some(Rejection::DeadlineInfeasible {
-                        tenant: job.tenant,
-                        deadline: d,
-                        estimated_completion: est,
-                    })
+        let deadline_rej = if self.config.degrade.armed && job.n <= self.config.admission.max_n {
+            job.deadline.and_then(|d| {
+                let est = self.estimate_completion(st, &job);
+                (est > d + EPS).then_some(Rejection::DeadlineInfeasible {
+                    tenant: job.tenant,
+                    deadline: d,
+                    estimated_completion: est,
                 })
-            } else {
-                None
-            };
+            })
+        } else {
+            None
+        };
         let result = match deadline_rej {
             Some(r) => Err(r),
             None => st.queue.offer(job.clone()),
@@ -1234,16 +1218,26 @@ impl GemmService {
             }
         }
         if let Err(rej) = result {
-            if let Some(m) = &self.metrics {
-                m.record_rejection(job.tenant, &rej);
-            }
+            self.reject(st, job, rej);
+        }
+    }
+
+    /// Hands one rejection to everything that observes it: the metrics,
+    /// the SLO engine (not for a duplicate — the original's outcome was
+    /// already observed) and the report. The caller journals it first,
+    /// where it is journaled at all.
+    fn reject(&self, st: &mut RunState, job: JobSpec, rej: Rejection) {
+        if let Some(m) = &self.metrics {
+            m.record_rejection(job.tenant, &rej);
+        }
+        if !matches!(rej, Rejection::Duplicate { .. }) {
             let now = st.now;
             if let Some(engine) = st.slo.as_mut() {
                 let fired = engine.observe_rejected(now, job.tenant);
                 self.publish_slo(engine, job.tenant, now, &fired);
             }
-            st.rejections.push((job, rej));
         }
+        st.rejections.push((job, rej));
     }
 
     /// Publishes one tenant's current burn rates and any newly fired
@@ -1290,19 +1284,17 @@ impl GemmService {
     }
 
     /// Brownout: updates the hysteresis state from the queue-wait p95
-    /// and, while active, sheds every queued deadline-less job at or
-    /// below the shed tier with a typed rejection.
+    /// and, while active, sheds every queued deadline-less job of the
+    /// shed tier with a typed rejection.
     fn shed_brownout(&mut self, st: &mut RunState) {
-        let Some(cfg) = self.config.degrade.brownout else {
-            return;
-        };
         let Some(w) = &st.waits else { return };
+        let threshold = self.config.degrade.brownout_p95_threshold;
         let p95 = w.p95();
         if st.brownout_active {
-            if p95 < cfg.exit_fraction * cfg.p95_threshold {
+            if p95 < BROWNOUT_EXIT_FRACTION * threshold {
                 st.brownout_active = false;
             }
-        } else if p95 > cfg.p95_threshold {
+        } else if p95 > threshold {
             st.brownout_active = true;
         }
         if !st.brownout_active {
@@ -1314,14 +1306,14 @@ impl GemmService {
         let resume = &st.resume;
         let shed = st.queue.drain_matching(|j| {
             j.deadline.is_none()
-                && j.priority <= cfg.max_shed_priority
+                && j.priority == BROWNOUT_SHED_PRIORITY
                 && !resume.contains_key(&j.id)
         });
         for job in shed {
             let rej = Rejection::Shed {
                 tenant: job.tenant,
                 queue_wait_p95: p95,
-                threshold: cfg.p95_threshold,
+                threshold,
             };
             // A shed is an externally visible rejection of an already
             // admitted job — commit-class, journaled before the ack.
@@ -1337,15 +1329,7 @@ impl GemmService {
                     },
                 );
             }
-            if let Some(m) = &self.metrics {
-                m.record_rejection(job.tenant, &rej);
-            }
-            let now = st.now;
-            if let Some(engine) = st.slo.as_mut() {
-                let fired = engine.observe_rejected(now, job.tenant);
-                self.publish_slo(engine, job.tenant, now, &fired);
-            }
-            st.rejections.push((job, rej));
+            self.reject(st, job, rej);
         }
     }
 
@@ -1365,18 +1349,7 @@ impl GemmService {
                 Policy::FpmAware => {
                     let spec = |i: usize| st.queue.get(i).expect("index below len");
                     let mut order: Vec<usize> = (0..st.queue.len()).collect();
-                    order.sort_by(|&a, &b| {
-                        spec(b)
-                            .priority
-                            .cmp(&spec(a).priority)
-                            .then(
-                                spec(a)
-                                    .deadline
-                                    .unwrap_or(f64::INFINITY)
-                                    .total_cmp(&spec(b).deadline.unwrap_or(f64::INFINITY)),
-                            )
-                            .then(a.cmp(&b))
-                    });
+                    order.sort_by(|&a, &b| urgency(spec(a), spec(b)).then(a.cmp(&b)));
                     order
                 }
             };
@@ -1403,9 +1376,10 @@ impl GemmService {
     /// bit-identically, which the core's `multiply_abft_prefix` API
     /// proves on real matrices.
     fn try_preempt(&mut self, st: &mut RunState) {
-        let Some(cfg) = self.config.degrade.preemption else {
+        if !self.config.degrade.armed {
             return;
-        };
+        }
+        let min_wait = self.config.degrade.preemption_min_wait;
         // Preemption needs a dispatch order that will actually run the
         // urgent job on the freed devices. FIFO and round-robin only
         // ever dispatch the queue head — and the requeued victim goes
@@ -1414,44 +1388,29 @@ impl GemmService {
         if self.config.policy != Policy::FpmAware {
             return;
         }
-        let mut urgent: Option<&JobSpec> = None;
-        for j in st.queue.iter().filter(|j| j.priority >= cfg.min_priority) {
-            let better = match urgent {
-                None => true,
-                Some(u) => {
-                    j.priority
-                        .cmp(&u.priority)
-                        .then(
-                            u.deadline
-                                .unwrap_or(f64::INFINITY)
-                                .total_cmp(&j.deadline.unwrap_or(f64::INFINITY)),
-                        )
-                        .then(u.id.cmp(&j.id))
-                        == std::cmp::Ordering::Greater
-                }
-            };
-            if better {
-                urgent = Some(j);
-            }
-        }
+        let urgent = st
+            .queue
+            .iter()
+            .filter(|j| j.priority >= PREEMPTION_MIN_PRIORITY)
+            .min_by(|a, b| urgency(a, b).then(a.id.cmp(&b.id)));
         let Some(urgent) = urgent.cloned() else {
             return;
         };
         // If the urgent job would start soon anyway, don't churn.
         let placement = plan(self.config.policy, &mut self.pool, &urgent, st.now);
-        if placement.start <= st.now + cfg.min_wait {
+        if placement.start <= st.now + min_wait {
             return;
         }
         // Victim: the batch of strictly lower-priority work whose
         // truncation reclaims the most device time.
         let mut victim: Option<usize> = None;
-        let mut best_reclaim = cfg.min_wait;
+        let mut best_reclaim = min_wait;
         for (i, fl) in st.in_flight.iter().enumerate() {
             let max_prio = fl.pending.iter().map(|r| r.spec.priority).max();
             if max_prio.is_none_or(|p| p >= urgent.priority) {
                 continue;
             }
-            let Some(boundary) = preemption_boundary(fl, st.now, cfg.panels) else {
+            let Some(boundary) = preemption_boundary(fl, st.now) else {
                 continue;
             };
             let reclaim = fl.finish - boundary;
@@ -1463,8 +1422,7 @@ impl GemmService {
         let Some(vi) = victim else { return };
         let (devices, boundary, old_finish, requeue) = {
             let fl = &mut st.in_flight[vi];
-            let boundary =
-                preemption_boundary(fl, st.now, cfg.panels).expect("victim had a boundary");
+            let boundary = preemption_boundary(fl, st.now).expect("victim had a boundary");
             let old_finish = fl.finish;
             let mut kept = Vec::new();
             let mut requeue: Vec<(JobSpec, f64)> = Vec::new();
@@ -1526,7 +1484,7 @@ impl GemmService {
     fn dispatch_batch(&mut self, st: &mut RunState, seed_idx: usize, placement: Placement) {
         let seed = st.queue.take(seed_idx);
         let mut members = vec![seed];
-        while members.len() < self.config.batching.max_batch {
+        while members.len() < MAX_BATCH {
             let mate = st.queue.iter().position(|j| j.n == members[0].n);
             match mate {
                 Some(pos) => members.push(st.queue.take(pos)),
@@ -1540,7 +1498,7 @@ impl GemmService {
         }
 
         let batch_start = st.now;
-        let mut t = st.now + self.config.batching.setup_cost;
+        let mut t = st.now + BATCH_SETUP_COST;
         let mut pending = Vec::with_capacity(members.len());
         let mut breaker_events = Vec::new();
         let mut base_fracs = Vec::with_capacity(members.len());
@@ -1654,13 +1612,11 @@ impl GemmService {
     ) -> (f64, usize, Vec<usize>, JobOutcome, Option<u64>) {
         let faults = self.config.faults;
         let work_scale = (1.0 - resume_fraction).max(0.0);
-        let track_breakers = self.config.degrade.quarantine.is_some();
+        let armed = self.config.degrade.armed;
         let mut devices = placement.devices.clone();
         let mut t = t0;
-        if resume_fraction > 0.0 {
-            if let Some(p) = self.config.degrade.preemption {
-                t += p.resume_overhead;
-            }
+        if resume_fraction > 0.0 && armed {
+            t += RESUME_OVERHEAD;
         }
         let mut attempts = 0usize;
         let outcome = loop {
@@ -1674,7 +1630,7 @@ impl GemmService {
             let fate = draw_fate(&faults, job.id, attempts as u64, devices.len());
             if !fate.fails {
                 t += duration;
-                if track_breakers {
+                if armed {
                     for &d in &devices {
                         breaker_events.push(BreakerEvent {
                             at: t,
@@ -1691,15 +1647,15 @@ impl GemmService {
             // shrinks a crashed rank's device out of the partition; a
             // singleton placement treats the failure as transient and
             // restarts on the same device (there is nothing to shrink to).
-            t += duration * fate.burn_fraction + faults.retry_backoff;
-            if track_breakers {
+            t += duration * fate.burn_fraction + RETRY_BACKOFF;
+            if armed {
                 breaker_events.push(BreakerEvent {
                     at: t,
                     device: devices[fate.victim_slot],
                     failed: true,
                 });
             }
-            if attempts >= faults.max_attempts {
+            if attempts >= MAX_ATTEMPTS {
                 break JobOutcome::Failed {
                     reason: format!("attempt budget exhausted after {attempts} executions"),
                 };
@@ -1712,8 +1668,8 @@ impl GemmService {
                 m.retries.inc();
             }
         };
-        if let ServiceBackend::Real { abft } = self.config.backend {
-            match self.execute_real(job, placement, abft) {
+        if self.config.backend == ServiceBackend::Real {
+            match self.execute_real(job, placement) {
                 Ok(digest) => return (t, attempts, devices, outcome, Some(digest)),
                 Err(reason) => return (t, attempts, devices, JobOutcome::Failed { reason }, None),
             }
@@ -1721,19 +1677,14 @@ impl GemmService {
         (t, attempts, devices, outcome, None)
     }
 
-    /// Numerically executes a job through the recovery-capable executor
-    /// (or the ABFT one) and verifies the product, returning the
+    /// Numerically executes a job through the ABFT checkpointed executor
+    /// and verifies the product, returning the
     /// product's FNV digest (what the journal's `Completed` record
     /// carries — bit-identical re-execution is what makes the digest a
     /// meaningful exactly-once witness). Returns an error string on
     /// numeric failure — which would be a service bug, and is exactly
     /// what the real-mode tests are hunting for.
-    fn execute_real(
-        &self,
-        job: &JobSpec,
-        placement: &Placement,
-        abft: bool,
-    ) -> Result<u64, String> {
+    fn execute_real(&self, job: &JobSpec, placement: &Placement) -> Result<u64, String> {
         let n = job.n;
         let a = random_matrix(n, n, job.id.wrapping_mul(2).wrapping_add(1));
         let b = random_matrix(n, n, job.id.wrapping_mul(2).wrapping_add(2));
@@ -1747,40 +1698,25 @@ impl GemmService {
             Vec::new()
         };
         let opts = RecoveryOptions {
-            max_attempts: self.config.faults.max_attempts.max(2),
-            retry_backoff: self.config.faults.retry_backoff,
+            max_attempts: MAX_ATTEMPTS,
+            retry_backoff: RETRY_BACKOFF,
             recv_timeout: Duration::from_millis(500),
             ..RecoveryOptions::default()
         };
-        let c = if abft {
-            multiply_abft(
-                placement.shape,
-                &placement.rel_speeds,
-                &a,
-                &b,
-                ExecutionMode::Real,
-                HockneyModel::intra_node(),
-                &attempt_faults,
-                &opts,
-                &AbftOptions::default(),
-            )
-            .map_err(|e| format!("abft execution failed: {e:?}"))?
-            .run
-            .c
-        } else {
-            multiply_with_recovery(
-                placement.shape,
-                &placement.rel_speeds,
-                &a,
-                &b,
-                ExecutionMode::Real,
-                HockneyModel::intra_node(),
-                &attempt_faults,
-                &opts,
-            )
-            .map_err(|e| format!("recovery execution failed: {e:?}"))?
-            .c
-        };
+        let c = multiply_abft(
+            placement.shape,
+            &placement.rel_speeds,
+            &a,
+            &b,
+            ExecutionMode::Real,
+            HockneyModel::intra_node(),
+            &attempt_faults,
+            &opts,
+            &AbftOptions::default(),
+        )
+        .map_err(|e| format!("abft execution failed: {e:?}"))?
+        .run
+        .c;
         verify_product(&a, &b, &c)?;
         let words: Vec<u64> = c.as_slice().iter().map(|v| v.to_bits()).collect();
         Ok(fnv1a_words(&words))
@@ -1791,11 +1727,11 @@ impl GemmService {
 /// unfinished work can be cut, or `None` when nothing after `now` is
 /// reclaimable. Members run sequentially, so the first member that is
 /// not complete at `now` decides: an unstarted member cuts at its own
-/// start; an in-progress member cuts at its next of `panels` equal
+/// start; an in-progress member cuts at its next of [`PREEMPTION_PANELS`] equal
 /// virtual-time panel marks (the virtual-clock model of the checkpointed
 /// executor's column-panel boundaries, which `panel_boundaries` exposes
 /// for the real run).
-fn preemption_boundary(fl: &InFlight, now: f64, panels: usize) -> Option<f64> {
+fn preemption_boundary(fl: &InFlight, now: f64) -> Option<f64> {
     for rec in &fl.pending {
         if rec.finish_time <= now + EPS {
             continue;
@@ -1803,7 +1739,7 @@ fn preemption_boundary(fl: &InFlight, now: f64, panels: usize) -> Option<f64> {
         if rec.start_time >= now - EPS {
             return Some(rec.start_time.max(now));
         }
-        let step = (rec.finish_time - rec.start_time) / panels.max(1) as f64;
+        let step = (rec.finish_time - rec.start_time) / PREEMPTION_PANELS as f64;
         let done = ((now - rec.start_time) / step).ceil().max(1.0);
         return Some((rec.start_time + done * step).min(rec.finish_time));
     }
@@ -1837,47 +1773,37 @@ fn verify_product(a: &DenseMatrix, b: &DenseMatrix, c: &DenseMatrix) -> Result<(
 /// FNV-1a over every scheduling decision: job ids, times (as bits),
 /// device sets, batches, attempts, outcomes, and rejections.
 fn digest(records: &[JobRecord], rejections: &[(JobSpec, Rejection)]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut words = Vec::new();
     for r in records {
-        eat(r.spec.id);
-        eat(r.start_time.to_bits());
-        eat(r.finish_time.to_bits());
-        eat(r.batch);
-        eat(r.attempts as u64);
-        eat(r.devices.len() as u64);
-        for &d in &r.devices {
-            eat(d as u64);
-        }
-        eat(match r.outcome {
+        words.extend([
+            r.spec.id,
+            r.start_time.to_bits(),
+            r.finish_time.to_bits(),
+            r.batch,
+            r.attempts as u64,
+            r.devices.len() as u64,
+        ]);
+        words.extend(r.devices.iter().map(|&d| d as u64));
+        words.push(match r.outcome {
             JobOutcome::Completed => 1,
             JobOutcome::Failed { .. } => 2,
         });
-        eat(r.preemptions as u64);
-        eat(match r.deadline {
+        words.push(r.preemptions as u64);
+        words.push(match r.deadline {
             DeadlineVerdict::NoDeadline => 0,
             DeadlineVerdict::Met => 1,
             DeadlineVerdict::Missed { .. } => 2,
         });
     }
     for (j, rej) in rejections {
-        eat(j.id);
-        eat(rej.label().len() as u64);
+        words.extend([j.id, rej.label().len() as u64]);
     }
-    h
+    fnv1a_words(&words)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::degrade::{BrownoutConfig, PreemptionConfig, QuarantineConfig};
     use crate::loadgen::{generate, small_mix};
     use summagen_platform::profile::hclserver1;
 
@@ -2017,8 +1943,6 @@ mod tests {
             faults: FaultProfile {
                 fail_permille: 300,
                 seed: 7,
-                max_attempts: 4,
-                retry_backoff: 0.05,
             },
             ..config(Policy::FpmAware)
         };
@@ -2039,12 +1963,10 @@ mod tests {
     #[test]
     fn real_backend_executes_and_verifies_small_jobs() {
         let cfg = ServiceConfig {
-            backend: ServiceBackend::Real { abft: false },
+            backend: ServiceBackend::Real,
             faults: FaultProfile {
                 fail_permille: 500,
                 seed: 3,
-                max_attempts: 3,
-                retry_backoff: 0.05,
             },
             ..config(Policy::FpmAware)
         };
@@ -2098,11 +2020,8 @@ mod tests {
     fn urgent_job_triggers_checkpoint_preemption() {
         let cfg = ServiceConfig {
             degrade: DegradeConfig {
-                preemption: Some(PreemptionConfig {
-                    min_wait: 0.05,
-                    ..PreemptionConfig::default()
-                }),
-                ..DegradeConfig::default()
+                preemption_min_wait: 0.05,
+                ..DegradeConfig::standard()
             },
             ..config(Policy::FpmAware)
         };
@@ -2139,10 +2058,7 @@ mod tests {
     #[test]
     fn infeasible_deadline_jobs_are_rejected_at_the_door() {
         let cfg = ServiceConfig {
-            degrade: DegradeConfig {
-                deadline_admission: true,
-                ..DegradeConfig::default()
-            },
+            degrade: DegradeConfig::standard(),
             ..config(Policy::FpmAware)
         };
         // Saturate the pool, then submit one job with a hopeless deadline
@@ -2177,13 +2093,8 @@ mod tests {
             faults: FaultProfile {
                 fail_permille: 700,
                 seed: 11,
-                max_attempts: 4,
-                retry_backoff: 0.05,
             },
-            degrade: DegradeConfig {
-                quarantine: Some(QuarantineConfig::default()),
-                ..DegradeConfig::default()
-            },
+            degrade: DegradeConfig::standard(),
             ..config(Policy::FpmAware)
         };
         let jobs = generate(&small_mix());
@@ -2221,13 +2132,9 @@ mod tests {
     fn brownout_sheds_deadline_less_low_tier_jobs_under_overload() {
         let cfg = ServiceConfig {
             degrade: DegradeConfig {
-                brownout: Some(BrownoutConfig {
-                    p95_threshold: 0.05,
-                    exit_fraction: 0.7,
-                    window: 16,
-                    max_shed_priority: 0,
-                }),
-                ..DegradeConfig::default()
+                brownout_p95_threshold: 0.05,
+                brownout_window: 16,
+                ..DegradeConfig::standard()
             },
             ..config(Policy::FpmAware)
         };
@@ -2267,8 +2174,6 @@ mod tests {
             faults: FaultProfile {
                 fail_permille: 300,
                 seed: 7,
-                max_attempts: 4,
-                retry_backoff: 0.05,
             },
             degrade: DegradeConfig::standard(),
             ..config(Policy::FpmAware)

@@ -139,7 +139,6 @@ proptest! {
         let faults = FaultProfile {
             fail_permille: fail_permille as u16,
             seed: fault_seed,
-            ..FaultProfile::default()
         };
         let mut svc = service(Policy::ALL[policy_idx], faults, AdmissionConfig::default());
         let report = svc.run(jobs.clone());
@@ -184,7 +183,6 @@ proptest! {
         let faults = FaultProfile {
             fail_permille: fail_permille as u16,
             seed: fault_seed,
-            ..FaultProfile::default()
         };
         let policy = Policy::ALL[policy_idx];
         let run = |jobs: Vec<_>| {
@@ -278,7 +276,6 @@ proptest! {
         let faults = FaultProfile {
             fail_permille: fail_permille as u16,
             seed: fault_seed,
-            ..FaultProfile::default()
         };
         let run = || {
             let pool = DevicePool::from_platform(&hclserver1(), 1e-5, 4e-10);
@@ -335,7 +332,6 @@ proptest! {
         let faults = FaultProfile {
             fail_permille: fail_permille as u16,
             seed: fault_seed,
-            ..FaultProfile::default()
         };
         let degrade = if degrade_on {
             DegradeConfig::standard()

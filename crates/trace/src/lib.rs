@@ -7,8 +7,8 @@
 //! that; this crate turns the runtime's span stream (see
 //! `summagen_comm::span`) into things that can:
 //!
-//! * [`TraceRecorder`] — the canonical `EventSink`: one wait-free
-//!   single-writer ring buffer per rank, wall-clock stamping, zero
+//! * [`TraceRecorder`] — the canonical `EventSink`: one bounded ring
+//!   buffer per rank behind its own lock, wall-clock stamping, no
 //!   contention between ranks. Install with
 //!   `Universe::with_event_sink`, extract a [`RecordedTrace`] with
 //!   [`TraceRecorder::finish`] after the run.
@@ -42,7 +42,7 @@ pub mod flamegraph;
 pub mod perfetto;
 pub mod recorder;
 pub mod replay;
-pub mod ring;
+mod ring;
 
 pub use analysis::{
     critical_path, metrics, CpSegment, CriticalPath, LinkVolume, RankMetrics, TraceMetrics,
@@ -51,4 +51,3 @@ pub use flamegraph::folded_stacks;
 pub use perfetto::perfetto_json;
 pub use recorder::{RecordedTrace, TraceRecorder, TraceSpan, DEFAULT_RING_CAPACITY};
 pub use replay::{replay, Intervention, Replay, Target};
-pub use ring::RingBuffer;

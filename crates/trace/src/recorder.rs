@@ -1,12 +1,11 @@
-//! The [`TraceRecorder`]: the canonical [`EventSink`] — one lock-free
+//! The [`TraceRecorder`]: the canonical [`EventSink`] — one bounded
 //! ring per rank, wall-clock stamping, and extraction into a
 //! [`RecordedTrace`] once the run has finished.
 //!
-//! Producer contract, inherited from [`EventSink`] and relied on by
-//! [`RingBuffer`]: *one producer per ring at a time, reads after the run
-//! returns*. In a threaded run each rank's thread writes its own ring; in
-//! a hosted run (`Universe::host`) the hosting thread is the single
-//! producer of every ring.
+//! In a threaded run each rank's thread writes its own ring; in a hosted
+//! run (`Universe::host`) the hosting thread writes every ring. Each ring
+//! sits behind its own lock, so any other interleaving — two threads on
+//! one rank, a read while a run is going — stays sound; it just waits.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -37,11 +36,10 @@ pub struct TraceSpan {
 /// Collects every span of a run into per-rank ring buffers.
 ///
 /// Install with `Universe::with_event_sink(recorder.clone())`, run, then
-/// call [`TraceRecorder::finish`]. The record path is wait-free: a slot
-/// store and one atomic increment per event (see [`RingBuffer`]); ranks
-/// never contend because each ring has one producer at a time. Rings grow
-/// with what they record, so a recorder for a thousand ranks costs nothing
-/// until spans arrive.
+/// call [`TraceRecorder::finish`]. The record path is one uncontended lock
+/// and a slot store per event: ranks never contend because each rank has
+/// its own ring. Rings grow with what they record, so a recorder for a
+/// thousand ranks costs nothing until spans arrive.
 pub struct TraceRecorder {
     rings: Vec<RingBuffer<TraceSpan>>,
     epoch: Instant,
@@ -71,10 +69,9 @@ impl TraceRecorder {
 
     /// Extracts everything recorded so far into a [`RecordedTrace`].
     ///
-    /// Call only after the traced run has returned: `Universe::run` /
-    /// `try_run` join every rank thread and `Universe::host` runs on the
-    /// caller, which is the synchronization point the lock-free rings rely
-    /// on.
+    /// Call after the traced run has returned (`Universe::run` / `try_run`
+    /// join every rank thread and `Universe::host` runs on the caller) to
+    /// see every span; an earlier call sees the spans recorded so far.
     pub fn finish(&self) -> RecordedTrace {
         let spans: Vec<Vec<TraceSpan>> = self.rings.iter().map(|r| r.snapshot()).collect();
         let dropped = self.rings.iter().map(|r| r.dropped()).sum();

@@ -31,7 +31,6 @@ fn config(backend: ServiceBackend, fault_seed: u64) -> ServiceConfig {
         faults: FaultProfile {
             fail_permille: 200,
             seed: fault_seed,
-            ..FaultProfile::default()
         },
         ..ServiceConfig::default()
     }
@@ -92,7 +91,7 @@ fn drain_with_crashes(
 /// control's.
 #[test]
 fn real_backend_crash_ladder_is_exactly_once_with_bit_identical_digests() {
-    let backend = ServiceBackend::Real { abft: true };
+    let backend = ServiceBackend::Real;
     let stream = jobs(10);
 
     let mut control_svc = GemmService::new(pool(), config(backend, 5));

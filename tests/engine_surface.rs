@@ -2,7 +2,8 @@
 //! points over one engine — one launcher, one clock fold, one rank walk — a
 //! fixed list of modules in the three algorithm crates, and one place where
 //! a run's receive timeout comes from. Also `summagen-comm`'s re-exports and
-//! `Communicator` methods, and the panic budget of comm, core and service.
+//! `Communicator` methods, `summagen-service`'s re-exports and settable
+//! configuration, and the panic budget of comm, core and service.
 //!
 //! The environment test is the only test of this binary that launches
 //! ranks, so setting a process-wide variable in it cannot disturb another.
@@ -156,6 +157,32 @@ fn the_module_lists_of_the_algorithm_crates_are_the_pinned_ones() {
     }
 }
 
+/// The names inside every `pub use …;` of a crate root's non-test text,
+/// sorted.
+fn reexports(lib: &str) -> Vec<&str> {
+    let mut names: Vec<&str> = lib
+        .split("pub use ")
+        .skip(1)
+        .filter_map(|stmt| stmt.split(';').next())
+        .flat_map(|stmt| {
+            let names = stmt.rsplit("::").next().unwrap_or_default();
+            names.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        })
+        .filter(|name| !name.is_empty())
+        .collect();
+    names.sort_unstable();
+    names
+}
+
+/// The non-test text of `crates/<krate>/src/<file>`.
+fn source<'a>(sources: &'a [(String, String)], file: &str) -> &'a str {
+    let (_, code) = sources
+        .iter()
+        .find(|(name, _)| name == file)
+        .expect("a source file of the crate");
+    code
+}
+
 /// Everything `summagen-comm` re-exports from its crate root, sorted. A
 /// collective, a second event recorder or a new knob added to the crate's
 /// surface fails here and has to be named.
@@ -176,31 +203,15 @@ const COMMUNICATOR_FNS: &str = "rank size global_rank now clock_snapshot traffic
 #[test]
 fn the_comm_surface_is_the_pinned_one() {
     let sources = crate_sources("comm");
-    let code = |file: &str| {
-        let (_, code) = sources
-            .iter()
-            .find(|(name, _)| name == file)
-            .expect("a comm source file");
-        code.as_str()
-    };
-
-    // The names inside every `pub use …;` of the crate root.
-    let mut reexported: Vec<&str> = code("lib.rs")
-        .split("pub use ")
-        .skip(1)
-        .filter_map(|stmt| stmt.split(';').next())
-        .flat_map(|stmt| {
-            let names = stmt.rsplit("::").next().unwrap_or_default();
-            names.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
-        })
-        .filter(|name| !name.is_empty())
-        .collect();
-    reexported.sort_unstable();
     let want: Vec<&str> = COMM_REEXPORTS.split_whitespace().collect();
-    assert_eq!(reexported, want, "`pub use`s of crates/comm/src/lib.rs");
+    assert_eq!(
+        reexports(source(&sources, "lib.rs")),
+        want,
+        "`pub use`s of crates/comm/src/lib.rs"
+    );
 
     // The `pub fn`s of `impl Communicator`, the one public impl of comm.rs.
-    let methods: Vec<&str> = code("comm.rs")
+    let methods: Vec<&str> = source(&sources, "comm.rs")
         .lines()
         .filter_map(|line| line.strip_prefix("    pub fn "))
         .filter_map(|rest| rest.split(['(', '<']).next())
@@ -213,6 +224,60 @@ fn the_comm_surface_is_the_pinned_one() {
         .filter(|name| methods.contains(&format!("try_{name}").as_str()))
         .collect();
     assert_eq!(panicking, ["send", "recv", "bcast"]);
+}
+
+/// Everything `summagen-service` re-exports from its crate root, sorted.
+const SERVICE_REEXPORTS: &str = "AdmissionConfig CircuitBreaker CircuitState CrashedRun \
+    DeadlineVerdict DegradeConfig DevicePool DurableReport DurableRun FaultProfile GemmService \
+    JobId JobOutcome JobQueue JobRecord JobSpec LoadMix Placement Policy PoolDevice \
+    QuarantineConfig QuarantineEvent QuarantineTransition RecoveryStats Rejection \
+    ServiceBackend ServiceConfig ServiceMetrics ServiceReport TenantProfile TenantSummary \
+    WaitWindow commit generate hetero_mix mix_by_name plan service_time small_mix";
+
+/// The public fields of every struct a `ServiceConfig` is built from, by
+/// `(file, struct)`: eleven independently settable values (`policy` and
+/// `backend` are one each). A new knob is a visible diff here.
+const SERVICE_CONFIG_FIELDS: [(&str, &str, &str); 4] = [
+    (
+        "service.rs",
+        "ServiceConfig",
+        "admission policy faults backend degrade",
+    ),
+    (
+        "queue.rs",
+        "AdmissionConfig",
+        "queue_capacity per_tenant_quota max_n",
+    ),
+    ("service.rs", "FaultProfile", "fail_permille seed"),
+    (
+        "degrade.rs",
+        "DegradeConfig",
+        "armed preemption_min_wait brownout_p95_threshold brownout_window",
+    ),
+];
+
+#[test]
+fn the_service_surface_is_the_pinned_one() {
+    let sources = crate_sources("service");
+    let want: Vec<&str> = SERVICE_REEXPORTS.split_whitespace().collect();
+    assert_eq!(
+        reexports(source(&sources, "lib.rs")),
+        want,
+        "`pub use`s of crates/service/src/lib.rs"
+    );
+    for (file, name, want) in SERVICE_CONFIG_FIELDS {
+        let body = source(&sources, file)
+            .split(&format!("pub struct {name} {{"))
+            .nth(1)
+            .and_then(|rest| rest.split("\n}").next())
+            .expect("the struct's body");
+        let fields: Vec<&str> = body
+            .lines()
+            .filter_map(|line| line.strip_prefix("    pub ")?.split(':').next())
+            .collect();
+        let want: Vec<&str> = want.split(' ').collect();
+        assert_eq!(fields, want, "public fields of {name}");
+    }
 }
 
 /// The panic budget: how many times the non-test text of each crate (every
