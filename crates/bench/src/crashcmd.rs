@@ -314,6 +314,16 @@ pub fn gate(
     check_drained(mix, control, jobs, &format!("{what} control"))?;
     check_drained(mix, &ladder.state, jobs, &format!("{what} ladder"))?;
     check_exactly_once(&ladder.state, control, &what)?;
+    let recoveries = (ladder.cycles.iter()).map(|c| (format!("cycle {}", c.cycle), &c.recovery));
+    let last = ("the final epoch".to_string(), &ladder.final_recovery);
+    for (label, r) in recoveries.chain([last]) {
+        ensure(r.undecodable_records == 0, || {
+            format!(
+                "{what}: {label} replayed {} CRC-valid frames that hold no record",
+                r.undecodable_records
+            )
+        })?;
+    }
     ensure(ladder.torn_cycles() > 0, || {
         format!(
             "{what}: no cycle tore the durable tail — the torn-tail recovery path went unexercised"

@@ -119,39 +119,65 @@ pub struct DecodeOutcome<'a> {
     pub torn_bytes: usize,
 }
 
+/// The one frame walk every scan makes: yields each valid frame's
+/// payload, front to back, and stops at the first frame that is short
+/// (torn mid-header or mid-payload), carries the wrong magic (a garbage
+/// tail) or fails its CRC (bit rot, or a torn write with a lucky
+/// length). [`decode_frames`] collects it; `replay` folds each payload
+/// as it is yielded, so neither makes a second pass or keeps a list it
+/// does not need.
+pub(crate) struct FrameWalk<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> FrameWalk<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        FrameWalk { bytes, at: 0 }
+    }
+
+    /// Bytes of the valid prefix walked so far (where the next frame
+    /// would start).
+    pub(crate) fn valid_bytes(&self) -> usize {
+        self.at
+    }
+
+    /// Bytes past the valid prefix walked so far.
+    pub(crate) fn torn_bytes(&self) -> usize {
+        self.bytes.len() - self.at
+    }
+}
+
+impl<'a> Iterator for FrameWalk<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let rest = &self.bytes[self.at..];
+        let head = rest.get(..FRAME_HEADER)?;
+        if u16::from_le_bytes([head[0], head[1]]) != FRAME_MAGIC {
+            return None;
+        }
+        let len = u32::from_le_bytes([head[2], head[3], head[4], head[5]]) as usize;
+        let want_crc = u32::from_le_bytes([head[6], head[7], head[8], head[9]]);
+        let payload = rest.get(FRAME_HEADER..FRAME_HEADER + len)?;
+        if crc32(payload) != want_crc {
+            return None;
+        }
+        self.at += FRAME_HEADER + len;
+        Some(payload)
+    }
+}
+
 /// Decodes every valid frame from the front of `bytes`, stopping at the
 /// first torn or corrupt frame. The suffix past the last valid frame is
 /// counted, not parsed.
 pub fn decode_frames(bytes: &[u8]) -> DecodeOutcome<'_> {
-    let mut payloads = Vec::new();
-    let mut at = 0usize;
-    loop {
-        let rest = &bytes[at..];
-        if rest.is_empty() {
-            break;
-        }
-        if rest.len() < FRAME_HEADER {
-            break; // torn mid-header
-        }
-        let magic = u16::from_le_bytes([rest[0], rest[1]]);
-        if magic != FRAME_MAGIC {
-            break; // tail overwritten with garbage
-        }
-        let len = u32::from_le_bytes([rest[2], rest[3], rest[4], rest[5]]) as usize;
-        let want_crc = u32::from_le_bytes([rest[6], rest[7], rest[8], rest[9]]);
-        let Some(payload) = rest.get(FRAME_HEADER..FRAME_HEADER + len) else {
-            break; // torn mid-payload
-        };
-        if crc32(payload) != want_crc {
-            break; // corrupt payload (or a torn write with a lucky length)
-        }
-        payloads.push(payload);
-        at += FRAME_HEADER + len;
-    }
+    let mut walk = FrameWalk::new(bytes);
+    let payloads = walk.by_ref().collect();
     DecodeOutcome {
         payloads,
-        valid_bytes: at,
-        torn_bytes: bytes.len() - at,
+        valid_bytes: walk.valid_bytes(),
+        torn_bytes: walk.torn_bytes(),
     }
 }
 

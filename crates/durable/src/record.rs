@@ -185,52 +185,6 @@ impl Writer<'_> {
     }
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let out = self.bytes.get(self.at..self.at + n)?;
-        self.at += n;
-        Some(out)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-    fn opt_f64(&mut self) -> Option<Option<f64>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => Some(Some(self.f64()?)),
-            _ => None,
-        }
-    }
-    fn meta(&mut self) -> Option<JobMeta> {
-        Some(JobMeta {
-            id: self.u64()?,
-            tenant: self.u32()?,
-            n: self.u32()?,
-            priority: self.u8()?,
-            deadline: self.opt_f64()?,
-            submit_time: self.f64()?,
-            idempotency: self.u64()?,
-        })
-    }
-    fn done(&self) -> bool {
-        self.at == self.bytes.len()
-    }
-}
-
 impl JournalRecord {
     /// The virtual-clock instant this record belongs to (epoch markers
     /// sort at their resume clock).
@@ -353,8 +307,288 @@ impl JournalRecord {
     }
 
     /// Decodes one record; `None` on an unknown tag, short payload, or
-    /// trailing bytes (a payload must be exactly one record).
+    /// trailing bytes (a payload must be exactly one record). The owning
+    /// form of the in-place decoder `decode_view`.
     pub fn decode(bytes: &[u8]) -> Option<JournalRecord> {
+        Some(match decode_view(bytes)? {
+            Decoded::Record(rec) => rec,
+            Decoded::Batch(b) => JournalRecord::BatchStarted {
+                at: b.at,
+                batch: b.batch,
+                job_ids: b.job_ids().collect(),
+                devices: b.devices().collect(),
+            },
+        })
+    }
+
+    /// Whether this record is commit-class (must be durable before the
+    /// transition is acknowledged) as opposed to lazy-class (may ride a
+    /// later group commit).
+    pub fn is_commit_class(&self) -> bool {
+        matches!(
+            self,
+            JournalRecord::Completed { .. }
+                | JournalRecord::Failed { .. }
+                | JournalRecord::Rejected { .. }
+                | JournalRecord::EpochStart { .. }
+        )
+    }
+}
+
+// Payload layouts: every field sits at a fixed offset once the tag and
+// the payload's length are known, so the decoder checks the length once
+// and then reads fields where they must be.
+//
+//   EpochStart       tag, epoch u32, resume_clock f64, 2 × u32      21 B
+//   Admitted         tag, at f64, meta                            43/51 B
+//   Rejected         tag, at f64, meta, reason u8                 44/52 B
+//   BatchStarted     tag, at f64, batch u64, n u32, n × u64,
+//                    m u32, m × u32                          25 + 8n + 4m B
+//   PanelCheckpoint  tag, at f64, job u64, key u64, fraction f64     33 B
+//   Completed        tag, at f64, job u64, key u64, tenant u32,
+//                    latency f64, digest u64, deadline_met u8        46 B
+//   Failed           tag, at f64, job u64, key u64, tenant u32,
+//                    latency f64, attempts u32                       41 B
+//
+// where meta is id u64, tenant u32, n u32, priority u8, a deadline flag
+// u8 (0 or 1) and the deadline f64 iff the flag is 1, submit_time f64,
+// idempotency u64: 34 B without a deadline, 42 B with one.
+const EPOCH_LEN: usize = 21;
+const CHECKPOINT_LEN: usize = 33;
+const COMPLETED_LEN: usize = 46;
+const FAILED_LEN: usize = 41;
+/// Where `JobMeta` starts in `Admitted` and `Rejected` (after tag, at).
+const META_AT: usize = 9;
+/// Offset of the deadline flag inside `JobMeta`.
+const META_FLAG: usize = 17;
+/// `BatchStarted` up to and including its job count.
+const BATCH_HEAD: usize = 21;
+
+fn u32_at(p: &[u8], at: usize) -> u32 {
+    let mut w = [0u8; 4];
+    w.copy_from_slice(&p[at..at + 4]);
+    u32::from_le_bytes(w)
+}
+
+fn u64_at(p: &[u8], at: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&p[at..at + 8]);
+    u64::from_le_bytes(w)
+}
+
+fn f64_at(p: &[u8], at: usize) -> f64 {
+    f64::from_bits(u64_at(p, at))
+}
+
+/// Bytes of the `JobMeta` at `at`, which its deadline flag decides:
+/// `None` if the payload is too short to hold the flag or the flag is
+/// neither 0 nor 1.
+fn meta_len(p: &[u8], at: usize) -> Option<usize> {
+    match p.get(at + META_FLAG)? {
+        0 => Some(34),
+        1 => Some(42),
+        _ => None,
+    }
+}
+
+/// Reads the `JobMeta` at `at`; the caller has checked that the payload
+/// holds [`meta_len`] bytes there.
+fn meta_at(p: &[u8], at: usize) -> JobMeta {
+    let deadline = (p[at + META_FLAG] == 1).then(|| f64_at(p, at + META_FLAG + 1));
+    let rest = at + META_FLAG + 1 + if deadline.is_some() { 8 } else { 0 };
+    JobMeta {
+        id: u64_at(p, at),
+        tenant: u32_at(p, at + 8),
+        n: u32_at(p, at + 12),
+        priority: p[at + 16],
+        deadline,
+        submit_time: f64_at(p, rest),
+        idempotency: u64_at(p, rest + 8),
+    }
+}
+
+/// A `BatchStarted` record whose id and device lists are lent out of the
+/// payload they were decoded from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BatchView<'a> {
+    pub(crate) at: f64,
+    pub(crate) batch: u64,
+    /// `job_ids`, eight little-endian bytes each.
+    job_ids: &'a [u8],
+    /// `devices`, four little-endian bytes each.
+    devices: &'a [u8],
+}
+
+impl<'a> BatchView<'a> {
+    pub(crate) fn job_ids(&self) -> impl Iterator<Item = u64> + 'a {
+        let ids = self.job_ids;
+        (0..ids.len() / 8).map(move |i| u64_at(ids, 8 * i))
+    }
+
+    pub(crate) fn devices(&self) -> impl Iterator<Item = u32> + 'a {
+        let devs = self.devices;
+        (0..devs.len() / 4).map(move |i| u32_at(devs, 4 * i))
+    }
+}
+
+/// One record decoded in place. Every variant but `BatchStarted` is made
+/// of fixed-width fields and decodes straight into its owned form; a
+/// batch lends its lists instead, so a fold that only walks them
+/// allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) enum Decoded<'a> {
+    /// Any record but `BatchStarted`.
+    Record(JournalRecord),
+    Batch(BatchView<'a>),
+}
+
+impl Decoded<'_> {
+    /// [`JournalRecord::instant`] of the decoded record.
+    pub(crate) fn instant(&self) -> f64 {
+        match self {
+            Decoded::Record(rec) => rec.instant(),
+            Decoded::Batch(b) => b.at,
+        }
+    }
+}
+
+/// Decodes one record payload at fixed offsets: each tag's exact length
+/// is checked once, then every field is read where the layout puts it.
+/// Accepts exactly the payloads the field-by-field cursor decoder it
+/// replaced did (kept as the test oracle): a known tag, in-range enum
+/// bytes, and not one byte short or over.
+pub(crate) fn decode_view(p: &[u8]) -> Option<Decoded<'_>> {
+    let len = p.len();
+    let rec = match *p.first()? {
+        TAG_EPOCH if len == EPOCH_LEN => JournalRecord::EpochStart {
+            epoch: u32_at(p, 1),
+            resume_clock: f64_at(p, 5),
+            recovered_jobs: u32_at(p, 13),
+            suppressed_duplicates: u32_at(p, 17),
+        },
+        TAG_ADMITTED if len == META_AT + meta_len(p, META_AT)? => JournalRecord::Admitted {
+            at: f64_at(p, 1),
+            meta: meta_at(p, META_AT),
+        },
+        TAG_REJECTED if len == META_AT + meta_len(p, META_AT)? + 1 => JournalRecord::Rejected {
+            at: f64_at(p, 1),
+            meta: meta_at(p, META_AT),
+            reason: RejectionReason::from_code(p[len - 1])?,
+        },
+        TAG_BATCH => return decode_batch(p),
+        TAG_CHECKPOINT if len == CHECKPOINT_LEN => JournalRecord::PanelCheckpoint {
+            at: f64_at(p, 1),
+            job: u64_at(p, 9),
+            idempotency: u64_at(p, 17),
+            fraction: f64_at(p, 25),
+        },
+        TAG_COMPLETED if len == COMPLETED_LEN => JournalRecord::Completed {
+            at: f64_at(p, 1),
+            job: u64_at(p, 9),
+            idempotency: u64_at(p, 17),
+            tenant: u32_at(p, 25),
+            latency: f64_at(p, 29),
+            digest: u64_at(p, 37),
+            deadline_met: match p[45] {
+                0 => None,
+                1 => Some(false),
+                2 => Some(true),
+                _ => return None,
+            },
+        },
+        TAG_FAILED if len == FAILED_LEN => JournalRecord::Failed {
+            at: f64_at(p, 1),
+            job: u64_at(p, 9),
+            idempotency: u64_at(p, 17),
+            tenant: u32_at(p, 25),
+            latency: f64_at(p, 29),
+            attempts: u32_at(p, 37),
+        },
+        _ => return None,
+    };
+    Some(Decoded::Record(rec))
+}
+
+/// `BatchStarted`: its length follows from its two counts. The sums are
+/// taken in `u64`, where no pair of `u32` counts can overflow them.
+fn decode_batch(p: &[u8]) -> Option<Decoded<'_>> {
+    let len = p.len() as u64;
+    if len < BATCH_HEAD as u64 {
+        return None;
+    }
+    let ids_end = BATCH_HEAD as u64 + 8 * u64::from(u32_at(p, BATCH_HEAD - 4));
+    if ids_end + 4 > len {
+        return None;
+    }
+    let ids_end = ids_end as usize;
+    let devs_at = ids_end + 4;
+    if devs_at as u64 + 4 * u64::from(u32_at(p, ids_end)) != len {
+        return None;
+    }
+    Some(Decoded::Batch(BatchView {
+        at: f64_at(p, 1),
+        batch: u64_at(p, 9),
+        job_ids: &p[BATCH_HEAD..ids_end],
+        devices: &p[devs_at..],
+    }))
+}
+
+/// The cursor decoder `decode_view` replaced, kept verbatim as the
+/// oracle: it reads field after field and fails on the first short read,
+/// a bad enum byte or trailing bytes.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    struct Reader<'a> {
+        bytes: &'a [u8],
+        at: usize,
+    }
+
+    impl<'a> Reader<'a> {
+        fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+            let out = self.bytes.get(self.at..self.at + n)?;
+            self.at += n;
+            Some(out)
+        }
+        fn u8(&mut self) -> Option<u8> {
+            Some(self.take(1)?[0])
+        }
+        fn u32(&mut self) -> Option<u32> {
+            Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+        }
+        fn u64(&mut self) -> Option<u64> {
+            Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+        }
+        fn f64(&mut self) -> Option<f64> {
+            Some(f64::from_bits(self.u64()?))
+        }
+        fn opt_f64(&mut self) -> Option<Option<f64>> {
+            match self.u8()? {
+                0 => Some(None),
+                1 => Some(Some(self.f64()?)),
+                _ => None,
+            }
+        }
+        fn meta(&mut self) -> Option<JobMeta> {
+            Some(JobMeta {
+                id: self.u64()?,
+                tenant: self.u32()?,
+                n: self.u32()?,
+                priority: self.u8()?,
+                deadline: self.opt_f64()?,
+                submit_time: self.f64()?,
+                idempotency: self.u64()?,
+            })
+        }
+        fn done(&self) -> bool {
+            self.at == self.bytes.len()
+        }
+    }
+
+    /// Decodes one record; `None` on an unknown tag, short payload, or
+    /// trailing bytes (a payload must be exactly one record).
+    pub(crate) fn decode(bytes: &[u8]) -> Option<JournalRecord> {
         let mut r = Reader { bytes, at: 0 };
         let rec = match r.u8()? {
             TAG_EPOCH => JournalRecord::EpochStart {
@@ -434,19 +668,6 @@ impl JournalRecord {
             return None;
         }
         Some(rec)
-    }
-
-    /// Whether this record is commit-class (must be durable before the
-    /// transition is acknowledged) as opposed to lazy-class (may ride a
-    /// later group commit).
-    pub fn is_commit_class(&self) -> bool {
-        matches!(
-            self,
-            JournalRecord::Completed { .. }
-                | JournalRecord::Failed { .. }
-                | JournalRecord::Rejected { .. }
-                | JournalRecord::EpochStart { .. }
-        )
     }
 }
 
@@ -553,6 +774,150 @@ mod tests {
     fn unknown_tag_is_rejected() {
         assert_eq!(JournalRecord::decode(&[200, 0, 0, 0]), None);
         assert_eq!(JournalRecord::decode(&[]), None);
+    }
+
+    /// `decode` and the oracle agree on `p`: both `None`, or records
+    /// with the same canonical bytes (compared encoded, so NaN fields
+    /// compare by their bits).
+    fn agree(p: &[u8]) {
+        let got = JournalRecord::decode(p).map(|r| r.encode());
+        let want = oracle::decode(p).map(|r| r.encode());
+        assert_eq!(got, want, "payload {p:?}");
+    }
+
+    /// One record of every variant and both deadline arms, with every
+    /// float drawn as raw bits (NaNs and infinities included).
+    fn record_from(kind: u32, w: &[u64], ids: Vec<u64>, devices: Vec<u32>) -> JournalRecord {
+        let f = |i: usize| f64::from_bits(w[i]);
+        let meta = JobMeta {
+            id: w[0],
+            tenant: w[1] as u32,
+            n: (w[1] >> 32) as u32,
+            priority: w[2] as u8,
+            deadline: (w[2] & 0x100 != 0).then(|| f(3)),
+            submit_time: f(4),
+            idempotency: w[5],
+        };
+        match kind {
+            0 => JournalRecord::EpochStart {
+                epoch: w[0] as u32,
+                resume_clock: f(1),
+                recovered_jobs: w[2] as u32,
+                suppressed_duplicates: (w[2] >> 32) as u32,
+            },
+            1 => JournalRecord::Admitted { at: f(5), meta },
+            2 => JournalRecord::Rejected {
+                at: f(5),
+                meta,
+                reason: RejectionReason::from_code((w[3] % 6) as u8).expect("code < 6"),
+            },
+            3 => JournalRecord::BatchStarted {
+                at: f(1),
+                batch: w[0],
+                job_ids: ids,
+                devices,
+            },
+            4 => JournalRecord::PanelCheckpoint {
+                at: f(1),
+                job: w[0],
+                idempotency: w[5],
+                fraction: f(3),
+            },
+            5 => JournalRecord::Completed {
+                at: f(1),
+                job: w[0],
+                idempotency: w[5],
+                tenant: w[2] as u32,
+                latency: f(3),
+                digest: w[4],
+                deadline_met: [None, Some(false), Some(true)][(w[2] >> 40) as usize % 3],
+            },
+            _ => JournalRecord::Failed {
+                at: f(1),
+                job: w[0],
+                idempotency: w[5],
+                tenant: w[2] as u32,
+                latency: f(3),
+                attempts: (w[2] >> 32) as u32,
+            },
+        }
+    }
+
+    fn any_record() -> impl proptest::prelude::Strategy<Value = JournalRecord> {
+        use proptest::prelude::Strategy;
+        (
+            0u32..7,
+            proptest::collection::vec(0..u64::MAX, 6..7),
+            proptest::collection::vec(0..u64::MAX, 0..6),
+            proptest::collection::vec(0..u32::MAX, 0..6),
+        )
+            .prop_map(|(kind, w, ids, devices)| record_from(kind, &w, ids, devices))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The fixed-offset decoder accepts and rejects exactly what the
+        /// cursor decoder did: every valid record, each with one byte
+        /// changed, cut at every length or extended by one byte.
+        #[test]
+        fn decode_agrees_with_the_oracle_around_valid_records(
+            rec in any_record(),
+            delta in 1u32..256,
+            extra in 0u32..256,
+        ) {
+            let bytes = rec.encode();
+            assert_eq!(
+                JournalRecord::decode(&bytes).map(|r| r.encode()),
+                Some(bytes.clone())
+            );
+            agree(&bytes);
+            for i in 0..bytes.len() {
+                let mut changed = bytes.clone();
+                changed[i] = changed[i].wrapping_add(delta as u8);
+                agree(&changed);
+            }
+            for cut in 0..bytes.len() {
+                agree(&bytes[..cut]);
+            }
+            let mut longer = bytes.clone();
+            longer.push(extra as u8);
+            agree(&longer);
+        }
+
+        /// A `BatchStarted` whose job or device count lies — by a little
+        /// or by anything up to `u32::MAX` — is rejected exactly when the
+        /// oracle rejects it.
+        #[test]
+        fn decode_agrees_with_the_oracle_on_lying_batch_counts(
+            ids in proptest::collection::vec(0..u64::MAX, 0..6),
+            devices in proptest::collection::vec(0..u32::MAX, 0..6),
+            lie in 0..u32::MAX,
+            nudge in -3i64..4,
+        ) {
+            let rec = JournalRecord::BatchStarted { at: 0.5, batch: 7, job_ids: ids.clone(), devices };
+            let bytes = rec.encode();
+            let devs_at = BATCH_HEAD + 8 * ids.len();
+            for at in [BATCH_HEAD - 4, devs_at] {
+                let count = u32_at(&bytes, at);
+                for claim in [lie, (i64::from(count) + nudge).clamp(0, i64::from(u32::MAX)) as u32] {
+                    let mut lying = bytes.clone();
+                    lying[at..at + 4].copy_from_slice(&claim.to_le_bytes());
+                    agree(&lying);
+                }
+            }
+        }
+
+        /// Random bytes behind each tag (and behind unknown tags), at
+        /// every length up to past the longest fixed layout.
+        #[test]
+        fn decode_agrees_with_the_oracle_on_random_payloads(
+            tag in 0u32..9,
+            body in proptest::collection::vec(0u32..256, 0..64),
+        ) {
+            let p: Vec<u8> = std::iter::once(tag).chain(body).map(|b| b as u8).collect();
+            agree(&p);
+        }
     }
 
     #[test]

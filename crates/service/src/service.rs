@@ -22,7 +22,7 @@
 //! schedule digest asserts cheaply.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,8 +30,8 @@ use summagen_comm::span::{EventSink, SpanKind, SpanRecord};
 use summagen_comm::{FaultPlan, HockneyModel};
 use summagen_core::{multiply_abft, AbftOptions, ExecutionMode, RecoveryOptions};
 use summagen_durable::{
-    fnv1a_words, replay, CrashKind, CrashSpec, JobMeta, Journal, JournalRecord, RejectionReason,
-    TerminalKind,
+    fnv1a_words, replay, CrashKind, CrashSpec, JobMeta, Journal, JournalRecord, RecoveredState,
+    RejectionReason, TerminalKind,
 };
 use summagen_insight::{SloAlert, SloEngine, SloPolicy};
 use summagen_matrix::{gemm_naive, max_abs_diff, random_matrix, DenseMatrix};
@@ -392,6 +392,10 @@ pub struct RecoveryStats {
     pub suppressed_duplicates: usize,
     /// Torn tail bytes the frame decoder discarded at replay.
     pub torn_bytes: usize,
+    /// Frames that passed their CRC but held no valid record, skipped at
+    /// replay (0 unless the journal was written wrong: a `Completed`
+    /// lost this way re-runs its job).
+    pub undecodable_records: usize,
 }
 
 /// A durable run that ran its whole stream.
@@ -521,6 +525,34 @@ fn job_meta(job: &JobSpec) -> JobMeta {
         submit_time: job.submit_time,
         idempotency: job.idempotency(),
     }
+}
+
+/// Which submissions, by idempotency key, are duplicates: those whose
+/// key the recovered journal knows, and those whose key an earlier entry
+/// of `keys` carries. The known keys are sorted once and each key
+/// binary-searched; the unknown ones are sorted with their positions, so
+/// a repeat is an entry whose sorted predecessor has its key.
+fn duplicate_keys(rs: &RecoveredState, keys: &[u64]) -> Vec<bool> {
+    let mut known: Vec<u64> = rs.known_keys().collect();
+    // The terminal keys come out of their maps in order: a run-adaptive
+    // sort merges the few runs instead of sorting from scratch.
+    known.sort();
+    let mut duplicate = Vec::with_capacity(keys.len());
+    let mut unknown = Vec::new();
+    for (at, &key) in keys.iter().enumerate() {
+        let hit = known.binary_search(&key).is_ok();
+        if !hit {
+            unknown.push((key, at));
+        }
+        duplicate.push(hit);
+    }
+    unknown.sort_unstable();
+    for pair in unknown.windows(2) {
+        if pair[0].0 == pair[1].0 {
+            duplicate[pair[1].1] = true;
+        }
+    }
+    duplicate
 }
 
 /// Rebuilds the spec a recovered [`JobMeta`] was journaled from.
@@ -707,27 +739,19 @@ impl GemmService {
         let downtime = journal.config().fsync_cost + 1e-6 * rs.records as f64;
         st.now = rs.resume_clock + if epoch > 0 { downtime } else { 0.0 };
 
-        // Suppress resubmissions the journal already knows: admitted,
-        // running, or terminal — each completes (or completed) exactly
-        // once; the duplicate bounces with a typed rejection.
-        // The terminal maps answer for finished jobs as they stand; only
-        // the open jobs (few, at any crash) need a set of their own.
-        let open: BTreeSet<u64> = rs
-            .queued
-            .iter()
-            .chain(&rs.in_flight)
-            .map(|j| j.meta.idempotency)
-            .collect();
+        // Suppress resubmissions the journal already knows — admitted,
+        // running, or terminal: each completes (or completed) exactly
+        // once — and any key the list itself repeats: the first copy
+        // goes on, every later one is a duplicate too. Each bounces with
+        // a typed rejection.
+        let keys: Vec<u64> = resubmissions.iter().map(JobSpec::idempotency).collect();
+        let duplicate = duplicate_keys(&rs, &keys);
         let mut fresh = Vec::new();
         let mut suppressed = 0usize;
-        for job in resubmissions {
-            let key = job.idempotency();
-            if rs.completed.contains_key(&key)
-                || rs.failed.contains_key(&key)
-                || open.contains(&key)
-            {
+        for ((job, idempotency), dup) in resubmissions.into_iter().zip(keys).zip(duplicate) {
+            if dup {
                 suppressed += 1;
-                self.reject(&mut st, job, Rejection::Duplicate { idempotency: key });
+                self.reject(&mut st, job, Rejection::Duplicate { idempotency });
             } else {
                 fresh.push(job);
             }
@@ -783,6 +807,7 @@ impl GemmService {
             resumed_from_checkpoint,
             suppressed_duplicates: suppressed,
             torn_bytes: rs.torn_bytes,
+            undecodable_records: rs.undecodable,
         };
         if epoch > 0 {
             if let Some(m) = &self.metrics {
@@ -2406,6 +2431,56 @@ mod tests {
             "nothing re-ran: {:?}",
             rep.report.records.len()
         );
+    }
+
+    #[test]
+    fn a_key_repeated_within_one_submission_list_runs_once() {
+        let jobs: Vec<JobSpec> = generate(&crate::loadgen::hetero_mix())
+            .into_iter()
+            .take(10)
+            .collect();
+        let twice: Vec<JobSpec> = jobs.iter().chain(&jobs).cloned().collect();
+        let out = GemmService::new(pool(), config(Policy::FpmAware)).recover(
+            fresh_journal(),
+            twice,
+            None,
+        );
+        let DurableRun::Finished(rep) = out else {
+            panic!("no crash injector, must finish");
+        };
+        assert_eq!(rep.recovery.suppressed_duplicates, 10);
+        assert_eq!(rep.report.records.len(), 10);
+        assert!(rep
+            .report
+            .rejections
+            .iter()
+            .all(|(_, r)| matches!(r, Rejection::Duplicate { .. })));
+        let mut completed: BTreeMap<u64, usize> = BTreeMap::new();
+        for payload in decode_frames(rep.journal.durable()).payloads {
+            if let Some(JournalRecord::Completed { idempotency, .. }) =
+                JournalRecord::decode(payload)
+            {
+                *completed.entry(idempotency).or_default() += 1;
+            }
+        }
+        let want: BTreeMap<u64, usize> = jobs.iter().map(|j| (j.idempotency(), 1)).collect();
+        assert_eq!(completed, want, "one Completed record per key");
+    }
+
+    #[test]
+    fn recovery_counts_frames_that_hold_no_record() {
+        let mut bytes = Vec::new();
+        summagen_durable::encode_frame(&mut bytes, &[0xEE]);
+        let valid = decode_frames(&bytes).valid_bytes;
+        assert_eq!(valid, bytes.len(), "the frame itself is intact");
+        let journal = Journal::reopen(bytes, valid, GroupCommitConfig::default());
+        let out =
+            GemmService::new(pool(), config(Policy::FpmAware)).recover(journal, Vec::new(), None);
+        let DurableRun::Finished(rep) = out else {
+            panic!("no crash injector, must finish");
+        };
+        assert_eq!(rep.recovery.undecodable_records, 1);
+        assert_eq!(rep.recovery.replayed_records, 0);
     }
 
     #[test]
