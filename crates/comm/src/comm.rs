@@ -947,6 +947,13 @@ impl Communicator {
     /// usual MPI choice for larger communicators. Results are identical;
     /// only the virtual-time profile differs.
     ///
+    /// A rank with children sends one buffer to all of them: an owned
+    /// `Payload::F64` is wrapped once as `Payload::SharedF64`, so a child
+    /// costs a reference count, not a copy, and that rank (the root
+    /// included) gets the shared payload back. `Payload::into_f64` hands
+    /// over the buffer without a copy once the caller is its last holder
+    /// — on TCP, as soon as the sends have returned.
+    ///
     /// On failure the collective is *not* transactional: some ranks may
     /// already hold the payload while others got an error — the caller
     /// must treat the whole attempt as void (re-partition and retry, as
@@ -967,6 +974,7 @@ impl Communicator {
             match algo {
                 BcastAlgorithm::Flat => {
                     if comm.rank == root {
+                        let payload = payload.into_shared();
                         for dst in 0..p {
                             if dst != root {
                                 comm.try_send_internal(dst, tag, payload.clone())?;
@@ -1003,6 +1011,11 @@ impl Communicator {
                         bits.push(b);
                         b <<= 1;
                     }
+                    let data = if bits.is_empty() {
+                        data
+                    } else {
+                        data.into_shared()
+                    };
                     for &b in bits.iter().rev() {
                         let child = (rel + b + root) % p;
                         comm.try_send_internal(child, tag, data.clone())?;
@@ -1115,7 +1128,7 @@ impl Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HockneyModel, Universe, ZeroCost};
+    use crate::{Backend, HockneyModel, Universe, ZeroCost};
 
     #[test]
     fn p2p_send_recv() {
@@ -1298,6 +1311,67 @@ mod tests {
             (a[0], b[0])
         });
         assert!(out.iter().all(|&(a, b)| a == 2 && b == 14));
+    }
+
+    /// A broadcast of an owned `F64` sends one buffer: on channels every
+    /// rank ends up holding the root's allocation, under either algorithm
+    /// (with five ranks the binomial tree has a forwarding rank, 2).
+    #[test]
+    fn a_bcast_shares_the_roots_buffer_on_channels() {
+        for algo in [BcastAlgorithm::Flat, BcastAlgorithm::Binomial] {
+            let got = Universe::new(5, ZeroCost).run(|mut comm| {
+                let mine = Payload::F64(vec![comm.rank() as f64; 1000]);
+                comm.try_bcast_with(0, mine, algo)
+                    .expect("bcast")
+                    .try_into_shared_f64()
+                    .expect("an F64 payload")
+            });
+            for (rank, buf) in got.iter().enumerate() {
+                assert!(
+                    Arc::ptr_eq(buf, &got[0]),
+                    "{algo:?}: rank {rank} holds a copy"
+                );
+            }
+            assert_eq!(*got[0], vec![0.0; 1000]);
+        }
+    }
+
+    /// Over TCP the root's sends write from its own buffer and release it:
+    /// the root gets back a shared payload nobody else holds, whose
+    /// `into_f64` is the very allocation it passed in, and every receiver
+    /// (rank 3 of the binomial tree forwarding to rank 0) reads its bits.
+    #[test]
+    fn a_tcp_bcast_hands_the_root_its_own_allocation_back() {
+        let panel: Vec<f64> = (1..=4096u64)
+            .map(|i| f64::from_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+            .collect();
+        for algo in [BcastAlgorithm::Flat, BcastAlgorithm::Binomial] {
+            let got = Universe::new(4, ZeroCost)
+                .with_backend(Backend::Tcp)
+                .run(|mut comm| {
+                    let mine = if comm.rank() == 1 {
+                        panel.clone()
+                    } else {
+                        Vec::new()
+                    };
+                    let at = mine.as_ptr() as usize;
+                    let back = comm
+                        .try_bcast_with(1, Payload::F64(mine), algo)
+                        .expect("bcast");
+                    let sole =
+                        matches!(&back, Payload::SharedF64(buf) if Arc::strong_count(buf) == 1);
+                    let back = back.into_f64();
+                    let bits: Vec<u64> = back.iter().map(|x| x.to_bits()).collect();
+                    (sole, back.as_ptr() as usize == at, bits)
+                });
+            let (sole, same, _) = &got[1];
+            assert!(*sole, "{algo:?}: the root's payload is still shared");
+            assert!(*same, "{algo:?}: the root got a copy back");
+            let want: Vec<u64> = panel.iter().map(|x| x.to_bits()).collect();
+            for (rank, (_, _, bits)) in got.iter().enumerate() {
+                assert_eq!(*bits, want, "{algo:?}: rank {rank}");
+            }
+        }
     }
 
     #[test]

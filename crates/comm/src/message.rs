@@ -17,10 +17,12 @@ pub enum Payload {
     /// Matrix elements in an immutable reference-counted buffer: cloning
     /// the payload (what a broadcast does once per child) copies a pointer,
     /// not the elements, so over the channel backend every receiver ends up
-    /// holding the sender's buffer. Nobody may write through it; the one
-    /// writer in the crate, injected wire corruption, copies first. Same
-    /// `bytes()`, same cost, same `"F64"` kind and TCP frame as `F64` —
-    /// a TCP receiver gets an owned `F64`.
+    /// holding the sender's buffer. A broadcast wraps an owned `F64` this
+    /// way before its sends, so its root gets a `SharedF64` back. Nobody
+    /// may write through it; the one writer in the crate, injected wire
+    /// corruption, copies first. Same `bytes()`, same cost, same `"F64"`
+    /// kind and TCP frame as `F64` — a TCP sender writes the frame from
+    /// the buffer itself, and a TCP receiver gets an owned `F64`.
     SharedF64(Arc<Vec<f64>>),
     /// Metadata words (8 bytes each).
     U64(Vec<u64>),
@@ -94,6 +96,16 @@ impl Payload {
         match self {
             Payload::SharedF64(v) => Ok(v),
             other => other.try_into_f64().map(Arc::new),
+        }
+    }
+
+    /// The payload to hand to several destinations: an owned `F64` moves
+    /// behind a reference count (no copy), so that each clone costs one;
+    /// every other payload is returned as it is.
+    pub(crate) fn into_shared(self) -> Payload {
+        match self {
+            Payload::F64(v) => Payload::SharedF64(Arc::new(v)),
+            other => other,
         }
     }
 

@@ -290,7 +290,7 @@ fn the_service_surface_is_the_pinned_one() {
 #[test]
 fn the_panic_budget_of_comm_core_and_service_only_falls() {
     const PATTERNS: [&str; 4] = ["unwrap()", "expect(", "assert!", "panic!"];
-    const BUDGET: [(&str, usize); 3] = [("comm", 34), ("core", 24), ("service", 17)];
+    const BUDGET: [(&str, usize); 3] = [("comm", 32), ("core", 24), ("service", 17)];
     for (krate, pinned) in BUDGET {
         let sites: usize = crate_sources(krate)
             .iter()
