@@ -14,6 +14,10 @@
 //! every one of those cases the *prefix* decoded so far is valid and the
 //! corrupt tail is reported, never misparsed — the torn-tail tolerance
 //! the recovery path stands on.
+//!
+//! A frame stands alone: nothing in it points at another frame. That is
+//! what lets compaction copy the live frames of a journal byte for byte,
+//! CRCs and all, behind a new header frame, with nothing re-encoded.
 
 /// Frame magic: distinguishes a genuine frame head from trailing
 /// garbage that happens to start with a plausible length.
@@ -103,6 +107,13 @@ pub(crate) fn encode_frame_with(out: &mut Vec<u8>, write_payload: impl FnOnce(&m
 /// Appends one frame holding `payload` to `out`.
 pub fn encode_frame(out: &mut Vec<u8>, payload: &[u8]) {
     encode_frame_with(out, |out| out.extend_from_slice(payload));
+}
+
+/// Length of the whole frame that starts at `at` in `bytes`, header
+/// included; the caller knows a valid frame starts there.
+pub(crate) fn frame_len(bytes: &[u8], at: usize) -> usize {
+    let len = &bytes[at + 2..at + 6];
+    FRAME_HEADER + u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize
 }
 
 /// What a full decode pass found. The payloads are lent out of the

@@ -19,6 +19,14 @@
 //! [`Journal::tear_tail`]. Recovery then reads [`Journal::durable`]
 //! through [`crate::decode_frames`], which discards the torn suffix.
 //!
+//! Compaction lives here too, as a swap of the durable bytes for a
+//! compacted image ([`crate::Replay::image`]): [`Journal::compaction_after`]
+//! reuses a restart's own replay, [`Journal::compaction_at_finish`] folds
+//! the journal when a run finishes, and [`Journal::swap_in`] replaces the
+//! bytes in one step. Both run only on a journal of at least
+//! `COMPACT_FLOOR` bytes whose dead bytes are at least its live bytes
+//! (DESIGN.md §14).
+//!
 //! Records may be appended *future-dated* (panel-checkpoint records are
 //! journaled at dispatch time with the boundary's instant, because the
 //! virtual event loop has no event at mid-batch instants); flushing
@@ -28,6 +36,18 @@
 
 use crate::frame::{encode_frame_with, FRAME_HEADER};
 use crate::record::JournalRecord;
+use crate::replay::{replay, Replay};
+use std::ops::Range;
+
+/// Compaction waits for a journal of at least this many bytes. Below it a
+/// cold restart replays the whole journal in a few milliseconds, and
+/// every small-mix journal stays byte for byte what it was.
+const COMPACT_FLOOR: usize = 1 << 20;
+
+/// Compaction waits until the dead bytes are at least this many times the
+/// live ones, so the copy it costs is paid for by the replay it saves and
+/// a compacted journal is not compacted again until it has doubled.
+const DEAD_PER_LIVE: usize = 1;
 
 /// Group-commit tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,8 +92,32 @@ pub struct JournalStats {
 struct Pending {
     at: f64,
     appended: f64,
-    bytes: Vec<u8>,
+    /// Where the record's frame sits in [`Journal`]'s pending arena.
+    frame: Range<usize>,
     commit_class: bool,
+}
+
+/// Keeps the pending records `keep` accepts, in order, and packs their
+/// frames to the front of `arena`. `keep` sees each record with its
+/// frame.
+fn retain_pending(
+    pending: &mut Vec<Pending>,
+    arena: &mut Vec<u8>,
+    mut keep: impl FnMut(&Pending, &[u8]) -> bool,
+) {
+    let mut packed = 0;
+    pending.retain_mut(|p| {
+        if !keep(p, &arena[p.frame.clone()]) {
+            return false;
+        }
+        // Frames only move towards the front, past bytes already seen.
+        let len = p.frame.len();
+        arena.copy_within(p.frame.clone(), packed);
+        p.frame = packed..packed + len;
+        packed += len;
+        true
+    });
+    arena.truncate(packed);
 }
 
 /// The write-ahead journal. The durable byte stream is an in-memory
@@ -83,8 +127,14 @@ struct Pending {
 pub struct Journal {
     durable: Vec<u8>,
     pending: Vec<Pending>,
+    /// The frames of `pending`, back to back: one buffer reused from
+    /// flush to flush instead of one allocation per record.
+    arena: Vec<u8>,
     config: GroupCommitConfig,
     stats: JournalStats,
+    /// Bytes of the durable frames the last fold found pinned (0 before
+    /// any): a floor under the live bytes that appending cannot lower.
+    pinned: usize,
 }
 
 impl Journal {
@@ -92,8 +142,10 @@ impl Journal {
         Journal {
             durable: Vec::new(),
             pending: Vec::new(),
+            arena: Vec::new(),
             config,
             stats: JournalStats::default(),
+            pinned: 0,
         }
     }
 
@@ -108,11 +160,13 @@ impl Journal {
         Journal {
             durable,
             pending: Vec::new(),
+            arena: Vec::new(),
             config,
             stats: JournalStats {
                 torn_bytes: torn as u64,
                 ..JournalStats::default()
             },
+            pinned: 0,
         }
     }
 
@@ -149,12 +203,12 @@ impl Journal {
     /// with their boundary instants). `now` is the append instant used
     /// for flush-age accounting.
     pub fn append_at(&mut self, now: f64, at: f64, record: &JournalRecord) {
-        let mut bytes = Vec::with_capacity(80);
-        encode_frame_with(&mut bytes, |out| record.encode_into(out));
+        let start = self.arena.len();
+        encode_frame_with(&mut self.arena, |out| record.encode_into(out));
         self.pending.push(Pending {
             at,
             appended: now,
-            bytes,
+            frame: start..self.arena.len(),
             commit_class: record.is_commit_class(),
         });
     }
@@ -165,14 +219,14 @@ impl Journal {
     }
 
     fn flush_due(&mut self, now: f64) -> usize {
-        // Stable partition in place (`retain` visits in order): due
+        // Stable partition in place (`retain_pending` visits in order): due
         // records flush in append order, the rest keep their order.
         let durable = &mut self.durable;
         let before = self.pending.len();
-        self.pending.retain(|p| {
+        retain_pending(&mut self.pending, &mut self.arena, |p, frame| {
             let due = p.at <= now;
             if due {
-                durable.extend_from_slice(&p.bytes);
+                durable.extend_from_slice(frame);
             }
             !due
         });
@@ -227,21 +281,63 @@ impl Journal {
     /// are append-only by construction.
     pub fn retract_pending(&mut self, mut pred: impl FnMut(&JournalRecord) -> bool) -> usize {
         let before = self.pending.len();
-        // A pending buffer is exactly one frame `append_at` just built,
-        // so the record sits right behind the header: no frame scan and
-        // no checksum for bytes that never left this struct.
-        self.pending
-            .retain(|p| match JournalRecord::decode(&p.bytes[FRAME_HEADER..]) {
+        // A pending frame is exactly what `append_at` just built, so the
+        // record sits right behind the header: no frame scan and no
+        // checksum for bytes that never left this struct.
+        retain_pending(
+            &mut self.pending,
+            &mut self.arena,
+            |_, frame| match JournalRecord::decode(&frame[FRAME_HEADER..]) {
                 Some(rec) => !pred(&rec),
                 None => true,
-            });
+            },
+        );
         before - self.pending.len()
+    }
+
+    /// Whether the durable bytes are due for compaction when `live` of
+    /// them are live.
+    fn compaction_due(&self, live: usize) -> bool {
+        let len = self.durable.len();
+        len >= COMPACT_FLOOR && len.saturating_sub(live) >= DEAD_PER_LIVE * live
+    }
+
+    /// The compacted image to swap in, if compaction is due, given `rep`:
+    /// a replay of exactly these durable bytes, such as the one a restart
+    /// has just made, so this costs no second fold. It remembers the
+    /// pinned bytes `rep` found for [`Self::compaction_at_finish`].
+    pub fn compaction_after(&mut self, rep: &Replay) -> Option<Vec<u8>> {
+        self.pinned = rep.pinned_bytes(&self.durable);
+        let due =
+            self.compaction_due(self.pinned) && self.compaction_due(rep.live_bytes(&self.durable));
+        due.then(|| rep.image(&self.durable))
+    }
+
+    /// The compacted image to swap in, if compaction is due, when a run
+    /// finishes: one fold of the durable bytes. The fold is skipped when
+    /// the pinned bytes of the last fold already prove the dead bytes
+    /// fewer than the live ones; those frames are all still here, since
+    /// durable bytes are only appended to.
+    pub fn compaction_at_finish(&mut self) -> Option<Vec<u8>> {
+        if !self.compaction_due(self.pinned) {
+            return None;
+        }
+        let rep = replay(&self.durable);
+        self.compaction_after(&rep)
+    }
+
+    /// Replaces the durable bytes with a compacted image in one step, as
+    /// writing a new file and renaming it over the old one does: a crash
+    /// leaves either the old bytes or the whole image. Appends nothing.
+    pub fn swap_in(&mut self, image: Vec<u8>) {
+        self.durable = image;
     }
 
     /// Crash: pending (unflushed) records are lost.
     pub fn drop_pending(&mut self) {
         self.stats.records_dropped += self.pending.len() as u64;
         self.pending.clear();
+        self.arena.clear();
     }
 
     /// Crash with a torn write: additionally truncates `n` bytes off
@@ -381,6 +477,73 @@ mod tests {
         assert_eq!(retracted, 1);
         assert_eq!(j.pending_records(), 3);
         assert_eq!(j.commit(10.0), 3, "survivors still flush");
+    }
+
+    /// `jobs` finished jobs, each admitted, started, checkpointed and
+    /// completed: 199 bytes a job, of which only the 56-byte completion
+    /// stays live.
+    fn finished_jobs(jobs: u64) -> Journal {
+        let mut j = Journal::new(GroupCommitConfig::default());
+        for id in 0..jobs {
+            let at = id as f64;
+            j.append(at, &admitted(id, at));
+            let started = JournalRecord::BatchStarted {
+                at,
+                batch: id,
+                job_ids: vec![id],
+                devices: vec![0],
+            };
+            j.append(at, &started);
+            let checkpoint = JournalRecord::PanelCheckpoint {
+                at,
+                job: id,
+                idempotency: id,
+                fraction: 0.5,
+            };
+            j.append(at, &checkpoint);
+            let completed = JournalRecord::Completed {
+                at,
+                job: id,
+                idempotency: id,
+                tenant: 0,
+                latency: 0.5,
+                digest: id,
+                deadline_met: None,
+            };
+            j.append(at, &completed);
+            j.commit(at);
+        }
+        j
+    }
+
+    #[test]
+    fn compaction_waits_for_the_floor_and_for_dead_bytes() {
+        // Under the floor: kept whole, though most of it is dead.
+        let mut small = finished_jobs(1_000);
+        assert!(small.compaction_at_finish().is_none());
+
+        let mut j = finished_jobs(6_000);
+        let before = j.durable().to_vec();
+        assert!(before.len() >= COMPACT_FLOOR);
+        let image = j
+            .compaction_at_finish()
+            .expect("due: 143 dead bytes per 56 live");
+        assert_eq!(image.len(), FRAME_HEADER + 17 + 6_000 * 56);
+        assert_eq!(j.durable(), &before[..], "building the image swaps nothing");
+        let (mut want, mut got) = (replay(&before).state, replay(&image).state);
+        assert_eq!(
+            got.records, 24_000,
+            "the header carries the dropped records"
+        );
+        (want.torn_bytes, got.torn_bytes) = (0, 0);
+        assert_eq!(got, want);
+
+        j.swap_in(image.clone());
+        assert_eq!(j.durable(), &image[..]);
+        // The pinned bytes of the fold already prove an image not due: no
+        // second fold, at finish or after a restart's replay.
+        assert!(j.compaction_at_finish().is_none());
+        assert!(j.compaction_after(&replay(&image)).is_none());
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * [`record`] — the journal's record vocabulary: one
 //!   [`JournalRecord`] per job lifecycle transition (admitted,
 //!   batch-started, panel-checkpoint, completed, failed, rejected, plus
-//!   an epoch marker per restart), each carrying the tenant, an
-//!   idempotency key, and — for completions — the FNV digest of the
-//!   result.
+//!   an epoch marker per restart and the header a compacted journal
+//!   starts with), each carrying the tenant, an idempotency key, and —
+//!   for completions — the FNV digest of the result.
 //! * [`frame`] — the wire format: every record is length-prefixed and
 //!   CRC-32-protected, so a torn or corrupt trailing record is
 //!   *detected* and discarded, never misparsed into garbage state.
@@ -20,12 +20,16 @@
 //!   on the virtual clock (many commits at one instant share one
 //!   fsync), lazy vs. commit durability classes, and the crash seam
 //!   (unflushed records are exactly what a crash loses; a torn write
-//!   additionally truncates the durable tail mid-record).
+//!   additionally truncates the durable tail mid-record), and the swap
+//!   of the durable bytes for a compacted image once enough of them are
+//!   dead.
 //! * [`mod@replay`] — the recovery path: scan the durable bytes to the
 //!   longest valid prefix and fold the records into a
 //!   [`RecoveredState`] — the queue, quotas, in-flight set with resume
 //!   fractions, and the terminal outcomes that make resubmission
-//!   suppression (exactly-once completion) possible.
+//!   suppression (exactly-once completion) possible. The same fold marks
+//!   the live frames the state rests on, and [`compact`] keeps only
+//!   those: a restart then reads what it needs, not the whole history.
 //! * [`crash`] — seeded crash specs for the `reproduce crash` harness:
 //!   deterministic kill points at admission, batch dispatch, journal
 //!   append (with torn tails), and checkpoint record instants.
@@ -45,7 +49,7 @@ pub use crash::{CrashKind, CrashSpec};
 pub use frame::{crc32, decode_frames, encode_frame, DecodeOutcome};
 pub use journal::{GroupCommitConfig, Journal, JournalStats};
 pub use record::{idempotency_key, JobMeta, JournalRecord, RejectionReason, TerminalKind};
-pub use replay::{replay, RecoveredJob, RecoveredState, Replay, TerminalRecord};
+pub use replay::{compact, replay, RecoveredJob, RecoveredState, Replay, TerminalRecord};
 
 /// FNV-1a over a byte slice — the digest primitive shared by idempotency
 /// keys and result digests.

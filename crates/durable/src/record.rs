@@ -1,5 +1,6 @@
 //! The journal's record vocabulary: one record per job lifecycle
-//! transition, plus an epoch marker per (re)start.
+//! transition, plus an epoch marker per (re)start and the header a
+//! compacted journal starts with.
 //!
 //! Records are encoded by hand into a compact little-endian form — a
 //! one-byte tag followed by fixed-width fields (lengths prefix the
@@ -97,6 +98,11 @@ pub enum JournalRecord {
         recovered_jobs: u32,
         suppressed_duplicates: u32,
     },
+    /// The head of a compacted journal: what the frames compaction
+    /// dropped contributed to the replayed state. Replay adds `records`
+    /// to its record count (the header itself is not a record) and raises
+    /// its clock to `resume_clock`. See [`crate::replay::Replay::image`].
+    Compacted { records: u64, resume_clock: f64 },
     /// A job passed admission and entered the queue.
     Admitted { at: f64, meta: JobMeta },
     /// A job was turned away at admission.
@@ -149,6 +155,7 @@ const TAG_BATCH: u8 = 3;
 const TAG_CHECKPOINT: u8 = 4;
 const TAG_COMPLETED: u8 = 5;
 const TAG_FAILED: u8 = 6;
+const TAG_COMPACTED: u8 = 7;
 
 struct Writer<'a>(&'a mut Vec<u8>);
 
@@ -187,10 +194,11 @@ impl Writer<'_> {
 
 impl JournalRecord {
     /// The virtual-clock instant this record belongs to (epoch markers
-    /// sort at their resume clock).
+    /// and compaction headers sort at their resume clock).
     pub fn instant(&self) -> f64 {
         match self {
-            JournalRecord::EpochStart { resume_clock, .. } => *resume_clock,
+            JournalRecord::EpochStart { resume_clock, .. }
+            | JournalRecord::Compacted { resume_clock, .. } => *resume_clock,
             JournalRecord::Admitted { at, .. }
             | JournalRecord::Rejected { at, .. }
             | JournalRecord::BatchStarted { at, .. }
@@ -223,6 +231,14 @@ impl JournalRecord {
                 w.f64(*resume_clock);
                 w.u32(*recovered_jobs);
                 w.u32(*suppressed_duplicates);
+            }
+            JournalRecord::Compacted {
+                records,
+                resume_clock,
+            } => {
+                w.u8(TAG_COMPACTED);
+                w.u64(*records);
+                w.f64(*resume_clock);
             }
             JournalRecord::Admitted { at, meta } => {
                 w.u8(TAG_ADMITTED);
@@ -340,6 +356,7 @@ impl JournalRecord {
 // and then reads fields where they must be.
 //
 //   EpochStart       tag, epoch u32, resume_clock f64, 2 × u32      21 B
+//   Compacted        tag, records u64, resume_clock f64              17 B
 //   Admitted         tag, at f64, meta                            43/51 B
 //   Rejected         tag, at f64, meta, reason u8                 44/52 B
 //   BatchStarted     tag, at f64, batch u64, n u32, n × u64,
@@ -354,6 +371,7 @@ impl JournalRecord {
 // u8 (0 or 1) and the deadline f64 iff the flag is 1, submit_time f64,
 // idempotency u64: 34 B without a deadline, 42 B with one.
 const EPOCH_LEN: usize = 21;
+const COMPACTED_LEN: usize = 17;
 const CHECKPOINT_LEN: usize = 33;
 const COMPLETED_LEN: usize = 46;
 const FAILED_LEN: usize = 41;
@@ -465,6 +483,10 @@ pub(crate) fn decode_view(p: &[u8]) -> Option<Decoded<'_>> {
             resume_clock: f64_at(p, 5),
             recovered_jobs: u32_at(p, 13),
             suppressed_duplicates: u32_at(p, 17),
+        },
+        TAG_COMPACTED if len == COMPACTED_LEN => JournalRecord::Compacted {
+            records: u64_at(p, 1),
+            resume_clock: f64_at(p, 9),
         },
         TAG_ADMITTED if len == META_AT + meta_len(p, META_AT)? => JournalRecord::Admitted {
             at: f64_at(p, 1),
@@ -597,6 +619,10 @@ pub(crate) mod oracle {
                 recovered_jobs: r.u32()?,
                 suppressed_duplicates: r.u32()?,
             },
+            TAG_COMPACTED => JournalRecord::Compacted {
+                records: r.u64()?,
+                resume_clock: r.f64()?,
+            },
             TAG_ADMITTED => JournalRecord::Admitted {
                 at: r.f64()?,
                 meta: r.meta()?,
@@ -694,6 +720,10 @@ mod tests {
                 resume_clock: 4.5,
                 recovered_jobs: 3,
                 suppressed_duplicates: 7,
+            },
+            JournalRecord::Compacted {
+                records: 96_467,
+                resume_clock: 4.25,
             },
             JournalRecord::Admitted {
                 at: 0.125,
@@ -832,6 +862,10 @@ mod tests {
                 digest: w[4],
                 deadline_met: [None, Some(false), Some(true)][(w[2] >> 40) as usize % 3],
             },
+            6 => JournalRecord::Compacted {
+                records: w[0],
+                resume_clock: f(1),
+            },
             _ => JournalRecord::Failed {
                 at: f(1),
                 job: w[0],
@@ -846,7 +880,7 @@ mod tests {
     fn any_record() -> impl proptest::prelude::Strategy<Value = JournalRecord> {
         use proptest::prelude::Strategy;
         (
-            0u32..7,
+            0u32..8,
             proptest::collection::vec(0..u64::MAX, 6..7),
             proptest::collection::vec(0..u64::MAX, 0..6),
             proptest::collection::vec(0..u32::MAX, 0..6),

@@ -16,9 +16,28 @@
 //! * `resume_clock` — the maximum instant of any durable record: the
 //!   virtual instant the next epoch's clock starts at, keeping one
 //!   monotone timeline across crashes.
+//!
+//! A `Completed` or `Failed` frame closes its job id for good, even one
+//! no earlier frame admitted; a `Rejected` frame closes only an admitted
+//! job (one refused at the door may be admitted later).
+//!
+//! **Compaction.** The same walk notes where each frame the state rests
+//! on starts (the *live* frames, listed on `LiveFrames`); every other
+//! frame is dead. [`Replay::image`] is a `Compacted` header frame — the
+//! dead records' count and the largest instant — followed by the live
+//! frames copied in journal order. Replaying the image gives the same
+//! state, `records`, `epochs` and `resume_clock` included (only the
+//! scan-local `torn_bytes` and `undecodable` start over at 0), compacting
+//! it again gives it back, and the same frames appended to a journal and
+//! to its image replay alike. `records` thus still counts every record
+//! the journal ever held, not the frames it holds now. Code from before
+//! compaction misreads a compacted journal: to it the header (tag 7) is
+//! an undecodable frame, so its `records` and `resume_clock` come out
+//! short.
 
-use crate::frame::FrameWalk;
+use crate::frame::{encode_frame_with, frame_len, FrameWalk, FRAME_HEADER};
 use crate::record::{decode_view, Decoded, JobMeta, JournalRecord, RejectionReason, TerminalKind};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -88,13 +107,97 @@ impl RecoveredState {
     }
 }
 
-/// Replay output: the recovered state plus where the valid prefix ends.
+/// Replay output: the recovered state, where the valid prefix ends, and
+/// which of its frames the state depends on.
 #[derive(Debug, Clone)]
 pub struct Replay {
     pub state: RecoveredState,
     /// Bytes of the longest valid frame prefix (where the next frame
     /// would start); `state.torn_bytes` counts the rest.
     pub valid_bytes: usize,
+    live: LiveFrames,
+}
+
+/// The frames the replayed state depends on, each by where it starts.
+///
+/// A *pinned* frame stays live whatever is appended after it: every
+/// `EpochStart` and `Rejected` frame, the first `Completed` and the first
+/// `Failed` frame of each idempotency key, and what closed each job — its
+/// first `Completed` or `Failed` frame, or the admission of a job a
+/// `Rejected` frame shed — so that an image refuses a later admission of
+/// the id as the whole journal does. An *open* frame belongs to a job
+/// that is not terminal: its first `Admitted` frame, the first
+/// `BatchStarted` frame after that which lists it, and the checkpoint
+/// that set its resume fraction. Every other frame is dead: the rest of a
+/// terminal job's lifecycle, a key's later terminal frames, superseded
+/// checkpoints, repeated admissions, frames that hold no record and an
+/// earlier compaction's header.
+#[derive(Debug, Clone, Default)]
+struct LiveFrames {
+    pinned: Vec<usize>,
+    open: Vec<usize>,
+}
+
+impl Replay {
+    /// Where the live frames start, in journal order (a batch frame that
+    /// several open jobs need is listed once).
+    fn live_starts(&self) -> Vec<usize> {
+        let mut starts: Vec<usize> = self
+            .live
+            .pinned
+            .iter()
+            .chain(&self.live.open)
+            .copied()
+            .collect();
+        starts.sort_unstable();
+        starts.dedup();
+        starts
+    }
+
+    /// Bytes of the live frames of `bytes`, the journal this replay read.
+    pub(crate) fn live_bytes(&self, bytes: &[u8]) -> usize {
+        self.live_starts()
+            .into_iter()
+            .map(|at| frame_len(bytes, at))
+            .sum()
+    }
+
+    /// Bytes of the pinned frames of `bytes`, the journal this replay
+    /// read: a floor under its live bytes that appending cannot lower.
+    pub(crate) fn pinned_bytes(&self, bytes: &[u8]) -> usize {
+        self.live
+            .pinned
+            .iter()
+            .map(|&at| frame_len(bytes, at))
+            .sum()
+    }
+
+    /// The compacted image of `bytes`, the journal this replay read: one
+    /// [`JournalRecord::Compacted`] header frame carrying what the dead
+    /// frames contributed (their record count and, through the state's
+    /// clock, their largest instant), then the live frames copied byte
+    /// for byte in journal order, CRCs and all. Replaying the image gives
+    /// this replay's state in every field but the scan-local `torn_bytes`
+    /// and `undecodable`; compacting it again gives it back unchanged.
+    pub fn image(&self, bytes: &[u8]) -> Vec<u8> {
+        let starts = self.live_starts();
+        let header = JournalRecord::Compacted {
+            records: (self.state.records - starts.len()) as u64,
+            resume_clock: self.state.resume_clock,
+        };
+        let live: usize = starts.iter().map(|&at| frame_len(bytes, at)).sum();
+        let mut out = Vec::with_capacity(2 * FRAME_HEADER + live);
+        encode_frame_with(&mut out, |out| header.encode_into(out));
+        for at in starts {
+            out.extend_from_slice(&bytes[at..at + frame_len(bytes, at)]);
+        }
+        out
+    }
+}
+
+/// Compacts a journal: [`replay`] it and build its [`Replay::image`].
+pub fn compact(bytes: &[u8]) -> Vec<u8> {
+    replay(bytes).image(bytes)
 }
 
 /// Hashes a job id for the fold's index, std only. The low bits, which
@@ -137,31 +240,59 @@ impl Hasher for IdHasher {
 /// replays without a rehash.
 const BYTES_PER_JOB: usize = 104;
 
+/// Pushes `at` onto `pinned` if `pin`, and says whether it did.
+fn pin_if(pin: bool, at: usize, pinned: &mut Vec<usize>) -> bool {
+    if pin {
+        pinned.push(at);
+    }
+    pin
+}
+
+/// One `Completed` or `Failed` record: its key, what it says, where its
+/// frame starts, and whether that frame closed its job (and so is pinned
+/// already).
+type Terminal = (u64, TerminalRecord, usize, bool);
+
 /// Builds a terminal map from records in journal order, keeping the
 /// *first* record of each key (`BTreeMap::from_iter` alone would keep
 /// the last): one sort of `(key, journal position)` pairs and a bulk
-/// build instead of a tree descent per record.
-fn first_wins(terminals: Vec<(u64, TerminalRecord)>) -> BTreeMap<u64, TerminalRecord> {
+/// build instead of a tree descent per record. The winners' frames are
+/// pinned.
+fn first_wins(terminals: Vec<Terminal>, pinned: &mut Vec<usize>) -> BTreeMap<u64, TerminalRecord> {
     let mut order: Vec<(u64, usize)> = terminals
         .iter()
         .enumerate()
-        .map(|(at, &(key, _))| (key, at))
+        .map(|(i, &(key, ..))| (key, i))
         .collect();
     order.sort_unstable();
     order.dedup_by_key(|&mut (key, _)| key);
     order
         .into_iter()
-        .map(|(key, at)| (key, terminals[at].1))
+        .map(|(key, i)| {
+            let (_, rec, at, closed) = terminals[i];
+            pin_if(!closed, at, pinned);
+            (key, rec)
+        })
         .collect()
 }
 
-/// Per-id fold state.
+/// Per-id fold state, with where the frames it rests on start.
 struct Fold {
     meta: JobMeta,
-    started: bool,
     fraction: f64,
     terminal: bool,
+    /// The first `Admitted` frame.
+    admitted: usize,
+    /// The first `BatchStarted` frame after it that lists the job, or
+    /// [`NONE`] while the job has not started.
+    started: usize,
+    /// The checkpoint frame that set `fraction`, or [`NONE`].
+    checkpoint: usize,
 }
+
+/// No frame. A fold's frame fields are plain offsets: the per-job state
+/// stays at 96 bytes, where an `Option` each would make it 112.
+const NONE: usize = usize::MAX;
 
 /// The fold's jobs in first-seen order — which *is* the output order of
 /// `queued` and `in_flight` — found by id through a hashed index whose
@@ -172,66 +303,99 @@ struct Jobs {
 }
 
 impl Jobs {
+    /// The fold of an admitted id (none for an id closed unadmitted).
     fn get(&mut self, id: u64) -> Option<&mut Fold> {
         let &i = self.index.get(&id)?;
-        Some(&mut self.folds[i])
+        self.folds.get_mut(i)
     }
 
-    /// Tracks `meta.id` from its first admission on; a repeat changes
-    /// nothing.
-    fn admit(&mut self, meta: JobMeta) {
+    /// Tracks `meta.id` from its first admission (the frame at `at`) on;
+    /// a repeat, or an admission after the id closed, changes nothing.
+    fn admit(&mut self, meta: JobMeta, at: usize) {
         let folds = &mut self.folds;
         self.index.entry(meta.id).or_insert_with(|| {
             folds.push(Fold {
                 meta,
-                started: false,
                 fraction: 0.0,
                 terminal: false,
+                admitted: at,
+                started: NONE,
+                checkpoint: NONE,
             });
             folds.len() - 1
         });
     }
 
-    fn start(&mut self, ids: impl Iterator<Item = u64>) {
+    fn start(&mut self, ids: impl Iterator<Item = u64>, at: usize) {
         for id in ids {
             if let Some(f) = self.get(id) {
-                f.started = true;
+                // Frames only move forward: the first keeps the field.
+                f.started = f.started.min(at);
             }
         }
     }
 
-    fn close(&mut self, id: u64) {
-        if let Some(f) = self.get(id) {
-            f.terminal = true;
+    /// A `Completed` or `Failed` frame closes `id` for good, admitted or
+    /// not: an id nobody admitted is tracked as closed from here on.
+    /// Returns whether this frame is the one that closed it.
+    fn close(&mut self, id: u64) -> bool {
+        match self.index.entry(id) {
+            Entry::Occupied(slot) => self
+                .folds
+                .get_mut(*slot.get())
+                .is_some_and(|f| !std::mem::replace(&mut f.terminal, true)),
+            Entry::Vacant(slot) => {
+                slot.insert(NONE);
+                true
+            }
         }
+    }
+
+    /// A `Rejected` frame closes `id` only if it is admitted and open
+    /// (the brownout sheds from inside the queue; a job refused at the
+    /// door may be admitted later). Returns the admission it closed.
+    fn shed(&mut self, id: u64) -> Option<usize> {
+        let f = self.get(id).filter(|f| !f.terminal)?;
+        f.terminal = true;
+        Some(f.admitted)
     }
 }
 
 /// Replays the durable journal bytes into a [`RecoveredState`]: one walk
 /// over the frames, each payload decoded in place and folded as it is
-/// reached.
+/// reached, noting which frames the state rests on.
 pub fn replay(bytes: &[u8]) -> Replay {
     let mut state = RecoveredState::default();
+    let mut live = LiveFrames::default();
+    let jobs_hint = bytes.len() / BYTES_PER_JOB;
     let mut jobs = Jobs {
-        folds: Vec::new(),
-        index: HashMap::with_capacity_and_hasher(bytes.len() / BYTES_PER_JOB, Default::default()),
+        folds: Vec::with_capacity(jobs_hint),
+        index: HashMap::with_capacity_and_hasher(jobs_hint, Default::default()),
     };
     let mut completed = Vec::new();
     let mut failed = Vec::new();
 
     let mut walk = FrameWalk::new(bytes);
-    for payload in walk.by_ref() {
+    loop {
+        let at = walk.valid_bytes();
+        let Some(payload) = walk.next() else {
+            break;
+        };
         let Some(rec) = decode_view(payload) else {
             state.undecodable += 1;
             continue;
         };
-        state.records += 1;
+        // A compaction header stands for the records it replaced.
+        state.records = state.records.saturating_add(match &rec {
+            Decoded::Record(JournalRecord::Compacted { records, .. }) => *records as usize,
+            _ => 1,
+        });
         if rec.instant() > state.resume_clock {
             state.resume_clock = rec.instant();
         }
         let rec = match rec {
             Decoded::Batch(b) => {
-                jobs.start(b.job_ids());
+                jobs.start(b.job_ids(), at);
                 continue;
             }
             Decoded::Record(rec) => rec,
@@ -239,26 +403,34 @@ pub fn replay(bytes: &[u8]) -> Replay {
         match rec {
             JournalRecord::EpochStart { .. } => {
                 state.epochs += 1;
+                live.pinned.push(at);
             }
-            JournalRecord::Admitted { meta, .. } => jobs.admit(meta),
+            JournalRecord::Compacted { .. } => {}
+            JournalRecord::Admitted { meta, .. } => jobs.admit(meta, at),
             JournalRecord::Rejected { meta, reason, .. } => {
                 // A rejection can terminate an *admitted* job too (the
                 // brownout sheds from inside the queue); the journal's
                 // rejection is then the job's terminal fact and recovery
-                // must not resurrect it.
-                jobs.close(meta.id);
+                // must not resurrect it. The shed job's admission stays
+                // live beside it, so that a resubmission admitted later
+                // is refused by an image just as by the whole journal.
+                if let Some(admitted) = jobs.shed(meta.id) {
+                    live.pinned.push(admitted);
+                }
                 state.rejected.push((meta, reason));
+                live.pinned.push(at);
             }
-            JournalRecord::BatchStarted { job_ids, .. } => jobs.start(job_ids.into_iter()),
+            JournalRecord::BatchStarted { job_ids, .. } => jobs.start(job_ids.into_iter(), at),
             JournalRecord::PanelCheckpoint { job, fraction, .. } => {
                 if let Some(f) = jobs.get(job) {
                     if fraction > f.fraction {
                         f.fraction = fraction;
+                        f.checkpoint = at;
                     }
                 }
             }
             JournalRecord::Completed {
-                at,
+                at: instant,
                 job,
                 idempotency,
                 tenant,
@@ -266,65 +438,76 @@ pub fn replay(bytes: &[u8]) -> Replay {
                 digest,
                 deadline_met,
             } => {
-                jobs.close(job);
+                let closes = pin_if(jobs.close(job), at, &mut live.pinned);
                 completed.push((
                     idempotency,
                     TerminalRecord {
                         job,
                         tenant,
-                        at,
+                        at: instant,
                         latency,
                         kind: TerminalKind::Completed,
                         digest,
                         deadline_met,
                     },
+                    at,
+                    closes,
                 ));
             }
             JournalRecord::Failed {
-                at,
+                at: instant,
                 job,
                 idempotency,
                 tenant,
                 latency,
                 ..
             } => {
-                jobs.close(job);
+                let closes = pin_if(jobs.close(job), at, &mut live.pinned);
                 failed.push((
                     idempotency,
                     TerminalRecord {
                         job,
                         tenant,
-                        at,
+                        at: instant,
                         latency,
                         kind: TerminalKind::Failed,
                         digest: 0,
                         deadline_met: None,
                     },
+                    at,
+                    closes,
                 ));
             }
         }
     }
-    state.completed = first_wins(completed);
-    state.failed = first_wins(failed);
+    state.completed = first_wins(completed, &mut live.pinned);
+    state.failed = first_wins(failed, &mut live.pinned);
 
-    // Partition the non-terminal jobs.
+    // Partition the non-terminal jobs; their frames are the open ones.
     for f in jobs.folds.iter().filter(|f| !f.terminal) {
+        let started = f.started != NONE;
         let job = RecoveredJob {
             meta: f.meta,
             resume_fraction: f.fraction,
-            was_in_flight: f.started,
+            was_in_flight: started,
         };
-        if f.started {
+        if started {
             state.in_flight.push(job);
         } else {
             state.queued.push(job);
         }
+        live.open.extend(
+            [f.admitted, f.started, f.checkpoint]
+                .into_iter()
+                .filter(|&at| at != NONE),
+        );
     }
 
     state.torn_bytes = walk.torn_bytes();
     Replay {
         state,
         valid_bytes: walk.valid_bytes(),
+        live,
     }
 }
 
@@ -354,10 +537,11 @@ mod tests {
         bytes
     }
 
-    /// The ordered-map fold `replay` replaced, kept verbatim as the
-    /// oracle: a tree descent per record, terminal maps filled one
-    /// `entry` at a time, open jobs sorted by first-seen order — over
-    /// the collected frame list and the cursor decoder.
+    /// The ordered-map fold `replay` replaced, kept as the oracle: a
+    /// tree descent per record, terminal maps filled one `entry` at a
+    /// time, open jobs sorted by first-seen order — over the collected
+    /// frame list and the cursor decoder. Since compaction, a terminal
+    /// frame closes an id nobody admitted too (the `closed` set).
     fn replay_reference(bytes: &[u8]) -> RecoveredState {
         let decode = decode_frames(bytes);
         let mut state = RecoveredState {
@@ -372,19 +556,24 @@ mod tests {
             order: usize,
         }
         let mut jobs: BTreeMap<u64, Fold> = BTreeMap::new();
+        let mut closed = std::collections::BTreeSet::new();
         let mut order = 0usize;
         for payload in &decode.payloads {
             let Some(rec) = oracle::decode(payload) else {
                 state.undecodable += 1;
                 continue;
             };
-            state.records += 1;
+            state.records = state.records.saturating_add(match rec {
+                JournalRecord::Compacted { records, .. } => records as usize,
+                _ => 1,
+            });
             if rec.instant() > state.resume_clock {
                 state.resume_clock = rec.instant();
             }
             match rec {
                 JournalRecord::EpochStart { .. } => state.epochs += 1,
-                JournalRecord::Admitted { meta, .. } => {
+                JournalRecord::Compacted { .. } => {}
+                JournalRecord::Admitted { meta, .. } if !closed.contains(&meta.id) => {
                     jobs.entry(meta.id).or_insert_with(|| {
                         order += 1;
                         Fold {
@@ -396,6 +585,7 @@ mod tests {
                         }
                     });
                 }
+                JournalRecord::Admitted { .. } => {}
                 JournalRecord::Rejected { meta, reason, .. } => {
                     if let Some(f) = jobs.get_mut(&meta.id) {
                         f.terminal = true;
@@ -425,8 +615,9 @@ mod tests {
                     digest,
                     deadline_met,
                 } => {
-                    if let Some(f) = jobs.get_mut(&job) {
-                        f.terminal = true;
+                    match jobs.get_mut(&job) {
+                        Some(f) => f.terminal = true,
+                        None => drop(closed.insert(job)),
                     }
                     state
                         .completed
@@ -449,8 +640,9 @@ mod tests {
                     latency,
                     ..
                 } => {
-                    if let Some(f) = jobs.get_mut(&job) {
-                        f.terminal = true;
+                    match jobs.get_mut(&job) {
+                        Some(f) => f.terminal = true,
+                        None => drop(closed.insert(job)),
                     }
                     state.failed.entry(idempotency).or_insert(TerminalRecord {
                         job,
@@ -525,6 +717,10 @@ mod tests {
                 digest: d,
                 deadline_met: None,
             },
+            9 => JournalRecord::Compacted {
+                records: d,
+                resume_clock: x,
+            },
             _ => JournalRecord::Failed {
                 at: x,
                 job: id,
@@ -541,7 +737,8 @@ mod tests {
 
         /// The hashed one-pass fold equals the ordered-map fold on
         /// arbitrary streams, intact, torn and corrupted. Kind 8 is a
-        /// CRC-valid frame that holds no record: counted, not folded.
+        /// CRC-valid frame that holds no record: counted, not folded;
+        /// kind 9 is a compaction header.
         /// `malform` damages some payloads *before* they are framed —
         /// one byte changed, a byte or more cut, a byte appended — so
         /// the CRC holds and the record decoder's own reject paths (and
@@ -550,7 +747,7 @@ mod tests {
         #[test]
         fn replay_equals_the_reference_fold(
             raw in proptest::collection::vec(
-                (0u32..9, 1u64..9, 0.0f64..100.0, 0.0f64..1.0, 0u64..1_000_000),
+                (0u32..10, 1u64..9, 0.0f64..100.0, 0.0f64..1.0, 0u64..1_000_000),
                 1..64,
             ),
             malform in proptest::collection::vec((0u32..8, 0usize..256), 64..65),

@@ -404,7 +404,8 @@ pub struct DurableReport {
     /// The epoch's service report (this epoch's records only — terminal
     /// outcomes from earlier epochs live in the journal).
     pub report: ServiceReport,
-    /// The journal, committed through the end of the run.
+    /// The journal, committed through the end of the run and compacted
+    /// when that was due.
     pub journal: Journal,
     /// What recovery found when the epoch started.
     pub recovery: RecoveryStats,
@@ -488,6 +489,24 @@ impl DurableCtx {
             self.journal.drop_pending();
         }
         self.crashed = Some((kind, now));
+    }
+
+    /// Swaps a compacted image in, if there is one. A due
+    /// `MidCompaction` kill fires before the swap or after it.
+    fn compact(&mut self, now: f64, image: Option<Vec<u8>>) {
+        let Some(image) = image else {
+            return;
+        };
+        let kill = match self.due_kind() {
+            Some(CrashKind::MidCompaction { swapped }) => Some(swapped),
+            _ => None,
+        };
+        if kill != Some(false) {
+            self.journal.swap_in(image);
+        }
+        if let Some(swapped) = kill {
+            self.crash_now(now, CrashKind::MidCompaction { swapped });
+        }
     }
 
     /// Appends one record (counting the journal event) and fires the
@@ -719,6 +738,12 @@ impl GemmService {
     /// empty journal this *is* the cold start — epoch 0, nothing to
     /// replay.
     ///
+    /// The journal compacts itself when due (over 1 MiB, and at least as
+    /// many dead bytes as live ones): right after the replay, from the
+    /// fold the replay made, and again when the run finishes. Compaction
+    /// appends nothing and changes no replayed fact; an armed
+    /// `CrashKind::MidCompaction` kills the run inside it.
+    ///
     /// Call this on a freshly constructed service (a restarted process
     /// has a fresh device pool); the journal is the only state that
     /// survives a crash.
@@ -728,7 +753,8 @@ impl GemmService {
         resubmissions: Vec<JobSpec>,
         crash: Option<CrashSpec>,
     ) -> DurableRun {
-        let rs = replay(journal.durable()).state;
+        let rep = replay(journal.durable());
+        let rs = &rep.state;
         let epoch = rs.epochs;
         let mut st = self.base_state();
 
@@ -745,7 +771,7 @@ impl GemmService {
         // goes on, every later one is a duplicate too. Each bounces with
         // a typed rejection.
         let keys: Vec<u64> = resubmissions.iter().map(JobSpec::idempotency).collect();
-        let duplicate = duplicate_keys(&rs, &keys);
+        let duplicate = duplicate_keys(rs, &keys);
         let mut fresh = Vec::new();
         let mut suppressed = 0usize;
         for ((job, idempotency), dup) in resubmissions.into_iter().zip(keys).zip(duplicate) {
@@ -846,6 +872,10 @@ impl GemmService {
             digests: BTreeMap::new(),
             stats,
         };
+        // Compaction reuses the fold just made: one copy of the live
+        // frames, before the epoch's first record.
+        let image = ctx.journal.compaction_after(&rep);
+        ctx.compact(st.now, image);
         ctx.append(
             st.now,
             st.now,
@@ -859,7 +889,7 @@ impl GemmService {
         ctx.journal.maybe_flush(st.now);
         st.durable = Some(ctx);
 
-        let finished = !st.crashed() && self.drive(fresh, &mut st);
+        let mut finished = !st.crashed() && self.drive(fresh, &mut st);
         let mut ctx = st.durable.take().expect("durable ctx installed above");
         if finished {
             ctx.journal.commit(st.now);
@@ -868,6 +898,9 @@ impl GemmService {
                 0,
                 "records stranded past the end"
             );
+            let image = ctx.journal.compaction_at_finish();
+            ctx.compact(st.now, image);
+            finished = ctx.crashed.is_none();
         }
         if let Some(m) = &self.metrics {
             m.publish_journal(&ctx.journal.stats(), ctx.journal.durable_bytes());

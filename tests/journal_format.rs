@@ -12,7 +12,7 @@
 use summagen_bench::crashcmd::{crash_config, ledger_digest};
 use summagen_bench::servecmd::{SERVE_ALPHA, SERVE_BETA};
 use summagen_durable::{
-    fnv1a, fnv1a_words, replay, GroupCommitConfig, Journal, RecoveredJob, RecoveredState,
+    compact, fnv1a, fnv1a_words, replay, GroupCommitConfig, Journal, RecoveredJob, RecoveredState,
     TerminalRecord,
 };
 use summagen_platform::profile::hclserver1;
@@ -25,6 +25,9 @@ const COMPLETED_LEDGER: u64 = 0xf27c_3462_ee57_a253;
 const FAILED_LEDGER: u64 = 0x6ddf_0ad2_1b42_f5f2;
 const FULL_STATE_DIGEST: u64 = 0x49b6_09f7_9925_0b93;
 const HALF_STATE_DIGEST: u64 = 0x00c8_22b1_c136_19e3;
+/// The compacted image of the whole journal.
+const IMAGE_BYTES: usize = 13_473;
+const IMAGE_FNV: u64 = 0xc6e7_ac85_4f11_a50e;
 
 /// Every field of the recovered state, in order, floats by their bits.
 fn state_digest(state: &RecoveredState) -> u64 {
@@ -93,6 +96,45 @@ fn journal_bytes_and_replayed_state_match_the_goldens() {
         ("failed ledger", ledger_digest(&full.failed), FAILED_LEDGER),
         ("full state digest", state_digest(&full), FULL_STATE_DIGEST),
         ("half state digest", state_digest(&half), HALF_STATE_DIGEST),
+    ];
+    for (what, got, want) in got {
+        assert_eq!(got, want, "{what}: {got:#018x} != golden {want:#018x}");
+    }
+}
+
+#[test]
+fn the_compacted_image_replays_to_the_goldens() {
+    let pool = DevicePool::from_platform(&hclserver1(), SERVE_ALPHA, SERVE_BETA);
+    let mut service = GemmService::new(pool, crash_config(7));
+    let journal = Journal::new(GroupCommitConfig::default());
+    let DurableRun::Finished(rep) = service.run_durable(generate(&small_mix()), journal, None)
+    else {
+        panic!("the crash-free run crashed with no injector armed");
+    };
+    let bytes = rep.journal.durable();
+    let image = compact(bytes);
+    assert!(
+        image.len() < bytes.len() / 2,
+        "most of a finished journal is dead"
+    );
+    let full = replay(&image).state;
+    assert_eq!(
+        state_digest(&full),
+        FULL_STATE_DIGEST,
+        "image of the whole journal"
+    );
+
+    // The half cut, torn mid-frame: its image has no torn tail to count.
+    let cut = &bytes[..bytes.len() / 2];
+    let mut half = replay(cut).state;
+    let halved = replay(&compact(cut)).state;
+    assert_eq!(halved.torn_bytes, 0);
+    half.torn_bytes = 0;
+    assert_eq!(halved, half, "image of the half cut");
+
+    let got = [
+        ("image bytes", image.len() as u64, IMAGE_BYTES as u64),
+        ("image fnv1a", fnv1a(&image), IMAGE_FNV),
     ];
     for (what, got, want) in got {
         assert_eq!(got, want, "{what}: {got:#018x} != golden {want:#018x}");
