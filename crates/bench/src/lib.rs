@@ -2,8 +2,8 @@
 //! evaluation section (see `EXPERIMENTS.md` at the workspace root for the
 //! paper-vs-measured record).
 //!
-//! The heavy lifting lives in [`experiments`]; the `reproduce` binary and
-//! the criterion benches are thin wrappers over it.
+//! The heavy lifting lives in [`experiments`]; the `reproduce` binary is a
+//! thin wrapper over it. Its times are virtual; wall-clock ones are `perf/`'s.
 
 pub mod benchcmd;
 pub mod crashcmd;

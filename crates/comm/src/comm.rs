@@ -391,8 +391,9 @@ pub struct Communicator {
 /// Tags at or above this value are reserved for collectives.
 const COLLECTIVE_TAG_BASE: u64 = 1 << 48;
 
-fn mix(mut x: u64) -> u64 {
-    // splitmix64 finalizer: deterministic child-communicator ids.
+/// The splitmix64 finalizer: deterministic child-communicator ids and
+/// seeded fault-plan draws.
+pub(crate) fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E3779B97F4A7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);

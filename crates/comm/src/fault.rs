@@ -17,6 +17,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::comm::mix;
 use crate::sync::Mutex;
 
 /// Panic payload used by injected kills. Public so tests can assert on it;
@@ -275,15 +276,6 @@ impl FaultPlan {
         }
         plan
     }
-}
-
-fn mix(mut x: u64) -> u64 {
-    // splitmix64 finalizer — same generator the communicator uses for
-    // deterministic child ids.
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 /// Panic payload used by injected *silent* hangs: the rank stopped

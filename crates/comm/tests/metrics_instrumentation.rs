@@ -1,10 +1,6 @@
 //! Integration tests for the aggregate-metrics hooks: an instrumented run
-//! must account every message and collective, and the instrumented-off
-//! path must stay within noise of a metered run (the < 2% overhead claim
-//! is about the `None` branch costing nothing, not about recording being
-//! free).
-
-use std::time::{Duration, Instant};
+//! must account every message and collective, exactly. What metering
+//! costs in wall-clock time is `perf`'s `comm.pingpong_metered_ratio`.
 
 use summagen_comm::{HockneyModel, Payload, RuntimeMetrics, Universe, ZeroCost};
 
@@ -61,73 +57,5 @@ fn metrics_render_as_prometheus_after_a_run() {
     assert!(
         text.contains("summagen_comm_recv_wait_seconds_bucket"),
         "{text}"
-    );
-}
-
-const ITERS: u64 = 20_000;
-const REPS: usize = 5;
-
-fn pingpong_wall_time(universe: &Universe) -> Duration {
-    let t0 = Instant::now();
-    universe.run(|comm| {
-        for i in 0..ITERS {
-            if comm.rank() == 0 {
-                comm.send(1, 0, Payload::U64(vec![i]));
-                comm.recv(1, 1);
-            } else {
-                comm.recv(0, 0);
-                comm.send(0, 1, Payload::U64(vec![i]));
-            }
-        }
-    });
-    t0.elapsed()
-}
-
-fn best_of(universe: &Universe) -> Duration {
-    (0..REPS)
-        .map(|_| pingpong_wall_time(universe))
-        .min()
-        .unwrap()
-}
-
-/// Ignored-by-default micro-benchmark guarding the "< 2% overhead when
-/// off" acceptance criterion: with no bundle installed every metrics hook
-/// is one `Option` branch. Run with:
-///
-/// ```text
-/// cargo test --release -p summagen-comm --test metrics_instrumentation -- --ignored --nocapture
-/// ```
-#[test]
-#[ignore = "benchmark: run explicitly with --ignored --nocapture"]
-fn disabled_metrics_have_no_measurable_overhead() {
-    let disabled = Universe::new(2, ZeroCost);
-    let metrics = RuntimeMetrics::fresh();
-    let enabled = Universe::new(2, ZeroCost).with_metrics(metrics.clone());
-
-    // Warm up thread spawning and allocator before timing anything.
-    pingpong_wall_time(&disabled);
-    let t_disabled = best_of(&disabled);
-    let t_enabled = best_of(&enabled);
-
-    let msgs = 2 * ITERS;
-    let per_msg = |d: Duration| d.as_nanos() as f64 / msgs as f64;
-    println!(
-        "ping-pong x{ITERS}: no metrics {:?} ({:.0} ns/msg), metered {:?} ({:.0} ns/msg), ratio {:.3}",
-        t_disabled,
-        per_msg(t_disabled),
-        t_enabled,
-        per_msg(t_enabled),
-        t_enabled.as_secs_f64() / t_disabled.as_secs_f64(),
-    );
-    assert!(
-        metrics.send_msgs.get() >= REPS as u64 * msgs,
-        "metered universe should have counted every send"
-    );
-    // The disabled path does strictly less work than the metered one;
-    // allow generous scheduler noise. Absolute numbers are for the
-    // printed report (EXPERIMENTS.md records the measured ratio).
-    assert!(
-        t_disabled.as_secs_f64() <= t_enabled.as_secs_f64() * 1.5,
-        "metrics-off path slower than metered path: {t_disabled:?} vs {t_enabled:?}"
     );
 }

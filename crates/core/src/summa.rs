@@ -11,8 +11,7 @@
 //! `B` along processor columns, and every processor runs a rank-`nb`
 //! update on its local `C` block. Unlike SummaGen's one-shot gather, SUMMA
 //! pipelines many small broadcasts, one aggregated message per lane per
-//! panel — comparing the two on the same virtual platform is the baseline
-//! ablation in `benches/ablations.rs` and `reproduce summa`.
+//! panel — `reproduce summa` compares the two on the same virtual platform.
 
 use summagen_comm::{CommResult, Communicator, CostModel, HockneyModel, Payload};
 use summagen_matrix::{gemm_blocked, window_to_vec, DenseMatrix};

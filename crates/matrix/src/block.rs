@@ -36,31 +36,9 @@ impl Block {
         self.rows * self.cols
     }
 
-    /// Half-perimeter `h + w` — proportional to the communication volume a
-    /// processor owning this block incurs in PMM (Section II of the paper).
-    pub fn half_perimeter(&self) -> usize {
-        self.rows + self.cols
-    }
-
     /// Whether the block is empty (zero rows or columns).
     pub fn is_empty(&self) -> bool {
         self.rows == 0 || self.cols == 0
-    }
-
-    /// Whether `self` and `other` overlap in at least one element.
-    pub fn intersects(&self, other: &Block) -> bool {
-        if self.is_empty() || other.is_empty() {
-            return false;
-        }
-        self.row < other.row + other.rows
-            && other.row < self.row + self.rows
-            && self.col < other.col + other.cols
-            && other.col < self.col + self.cols
-    }
-
-    /// Whether the block fits inside an `n x n` matrix.
-    pub fn fits_in(&self, n: usize) -> bool {
-        self.row + self.rows <= n && self.col + self.cols <= n
     }
 }
 
@@ -86,10 +64,9 @@ mod tests {
     use crate::DenseMatrix;
 
     #[test]
-    fn block_area_and_half_perimeter() {
+    fn block_area() {
         let b = Block::new(0, 0, 9, 4);
         assert_eq!(b.area(), 36);
-        assert_eq!(b.half_perimeter(), 13);
         assert!(!b.is_empty());
     }
 
@@ -98,32 +75,6 @@ mod tests {
         assert!(Block::new(1, 1, 0, 5).is_empty());
         assert!(Block::new(1, 1, 5, 0).is_empty());
         assert!(!Block::new(1, 1, 1, 1).is_empty());
-    }
-
-    #[test]
-    fn intersects_detects_overlap_and_disjoint() {
-        let a = Block::new(0, 0, 4, 4);
-        let b = Block::new(3, 3, 4, 4); // overlaps at (3,3)
-        let c = Block::new(4, 0, 2, 2); // touches below, no overlap
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
-        assert!(!a.intersects(&Block::new(0, 4, 4, 4)));
-    }
-
-    #[test]
-    fn empty_blocks_never_intersect() {
-        let a = Block::new(0, 0, 4, 4);
-        let e = Block::new(1, 1, 0, 4);
-        assert!(!a.intersects(&e));
-        assert!(!e.intersects(&a));
-    }
-
-    #[test]
-    fn fits_in_boundary_cases() {
-        assert!(Block::new(0, 0, 16, 16).fits_in(16));
-        assert!(Block::new(12, 12, 4, 4).fits_in(16));
-        assert!(!Block::new(12, 12, 5, 4).fits_in(16));
     }
 
     #[test]

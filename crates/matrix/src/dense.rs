@@ -144,11 +144,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Scales every element in place.
     pub fn scale(&mut self, alpha: f64) {
         for x in &mut self.data {
@@ -252,12 +247,6 @@ mod tests {
         let m = DenseMatrix::from_fn(3, 5, |i, j| (i * 7 + j * 3) as f64);
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose().get(4, 2), m.get(2, 4));
-    }
-
-    #[test]
-    fn frobenius_norm_of_identity() {
-        let m = DenseMatrix::identity(9);
-        assert!((m.frobenius_norm() - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! it computes). The two objectives generally disagree: a power-hungry
 //! fast device may be time-optimal to load heavily but energy-optimal to
 //! load lightly. This module finds the energy-optimal distribution over
-//! the same discrete FPM grid by dynamic programming, plus the
-//! energy/time Pareto sweep used by the ablation bench.
+//! the same discrete FPM grid by dynamic programming.
 
 use crate::distribution::{grid_optimal_areas, DiscreteFpm};
 
@@ -30,23 +29,6 @@ pub fn energy_optimal_areas(n: usize, fpms: &[DiscreteFpm], powers: &[f64]) -> V
         assert!(w > 0.0 && w.is_finite(), "power[{i}] = {w} invalid");
     }
     grid_optimal_areas(n, fpms, |i, t| powers[i] * t, |a, b| a + b)
-}
-
-/// Total dynamic energy of a grid distribution (joules).
-pub fn distribution_energy(fpms: &[DiscreteFpm], powers: &[f64], ks: &[usize]) -> f64 {
-    fpms.iter()
-        .zip(powers)
-        .zip(ks)
-        .map(|((f, &w), &k)| w * f.times[k])
-        .sum()
-}
-
-/// Parallel time of a grid distribution (seconds).
-pub fn distribution_time(fpms: &[DiscreteFpm], ks: &[usize]) -> f64 {
-    fpms.iter()
-        .zip(ks)
-        .map(|(f, &k)| f.times[k])
-        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -120,18 +102,6 @@ mod tests {
                 .fold(0.0, f64::max)
         };
         assert!(time(&t_areas) <= time(&e_areas) + 1e-9);
-    }
-
-    #[test]
-    fn helpers_compute_known_values() {
-        let n = 100;
-        let fpms = fpms3(n, &[1.0e9, 1.0e9], 10);
-        // 5 steps each: area 5000 -> t = 2*5000*100/1e9 = 1e-3 s.
-        let ks = [5usize, 5];
-        let t = distribution_time(&fpms, &ks);
-        assert!((t - 1e-3).abs() < 1e-12);
-        let e = distribution_energy(&fpms, &[100.0, 200.0], &ks);
-        assert!((e - (100.0 + 200.0) * 1e-3).abs() < 1e-12);
     }
 
     #[test]

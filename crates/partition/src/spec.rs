@@ -176,11 +176,6 @@ impl PartitionSpec {
         self.owners[bi * self.grid_cols + bj]
     }
 
-    /// Matrix-row offset of sub-partition row `bi` (prefix sum of heights).
-    pub fn row_offset(&self, bi: usize) -> usize {
-        self.heights[..bi].iter().sum()
-    }
-
     /// Matrix-column offset of sub-partition column `bj`.
     pub fn col_offset(&self, bj: usize) -> usize {
         self.widths[..bj].iter().sum()
@@ -196,23 +191,6 @@ impl PartitionSpec {
     /// (the paper's `column_contains_rank`).
     pub fn col_contains(&self, proc: usize, bj: usize) -> bool {
         (0..self.grid_rows).any(|bi| self.owner(bi, bj) == proc)
-    }
-
-    /// Whether grid row `bi` is entirely owned by a single processor (the
-    /// special no-communication case in the horizontal stage).
-    pub fn row_single_owner(&self, bi: usize) -> Option<usize> {
-        let first = self.owner(bi, 0);
-        (1..self.grid_cols)
-            .all(|bj| self.owner(bi, bj) == first)
-            .then_some(first)
-    }
-
-    /// Whether grid column `bj` is entirely owned by a single processor.
-    pub fn col_single_owner(&self, bj: usize) -> Option<usize> {
-        let first = self.owner(0, bj);
-        (1..self.grid_rows)
-            .all(|bi| self.owner(bi, bj) == first)
-            .then_some(first)
     }
 
     /// All sub-partitions owned by `proc`, with their element-space
@@ -533,9 +511,6 @@ mod tests {
         assert!(!s.row_contains(2, 0));
         assert!(s.col_contains(2, 2));
         assert!(!s.col_contains(0, 2));
-        assert_eq!(s.row_single_owner(1), Some(1));
-        assert_eq!(s.row_single_owner(0), None);
-        assert_eq!(s.col_single_owner(1), Some(1));
     }
 
     #[test]
@@ -566,9 +541,8 @@ mod tests {
     #[test]
     fn offsets_are_prefix_sums() {
         let s = fig1a();
-        assert_eq!(s.row_offset(0), 0);
-        assert_eq!(s.row_offset(1), 9);
-        assert_eq!(s.row_offset(2), 12);
+        assert_eq!(s.col_offset(0), 0);
+        assert_eq!(s.col_offset(1), 9);
         assert_eq!(s.col_offset(2), 12);
     }
 
@@ -601,7 +575,6 @@ mod tests {
         let s = PartitionSpec::new(vec![0], vec![8], vec![8], 1);
         assert_eq!(s.areas(), vec![64]);
         assert_eq!(s.half_perimeters(), vec![16]);
-        assert_eq!(s.row_single_owner(0), Some(0));
     }
 
     #[test]

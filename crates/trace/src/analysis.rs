@@ -232,6 +232,49 @@ fn describe(record: &SpanRecord) -> (&'static str, String) {
     }
 }
 
+/// The happens-before DAG of a trace's leaf events, which the critical path
+/// and the what-if [`crate::replay`] both walk.
+pub(crate) struct HappensBefore<'a> {
+    /// Leaf events per rank, program order (end times non-decreasing).
+    pub leaves: Vec<Vec<&'a SpanRecord>>,
+    /// (sender rank, seq) -> program-order index of the Send.
+    send_at: BTreeMap<(usize, u64), usize>,
+}
+
+impl<'a> HappensBefore<'a> {
+    pub fn new(trace: &'a RecordedTrace) -> Self {
+        let leaves: Vec<Vec<&SpanRecord>> = trace
+            .spans
+            .iter()
+            .map(|spans| {
+                spans
+                    .iter()
+                    .map(|ts| &ts.record)
+                    .filter(|r| r.kind.is_leaf())
+                    .collect()
+            })
+            .collect();
+        let mut send_at = BTreeMap::new();
+        for (rank, rank_leaves) in leaves.iter().enumerate() {
+            for (i, r) in rank_leaves.iter().enumerate() {
+                if let SpanKind::Send { seq, .. } = r.kind {
+                    send_at.insert((rank, seq), i);
+                }
+            }
+        }
+        Self { leaves, send_at }
+    }
+
+    /// `(rank, index)` of the `Send` that `leaf` received, when `leaf` is a
+    /// `Recv` whose send is in the trace.
+    pub fn matching_send(&self, leaf: &SpanRecord) -> Option<(usize, usize)> {
+        match leaf.kind {
+            SpanKind::Recv { src, seq, .. } => self.send_at.get(&(src, seq)).map(|&si| (src, si)),
+            _ => None,
+        }
+    }
+}
+
 /// Extracts the critical path: starting from the globally latest-ending
 /// leaf event, repeatedly walk to the *binding* predecessor — for a
 /// `Recv`, the matching `Send` when it finished after the receiver's own
@@ -239,27 +282,8 @@ fn describe(record: &SpanRecord) -> (&'static str, String) {
 /// otherwise the rank-local predecessor. Deterministic for a
 /// deterministic trace: all tie-breaks use fixed scan orders.
 pub fn critical_path(trace: &RecordedTrace) -> CriticalPath {
-    // Leaf events per rank, program order (end times non-decreasing).
-    let leaves: Vec<Vec<&SpanRecord>> = trace
-        .spans
-        .iter()
-        .map(|spans| {
-            spans
-                .iter()
-                .map(|ts| &ts.record)
-                .filter(|r| r.kind.is_leaf())
-                .collect()
-        })
-        .collect();
-    // (sender rank, seq) -> program-order index of the Send.
-    let mut send_at: BTreeMap<(usize, u64), usize> = BTreeMap::new();
-    for (rank, rank_leaves) in leaves.iter().enumerate() {
-        for (i, r) in rank_leaves.iter().enumerate() {
-            if let SpanKind::Send { seq, .. } = r.kind {
-                send_at.insert((rank, seq), i);
-            }
-        }
-    }
+    let hb = HappensBefore::new(trace);
+    let leaves = &hb.leaves;
 
     // The path's last event: latest end; ties go to the highest rank's
     // latest event, so a Recv beats the Send that fed it (the Recv is
@@ -287,21 +311,19 @@ pub fn critical_path(trace: &RecordedTrace) -> CriticalPath {
         }
         let here = leaves[rank][i];
         let prev_local = i.checked_sub(1).map(|j| (rank, j));
-        cursor = match here.kind {
-            SpanKind::Recv { src, seq, .. } => match send_at.get(&(src, seq)) {
-                Some(&si) => {
-                    let sender_end = leaves[src][si].end;
-                    match prev_local {
-                        // The wait was bounded by the sender, not by our
-                        // own previous event: cross the rank edge.
-                        Some((pr, pj)) if leaves[pr][pj].end >= sender_end => Some((pr, pj)),
-                        Some(_) | None => Some((src, si)),
-                    }
+        cursor = match hb.matching_send(here) {
+            Some((src, si)) => {
+                let sender_end = leaves[src][si].end;
+                match prev_local {
+                    // The wait was bounded by the sender, not by our own
+                    // previous event: cross the rank edge.
+                    Some((pr, pj)) if leaves[pr][pj].end >= sender_end => Some((pr, pj)),
+                    Some(_) | None => Some((src, si)),
                 }
-                // Matching send fell off the ring (or predates tracing).
-                None => prev_local,
-            },
-            _ => prev_local,
+            }
+            // Not a Recv, or its send fell off the ring (or predates
+            // tracing).
+            None => prev_local,
         };
     }
     chain.reverse();

@@ -21,10 +21,9 @@
 //! schedule: waits re-emerge from the edges, work re-occupies its
 //! measured demand.
 
-use std::collections::BTreeMap;
-
 use summagen_comm::span::{SpanKind, SpanRecord};
 
+use crate::analysis::HappensBefore;
 use crate::recorder::RecordedTrace;
 
 /// Which leaf spans an intervention rescales.
@@ -158,27 +157,8 @@ pub fn replay(trace: &RecordedTrace, interventions: &[Intervention]) -> Replay {
             iv.factor
         );
     }
-    // Leaf events per rank, program order (end times non-decreasing).
-    let leaves: Vec<Vec<&SpanRecord>> = trace
-        .spans
-        .iter()
-        .map(|spans| {
-            spans
-                .iter()
-                .map(|ts| &ts.record)
-                .filter(|r| r.kind.is_leaf())
-                .collect()
-        })
-        .collect();
-    // (sender rank, seq) -> program-order index of the Send.
-    let mut send_at: BTreeMap<(usize, u64), usize> = BTreeMap::new();
-    for (rank, rank_leaves) in leaves.iter().enumerate() {
-        for (i, r) in rank_leaves.iter().enumerate() {
-            if let SpanKind::Send { seq, .. } = r.kind {
-                send_at.insert((rank, seq), i);
-            }
-        }
-    }
+    let hb = HappensBefore::new(trace);
+    let leaves = &hb.leaves;
 
     // Scaled demand per leaf. A recv's raw demand excludes the wait the
     // dependency edge will reproduce: everything past the matching
@@ -190,12 +170,9 @@ pub fn replay(trace: &RecordedTrace, interventions: &[Intervention]) -> Replay {
             rank_leaves
                 .iter()
                 .map(|r| {
-                    let raw = match r.kind {
-                        SpanKind::Recv { src, seq, .. } => match send_at.get(&(src, seq)) {
-                            Some(&si) => (r.end - r.start.max(leaves[src][si].end)).max(0.0),
-                            None => r.duration(),
-                        },
-                        _ => r.duration(),
+                    let raw = match hb.matching_send(r) {
+                        Some((src, si)) => (r.end - r.start.max(leaves[src][si].end)).max(0.0),
+                        None => r.duration(),
                     };
                     let mut factor = 1.0;
                     let mut scaled = false;
@@ -230,13 +207,10 @@ pub fn replay(trace: &RecordedTrace, interventions: &[Intervention]) -> Replay {
         for r in 0..nranks {
             while ptr[r] < leaves[r].len() {
                 let i = ptr[r];
-                let dep_end = match leaves[r][i].kind {
-                    SpanKind::Recv { src, seq, .. } => match send_at.get(&(src, seq)) {
-                        Some(&si) if si < ptr[src] => Some(new_end[src][si]),
-                        Some(_) => break, // sender not re-timed yet: wait
-                        None => None,
-                    },
-                    _ => None,
+                let dep_end = match hb.matching_send(leaves[r][i]) {
+                    Some((src, si)) if si < ptr[src] => Some(new_end[src][si]),
+                    Some(_) => break, // sender not re-timed yet: wait
+                    None => None,
                 };
                 let start = dep_end.map_or(ready[r], |e| ready[r].max(e));
                 let end = start + demands[r][i];
