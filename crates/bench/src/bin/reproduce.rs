@@ -556,7 +556,7 @@ fn recovery_doc(_: &str) -> Json {
 
 fn auto_gen() {
     use summagen_core::simulate;
-    use summagen_partition::auto::{auto_layout, AutoOptions};
+    use summagen_partition::auto::auto_layout;
     use summagen_platform::profile::hclserver1;
     use summagen_platform::speed::SpeedFunction;
 
@@ -571,11 +571,7 @@ fn auto_gen() {
         .map(|p| p.speed.as_ref())
         .collect();
     let n = 8_192;
-    let opts = AutoOptions {
-        iterations: 800,
-        ..AutoOptions::default()
-    };
-    let (auto_spec, _) = auto_layout(n, &speeds, opts);
+    let (auto_spec, _) = auto_layout(n, &speeds);
     let auto_time = simulate(&auto_spec, &platform, link_model()).exec_time;
     println!(
         "  auto-generated layout ({}x{} grid): {:.3} s",

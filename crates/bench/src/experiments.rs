@@ -491,21 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_spec_json_roundtrip() {
-        let areas = proportional_areas(64, &[1.0, 2.0, 0.9]);
-        let spec = Shape::SquareCorner.build(64, &areas);
-        let json = spec.to_json();
-        let back = summagen_partition::PartitionSpec::from_json(&json).unwrap();
-        assert_eq!(back, spec);
-        let shape_json = Shape::BlockRectangle.to_json();
-        assert_eq!(shape_json, "\"BlockRectangle\"");
-        assert_eq!(
-            Shape::from_json(&shape_json).unwrap(),
-            Shape::BlockRectangle
-        );
-    }
-
-    #[test]
     fn problem_size_ranges_match_paper() {
         let cpm = cpm_problem_sizes();
         assert_eq!(*cpm.first().unwrap(), 25_600);

@@ -26,7 +26,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use summagen_comm::{Backend, HeartbeatConfig, HockneyModel, LinkPlan, RuntimeMetrics};
+use summagen_comm::{Backend, HockneyModel, LinkPlan, RuntimeMetrics};
 use summagen_core::{multiply_with_recovery, ExecutionMode, RecoveryOptions, RecoveryReport};
 use summagen_matrix::{max_abs_diff, random_matrix};
 use summagen_partition::{Shape, ALL_FOUR_SHAPES};
@@ -98,7 +98,7 @@ fn recovery_options(
         // to fire well before any peer gives up on a receive.
         recv_timeout: Duration::from_millis(2_000),
         link_plan: Some(link),
-        heartbeat: Some(HeartbeatConfig::default()),
+        heartbeat: true,
         metrics: Some(metrics),
         backend,
         ..RecoveryOptions::default()

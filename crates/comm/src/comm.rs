@@ -18,7 +18,9 @@ use std::time::{Duration, Instant};
 use crate::chan::RecvError;
 use crate::clock::{ClockSnapshot, CostModel, VirtualClock};
 use crate::error::{CommError, CommResult};
-use crate::fault::{FaultState, InjectedHang, LinkState, MsgAction, WireFate};
+use crate::fault::{
+    FaultState, InjectedHang, LinkPlan, LinkState, MsgAction, WireFate, MAX_WIRE_ATTEMPTS,
+};
 use crate::message::{Envelope, Payload};
 use crate::span::{CollectiveOp, EventSink, MsgOutcome, SpanKind, SpanRecord};
 use crate::sync::Mutex;
@@ -295,7 +297,7 @@ pub(crate) struct Shared {
     /// the wire when the next packet on that link overtakes it (or
     /// pulled in by the receiver's safety net).
     pub link_held: Mutex<HashMap<(usize, usize), Envelope>>,
-    /// Failure-detector configuration, if the universe enabled one
+    /// Failure-detector timing, if the universe enabled one
     /// (`Universe::with_heartbeat`). `None` keeps every liveness hook to
     /// a single branch.
     pub heartbeat: Option<HeartbeatConfig>,
@@ -685,7 +687,7 @@ impl Communicator {
         let overtaken = self.shared.link_held.lock().remove(&(me, dst_global));
         let mut payload = Some(payload);
         let mut delivered = false;
-        for attempt in 0..plan.max_attempts {
+        for attempt in 0..MAX_WIRE_ATTEMPTS {
             match plan.wire_fate(me, dst_global, link_seq, attempt) {
                 WireFate::Drop => {
                     // Lost on the wire: wait out the retransmission timeout,
@@ -693,7 +695,7 @@ impl Communicator {
                     let (t0, t1) = {
                         let mut clock = self.clock.lock();
                         let t0 = clock.now();
-                        clock.advance_comm(plan.rto(attempt) + cost);
+                        clock.advance_comm(LinkPlan::rto(attempt) + cost);
                         (t0, clock.now())
                     };
                     if let Some(m) = &self.shared.metrics {
@@ -773,7 +775,7 @@ impl Communicator {
         } else {
             Err(CommError::Unreachable {
                 rank: dst_global,
-                attempts: plan.max_attempts,
+                attempts: MAX_WIRE_ATTEMPTS,
             })
         }
     }

@@ -324,6 +324,16 @@ pub(crate) enum WireFate {
     Reorder,
 }
 
+/// Base retransmission timeout in virtual seconds (doubles per attempt).
+const RTO_BASE: f64 = 1e-5;
+
+/// Ceiling on the per-attempt backoff in virtual seconds.
+const RTO_CAP: f64 = 1e-3;
+
+/// Wire attempts per packet before the transport gives up and reports the
+/// destination unreachable.
+pub(crate) const MAX_WIRE_ATTEMPTS: u32 = 30;
+
 /// A seeded, deterministic model of a lossy interconnect.
 ///
 /// Unlike [`FaultPlan`]'s per-message directives (keyed by the nth
@@ -358,14 +368,6 @@ pub struct LinkPlan {
     pub link_drop: Vec<(usize, usize, u16)>,
     /// Ranks to hang silently and when.
     pub hangs: Vec<HangSpec>,
-    /// Base retransmission timeout in virtual seconds (doubles per
-    /// attempt).
-    pub rto_base: f64,
-    /// Ceiling on the per-attempt backoff in virtual seconds.
-    pub rto_cap: f64,
-    /// Wire attempts per packet before the transport gives up and
-    /// reports the destination unreachable.
-    pub max_attempts: u32,
     /// TCP-only: refuse the first `n` connect attempts on a directed
     /// link, `(src, dst, n)`. The backend's bounded connect retries
     /// absorb refusals within budget; beyond it the send fails with
@@ -396,9 +398,6 @@ impl Default for LinkPlan {
             delay_secs: 0.0,
             link_drop: Vec::new(),
             hangs: Vec::new(),
-            rto_base: 1e-5,
-            rto_cap: 1e-3,
-            max_attempts: 30,
             tcp_refuse: Vec::new(),
             tcp_reset: Vec::new(),
             tcp_stall: Vec::new(),
@@ -463,21 +462,6 @@ impl LinkPlan {
         self
     }
 
-    /// Configures the retransmission policy: base timeout, backoff cap
-    /// (both virtual seconds), and the wire-attempt budget per packet.
-    pub fn retransmit(mut self, rto_base: f64, rto_cap: f64, max_attempts: u32) -> Self {
-        assert!(rto_base > 0.0 && rto_base.is_finite(), "invalid rto base");
-        assert!(
-            rto_cap >= rto_base && rto_cap.is_finite(),
-            "invalid rto cap"
-        );
-        assert!(max_attempts >= 1, "need at least one wire attempt");
-        self.rto_base = rto_base;
-        self.rto_cap = rto_cap;
-        self.max_attempts = max_attempts;
-        self
-    }
-
     /// Refuses the first `n` connect attempts on the `src → dst` link
     /// (TCP backend only).
     pub fn refuse_connects(mut self, src: usize, dst: usize, n: u32) -> Self {
@@ -501,9 +485,9 @@ impl LinkPlan {
 
     /// Capped exponential backoff charged before retransmission
     /// `attempt` (1-based retry index).
-    pub(crate) fn rto(&self, attempt: u32) -> f64 {
+    pub(crate) fn rto(attempt: u32) -> f64 {
         let exp = attempt.min(24); // 2^24 · base already dwarfs any cap
-        (self.rto_base * f64::from(1u32 << exp)).min(self.rto_cap)
+        (RTO_BASE * f64::from(1u32 << exp)).min(RTO_CAP)
     }
 
     fn drop_rate_for(&self, src: usize, dst: usize) -> u16 {
@@ -891,7 +875,7 @@ mod tests {
         let heavy = LinkPlan::seeded(3).drop_rate(500);
         for seq in 0..64 {
             assert!(
-                (0..heavy.max_attempts).any(|a| heavy.wire_fate(0, 1, seq, a) != WireFate::Drop),
+                (0..MAX_WIRE_ATTEMPTS).any(|a| heavy.wire_fate(0, 1, seq, a) != WireFate::Drop),
                 "seq {seq} dropped on every attempt"
             );
         }
@@ -912,14 +896,13 @@ mod tests {
 
     #[test]
     fn rto_backoff_is_capped_exponential() {
-        let plan = LinkPlan::seeded(0).retransmit(1e-5, 8e-5, 10);
-        assert_eq!(plan.rto(0), 1e-5);
-        assert_eq!(plan.rto(1), 2e-5);
-        assert_eq!(plan.rto(2), 4e-5);
-        assert_eq!(plan.rto(3), 8e-5);
-        assert_eq!(plan.rto(4), 8e-5); // capped
-        assert_eq!(plan.rto(24), 8e-5);
-        assert_eq!(plan.rto(u32::MAX), 8e-5); // exponent clamp, no overflow
+        assert_eq!(LinkPlan::rto(0), 1e-5);
+        assert_eq!(LinkPlan::rto(1), 2e-5);
+        assert_eq!(LinkPlan::rto(2), 4e-5);
+        assert_eq!(LinkPlan::rto(6), 6.4e-4);
+        assert_eq!(LinkPlan::rto(7), 1e-3); // capped
+        assert_eq!(LinkPlan::rto(24), 1e-3);
+        assert_eq!(LinkPlan::rto(u32::MAX), 1e-3); // exponent clamp, no overflow
     }
 
     #[test]

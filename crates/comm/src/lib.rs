@@ -61,10 +61,7 @@ pub use fault::{
 pub use message::Payload;
 pub use span::{AbftLabel, CollectiveOp, EventSink, MsgOutcome, SpanKind, SpanRecord, StageLabel};
 pub use transport::Backend;
-pub use universe::{
-    default_recv_timeout, recv_timeout_from_env, ConfigError, HeartbeatConfig, Universe,
-    DEFAULT_RECV_TIMEOUT, RECV_TIMEOUT_ENV,
-};
+pub use universe::{Universe, DEFAULT_RECV_TIMEOUT};
 
 // Aggregate metrics live below comm (same layering as the span
 // vocabulary): re-export the bundle type `Universe::with_metrics` takes so

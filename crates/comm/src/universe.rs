@@ -39,87 +39,11 @@ use crate::transport::{Backend, ChannelTransport, Transport};
 use summagen_metrics::RuntimeMetrics;
 
 /// Default blocking-receive timeout: generous enough for real runs, small
-/// enough that a deadlocked test suite still terminates. Overridable per
-/// process via the `SUMMAGEN_RECV_TIMEOUT_MS` environment variable (CI
-/// machines can be slow enough that chaos tests need more headroom).
+/// enough that a deadlocked test suite still terminates. A run that needs
+/// another sets [`Universe::recv_timeout`].
 pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Environment variable holding the default receive timeout in
-/// milliseconds. Read afresh by every [`Universe::new`]. A set-but-invalid
-/// value is a configuration error, not a silent no-op: [`Universe::new`]
-/// logs a warning and keeps [`DEFAULT_RECV_TIMEOUT`]; callers that want
-/// the typed error use [`recv_timeout_from_env`].
-pub const RECV_TIMEOUT_ENV: &str = "SUMMAGEN_RECV_TIMEOUT_MS";
-
-/// A malformed runtime configuration value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigError {
-    /// `SUMMAGEN_RECV_TIMEOUT_MS` was set but is not a positive integer
-    /// number of milliseconds.
-    InvalidRecvTimeout {
-        /// The raw value found in the environment.
-        value: String,
-    },
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::InvalidRecvTimeout { value } => write!(
-                f,
-                "{RECV_TIMEOUT_ENV}={value:?} is not a positive integer millisecond count"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
-/// Reads the receive-timeout override from the environment.
-///
-/// Returns `Ok(None)` when [`RECV_TIMEOUT_ENV`] is unset, `Ok(Some(d))`
-/// for a positive integer millisecond count, and a typed
-/// [`ConfigError`] when the variable is set but unusable (unparseable,
-/// zero, or non-UTF-8) — a set value the runtime would ignore is a
-/// misconfiguration the caller should hear about.
-pub fn recv_timeout_from_env() -> Result<Option<Duration>, ConfigError> {
-    match std::env::var(RECV_TIMEOUT_ENV) {
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(v)) => Err(ConfigError::InvalidRecvTimeout {
-            value: v.to_string_lossy().into_owned(),
-        }),
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(ms) if ms > 0 => Ok(Some(Duration::from_millis(ms))),
-            _ => Err(ConfigError::InvalidRecvTimeout { value: v }),
-        },
-    }
-}
-
-/// The receive timeout a run gets when nobody sets one: the
-/// [`RECV_TIMEOUT_ENV`] override if present and usable, else
-/// [`DEFAULT_RECV_TIMEOUT`]. [`Universe::new`] starts from it; a caller
-/// that stores a timeout of its own should default to it too, so that the
-/// stored value does not mask the environment.
-pub fn default_recv_timeout() -> Duration {
-    match recv_timeout_from_env() {
-        Ok(Some(d)) => d,
-        Ok(None) => DEFAULT_RECV_TIMEOUT,
-        Err(e) => {
-            // Warn once per process, not once per Universe: a sweep that
-            // builds thousands of universes under a bad environment would
-            // otherwise drown real diagnostics. Callers that must not
-            // proceed on a bad value use `Universe::try_new`.
-            static WARNED: Once = Once::new();
-            WARNED.call_once(|| {
-                eprintln!("warning: {e}; using default {DEFAULT_RECV_TIMEOUT:?}");
-            });
-            DEFAULT_RECV_TIMEOUT
-        }
-    }
-}
-
-/// Heartbeat failure-detector configuration
-/// ([`Universe::with_heartbeat`]).
+/// Heartbeat failure-detector timing ([`Universe::with_heartbeat`]).
 ///
 /// Every communication/compute hook stamps the calling rank's activity
 /// clock and, at most once per `interval`, emits a heartbeat (a
@@ -133,16 +57,16 @@ pub fn default_recv_timeout() -> Duration {
 /// marked dead through the same death-notice protocol an announced crash
 /// uses, so peers observe `CommError::PeerFailed` either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatConfig {
+pub(crate) struct HeartbeatConfig {
     /// Minimum wall-clock spacing between emitted heartbeats per rank.
-    pub interval: Duration,
+    pub(crate) interval: Duration,
     /// Silence threshold past which a rank is suspected (given that
     /// peers are still live).
-    pub suspicion: Duration,
+    pub(crate) suspicion: Duration,
     /// Whole-universe silence threshold for the stall watchdog.
-    pub stall: Duration,
+    pub(crate) stall: Duration,
     /// Watchdog polling period.
-    pub poll: Duration,
+    pub(crate) poll: Duration,
 }
 
 impl Default for HeartbeatConfig {
@@ -153,26 +77,6 @@ impl Default for HeartbeatConfig {
             stall: Duration::from_secs(10),
             poll: Duration::from_millis(10),
         }
-    }
-}
-
-impl HeartbeatConfig {
-    /// Sets the suspicion threshold (and scales the stall threshold to
-    /// stay at least 4x the suspicion threshold).
-    #[must_use]
-    pub fn suspicion(mut self, suspicion: Duration) -> Self {
-        self.suspicion = suspicion;
-        if self.stall < suspicion * 4 {
-            self.stall = suspicion * 4;
-        }
-        self
-    }
-
-    /// Sets the heartbeat emission interval.
-    #[must_use]
-    pub fn interval(mut self, interval: Duration) -> Self {
-        self.interval = interval;
-        self
     }
 }
 
@@ -230,7 +134,7 @@ impl Universe {
         Self {
             size,
             cost: Arc::new(cost),
-            recv_timeout: default_recv_timeout(),
+            recv_timeout: DEFAULT_RECV_TIMEOUT,
             faults: None,
             link: None,
             heartbeat: None,
@@ -238,29 +142,6 @@ impl Universe {
             metrics: None,
             backend: Backend::Channel,
         }
-    }
-
-    /// Like [`Universe::new`], but a set-and-unusable
-    /// [`RECV_TIMEOUT_ENV`] value is a typed [`ConfigError`] instead of a
-    /// warn-and-default. Use this where a misconfigured environment must
-    /// stop the run rather than silently change its timeout behaviour.
-    ///
-    /// # Panics
-    /// Panics if `size == 0`.
-    pub fn try_new(size: usize, cost: impl CostModel) -> Result<Self, ConfigError> {
-        assert!(size > 0, "universe must have at least one rank");
-        let recv_timeout = recv_timeout_from_env()?.unwrap_or(DEFAULT_RECV_TIMEOUT);
-        Ok(Self {
-            size,
-            cost: Arc::new(cost),
-            recv_timeout,
-            faults: None,
-            link: None,
-            heartbeat: None,
-            sink: None,
-            metrics: None,
-            backend: Backend::Channel,
-        })
     }
 
     /// Sets how long a blocking receive waits for a matching message
@@ -294,14 +175,15 @@ impl Universe {
         self
     }
 
-    /// Enables the heartbeat failure detector (see [`HeartbeatConfig`]):
-    /// ranks stamp activity and emit heartbeats, and a watchdog thread
-    /// declares silent ranks dead via the death-notice protocol. This is
-    /// what turns a *silent* hang — no panic, no death notice — into a
-    /// typed `PeerFailed` at the survivors within the suspicion
-    /// threshold.
-    pub fn with_heartbeat(mut self, config: HeartbeatConfig) -> Self {
-        self.heartbeat = Some(config);
+    /// Enables the heartbeat failure detector: ranks stamp activity and
+    /// emit a heartbeat at most every 25 ms, and a watchdog thread polling
+    /// every 10 ms declares silent ranks dead via the death-notice
+    /// protocol. This is what turns a *silent* hang — no panic, no death
+    /// notice — into a typed `PeerFailed` at the survivors once a rank has
+    /// been silent 400 ms while a peer was live (10 s when every rank is
+    /// silent).
+    pub fn with_heartbeat(mut self) -> Self {
+        self.heartbeat = Some(HeartbeatConfig::default());
         self
     }
 
@@ -470,7 +352,7 @@ impl Universe {
     /// [`CommError::Timeout`] after the receive timeout, like any deadlock.
     ///
     /// **What it does not start:** no rank threads, no heartbeat watchdog
-    /// (a configured [`HeartbeatConfig`] still stamps activity and emits
+    /// (an enabled detector still stamps activity and emits
     /// `Heartbeat` spans, but nothing polls them — a hosted rank cannot hang
     /// while its host runs) and no `catch_unwind` — a panic in `f`,
     /// including a [`FaultPlan`] kill, unwinds through the caller, and no
@@ -716,14 +598,10 @@ mod tests {
 
     #[test]
     fn a_heartbeat_launch_returns_without_waiting_out_the_poll() {
-        let hb = HeartbeatConfig {
-            poll: Duration::from_millis(500),
-            ..HeartbeatConfig::default()
-        };
+        let mut universe = Universe::new(3, ZeroCost).with_heartbeat();
+        universe.heartbeat.as_mut().expect("enabled").poll = Duration::from_millis(500);
         let started = Instant::now();
-        let out = Universe::new(3, ZeroCost)
-            .with_heartbeat(hb)
-            .run(|comm| comm.rank());
+        let out = universe.run(|comm| comm.rank());
         let took = started.elapsed();
         assert_eq!(out, vec![0, 1, 2]);
         assert!(took < Duration::from_millis(250), "launch took {took:?}");
@@ -865,66 +743,6 @@ mod tests {
         }));
         let msg = panic_message(result.unwrap_err().as_ref());
         assert!(msg.contains("rank panicked"), "got: {msg}");
-    }
-
-    #[test]
-    fn recv_timeout_env_var_sets_default() {
-        std::env::set_var(RECV_TIMEOUT_ENV, "90000");
-        let configured = Universe::new(1, ZeroCost);
-        // What a caller-side options default must read, or it masks the
-        // environment by handing the compiled constant to `recv_timeout`.
-        assert_eq!(default_recv_timeout(), Duration::from_millis(90_000));
-        assert_eq!(
-            recv_timeout_from_env(),
-            Ok(Some(Duration::from_millis(90_000)))
-        );
-        // A set-but-unusable value is a typed config error, never a
-        // silent fallback; `Universe::new` still constructs (warning +
-        // default) so a bad environment cannot brick every caller.
-        std::env::set_var(RECV_TIMEOUT_ENV, "not-a-number");
-        let garbage = Universe::new(1, ZeroCost);
-        // `try_new` propagates the typed error instead of warning.
-        match Universe::try_new(1, ZeroCost) {
-            Err(e) => assert_eq!(
-                e,
-                ConfigError::InvalidRecvTimeout {
-                    value: "not-a-number".into()
-                }
-            ),
-            Ok(_) => panic!("try_new must propagate the config error"),
-        }
-        let err = recv_timeout_from_env().expect_err("garbage must be a typed error");
-        assert_eq!(
-            err,
-            ConfigError::InvalidRecvTimeout {
-                value: "not-a-number".into()
-            }
-        );
-        assert!(err.to_string().contains(RECV_TIMEOUT_ENV));
-        std::env::set_var(RECV_TIMEOUT_ENV, "0");
-        assert!(
-            recv_timeout_from_env().is_err(),
-            "zero is not a usable timeout"
-        );
-        std::env::remove_var(RECV_TIMEOUT_ENV);
-        let unset = Universe::new(1, ZeroCost);
-        assert_eq!(recv_timeout_from_env(), Ok(None));
-        let tried = Universe::try_new(1, ZeroCost).expect("clean env must construct");
-        let t = tried.run(|comm| comm.recv_timeout());
-        assert_eq!(t, vec![DEFAULT_RECV_TIMEOUT]);
-
-        let t = configured.run(|comm| comm.recv_timeout());
-        assert_eq!(t, vec![Duration::from_millis(90_000)]);
-        assert_eq!(default_recv_timeout(), DEFAULT_RECV_TIMEOUT);
-        let t = garbage.run(|comm| comm.recv_timeout());
-        assert_eq!(t, vec![DEFAULT_RECV_TIMEOUT]);
-        let t = unset.run(|comm| comm.recv_timeout());
-        assert_eq!(t, vec![DEFAULT_RECV_TIMEOUT]);
-        // An explicit builder call still wins over the compiled default.
-        let t = Universe::new(1, ZeroCost)
-            .recv_timeout(Duration::from_millis(123))
-            .run(|comm| comm.recv_timeout());
-        assert_eq!(t, vec![Duration::from_millis(123)]);
     }
 
     struct VecSink(std::sync::Mutex<Vec<SpanRecord>>);

@@ -106,8 +106,8 @@ fn universe(
     if let Some(plan) = &opts.link_plan {
         universe = universe.with_link_plan(plan.clone());
     }
-    if let Some(hb) = opts.heartbeat {
-        universe = universe.with_heartbeat(hb);
+    if opts.heartbeat {
+        universe = universe.with_heartbeat();
     }
     if let Some(metrics) = &opts.metrics {
         universe = universe.with_metrics(metrics.clone());
@@ -394,10 +394,7 @@ pub(crate) fn shrink_and_retry(
 mod tests {
     use super::*;
     use std::sync::{Arc, Mutex};
-    use std::time::Duration;
-    use summagen_comm::{
-        Backend, EventSink, HockneyModel, RuntimeMetrics, SpanRecord, ZeroCost, RECV_TIMEOUT_ENV,
-    };
+    use summagen_comm::{Backend, EventSink, HockneyModel, RuntimeMetrics, SpanRecord};
     use summagen_partition::ALL_FOUR_SHAPES;
     use summagen_platform::profile::hclserver1;
 
@@ -499,30 +496,5 @@ mod tests {
                 "{ctx}"
             );
         }
-    }
-
-    /// The only test of this crate that touches the environment. The value
-    /// it sets is larger than the compiled default, so a test that builds
-    /// its options while this one runs merely waits longer on a deadlock.
-    #[test]
-    fn default_options_take_the_receive_timeout_from_the_environment() {
-        let timeout_of = |opts: &RunOptions| {
-            launch(1, ZeroCost, None, opts, |comm| Ok(comm.recv_timeout()))
-                .expect("one idle rank cannot fail")
-                .per_rank[0]
-        };
-        std::env::set_var(RECV_TIMEOUT_ENV, "90000");
-        let from_env = timeout_of(&RunOptions::default());
-        let explicit = timeout_of(&RunOptions {
-            recv_timeout: Duration::from_millis(123),
-            ..RunOptions::default()
-        });
-        std::env::remove_var(RECV_TIMEOUT_ENV);
-        assert_eq!(from_env, Duration::from_millis(90_000));
-        assert_eq!(explicit, Duration::from_millis(123));
-        assert_eq!(
-            timeout_of(&RunOptions::default()),
-            summagen_comm::DEFAULT_RECV_TIMEOUT
-        );
     }
 }

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use summagen_comm::{
-    default_recv_timeout, Backend, ClockSnapshot, CostModel, EventSink, FaultPlan, HeartbeatConfig,
-    HockneyModel, LinkPlan, RankFailure, TrafficStats, ZeroCost,
+    Backend, ClockSnapshot, CostModel, EventSink, FaultPlan, HockneyModel, LinkPlan, RankFailure,
+    TrafficStats, ZeroCost, DEFAULT_RECV_TIMEOUT,
 };
 use summagen_matrix::{DenseMatrix, GemmKernel};
 use summagen_partition::{PartitionSpec, Shape};
@@ -76,19 +76,19 @@ pub struct RunOptions {
     /// detection plus restart of the surviving ranks.
     pub retry_backoff: f64,
     /// Receive timeout applied to every attempt. Defaults to
-    /// [`default_recv_timeout`], i.e. the `SUMMAGEN_RECV_TIMEOUT_MS`
-    /// override if set; tests injecting faults should use milliseconds so
-    /// deadlocks resolve quickly.
+    /// [`DEFAULT_RECV_TIMEOUT`]; tests injecting faults should use
+    /// milliseconds so deadlocks resolve quickly.
     pub recv_timeout: Duration,
     /// Lossy-link plan applied to every attempt: sends go through the
     /// seeded transport (retransmission, duplicate suppression, in-order
     /// reassembly), and any configured silent hangs fire. `None` (the
     /// default) runs on perfectly reliable links.
     pub link_plan: Option<LinkPlan>,
-    /// Heartbeat failure-detector configuration applied to every
-    /// attempt. Required to recover from *silent* hangs — without it a
-    /// hung rank only surfaces as a receive timeout at its peers.
-    pub heartbeat: Option<HeartbeatConfig>,
+    /// Runs the heartbeat failure detector
+    /// (`Universe::with_heartbeat`) on every attempt. Required to recover
+    /// from *silent* hangs — without it a hung rank only surfaces as a
+    /// receive timeout at its peers.
+    pub heartbeat: bool,
     /// Aggregate-metrics bundle shared by every attempt: message volume,
     /// collective latencies, panel steps, GEMM throughput, ABFT events,
     /// transport retransmits and heartbeat suspicions accumulate here
@@ -117,9 +117,9 @@ impl Default for RunOptions {
         Self {
             max_attempts: 3,
             retry_backoff: 0.5,
-            recv_timeout: default_recv_timeout(),
+            recv_timeout: DEFAULT_RECV_TIMEOUT,
             link_plan: None,
-            heartbeat: None,
+            heartbeat: false,
             metrics: None,
             backend: Backend::Channel,
             sink: None,

@@ -49,16 +49,16 @@ const COMPACT_FLOOR: usize = 1 << 20;
 /// a compacted journal is not compacted again until it has doubled.
 const DEAD_PER_LIVE: usize = 1;
 
-/// Group-commit tuning.
+/// Group-commit tuning, built outside this crate only by [`Default`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroupCommitConfig {
-    /// Flush once this many records are pending and due.
+    /// Flush once this many records are pending and due (`perf/` reads it).
     pub max_batch: usize,
     /// Flush once the oldest due pending record is this many virtual
     /// seconds old.
-    pub max_delay: f64,
+    max_delay: f64,
     /// Virtual seconds charged per fsync.
-    pub fsync_cost: f64,
+    fsync_cost: f64,
 }
 
 impl Default for GroupCommitConfig {
@@ -170,8 +170,8 @@ impl Journal {
         }
     }
 
-    pub fn config(&self) -> GroupCommitConfig {
-        self.config
+    pub fn fsync_cost(&self) -> f64 {
+        self.config.fsync_cost
     }
 
     pub fn stats(&self) -> JournalStats {

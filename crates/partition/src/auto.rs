@@ -20,29 +20,14 @@ use crate::refine::push_optimize;
 use crate::shapes::ALL_FOUR_SHAPES;
 use crate::spec::PartitionSpec;
 
-/// Options for the automatic generator.
-#[derive(Debug, Clone, Copy)]
-pub struct AutoOptions {
-    /// Annealing iterations.
-    pub iterations: usize,
-    /// RNG seed (the search is fully deterministic given the seed).
-    pub seed: u64,
-    /// Hockney latency (s) for the objective.
-    pub alpha: f64,
-    /// Hockney reciprocal bandwidth (s/byte) for the objective.
-    pub beta: f64,
-}
-
-impl Default for AutoOptions {
-    fn default() -> Self {
-        Self {
-            iterations: 2_000,
-            seed: 42,
-            alpha: 1e-5,
-            beta: 4e-10,
-        }
-    }
-}
+/// Annealing iterations.
+const ITERATIONS: usize = 800;
+/// RNG seed (the search is fully deterministic given the seed).
+const SEED: u64 = 42;
+/// Hockney latency (s) for the objective.
+const ALPHA: f64 = 1e-5;
+/// Hockney reciprocal bandwidth (s/byte) for the objective.
+const BETA: f64 = 4e-10;
 
 /// A tiny deterministic RNG (xorshift64*), so the generator has no
 /// dependency on global randomness.
@@ -68,21 +53,19 @@ impl Rng {
     }
 }
 
-fn objective(spec: &PartitionSpec, speeds: &[&dyn SpeedFunction], opts: &AutoOptions) -> f64 {
-    CostSummary::analyze(spec, speeds, opts.alpha, opts.beta).est_total_time
+fn objective(spec: &PartitionSpec, speeds: &[&dyn SpeedFunction]) -> f64 {
+    CostSummary::analyze(spec, speeds, ALPHA, BETA).est_total_time
 }
 
-/// Generates a partition layout automatically for arbitrary `p`.
+/// Generates a partition layout automatically for arbitrary `p`: 800
+/// annealing iterations from seed 42, under a Hockney link of α = 1e-5 s
+/// and β = 4e-10 s/byte.
 ///
 /// Returns the best layout found and its objective value.
 ///
 /// # Panics
 /// Panics if `speeds` is empty or `n` is too small (`n < 2p`).
-pub fn auto_layout(
-    n: usize,
-    speeds: &[&dyn SpeedFunction],
-    opts: AutoOptions,
-) -> (PartitionSpec, f64) {
+pub fn auto_layout(n: usize, speeds: &[&dyn SpeedFunction]) -> (PartitionSpec, f64) {
     let p = speeds.len();
     assert!(p >= 1, "no processors");
     assert!(n >= 2 * p, "n = {n} too small for p = {p}");
@@ -106,8 +89,8 @@ pub fn auto_layout(
     }
     let mut best = None::<(PartitionSpec, f64)>;
     for cand in candidates {
-        let refined = push_optimize(&cand, speeds, opts.alpha, opts.beta, 10).spec;
-        let cost = objective(&refined, speeds, &opts);
+        let refined = push_optimize(&cand, speeds, ALPHA, BETA, 10).spec;
+        let cost = objective(&refined, speeds);
         if best.as_ref().is_none_or(|(_, c)| cost < *c) {
             best = Some((refined, cost));
         }
@@ -117,9 +100,9 @@ pub fn auto_layout(
     let mut best_cost = current_cost;
 
     // Annealing over owner swaps and cut moves.
-    let mut rng = Rng::new(opts.seed);
-    for it in 0..opts.iterations {
-        let temp = 0.1 * current_cost * (1.0 - it as f64 / opts.iterations as f64).max(1e-3);
+    let mut rng = Rng::new(SEED);
+    for it in 0..ITERATIONS {
+        let temp = 0.1 * current_cost * (1.0 - it as f64 / ITERATIONS as f64).max(1e-3);
         let cells = current.grid_rows * current.grid_cols;
         let mut owners = current.owners.clone();
         let mut heights = current.heights.clone();
@@ -166,7 +149,7 @@ pub fn auto_layout(
             continue;
         }
         let cand = PartitionSpec::new(owners, heights, widths, p);
-        let cost = objective(&cand, speeds, &opts);
+        let cost = objective(&cand, speeds);
         let accept = cost < current_cost
             || (temp > 0.0 && rng.chance(((current_cost - cost) / temp).exp().min(1.0)));
         if accept {
@@ -180,7 +163,7 @@ pub fn auto_layout(
     }
 
     // Final polish with the push technique.
-    let polished = push_optimize(&best_spec, speeds, opts.alpha, opts.beta, 20);
+    let polished = push_optimize(&best_spec, speeds, ALPHA, BETA, 20);
     if polished.final_cost < best_cost {
         (polished.spec, polished.final_cost)
     } else {
@@ -205,12 +188,8 @@ mod tests {
             ConstantSpeed::new(0.9e9),
         ];
         let speeds = dyn_speeds(&sp);
-        let opts = AutoOptions {
-            iterations: 300,
-            ..AutoOptions::default()
-        };
-        let (s1, c1) = auto_layout(64, &speeds, opts);
-        let (s2, c2) = auto_layout(64, &speeds, opts);
+        let (s1, c1) = auto_layout(64, &speeds);
+        let (s2, c2) = auto_layout(64, &speeds);
         assert_eq!(s1, s2);
         assert_eq!(c1, c2);
         assert_eq!(s1.areas().iter().sum::<usize>(), 64 * 64);
@@ -224,16 +203,12 @@ mod tests {
             ConstantSpeed::new(0.9e9),
         ];
         let speeds = dyn_speeds(&sp);
-        let opts = AutoOptions {
-            iterations: 500,
-            ..AutoOptions::default()
-        };
         let n = 64;
-        let (_, auto_cost) = auto_layout(n, &speeds, opts);
+        let (_, auto_cost) = auto_layout(n, &speeds);
         let areas = proportional_areas(n, &[1.0, 2.0, 0.9]);
         for shape in ALL_FOUR_SHAPES {
             let spec = shape.build(n, &areas);
-            let cost = objective(&spec, &speeds, &opts);
+            let cost = objective(&spec, &speeds);
             assert!(
                 auto_cost <= cost + 1e-15,
                 "auto {auto_cost} worse than {} ({cost})",
@@ -248,11 +223,7 @@ mod tests {
             .map(|i| ConstantSpeed::new(i as f64 * 1e9))
             .collect();
         let speeds = dyn_speeds(&sp);
-        let opts = AutoOptions {
-            iterations: 200,
-            ..AutoOptions::default()
-        };
-        let (spec, cost) = auto_layout(96, &speeds, opts);
+        let (spec, cost) = auto_layout(96, &speeds);
         assert_eq!(spec.nprocs, 6);
         assert!(cost.is_finite() && cost > 0.0);
         // Faster processors get more area (up to grid granularity).
@@ -264,14 +235,7 @@ mod tests {
     fn single_processor_trivial() {
         let sp = vec![ConstantSpeed::new(1e9)];
         let speeds = dyn_speeds(&sp);
-        let (spec, _) = auto_layout(
-            16,
-            &speeds,
-            AutoOptions {
-                iterations: 10,
-                ..AutoOptions::default()
-            },
-        );
+        let (spec, _) = auto_layout(16, &speeds);
         assert_eq!(spec.areas(), vec![256]);
     }
 }

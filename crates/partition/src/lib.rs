@@ -32,7 +32,7 @@ pub mod shapes;
 pub mod spec;
 pub mod two_proc;
 
-pub use auto::{auto_layout, AutoOptions};
+pub use auto::auto_layout;
 pub use columns::beaumont_column_layout;
 pub use cost::{comm_volume_elements, comp_times, half_perimeter_lower_bound, CostSummary};
 pub use distribution::{

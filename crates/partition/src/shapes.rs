@@ -85,42 +85,6 @@ impl Shape {
             Shape::LRectangle => l_rectangle(n, areas),
         }
     }
-
-    /// Serializes as a JSON string literal (e.g. `"BlockRectangle"`),
-    /// matching what a derived serializer would produce for a unit variant.
-    pub fn to_json(&self) -> String {
-        format!("\"{}\"", self.variant_name())
-    }
-
-    /// Parses the output of [`Shape::to_json`]. Accepts the variant name
-    /// with or without surrounding quotes.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let name = s.trim().trim_matches('"');
-        for shape in [
-            Shape::SquareCorner,
-            Shape::SquareRectangle,
-            Shape::BlockRectangle,
-            Shape::OneDRectangular,
-            Shape::RectangleCorner,
-            Shape::LRectangle,
-        ] {
-            if shape.variant_name() == name {
-                return Ok(shape);
-            }
-        }
-        Err(format!("unknown shape {name:?}"))
-    }
-
-    fn variant_name(&self) -> &'static str {
-        match self {
-            Shape::SquareCorner => "SquareCorner",
-            Shape::SquareRectangle => "SquareRectangle",
-            Shape::BlockRectangle => "BlockRectangle",
-            Shape::OneDRectangular => "OneDRectangular",
-            Shape::RectangleCorner => "RectangleCorner",
-            Shape::LRectangle => "LRectangle",
-        }
-    }
 }
 
 fn check_areas(n: usize, areas: &[f64], expect: usize) {

@@ -83,9 +83,6 @@ impl std::fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// The `{subp, subph, subpw}` partition description of Section IV.
-///
-/// Serializable so layouts can be saved, shared and replayed (see
-/// [`PartitionSpec::to_json`] / [`PartitionSpec::from_json`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// Number of sub-partition rows (`subplda`).
@@ -298,151 +295,6 @@ impl PartitionSpec {
         }
         s
     }
-
-    /// Serializes the spec as a compact JSON object. The field layout matches
-    /// what a derived serializer would emit, so files written by earlier
-    /// versions of the tooling keep round-tripping.
-    pub fn to_json(&self) -> String {
-        fn join(v: &[usize]) -> String {
-            let items: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-            format!("[{}]", items.join(","))
-        }
-        format!(
-            "{{\"grid_rows\":{},\"grid_cols\":{},\"owners\":{},\"heights\":{},\"widths\":{},\"nprocs\":{},\"n\":{}}}",
-            self.grid_rows,
-            self.grid_cols,
-            join(&self.owners),
-            join(&self.heights),
-            join(&self.widths),
-            self.nprocs,
-            self.n,
-        )
-    }
-
-    /// Parses a spec previously produced by [`PartitionSpec::to_json`]. Field
-    /// order is not significant; unknown fields are rejected. The parsed
-    /// arrays are re-validated through [`PartitionSpec::try_new`], so a
-    /// tampered file cannot produce an inconsistent spec.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let mut owners: Option<Vec<usize>> = None;
-        let mut heights: Option<Vec<usize>> = None;
-        let mut widths: Option<Vec<usize>> = None;
-        let mut nprocs: Option<usize> = None;
-        let mut grid_rows: Option<usize> = None;
-        let mut grid_cols: Option<usize> = None;
-        let mut n_field: Option<usize> = None;
-
-        let body = s.trim();
-        let body = body
-            .strip_prefix('{')
-            .and_then(|b| b.strip_suffix('}'))
-            .ok_or_else(|| "expected a JSON object".to_string())?;
-
-        let mut rest = body.trim();
-        while !rest.is_empty() {
-            // Key.
-            let r = rest
-                .strip_prefix('"')
-                .ok_or_else(|| format!("expected a quoted key at: {rest:.20}"))?;
-            let end = r
-                .find('"')
-                .ok_or_else(|| "unterminated key string".to_string())?;
-            let key = &r[..end];
-            let r = r[end + 1..].trim_start();
-            let r = r
-                .strip_prefix(':')
-                .ok_or_else(|| format!("expected ':' after key {key:?}"))?
-                .trim_start();
-
-            // Value: either an unsigned integer or an array of them.
-            let (value_end, value): (usize, Vec<usize>) = if let Some(arr) = r.strip_prefix('[') {
-                let close = arr
-                    .find(']')
-                    .ok_or_else(|| format!("unterminated array for key {key:?}"))?;
-                let inner = &arr[..close];
-                let mut vals = Vec::new();
-                for item in inner.split(',') {
-                    let item = item.trim();
-                    if item.is_empty() {
-                        continue;
-                    }
-                    vals.push(
-                        item.parse::<usize>()
-                            .map_err(|e| format!("bad integer {item:?} in {key:?}: {e}"))?,
-                    );
-                }
-                (close + 2, vals)
-            } else {
-                let end = r.find(|c: char| !c.is_ascii_digit()).unwrap_or(r.len());
-                if end == 0 {
-                    return Err(format!("expected integer value for key {key:?}"));
-                }
-                let v = r[..end]
-                    .parse::<usize>()
-                    .map_err(|e| format!("bad integer for {key:?}: {e}"))?;
-                (end, vec![v])
-            };
-
-            let scalar = || -> Result<usize, String> {
-                if value.len() == 1 {
-                    Ok(value[0])
-                } else {
-                    Err(format!("key {key:?} expects a scalar"))
-                }
-            };
-            match key {
-                "owners" => owners = Some(value.clone()),
-                "heights" => heights = Some(value.clone()),
-                "widths" => widths = Some(value.clone()),
-                "nprocs" => nprocs = Some(scalar()?),
-                "grid_rows" => grid_rows = Some(scalar()?),
-                "grid_cols" => grid_cols = Some(scalar()?),
-                "n" => n_field = Some(scalar()?),
-                other => return Err(format!("unknown field {other:?}")),
-            }
-
-            rest = r[value_end..].trim_start();
-            if let Some(after) = rest.strip_prefix(',') {
-                rest = after.trim_start();
-            } else if !rest.is_empty() {
-                return Err(format!("expected ',' between fields at: {rest:.20}"));
-            }
-        }
-
-        let owners = owners.ok_or_else(|| "missing field \"owners\"".to_string())?;
-        let heights = heights.ok_or_else(|| "missing field \"heights\"".to_string())?;
-        let widths = widths.ok_or_else(|| "missing field \"widths\"".to_string())?;
-        let nprocs = nprocs.ok_or_else(|| "missing field \"nprocs\"".to_string())?;
-        let spec = PartitionSpec::try_new(owners, heights, widths, nprocs)
-            .map_err(|e| format!("invalid spec: {e}"))?;
-        // The derived fields are recomputed by try_new; if the file carried
-        // them, cross-check so silent corruption is caught.
-        if let Some(gr) = grid_rows {
-            if gr != spec.grid_rows {
-                return Err(format!(
-                    "grid_rows mismatch: file says {gr}, arrays imply {}",
-                    spec.grid_rows
-                ));
-            }
-        }
-        if let Some(gc) = grid_cols {
-            if gc != spec.grid_cols {
-                return Err(format!(
-                    "grid_cols mismatch: file says {gc}, arrays imply {}",
-                    spec.grid_cols
-                ));
-            }
-        }
-        if let Some(nn) = n_field {
-            if nn != spec.n {
-                return Err(format!(
-                    "n mismatch: file says {nn}, arrays imply {}",
-                    spec.n
-                ));
-            }
-        }
-        Ok(spec)
-    }
 }
 
 #[cfg(test)]
@@ -457,26 +309,6 @@ mod tests {
             vec![9, 3, 4],
             3,
         )
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_spec() {
-        let s = fig1a();
-        let json = s.to_json();
-        assert!(json.starts_with("{\"grid_rows\":3,\"grid_cols\":3,"));
-        let back = PartitionSpec::from_json(&json).expect("roundtrip parse");
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn json_rejects_inconsistent_file() {
-        let s = fig1a();
-        let json = s.to_json().replace("\"n\":16", "\"n\":17");
-        assert!(PartitionSpec::from_json(&json)
-            .unwrap_err()
-            .contains("n mismatch"));
-        assert!(PartitionSpec::from_json("{\"owners\":[0]}").is_err());
-        assert!(PartitionSpec::from_json("not json").is_err());
     }
 
     #[test]

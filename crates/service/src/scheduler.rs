@@ -104,8 +104,8 @@ pub struct DevicePool {
 }
 
 impl DevicePool {
-    /// Builds a pool from a platform's abstract processors and a Hockney
-    /// link model.
+    /// Builds a pool of at most 16 devices (the planner costs every subset)
+    /// from a platform's abstract processors and a Hockney link model.
     pub fn from_platform(platform: &Platform, alpha: f64, beta: f64) -> Self {
         let devices: Vec<PoolDevice> = platform
             .processors
@@ -118,8 +118,8 @@ impl DevicePool {
             })
             .collect();
         assert!(
-            devices.len() <= 32,
-            "pool too large for the placement table"
+            devices.len() <= 16,
+            "a pool holds at most 16 devices: the planner costs every subset"
         );
         let eligible = vec![true; devices.len()];
         Self {
@@ -364,7 +364,6 @@ fn plan_round_robin(pool: &DevicePool, job: &JobSpec, now: f64) -> Placement {
 /// Every non-empty subset of `0..len`, singletons first, then by size —
 /// the candidate order also serves as the deterministic tie-break.
 fn subsets(len: usize) -> Vec<Vec<usize>> {
-    assert!(len <= 16, "pool too large for exhaustive subsets");
     let mut all: Vec<Vec<usize>> = (1u32..(1 << len))
         .map(|mask| (0..len).filter(|d| mask & (1 << d) != 0).collect())
         .collect();
@@ -657,6 +656,14 @@ mod tests {
             })
             .collect();
         DevicePool::from_platform(&Platform::new(processors, 0.0), 1e-5, 4e-10)
+    }
+
+    /// The planner enumerates every subset of the pool, so a pool it
+    /// cannot plan for is refused when it is built, not on the first plan.
+    #[test]
+    #[should_panic(expected = "a pool holds at most 16 devices")]
+    fn a_pool_of_seventeen_devices_is_refused() {
+        random_pool(&[(0, 1, 100); 17]);
     }
 
     proptest! {

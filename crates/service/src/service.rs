@@ -762,7 +762,7 @@ impl GemmService {
         // one virtual fsync plus a per-record scan cost. The epoch's
         // clock starts *after* the downtime window, so recovery time is
         // visible in queue waits exactly like real downtime would be.
-        let downtime = journal.config().fsync_cost + 1e-6 * rs.records as f64;
+        let downtime = journal.fsync_cost() + 1e-6 * rs.records as f64;
         st.now = rs.resume_clock + if epoch > 0 { downtime } else { 0.0 };
 
         // Suppress resubmissions the journal already knows — admitted,

@@ -54,7 +54,7 @@ impl TraceRecorder {
     /// Recorder with an explicit per-rank ring capacity. When a rank
     /// emits more spans than fit, the oldest are overwritten and counted
     /// in [`RecordedTrace::dropped`].
-    pub fn with_capacity(nranks: usize, capacity: usize) -> Arc<Self> {
+    pub(crate) fn with_capacity(nranks: usize, capacity: usize) -> Arc<Self> {
         assert!(nranks > 0, "recorder needs at least one rank");
         Arc::new(Self {
             rings: (0..nranks).map(|_| RingBuffer::new(capacity)).collect(),

@@ -180,7 +180,7 @@ fn summa_and_summagen_agree_numerically() {
 
 #[test]
 fn auto_generated_layouts_run_through_summagen() {
-    use summagen_partition::auto::{auto_layout, AutoOptions};
+    use summagen_partition::auto::auto_layout;
     let sp = [
         ConstantSpeed::new(1.0e9),
         ConstantSpeed::new(2.0e9),
@@ -189,14 +189,7 @@ fn auto_generated_layouts_run_through_summagen() {
     ];
     let speeds: Vec<&dyn SpeedFunction> = sp.iter().map(|s| s as _).collect();
     let n = 48;
-    let (spec, _) = auto_layout(
-        n,
-        &speeds,
-        AutoOptions {
-            iterations: 150,
-            ..AutoOptions::default()
-        },
-    );
+    let (spec, _) = auto_layout(n, &speeds);
     let a = random_matrix(n, n, 31);
     let b = random_matrix(n, n, 32);
     let res = multiply(&spec, &a, &b, ExecutionMode::Real);

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use summagen_comm::{Backend, FaultPlan, HeartbeatConfig, HockneyModel, LinkPlan, RuntimeMetrics};
+use summagen_comm::{Backend, FaultPlan, HockneyModel, LinkPlan, RuntimeMetrics};
 use summagen_core::{multiply_with_recovery, ExecutionMode, RecoveryOptions, RunResult};
 use summagen_matrix::{gemm_naive, max_abs_diff, random_matrix, DenseMatrix};
 use summagen_partition::{Shape, ALL_FOUR_SHAPES};
@@ -422,7 +422,7 @@ fn silent_hang_is_detected_and_recovered_on_both_backends() {
             &[],
             &RecoveryOptions {
                 link_plan: Some(lossy_plan(2).hang_rank(2, 2)),
-                heartbeat: Some(HeartbeatConfig::default()),
+                heartbeat: true,
                 ..base_opts(backend)
             },
         )
