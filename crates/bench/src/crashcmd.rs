@@ -51,7 +51,7 @@ use std::path::Path;
 
 use summagen_durable::{
     decode_frames, fnv1a_words, replay, CrashKind, CrashSpec, GroupCommitConfig, Journal,
-    RecoveredState, TerminalRecord,
+    RecoveredState, Terminals,
 };
 use summagen_service::{
     generate, AdmissionConfig, DurableRun, FaultProfile, GemmService, LoadMix, Policy,
@@ -229,7 +229,7 @@ pub fn run_ladder(mix: &LoadMix, seed: u64, cycles: u64, max_event: u64) -> Outc
 
 /// FNV-1a over the sorted terminal ledger — one number that pins which
 /// keys reached which terminal digest.
-pub fn ledger_digest(terminal: &std::collections::BTreeMap<u64, TerminalRecord>) -> u64 {
+pub fn ledger_digest(terminal: &Terminals) -> u64 {
     let words: Vec<u64> = terminal
         .iter()
         .flat_map(|(key, rec)| [*key, rec.digest])
@@ -275,15 +275,15 @@ fn check_exactly_once(ladder: &RecoveredState, control: &RecoveredState, what: &
         ("completed", &ladder.completed, &control.completed),
         ("failed", &ladder.failed, &control.failed),
     ] {
-        ensure(got.keys().eq(want.keys()), || {
+        let keys = |t: &Terminals| t.iter().map(|(key, _)| *key).collect::<Vec<u64>>();
+        ensure(keys(got) == keys(want), || {
             format!(
                 "{what}: {label} key sets diverge — ladder has {} keys, control {}",
                 got.len(),
                 want.len()
             )
         })?;
-        for (key, rec) in got {
-            let expect = &want[key];
+        for ((key, rec), (_, expect)) in got.iter().zip(want.iter()) {
             ensure(rec.digest == expect.digest, || {
                 format!(
                     "{what}: {label} job {} (key {key:016x}) digest {:016x} != control {:016x}",

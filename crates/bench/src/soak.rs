@@ -268,7 +268,6 @@ pub fn soak_json(run: &SoakShapeRun, seeds: &[u64]) -> Json {
                     ("retransmits", Json::from(r.retransmits)),
                     ("duplicates", Json::from(r.duplicates)),
                     ("dup_dropped", Json::from(r.dup_dropped)),
-                    ("heartbeats", Json::from(r.heartbeats)),
                     ("suspicions", Json::from(r.suspicions)),
                     ("exec_lossy_s", Json::from(r.exec_lossy)),
                     ("exec_reliable_s", Json::from(r.exec_reliable)),

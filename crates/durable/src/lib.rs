@@ -49,7 +49,9 @@ pub use crash::{CrashKind, CrashSpec};
 pub use frame::{crc32, decode_frames, encode_frame, DecodeOutcome};
 pub use journal::{GroupCommitConfig, Journal, JournalStats};
 pub use record::{idempotency_key, JobMeta, JournalRecord, RejectionReason, TerminalKind};
-pub use replay::{compact, replay, RecoveredJob, RecoveredState, Replay, TerminalRecord};
+pub use replay::{
+    compact, replay, KeyHasher, RecoveredJob, RecoveredState, Replay, TerminalRecord, Terminals,
+};
 
 /// FNV-1a over a byte slice — the digest primitive shared by idempotency
 /// keys and result digests.

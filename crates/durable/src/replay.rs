@@ -11,7 +11,8 @@
 //!   front with `resume_fraction` = the largest durable panel-checkpoint
 //!   fraction (0.0 if the crash landed before any checkpoint flushed —
 //!   the fall-back-to-previous-boundary case).
-//! * `completed` / `failed` — terminal outcomes by idempotency key; the
+//! * `completed` / `failed` — terminal outcomes by idempotency key
+//!   ([`Terminals`], the first record of a key wins); the
 //!   resubmission-suppression set that makes completion exactly-once.
 //! * `resume_clock` — the maximum instant of any durable record: the
 //!   virtual instant the next epoch's clock starts at, keeping one
@@ -37,9 +38,11 @@
 
 use crate::frame::{encode_frame_with, frame_len, FrameWalk, FRAME_HEADER};
 use crate::record::{decode_view, Decoded, JobMeta, JournalRecord, RejectionReason, TerminalKind};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::hash_map::{Entry, RandomState};
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 /// A non-terminal job reconstructed from the journal.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,7 +57,7 @@ pub struct RecoveredJob {
 }
 
 /// A terminal outcome reconstructed from the journal, keyed by
-/// idempotency key in [`RecoveredState`].
+/// idempotency key in [`Terminals`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TerminalRecord {
     pub job: u64,
@@ -75,9 +78,9 @@ pub struct RecoveredState {
     /// Started-but-not-terminal jobs, in batch-start order.
     pub in_flight: Vec<RecoveredJob>,
     /// Terminal completions by idempotency key.
-    pub completed: BTreeMap<u64, TerminalRecord>,
+    pub completed: Terminals,
     /// Terminal failures by idempotency key.
-    pub failed: BTreeMap<u64, TerminalRecord>,
+    pub failed: Terminals,
     /// Durable rejections: (meta, reason), in order.
     pub rejected: Vec<(JobMeta, RejectionReason)>,
     /// Max instant of any durable record — where the next epoch's
@@ -94,16 +97,97 @@ pub struct RecoveredState {
     pub undecodable: usize,
 }
 
-impl RecoveredState {
-    /// Idempotency keys of every job the journal knows anything durable
-    /// about — the suppression set for resubmissions.
-    pub fn known_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.queued
-            .iter()
-            .chain(self.in_flight.iter())
-            .map(|j| j.meta.idempotency)
-            .chain(self.completed.keys().copied())
-            .chain(self.failed.keys().copied())
+/// Terminal outcomes by idempotency key, the first record of each key
+/// kept. A lookup is one hash; key order is paid for only by a reader
+/// that asks for it — [`Terminals::iter`] sorts — and no iteration in
+/// the table's own order is public. Two tables are equal when they hold
+/// the same entries.
+#[derive(Clone, Default, PartialEq)]
+pub struct Terminals(HashMap<u64, TerminalRecord, KeyHasher>);
+
+impl Terminals {
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+    pub fn get(&self, key: &u64) -> Option<&TerminalRecord> {
+        self.0.get(key)
+    }
+    pub fn contains_key(&self, key: &u64) -> bool {
+        self.0.contains_key(key)
+    }
+
+    /// The entries in ascending key order, sorted on each call.
+    pub fn iter(&self) -> std::vec::IntoIter<(&u64, &TerminalRecord)> {
+        let mut entries: Vec<_> = self.0.iter().collect();
+        entries.sort_unstable_by_key(|&(key, _)| *key);
+        entries.into_iter()
+    }
+
+    /// Keeps `rec` unless `key` has a record already; says whether it did.
+    fn first(&mut self, key: u64, rec: TerminalRecord) -> bool {
+        let entry = self.0.entry(key);
+        let vacant = matches!(entry, Entry::Vacant(_));
+        entry.or_insert(rec);
+        vacant
+    }
+}
+
+impl fmt::Debug for Terminals {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// Hashes idempotency keys with one multiply by an odd constant drawn
+/// once per process, the product's bytes swapped: a table reads a hash's
+/// low bits for the bucket and its top seven as a tag, so the bucket
+/// comes from the product's top bytes, which the most key bits reach
+/// (multiply-shift hashing), and the tag from its low byte. It is its
+/// own builder: a built hasher starts from 0 with the same multiplier.
+///
+/// Unlike job ids, these keys are FNV outputs of the submitter's
+/// `(id, tenant, n)`, so whoever submits can choose them. The multiplier
+/// comes from std's OS-seeded `RandomState`, and without it a crafted
+/// list cannot aim its keys at one bucket; keys that share a low byte
+/// share a tag, which costs a probe more key comparisons, no more. At
+/// worst a crowded table makes recovery slow, never wrong: lookups
+/// compare whole keys, and the table's order never reaches the output.
+#[derive(Clone, Copy)]
+pub struct KeyHasher {
+    multiplier: u64,
+    hash: u64,
+}
+
+impl Default for KeyHasher {
+    fn default() -> KeyHasher {
+        static MULTIPLIER: OnceLock<u64> = OnceLock::new();
+        let multiplier = *MULTIPLIER.get_or_init(|| RandomState::new().hash_one(0u64) | 1);
+        KeyHasher {
+            multiplier,
+            hash: 0,
+        }
+    }
+}
+
+impl BuildHasher for KeyHasher {
+    type Hasher = KeyHasher;
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher { hash: 0, ..*self }
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_u64(crate::fnv1a(bytes));
+    }
+    fn write_u64(&mut self, key: u64) {
+        self.hash = key.wrapping_mul(self.multiplier).swap_bytes();
+    }
+    fn finish(&self) -> u64 {
+        self.hash
     }
 }
 
@@ -240,42 +324,6 @@ impl Hasher for IdHasher {
 /// replays without a rehash.
 const BYTES_PER_JOB: usize = 104;
 
-/// Pushes `at` onto `pinned` if `pin`, and says whether it did.
-fn pin_if(pin: bool, at: usize, pinned: &mut Vec<usize>) -> bool {
-    if pin {
-        pinned.push(at);
-    }
-    pin
-}
-
-/// One `Completed` or `Failed` record: its key, what it says, where its
-/// frame starts, and whether that frame closed its job (and so is pinned
-/// already).
-type Terminal = (u64, TerminalRecord, usize, bool);
-
-/// Builds a terminal map from records in journal order, keeping the
-/// *first* record of each key (`BTreeMap::from_iter` alone would keep
-/// the last): one sort of `(key, journal position)` pairs and a bulk
-/// build instead of a tree descent per record. The winners' frames are
-/// pinned.
-fn first_wins(terminals: Vec<Terminal>, pinned: &mut Vec<usize>) -> BTreeMap<u64, TerminalRecord> {
-    let mut order: Vec<(u64, usize)> = terminals
-        .iter()
-        .enumerate()
-        .map(|(i, &(key, ..))| (key, i))
-        .collect();
-    order.sort_unstable();
-    order.dedup_by_key(|&mut (key, _)| key);
-    order
-        .into_iter()
-        .map(|(key, i)| {
-            let (_, rec, at, closed) = terminals[i];
-            pin_if(!closed, at, pinned);
-            (key, rec)
-        })
-        .collect()
-}
-
 /// Per-id fold state, with where the frames it rests on start.
 struct Fold {
     meta: JobMeta,
@@ -372,8 +420,6 @@ pub fn replay(bytes: &[u8]) -> Replay {
         folds: Vec::with_capacity(jobs_hint),
         index: HashMap::with_capacity_and_hasher(jobs_hint, Default::default()),
     };
-    let mut completed = Vec::new();
-    let mut failed = Vec::new();
 
     let mut walk = FrameWalk::new(bytes);
     loop {
@@ -438,21 +484,19 @@ pub fn replay(bytes: &[u8]) -> Replay {
                 digest,
                 deadline_met,
             } => {
-                let closes = pin_if(jobs.close(job), at, &mut live.pinned);
-                completed.push((
-                    idempotency,
-                    TerminalRecord {
-                        job,
-                        tenant,
-                        at: instant,
-                        latency,
-                        kind: TerminalKind::Completed,
-                        digest,
-                        deadline_met,
-                    },
-                    at,
-                    closes,
-                ));
+                let rec = TerminalRecord {
+                    job,
+                    tenant,
+                    at: instant,
+                    latency,
+                    kind: TerminalKind::Completed,
+                    digest,
+                    deadline_met,
+                };
+                let first = state.completed.first(idempotency, rec);
+                if jobs.close(job) || first {
+                    live.pinned.push(at);
+                }
             }
             JournalRecord::Failed {
                 at: instant,
@@ -462,26 +506,22 @@ pub fn replay(bytes: &[u8]) -> Replay {
                 latency,
                 ..
             } => {
-                let closes = pin_if(jobs.close(job), at, &mut live.pinned);
-                failed.push((
-                    idempotency,
-                    TerminalRecord {
-                        job,
-                        tenant,
-                        at: instant,
-                        latency,
-                        kind: TerminalKind::Failed,
-                        digest: 0,
-                        deadline_met: None,
-                    },
-                    at,
-                    closes,
-                ));
+                let rec = TerminalRecord {
+                    job,
+                    tenant,
+                    at: instant,
+                    latency,
+                    kind: TerminalKind::Failed,
+                    digest: 0,
+                    deadline_met: None,
+                };
+                let first = state.failed.first(idempotency, rec);
+                if jobs.close(job) || first {
+                    live.pinned.push(at);
+                }
             }
         }
     }
-    state.completed = first_wins(completed, &mut live.pinned);
-    state.failed = first_wins(failed, &mut live.pinned);
 
     // Partition the non-terminal jobs; their frames are the open ones.
     for f in jobs.folds.iter().filter(|f| !f.terminal) {
@@ -516,6 +556,7 @@ mod tests {
     use super::*;
     use crate::frame::{decode_frames, encode_frame};
     use crate::record::{idempotency_key, oracle};
+    use std::collections::BTreeMap;
 
     fn meta(id: u64) -> JobMeta {
         JobMeta {
@@ -537,17 +578,45 @@ mod tests {
         bytes
     }
 
+    /// The sort-based first-wins build the fold's [`Terminals`]
+    /// replaced, kept as the oracle: one sort of `(key, position)`
+    /// pairs, the first position of each key kept, a bulk tree build.
+    fn first_wins(terminals: &[(u64, TerminalRecord)]) -> BTreeMap<u64, TerminalRecord> {
+        let mut order: Vec<(u64, usize)> = terminals
+            .iter()
+            .enumerate()
+            .map(|(i, &(key, _))| (key, i))
+            .collect();
+        order.sort_unstable();
+        order.dedup_by_key(|&mut (key, _)| key);
+        order
+            .into_iter()
+            .map(|(key, i)| (key, terminals[i].1))
+            .collect()
+    }
+
+    /// What the reference fold returns: the state with its terminal
+    /// tables left empty, and the terminal outcomes in ordered maps of
+    /// its own.
+    struct Reference {
+        state: RecoveredState,
+        completed: BTreeMap<u64, TerminalRecord>,
+        failed: BTreeMap<u64, TerminalRecord>,
+    }
+
     /// The ordered-map fold `replay` replaced, kept as the oracle: a
     /// tree descent per record, terminal maps filled one `entry` at a
     /// time, open jobs sorted by first-seen order — over the collected
     /// frame list and the cursor decoder. Since compaction, a terminal
     /// frame closes an id nobody admitted too (the `closed` set).
-    fn replay_reference(bytes: &[u8]) -> RecoveredState {
+    fn replay_reference(bytes: &[u8]) -> Reference {
         let decode = decode_frames(bytes);
         let mut state = RecoveredState {
             torn_bytes: decode.torn_bytes,
             ..RecoveredState::default()
         };
+        let mut completed = BTreeMap::new();
+        let mut failed = BTreeMap::new();
         struct Fold {
             meta: JobMeta,
             started_at: Option<f64>,
@@ -619,18 +688,15 @@ mod tests {
                         Some(f) => f.terminal = true,
                         None => drop(closed.insert(job)),
                     }
-                    state
-                        .completed
-                        .entry(idempotency)
-                        .or_insert(TerminalRecord {
-                            job,
-                            tenant,
-                            at,
-                            latency,
-                            kind: TerminalKind::Completed,
-                            digest,
-                            deadline_met,
-                        });
+                    completed.entry(idempotency).or_insert(TerminalRecord {
+                        job,
+                        tenant,
+                        at,
+                        latency,
+                        kind: TerminalKind::Completed,
+                        digest,
+                        deadline_met,
+                    });
                 }
                 JournalRecord::Failed {
                     at,
@@ -644,7 +710,7 @@ mod tests {
                         Some(f) => f.terminal = true,
                         None => drop(closed.insert(job)),
                     }
-                    state.failed.entry(idempotency).or_insert(TerminalRecord {
+                    failed.entry(idempotency).or_insert(TerminalRecord {
                         job,
                         tenant,
                         at,
@@ -670,7 +736,11 @@ mod tests {
                 state.queued.push(job);
             }
         }
-        state
+        Reference {
+            state,
+            completed,
+            failed,
+        }
     }
 
     /// One record of a stream over a handful of job ids, so that every
@@ -781,10 +851,75 @@ mod tests {
                 }
                 _ => {}
             }
-            let got = replay(&bytes);
+            let mut got = replay(&bytes);
             let want = replay_reference(&bytes);
-            proptest::prop_assert_eq!(bytes.len() - got.valid_bytes, want.torn_bytes);
-            proptest::prop_assert_eq!(got.state, want);
+            proptest::prop_assert_eq!(bytes.len() - got.valid_bytes, want.state.torn_bytes);
+            let completed = std::mem::take(&mut got.state.completed);
+            let failed = std::mem::take(&mut got.state.failed);
+            proptest::prop_assert_eq!(
+                completed.iter().collect::<Vec<_>>(),
+                want.completed.iter().collect::<Vec<_>>()
+            );
+            proptest::prop_assert_eq!(
+                failed.iter().collect::<Vec<_>>(),
+                want.failed.iter().collect::<Vec<_>>()
+            );
+            proptest::prop_assert_eq!(got.state, want.state);
+        }
+
+        /// A [`Terminals`] filled record by record equals the sort-based
+        /// first-wins build on lists whose keys repeat: the same entries,
+        /// strictly ascending from `iter`, the same answer from `get` and
+        /// `contains_key` for every key drawn, and equal to the table of
+        /// its own entries filled in the opposite order.
+        #[test]
+        fn terminals_equal_the_sorted_first_wins_build(
+            list in proptest::collection::vec((0u64..24, 0u64..1_000), 0..64),
+        ) {
+            let terminals: Vec<(u64, TerminalRecord)> = list
+                .iter()
+                .map(|&(key, digest)| {
+                    let key = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let rec = TerminalRecord {
+                        job: digest,
+                        tenant: 1,
+                        at: 0.5,
+                        latency: 0.25,
+                        kind: TerminalKind::Completed,
+                        digest,
+                        deadline_met: None,
+                    };
+                    (key, rec)
+                })
+                .collect();
+            let mut table = Terminals::default();
+            for &(key, rec) in &terminals {
+                table.first(key, rec);
+            }
+            let want = first_wins(&terminals);
+            let got: Vec<_> = table.iter().collect();
+            proptest::prop_assert_eq!(&got, &want.iter().collect::<Vec<_>>());
+            proptest::prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0));
+            proptest::prop_assert_eq!(table.len(), want.len());
+            proptest::prop_assert_eq!(table.is_empty(), want.is_empty());
+            for (key, _) in &terminals {
+                proptest::prop_assert_eq!(table.get(key), want.get(key));
+                proptest::prop_assert!(table.contains_key(key));
+            }
+            proptest::prop_assert!(!table.contains_key(&1));
+            let mut reversed = Terminals::default();
+            for (&key, &rec) in want.iter().rev() {
+                reversed.first(key, rec);
+            }
+            proptest::prop_assert_eq!(&reversed, &table);
+            if let Some((&key, &rec)) = want.iter().next() {
+                let mut other = Terminals::default();
+                other.first(key, TerminalRecord { digest: rec.digest + 1, ..rec });
+                for (&key, &rec) in want.iter().skip(1) {
+                    other.first(key, rec);
+                }
+                proptest::prop_assert!(other != table);
+            }
         }
     }
 
@@ -851,9 +986,13 @@ mod tests {
         assert_eq!(st.queued[0].meta.id, 3);
         assert_eq!(st.queued[0].resume_fraction, 0.0);
         assert_eq!(st.completed.len(), 1);
-        assert_eq!(st.completed[&meta(2).idempotency].digest, 42);
+        assert_eq!(
+            st.completed.get(&meta(2).idempotency).map(|t| t.digest),
+            Some(42)
+        );
         assert!((st.resume_clock - 1.0).abs() < 1e-12);
-        assert_eq!(st.known_keys().count(), 3);
+        let known = st.queued.len() + st.in_flight.len() + st.completed.len() + st.failed.len();
+        assert_eq!(known, 3);
     }
 
     #[test]
@@ -909,6 +1048,10 @@ mod tests {
         let bytes = journal_of(&[mk(7), mk(9)]);
         let rep = replay(&bytes);
         assert_eq!(rep.state.completed.len(), 1);
-        assert_eq!(rep.state.completed[&key].digest, 7, "first write wins");
+        assert_eq!(
+            rep.state.completed.get(&key).map(|t| t.digest),
+            Some(7),
+            "first write wins"
+        );
     }
 }

@@ -22,7 +22,7 @@
 //! schedule digest asserts cheaply.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,8 +30,8 @@ use summagen_comm::span::{EventSink, SpanKind, SpanRecord};
 use summagen_comm::{FaultPlan, HockneyModel};
 use summagen_core::{multiply_abft, AbftOptions, ExecutionMode, RecoveryOptions};
 use summagen_durable::{
-    fnv1a_words, replay, CrashKind, CrashSpec, JobMeta, Journal, JournalRecord, RecoveredState,
-    RejectionReason, TerminalKind,
+    fnv1a_words, replay, CrashKind, CrashSpec, JobMeta, Journal, JournalRecord, KeyHasher,
+    RecoveredState, RejectionReason, TerminalKind,
 };
 use summagen_insight::{SloAlert, SloEngine, SloPolicy};
 use summagen_matrix::{gemm_naive, max_abs_diff, random_matrix, DenseMatrix};
@@ -547,31 +547,17 @@ fn job_meta(job: &JobSpec) -> JobMeta {
 }
 
 /// Which submissions, by idempotency key, are duplicates: those whose
-/// key the recovered journal knows, and those whose key an earlier entry
-/// of `keys` carries. The known keys are sorted once and each key
-/// binary-searched; the unknown ones are sorted with their positions, so
-/// a repeat is an entry whose sorted predecessor has its key.
+/// key the recovered journal knows — open (queued or in flight) or
+/// terminal — and those whose key an earlier entry of `keys` carries.
+/// One pass: a key is a duplicate iff a terminal table holds it or the
+/// set seeded with the open keys already has it.
 fn duplicate_keys(rs: &RecoveredState, keys: &[u64]) -> Vec<bool> {
-    let mut known: Vec<u64> = rs.known_keys().collect();
-    // The terminal keys come out of their maps in order: a run-adaptive
-    // sort merges the few runs instead of sorting from scratch.
-    known.sort();
-    let mut duplicate = Vec::with_capacity(keys.len());
-    let mut unknown = Vec::new();
-    for (at, &key) in keys.iter().enumerate() {
-        let hit = known.binary_search(&key).is_ok();
-        if !hit {
-            unknown.push((key, at));
-        }
-        duplicate.push(hit);
-    }
-    unknown.sort_unstable();
-    for pair in unknown.windows(2) {
-        if pair[0].0 == pair[1].0 {
-            duplicate[pair[1].1] = true;
-        }
-    }
-    duplicate
+    let open = rs.queued.iter().chain(&rs.in_flight);
+    let mut seen: HashSet<u64, KeyHasher> = open.map(|j| j.meta.idempotency).collect();
+    let terminal = |key| rs.completed.contains_key(key) || rs.failed.contains_key(key);
+    keys.iter()
+        .map(|key| terminal(key) || !seen.insert(*key))
+        .collect()
 }
 
 /// Rebuilds the spec a recovered [`JobMeta`] was journaled from.
@@ -765,18 +751,15 @@ impl GemmService {
         let downtime = journal.fsync_cost() + 1e-6 * rs.records as f64;
         st.now = rs.resume_clock + if epoch > 0 { downtime } else { 0.0 };
 
-        // Suppress resubmissions the journal already knows — admitted,
-        // running, or terminal: each completes (or completed) exactly
-        // once — and any key the list itself repeats: the first copy
-        // goes on, every later one is a duplicate too. Each bounces with
-        // a typed rejection.
+        // Suppress resubmissions the journal already knows and repeats
+        // within the list: each bounces with a typed rejection.
         let keys: Vec<u64> = resubmissions.iter().map(JobSpec::idempotency).collect();
         let duplicate = duplicate_keys(rs, &keys);
-        let mut fresh = Vec::new();
-        let mut suppressed = 0usize;
+        let suppressed = duplicate.iter().filter(|&&dup| dup).count();
+        st.rejections.reserve(suppressed);
+        let mut fresh = Vec::with_capacity(keys.len() - suppressed);
         for ((job, idempotency), dup) in resubmissions.into_iter().zip(keys).zip(duplicate) {
             if dup {
-                suppressed += 1;
                 self.reject(&mut st, job, Rejection::Duplicate { idempotency });
             } else {
                 fresh.push(job);
@@ -811,7 +794,8 @@ impl GemmService {
         // forget the pre-crash history. Alerts those observations fired
         // pre-crash were already reported then; re-firing is dropped.
         if let Some(engine) = st.slo.as_mut() {
-            let mut terms: Vec<_> = rs.completed.values().chain(rs.failed.values()).collect();
+            let terminal = rs.completed.iter().chain(rs.failed.iter());
+            let mut terms: Vec<_> = terminal.map(|(_, t)| t).collect();
             terms.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.job.cmp(&b.job)));
             for t in terms {
                 let _ = engine.observe_finished(
@@ -2330,7 +2314,9 @@ mod tests {
     // Durable runs: journaling, crash injection, recovery.
     // ------------------------------------------------------------------
 
-    use summagen_durable::{decode_frames, GroupCommitConfig};
+    use summagen_durable::{
+        decode_frames, encode_frame, idempotency_key, GroupCommitConfig, Terminals,
+    };
 
     fn fresh_journal() -> Journal {
         Journal::new(GroupCommitConfig::default())
@@ -2415,20 +2401,21 @@ mod tests {
             "kill points should actually fire (got {crashes})"
         );
         let recovered = summagen_durable::replay(journal.durable()).state;
-        let want: Vec<u64> = control.completed.keys().copied().collect();
-        let got: Vec<u64> = recovered.completed.keys().copied().collect();
-        assert_eq!(got, want, "a job was lost or duplicated across crashes");
-        for (key, t) in &control.completed {
+        let keys = |t: &Terminals| t.iter().map(|(key, _)| *key).collect::<Vec<u64>>();
+        assert_eq!(
+            keys(&recovered.completed),
+            keys(&control.completed),
+            "a job was lost or duplicated across crashes"
+        );
+        for (key, t) in control.completed.iter() {
             assert_eq!(
-                recovered.completed[key].digest, t.digest,
+                recovered.completed.get(key).map(|r| r.digest),
+                Some(t.digest),
                 "job {} did not reproduce bit-identically",
                 t.job
             );
         }
-        assert_eq!(
-            recovered.failed.keys().collect::<Vec<_>>(),
-            control.failed.keys().collect::<Vec<_>>()
-        );
+        assert_eq!(keys(&recovered.failed), keys(&control.failed));
     }
 
     #[test]
@@ -2440,10 +2427,8 @@ mod tests {
             None,
         );
         let journal = out.into_journal();
-        let known = summagen_durable::replay(journal.durable())
-            .state
-            .known_keys()
-            .count();
+        let st = summagen_durable::replay(journal.durable()).state;
+        let known = st.queued.len() + st.in_flight.len() + st.completed.len() + st.failed.len();
         let out2 = GemmService::new(pool(), config(Policy::FpmAware)).recover(journal, jobs, None);
         let DurableRun::Finished(rep) = out2 else {
             panic!("no crash injector, must finish");
@@ -2464,6 +2449,106 @@ mod tests {
             "nothing re-ran: {:?}",
             rep.report.records.len()
         );
+    }
+
+    /// The sort-based suppression `duplicate_keys` replaced, kept as the
+    /// oracle: the known keys sorted once and each key binary-searched;
+    /// the unknown ones sorted with their positions, so a repeat is an
+    /// entry whose sorted predecessor has its key.
+    fn duplicate_keys_by_sorting(rs: &RecoveredState, keys: &[u64]) -> Vec<bool> {
+        let open = rs.queued.iter().chain(&rs.in_flight);
+        let terminal = rs.completed.iter().chain(rs.failed.iter());
+        let mut known: Vec<u64> = open
+            .map(|j| j.meta.idempotency)
+            .chain(terminal.map(|(key, _)| *key))
+            .collect();
+        known.sort_unstable();
+        let mut duplicate = Vec::with_capacity(keys.len());
+        let mut unknown = Vec::new();
+        for (at, &key) in keys.iter().enumerate() {
+            let hit = known.binary_search(&key).is_ok();
+            if !hit {
+                unknown.push((key, at));
+            }
+            duplicate.push(hit);
+        }
+        unknown.sort_unstable();
+        for pair in unknown.windows(2) {
+            if pair[0].0 == pair[1].0 {
+                duplicate[pair[1].1] = true;
+            }
+        }
+        duplicate
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The one-pass suppression equals the sorting oracle on
+        /// submission lists that mix terminal keys, open (queued or in
+        /// flight) keys, fresh keys and repeats within the list. Job
+        /// slot `s` journals key `s % 20` in role `roles[s]` (nothing,
+        /// queued, in flight, completed, failed), so keys 0–3 may be
+        /// open under one job and terminal under another; keys 20–23
+        /// are never journaled.
+        #[test]
+        fn one_pass_suppression_equals_the_sorting_oracle(
+            roles in proptest::collection::vec(0u32..5, 24..25),
+            picks in proptest::collection::vec(0u64..24, 0..48),
+        ) {
+            let key = |k: u64| idempotency_key(k, 0, 512);
+            let mut bytes = Vec::new();
+            for (slot, &role) in (0u64..).zip(&roles) {
+                let meta = JobMeta {
+                    id: slot,
+                    tenant: 0,
+                    n: 512,
+                    priority: 0,
+                    deadline: None,
+                    submit_time: 0.0,
+                    idempotency: key(slot % 20),
+                };
+                let admitted = JournalRecord::Admitted { at: 0.0, meta };
+                let started = JournalRecord::BatchStarted {
+                    at: 0.1,
+                    batch: slot,
+                    job_ids: vec![slot],
+                    devices: vec![0],
+                };
+                let terminal = JournalRecord::Failed {
+                    at: 0.2,
+                    job: slot,
+                    idempotency: meta.idempotency,
+                    tenant: 0,
+                    latency: 0.2,
+                    attempts: 1,
+                };
+                let records = match role {
+                    1 => vec![admitted],
+                    2 => vec![admitted, started],
+                    3 => vec![JournalRecord::Completed {
+                        at: 0.2,
+                        job: slot,
+                        idempotency: meta.idempotency,
+                        tenant: 0,
+                        latency: 0.2,
+                        digest: slot,
+                        deadline_met: None,
+                    }],
+                    4 => vec![terminal],
+                    _ => Vec::new(),
+                };
+                for rec in records {
+                    encode_frame(&mut bytes, &rec.encode());
+                }
+            }
+            let rs = replay(&bytes).state;
+            let keys: Vec<u64> = picks.into_iter().map(key).collect();
+            proptest::prop_assert_eq!(
+                duplicate_keys(&rs, &keys),
+                duplicate_keys_by_sorting(&rs, &keys)
+            );
+        }
     }
 
     #[test]
@@ -2628,11 +2713,15 @@ mod tests {
             };
             let st = summagen_durable::replay(rep.journal.durable()).state;
             assert_eq!(
-                st.completed.keys().collect::<Vec<_>>(),
-                control.completed.keys().collect::<Vec<_>>()
+                st.completed.iter().map(|(key, _)| key).collect::<Vec<_>>(),
+                control
+                    .completed
+                    .iter()
+                    .map(|(key, _)| key)
+                    .collect::<Vec<_>>()
             );
-            for (key, t) in &control.completed {
-                assert_eq!(st.completed[key].digest, t.digest);
+            for (key, t) in control.completed.iter() {
+                assert_eq!(st.completed.get(key).map(|r| r.digest), Some(t.digest));
             }
         }
         assert!(exercised, "no kill point landed on a checkpoint append");

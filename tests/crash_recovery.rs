@@ -6,7 +6,9 @@
 
 use summagen_comm::HockneyModel;
 use summagen_core::{multiply_abft_prefix, panel_boundaries, AbftOptions, ExecutionMode};
-use summagen_durable::{decode_frames, replay, CrashKind, CrashSpec, GroupCommitConfig, Journal};
+use summagen_durable::{
+    decode_frames, replay, CrashKind, CrashSpec, GroupCommitConfig, Journal, Terminals,
+};
 use summagen_matrix::random_matrix;
 use summagen_partition::Shape;
 use summagen_platform::profile::hclserver1;
@@ -113,12 +115,13 @@ fn real_backend_crash_ladder_is_exactly_once_with_bit_identical_digests() {
     assert!(crashes >= 2, "only {crashes} of 6 armed cycles crashed");
     let ladder = replay(journal.durable()).state;
 
-    let keys = |m: &std::collections::BTreeMap<u64, _>| m.keys().copied().collect::<Vec<u64>>();
+    let keys = |t: &Terminals| t.iter().map(|(key, _)| *key).collect::<Vec<u64>>();
     assert_eq!(keys(&ladder.completed), keys(&control.completed));
     assert_eq!(keys(&ladder.failed), keys(&control.failed));
-    for (key, rec) in &ladder.completed {
+    for (key, rec) in ladder.completed.iter() {
         assert_eq!(
-            rec.digest, control.completed[key].digest,
+            Some(rec.digest),
+            control.completed.get(key).map(|t| t.digest),
             "job {} (key {key:016x}): recovered product digest differs from the crash-free run",
             rec.job
         );
@@ -166,7 +169,7 @@ fn torn_journal_tail_is_truncated_and_recovery_still_drains_exactly_once() {
         DurableRun::Finished(rep) => replay(rep.journal.durable()).state,
         DurableRun::Crashed(_) => panic!("control crashed"),
     };
-    let keys = |m: &std::collections::BTreeMap<u64, _>| m.keys().copied().collect::<Vec<u64>>();
+    let keys = |t: &Terminals| t.iter().map(|(key, _)| *key).collect::<Vec<u64>>();
     assert_eq!(keys(&state.completed), keys(&want.completed));
     assert_eq!(keys(&state.failed), keys(&want.failed));
 }

@@ -418,16 +418,16 @@ fn the_panic_budget_of_comm_core_and_service_only_falls() {
 /// lines lowers its crate's ceiling; one that must raise a ceiling says
 /// so, with the measured gain that pays for the lines.
 const LINE_CEILINGS: [(&str, usize); 11] = [
-    ("bench", 5282),
+    ("bench", 5281),
     ("comm", 4580),
     ("core", 2523),
-    ("durable", 1787),
+    ("durable", 1829),
     ("insight", 524),
     ("matrix", 1218),
     ("metrics", 951),
     ("partition", 1952),
     ("platform", 1341),
-    ("service", 3686),
+    ("service", 3670),
     ("trace", 1441),
 ];
 
