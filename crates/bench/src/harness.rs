@@ -1,6 +1,6 @@
 //! What every `reproduce` command shares, written once: the error type
-//! its runners return, the artifact writer, the observed service run, the
-//! chaos-seed fold and the reference product.
+//! its runners return, the artifact writer, the chaos-seed fold and the
+//! reference product.
 //!
 //! The `reproduce` binary maps an [`Error`] to its exit status in one
 //! place; the command modules only say what went wrong.
@@ -8,23 +8,14 @@
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use summagen_comm::Backend;
-use summagen_insight::SloPolicy;
 use summagen_matrix::{gemm_naive, DenseMatrix};
-use summagen_metrics::MetricsRegistry;
 use summagen_partition::Shape;
-use summagen_platform::profile::hclserver1;
-use summagen_service::{
-    mix_by_name, DevicePool, GemmService, LoadMix, ServiceConfig, ServiceMetrics, ServiceReport,
-    TenantSummary,
-};
-use summagen_trace::{perfetto_json, TraceRecorder};
 
 use crate::benchcmd::CheckError;
 use crate::json::Json;
-use crate::servecmd::{SERVE_ALPHA, SERVE_BETA};
 
 /// Why a `reproduce` command failed.
 #[derive(Debug)]
@@ -180,80 +171,6 @@ pub fn fold_seed(base: &[u64], extra: Option<&str>) -> Outcome<Vec<u64>> {
 /// A chaos grid's seeds: `base` plus the environment's extra seed.
 pub fn chaos_seeds(base: &[u64]) -> Outcome<Vec<u64>> {
     fold_seed(base, chaos_env())
-}
-
-/// The named tenant mix (`small` or `hetero`).
-pub fn load_mix(name: &str) -> Outcome<LoadMix> {
-    mix_by_name(name)
-        .ok_or_else(|| Error::Failed(format!("unknown mix '{name}'; expected small or hetero")))
-}
-
-/// The hclserver1 device pool every service command schedules onto.
-pub fn service_pool() -> DevicePool {
-    DevicePool::from_platform(&hclserver1(), SERVE_ALPHA, SERVE_BETA)
-}
-
-/// A per-tenant table: a `width`-wide label column headed `heading`, one
-/// column per tenant of `mix`, and one row per `(label, report)` whose
-/// cells are `cell` of each tenant's summary.
-pub fn print_tenant_table<'a>(
-    mix: &LoadMix,
-    width: usize,
-    heading: &str,
-    rows: impl IntoIterator<Item = (&'a str, &'a ServiceReport)>,
-    cell: impl Fn(&TenantSummary) -> f64,
-) {
-    print!("{heading:>width$}");
-    for t in &mix.tenants {
-        print!("{:>14}", t.name);
-    }
-    println!();
-    for (label, report) in rows {
-        print!("{label:>width$}");
-        for s in report.tenant_summaries(mix.tenants.len()) {
-            print!("{:>14.3}", cell(&s));
-        }
-        println!();
-    }
-}
-
-/// A service run with everything watching it, and what the watchers saw.
-pub struct Observed<T = ServiceReport> {
-    /// What the run returned.
-    pub report: T,
-    /// Prometheus exposition of the run's registry, rendered after it.
-    pub exposition: String,
-    /// Perfetto timeline of the run's schedule.
-    pub perfetto: String,
-}
-
-/// Runs `drive` on a fresh service over [`service_pool`] under `config`,
-/// with the service series of `mix`'s tenants registered, every dispatch
-/// recorded into a timeline titled `title`, and `slo` armed when given.
-pub fn observe<T>(
-    mix: &LoadMix,
-    config: ServiceConfig,
-    slo: Option<SloPolicy>,
-    title: &str,
-    drive: impl FnOnce(&mut GemmService) -> T,
-) -> Observed<T> {
-    let pool = service_pool();
-    let devices: Vec<&'static str> = pool.devices().iter().map(|d| d.name).collect();
-    let registry = Arc::new(MetricsRegistry::new());
-    let metrics = ServiceMetrics::register(&registry, &mix.tenant_names(), &devices);
-    let recorder = TraceRecorder::new(devices.len());
-    let mut service = GemmService::new(pool, config)
-        .with_metrics(metrics)
-        .with_sink(recorder.clone());
-    if let Some(policy) = slo {
-        service = service.with_slo(policy);
-    }
-    let report = drive(&mut service);
-    Observed {
-        report,
-        exposition: summagen_metrics::prometheus::render(&registry),
-        perfetto: perfetto_json(&recorder.finish(), title),
-    }
 }
 
 #[cfg(test)]

@@ -6,14 +6,12 @@
 //! thin wrapper over it. Its times are virtual; wall-clock ones are `perf/`'s.
 
 pub mod benchcmd;
-pub mod crashcmd;
-pub mod degradecmd;
 pub mod experiments;
 pub mod harness;
 pub mod insightcmd;
 pub mod json;
 pub mod resilience;
-pub mod servecmd;
+pub mod scenario;
 pub mod soak;
 pub mod tracecmd;
 

@@ -9,8 +9,7 @@
 //! fold). A change to the frame layout, the CRC, a record encoding or
 //! the fold's rules moves one of them; re-capture only on purpose.
 
-use summagen_bench::crashcmd::{crash_config, ledger_digest};
-use summagen_bench::servecmd::{SERVE_ALPHA, SERVE_BETA};
+use summagen_bench::scenario::{crash_config, ledger_digest, SERVE_ALPHA, SERVE_BETA};
 use summagen_durable::{
     compact, fnv1a, fnv1a_words, replay, GroupCommitConfig, Journal, RecoveredJob, RecoveredState,
     TerminalRecord,

@@ -5,13 +5,18 @@
 
 use std::fs;
 
-use summagen_bench::degradecmd::{run_degrade, run_mode, top_tier};
-use summagen_bench::servecmd::{run_policy, run_serve, serve_json, PolicyRun};
-use summagen_service::{hetero_mix, small_mix, LoadMix, Policy};
+use summagen_bench::scenario::{self, execute, top_tier, Run, BASELINE, DEGRADE, DEGRADED, SERVE};
+use summagen_service::{hetero_mix, small_mix, LoadMix};
 
 fn truncated(mut mix: LoadMix, jobs: usize) -> LoadMix {
     mix.jobs = jobs;
     mix
+}
+
+/// The serve row's run of `mix` under the policy named `policy`.
+fn policy_run(mix: &LoadMix, policy: &str) -> Run {
+    let (load, mode) = SERVE.runs.iter().find(|(_, m)| m.name == policy).unwrap();
+    execute(&SERVE, mix, 0, *load, *mode).unwrap()
 }
 
 /// The headline claim, on the mix built to show it: FPM-aware placement
@@ -20,8 +25,8 @@ fn truncated(mut mix: LoadMix, jobs: usize) -> LoadMix {
 #[test]
 fn fpm_aware_beats_fifo_on_the_hetero_mix() {
     let mix = hetero_mix();
-    let fifo = run_policy(&mix, Policy::Fifo);
-    let fpm = run_policy(&mix, Policy::FpmAware);
+    let fifo = policy_run(&mix, "fifo");
+    let fpm = policy_run(&mix, "fpm-aware");
     assert!(
         fpm.report.latency_quantile(0.95) < fifo.report.latency_quantile(0.95),
         "fpm p95 {} !< fifo p95 {}",
@@ -54,7 +59,7 @@ fn fpm_aware_beats_fifo_on_the_hetero_mix() {
 #[test]
 fn exposition_and_timeline_carry_the_service_story() {
     let mix = truncated(small_mix(), 80);
-    let run = run_policy(&mix, Policy::FpmAware);
+    let run = policy_run(&mix, "fpm-aware");
     for tenant in mix.tenant_names() {
         let label = format!("tenant=\"{tenant}\"");
         assert!(
@@ -79,13 +84,13 @@ fn exposition_and_timeline_carry_the_service_story() {
     );
 }
 
-/// `run_serve` writes the full artifact set and its gate passes on the
+/// The serve row writes the full artifact set and its gate passes on the
 /// small mix; the latency document is parseable and carries all three
 /// policies.
 #[test]
 fn run_serve_writes_artifacts_and_passes_its_gate() {
     let out = std::env::temp_dir().join(format!("summagen-serve-test-{}", std::process::id()));
-    run_serve("small", None, Some(80), &out).expect("serve gate");
+    scenario::run(&SERVE, &truncated(small_mix(), 80), &out).expect("serve gate");
     for name in [
         "LOAD_small.json",
         "LOAD_small.prom",
@@ -108,10 +113,7 @@ fn run_serve_writes_artifacts_and_passes_its_gate() {
 #[test]
 fn serve_document_is_reproducible() {
     let mix = truncated(small_mix(), 60);
-    let build = || -> String {
-        let runs: Vec<PolicyRun> = Policy::ALL.iter().map(|&p| run_policy(&mix, p)).collect();
-        serve_json(&mix, &runs).pretty()
-    };
+    let build = || scenario::artifact_document(&SERVE, &mix).unwrap().pretty();
     assert_eq!(build(), build());
 }
 
@@ -124,8 +126,8 @@ fn serve_document_is_reproducible() {
 fn degradation_beats_the_baseline_at_overload() {
     let mix = small_mix();
     let top = top_tier(&mix);
-    let base = run_mode(&mix, 5.0, 7, false);
-    let deg = run_mode(&mix, 5.0, 7, true);
+    let base = execute(&DEGRADE, &mix, 7, 5.0, BASELINE).unwrap();
+    let deg = execute(&DEGRADE, &mix, 7, 5.0, DEGRADED).unwrap();
     for run in [&base, &deg] {
         assert_eq!(
             run.report.records.len() + run.report.rejections.len(),
@@ -154,13 +156,13 @@ fn degradation_beats_the_baseline_at_overload() {
     assert!(base.report.quarantine_events.is_empty());
 }
 
-/// `run_degrade` writes the full artifact set and its gates pass on the
+/// The degrade row writes the full artifact set and its gates pass on the
 /// small mix; the document is parseable and carries every load factor
 /// with both modes.
 #[test]
 fn run_degrade_writes_artifacts_and_passes_its_gates() {
     let out = std::env::temp_dir().join(format!("summagen-degrade-test-{}", std::process::id()));
-    run_degrade("small", &out).expect("degrade gates");
+    scenario::run(&DEGRADE, &small_mix(), &out).expect("degrade gates");
     for name in [
         "DEGRADE_small.json",
         "SCHEDULE_DEGRADE_small_baseline.json",
@@ -171,10 +173,7 @@ fn run_degrade_writes_artifacts_and_passes_its_gates() {
     let text = fs::read_to_string(out.join("DEGRADE_small.json")).unwrap();
     let doc = summagen_bench::json::Json::parse(&text).unwrap();
     let loads = doc.get("loads").and_then(|l| l.as_arr()).unwrap();
-    assert_eq!(
-        loads.len(),
-        summagen_bench::degradecmd::DEGRADE_LOAD_FACTORS.len()
-    );
+    assert_eq!(loads.len(), DEGRADE.loads().len());
     for load in loads {
         assert!(load.get("baseline").is_some());
         assert!(load.get("degraded").is_some());
@@ -206,18 +205,18 @@ fn schedule_digests_match_the_goldens() {
         ),
     ];
     for (mix, by_policy, degraded) in goldens {
-        for (policy, want) in Policy::ALL.into_iter().zip(by_policy) {
-            let got = run_policy(&mix, policy).report.schedule_digest;
+        for ((load, mode), want) in SERVE.runs.iter().zip(by_policy) {
+            let got = execute(&SERVE, &mix, 0, *load, *mode).unwrap();
+            let got = got.report.schedule_digest;
             assert_eq!(
-                got,
-                want,
+                got, want,
                 "{} under {}: digest {got:016x} != golden {want:016x}",
-                mix.name,
-                policy.name()
+                mix.name, mode.name
             );
         }
         for (factor, want) in [1.0, 5.0].into_iter().zip(degraded) {
-            let got = run_mode(&mix, factor, 7, true).report.schedule_digest;
+            let got = execute(&DEGRADE, &mix, 7, factor, DEGRADED).unwrap();
+            let got = got.report.schedule_digest;
             assert_eq!(
                 got, want,
                 "{} degraded at {factor}x: digest {got:016x} != golden {want:016x}",
