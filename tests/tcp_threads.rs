@@ -5,6 +5,8 @@
 //! races it.
 
 use std::fs;
+use std::thread::sleep;
+use std::time::{Duration, Instant};
 
 use summagen_comm::{Backend, Payload, Universe, ZeroCost};
 
@@ -13,6 +15,21 @@ fn live_threads() -> usize {
     fs::read_dir("/proc/self/task")
         .expect("/proc/self/task")
         .count()
+}
+
+/// Live threads once the count falls to `want`, or after `deadline` if it
+/// never does. A joined thread's `/proc/self/task` entry can outlive its
+/// `pthread_join` for a moment (the kernel clears the tid before it reaps
+/// the task), so a count taken right after the join may still see it.
+fn settled_threads(want: usize, deadline: Duration) -> usize {
+    let start = Instant::now();
+    loop {
+        let live = live_threads();
+        if live <= want || start.elapsed() >= deadline {
+            return live;
+        }
+        sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
@@ -33,5 +50,6 @@ fn tcp_universes_join_every_io_thread() {
         });
         assert_eq!(got, vec![run as f64; 3], "run {run}");
     }
-    assert_eq!(live_threads(), before, "threads left behind by 50 runs");
+    let after = settled_threads(before, Duration::from_secs(2));
+    assert_eq!(after, before, "threads left behind by 50 runs");
 }
