@@ -92,9 +92,10 @@ pub struct DevicePool {
     alpha: f64,
     beta: f64,
     rr_cursor: usize,
-    /// Per-device schedulability, set by the quarantine layer before
-    /// each dispatch round. All-true without quarantine.
-    eligible: Vec<bool>,
+    /// The schedulable devices as a bit mask, set by the quarantine layer
+    /// before each dispatch round: all of them without quarantine, and
+    /// also when quarantine holds every one (see `eligible_devices`).
+    eligible: u32,
     /// The placement table: `(n, device bit mask)` → every FPM candidate
     /// over those devices, in tie-break order, with `start` left at zero
     /// (availability is applied at lookup). Filled on first use and
@@ -121,7 +122,7 @@ impl DevicePool {
             devices.len() <= 16,
             "a pool holds at most 16 devices: the planner costs every subset"
         );
-        let eligible = vec![true; devices.len()];
+        let eligible = (1 << devices.len()) - 1;
         Self {
             devices,
             alpha,
@@ -191,7 +192,18 @@ impl DevicePool {
     /// length must equal the pool size.
     pub fn set_eligible(&mut self, mask: &[bool]) {
         assert_eq!(mask.len(), self.devices.len());
-        self.eligible.copy_from_slice(mask);
+        let bits = (0..mask.len())
+            .filter(|&d| mask[d])
+            .fold(0, |m, d| m | 1 << d);
+        self.eligible = Some(bits)
+            .filter(|&b| b != 0)
+            .unwrap_or((1 << mask.len()) - 1);
+    }
+
+    /// Whether a schedulable device is free at `t`. If none is, no
+    /// placement of any policy can start by `t`.
+    pub(crate) fn any_free(&self, t: f64) -> bool {
+        (0..self.len()).any(|d| self.eligible >> d & 1 == 1 && self.devices[d].busy_until <= t)
     }
 
     /// The schedulable device indices. Fail-open: if quarantine has
@@ -199,14 +211,9 @@ impl DevicePool {
     /// scheduler with zero devices would deadlock the event loop, and a
     /// uniformly-failing pool has nothing better to offer anyway.
     pub fn eligible_devices(&self) -> Vec<usize> {
-        let elig: Vec<usize> = (0..self.devices.len())
-            .filter(|&d| self.eligible[d])
-            .collect();
-        if elig.is_empty() {
-            (0..self.devices.len()).collect()
-        } else {
-            elig
-        }
+        (0..self.len())
+            .filter(|d| self.eligible >> d & 1 == 1)
+            .collect()
     }
 
     /// Costs the table row of `n` over `devices` (ascending pool indices)
@@ -218,6 +225,14 @@ impl DevicePool {
             self.table.insert(key, row);
         }
         key
+    }
+
+    /// The placement an FPM [`Pick`] stands for.
+    pub(crate) fn placement(&self, pick: Pick) -> Placement {
+        Placement {
+            start: pick.start,
+            ..self.table[&pick.key][pick.index].clone()
+        }
     }
 
     /// Speeds of a subset evaluated at the given areas.
@@ -310,7 +325,10 @@ pub fn plan(policy: Policy, pool: &mut DevicePool, job: &JobSpec, now: f64) -> P
     match policy {
         Policy::Fifo => plan_fifo(pool, job, now),
         Policy::RoundRobin => plan_round_robin(pool, job, now),
-        Policy::FpmAware => plan_fpm(pool, job, now),
+        Policy::FpmAware => {
+            let pick = fpm_pick(pool, job.n, now);
+            pool.placement(pick)
+        }
     }
 }
 
@@ -346,7 +364,7 @@ fn plan_round_robin(pool: &DevicePool, job: &JobSpec, now: f64) -> Placement {
     let len = pool.devices.len();
     let d = (0..len)
         .map(|i| (pool.rr_cursor + i) % len)
-        .find(|&d| pool.eligible[d])
+        .find(|&d| pool.eligible >> d & 1 == 1)
         .unwrap_or(pool.rr_cursor % len);
     let n = job.n;
     let area = (n * n) as f64;
@@ -400,28 +418,42 @@ fn fpm_candidates(pool: &DevicePool, eligible: &[usize], n: usize) -> Vec<Placem
     row
 }
 
-fn plan_fpm(pool: &mut DevicePool, job: &JobSpec, now: f64) -> Placement {
-    let key = pool.cost(job.n, &pool.eligible_devices());
-    let mut best: Option<(f64, f64, &Placement)> = None;
-    for cand in &pool.table[&key] {
+/// An FPM plan before it becomes a [`Placement`]: a table row's winning
+/// candidate and its start. Only a plan that dispatches clones it.
+#[derive(Clone, Copy)]
+pub(crate) struct Pick {
+    key: (usize, u32),
+    index: usize,
+    pub(crate) start: f64,
+}
+
+/// Plans a job of size `n` FPM-aware over the schedulable devices: one
+/// table lookup (costing the row on its first use) and one scan of it.
+pub(crate) fn fpm_pick(pool: &mut DevicePool, n: usize, now: f64) -> Pick {
+    let key = (n, pool.eligible);
+    let row = match pool.table.get(&key) {
+        Some(row) => row,
+        None => {
+            pool.cost(n, &pool.eligible_devices());
+            &pool.table[&key]
+        }
+    };
+    let mut best: Option<(f64, Pick)> = None;
+    for (index, cand) in row.iter().enumerate() {
         let start = pool.available_at(&cand.devices).max(now);
         let finish = start + cand.duration;
         // Strictly-less comparison keeps the first (smallest-subset,
         // lexicographically-first, earliest-shape) candidate on ties
         // — fully deterministic.
-        if best.is_none_or(|(best_finish, ..)| finish < best_finish) {
-            best = Some((finish, start, cand));
+        if best.is_none_or(|(best_finish, _)| finish < best_finish) {
+            best = Some((finish, Pick { key, index, start }));
         }
     }
-    let (_, start, cand) = best.expect("pool has at least one device");
-    Placement {
-        start,
-        ..cand.clone()
-    }
+    best.expect("pool has at least one device").1
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use summagen_platform::device::HASWELL_E5_2670V3;
@@ -575,6 +607,20 @@ mod tests {
         assert_eq!(p.table.keys().collect::<Vec<_>>(), [&(1024, 0b111)]);
     }
 
+    /// The dispatch pass's precheck counts the schedulable devices only,
+    /// and the whole pool when quarantine has closed every one.
+    #[test]
+    fn any_free_counts_only_schedulable_devices() {
+        let mut p = pool();
+        p.occupy(&[0, 2], 0.0, 5.0);
+        assert!(p.any_free(1.0));
+        p.set_eligible(&[true, false, true]);
+        assert!(!p.any_free(1.0), "the free device 1 is quarantined");
+        assert!(p.any_free(5.0));
+        p.set_eligible(&[false, false, false]);
+        assert!(p.any_free(1.0), "fail-open offers device 1 again");
+    }
+
     // ---- The placement table against the direct costing it replaced ----
 
     /// The planner as it was before the table: every subset × shape
@@ -636,7 +682,7 @@ mod tests {
     /// A pool of constant-speed and tabulated (discrete-FPM) devices.
     /// Speeds come from a small grid so identical devices — equal
     /// durations, the tie-break's case — are common.
-    fn random_pool(devices: &[(u32, u32, u32)]) -> DevicePool {
+    pub(crate) fn random_pool(devices: &[(u32, u32, u32)]) -> DevicePool {
         let processors = devices
             .iter()
             .map(|&(kind, half_tf, drop_pct)| {

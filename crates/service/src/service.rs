@@ -44,7 +44,7 @@ use crate::degrade::{
 use crate::job::{DeadlineVerdict, JobId, JobOutcome, JobRecord, JobSpec, Rejection};
 use crate::metrics::ServiceMetrics;
 use crate::queue::{AdmissionConfig, JobQueue};
-use crate::scheduler::{commit, plan, service_time, DevicePool, Placement, Policy};
+use crate::scheduler::{commit, fpm_pick, plan, service_time, DevicePool, Pick, Placement, Policy};
 
 /// Comparison slack for virtual-clock instants.
 const EPS: f64 = 1e-9;
@@ -616,6 +616,11 @@ struct RunState {
     /// `None` on a plain `run`, which journals nothing).
     durable: Option<DurableCtx>,
     now: f64,
+    /// The dispatch pass (the tests swap in its reference).
+    dispatch: fn(&mut GemmService, &mut RunState),
+    /// A pass's scratch: the queue in urgency order, each size's FPM plan.
+    order: Vec<usize>,
+    picks: Vec<(usize, Pick)>,
 }
 
 impl RunState {
@@ -930,6 +935,9 @@ impl GemmService {
             slo: self.slo.clone().map(SloEngine::new),
             durable: None,
             now: 0.0,
+            dispatch: Self::dispatch_all,
+            order: Vec::new(),
+            picks: Vec::new(),
         }
     }
 
@@ -950,7 +958,7 @@ impl GemmService {
         // resumed work dispatches at the resume instant rather than
         // waiting for (or missing) a wake-up event.
         if !st.queue.is_empty() {
-            self.dispatch_all(st);
+            (st.dispatch)(self, st);
             if !st.end_step() {
                 return false;
             }
@@ -989,7 +997,7 @@ impl GemmService {
                 let mask: Vec<bool> = st.breakers.iter_mut().map(|b| b.eligible(now)).collect();
                 self.pool.set_eligible(&mask);
             }
-            self.dispatch_all(st);
+            (st.dispatch)(self, st);
             if !st.end_step() {
                 return false;
             }
@@ -1010,8 +1018,9 @@ impl GemmService {
     fn finish_report(&mut self, mut st: RunState) -> ServiceReport {
         // Records flush in completion order; re-sort into dispatch order
         // (batch, then position within the batch) so the report's shape
-        // does not depend on how completions interleaved.
-        st.records.sort_by(|a, b| {
+        // does not depend on how completions interleaved. A job has one
+        // record, so the keys are unique and an unstable sort is exact.
+        st.records.sort_unstable_by(|a, b| {
             a.batch
                 .cmp(&b.batch)
                 .then(a.start_time.total_cmp(&b.start_time))
@@ -1375,38 +1384,51 @@ impl GemmService {
         }
     }
 
-    /// Dispatches every queued job whose placement can start *now*.
-    /// FIFO and round-robin only ever look at the head (head-of-line
-    /// blocking is part of what those baselines are); FPM-aware walks the
-    /// queue in urgency order and backfills past blocked jobs. When
-    /// nothing can start and an urgent job is stuck behind lower-tier
-    /// running work, checkpoint preemption truncates a victim batch.
+    /// Dispatches every queued job whose placement can start *now*, one
+    /// batch per pass. FIFO and round-robin only ever look at the head
+    /// (head-of-line blocking is part of what those baselines are);
+    /// FPM-aware walks the queue in urgency order and backfills past
+    /// blocked jobs. When nothing can start and an urgent job is stuck
+    /// behind lower-tier running work, checkpoint preemption truncates a
+    /// victim batch.
+    ///
+    /// Nothing a plan reads changes within a pass, so a pass with no
+    /// schedulable device free plans nothing and FPM plans each size once
+    /// per pass — not per event (DESIGN.md §11, "The event loop").
     fn dispatch_all(&mut self, st: &mut RunState) {
-        'dispatch: loop {
-            if st.queue.is_empty() {
-                return;
-            }
-            let candidates: Vec<usize> = match self.config.policy {
-                Policy::Fifo | Policy::RoundRobin => vec![0],
-                Policy::FpmAware => {
-                    let spec = |i: usize| st.queue.get(i).expect("index below len");
-                    let mut order: Vec<usize> = (0..st.queue.len()).collect();
-                    order.sort_by(|&a, &b| urgency(spec(a), spec(b)).then(a.cmp(&b)));
-                    order
-                }
-            };
-            for idx in candidates {
-                let job = st.queue.get(idx).expect("index observed");
-                let placement = plan(self.config.policy, &mut self.pool, job, st.now);
-                if placement.start <= st.now + EPS {
+        let fpm = self.config.policy == Policy::FpmAware;
+        let mut order = std::mem::take(&mut st.order);
+        'pass: while !st.queue.is_empty() && self.pool.any_free(st.now + EPS) {
+            let spec = |i: usize| st.queue.get(i).expect("index below len");
+            order.clear();
+            order.extend(0..if fpm { st.queue.len() } else { 1 });
+            order.sort_by(|&a, &b| urgency(spec(a), spec(b)).then(a.cmp(&b)));
+            st.picks.clear();
+            for &idx in &order {
+                let job = spec(idx);
+                let placement = if fpm {
+                    let at = st.picks.iter().position(|p| p.0 == job.n);
+                    let at = at.unwrap_or_else(|| {
+                        st.picks
+                            .push((job.n, fpm_pick(&mut self.pool, job.n, st.now)));
+                        st.picks.len() - 1
+                    });
+                    let pick = st.picks[at].1;
+                    (pick.start <= st.now + EPS).then(|| self.pool.placement(pick))
+                } else {
+                    Some(plan(self.config.policy, &mut self.pool, job, st.now))
+                        .filter(|p| p.start <= st.now + EPS)
+                };
+                if let Some(placement) = placement {
                     commit(self.config.policy, &mut self.pool);
                     self.dispatch_batch(st, idx, placement);
-                    continue 'dispatch;
+                    continue 'pass;
                 }
             }
-            self.try_preempt(st);
-            return;
+            break;
         }
+        st.order = order;
+        self.try_preempt(st);
     }
 
     /// Checkpoint preemption: if a queued job at or above the urgency
@@ -1439,8 +1461,7 @@ impl GemmService {
             return;
         };
         // If the urgent job would start soon anyway, don't churn.
-        let placement = plan(self.config.policy, &mut self.pool, &urgent, st.now);
-        if placement.start <= st.now + min_wait {
+        if fpm_pick(&mut self.pool, urgent.n, st.now).start <= st.now + min_wait {
             return;
         }
         // Victim: the batch of strictly lower-priority work whose
@@ -1813,34 +1834,39 @@ fn verify_product(a: &DenseMatrix, b: &DenseMatrix, c: &DenseMatrix) -> Result<(
 }
 
 /// FNV-1a over every scheduling decision: job ids, times (as bits),
-/// device sets, batches, attempts, outcomes, and rejections.
+/// device sets, batches, attempts, outcomes, and rejections — the hash
+/// [`fnv1a_words`] gives of these words, fed one at a time.
 fn digest(records: &[JobRecord], rejections: &[(JobSpec, Rejection)]) -> u64 {
-    let mut words = Vec::new();
+    let mut h = fnv1a_words(&[]);
+    let mut feed = |w: u64| {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
     for r in records {
-        words.extend([
-            r.spec.id,
-            r.start_time.to_bits(),
-            r.finish_time.to_bits(),
-            r.batch,
-            r.attempts as u64,
-            r.devices.len() as u64,
-        ]);
-        words.extend(r.devices.iter().map(|&d| d as u64));
-        words.push(match r.outcome {
+        feed(r.spec.id);
+        feed(r.start_time.to_bits());
+        feed(r.finish_time.to_bits());
+        feed(r.batch);
+        feed(r.attempts as u64);
+        feed(r.devices.len() as u64);
+        r.devices.iter().for_each(|&d| feed(d as u64));
+        feed(match r.outcome {
             JobOutcome::Completed => 1,
             JobOutcome::Failed { .. } => 2,
         });
-        words.push(r.preemptions as u64);
-        words.push(match r.deadline {
+        feed(r.preemptions as u64);
+        feed(match r.deadline {
             DeadlineVerdict::NoDeadline => 0,
             DeadlineVerdict::Met => 1,
             DeadlineVerdict::Missed { .. } => 2,
         });
     }
     for (j, rej) in rejections {
-        words.extend([j.id, rej.label().len() as u64]);
+        feed(j.id);
+        feed(rej.label().len() as u64);
     }
-    fnv1a_words(&words)
+    h
 }
 
 #[cfg(test)]
@@ -2725,5 +2751,255 @@ mod tests {
             }
         }
         assert!(exercised, "no kill point landed on a checkpoint append");
+    }
+
+    // ---- The dispatch pass and the digest against their references ----
+
+    impl GemmService {
+        /// The dispatch pass as it was before it skipped and memoised:
+        /// every urgency-ordered candidate planned on its own with
+        /// [`plan`], whatever the pool's state. The reference
+        /// [`GemmService::dispatch_all`] is proptested against.
+        fn reference_dispatch(&mut self, st: &mut RunState) {
+            'dispatch: loop {
+                if st.queue.is_empty() {
+                    return;
+                }
+                let candidates: Vec<usize> = match self.config.policy {
+                    Policy::Fifo | Policy::RoundRobin => vec![0],
+                    Policy::FpmAware => {
+                        let spec = |i: usize| st.queue.get(i).expect("index below len");
+                        let mut order: Vec<usize> = (0..st.queue.len()).collect();
+                        order.sort_by(|&a, &b| urgency(spec(a), spec(b)).then(a.cmp(&b)));
+                        order
+                    }
+                };
+                for idx in candidates {
+                    let job = st.queue.get(idx).expect("index observed");
+                    let placement = plan(self.config.policy, &mut self.pool, job, st.now);
+                    if placement.start <= st.now + EPS {
+                        commit(self.config.policy, &mut self.pool);
+                        self.dispatch_batch(st, idx, placement);
+                        continue 'dispatch;
+                    }
+                }
+                self.try_preempt(st);
+                return;
+            }
+        }
+
+        /// [`GemmService::run`] with the reference dispatch pass.
+        fn run_reference(&mut self, jobs: Vec<JobSpec>) -> ServiceReport {
+            let mut st = self.base_state();
+            st.dispatch = Self::reference_dispatch;
+            assert!(
+                self.drive(jobs, &mut st),
+                "a plain run has no crash injector"
+            );
+            self.finish_report(st)
+        }
+    }
+
+    /// `digest` as it was before it streamed: every word into one vector,
+    /// hashed at the end.
+    fn digest_by_words(records: &[JobRecord], rejections: &[(JobSpec, Rejection)]) -> u64 {
+        let mut words = Vec::new();
+        for r in records {
+            words.extend([
+                r.spec.id,
+                r.start_time.to_bits(),
+                r.finish_time.to_bits(),
+                r.batch,
+                r.attempts as u64,
+                r.devices.len() as u64,
+            ]);
+            words.extend(r.devices.iter().map(|&d| d as u64));
+            words.push(match r.outcome {
+                JobOutcome::Completed => 1,
+                JobOutcome::Failed { .. } => 2,
+            });
+            words.push(r.preemptions as u64);
+            words.push(match r.deadline {
+                DeadlineVerdict::NoDeadline => 0,
+                DeadlineVerdict::Met => 1,
+                DeadlineVerdict::Missed { .. } => 2,
+            });
+        }
+        for (j, rej) in rejections {
+            words.extend([j.id, rej.label().len() as u64]);
+        }
+        fnv1a_words(&words)
+    }
+
+    /// A size whose best placement waits in one pass can start in the
+    /// next pass of the same event. Job 1 arrives while job 0 holds
+    /// device 2, and its best placement waits for that device. Job 2,
+    /// less urgent, takes device 0. That makes device 1 alone job 1's
+    /// best placement, free since the start, so job 1 dispatches in the
+    /// next pass. A plan memo that outlived its pass would hold job 1
+    /// back until a later event.
+    #[test]
+    fn a_size_blocked_in_one_pass_dispatches_in_the_next() {
+        use crate::scheduler::tests::random_pool;
+        let devices = [(1, 2, 30), (0, 2, 30), (1, 3, 30)];
+        let jobs = vec![
+            pjob(0, 1024, 0.0, 0, None),
+            pjob(1, 2048, 0.003, 2, None),
+            pjob(2, 256, 0.003, 0, None),
+        ];
+        let report = GemmService::new(random_pool(&devices), config(Policy::FpmAware)).run(jobs);
+        let rec = |id| {
+            let r = report.records.iter().find(|r| r.spec.id == id);
+            r.expect("every job is recorded")
+        };
+        assert_eq!(rec(0).devices, [2]);
+        let mut probe = random_pool(&devices);
+        probe.occupy(&[2], 0.0, rec(0).finish_time);
+        let blocked = plan(Policy::FpmAware, &mut probe, &rec(1).spec, 0.003);
+        assert!(blocked.devices.contains(&2) && blocked.start > 0.003 + EPS);
+        assert_eq!((rec(2).batch, rec(2).devices.as_slice()), (1, &[0][..]));
+        assert_eq!((rec(1).batch, rec(1).devices.as_slice()), (2, &[1][..]));
+        assert_eq!(
+            rec(1).start_time,
+            rec(2).start_time,
+            "job 1 waited for a later event"
+        );
+    }
+
+    mod reference {
+        use super::*;
+        use crate::loadgen::hetero_mix;
+        use crate::scheduler::tests::random_pool;
+        use proptest::prelude::*;
+
+        /// A record from generated fields: every outcome and deadline
+        /// verdict, and zero to four devices.
+        fn record(
+            (id, start, finish, batch): (u64, u64, u64, u64),
+            (attempts, devices, failed, preemptions, verdict): (usize, Vec<usize>, u32, usize, u32),
+        ) -> JobRecord {
+            let finish = f64::from_bits(finish);
+            JobRecord {
+                spec: job(id, 256, 0.0),
+                start_time: f64::from_bits(start),
+                finish_time: finish,
+                devices,
+                shape: "1d-rectangular",
+                batch,
+                attempts,
+                preemptions,
+                deadline: match verdict {
+                    0 => DeadlineVerdict::NoDeadline,
+                    1 => DeadlineVerdict::Met,
+                    _ => DeadlineVerdict::Missed { late_by: finish },
+                },
+                outcome: if failed == 1 {
+                    JobOutcome::Failed {
+                        reason: "exhausted".into(),
+                    }
+                } else {
+                    JobOutcome::Completed
+                },
+            }
+        }
+
+        /// A rejection of every kind.
+        fn rejection(id: u64, kind: u32) -> (JobSpec, Rejection) {
+            let rej = match kind {
+                0 => Rejection::QueueFull { capacity: 4 },
+                1 => Rejection::QuotaExceeded { quota: 2 },
+                2 => Rejection::TooLarge { max_n: 512 },
+                3 => Rejection::DeadlineInfeasible {
+                    tenant: 1,
+                    deadline: 0.5,
+                    estimated_completion: 0.75,
+                },
+                4 => Rejection::Shed {
+                    tenant: 0,
+                    queue_wait_p95: 2.0,
+                    threshold: 1.0,
+                },
+                _ => Rejection::Duplicate { idempotency: id },
+            };
+            (job(id, 1024, 0.0), rej)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The dispatch pass against the reference pass on random
+            /// pools (tied identical devices are common), both mixes at
+            /// random loads and seeds, under every policy, with
+            /// degradation off and armed (quarantine, preemption and
+            /// brownout): the same records, rejections and schedule digest.
+            #[test]
+            fn dispatch_matches_the_reference_pass(
+                devices in proptest::collection::vec((0u32..2, 1u32..4, 10u32..100), 1..5),
+                hetero in 0u32..2,
+                seed in 0u64..u64::MAX,
+                load in 1u32..8,
+                armed in 0u32..2,
+                fail_permille in 0u32..500,
+            ) {
+                let mut mix = if hetero == 1 { hetero_mix() } else { small_mix() };
+                mix.jobs = 120;
+                mix.seed = seed;
+                mix.arrival_rate *= f64::from(load);
+                let degrade = if armed == 1 {
+                    DegradeConfig {
+                        preemption_min_wait: 0.02,
+                        brownout_p95_threshold: 0.5,
+                        ..DegradeConfig::standard()
+                    }
+                } else {
+                    DegradeConfig::default()
+                };
+                let jobs = generate(&mix);
+                for policy in Policy::ALL {
+                    let cfg = ServiceConfig {
+                        faults: FaultProfile {
+                            fail_permille: fail_permille as u16,
+                            seed,
+                        },
+                        degrade,
+                        ..config(policy)
+                    };
+                    let got = GemmService::new(random_pool(&devices), cfg).run(jobs.clone());
+                    let want =
+                        GemmService::new(random_pool(&devices), cfg).run_reference(jobs.clone());
+                    prop_assert_eq!(&got.records, &want.records, "{}", policy.name());
+                    prop_assert_eq!(&got.rejections, &want.rejections, "{}", policy.name());
+                    prop_assert_eq!(got.schedule_digest, want.schedule_digest);
+                }
+            }
+
+            /// The streamed digest hashes the words the word vector held.
+            #[test]
+            fn streamed_digest_equals_the_word_vector(
+                records in proptest::collection::vec(
+                    (
+                        (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+                        (
+                            1usize..4,
+                            proptest::collection::vec(0usize..16, 0..5),
+                            0u32..2,
+                            0usize..3,
+                            0u32..3,
+                        ),
+                    ),
+                    0..24,
+                ),
+                rejections in proptest::collection::vec((0u64..u64::MAX, 0u32..6), 0..12),
+            ) {
+                let records: Vec<JobRecord> =
+                    records.into_iter().map(|(a, b)| record(a, b)).collect();
+                let rejections: Vec<(JobSpec, Rejection)> =
+                    rejections.into_iter().map(|(id, kind)| rejection(id, kind)).collect();
+                prop_assert_eq!(
+                    digest(&records, &rejections),
+                    digest_by_words(&records, &rejections)
+                );
+            }
+        }
     }
 }

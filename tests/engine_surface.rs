@@ -395,7 +395,7 @@ fn the_settable_surface_is_the_pinned_one() {
 #[test]
 fn the_panic_budget_of_comm_core_and_service_only_falls() {
     const PATTERNS: [&str; 4] = ["unwrap()", "expect(", "assert!", "panic!"];
-    const BUDGET: [(&str, usize); 3] = [("comm", 28), ("core", 24), ("service", 16)];
+    const BUDGET: [(&str, usize); 3] = [("comm", 28), ("core", 24), ("service", 15)];
     for (krate, pinned) in BUDGET {
         let sites: usize = crate_sources(krate)
             .iter()
@@ -427,7 +427,7 @@ const LINE_CEILINGS: [(&str, usize); 11] = [
     ("metrics", 951),
     ("partition", 1952),
     ("platform", 1341),
-    ("service", 3670),
+    ("service", 3728),
     ("trace", 1441),
 ];
 
